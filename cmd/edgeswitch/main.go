@@ -39,7 +39,6 @@ func main() {
 		steps   = flag.Int64("steps", 1, "number of steps (parallel; step size = t/steps)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		useTCP  = flag.Bool("tcp", false, "route parallel messages over loopback TCP")
-		adapt   = flag.Bool("adaptive", false, "tune each rank's op-pipelining window from observed abort rates (AIMD)")
 		quiet   = flag.Bool("q", false, "suppress the per-rank table")
 		verbose = flag.Bool("v", false, "print extra run counters (spill/compaction stats with -spill-dir)")
 		mode    = flag.String("mode", "plain", "constraint mode: plain, connected, bipartite, jdd (sequential only)")
@@ -49,7 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *adapt, *quiet, *verbose, *mode, *left, *spill, *overlay); err != nil {
+	if err := run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill, *overlay); err != nil {
 		fmt.Fprintln(os.Stderr, "edgeswitch:", err)
 		os.Exit(1)
 	}
@@ -69,7 +68,7 @@ func genSpec(model string, n, d int, seed uint64) (*edgeswitch.GenSpec, error) {
 }
 
 func run(inPath, dataset string, scale float64, genMod string, genN, genD int, outPath string, tOps int64, x float64,
-	ranks int, scheme, algo string, steps int64, seed uint64, useTCP, adaptive, quiet, verbose bool, mode string, left int,
+	ranks int, scheme, algo string, steps int64, seed uint64, useTCP, quiet, verbose bool, mode string, left int,
 	spillDir string, overlayBudget int64) error {
 
 	if algo != "" && algo != string(edgeswitch.EdgeSwitch) && mode != "" && mode != "plain" {
@@ -146,18 +145,17 @@ func run(inPath, dataset string, scale float64, genMod string, genN, genD int, o
 		// Pass the raw -t through so a curveball run derived from -x keeps
 		// its early-stop target (the facade re-derives t per algorithm).
 		rep, err = edgeswitch.Run(g, edgeswitch.Options{
-			Ops:            tOps,
-			VisitRate:      x,
-			Algorithm:      edgeswitch.Algorithm(algo),
-			Ranks:          ranks,
-			Scheme:         edgeswitch.Scheme(scheme),
-			StepSize:       stepSize,
-			Seed:           seed,
-			UseTCP:         useTCP,
-			AdaptiveWindow: adaptive,
-			Gen:            spec,
-			SpillDir:       spillDir,
-			OverlayBudget:  overlayBudget,
+			Ops:           tOps,
+			VisitRate:     x,
+			Algorithm:     edgeswitch.Algorithm(algo),
+			Ranks:         ranks,
+			Scheme:        edgeswitch.Scheme(scheme),
+			StepSize:      stepSize,
+			Seed:          seed,
+			UseTCP:        useTCP,
+			Gen:           spec,
+			SpillDir:      spillDir,
+			OverlayBudget: overlayBudget,
 		})
 	case "connected":
 		rep, err = edgeswitch.RunConnected(g, t, seed)
@@ -181,15 +179,14 @@ func run(inPath, dataset string, scale float64, genMod string, genN, genD int, o
 			p.SpillBaseBytes, p.SpillOverlayHWM, p.SpillCompactions, time.Duration(p.SpillCompactNs))
 	}
 	if rep.Parallel != nil && !quiet {
-		fmt.Println("rank\tvertices\tedges0\tedgesN\tops\trestarts\twinmax")
+		fmt.Println("rank\tvertices\tedges0\tedgesN\tops\trestarts")
 		for i := range rep.Parallel.RankOps {
-			fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\t%d\n", i,
+			fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\n", i,
 				rep.Parallel.RankVertices[i],
 				rep.Parallel.RankInitialEdges[i],
 				rep.Parallel.RankFinalEdges[i],
 				rep.Parallel.RankOps[i],
-				rep.Parallel.RankRestarts[i],
-				rep.Parallel.RankWindowMax[i])
+				rep.Parallel.RankRestarts[i])
 		}
 		ab := metrics.AbortRates(rep.Parallel.RankRestarts, rep.Parallel.RankOps)
 		lo, hi := ab[0], ab[0]

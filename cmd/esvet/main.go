@@ -158,10 +158,14 @@ func selectChecks(spec string) ([]*analysis.Check, error) {
 	return out, nil
 }
 
-// findModuleRoot walks up from dir to the nearest directory with go.mod.
+// findModuleRoot walks up from dir, which must exist, to the nearest
+// directory with go.mod.
 func findModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
+		return "", err
+	}
+	if _, err := os.Stat(abs); err != nil {
 		return "", err
 	}
 	for d := abs; ; {

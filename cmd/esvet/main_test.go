@@ -163,13 +163,21 @@ func TestRunList(t *testing.T) {
 	}
 }
 
+// TestRunNoModule: a -root with no module above it, or one that does not
+// exist (which must not fall through to the enclosing module and report
+// that one clean), is a usage error naming the problem.
 func TestRunNoModule(t *testing.T) {
-	code, _, stderr := runCLI(t, "-root", t.TempDir())
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "no go.mod") {
-		t.Fatalf("stderr: %q", stderr)
+	for _, tc := range []struct{ name, root, want string }{
+		{"no go.mod", t.TempDir(), "no go.mod"},
+		{"missing dir", filepath.Join("..", "..", "no-such-dir"), "no-such-dir"},
+	} {
+		code, _, stderr := runCLI(t, "-root", tc.root)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2", tc.name, code)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: stderr %q lacks %q", tc.name, stderr, tc.want)
+		}
 	}
 }
 

@@ -124,11 +124,6 @@ type Options struct {
 	Seed uint64
 	// UseTCP routes parallel engine traffic over loopback TCP.
 	UseTCP bool
-	// AdaptiveWindow lets each rank tune its operation-pipelining window
-	// from observed abort rates (AIMD, see core.Config.AdaptiveWindow)
-	// instead of the fixed 64 ∧ |E_local|/8. No effect on sequential
-	// runs.
-	AdaptiveWindow bool
 	// InPlace lets the sequential path mutate g directly instead of a
 	// clone (saves memory on large graphs).
 	InPlace bool
@@ -244,7 +239,6 @@ func Run(g *Graph, opt Options) (*Report, error) {
 		StepSize:        opt.StepSize,
 		Seed:            opt.Seed,
 		UseTCP:          opt.UseTCP,
-		AdaptiveWindow:  opt.AdaptiveWindow,
 		Algorithm:       core.Algorithm(opt.Algorithm),
 		TargetVisitRate: targetX,
 		SpillDir:        opt.SpillDir,
@@ -274,7 +268,6 @@ func runDistributedGen(opt Options) (*Report, error) {
 		StepSize:        opt.StepSize,
 		Seed:            opt.Seed,
 		UseTCP:          opt.UseTCP,
-		AdaptiveWindow:  opt.AdaptiveWindow,
 		Algorithm:       core.Algorithm(opt.Algorithm),
 		TargetVisitRate: targetX,
 		DistributedGen:  &spec,

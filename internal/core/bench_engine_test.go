@@ -15,7 +15,7 @@ import (
 // transport traffic a run costs — msgs/op is the number of payloads
 // handed to the transport (what batching shrinks), bytes/op the payload
 // volume — plus restarts/op, the protocol work wasted on rejected
-// selections (what the adaptive window shrinks).
+// selections.
 func benchEngine(b *testing.B, g *graph.Graph, ops int64, useTCP bool, cfg Config) {
 	b.Helper()
 	var opts []mpi.Option
@@ -55,9 +55,9 @@ func benchEngine(b *testing.B, g *graph.Graph, ops int64, useTCP bool, cfg Confi
 
 // BenchmarkEngineStep times one full engine step (a complete RunRank with
 // a single-step quota) across the message-plane matrix: both transports,
-// two rank counts, batching on/off, sanitizer on/off, and the adaptive
-// pipelining window against the fixed one. BENCH_messageplane.json and
-// BENCH_adaptive.json record the numbers.
+// two rank counts, batching on/off (nobatch is the unbatched reference
+// path, Config.noBatch), sanitizer on/off. BENCH_messageplane.json
+// records the numbers.
 func BenchmarkEngineStep(b *testing.B) {
 	n, m, ops := 1200, int64(6000), int64(4000)
 	if testing.Short() {
@@ -68,13 +68,12 @@ func BenchmarkEngineStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	variants := []struct {
-		name                        string
-		sanitize, noBatch, adaptive bool
+		name              string
+		sanitize, noBatch bool
 	}{
 		{name: "batch"},
 		{name: "batch+sanitize", sanitize: true},
 		{name: "nobatch", noBatch: true},
-		{name: "adaptive", adaptive: true},
 	}
 	for _, transport := range []string{"mem", "tcp"} {
 		for _, p := range []int{2, 8} {
@@ -85,58 +84,7 @@ func BenchmarkEngineStep(b *testing.B) {
 						Scheme:          SchemeHPD,
 						Seed:            31,
 						CheckInvariants: v.sanitize,
-						DisableBatching: v.noBatch,
-						AdaptiveWindow:  v.adaptive,
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkEngineStepHighConflict exercises the regime the adaptive
-// window exists for: small per-rank partitions where the fixed 64-edge
-// window holds a large fraction of each partition in hand, inflating
-// reservation conflicts and restarts. Two shapes: a skewed
-// preferential-attachment graph under HP-D (degree-sorted striping
-// concentrates heavy vertices, so partitions are uneven) and a tiny
-// uniform graph. Runs are multi-step so the AIMD controller gets
-// feedback to steer on; restarts/op shows what it buys.
-func BenchmarkEngineStepHighConflict(b *testing.B) {
-	scale := int64(1)
-	if testing.Short() {
-		scale = 4
-	}
-	pa, err := gen.PrefAttachment(rng.Split(33, 0), int(560/scale), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tiny, err := gen.ErdosRenyi(rng.Split(34, 0), int(240/scale), 960/scale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	configs := []struct {
-		name string
-		g    *graph.Graph
-		ops  int64
-	}{
-		{name: "skewed-pa", g: pa, ops: 4000 / scale},
-		{name: "tiny-uniform", g: tiny, ops: 4000 / scale},
-	}
-	for _, transport := range []string{"mem", "tcp"} {
-		for _, c := range configs {
-			for _, adaptive := range []bool{false, true} {
-				mode := "fixed"
-				if adaptive {
-					mode = "adaptive"
-				}
-				b.Run(fmt.Sprintf("%s/%s/p8/%s", transport, c.name, mode), func(b *testing.B) {
-					benchEngine(b, c.g, c.ops, transport == "tcp", Config{
-						Ranks:          8,
-						Scheme:         SchemeHPD,
-						Seed:           33,
-						StepSize:       c.ops / 10,
-						AdaptiveWindow: adaptive,
+						noBatch:         v.noBatch,
 					})
 				})
 			}

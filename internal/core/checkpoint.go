@@ -11,7 +11,6 @@ import (
 	"edgeswitch/internal/mpi"
 	"edgeswitch/internal/partition"
 	"edgeswitch/internal/store"
-	"edgeswitch/internal/tune/window"
 )
 
 // The checkpoint protocol (DESIGN.md §6): at a step boundary every rank
@@ -513,23 +512,11 @@ func (ck *checkpointer) restoreEngine(pt partition.Partitioner, n int, m int64, 
 	e.stepsRun = st.step
 	e.restoredStep = st.step
 	e.opsInitiated, e.restarts, e.forfeited, e.msgsSent = st.opsInitiated, st.restarts, st.forfeited, st.msgsSent
-	e.tot = st.tot
-	e.winMax = int(st.winMax)
+	e.flushes = st.flushes
 	if err := e.rnd.SetState(st.rnd); err != nil {
 		return nil, 0, err
 	}
 	e.rand.restoreCursor(st.cursor)
-	if e.winCtl != nil && st.window > 0 {
-		// The AIMD controller's full trajectory is not serialized; restart
-		// it from the captured window so the resumed run opens where the
-		// interrupted one left off (see DESIGN.md §6).
-		e.winCtl = window.New(window.Config{
-			Ranks:   ck.c.Size(),
-			Floor:   cfg.WindowFloor,
-			Ceiling: cfg.WindowCeiling,
-			Start:   int(st.window),
-		})
-	}
 	// Every rank verified its snapshot (and segment identity) in
 	// restorable() before the step was agreed, so the per-rank load and
 	// decode error paths above fire only on a corruption race, where the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -284,8 +286,10 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 }
 
 // TestSnapshotHeaderRoundTrip pins the binary snapshot codec at the
-// engine level: every resumable field survives encode/decode, and the
-// CRC32C trailer rejects any bit flip.
+// engine level: every resumable field survives encode/decode, the
+// CRC32C trailer rejects any bit flip, and a version-1 snapshot (the
+// 208-byte header that carried the window controller's words) is refused
+// by version, not misdecoded.
 func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	g := testGraph(t, 12, 80, 320)
 	eng, w := newTestEngine(t, g)
@@ -299,13 +303,14 @@ func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	eng.stepsRun = 3
 	eng.opsInitiated = 17
 	eng.restarts = 2
+	eng.flushes = 9
 
 	snap := eng.encodeSnapshot(nil)
 	st, adj, err := decodeSnapshotHeader(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.step != 3 || st.opsInitiated != 17 || st.restarts != 2 {
+	if st.step != 3 || st.opsInitiated != 17 || st.restarts != 2 || st.flushes != 9 {
 		t.Fatalf("counters did not round-trip: %+v", st)
 	}
 	if st.n != g.N() || st.m != g.M() || st.seed != eng.seed {
@@ -333,6 +338,15 @@ func TestSnapshotHeaderRoundTrip(t *testing.T) {
 		if _, _, err := decodeSnapshotHeader(bad); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", pos)
 		}
+	}
+
+	// An intact file from the previous format: version word 1, CRC valid.
+	v1 := append([]byte(nil), snap[:len(snap)-4]...)
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
+	_, _, err = decodeSnapshotHeader(v1)
+	if err == nil || !strings.Contains(err.Error(), "snapshot version 1, this binary reads 2") {
+		t.Fatalf("version-1 snapshot: got %v, want the version error", err)
 	}
 }
 

@@ -387,8 +387,6 @@ func (r *curveball) execute(t int32, ts *cbTrade) error {
 	ts.done = true
 	r.pending--
 	e.opsInitiated++
-	e.st.started++
-	e.st.committed++
 
 	// Split arrivals by side and sort each by the non-anchor endpoint so
 	// the redistribution sees a canonical, arrival-order-free input.

@@ -249,26 +249,20 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 // ---- local edge custody ----
 
 // conflicts reports whether a normalized local edge exists (adjacency,
-// reservation, or provisionally removed) and, when it does, whether the
-// collision is transient — with an in-hand edge or a reservation, i.e.
-// with protocol state whose population is the sum of everyone's
-// pipelining windows — or structural (the edge is simply present in the
-// adjacency, a parallel-edge rejection that would occur at window 1
-// too). The adaptive window controller steers on transient conflicts
-// only; see internal/tune/window.
-func (r *edgeSwitcher) conflicts(ed graph.Edge) (conflict, transient bool) {
+// reservation, or provisionally removed).
+func (r *edgeSwitcher) conflicts(ed graph.Edge) bool {
 	if _, held := r.inHand[ed]; held {
-		return true, true
+		return true
 	}
 	if _, reserved := r.potential[ed]; reserved {
-		return true, true
+		return true
 	}
 	e := r.e
 	li, ok := e.index[ed.U]
 	if !ok {
-		return true, false // foreign edge: misrouted, treat as conflict
+		return true // foreign edge: misrouted, treat as conflict
 	}
-	return e.adj.Contains(int(li), ed.V), false
+	return e.adj.Contains(int(li), ed.V)
 }
 
 // takeRandomEdge removes a uniform random local edge into inHand.
@@ -323,10 +317,6 @@ func (r *edgeSwitcher) startOp() error {
 	id := opID{rank: int32(e.c.Rank()), seq: r.seq}
 	e1 := r.takeRandomEdge()
 	r.myOps[id] = e1
-	e.st.started++
-	if n := len(r.myOps); n > e.st.inFlightHWM {
-		e.st.inFlightHWM = n
-	}
 	partner := r.pickPartner()
 	return e.send(partner, opMsg{kind: mSelectSecond, id: id, e1: e1})
 }
@@ -344,7 +334,6 @@ func (r *edgeSwitcher) onOpDone(id opID) error {
 	delete(r.myOps, id)
 	r.remaining--
 	e.opsInitiated++
-	e.st.committed++
 	r.curRestarts = 0
 	return nil
 }
@@ -362,7 +351,6 @@ func (r *edgeSwitcher) onAbort(id opID) error {
 	delete(r.myOps, id)
 	e.restarts++
 	r.curRestarts++
-	e.st.aborts++
 	return nil
 }
 
@@ -421,9 +409,6 @@ func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, ok bool) error {
 	}
 	op.resolved[idx] = true
 	op.okay[idx] = ok
-	if !ok {
-		e.st.reserveFails++
-	}
 	if !op.resolved[0] || !op.resolved[1] {
 		return nil
 	}
@@ -525,10 +510,7 @@ func (op *partnerOp) edgeIndex(ed graph.Edge) (int, error) {
 // successful check records the potential edge (§4.5 issue 1).
 func (r *edgeSwitcher) onReserve(id opID, ed graph.Edge, partner int) error {
 	e := r.e
-	if conflict, transient := r.conflicts(ed); conflict {
-		if transient {
-			e.st.conflicts++
-		}
+	if r.conflicts(ed) {
 		return e.send(partner, opMsg{kind: mReserveFail, id: id, e1: ed})
 	}
 	r.potential[ed] = id

@@ -11,7 +11,6 @@ import (
 	"edgeswitch/internal/partition"
 	"edgeswitch/internal/rng"
 	"edgeswitch/internal/store"
-	"edgeswitch/internal/tune/window"
 )
 
 // rankEngine is one rank's chassis: its partition of the graph (reduced
@@ -90,9 +89,9 @@ type rankEngine struct {
 
 	// sb is the batching message plane (see sendbuf.go): outbound
 	// protocol messages coalesce per destination and flush whenever the
-	// step loop is about to block. noBatch (Config.DisableBatching)
-	// flushes after every message instead, for benchmarks quantifying
-	// the coalescing win.
+	// step loop is about to block. noBatch (Config.noBatch, settable only
+	// by this package's tests) flushes after every message instead: the
+	// unbatched reference path the coalescing win is measured against.
 	sb      sendBuffer
 	noBatch bool
 
@@ -105,20 +104,6 @@ type rankEngine struct {
 	sanitize bool
 	baseDeg  []int64
 	degDelta map[graph.Vertex]int32
-
-	// st accumulates this step's protocol signals; at each step boundary
-	// it is folded into tot and (in adaptive runs) fed to winCtl, then
-	// reset.
-	st  stepStats
-	tot stepStats
-
-	// Adaptive pipelining window (Config.AdaptiveWindow): winCtl holds
-	// the AIMD controller fed by st at every step boundary; nil in
-	// fixed-window runs. winMax records the largest window opWindowSize
-	// ever granted — exactly 1 at p=1, where the engine must realize the
-	// sequential chain (asserted by TestSequentialEquivalence).
-	winCtl *window.Controller
-	winMax int
 
 	// Checkpointing (Config.CheckpointDir): ckpt runs the per-boundary
 	// snapshot/manifest protocol after every CheckpointEvery-th completed
@@ -138,33 +123,7 @@ type rankEngine struct {
 	restarts     int64
 	forfeited    int64
 	msgsSent     int64
-}
-
-// stepStats aggregates one step's protocol signals — the per-rank
-// feedback the adaptive window controller consumes (window.Signals) and
-// the run totals Result reports. All counters reset at step boundaries.
-type stepStats struct {
-	started      int64 // own operations begun (each restart begins anew)
-	committed    int64 // own operations completed
-	aborts       int64 // own operations aborted and restarted
-	conflicts    int64 // owner-side transient (window-induced) conflicts
-	reserveFails int64 // failed reservations seen while orchestrating
-	flushes      int64 // message-plane flushes forced by blocking
-	inFlightHWM  int   // high-water mark of in-flight own operations
-}
-
-// add folds one step's counters into a running total (inFlightHWM takes
-// the max — it is a level, not a flow).
-func (t *stepStats) add(s stepStats) {
-	t.started += s.started
-	t.committed += s.committed
-	t.aborts += s.aborts
-	t.conflicts += s.conflicts
-	t.reserveFails += s.reserveFails
-	t.flushes += s.flushes
-	if s.inFlightHWM > t.inFlightHWM {
-		t.inFlightHWM = s.inFlightHWM
-	}
+	flushes      int64 // message-plane flushes forced by the step loop blocking
 }
 
 // opWindow caps the number of own operations a rank pipelines.
@@ -176,48 +135,29 @@ const opWindow = 64
 // themselves into inHand (which would inflate conflicts and stalls).
 // A single rank runs unpipelined: there is no transport to batch for,
 // and a window would draw first edges without replacement, departing
-// from the sequential chain that p=1 must realize exactly.
-//
-// Fixed mode uses 64 ∧ |E_local|/8; adaptive mode (Config.AdaptiveWindow)
-// asks the AIMD controller, clamped live to |E_local|/4 — the controller
-// only observes the partition at step boundaries, but the partition can
-// shrink mid-step.
+// from the sequential chain that p=1 must realize exactly
+// (TestSequentialMatchesParallelP1Distribution). Otherwise the window is
+// 64 ∧ |E_local|/8 of the live partition, at least 1.
 func (e *rankEngine) opWindowSize() int {
 	if e.c.Size() == 1 {
-		if e.winMax < 1 {
-			e.winMax = 1
-		}
 		return 1
 	}
-	var w int
-	if e.winCtl != nil {
-		w = e.winCtl.Window()
-		if lim := int(e.deg.Total() / 4); lim >= 1 && w > lim {
-			w = lim
-		}
-		if w < 1 {
-			w = 1
-		}
-	} else {
-		w = int(e.deg.Total() / 8)
-		if w < 1 {
-			w = 1
-		}
-		if w > opWindow {
-			w = opWindow
-		}
+	w := int(e.deg.Total() / 8)
+	if w < 1 {
+		w = 1
 	}
-	if w > e.winMax {
-		e.winMax = w
+	if w > opWindow {
+		w = opWindow
 	}
 	return w
 }
 
 // newRankEngine loads a rank's partition and prepares its state. Only
-// cfg.Seed, cfg.Algorithm, cfg.CheckInvariants, cfg.DisableBatching and
-// the window fields are consulted; the communicator decides everything
-// else. With CheckInvariants set, every step boundary of the run
-// re-verifies the engine invariants (see sanitize.go and stepsync.go).
+// cfg.Seed, cfg.Algorithm, cfg.CheckInvariants, cfg.TargetVisitRate and
+// the storage fields (SpillDir, OverlayBudget) are consulted; the
+// communicator decides everything else. With CheckInvariants set, every
+// step boundary of the run re-verifies the engine invariants (see
+// sanitize.go and stepsync.go).
 func newRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges []flaggedEdge, cfg Config) (*rankEngine, error) {
 	e, err := newEmptyRankEngine(c, pt, n, cfg)
 	if err != nil {
@@ -271,7 +211,7 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		n:        n,
 		verts:    partition.LocalVertices(pt, n, c.Rank()),
 		sanitize: cfg.CheckInvariants,
-		noBatch:  cfg.DisableBatching,
+		noBatch:  cfg.noBatch,
 		targetX:  cfg.TargetVisitRate,
 		stalled:  make([]bool, c.Size()),
 		stepBuf:  make([]byte, 20),
@@ -293,9 +233,8 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 }
 
 // finishLoad records the global edge count m and the partition size,
-// counts the loaded originals, arms the adaptive window controller, and
-// attaches the configured randomizer — the steps that need the local
-// edges to be in place.
+// counts the loaded originals, and attaches the configured randomizer —
+// the steps that need the local edges to be in place.
 func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 	if err := e.adj.EndLoad(); err != nil {
 		return fmt.Errorf("core: rank %d finishing storage load: %w", e.c.Rank(), err)
@@ -305,23 +244,6 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 	e.origLocal = 0
 	for li := range e.verts {
 		e.origLocal += int64(e.adj.Originals(li))
-	}
-	if cfg.AdaptiveWindow {
-		// Start at the fixed window the controller replaces, so an
-		// adaptive run never opens worse than a fixed one. With
-		// c.Size() == 1 the controller pins the window to 1 (and
-		// opWindowSize never consults it anyway) — the sequential-chain
-		// equivalence is preserved twice over.
-		start := int(e.initialEdges / 8)
-		if start > opWindow {
-			start = opWindow
-		}
-		e.winCtl = window.New(window.Config{
-			Ranks:   e.c.Size(),
-			Floor:   cfg.WindowFloor,
-			Ceiling: cfg.WindowCeiling,
-			Start:   start,
-		})
 	}
 	algo, err := cfg.algorithm()
 	if err != nil {
@@ -385,7 +307,6 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		if err := e.checkStepInvariants(); err != nil {
 			return err
 		}
-		e.endStep()
 		// The boundary is the store's compaction point: no reads are
 		// outstanding, so a tiered store past its overlay budget can fold
 		// the overlay into a fresh base segment here. Runs before the
@@ -543,14 +464,14 @@ func (e *rankEngine) stepLoop() error {
 			continue
 		}
 		if e.sb.pendingBytes() > 0 {
-			e.st.flushes++
+			e.flushes++
 		}
 		if err := e.sb.flush(); err != nil {
 			return err
 		}
 		if debugTrace {
 			e.trace("blocking: done=%v starved=%v deg=%d eos=%d stalled=%d myStalled=%v sentEOS=%v",
-				r.done(), r.starved(), e.deg.Total(), e.eosOthers, e.stalledCount, e.myStalled, e.sentEOS) // hotalloc: debug-gated trace arguments (debugTrace const)
+				r.done(), r.starved(), e.deg.Total(), e.eosOthers, e.stalledCount, e.myStalled, e.sentEOS) // hotalloc: trace arguments are built only when debugTrace (package variable, read once at init from ESDEBUG) is set
 		}
 		m, err := e.c.Recv(mpi.AnySource, opTag)
 		if err != nil {
@@ -561,31 +482,6 @@ func (e *rankEngine) stepLoop() error {
 		}
 	}
 }
-
-// endStep closes the completed step's accounting: the per-step signals
-// fold into the run totals and, in adaptive runs, feed the AIMD window
-// controller, which sets next step's opWindowSize.
-func (e *rankEngine) endStep() {
-	if e.winCtl != nil {
-		e.winCtl.Observe(window.Signals{
-			Started:      e.st.started,
-			Committed:    e.st.committed,
-			Aborts:       e.st.aborts,
-			Conflicts:    e.st.conflicts,
-			ReserveFails: e.st.reserveFails,
-			Flushes:      e.st.flushes,
-			InFlightHWM:  e.st.inFlightHWM,
-			LocalEdges:   e.deg.Total(),
-		})
-	}
-	e.tot.add(e.st)
-	e.st = stepStats{}
-}
-
-// Stats returns the run-total protocol signals (the stepStats folded at
-// every step boundary) — the numbers behind Result.RankWindowMax,
-// RankConflicts and RankFlushes.
-func (e *rankEngine) Stats() stepStats { return e.tot }
 
 // checkStepInvariants asserts the step left no dangling state: the
 // randomizer's protocol is quiescent and the message plane is empty.
@@ -731,7 +627,7 @@ func (e *rankEngine) handle(m mpi.Message) error {
 // step-control kinds and hands everything else to the randomizer.
 func (e *rankEngine) handleMsg(om opMsg, src int) error {
 	if debugTrace {
-		e.trace("recv %v %v e=%v from %d", om.kind, om.id, om.e1, src) // hotalloc: debug-gated trace arguments (debugTrace const)
+		e.trace("recv %v %v e=%v from %d", om.kind, om.id, om.e1, src) // hotalloc: trace arguments are built only when debugTrace (package variable, read once at init from ESDEBUG) is set
 	}
 	switch om.kind {
 	case mEndOfStep:
@@ -771,6 +667,6 @@ var traceOut io.Writer = os.Stderr
 
 func (e *rankEngine) trace(format string, args ...any) {
 	if debugTrace {
-		fmt.Fprintf(traceOut, "[rank %d] %s\n", e.c.Rank(), fmt.Sprintf(format, args...)) // hotalloc: debug-gated; debugTrace is a compile-time const, this path is dead in production builds
+		fmt.Fprintf(traceOut, "[rank %d] %s\n", e.c.Rank(), fmt.Sprintf(format, args...)) // hotalloc: runs only when debugTrace (package variable, read once at init from ESDEBUG) is set
 	}
 }

@@ -78,12 +78,8 @@ func TestEngineLoadsPartition(t *testing.T) {
 	}
 	// Every original edge must be present and conflict-detected.
 	for _, e := range g.Edges() {
-		conflict, transient := es(t, eng).conflicts(e)
-		if !conflict {
+		if !es(t, eng).conflicts(e) {
 			t.Fatalf("loaded edge %v not seen by conflict check", e)
-		}
-		if transient {
-			t.Fatalf("loaded edge %v misclassified as transient", e)
 		}
 	}
 }
@@ -102,8 +98,8 @@ func TestEngineTakeReinsertDiscard(t *testing.T) {
 	if eng.deg.Total() != g.M()-1 {
 		t.Fatalf("degree total after take: %d", eng.deg.Total())
 	}
-	if conflict, transient := es(t, eng).conflicts(e); !conflict || !transient {
-		t.Fatalf("in-hand edge: conflict=%v transient=%v, want transient conflict", conflict, transient)
+	if !es(t, eng).conflicts(e) {
+		t.Fatal("in-hand edge not seen by conflict check")
 	}
 	if err := sw.reinsert(e); err != nil {
 		t.Fatal(err)
@@ -175,12 +171,12 @@ func TestEngineConflictsChecksPotential(t *testing.T) {
 		t.Skip("graph too dense for a candidate")
 	}
 	rs := es(t, eng)
-	if conflict, _ := rs.conflicts(candidate); conflict {
+	if rs.conflicts(candidate) {
 		t.Fatal("fresh edge conflicts")
 	}
 	rs.potential[candidate] = opID{rank: 0, seq: 1}
-	if conflict, transient := rs.conflicts(candidate); !conflict || !transient {
-		t.Fatalf("reserved edge: conflict=%v transient=%v, want transient conflict", conflict, transient)
+	if !rs.conflicts(candidate) {
+		t.Fatal("reserved edge not seen by conflict check")
 	}
 }
 
@@ -237,5 +233,64 @@ func TestEngineOwnerRoutesByMinEndpoint(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpWindowSize pins the engine's only pipelining window: exactly 1 on
+// a single rank whatever the partition holds (the sequential chain p=1
+// must realize), otherwise 64 ∧ |E_local|/8 and never below 1 — read off
+// the live partition, so it shrinks as soon as takeLocal removes an edge.
+func TestOpWindowSize(t *testing.T) {
+	for _, tc := range []struct {
+		ranks, localEdges, want int
+		afterTake               int // window after one takeLocal; 0 skips
+	}{
+		{ranks: 1, localEdges: 0, want: 1},
+		{ranks: 1, localEdges: 8, want: 1},
+		{ranks: 1, localEdges: 512, want: 1, afterTake: 1},
+		{ranks: 1, localEdges: 10000, want: 1},
+		{ranks: 2, localEdges: 0, want: 1},
+		{ranks: 2, localEdges: 7, want: 1},
+		{ranks: 2, localEdges: 8, want: 1},
+		{ranks: 2, localEdges: 511, want: 63},
+		{ranks: 2, localEdges: 512, want: 64, afterTake: 63},
+		{ranks: 2, localEdges: 10000, want: 64},
+	} {
+		w, err := mpi.NewWorld(tc.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := partition.NewHPD(tc.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A star at vertex 0, which HP-D assigns to rank 0.
+		star := make([]flaggedEdge, tc.localEdges)
+		for i := range star {
+			star[i] = flaggedEdge{graph.Edge{U: 0, V: graph.Vertex(i + 1)}, true}
+		}
+		err = w.Run(func(c *mpi.Comm) error {
+			if c.Rank() != 0 {
+				return nil
+			}
+			eng, err := newRankEngine(c, pt, tc.localEdges+1, int64(tc.localEdges), star, Config{Seed: 9})
+			if err != nil {
+				return err
+			}
+			if got := eng.opWindowSize(); got != tc.want {
+				t.Errorf("p=%d |E_local|=%d: window %d, want %d", tc.ranks, tc.localEdges, got, tc.want)
+			}
+			if tc.afterTake != 0 {
+				eng.takeLocal()
+				if got := eng.opWindowSize(); got != tc.afterTake {
+					t.Errorf("p=%d |E_local|=%d after takeLocal: window %d, want %d", tc.ranks, tc.localEdges, got, tc.afterTake)
+				}
+			}
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 	const ops = 6000
 
 	unbatched := cfg
-	unbatched.DisableBatching = true
+	unbatched.noBatch = true
 	base, _ := runCounted(t, g, ops, unbatched)
 	batched, _ := runCounted(t, g, ops, cfg)
 

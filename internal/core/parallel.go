@@ -73,11 +73,6 @@ type Config struct {
 	// O(n) allreduces per run; meant for tests and checked production
 	// runs, off by default.
 	CheckInvariants bool
-	// DisableBatching turns off the message plane's per-destination
-	// coalescing (see sendbuf.go), sending every protocol message as its
-	// own transport payload. For benchmarks and tests quantifying the
-	// batching win; leave off otherwise.
-	DisableBatching bool
 	// SpillDir, when set, switches every rank's partition storage from
 	// in-memory treaps to the tiered out-of-core store (internal/store,
 	// DESIGN.md §7): an immutable mmap'd base segment under
@@ -104,23 +99,6 @@ type Config struct {
 	// allreduce (the exact global edge count) touches the network
 	// before switching starts.
 	DistributedGen *pergen.Spec
-	// AdaptiveWindow replaces the fixed operation-pipelining window
-	// (64 ∧ |E_local|/8) with the per-rank AIMD controller of
-	// internal/tune/window: each step's observed restarts, reservation
-	// conflicts/failures, flush count and in-flight high-water mark
-	// additively grow or multiplicatively shrink the next step's window
-	// between 1 and |E_local|/4. At Ranks == 1 the window is pinned to
-	// exactly 1 either way, preserving sequential-chain equivalence.
-	// Off by default; favours high-conflict workloads (small or skewed
-	// partitions) where a fixed window overfills inHand.
-	AdaptiveWindow bool
-	// WindowFloor, when > 0, overrides the adaptive controller's lower
-	// window bound (default 1). Ignored without AdaptiveWindow.
-	WindowFloor int
-	// WindowCeiling, when > 0, caps the adaptive window statically in
-	// addition to the per-step |E_local|/4 clamp (default: no static
-	// cap). Ignored without AdaptiveWindow.
-	WindowCeiling int
 	// CheckpointDir, when set, enables step-boundary checkpointing: every
 	// CheckpointEvery-th completed step, each rank writes its partition,
 	// RNG position and randomizer cursor to a per-rank snapshot file in
@@ -150,6 +128,13 @@ type Config struct {
 	// exact step instead of the newest restorable one; a run that cannot
 	// honor it fails with the reason rather than silently starting fresh.
 	RestoreStep int64
+
+	// noBatch sends every protocol message as its own transport payload
+	// instead of coalescing per destination (see sendbuf.go). Unexported:
+	// it is the reference path TestBatchingReducesTransportSends and
+	// BenchmarkEngineStep/nobatch measure the message plane against, not
+	// a run mode.
+	noBatch bool
 }
 
 // Result reports a parallel run.
@@ -191,16 +176,6 @@ type Result struct {
 	// operation costs a constant number; end-of-step signals add O(p)
 	// per step).
 	RankMessages []int64
-	// RankWindowMax[i] is the largest operation-pipelining window rank i
-	// was ever granted — with AdaptiveWindow, where the controller
-	// settled; always exactly 1 at Ranks == 1 (the sequential-chain
-	// pin, see TestSequentialEquivalence).
-	RankWindowMax []int64
-	// RankConflicts[i] counts reservation conflicts rank i reported as
-	// an edge owner plus reservation failures it observed while
-	// orchestrating for peers — the congestion signal the adaptive
-	// window controller reacts to.
-	RankConflicts []int64
 	// RankFlushes[i] counts message-plane flushes forced by rank i's
 	// step loop blocking (batches pushed out before a Recv wait).
 	RankFlushes []int64
@@ -400,12 +375,10 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Gr
 	// Gather statistics at rank 0. The spill counters and the edge-set
 	// fingerprint ride the same collective, so spill observability and
 	// bit-identity checks cost no extra communication.
-	es := eng.Stats()
 	ss := eng.adj.Stats()
 	stats := []int64{eng.opsInitiated, eng.restarts, eng.forfeited,
 		int64(len(eng.verts)), eng.initialEdges, eng.deg.Total(), eng.msgsSent,
-		int64(eng.winMax), es.conflicts + es.reserveFails, es.flushes,
-		eng.origLocal,
+		eng.flushes, eng.origLocal,
 		ss.BaseBytes, ss.OverlayHWM, ss.Compactions, ss.CompactNs,
 		int64(eng.edgeHash())}
 	gathered, err := c.Gather(0, mpi.Int64sToBytes(stats))
@@ -425,8 +398,6 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Gr
 			RankInitialEdges: make([]int64, p),
 			RankFinalEdges:   make([]int64, p),
 			RankMessages:     make([]int64, p),
-			RankWindowMax:    make([]int64, p),
-			RankConflicts:    make([]int64, p),
 			RankFlushes:      make([]int64, p),
 		}
 		for rank, payload := range gathered {
@@ -441,15 +412,13 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Gr
 			res.RankInitialEdges[rank] = vs[4]
 			res.RankFinalEdges[rank] = vs[5]
 			res.RankMessages[rank] = vs[6]
-			res.RankWindowMax[rank] = vs[7]
-			res.RankConflicts[rank] = vs[8]
-			res.RankFlushes[rank] = vs[9]
-			origSum += vs[10]
-			res.SpillBaseBytes += vs[11]
-			res.SpillOverlayHWM += vs[12]
-			res.SpillCompactions += vs[13]
-			res.SpillCompactNs += vs[14]
-			res.EdgeHash += uint64(vs[15])
+			res.RankFlushes[rank] = vs[7]
+			origSum += vs[8]
+			res.SpillBaseBytes += vs[9]
+			res.SpillOverlayHWM += vs[10]
+			res.SpillCompactions += vs[11]
+			res.SpillCompactNs += vs[12]
+			res.EdgeHash += uint64(vs[13])
 			res.Ops += vs[0]
 			res.Restarts += vs[1]
 		}

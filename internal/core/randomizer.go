@@ -6,8 +6,8 @@ import "fmt"
 // chassis and a randomizer. The chassis owns everything algorithm-
 // independent — partition ownership and local storage, the step loop
 // with its drain/stall/EOS machinery, the batching message plane and its
-// freelists, the adaptive-window signals, the sanitizer's fused degree
-// deltas, and the Stats/Result plumbing. A randomizer owns only the
+// freelists, the pipelining window, the sanitizer's fused degree deltas,
+// and the counters behind Result. A randomizer owns only the
 // protocol that actually perturbs the graph. The paper's edge-switch
 // conversation protocol (edgeswitcher.go) and global curveball trades
 // (curveball.go) are the two implementations; they share every line of

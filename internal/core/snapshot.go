@@ -28,8 +28,7 @@ import (
 //	step i64 | n u32 | nv u32 | m i64 | seed u64
 //	rnd state 4×u64 | cursor u64
 //	initialEdges i64 | origLocal i64
-//	opsInitiated, restarts, forfeited, msgsSent 4×i64
-//	tot stepStats 7×i64 | winMax i64 | window i64
+//	opsInitiated, restarts, forfeited, msgsSent, flushes 5×i64
 //	nv × adjacency list (graph.AppendAdjSet)
 //	crc32c u32
 //
@@ -46,7 +45,7 @@ import (
 // invalidates old checkpoints loudly instead of misdecoding them.
 const (
 	snapMagic   = "ESSN"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // The snapshot storage modes (header byte 7).
@@ -63,7 +62,7 @@ type segIdentity struct {
 }
 
 // snapHeaderLen is the fixed-size prefix before the adjacency encoding.
-const snapHeaderLen = 208
+const snapHeaderLen = 144
 
 // castagnoli is the CRC32C table shared by snapshot trailers and the
 // manifest's degree-sequence checksum.
@@ -98,9 +97,7 @@ type snapState struct {
 	restarts     int64
 	forfeited    int64
 	msgsSent     int64
-	tot          stepStats
-	winMax       int64
-	window       int64
+	flushes      int64
 	storage      uint8
 	seg          segIdentity // external mode only
 }
@@ -137,12 +134,7 @@ func (e *rankEngine) encodeSnapshot(ext *segIdentity) []byte {
 	le.PutUint64(buf[80:], e.rand.cursor())
 	le.PutUint64(buf[88:], uint64(e.initialEdges))
 	le.PutUint64(buf[96:], uint64(e.origLocal))
-	counters := []int64{
-		e.opsInitiated, e.restarts, e.forfeited, e.msgsSent,
-		e.tot.started, e.tot.committed, e.tot.aborts, e.tot.conflicts,
-		e.tot.reserveFails, e.tot.flushes, int64(e.tot.inFlightHWM),
-		int64(e.winMax), e.currentWindow(),
-	}
+	counters := []int64{e.opsInitiated, e.restarts, e.forfeited, e.msgsSent, e.flushes}
 	for i, v := range counters {
 		le.PutUint64(buf[104+8*i:], uint64(v))
 	}
@@ -159,15 +151,6 @@ func (e *rankEngine) encodeSnapshot(ext *segIdentity) []byte {
 	var trailer [4]byte
 	le.PutUint32(trailer[:], crc32.Checksum(buf, castagnoli))
 	return append(buf, trailer[:]...)
-}
-
-// currentWindow reports the adaptive controller's live window, or 0 in
-// fixed-window runs — the value a restored controller restarts from.
-func (e *rankEngine) currentWindow() int64 {
-	if e.winCtl == nil {
-		return 0
-	}
-	return int64(e.winCtl.Window())
 }
 
 // snapshotCRC returns the stored trailer CRC of an encoded snapshot.
@@ -211,19 +194,13 @@ func decodeSnapshotHeader(data []byte) (*snapState, []byte, error) {
 	for i := range s.rnd {
 		s.rnd[i] = le.Uint64(data[48+8*i:])
 	}
-	counters := make([]int64, 13)
+	counters := make([]int64, 5)
 	for i := range counters {
 		counters[i] = int64(le.Uint64(data[104+8*i:]))
 	}
 	s.initialEdges = int64(le.Uint64(data[88:]))
 	s.origLocal = int64(le.Uint64(data[96:]))
-	s.opsInitiated, s.restarts, s.forfeited, s.msgsSent = counters[0], counters[1], counters[2], counters[3]
-	s.tot = stepStats{
-		started: counters[4], committed: counters[5], aborts: counters[6],
-		conflicts: counters[7], reserveFails: counters[8], flushes: counters[9],
-		inFlightHWM: int(counters[10]),
-	}
-	s.winMax, s.window = counters[11], counters[12]
+	s.opsInitiated, s.restarts, s.forfeited, s.msgsSent, s.flushes = counters[0], counters[1], counters[2], counters[3], counters[4]
 	adj := body[snapHeaderLen:]
 	switch s.storage {
 	case snapStorageInline:

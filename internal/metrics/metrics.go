@@ -204,10 +204,9 @@ func Degrees(g *graph.Graph) DegreeStats {
 
 // AbortRates converts per-rank restart and completed-operation counts
 // into per-rank abort rates restarts/(restarts+ops) — the fraction of a
-// rank's selections that were rejected and retried. This is the loss
-// signal the adaptive pipelining-window controller steers on
-// (internal/tune/window); Result.RankRestarts/RankOps provide the
-// inputs. Ranks that did nothing report 0.
+// rank's selections that were rejected and retried.
+// Result.RankRestarts/RankOps provide the inputs. Ranks that did nothing
+// report 0.
 func AbortRates(restarts, ops []int64) []float64 {
 	out := make([]float64, len(restarts))
 	for i := range restarts {
