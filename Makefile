@@ -43,9 +43,12 @@ race:
 # fault-injection leg (TestRunKillRestoreMultiProcess): a worker is
 # SIGKILLed mid-run and the world must roll back to its last committed
 # checkpoint, admit a replacement rank, and finish with the input's
-# exact degree sequence.
+# exact degree sequence. That leg then runs five more times: it failed
+# about one run in four while the restarted coordinator's listen did not
+# retry "address already in use" (see newDistHub), which one pass hides.
 racedist:
 	$(GO) test -race -timeout 10m ./cmd/esworker/
+	$(GO) test -race -count=5 -timeout 10m -run '^TestRunKillRestoreMultiProcess$$' ./cmd/esworker/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -56,11 +59,12 @@ bench:
 # p=8 engine config (≈120 edges per rank), failing if transport sends
 # or restarts regress >2x against the baseline recorded in the test,
 # and one replay of the generation-bootstrap guard config (pa n=100k p=8),
-# failing if the deterministic edge count drifts or the pergen speedup
-# over the file bootstrap collapses below half the committed
-# BENCH_pergen.json value, and one replay per algorithm of the
-# randomizer-seam guard (pa/mem/p2 to x=0.9), failing if either
-# algorithm misses the target visit rate, the deterministic curveball
+# failing if the deterministic edge count drifts from BENCH_pergen.json
+# or pergen is slower than the file bootstrap (the committed speedup is
+# machine-dependent and only logged), and one replay per algorithm of the
+# randomizer-seam guard (pa/mem/p2 to x=0.9), failing if curveball ends
+# below the target visit rate or edge-switching (whose t is an
+# expectation) more than 0.01 from it, the deterministic curveball
 # trajectory drifts from BENCH_curveball.json, or transport sends
 # regress >2x, and one replay of the out-of-core guard slice (pa n=100k
 # p=8, in-memory vs tiered store under the committed memory cap),

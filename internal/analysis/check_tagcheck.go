@@ -17,11 +17,10 @@ const tagMarker = "tagcheck:"
 // is either dead protocol surface or — worse — a send the receive side
 // matches with a different (hardcoded) number.
 var tagSendCalls = map[string]bool{"Send": true, "SendOwned": true}
-var tagRecvCalls = map[string]bool{"Recv": true, "TryRecv": true, "RecvAll": true, "RecvAllInto": true}
+var tagRecvCalls = map[string]bool{"Recv": true, "RecvAllInto": true}
 
 // checkTag enforces the engine's tag discipline at Send/SendOwned/Recv/
-// TryRecv/RecvAll/RecvAllInto call sites in internal/mpi and
-// internal/core:
+// RecvAllInto call sites in internal/mpi and internal/core:
 //
 //  1. no raw integer-literal tags — a literal hides the coupling between
 //     the two ends of a conversation (the opTag=1 flag day this repo

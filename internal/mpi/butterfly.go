@@ -10,7 +10,7 @@ import "fmt"
 
 // number constrains the element types collectives reduce over.
 type number interface {
-	~int64 | ~float64 | ~uint32
+	~int64 | ~uint32
 }
 
 // allreduceButterfly element-wise reduces xs across all ranks and

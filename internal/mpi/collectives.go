@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Collectives. All ranks of a world must call the same collectives in the
@@ -97,33 +96,6 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		out[i] = m.Data
 	}
 	return out, nil
-}
-
-// Scatter sends parts[i] from root to rank i and returns this rank's part.
-// parts is only read on root.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	base := c.nextCollTag()
-	if c.Rank() == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("mpi: Scatter needs %d parts, got %d", c.Size(), len(parts))
-		}
-		for i, p := range parts {
-			if i == root {
-				continue
-			}
-			if err := c.send(i, base, p); err != nil {
-				return nil, err
-			}
-		}
-		cp := make([]byte, len(parts[root]))
-		copy(cp, parts[root])
-		return cp, nil
-	}
-	m, err := c.Recv(root, base)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
 }
 
 // Allgather collects every rank's data on every rank (gather to rank 0,
@@ -243,17 +215,6 @@ func reduceInt64(op ReduceOp, a, b int64) int64 {
 	}
 }
 
-func reduceFloat64(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMin:
-		return math.Min(a, b)
-	default:
-		return math.Max(a, b)
-	}
-}
-
 // Int64sToBytes encodes a little-endian int64 slice.
 func Int64sToBytes(xs []int64) []byte {
 	out := make([]byte, 8*len(xs))
@@ -271,27 +232,6 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 	out := make([]int64, len(b)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// Float64sToBytes encodes a little-endian float64 slice.
-func Float64sToBytes(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}
-
-// BytesToFloat64s decodes Float64sToBytes output.
-func BytesToFloat64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mpi: float64 payload length %d not a multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }
@@ -393,60 +333,4 @@ func (c *Comm) allreduceInt64sViaGather(xs []int64, op ReduceOp) ([]int64, error
 		return nil, err
 	}
 	return BytesToInt64s(flat)
-}
-
-// ReduceFloat64s element-wise reduces each rank's xs at root.
-func (c *Comm) ReduceFloat64s(root int, xs []float64, op ReduceOp) ([]float64, error) {
-	parts, err := c.Gather(root, Float64sToBytes(xs))
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return nil, nil
-	}
-	acc := append([]float64(nil), xs...)
-	for i, p := range parts {
-		if i == root {
-			continue
-		}
-		vs, err := BytesToFloat64s(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) != len(acc) {
-			return nil, fmt.Errorf("mpi: ReduceFloat64s length mismatch from rank %d", i)
-		}
-		for j := range acc {
-			acc[j] = reduceFloat64(op, acc[j], vs[j])
-		}
-	}
-	return acc, nil
-}
-
-// AllreduceFloat64s reduces and distributes the result to all ranks
-// (butterfly, O(log p) rounds). Note: float summation order varies with
-// the butterfly pattern, so results are bit-identical across ranks of one
-// call but may differ in the last ulp from a sequential sum.
-func (c *Comm) AllreduceFloat64s(xs []float64, op ReduceOp) ([]float64, error) {
-	return allreduceButterfly(c, xs, op, Float64sToBytes, BytesToFloat64s, reduceFloat64)
-}
-
-// AllgatherInt64 gathers one int64 from each rank on every rank.
-func (c *Comm) AllgatherInt64(x int64) ([]int64, error) {
-	parts, err := c.Allgather(Int64sToBytes([]int64{x}))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		vs, err := BytesToInt64s(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) != 1 {
-			return nil, fmt.Errorf("mpi: AllgatherInt64 bad payload from rank %d", i)
-		}
-		out[i] = vs[0]
-	}
-	return out, nil
 }

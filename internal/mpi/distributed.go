@@ -8,14 +8,16 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
 // Distributed operation: each OS process hosts exactly one rank. Rank 0
-// doubles as the coordinator — it runs the routing hub every peer dials,
-// using the same checksummed frame format and per-pair FIFO guarantees as
-// the in-process TCP transport (see frame.go). This is the fully
-// distributed-memory mode: ranks share nothing but the wire.
+// doubles as the coordinator — it runs the routing hub every peer dials.
+// This is the fully distributed-memory mode: ranks share nothing but the
+// wire. distHub and distClient below are the package's only TCP router:
+// an in-process WithTCP world (tcp.go) is the same hub with all of its
+// members in one process, so everything said here holds for it too.
 //
 // Failure semantics: every frame carries a CRC32C trailer and every join
 // a versioned handshake, so corruption and mixed binaries fail loudly at
@@ -309,9 +311,14 @@ func (c *distClient) stop() error {
 	return nil
 }
 
-// distHub is the coordinator-side router: identical routing discipline to
-// the in-process TCP transport's hub, plus the membership control plane
-// (handshake admission, LEAVE/FAULT bookkeeping).
+// distHub is the router. Each member holds one connection to it, so the
+// connection count is p instead of p²; a frame carries (peer, tag, len,
+// payload, crc) where peer is the destination on the way in and the
+// source on the way out (see frame.go). Per-(src,dst) FIFO order holds
+// because one goroutine reads each inbound connection (route) and
+// forwards to per-destination writer queues in arrival order. Around the
+// routing sits the membership control plane: handshake admission and
+// LEAVE/FAULT bookkeeping.
 type distHub struct {
 	ln   net.Listener
 	size int
@@ -332,8 +339,19 @@ type distHub struct {
 	once     sync.Once
 }
 
+// newDistHub listens on addr and starts admitting members. A recovering
+// world restarts its coordinator on the address the old hub just closed,
+// and a child process forked in that instant holds a duplicate of the old
+// listening socket until it execs — so "address already in use" is
+// transient here, as a refused connection is for dialers: the listen
+// retries it (and nothing else) after 1ms doubling to 256ms, ≈0.5s in all.
 func newDistHub(addr string, size int) (*distHub, error) {
 	ln, err := net.Listen("tcp", addr)
+	for backoff := time.Millisecond; errors.Is(err, syscall.EADDRINUSE) && backoff <= 256*time.Millisecond; backoff *= 2 {
+		t := time.NewTimer(backoff)
+		<-t.C
+		ln, err = net.Listen("tcp", addr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mpi: coordinator listen on %s: %w", addr, err)
 	}
@@ -473,6 +491,9 @@ func (h *distHub) admit(conn net.Conn) {
 // hub shut down declares src lost (see fault).
 func (h *distHub) route(conn net.Conn, src int) {
 	br := bufio.NewReaderSize(conn, 1<<16)
+	// A registered writer never changes, so each destination's is looked
+	// up once and the steady state takes no hub-wide lock per frame.
+	writers := make([]*hubWriter, h.size)
 	for {
 		frame, peer, err := readFrame(br)
 		if err != nil {
@@ -498,11 +519,16 @@ func (h *distHub) route(conn net.Conn, src int) {
 			h.fault(src, fmt.Errorf("addressed invalid rank %d", peer))
 			return
 		}
+		// Rewrite the peer field to carry the source on the way out; the
+		// checksum excludes it, so the frame forwards as-is.
 		putFramePeer(frame, src)
-		// writerFor blocks until the destination joins (startup only).
-		hw := h.writerFor(peer)
+		hw := writers[peer]
 		if hw == nil {
-			return // hub shut down before the destination joined
+			// writerFor blocks until the destination joins (startup only).
+			if hw = h.writerFor(peer); hw == nil {
+				return // hub shut down before the destination joined
+			}
+			writers[peer] = hw
 		}
 		hw.push(frame)
 	}

@@ -143,13 +143,13 @@ func TestDistributedCollectives(t *testing.T) {
 		if string(got) != "from-two" {
 			return fmt.Errorf("bcast got %q", got)
 		}
-		vs, err := c.AllgatherInt64(int64(10 * c.Rank()))
+		parts, err := c.Allgather([]byte{byte(10 * c.Rank())})
 		if err != nil {
 			return err
 		}
-		for i, v := range vs {
-			if v != int64(10*i) {
-				return fmt.Errorf("allgather %v", vs)
+		for i, p := range parts {
+			if len(p) != 1 || p[0] != byte(10*i) {
+				return fmt.Errorf("allgather %v", parts)
 			}
 		}
 		return c.Barrier()

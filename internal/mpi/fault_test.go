@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -588,5 +590,145 @@ func TestReplacementJoinWaitsForRestartedHub(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rebuilt world rank %d: %v", rank, err)
 		}
+	}
+}
+
+// settleGoroutines waits for the goroutine count to come back down to
+// want: a joined goroutine has called wg.Done but may not have left the
+// scheduler's count yet, so the check polls for a bounded time.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines after Close, started with %d: hub or client goroutines leaked", got, want)
+	}
+}
+
+// TestInProcessTCPSeveredRank pins what an in-process WithTCP world gains
+// by being the distributed hub and clients in one process: rank 1's
+// connection is severed at its third frame, and ranks 0 and 2 — blocked in
+// Recv — get an ErrPeerLost naming rank 1 from the hub's FAULT broadcast.
+// The fault is counted, World.Close reports it, and every hub and client
+// goroutine is joined.
+func TestInProcessTCPSeveredRank(t *testing.T) {
+	before := runtime.NumGoroutine()
+	testDialWrap = func(rank int, conn net.Conn) net.Conn {
+		if rank == 1 {
+			return newFaultConn(conn, map[int]faultRule{2: {action: faultSever}})
+		}
+		return conn
+	}
+	t.Cleanup(func() { testDialWrap = nil })
+
+	w, err := NewWorld(3, WithTCP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 3)
+	if err := w.Run(func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			for i := 0; i < 5 && errs[1] == nil; i++ {
+				errs[1] = c.Send(0, 1, []byte{byte(i)})
+			}
+		case 0:
+			for i := 0; i < 5 && errs[0] == nil; i++ {
+				_, errs[0] = c.Recv(1, 1)
+			}
+		default:
+			_, errs[2] = c.Recv(AnySource, 2) // never sent; unblocked by the fault
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if !errors.Is(errs[1], ErrPeerLost) {
+		t.Fatalf("severed rank 1: err = %v, want ErrPeerLost", errs[1])
+	}
+	for _, rank := range []int{0, 2} {
+		if !errors.Is(errs[rank], ErrPeerLost) || !strings.Contains(errs[rank].Error(), "rank 1") {
+			t.Fatalf("survivor rank %d: err = %v, want ErrPeerLost naming rank 1", rank, errs[rank])
+		}
+	}
+	if f := w.Stats().Faults; f < 1 {
+		t.Fatalf("Stats().Faults = %d, want the lost rank counted", f)
+	}
+	if err := w.Close(); !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("Close() = %v, want the recorded loss of rank 1", err)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestInProcessTCPCloseJoinsGoroutines: a clean world — two consecutive
+// SPMD programs, then Close — records no fault and leaves no goroutine.
+func TestInProcessTCPCloseJoinsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w, err := NewWorld(3, WithTCP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if err := w.Run(func(c *Comm) error {
+			if _, err := c.AllreduceInt64s([]int64{int64(c.Rank())}, OpSum); err != nil {
+				return err
+			}
+			return c.Barrier()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := w.Stats().Faults; f != 0 {
+		t.Fatalf("Stats().Faults = %d on a clean run", f)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close() = %v on a clean run", err)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestHubListenRetriesAddrInUse: a recovering world re-listens on the
+// address its old hub just closed, where a stale duplicate of the old
+// socket can linger for a moment (see newDistHub). A holder that lets go
+// within the retry window must not fail the new hub.
+func TestHubListenRetriesAddrInUse(t *testing.T) {
+	addr := freeAddr(t)
+	holder, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { _ = holder.Close() })
+	hub, err := newDistHub(addr, 1)
+	if err != nil {
+		t.Fatalf("listen did not ride out a 20ms holder: %v", err)
+	}
+	if err := hub.stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHubListenGivesUpOnHeldAddr: an address that stays taken still fails
+// with the named listen error, once the retry window has passed.
+func TestHubListenGivesUpOnHeldAddr(t *testing.T) {
+	addr := freeAddr(t)
+	holder, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	start := time.Now()
+	hub, err := newDistHub(addr, 1)
+	if err == nil {
+		_ = hub.stop()
+		t.Fatal("listen on a held address succeeded")
+	}
+	if !errors.Is(err, syscall.EADDRINUSE) || !strings.Contains(err.Error(), "mpi: coordinator listen on "+addr) {
+		t.Fatalf("err = %v, want the coordinator listen error wrapping EADDRINUSE", err)
+	}
+	if waited := time.Since(start); waited < 500*time.Millisecond || waited > 5*time.Second {
+		t.Fatalf("gave up after %v, want the ≈0.5s retry window", waited)
 	}
 }

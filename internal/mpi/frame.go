@@ -8,8 +8,8 @@ import (
 	"io"
 )
 
-// Wire protocol (version 2). Both TCP transports — the in-process hub and
-// the distributed coordinator — speak the same format:
+// Wire protocol (version 2), spoken between the hub and its clients
+// whether they share a process (WithTCP) or not (JoinDistributed):
 //
 //	hello (client → hub, once): magic u32 | version u32 | size u32 | rank u32
 //	ack   (hub → client, once): magic u32 | version u32 | status u32

@@ -178,13 +178,12 @@ func TestMailboxFail(t *testing.T) {
 	sentinel := errors.New("sentinel fault")
 	mb.fail(sentinel)
 
-	m, ok, closed := mb.get(AnySource, AnyTag, true)
-	if !ok || closed || string(m.Data) != "queued" {
-		t.Fatalf("queued message lost after fail: ok=%v closed=%v", ok, closed)
+	m, ok := mb.get(AnySource, AnyTag)
+	if !ok || string(m.Data) != "queued" {
+		t.Fatalf("queued message lost after fail: ok=%v", ok)
 	}
-	_, ok, closed = mb.get(AnySource, AnyTag, true)
-	if ok || !closed {
-		t.Fatalf("drained mailbox: ok=%v closed=%v", ok, closed)
+	if _, ok = mb.get(AnySource, AnyTag); ok {
+		t.Fatal("drained, failed mailbox returned a message")
 	}
 	if !errors.Is(mb.failure(), sentinel) {
 		t.Fatalf("failure() = %v", mb.failure())

@@ -100,24 +100,19 @@ func (mb *mailbox) takeLocked(src, tag int) (Message, bool) {
 	return Message{}, false
 }
 
-// get returns the first matching message. With block=true it waits until
-// one arrives or the mailbox closes; with block=false it returns
-// immediately. ok reports whether a message was returned; closed reports
-// that the mailbox is closed and no match can ever arrive.
-func (mb *mailbox) get(src, tag int, block bool) (m Message, ok, closed bool) {
+// get returns the first matching message, waiting until one arrives. ok
+// is false once the mailbox is closed and holds no match: none can ever
+// arrive.
+func (mb *mailbox) get(src, tag int) (m Message, ok bool) {
 	mb.mu.Lock()
 	for spins := 0; ; {
 		if m, ok := mb.takeLocked(src, tag); ok {
 			mb.mu.Unlock()
-			return m, true, false
+			return m, true
 		}
 		if mb.closed {
 			mb.mu.Unlock()
-			return Message{}, false, true
-		}
-		if !block {
-			mb.mu.Unlock()
-			return Message{}, false, false
+			return Message{}, false
 		}
 		if spins < recvSpin {
 			// Busy-poll: release the lock, yield, and re-check only
@@ -137,14 +132,10 @@ func (mb *mailbox) get(src, tag int, block bool) (m Message, ok, closed bool) {
 	}
 }
 
-// takeAll removes and returns every queued message matching (src, tag),
-// in arrival order, without blocking.
-func (mb *mailbox) takeAll(src, tag int) []Message {
-	return mb.takeAllInto(src, tag, nil)
-}
-
-// takeAllInto is takeAll appending into out (typically a recycled
-// slice trimmed to out[:0]), so a drain loop reuses one backing array.
+// takeAllInto removes every queued message matching (src, tag), in
+// arrival order and without blocking, appending them to out (typically a
+// recycled slice trimmed to out[:0], so a drain loop reuses one backing
+// array).
 func (mb *mailbox) takeAllInto(src, tag int, out []Message) []Message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -166,11 +157,4 @@ func (mb *mailbox) takeAllInto(src, tag int, out []Message) []Message {
 	mb.queue = kept
 	mb.size.Store(int64(len(mb.queue)))
 	return out
-}
-
-// pending reports the current queue length (for tests and stats).
-func (mb *mailbox) pending() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return len(mb.queue)
 }

@@ -1,8 +1,8 @@
 // Package mpi is a from-scratch message-passing runtime providing the MPI
 // subset the parallel edge-switch algorithms require: tagged point-to-point
-// sends and (selective, optionally non-blocking) receives, plus the usual
-// collectives (barrier, broadcast, gather, allgather, scatter, reduce,
-// allreduce, alltoall).
+// sends, selective blocking receives and a non-blocking drain, plus the
+// collectives the engine calls (barrier, broadcast, gather, allgather,
+// reduce, allreduce, alltoall).
 //
 // The paper's algorithms run on MPICH2 over InfiniBand; Go has no mature
 // MPI bindings, so this package replaces MPI with goroutine "ranks" that
@@ -12,9 +12,15 @@
 //
 //   - mem: messages move between ranks through unbounded in-process
 //     mailboxes; this is the default and what benchmarks use.
-//   - tcp: every message is serialized into a length-prefixed binary frame
+//   - tcp: every message is serialized into a checksummed binary frame
 //     and routed over real loopback TCP sockets through a hub, exercising
 //     the full wire path (serialization, kernel socket buffers, framing).
+//
+// There is one hub. A WithTCP world is a distributed world (see
+// distributed.go) whose members all live in this process: the same
+// distHub routes, the same distClient per rank dials it, and a lost
+// connection surfaces as the same ErrPeerLost naming the rank that a
+// multi-process ProcWorld reports.
 //
 // Both transports guarantee FIFO delivery per (sender, receiver) pair,
 // which the algorithms' termination protocol depends on.
@@ -26,10 +32,10 @@ import (
 	"sync/atomic"
 )
 
-// AnySource matches messages from any rank in Recv/TryRecv.
+// AnySource matches messages from any rank in Recv/RecvAllInto.
 const AnySource = -1
 
-// AnyTag matches messages with any tag in Recv/TryRecv.
+// AnyTag matches messages with any tag in Recv/RecvAllInto.
 const AnyTag = -1
 
 // collTagBase is the start of the tag space reserved for collectives.
@@ -80,7 +86,7 @@ type Option func(*World) error
 // in-process mailboxes.
 func WithTCP() Option {
 	return func(w *World) error {
-		w.transport = newTCPTransport(w.size)
+		w.transport = &tcpTransport{}
 		return nil
 	}
 }
@@ -175,7 +181,9 @@ func (w *World) Run(body func(c *Comm) error) error {
 }
 
 // Close releases transport resources and unblocks any receiver still
-// waiting (their Recv calls return an error).
+// waiting (their Recv calls return an error). On a TCP world the returned
+// error joins every fault recorded while the world was live, as
+// ProcWorld.Close does.
 func (w *World) Close() error {
 	for _, b := range w.boxes {
 		b.close()
@@ -247,8 +255,8 @@ func (c *Comm) Stats() CommStats {
 // errors.Is.
 func (c *Comm) Recv(src, tag int) (Message, error) {
 	box := c.world.boxes[c.rank]
-	m, ok, closed := box.get(src, tag, true)
-	if closed && !ok {
+	m, ok := box.get(src, tag)
+	if !ok {
 		if err := box.failure(); err != nil {
 			return Message{}, fmt.Errorf("mpi: rank %d: %w", c.rank, err)
 		}
@@ -257,26 +265,12 @@ func (c *Comm) Recv(src, tag int) (Message, error) {
 	return m, nil
 }
 
-// TryRecv returns a matching message if one is already queued.
-func (c *Comm) TryRecv(src, tag int) (Message, bool) {
-	m, ok, _ := c.world.boxes[c.rank].get(src, tag, false)
-	return m, ok
-}
-
-// RecvAll drains every queued message matching (src, tag) in arrival
-// order without blocking. It returns nil when nothing matches.
-func (c *Comm) RecvAll(src, tag int) []Message {
-	return c.world.boxes[c.rank].takeAll(src, tag)
-}
-
-// RecvAllInto is RecvAll appending into out — pass a previous batch
+// RecvAllInto drains every queued message matching (src, tag) in arrival
+// order without blocking, appending to out — pass a previous batch
 // trimmed to out[:0] and a steady-state drain loop allocates nothing.
 func (c *Comm) RecvAllInto(src, tag int, out []Message) []Message {
 	return c.world.boxes[c.rank].takeAllInto(src, tag, out)
 }
-
-// Pending reports the number of queued messages (diagnostics only).
-func (c *Comm) Pending() int { return c.world.boxes[c.rank].pending() }
 
 // memTransport delivers messages directly into the destination mailbox.
 type memTransport struct{ boxes []*mailbox }

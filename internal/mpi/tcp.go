@@ -1,41 +1,23 @@
 package mpi
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// tcpTransport routes every message over loopback TCP through a hub. Each
-// rank holds one connection to the hub; a frame carries (peer, tag, len,
-// payload, crc) where peer is the destination on the way in and the
-// source on the way out (see frame.go for the wire format). Routing
-// through a hub keeps the connection count at p instead of p² while
-// preserving per-(src,dst) FIFO order: the hub reads each inbound
-// connection with a single goroutine and forwards frames to
-// per-destination writer queues in arrival order.
+// tcpTransport is a whole distributed world in one process: start opens
+// the one routing hub there is (distHub, see distributed.go) on a loopback
+// port and joins every rank to it as a distClient delivering into the
+// world's own mailboxes. Nothing here routes, frames or handshakes — an
+// in-process TCP world runs exactly the code path esworker deploys, so it
+// shares its failure semantics: a lost connection fails the survivors'
+// receives with an ErrPeerLost naming the rank.
 type tcpTransport struct {
-	size  int
-	boxes []*mailbox
-
-	ln    net.Listener
-	conns []net.Conn // rank-side connections, indexed by rank
-	wmu   []sync.Mutex
-	hubWr []*hubWriter
-
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	stopped  chan struct{}
-
-	// Fault bookkeeping: faultCnt counts observed transport faults
-	// (CommStats.Faults); errs records them for stop() to propagate.
-	faultCnt atomic.Int64
-	errMu    sync.Mutex
-	errs     []error
+	hub     *distHub
+	clients []*distClient // indexed by rank
 }
 
 // writeTimeout bounds every hub-side and client-side socket write. A dead
@@ -43,14 +25,58 @@ type tcpTransport struct {
 // within this window instead of blocking a writer forever.
 const writeTimeout = 30 * time.Second
 
-func newTCPTransport(size int) *tcpTransport {
-	return &tcpTransport{
-		size:    size,
-		conns:   make([]net.Conn, size),
-		wmu:     make([]sync.Mutex, size),
-		hubWr:   make([]*hubWriter, size),
-		stopped: make(chan struct{}),
+func (t *tcpTransport) start(boxes []*mailbox) error {
+	size := len(boxes)
+	hub, err := newDistHub("127.0.0.1:0", size)
+	if err != nil {
+		return err
 	}
+	t.hub = hub
+	addr := hub.ln.Addr().String()
+	for rank, box := range boxes {
+		// The hub is already listening, so the dial deadline only has to
+		// cover the handshake itself.
+		c, err := dialDist(rank, size, addr, box, handshakeTimeout, writeTimeout)
+		if err != nil {
+			_ = t.stop() // the dial failure is the error worth reporting
+			t.hub, t.clients = nil, nil
+			return err
+		}
+		t.clients = append(t.clients, c)
+	}
+	return nil
+}
+
+func (t *tcpTransport) send(src, dst, tag int, data []byte) error {
+	return t.clients[src].send(src, dst, tag, data)
+}
+
+// faults reports the hub's count of lost ranks: with every member in this
+// process, each client-side fault is also a connection the hub saw die.
+func (t *tcpTransport) faults() int64 {
+	if t.hub == nil {
+		return 0
+	}
+	return t.hub.faultCnt.Load()
+}
+
+// stop departs every rank in order (LEAVE, so the hub records no fault
+// for the closing connections) and then stops the hub, whose error joins
+// every fault recorded while the world was live.
+func (t *tcpTransport) stop() error {
+	if t.hub == nil {
+		return nil // never started
+	}
+	var errs []error
+	for _, c := range t.clients {
+		if err := c.stop(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if err := t.hub.stop(); err != nil {
+		errs = append(errs, err)
+	}
+	return errors.Join(errs...)
 }
 
 // hubWriter serializes hub-side writes to one rank connection. Frames are
@@ -140,190 +166,4 @@ func (hw *hubWriter) drain(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// fault records a transport fault and fails every mailbox so blocked
-// receivers return a named ErrPeerLost error instead of hanging. During
-// orderly shutdown (stopped closed) faults are expected noise and
-// ignored.
-func (t *tcpTransport) fault(err error) {
-	select {
-	case <-t.stopped:
-		return
-	default:
-	}
-	t.faultCnt.Add(1)
-	wrapped := fmt.Errorf("%w: %v", ErrPeerLost, err)
-	t.errMu.Lock()
-	t.errs = append(t.errs, wrapped)
-	t.errMu.Unlock()
-	for _, b := range t.boxes {
-		b.fail(wrapped)
-	}
-}
-
-func (t *tcpTransport) faults() int64 { return t.faultCnt.Load() }
-
-func (t *tcpTransport) start(boxes []*mailbox) error {
-	t.boxes = boxes
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("mpi: tcp listen: %w", err)
-	}
-	t.ln = ln
-
-	// Accept hub-side connections. Unlike the distributed hub, both ends
-	// live in this process: a malformed handshake here is a programming
-	// error, so it fails start() outright instead of being skipped.
-	accepted := make(chan error, 1)
-	go func() { // goroutine-lifecycle: joined by the <-accepted receive at the end of start
-
-		for i := 0; i < t.size; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				accepted <- err
-				return
-			}
-			rank, status, err := readHello(conn, t.size)
-			if err == nil && status == joinOK && t.hubWr[rank] != nil {
-				status = joinDupRank
-			}
-			if err != nil || status != joinOK {
-				if err == nil {
-					err = fmt.Errorf("%w: %s", ErrHandshake, joinStatusText(status))
-					_ = writeAck(conn, status)
-				}
-				_ = conn.Close()
-				accepted <- fmt.Errorf("mpi: tcp handshake: %w", err)
-				return
-			}
-			if err := writeAck(conn, joinOK); err != nil {
-				_ = conn.Close()
-				accepted <- fmt.Errorf("mpi: tcp handshake ack: %w", err)
-				return
-			}
-			hw := newHubWriter()
-			t.hubWr[rank] = hw
-			t.wg.Add(2)
-			go func(conn net.Conn, src int) {
-				defer t.wg.Done()
-				t.hubRead(conn, src)
-			}(conn, rank)
-			go func(conn net.Conn, hw *hubWriter) {
-				defer t.wg.Done()
-				hw.drain(conn)
-				if err := hw.error(); err != nil {
-					t.fault(err)
-				}
-			}(conn, hw)
-		}
-		accepted <- nil
-	}()
-
-	// Dial rank-side connections.
-	addr := ln.Addr().String()
-	for rank := 0; rank < t.size; rank++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("mpi: tcp dial: %w", err)
-		}
-		if err := writeHello(conn, t.size, rank); err != nil {
-			return fmt.Errorf("mpi: tcp handshake: %w", err)
-		}
-		if err := readAck(conn); err != nil {
-			return fmt.Errorf("mpi: tcp handshake: %w", err)
-		}
-		t.conns[rank] = conn
-		// Rank-side reader: deposit inbound frames into the mailbox.
-		t.wg.Add(1)
-		go func(conn net.Conn, rank int) {
-			defer t.wg.Done()
-			t.rankRead(conn, rank)
-		}(conn, rank)
-	}
-	return <-accepted
-}
-
-// hubRead forwards frames arriving from rank src to their destinations.
-// A read failure (or checksum mismatch) while the world is live is a
-// fault: the source rank's stream is unrecoverable.
-func (t *tcpTransport) hubRead(conn net.Conn, src int) {
-	br := bufio.NewReaderSize(conn, 1<<16)
-	for {
-		frame, peer, err := readFrame(br)
-		if err != nil {
-			t.fault(fmt.Errorf("rank %d stream: %v", src, err))
-			return
-		}
-		if peer < 0 || peer >= t.size {
-			t.fault(fmt.Errorf("rank %d stream: bad destination %d", src, peer))
-			return
-		}
-		// Rewrite the peer field to carry the source on the way out; the
-		// checksum excludes the peer field, so the frame forwards as-is.
-		putFramePeer(frame, src)
-		hw := t.hubWr[peer]
-		if hw == nil {
-			return
-		}
-		hw.push(frame)
-	}
-}
-
-// rankRead deposits frames from the hub into this rank's mailbox. The
-// payload aliases the frame buffer readFrame freshly allocated — see the
-// ownership rule on readFrame; no copy is needed.
-func (t *tcpTransport) rankRead(conn net.Conn, rank int) {
-	br := bufio.NewReaderSize(conn, 1<<16)
-	for {
-		frame, src, err := readFrame(br)
-		if err != nil {
-			t.fault(fmt.Errorf("rank %d hub connection: %v", rank, err))
-			return
-		}
-		t.boxes[rank].put(Message{Src: src, Tag: frameTag(frame), Data: framePayload(frame)})
-	}
-}
-
-func (t *tcpTransport) send(src, dst, tag int, data []byte) error {
-	frame := encodeFrame(dst, tag, data)
-	t.wmu[src].Lock()
-	defer t.wmu[src].Unlock()
-	conn := t.conns[src]
-	if conn == nil {
-		return fmt.Errorf("mpi: tcp transport not started")
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := conn.Write(frame)
-	return err
-}
-
-func (t *tcpTransport) stop() error {
-	var errs []error
-	t.stopOnce.Do(func() {
-		// Faults recorded while the world was live propagate; anything
-		// after this point is teardown noise.
-		t.errMu.Lock()
-		errs = append(errs, t.errs...)
-		t.errMu.Unlock()
-		close(t.stopped)
-		if t.ln != nil {
-			if err := t.ln.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("mpi: closing tcp listener: %w", err))
-			}
-		}
-		for _, hw := range t.hubWr {
-			if hw != nil {
-				hw.close()
-			}
-		}
-		for rank, c := range t.conns {
-			if c != nil {
-				if err := c.Close(); err != nil {
-					errs = append(errs, fmt.Errorf("mpi: closing rank %d connection: %w", rank, err))
-				}
-			}
-		}
-	})
-	return errors.Join(errs...)
 }
