@@ -68,10 +68,10 @@ bench:
 # trajectory drifts from BENCH_curveball.json, or transport sends
 # regress >2x, and one replay of the out-of-core guard slice (pa n=100k
 # p=8, in-memory vs tiered store under the committed memory cap),
-# failing if the deterministic edge fingerprint drifts or the capped
-# spill slowdown exceeds twice the committed BENCH_outofcore.json
-# ratio. CI runs this so benchmark, protocol, generator, and store
-# rot is caught early.
+# failing if the deterministic edge fingerprint drifts, the overlay
+# high-water mark exceeds a tenth of the edges, or a rank rewrites its
+# base more than once per round plus once. CI runs this so benchmark,
+# protocol, generator, and store rot is caught early.
 benchsmoke:
 	$(GO) test -short -run=^$$ -bench=BenchmarkEngineStep -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench=BenchmarkGenerate -benchtime=1x ./internal/core/

@@ -210,12 +210,15 @@ func TestBenchOutOfCoreRecord(t *testing.T) {
 // TestBenchsmokeOutOfCoreRegression is the benchsmoke guard for the
 // tiered store: it replays the committed guard slice (pa n=100k, p=8,
 // two curveball rounds, in-memory vs spill at the committed cap) once
-// and fails if (a) the spill run's edge fingerprint drifts from the
+// and fails if the spill run's edge fingerprint drifts from the
 // committed deterministic value or from this run's in-memory result, or
-// (b) the capped spill slowdown over in-memory exceeds twice the
-// committed ratio (single runs are noisy; the band is a rot detector,
-// not a performance assertion). Runs only under BENCHSMOKE=1
-// (`make benchsmoke`).
+// if the store stops streaming: it counts, it does not time (a
+// wall-clock ratio of two paths that speed up by different factors bands
+// nothing). A curveball round rewrites a fully drained partition
+// straight into the next base segment, so the overlay stays a small
+// fraction of the edges (≤ m/10, summed over ranks) and every rank
+// rewrites its base at most once per round plus once at load. Runs only
+// under BENCHSMOKE=1 (`make benchsmoke`).
 func TestBenchsmokeOutOfCoreRegression(t *testing.T) {
 	if os.Getenv("BENCHSMOKE") == "" {
 		t.Skip("set BENCHSMOKE=1 to run the benchsmoke regression guard")
@@ -226,10 +229,9 @@ func TestBenchsmokeOutOfCoreRegression(t *testing.T) {
 	}
 	var bench struct {
 		Guard struct {
-			N        int     `json:"n"`
-			EdgeHash string  `json:"edge_hash"`
-			CapMiB   int64   `json:"cap_mib"`
-			Slowdown float64 `json:"slowdown"`
+			N        int    `json:"n"`
+			EdgeHash string `json:"edge_hash"`
+			CapMiB   int64  `json:"cap_mib"`
 		} `json:"guard"`
 	}
 	if err := json.Unmarshal(raw, &bench); err != nil {
@@ -239,12 +241,12 @@ func TestBenchsmokeOutOfCoreRegression(t *testing.T) {
 		t.Fatal("BENCH_outofcore.json lacks the guard baseline")
 	}
 
+	const p = 8
 	spec := benchGenSpec("pa", bench.Guard.N, 10)
-	inmem := runOutOfCoreCell(t, spec, 8, false, 0)
-	spill := runOutOfCoreCell(t, spec, 8, true, bench.Guard.CapMiB<<20)
-	t.Logf("inmem %.2fs (peak %d MiB), spill@%dMiB %.2fs (%.2fx, baseline %.2fx), %d compactions",
-		inmem.Seconds, inmem.PeakHeapMiB, bench.Guard.CapMiB, spill.Seconds,
-		spill.Seconds/inmem.Seconds, bench.Guard.Slowdown, spill.Compactions)
+	inmem := runOutOfCoreCell(t, spec, p, false, 0)
+	spill := runOutOfCoreCell(t, spec, p, true, bench.Guard.CapMiB<<20)
+	t.Logf("inmem %.2fs (peak %d MiB), spill@%dMiB %.2fs, overlay HWM %d, %d compactions",
+		inmem.Seconds, inmem.PeakHeapMiB, bench.Guard.CapMiB, spill.Seconds, spill.OverlayHWM, spill.Compactions)
 	if inmem.EdgeHash != bench.Guard.EdgeHash {
 		t.Errorf("in-memory edge fingerprint drifted from baseline: %s vs %s — a correctness regression, not noise",
 			inmem.EdgeHash, bench.Guard.EdgeHash)
@@ -252,12 +254,11 @@ func TestBenchsmokeOutOfCoreRegression(t *testing.T) {
 	if spill.EdgeHash != inmem.EdgeHash {
 		t.Errorf("spill run diverged from in-memory: %s vs %s", spill.EdgeHash, inmem.EdgeHash)
 	}
-	band := 2 * bench.Guard.Slowdown
-	if band < 2 {
-		band = 2
+	if m := spec.MaxEdges(); spill.OverlayHWM > m/10 {
+		t.Errorf("overlay high-water mark %d exceeds a tenth of the %d edges: rounds are materializing overlay treaps again", spill.OverlayHWM, m)
 	}
-	if ratio := spill.Seconds / inmem.Seconds; ratio > band {
-		t.Errorf("capped spill slowdown regressed: %.2fx, baseline %.2fx (band %.2fx)",
-			ratio, bench.Guard.Slowdown, band)
+	if limit := int64(p * (outOfCoreRounds + 1)); spill.Compactions > limit {
+		t.Errorf("%d base rewrites over %d ranks and %d rounds, want at most one per rank per round plus one (%d)",
+			spill.Compactions, p, outOfCoreRounds, limit)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -19,27 +20,29 @@ import (
 // vertices, preserving both degrees — no reservations, no restarts, no
 // conversations.
 //
-// Distribution: the owner of perm[2i] orchestrates trade i. At the start
-// of a round every rank drains its whole partition (drainLocal) and
-// routes each edge to the EARLIEST trade this round touching one of its
-// endpoints, anchored at that endpoint (cbFirstTrade breaks the
-// either-endpoint tie by trade index; edges touching no trade — only
-// possible in odd-n rounds with a sat-out vertex — go straight back to
-// their owner). A trade executes the moment it holds every edge incident
-// to its two vertices — the exact expected counts are the global degrees,
-// invariant across the run and bootstrapped once with a single
-// AllreduceUint32s — and then forwards each result edge to the later
-// trade of its non-traded endpoint, or to its owner if no later trade
-// wants it. Induction on the global trade index makes this deadlock-free:
-// trade 0's inputs can come only from drains, trade i's only from drains
-// and trades < i. The step-boundary Allgather barriers rounds, so no
-// message can leak across them.
+// Distribution: the owner of perm[2i] orchestrates trade i, and a round
+// moves flat arrays only (DESIGN.md §5). prepare lays out one arrival
+// arena sized exactly from the global degrees — invariant across the run,
+// bootstrapped by one AllreduceUint32s — and drains the whole partition
+// (drainLocal), routing each edge to the EARLIEST trade this round
+// touching one of its endpoints, anchored there (cbFirstTrade; an edge
+// touching no trade — the sat-out vertex of an odd-n round — is final at
+// once): into that trade's arena slice, or into its orchestrator's edge
+// run (messages.go). A trade holding every edge incident to its two
+// vertices goes on the ready stack; executing it writes each result into
+// the slice or run of the later trade of its non-traded endpoint, or,
+// when no later trade wants it, onto its owner's settled list, which
+// endStep bulk-loads back into the store. Induction on the trade index
+// makes this deadlock-free: trade 0's inputs come only from drains,
+// trade i's only from drains and trades < i. The step-boundary Allgather
+// barriers rounds, so nothing leaks across them.
 //
 // Determinism (the p-invariance pin): a trade's inputs are sorted by
 // non-anchor endpoint before the uniform redistribution, which draws from
 // a counter stream keyed on (seed, round, trade) — so the outcome depends
 // only on the multiset of arrivals, never on arrival order or on which
-// rank computed it.
+// rank computed it (where in its arena slice an arrival lands does depend
+// on arrival order, but the slice is sorted before the trade reads it).
 
 // Stream-id name spaces: the top two bits split the 64-bit id space so
 // pairing draws, trade draws, and everything else (rng.Split consumers)
@@ -179,16 +182,19 @@ func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, out
 
 // cbTrade is the orchestrator-side state of one trade, stored at the
 // local slot of perm[2t] (a vertex joins at most one trade per round, so
-// the slot is a perfect key and the table recycles across rounds).
+// the slot is a perfect key and the table recycles across rounds). Its
+// arrivals live in the round's arena: the u side at
+// arena[off : off+du], the v side right behind it.
 type cbTrade struct {
-	u, v       graph.Vertex // perm[2t], perm[2t+1]
-	gotU, gotV uint32
+	u, v   graph.Vertex // perm[2t], perm[2t+1]
+	off    int          // arena offset of the u side
+	du, dv uint32       // globalDeg of u and v: the arrivals each side collects
+	nU, nV uint32       // arrivals stored per side
 	// pairFlag records an arrived pair edge {u, v}: 0 absent, 1 original,
 	// 2 modified. It counts toward both arrival totals but sits out the
-	// redistribution.
+	// redistribution, so it takes no arena entry.
 	pairFlag uint8
 	done     bool
-	buf      []cbEdge
 }
 
 // curveball implements the randomizer seam for global curveball trades.
@@ -199,46 +205,87 @@ type curveball struct {
 	// number of arrivals each trade side must collect. Degrees are
 	// invariant under trading, so one bootstrap allreduce serves the run.
 	globalDeg []uint32
+	// slot maps every vertex to its local slot when this rank owns it and
+	// to ^owner (negative) when it does not.
+	slot []int32
 
 	round   int64
 	perm    []graph.Vertex
 	tradeOf []int32
+	// orch[t] is the slot of trade t's state in trades, or ^owner of
+	// perm[2t] when another rank orchestrates it; sideV is a bitset of the
+	// vertices that are the v of their trade. Routing an entry reads these
+	// two instead of perm, slot and perm again.
+	orch    []int32
+	sideV   []uint64
 	trades  []cbTrade // indexed by local slot of the trade's u
 	pending int       // owned trades not yet executed this round
 
+	arena   []cbEdge   // this round's arrivals, one slice pair per owned trade
+	ready   []int32    // owned trades holding every arrival, not yet executed
+	settled []slotEdge // edges final for the round that this rank owns
+
+	// routeEach is r.routeDrained bound once (no closure per round);
+	// drainErr is the first error it hit — a store drain cannot abort.
+	routeEach func(ed graph.Edge, orig bool)
+	drainErr  error
+
 	// Execution scratch, reused across trades.
-	ubuf, vbuf, pool, out []cbEdge
+	pool, out []cbEdge
 }
 
 // newCurveball bootstraps the curveball randomizer: one O(n)
 // AllreduceUint32s establishes the global degree vector.
 func newCurveball(e *rankEngine) (*curveball, error) {
 	loc := make([]uint32, e.n)
+	var u graph.Vertex
+	count := func(v graph.Vertex, _ bool) bool {
+		loc[u]++
+		loc[v]++
+		return true
+	}
 	for li := range e.verts {
-		u := e.verts[li]
-		e.adj.Walk(li, func(v graph.Vertex, _ bool) bool {
-			loc[u]++
-			loc[v]++
-			return true
-		})
+		u = e.verts[li]
+		e.adj.Walk(li, count)
 	}
 	deg, err := e.c.AllreduceUint32s(loc, mpi.OpSum)
 	if err != nil {
 		return nil, fmt.Errorf("core: curveball degree bootstrap: %w", err)
 	}
-	return &curveball{
+	slot := make([]int32, e.n)
+	for v := range slot {
+		slot[v] = ^int32(e.pt.Owner(graph.Vertex(v)))
+	}
+	for li, v := range e.verts {
+		slot[v] = int32(li)
+	}
+	r := &curveball{
 		e:         e,
 		globalDeg: deg,
+		slot:      slot,
 		perm:      make([]graph.Vertex, e.n),
 		tradeOf:   make([]int32, e.n),
+		orch:      make([]int32, e.n/2),
+		sideV:     make([]uint64, (e.n+63)/64),
 		trades:    make([]cbTrade, len(e.verts)),
-	}, nil
+		ready:     make([]int32, 0, len(e.verts)),
+	}
+	r.routeEach = r.routeDrained
+	return r, nil
 }
 
-// prepare arms one round: derive the pairing, reset owned trade state,
-// drain the whole partition into the message plane, and execute any
-// owned trade whose sides are both degree-zero (it will never receive a
-// message).
+// roundBuf empties a per-round buffer, reallocating it with headroom
+// only when n entries do not fit.
+func roundBuf[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n+n/8) // hotalloc: sized once per round; persists at its high-water capacity
+	}
+	return buf[:0]
+}
+
+// prepare arms one round: derive the pairing, lay out the arena, and
+// drain the whole partition into it and into the peers' runs, executing
+// owned trades as they complete.
 //
 //es:hotpath
 func (r *curveball) prepare(s int64, counts []int64) error {
@@ -251,187 +298,270 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 	cbPermute(r.perm, e.seed, r.round)
 	cbAssignTrades(r.tradeOf, r.perm)
 
+	// One arena slice pair per owned trade, by prefix sums over the
+	// degrees; a trade with none gets no arrivals and is ready at once.
 	r.pending = 0
-	for t := 0; 2*t+1 < len(r.perm); t++ {
-		u := r.perm[2*t]
-		li, mine := e.index[u]
-		if !mine {
+	r.ready = r.ready[:0]
+	clear(r.sideV)
+	need := 0
+	for t := range r.orch {
+		u, v := r.perm[2*t], r.perm[2*t+1]
+		r.sideV[v>>6] |= 1 << (v & 63)
+		li := r.slot[u]
+		r.orch[t] = li
+		if li < 0 {
 			continue
 		}
-		ts := &r.trades[li]
-		buf := ts.buf[:0]
-		*ts = cbTrade{u: u, v: r.perm[2*t+1], buf: buf}
+		du, dv := r.globalDeg[u], r.globalDeg[v]
+		r.trades[li] = cbTrade{u: u, v: v, off: need, du: du, dv: dv}
 		r.pending++
+		if du+dv > 0 {
+			need += int(du) + int(dv)
+		} else {
+			r.pushReady(int32(t))
+		}
 	}
+	r.arena = roundBuf(r.arena, need)[:need]
+	r.settled = roundBuf(r.settled, int(e.deg.Total()))
 
-	// Drain every owned adjacency and route each edge to its earliest
-	// incident trade (or straight back to its owner when neither endpoint
-	// trades this round).
-	var rerr error
+	// Drain every owned adjacency, executing trades as they complete.
+	r.drainErr = nil
 	for li := range e.verts {
-		e.drainLocal(li, func(ed graph.Edge, orig bool) { // hotalloc: one closure per owned vertex per round, amortized over the drained adjacency
-			if rerr != nil {
-				return
-			}
-			t, anchorW := cbFirstTrade(r.tradeOf, ed.U, ed.V)
-			if t < 0 {
-				rerr = r.store(ed, orig)
-				return
-			}
-			anchor, other := ed.U, ed.V
-			if anchorW {
-				anchor, other = ed.V, ed.U
-			}
-			rerr = r.sendTrade(t, anchor, other, orig)
-		})
-		if rerr != nil {
-			return rerr
+		e.drainLocal(li, r.routeEach)
+		if r.drainErr != nil {
+			return r.drainErr
+		}
+		if err := r.runReady(); err != nil {
+			return err
 		}
 	}
-
-	// Trades whose both sides have degree zero get no arrivals: execute
-	// them now (they trade nothing, but must retire from pending).
-	for t := 0; 2*t+1 < len(r.perm); t++ {
-		u := r.perm[2*t]
-		li, mine := e.index[u]
-		if !mine {
-			continue
-		}
-		ts := &r.trades[li]
-		if !ts.done && r.globalDeg[ts.u] == 0 && r.globalDeg[ts.v] == 0 {
-			if err := r.execute(int32(t), ts); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.runReady()
 }
 
-// sendTrade routes one adjacency entry to the orchestrator of trade t,
-// anchored at the traded endpoint.
-func (r *curveball) sendTrade(t int32, anchor, other graph.Vertex, orig bool) error {
-	dst := r.e.pt.Owner(r.perm[2*t])
-	return r.e.send(dst, opMsg{kind: mTradeEdge, trade: t, e1: graph.Edge{U: anchor, V: other}, orig: orig})
-}
-
-// store hands a settled normalized edge to its owner.
-func (r *curveball) store(ed graph.Edge, orig bool) error {
-	return r.e.send(r.e.owner(ed), opMsg{kind: mStoreEdge, e1: ed, orig: orig})
-}
-
-// handle dispatches curveball payloads. The chassis dispatches through
-// the randomizer interface, which ends hotalloc's static call walk, so
-// the per-message entry points root their own audits.
-//
-//es:hotpath
-func (r *curveball) handle(om opMsg, src int) error {
-	switch om.kind {
-	case mTradeEdge:
-		return r.onTradeEdge(om.trade, om.e1.U, om.e1.V, om.orig)
-	case mStoreEdge:
-		return r.e.insertLocal(om.e1, om.orig)
-	default:
-		return fmt.Errorf("core: rank %d curveball cannot handle %v", r.e.c.Rank(), om.kind)
+// routeDrained sends one drained edge to its earliest incident trade, or
+// to the settled list when neither endpoint trades this round.
+func (r *curveball) routeDrained(ed graph.Edge, orig bool) {
+	if r.drainErr != nil {
+		return
 	}
-}
-
-// onTradeEdge collects one arrival for trade t and executes the trade
-// once both sides are complete.
-func (r *curveball) onTradeEdge(t int32, anchor, other graph.Vertex, orig bool) error {
-	e := r.e
-	if t < 0 || int(2*t+1) >= len(r.perm) {
-		return fmt.Errorf("core: rank %d got edge for invalid trade %d", e.c.Rank(), t)
-	}
-	u := r.perm[2*t]
-	li, mine := e.index[u]
-	if !mine {
-		return fmt.Errorf("core: rank %d got edge for foreign trade %d (u=%d)", e.c.Rank(), t, u)
-	}
-	ts := &r.trades[li]
-	if ts.done {
-		return fmt.Errorf("core: rank %d got edge for finished trade %d", e.c.Rank(), t)
-	}
-	v := ts.v
+	t, anchorW := cbFirstTrade(r.tradeOf, ed.U, ed.V)
 	switch {
-	case (anchor == u && other == v) || (anchor == v && other == u):
+	case t < 0:
+		r.drainErr = r.settle(ed, orig)
+	case anchorW:
+		r.drainErr = r.toTrade(t, ed.V, ed.U, orig)
+	default:
+		r.drainErr = r.toTrade(t, ed.U, ed.V, orig)
+	}
+}
+
+// toTrade delivers one adjacency entry, anchored at the traded endpoint,
+// to trade t: its arena slice here, or its orchestrator's run.
+func (r *curveball) toTrade(t int32, anchor, other graph.Vertex, orig bool) error {
+	r.e.msgsSent++
+	anchorV := r.sideV[anchor>>6]>>(anchor&63)&1 != 0
+	li := r.orch[t]
+	if li >= 0 {
+		return r.arrive(&r.trades[li], t, anchorV, other, orig)
+	}
+	flags := byte(runTrade)
+	if anchorV {
+		flags |= runAnchorV
+	}
+	if orig {
+		flags |= runOrig
+	}
+	return r.e.sendRun(int(^li), uint32(t), uint32(other), flags)
+}
+
+// settle hands a normalized edge that is final for the round to its
+// owner: this rank's settled list, or the owner's run.
+func (r *curveball) settle(ed graph.Edge, orig bool) error {
+	r.e.msgsSent++
+	li := r.slot[ed.U]
+	if li >= 0 {
+		r.keep(li, ed.V, orig)
+		return nil
+	}
+	flags := byte(0)
+	if orig {
+		flags = runOrig
+	}
+	return r.e.sendRun(int(^li), uint32(ed.U), uint32(ed.V), flags)
+}
+
+// keep appends one owned edge to the settled list.
+func (r *curveball) keep(li int32, v graph.Vertex, orig bool) {
+	r.settled = append(r.settled, slotEdge{slot: li, v: v, orig: orig}) // hotalloc: amortized; prepare sizes the list to the partition, which a round changes by a few percent
+}
+
+func (r *curveball) pushReady(t int32) {
+	r.ready = r.ready[:len(r.ready)+1] // capacity: one entry per owned vertex, and a trade is pushed once
+	r.ready[len(r.ready)-1] = t
+}
+
+// arrive stores one arrival of owned trade t (state ts) on the anchorV
+// side and readies the trade once it holds every edge incident to its
+// two vertices. The degrees bound each side: an arrival beyond them is
+// an error, never a write outside the trade's arena slice.
+func (r *curveball) arrive(ts *cbTrade, t int32, anchorV bool, other graph.Vertex, orig bool) error {
+	if ts.done {
+		return fmt.Errorf("core: rank %d round %d: edge for finished trade %d", r.e.c.Rank(), r.round, t)
+	}
+	// The arriving side: its vertex, partner, stored count, degree, slice.
+	anchor, partner, n, d, base := ts.u, ts.v, &ts.nU, ts.du, ts.off
+	if anchorV {
+		anchor, partner, n, d, base = ts.v, ts.u, &ts.nV, ts.dv, ts.off+int(ts.du)
+	}
+	pair := uint32(0)
+	if ts.pairFlag != 0 {
+		pair = 1
+	}
+	switch {
+	case other == anchor:
+		return fmt.Errorf("core: rank %d round %d: edge for trade %d of (%d, %d) anchored at its own endpoint %d", r.e.c.Rank(), r.round, t, ts.u, ts.v, anchor)
+	case other == partner:
 		// The pair edge: completes one arrival on each side and sits out
 		// the redistribution.
-		if ts.pairFlag != 0 {
-			return fmt.Errorf("core: rank %d got duplicate pair edge for trade %d", e.c.Rank(), t)
+		if pair != 0 {
+			return fmt.Errorf("core: rank %d round %d: duplicate pair edge for trade %d", r.e.c.Rank(), r.round, t)
+		}
+		if ts.nU >= ts.du || ts.nV >= ts.dv {
+			return fmt.Errorf("core: rank %d round %d: pair edge overfills trade %d of (%d, %d): degrees (%d, %d)", r.e.c.Rank(), r.round, t, ts.u, ts.v, ts.du, ts.dv)
 		}
 		ts.pairFlag = 2
 		if orig {
 			ts.pairFlag = 1
 		}
-		ts.gotU++
-		ts.gotV++
-	case anchor == u:
-		ts.buf = append(ts.buf, cbEdge{other: other, anchorV: false, orig: orig}) // hotalloc: amortized; trade buffers persist across rounds at their high-water capacity
-		ts.gotU++
-	case anchor == v:
-		ts.buf = append(ts.buf, cbEdge{other: other, anchorV: true, orig: orig}) // hotalloc: amortized; trade buffers persist across rounds at their high-water capacity
-		ts.gotV++
+		pair = 1
+	case *n+pair >= d:
+		return fmt.Errorf("core: rank %d round %d: trade %d got more than the %d edges of vertex %d", r.e.c.Rank(), r.round, t, d, anchor)
 	default:
-		return fmt.Errorf("core: rank %d got edge anchored at %d for trade %d of (%d, %d)", e.c.Rank(), anchor, t, u, v)
+		r.arena[base+int(*n)] = cbEdge{other: other, anchorV: anchorV, orig: orig}
+		*n++
 	}
-	if ts.gotU == r.globalDeg[u] && ts.gotV == r.globalDeg[v] {
-		return r.execute(t, ts)
+	if ts.nU+pair == ts.du && ts.nV+pair == ts.dv {
+		r.pushReady(t)
+	}
+	return nil
+}
+
+// handle: curveball has no conversations; the chassis consumes the
+// step-control kinds before they get here.
+func (r *curveball) handle(om opMsg, src int) error {
+	return fmt.Errorf("core: rank %d curveball cannot handle %v from rank %d", r.e.c.Rank(), om.kind, src)
+}
+
+// handleRun decodes one edge run in place — trade arrivals into the
+// arena, settled edges onto the settled list — then executes every trade
+// it completed. The bytes come off a socket, so every field is checked
+// before it indexes anything. (A hotpath root of its own: the interface
+// dispatch ends hotalloc's static call walk.)
+//
+//es:hotpath
+func (r *curveball) handleRun(run []byte, src int) (int, error) {
+	rank := r.e.c.Rank()
+	if len(run) < runHdrLen {
+		return 0, fmt.Errorf("core: rank %d round %d: edge run from rank %d cut off inside its %d-byte header", rank, r.round, src, runHdrLen)
+	}
+	cnt := int(binary.LittleEndian.Uint32(run[1:]))
+	body := run[runHdrLen:]
+	if cnt > len(body)/runEntryLen {
+		return 0, fmt.Errorf("core: rank %d round %d: edge run from rank %d claims %d entries, its payload holds %d", rank, r.round, src, cnt, len(body)/runEntryLen)
+	}
+	n := uint32(len(r.perm))
+	for ; cnt > 0; cnt, body = cnt-1, body[runEntryLen:] {
+		key := binary.LittleEndian.Uint32(body)
+		other := binary.LittleEndian.Uint32(body[4:])
+		flags := body[8]
+		orig := flags&runOrig != 0
+		switch {
+		case flags&^runFlags != 0 || flags&(runTrade|runAnchorV) == runAnchorV:
+			return 0, fmt.Errorf("core: rank %d round %d: edge run entry from rank %d has bad flags %#x", rank, r.round, src, flags)
+		case other >= n:
+			return 0, fmt.Errorf("core: rank %d round %d: edge run entry from rank %d names vertex %d of %d", rank, r.round, src, other, n)
+		case flags&runTrade == 0:
+			// A settled edge (key, other) for this rank's partition.
+			if key >= other {
+				return 0, fmt.Errorf("core: rank %d round %d: settled edge (%d, %d) from rank %d is not normalized", rank, r.round, key, other, src)
+			}
+			li := r.slot[key]
+			if li < 0 {
+				return 0, fmt.Errorf("core: rank %d round %d: settled edge (%d, %d) from rank %d belongs to rank %d", rank, r.round, key, other, src, ^li)
+			}
+			r.keep(li, graph.Vertex(other), orig)
+		default:
+			// An arrival for trade key, compared in int: as an int32 a
+			// corrupt index past 2^31 would go negative and pass.
+			if int(key) >= len(r.orch) {
+				return 0, fmt.Errorf("core: rank %d round %d: edge for invalid trade %d from rank %d", rank, r.round, key, src)
+			}
+			li := r.orch[key]
+			if li < 0 {
+				return 0, fmt.Errorf("core: rank %d round %d: edge for foreign trade %d (rank %d orchestrates it) from rank %d", rank, r.round, key, ^li, src)
+			}
+			if err := r.arrive(&r.trades[li], int32(key), flags&runAnchorV != 0, graph.Vertex(other), orig); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return len(run) - len(body), r.runReady()
+}
+
+// runReady executes complete trades until none is left; a trade's output
+// may complete later local trades, which join the stack.
+//
+//es:hotpath
+func (r *curveball) runReady() error {
+	for n := len(r.ready); n > 0; n = len(r.ready) {
+		t := r.ready[n-1]
+		r.ready = r.ready[:n-1]
+		if err := r.execute(t); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // execute runs a complete trade and routes every result edge onward: to
-// the later trade of its non-traded endpoint, or to its owner.
-func (r *curveball) execute(t int32, ts *cbTrade) error {
+// the LATER trade of its non-traded endpoint (anchored there) when there
+// is one, otherwise — final for the round — to its owner.
+func (r *curveball) execute(t int32) error {
 	e := r.e
+	ts := &r.trades[r.orch[t]]
 	ts.done = true
 	r.pending--
 	e.opsInitiated++
 
-	// Split arrivals by side and sort each by the non-anchor endpoint so
-	// the redistribution sees a canonical, arrival-order-free input.
-	r.ubuf, r.vbuf = r.ubuf[:0], r.vbuf[:0]
-	for _, ed := range ts.buf {
-		if ed.anchorV {
-			r.vbuf = append(r.vbuf, ed) // hotalloc: amortized; execution scratch persists at its high-water capacity
-		} else {
-			r.ubuf = append(r.ubuf, ed) // hotalloc: amortized; execution scratch persists at its high-water capacity
-		}
-	}
-	sortCBEdges(r.ubuf)
-	sortCBEdges(r.vbuf)
-	r.pool, r.out = cbApplyTrade(r.ubuf, r.vbuf, r.pool, r.out, cbTradeStream(e.seed, r.round, t))
+	// Sort each side by the non-anchor endpoint so the redistribution
+	// sees a canonical, arrival-order-free input.
+	vOff := ts.off + int(ts.du)
+	uList, vList := r.arena[ts.off:ts.off+int(ts.nU)], r.arena[vOff:vOff+int(ts.nV)]
+	sortCBEdges(uList)
+	sortCBEdges(vList)
+	r.pool, r.out = cbApplyTrade(uList, vList, r.pool, r.out, cbTradeStream(e.seed, r.round, t))
 
 	for _, ed := range r.out {
 		anchor := ts.u
 		if ed.anchorV {
 			anchor = ts.v
 		}
-		if err := r.routeTraded(t, anchor, ed.other, ed.orig); err != nil {
+		var err error
+		if tx := r.tradeOf[ed.other]; tx > t {
+			err = r.toTrade(tx, ed.other, anchor, ed.orig)
+		} else {
+			err = r.settle(graph.Edge{U: anchor, V: ed.other}.Norm(), ed.orig)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	if ts.pairFlag != 0 {
-		if err := r.store(graph.Edge{U: ts.u, V: ts.v}.Norm(), ts.pairFlag == 1); err != nil {
-			return err
-		}
+		return r.settle(graph.Edge{U: ts.u, V: ts.v}.Norm(), ts.pairFlag == 1)
 	}
 	return nil
 }
 
-// routeTraded forwards one settled adjacency entry after trade t: if the
-// non-traded endpoint joins a LATER trade this round, the edge is due
-// there (anchored at that endpoint); otherwise it is final for the round
-// and goes to its owner.
-func (r *curveball) routeTraded(t int32, anchor, other graph.Vertex, orig bool) error {
-	if tx := r.tradeOf[other]; tx > t {
-		return r.sendTrade(tx, other, anchor, orig)
-	}
-	return r.store(graph.Edge{U: anchor, V: other}.Norm(), orig)
-}
-
-// advance: curveball is fully event-driven — prepare seeds the round's
-// messages and handle does the rest.
 // cursor is the round counter: at a quiesced round boundary it is the
 // only live protocol state (pairing and draws are recomputed from
 // counter streams keyed on (seed, round)), so restoring it resumes the
@@ -440,10 +570,12 @@ func (r *curveball) cursor() uint64 { return uint64(r.round) }
 
 func (r *curveball) restoreCursor(c uint64) { r.round = int64(c) }
 
+// advance: curveball is fully event-driven — prepare seeds the round and
+// handleRun does the rest.
 func (r *curveball) advance() (bool, error) { return false, nil }
 
-// done: all owned trades executed. The chassis keeps draining messages
-// for peers (stores and later-trade arrivals) until everyone is done.
+// done: all owned trades executed. The chassis keeps draining runs from
+// peers (settled edges for this partition) until everyone is done.
 func (r *curveball) done() bool { return r.pending == 0 }
 
 // starved: never — every owned trade is guaranteed its exact arrival
@@ -454,10 +586,15 @@ func (r *curveball) starved() bool { return false }
 // never forfeited.
 func (r *curveball) forfeitRemaining() {}
 
-// quiesced verifies every owned trade executed this round.
-func (r *curveball) quiesced() error {
+// endStep verifies every owned trade executed and rebuilds the drained
+// partition from the settled list — complete, since every peer's
+// end-of-step signal travelled behind its last run.
+func (r *curveball) endStep() error {
 	if r.pending != 0 {
 		return fmt.Errorf("core: rank %d ends round %d with %d unexecuted trades", r.e.c.Rank(), r.round, r.pending)
+	}
+	if err := r.e.loadSlotEdges(r.settled, false); err != nil {
+		return fmt.Errorf("core: round %d: %w", r.round, err)
 	}
 	return nil
 }
@@ -467,6 +604,14 @@ func (r *curveball) quiesced() error {
 type seqCBEdge struct {
 	e    graph.Edge
 	orig bool
+}
+
+// seqCBTrade is one trade of the sequential reference: its arrivals in
+// one buffer, split by side when the trade runs.
+type seqCBTrade struct {
+	u, v     graph.Vertex
+	pairFlag uint8 // as cbTrade.pairFlag
+	buf      []cbEdge
 }
 
 // SequentialCurveball performs `rounds` global trade rounds on g in
@@ -497,13 +642,13 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 	perm := make([]graph.Vertex, n)
 	tradeOf := make([]int32, n)
 	nt := n / 2
-	trades := make([]cbTrade, nt)
+	trades := make([]seqCBTrade, nt)
 	var ubuf, vbuf, pool, out []cbEdge
 	next := make([]seqCBEdge, 0, len(cur))
 
 	// arrive delivers one adjacency entry to trade t, mirroring
-	// onTradeEdge: the pair edge is flagged aside, everything else joins
-	// the arrival buffer on its anchor's side.
+	// curveball.arrive: the pair edge is flagged aside, everything else
+	// joins the arrival buffer on its anchor's side.
 	arrive := func(t int32, anchor, other graph.Vertex, orig bool) {
 		ts := &trades[t]
 		switch {
@@ -524,7 +669,7 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 		cbAssignTrades(tradeOf, perm)
 		for t := range trades {
 			buf := trades[t].buf[:0]
-			trades[t] = cbTrade{u: perm[2*t], v: perm[2*t+1], buf: buf}
+			trades[t] = seqCBTrade{u: perm[2*t], v: perm[2*t+1], buf: buf}
 		}
 		next = next[:0]
 		for _, se := range cur {
@@ -541,7 +686,7 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 		}
 		// Trades execute in index order; an executed trade forwards each
 		// result to the later trade of its non-traded endpoint, exactly as
-		// routeTraded does.
+		// curveball.execute does.
 		for t := 0; t < nt; t++ {
 			ts := &trades[t]
 			ubuf, vbuf = ubuf[:0], vbuf[:0]

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"edgeswitch/internal/gen"
+	"edgeswitch/internal/gen/pergen"
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/rng"
 )
@@ -433,5 +437,133 @@ func TestSequentialCurveballBasics(t *testing.T) {
 	}
 	if _, err := SequentialCurveball(g, -1, 33); err == nil {
 		t.Fatal("negative round count accepted")
+	}
+}
+
+// graphEdgeHash recomputes Result.EdgeHash from a whole graph (the sum
+// rankEngine.edgeHash folds over partitions).
+func graphEdgeHash(g *graph.Graph) uint64 {
+	var h uint64
+	for e, orig := range edgeFlagMap(g) {
+		x := uint64(e.U)<<33 | uint64(e.V)<<1
+		if orig {
+			x |= 1
+		}
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		h += x
+	}
+	return h
+}
+
+// curveballVsSequential runs the distributed engine under cfg and
+// requires the sequential reference's graph, edge for edge and flag for
+// flag, and its fingerprint.
+func curveballVsSequential(t *testing.T, label string, g *graph.Graph, rounds int64, cfg Config, want map[graph.Edge]bool, wantHash uint64) {
+	t.Helper()
+	cfg.Algorithm = AlgoCurveball
+	res, err := Parallel(g, rounds, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	checkCurveballRun(t, g, res, rounds)
+	sameEdgeFlags(t, label, want, edgeFlagMap(res.Graph))
+	if res.EdgeHash != wantHash {
+		t.Fatalf("%s: EdgeHash %#x, sequential reference %#x", label, res.EdgeHash, wantHash)
+	}
+}
+
+// TestCurveballFlatEquivalence widens the trade-for-trade pin to the
+// shapes the flat path treats specially. On small graphs the whole
+// matrix p ∈ {1, 2, 3, 8} × CP / HP-U / HP-D × mem / TCP runs sanitized:
+// a dense odd-n graph (most paired vertices are adjacent — the pair edge
+// — and one vertex sits out each round) and a graph half of whose
+// vertices are isolated (degree-zero trades and sides). A pergen pa
+// graph with hubs (trade sides past sortCBEdges' insertion-sort cut-off,
+// and per-destination runs far past the flush cap at small p) covers a
+// cross-section of the matrix.
+func TestCurveballFlatEquivalence(t *testing.T) {
+	const rounds, seed = 3, 19
+	reference := func(g *graph.Graph) (map[graph.Edge]bool, uint64) {
+		seq := g.Clone(rng.New(1))
+		if _, err := SequentialCurveball(seq, rounds, seed); err != nil {
+			t.Fatal(err)
+		}
+		return edgeFlagMap(seq), graphEdgeHash(seq)
+	}
+
+	dense := testGraph(t, 61, 41, 600)
+	sparse := graph.New(120)
+	for _, ed := range testGraph(t, 62, 60, 200).Edges() {
+		sparse.AddEdge(ed, rng.New(1))
+	}
+	for name, g := range map[string]*graph.Graph{"dense-odd": dense, "half-isolated": sparse} {
+		want, wantHash := reference(g)
+		for _, p := range []int{1, 2, 3, 8} {
+			for _, scheme := range []Scheme{SchemeCP, SchemeHPU, SchemeHPD} {
+				for _, tcp := range []bool{false, true} {
+					label := fmt.Sprintf("%s p=%d %s tcp=%v", name, p, scheme, tcp)
+					cfg := Config{Ranks: p, Scheme: scheme, Seed: seed, UseTCP: tcp, CheckInvariants: true}
+					curveballVsSequential(t, label, g, rounds, cfg, want, wantHash)
+				}
+			}
+		}
+	}
+
+	pg, err := pergen.New(pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: 5001, D: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := pg.Full()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := slices.Max(pa.Degrees()); d <= 24 {
+		t.Fatalf("pa graph's largest degree is %d: no trade side reaches the slices.SortFunc arm", d)
+	}
+	want, wantHash := reference(pa)
+	for _, cfg := range []Config{
+		{Ranks: 1, Scheme: SchemeHPD},
+		{Ranks: 2, Scheme: SchemeHPD, CheckInvariants: true},
+		{Ranks: 2, Scheme: SchemeCP, UseTCP: true},
+		{Ranks: 3, Scheme: SchemeHPU},
+		{Ranks: 8, Scheme: SchemeHPD, UseTCP: true},
+		{Ranks: 8, Scheme: SchemeCP},
+	} {
+		cfg.Seed = seed
+		label := fmt.Sprintf("pa p=%d %s tcp=%v", cfg.Ranks, cfg.Scheme, cfg.UseTCP)
+		curveballVsSequential(t, label, pa, rounds, cfg, want, wantHash)
+	}
+}
+
+// TestCurveballSteadyStateAllocs counts instead of timing: once the
+// first round has sized the arena, the settled list and the run
+// buffers, a round on the pa graph costs less than one heap allocation
+// per trade, all ranks together. The delta between a one-round and a
+// five-round run of the same configuration is rounds 2..5; setup and
+// teardown cancel.
+func TestCurveballSteadyStateAllocs(t *testing.T) {
+	spec := pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: 5001, D: 10}
+	mallocs := func(rounds int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Parallel(nil, rounds, Config{
+			Ranks: 2, Scheme: SchemeHPD, Seed: 19, Algorithm: AlgoCurveball,
+			SkipResult: true, DistributedGen: &spec,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const k = 5
+	one, many := mallocs(1), mallocs(k)
+	trades := uint64(k-1) * uint64(spec.N/2)
+	t.Logf("1 round: %d mallocs, %d rounds: %d; %d trades in rounds 2..%d", one, k, many, trades, k)
+	if many > one && many-one >= trades {
+		t.Fatalf("rounds 2..%d made %d allocations for %d trades, want fewer than one per trade", k, many-one, trades)
 	}
 }

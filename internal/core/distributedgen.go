@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"edgeswitch/internal/gen/pergen"
 	"edgeswitch/internal/graph"
@@ -88,101 +87,39 @@ func genPartitioner(gn *pergen.Gen, scheme Scheme, p int, seed uint64) (partitio
 	}
 }
 
-// genEdge is one owned edge of the generation scan with the treap
-// priority drawn at emission time — buffering the draw keeps the rank's
-// RNG consumption (one Uint32 per emitted edge, duplicates included)
-// identical to inserting during the scan, so the switching phase sees
-// the same stream position either way.
-type genEdge struct {
-	u, v graph.Vertex
-	prio uint32
-}
-
 // newRankEngineFromGen loads a rank engine directly from the generator:
 // one pass over the spec's edge enumeration buffers the edges this rank
-// owns, then each owned vertex's adjacency is bulk-built in O(d) from
-// its sorted targets (graph.BuildSorted), producing the same adjacency
-// sets as one-at-a-time insertion without its O(d log d) descents —
-// which dominate the bootstrap once the enumeration itself is cheap.
-// Grouping by owner is a counting sort keyed on the dense local index
-// (a comparison sort over the whole buffer would cost more than the
-// treap work it saves); within a group, targets are insertion-sorted —
-// reduced adjacencies are small on average, and the large PA hub groups
-// that would degrade it quadratically fall back to sort.Slice. A
-// repeated edge (contact cross-slot collisions, birthday-rare) keeps
-// one emitted copy's priority — which copy is unspecified, and
-// immaterial: priorities only steer treap shape. Both copies share
-// their minimum endpoint, so duplicates collapse wholly inside one rank
-// and the global edge set stays independent of p.
+// owns, keyed by local slot, and the chassis bulk loader (loadSlotEdges)
+// groups, sorts and bulk-builds them in O(d) per adjacency — the same
+// sets as one-at-a-time insertion without its O(d log d) descents, which
+// dominate the bootstrap once the enumeration itself is cheap. The
+// loader draws one treap priority per emitted edge, duplicates included,
+// so the switching phase finds the run RNG where per-edge insertion
+// would have left it. A repeated edge (contact cross-slot collisions)
+// collapses to one; both copies share their minimum endpoint, so
+// duplicates collapse wholly inside one rank and the global edge set
+// stays independent of p.
 func newRankEngineFromGen(c *mpi.Comm, pt partition.Partitioner, gn *pergen.Gen, cfg Config) (*rankEngine, error) {
 	e, err := newEmptyRankEngine(c, pt, gn.N(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	p := c.Size()
-	buf := make([]genEdge, 0, int(gn.Spec().MaxEdges()/int64(p))+gn.N()/p+16)
-	gn.PartitionEdges(pt, c.Rank(), func(ed graph.Edge) {
-		buf = append(buf, genEdge{ed.U, ed.V, e.rnd.Uint32()})
-	})
-
 	// Dense local-index table for the load: the engine's map serves
-	// sparse protocol-time queries, but the bulk load would hit it once
-	// per owned edge. PartitionEdges only hands owned minimum endpoints,
-	// so entries for foreign vertices are never read.
+	// sparse protocol-time queries, but the scan would hit it once per
+	// owned edge. PartitionEdges only hands owned minimum endpoints, so
+	// entries for foreign vertices are never read.
 	lookup := make([]int32, gn.N())
 	for i, v := range e.verts {
 		lookup[v] = int32(i)
 	}
-
-	// Counting sort: group the buffer by owner vertex in two O(m/p)
-	// passes, preserving emission order within each group.
-	nv := len(e.verts)
-	starts := make([]int32, nv+1)
-	for i := range buf {
-		starts[lookup[buf[i].u]+1]++
+	p := c.Size()
+	buf := make([]slotEdge, 0, int(gn.Spec().MaxEdges()/int64(p))+gn.N()/p+16)
+	gn.PartitionEdges(pt, c.Rank(), func(ed graph.Edge) {
+		buf = append(buf, slotEdge{slot: lookup[ed.U], v: ed.V, orig: true})
+	})
+	if err := e.loadSlotEdges(buf, true); err != nil {
+		return nil, err
 	}
-	for li := 0; li < nv; li++ {
-		starts[li+1] += starts[li]
-	}
-	sorted := make([]genEdge, len(buf))
-	pos := make([]int32, nv)
-	copy(pos, starts[:nv])
-	for i := range buf {
-		li := lookup[buf[i].u]
-		sorted[pos[li]] = buf[i]
-		pos[li]++
-	}
-
-	counts := make([]int64, nv)
-	var keys []graph.Vertex
-	var prios []uint32
-	for li := 0; li < nv; li++ {
-		grp := sorted[starts[li]:starts[li+1]]
-		if len(grp) == 0 {
-			continue
-		}
-		if len(grp) <= 32 {
-			// Stable, so a duplicate's first emission sorts first.
-			for i := 1; i < len(grp); i++ {
-				for j := i; j > 0 && grp[j].v < grp[j-1].v; j-- {
-					grp[j], grp[j-1] = grp[j-1], grp[j]
-				}
-			}
-		} else {
-			sort.Slice(grp, func(i, j int) bool { return grp[i].v < grp[j].v })
-		}
-		keys, prios = keys[:0], prios[:0]
-		for i := range grp {
-			if n := len(keys); n > 0 && keys[n-1] == grp[i].v {
-				continue // duplicate emission collapses here
-			}
-			keys = append(keys, grp[i].v)
-			prios = append(prios, grp[i].prio)
-		}
-		e.adj.BuildSorted(li, keys, prios, true)
-		counts[li] = int64(len(keys))
-	}
-	e.deg = graph.NewFenwickFrom(counts)
 	total, err := c.AllreduceInt64s([]int64{e.deg.Total()}, mpi.OpSum)
 	if err != nil {
 		return nil, err

@@ -187,8 +187,8 @@ func (r *edgeSwitcher) forfeitRemaining() {
 	r.remaining = 0
 }
 
-// quiesced asserts the protocol left no dangling state at a step boundary.
-func (r *edgeSwitcher) quiesced() error {
+// endStep asserts the protocol left no dangling state at a step boundary.
+func (r *edgeSwitcher) endStep() error {
 	e := r.e
 	if len(r.inHand) != 0 {
 		return fmt.Errorf("core: rank %d ends step with %d in-hand edges", e.c.Rank(), len(r.inHand))
@@ -244,6 +244,11 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 	default:
 		return fmt.Errorf("core: rank %d edge-switch cannot handle %v", r.e.c.Rank(), om.kind)
 	}
+}
+
+// handleRun: the conversation protocol has no bulk payloads.
+func (r *edgeSwitcher) handleRun(_ []byte, src int) (int, error) {
+	return 0, fmt.Errorf("core: rank %d edge-switch got an edge run from rank %d", r.e.c.Rank(), src)
 }
 
 // ---- local edge custody ----

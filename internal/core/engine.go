@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
@@ -49,11 +51,27 @@ type rankEngine struct {
 
 	initialEdges int64
 
+	// drainLocal's plumbing: drainEach is e.drainEntry bound once (no
+	// closure per drain); drainU and drainFn are the vertex being drained
+	// and the caller's sink.
+	drainEach func(v graph.Vertex, orig bool)
+	drainU    graph.Vertex
+	drainFn   func(ed graph.Edge, orig bool)
+
+	// load is loadSlotEdges' working memory, reused across rounds.
+	load struct {
+		ends   []int32 // per-slot group ends after the counting sort
+		sorted []slotEdge
+		keys   []graph.Vertex
+		prios  []uint32
+		origs  []bool
+	}
+
 	// origLocal counts local adjacency entries still flagged original,
-	// maintained by the takeLocal/insertLocal/drainLocal accounting
-	// helpers. Summed across ranks at every step boundary (fused into
-	// stepExchange) it yields the exact global visit rate without
-	// reassembling the graph.
+	// maintained by the takeLocal/insertLocal/drainLocal/loadSlotEdges
+	// accounting helpers. Summed across ranks at every step boundary
+	// (fused into stepExchange) it yields the exact global visit rate
+	// without reassembling the graph.
 	origLocal int64
 
 	// targetX, when positive, stops the run at the first step boundary
@@ -217,6 +235,8 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		stepBuf:  make([]byte, 20),
 	}
 	e.sb.init(c)
+	e.drainEach = e.drainEntry
+	e.load.ends = make([]int32, len(e.verts))
 	if e.sanitize {
 		e.degDelta = make(map[graph.Vertex]int32)
 	}
@@ -241,6 +261,8 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 	}
 	e.m = m
 	e.initialEdges = e.deg.Total()
+	// What a bulk load accounted is the baseline, not a step's deltas.
+	clear(e.degDelta)
 	e.origLocal = 0
 	for li := range e.verts {
 		e.origLocal += int64(e.adj.Originals(li))
@@ -484,9 +506,10 @@ func (e *rankEngine) stepLoop() error {
 }
 
 // checkStepInvariants asserts the step left no dangling state: the
-// randomizer's protocol is quiescent and the message plane is empty.
+// randomizer's protocol is quiescent (and its held-back store writes are
+// applied) and the message plane is empty.
 func (e *rankEngine) checkStepInvariants() error {
-	if err := e.rand.quiesced(); err != nil {
+	if err := e.rand.endStep(); err != nil {
 		return err
 	}
 	if n := e.sb.pendingBytes(); n != 0 {
@@ -539,21 +562,113 @@ func (e *rankEngine) insertLocal(ed graph.Edge, orig bool) error {
 // drainLocal empties one owned vertex's whole adjacency in ascending
 // order, handing each (edge, original) to fn and keeping the fused
 // accounting exact — curveball's per-round bulk extraction. The removal
-// deltas cancel against the insertLocal calls that restore the traded
+// deltas cancel against the loadSlotEdges call that restores the traded
 // lists, so the sanitizer's conservation check holds across a round.
 func (e *rankEngine) drainLocal(li int, fn func(ed graph.Edge, orig bool)) {
-	u := e.verts[li]
 	cnt := e.adj.Len(li)
 	if cnt == 0 {
 		return
 	}
 	e.origLocal -= int64(e.adj.Originals(li))
-	e.adj.Drain(li, func(v graph.Vertex, orig bool) { // hotalloc: one closure per drained vertex per round, amortized over the adjacency walk
-		ed := graph.Edge{U: u, V: v}
-		e.noteDegree(ed, -1)
-		fn(ed, orig)
-	})
+	e.drainU, e.drainFn = e.verts[li], fn
+	e.adj.Drain(li, e.drainEach)
 	e.deg.Add(li, int64(-cnt))
+}
+
+// drainEntry is drainLocal's per-entry step (bound once as e.drainEach).
+func (e *rankEngine) drainEntry(v graph.Vertex, orig bool) {
+	ed := graph.Edge{U: e.drainU, V: v}
+	e.noteDegree(ed, -1)
+	e.drainFn(ed, orig)
+}
+
+// slotEdge is one adjacency entry keyed by the local slot of its owner
+// vertex — the unit of the bulk loader.
+type slotEdge struct {
+	slot int32
+	v    graph.Vertex
+	orig bool
+}
+
+// loadSlotEdges bulk-loads the rank's whole partition — every slot must
+// be empty — from entries in any order: the generation bootstrap's scan
+// and curveball's per-round rebuild. A counting sort groups by slot (a
+// comparison sort over the whole list would cost more than the treap
+// descents it saves); groups are insertion-sorted, hubs by
+// slices.SortFunc; each slot is built in O(d) (BuildSortedFlagged, which
+// a tiered store streams into a base segment) with one treap priority
+// from the run RNG per entry. The accounting is insertLocal's, fused:
+// Fenwick degree, sanitizer deltas, originals counter. A repeated entry is an error
+// unless collapseDup: the contact generator's rare cross-slot collisions
+// collapse (both copies share their minimum endpoint, so they meet
+// inside one rank), a randomizer producing a parallel edge is a bug.
+//
+//es:hotpath
+func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
+	nv := len(e.verts)
+	ld := &e.load
+	if cap(ld.sorted) < len(ents) {
+		ld.sorted = make([]slotEdge, len(ents)+len(ents)/8) // hotalloc: amortized; persists at the partition's high-water size
+	}
+	// Counting sort: after the prefix sums ends[li] is group li's start,
+	// and the scatter advances it to the group's end.
+	ends, sorted := ld.ends, ld.sorted[:len(ents)]
+	clear(ends)
+	for i := range ents {
+		if li := int(ents[i].slot) + 1; li < nv {
+			ends[li]++
+		}
+	}
+	for li := 1; li < nv; li++ {
+		ends[li] += ends[li-1]
+	}
+	for i := range ents {
+		li := ents[i].slot
+		sorted[ends[li]] = ents[i]
+		ends[li]++
+	}
+
+	start := int32(0)
+	for li := 0; li < nv; li++ {
+		grp := sorted[start:ends[li]]
+		start = ends[li]
+		if len(grp) == 0 {
+			continue
+		}
+		if n := len(grp); cap(ld.keys) < n {
+			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n) // hotalloc: amortized; scratch persists at the largest group's size
+		}
+		if len(grp) <= 32 {
+			for i := 1; i < len(grp); i++ {
+				for j := i; j > 0 && grp[j].v < grp[j-1].v; j-- {
+					grp[j], grp[j-1] = grp[j-1], grp[j]
+				}
+			}
+		} else {
+			slices.SortFunc(grp, func(a, b slotEdge) int { return cmp.Compare(a.v, b.v) })
+		}
+		u := e.verts[li]
+		n := 0
+		for i := range grp {
+			// One draw per entry, collapsed or not, as insertLocal would.
+			prio := e.rnd.Uint32()
+			if n > 0 && ld.keys[n-1] == grp[i].v {
+				if collapseDup {
+					continue
+				}
+				return fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: u, V: grp[i].v})
+			}
+			ld.keys[n], ld.prios[n], ld.origs[n] = grp[i].v, prio, grp[i].orig
+			n++
+			e.noteDegree(graph.Edge{U: u, V: grp[i].v}, 1)
+			if grp[i].orig {
+				e.origLocal++
+			}
+		}
+		e.adj.BuildSortedFlagged(li, ld.keys[:n], ld.prios[:n], ld.origs[:n])
+		e.deg.Add(li, int64(n))
+	}
+	return nil
 }
 
 // edgeHash fingerprints this rank's edge set: an order-independent sum
@@ -561,24 +676,25 @@ func (e *rankEngine) drainLocal(li int, fn func(ed graph.Edge, orig bool)) {
 // fold of the per-rank sums identifies the global edge set regardless of
 // rank count or storage tier — Result.EdgeHash.
 func (e *rankEngine) edgeHash() uint64 {
-	var h uint64
+	var h, u uint64
+	mix := func(v graph.Vertex, orig bool) bool {
+		x := u<<33 | uint64(v)<<1
+		if orig {
+			x |= 1
+		}
+		// SplitMix64's finalizer: full avalanche, so the unordered sum
+		// still separates edge sets differing in a single entry.
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		h += x
+		return true
+	}
 	for li := range e.verts {
-		u := uint64(e.verts[li])
-		e.adj.Walk(li, func(v graph.Vertex, orig bool) bool { // hotalloc: one closure per owned vertex, once per run
-			x := u<<33 | uint64(v)<<1
-			if orig {
-				x |= 1
-			}
-			// SplitMix64's finalizer: full avalanche, so the unordered sum
-			// still separates edge sets differing in a single entry.
-			x ^= x >> 30
-			x *= 0xbf58476d1ce4e5b9
-			x ^= x >> 27
-			x *= 0x94d049bb133111eb
-			x ^= x >> 31
-			h += x
-			return true
-		})
+		u = uint64(e.verts[li])
+		e.adj.Walk(li, mix)
 	}
 	return h
 }
@@ -590,18 +706,31 @@ func (e *rankEngine) send(dst int, m opMsg) error {
 		return nil
 	}
 	e.sb.add(dst, m)
-	if e.noBatch {
+	return e.flushIfDue(dst)
+}
+
+// sendRun queues one edge-run entry (messages.go) for a remote rank.
+func (e *rankEngine) sendRun(dst int, key, other uint32, flags byte) error {
+	e.sb.addRun(dst, key, other, flags)
+	return e.flushIfDue(dst)
+}
+
+// flushIfDue hands dst's batch to the transport once it has reached
+// batchFlushCap (or at once on the unbatched reference path); otherwise
+// the batch waits for the step loop to block.
+func (e *rankEngine) flushIfDue(dst int) error {
+	if e.noBatch || len(e.sb.bufs[dst]) >= batchFlushCap {
 		return e.sb.flushDst(dst)
 	}
 	return nil
 }
 
 // handle dispatches one mailbox payload — a batch of one or more framed
-// protocol messages — then recycles the buffer (the sender transferred
-// ownership with SendOwned, and decoding copies every field out). The
-// record loop is written out rather than delegated to forEachOpMsg: a
-// closure over (e, m.Src) escapes and this is the hottest path in the
-// engine.
+// protocol messages and edge runs — then recycles the buffer (the sender
+// transferred ownership with SendOwned, and decoding copies every field
+// out). The record loop is written out rather than delegated to
+// forEachOpMsg: a closure over (e, m.Src) escapes and this is the
+// hottest path in the engine.
 func (e *rankEngine) handle(m mpi.Message) error {
 	data := m.Data
 	for off := 0; off < len(data); {
@@ -609,6 +738,14 @@ func (e *rankEngine) handle(m mpi.Message) error {
 		off++
 		if rl == 0 || off+rl > len(data) {
 			return fmt.Errorf("core: truncated message batch at byte %d", off-1)
+		}
+		if msgKind(data[off]) == mEdgeRun {
+			n, err := e.rand.handleRun(data[off:], m.Src)
+			if err != nil {
+				return err
+			}
+			off += n
+			continue
 		}
 		om, err := decodeOpMsg(data[off : off+rl])
 		if err != nil {

@@ -15,11 +15,9 @@ import (
 // initiator's operation completes, every remote update it caused has been
 // applied — the property that makes the end-of-step barrier sound.
 //
-// The curveball randomizer adds two payload kinds to the same plane:
-// mTradeEdge routes an adjacency entry to the rank orchestrating the
-// trade it participates in, and mStoreEdge hands a settled edge to its
-// owner. Both ride the identical batch framing and tag; the chassis
-// dispatches them through the randomizer seam like any protocol message.
+// The curveball randomizer has no conversations: its adjacency entries
+// travel as packed edge runs (mEdgeRun, below) inside the same batches,
+// decoded by the randomizer in one loop without ever becoming an opMsg.
 
 // opTag is the single application tag used by engine traffic; message
 // kinds are distinguished in the payload.
@@ -64,53 +62,24 @@ const (
 	// edges); realistic partitions never empty.
 	mStalled
 	mResumed
-	// mTradeEdge: edge holder → trade orchestrator (curveball). Carries
-	// one adjacency entry of a traded vertex: trade is the global trade
-	// index this round, e1.U the entry's anchor (the traded vertex it
-	// belongs to), e1.V the other endpoint — NOT normalized — and orig
-	// the original flag.
-	mTradeEdge
-	// mStoreEdge: anyone → edge owner (curveball). Carries one settled
-	// normalized edge (e1) with its original flag for insertion into the
-	// owner's partition.
-	mStoreEdge
+	// mEdgeRun: a packed run of curveball adjacency entries (see the run
+	// layout below). Never decoded into an opMsg.
+	mEdgeRun
 )
 
+var msgKindNames = [...]string{
+	mSelectSecond: "selectSecond", mAbortOp: "abortOp", mReserve: "reserve",
+	mReserveOK: "reserveOK", mReserveFail: "reserveFail", mCommit: "commit",
+	mCommitAck: "commitAck", mRelease: "release", mReleaseAck: "releaseAck",
+	mOpDone: "opDone", mEndOfStep: "endOfStep", mStalled: "stalled",
+	mResumed: "resumed", mEdgeRun: "edgeRun",
+}
+
 func (k msgKind) String() string {
-	switch k {
-	case mSelectSecond:
-		return "selectSecond"
-	case mAbortOp:
-		return "abortOp"
-	case mReserve:
-		return "reserve"
-	case mReserveOK:
-		return "reserveOK"
-	case mReserveFail:
-		return "reserveFail"
-	case mCommit:
-		return "commit"
-	case mCommitAck:
-		return "commitAck"
-	case mRelease:
-		return "release"
-	case mReleaseAck:
-		return "releaseAck"
-	case mOpDone:
-		return "opDone"
-	case mEndOfStep:
-		return "endOfStep"
-	case mStalled:
-		return "stalled"
-	case mResumed:
-		return "resumed"
-	case mTradeEdge:
-		return "tradeEdge"
-	case mStoreEdge:
-		return "storeEdge"
-	default:
-		return fmt.Sprintf("msgKind(%d)", uint8(k))
+	if k >= mSelectSecond && int(k) < len(msgKindNames) {
+		return msgKindNames[k]
 	}
+	return fmt.Sprintf("msgKind(%d)", uint8(k))
 }
 
 // opID identifies an operation: the initiating rank plus a per-initiator
@@ -122,162 +91,74 @@ type opID struct {
 
 func (id opID) String() string { return fmt.Sprintf("op[%d:%d]", id.rank, id.seq) }
 
-// opMsg is the decoded form of every protocol message. Unused fields are
-// zero.
+// opMsg is the decoded form of every conversation and step-control
+// message. Unused fields are zero.
 type opMsg struct {
-	kind  msgKind
-	id    opID       // conversation kinds: operation id
-	e1    graph.Edge // mSelectSecond: first edge; owner messages: target edge; curveball: payload edge
-	trade int32      // mTradeEdge: global trade index this round
-	orig  bool       // curveball kinds: the edge's original flag
+	kind msgKind
+	id   opID       // operation id
+	e1   graph.Edge // mSelectSecond: first edge; owner messages: target edge
 }
 
-// Per-kind wire lengths. The conversation kinds keep the original fixed
-// 29-byte record; the curveball kinds are shorter — they carry no opID,
-// and at fan-out of one record per adjacency entry per round the framing
-// is the dominant communication cost.
-const (
-	opMsgLen    = 1 + 4 + 8 + 16 // kind | rank | seq | e1 (+8 reserved)
-	tradeMsgLen = 1 + 4 + 4 + 4 + 1
-	storeMsgLen = 1 + 4 + 4 + 1
-)
-
-// wireLen returns the record length for the message's kind.
-func (m opMsg) wireLen() int {
-	switch m.kind {
-	case mTradeEdge:
-		return tradeMsgLen
-	case mStoreEdge:
-		return storeMsgLen
-	default:
-		return opMsgLen
-	}
-}
-
-// encode serializes the message into a fresh buffer.
-func (m opMsg) encode() []byte {
-	buf := make([]byte, m.wireLen())
-	m.encodeInto(buf)
-	return buf
-}
-
-// encodeInto serializes the message into buf, which must hold wireLen()
-// bytes, and returns the record length.
-func (m opMsg) encodeInto(buf []byte) int {
-	buf[0] = byte(m.kind)
-	switch m.kind {
-	case mTradeEdge:
-		binary.LittleEndian.PutUint32(buf[1:], uint32(m.trade))
-		binary.LittleEndian.PutUint32(buf[5:], uint32(m.e1.U))
-		binary.LittleEndian.PutUint32(buf[9:], uint32(m.e1.V))
-		buf[13] = boolByte(m.orig)
-		return tradeMsgLen
-	case mStoreEdge:
-		binary.LittleEndian.PutUint32(buf[1:], uint32(m.e1.U))
-		binary.LittleEndian.PutUint32(buf[5:], uint32(m.e1.V))
-		buf[9] = boolByte(m.orig)
-		return storeMsgLen
-	default:
-		binary.LittleEndian.PutUint32(buf[1:], uint32(m.id.rank))
-		binary.LittleEndian.PutUint64(buf[5:], m.id.seq)
-		binary.LittleEndian.PutUint32(buf[13:], uint32(m.e1.U))
-		binary.LittleEndian.PutUint32(buf[17:], uint32(m.e1.V))
-		// Bytes 21..28 are reserved (kept for layout stability).
-		return opMsgLen
-	}
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
+// opMsgLen is the fixed wire length of an opMsg record.
+const opMsgLen = 1 + 4 + 8 + 16 // kind | rank | seq | e1 (+8 reserved)
 
 // Batch framing (the message plane, see DESIGN.md): a transport payload
-// carries one or more protocol messages, each as a length-prefixed
-// record `len uint8 | record`. Record layouts are per-kind (wireLen);
-// the prefix keeps the frame self-describing so layouts can grow
-// without a flag day.
+// carries one or more records, each behind a length prefix,
+// `len uint8 | record`, whose first byte is the kind. The prefix keeps
+// the frame self-describing so layouts can grow without a flag day.
 
 // appendOpMsg appends one framed record to a batch buffer.
 func appendOpMsg(buf []byte, m opMsg) []byte {
-	var rec [opMsgLen]byte
-	n := m.encodeInto(rec[:])
-	buf = append(buf, byte(n))     // hotalloc: amortized; batch buffers come presized from the freelist
-	return append(buf, rec[:n]...) // hotalloc: amortized; batch buffers come presized from the freelist
+	var rec [1 + opMsgLen]byte
+	rec[0], rec[1] = opMsgLen, byte(m.kind)
+	binary.LittleEndian.PutUint32(rec[2:], uint32(m.id.rank))
+	binary.LittleEndian.PutUint64(rec[6:], m.id.seq)
+	binary.LittleEndian.PutUint32(rec[14:], uint32(m.e1.U))
+	binary.LittleEndian.PutUint32(rec[18:], uint32(m.e1.V))
+	// The record's last 8 bytes are reserved (kept for layout stability).
+	return append(buf, rec[:]...) // hotalloc: amortized; batch buffers come presized from the freelist
 }
 
-// forEachOpMsg decodes a batch payload record by record, stopping at the
-// first decode or handler error.
-func forEachOpMsg(data []byte, fn func(opMsg) error) error {
-	for off := 0; off < len(data); {
-		rl := int(data[off])
-		off++
-		if rl == 0 || off+rl > len(data) {
-			return fmt.Errorf("core: truncated message batch at byte %d", off-1)
-		}
-		m, err := decodeOpMsg(data[off : off+rl])
-		if err != nil {
-			return err
-		}
-		off += rl
-		if err := fn(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Edge runs: curveball moves every adjacency entry once or twice per
+// round, so they are not framed one by one. A run is one framed header,
+// `kind uint8 | count uint32`, followed directly — outside the length
+// prefix — by count entries `key uint32 | other uint32 | flags uint8`.
+// With runTrade, key is the trade the entry is due at, runAnchorV which
+// of its two vertices anchors it and other the non-anchor endpoint;
+// without, (key, other) is a settled normalized edge bound for key's
+// owner. runOrig is the original flag. sendBuffer.addRun encodes,
+// randomizer.handleRun decodes the entries in place.
+const (
+	runHdrLen   = 1 + 4
+	runEntryLen = 4 + 4 + 1
 
-// decodeOpMsg parses one engine record, validating the kind-specific
-// length.
+	runOrig    = 1 << 0
+	runAnchorV = 1 << 1
+	runTrade   = 1 << 2
+	runFlags   = runOrig | runAnchorV | runTrade
+)
+
+// decodeOpMsg parses one conversation or step-control record.
 func decodeOpMsg(data []byte) (opMsg, error) {
 	if len(data) == 0 {
 		return opMsg{}, fmt.Errorf("core: empty op message")
 	}
 	kind := msgKind(data[0])
-	switch {
-	case kind == mTradeEdge:
-		if len(data) != tradeMsgLen {
-			return opMsg{}, fmt.Errorf("core: bad op message length %d", len(data))
-		}
-		return opMsg{
-			kind:  kind,
-			trade: int32(binary.LittleEndian.Uint32(data[1:])),
-			e1: graph.Edge{
-				U: graph.Vertex(binary.LittleEndian.Uint32(data[5:])),
-				V: graph.Vertex(binary.LittleEndian.Uint32(data[9:])),
-			},
-			orig: data[13] != 0,
-		}, nil
-	case kind == mStoreEdge:
-		if len(data) != storeMsgLen {
-			return opMsg{}, fmt.Errorf("core: bad op message length %d", len(data))
-		}
-		return opMsg{
-			kind: kind,
-			e1: graph.Edge{
-				U: graph.Vertex(binary.LittleEndian.Uint32(data[1:])),
-				V: graph.Vertex(binary.LittleEndian.Uint32(data[5:])),
-			},
-			orig: data[9] != 0,
-		}, nil
-	case kind >= mSelectSecond && kind <= mResumed:
-		if len(data) != opMsgLen {
-			return opMsg{}, fmt.Errorf("core: bad op message length %d", len(data))
-		}
-		return opMsg{
-			kind: kind,
-			id: opID{
-				rank: int32(binary.LittleEndian.Uint32(data[1:])),
-				seq:  binary.LittleEndian.Uint64(data[5:]),
-			},
-			e1: graph.Edge{
-				U: graph.Vertex(binary.LittleEndian.Uint32(data[13:])),
-				V: graph.Vertex(binary.LittleEndian.Uint32(data[17:])),
-			},
-		}, nil
-	default:
+	if kind < mSelectSecond || kind > mResumed {
 		return opMsg{}, fmt.Errorf("core: unknown message kind %d", data[0])
 	}
+	if len(data) != opMsgLen {
+		return opMsg{}, fmt.Errorf("core: bad op message length %d", len(data))
+	}
+	return opMsg{
+		kind: kind,
+		id: opID{
+			rank: int32(binary.LittleEndian.Uint32(data[1:])),
+			seq:  binary.LittleEndian.Uint64(data[5:]),
+		},
+		e1: graph.Edge{
+			U: graph.Vertex(binary.LittleEndian.Uint32(data[13:])),
+			V: graph.Vertex(binary.LittleEndian.Uint32(data[17:])),
+		},
+	}, nil
 }

@@ -1,11 +1,36 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"edgeswitch/internal/graph"
 )
+
+// encode serializes the message into a fresh, unframed record.
+func (m opMsg) encode() []byte { return appendOpMsg(nil, m)[1:] }
+
+// forEachOpMsg decodes a batch payload of conversation records one by
+// one, stopping at the first decode or handler error.
+func forEachOpMsg(data []byte, fn func(opMsg) error) error {
+	for off := 0; off < len(data); {
+		rl := int(data[off])
+		off++
+		if rl == 0 || off+rl > len(data) {
+			return fmt.Errorf("core: truncated message batch at byte %d", off-1)
+		}
+		m, err := decodeOpMsg(data[off : off+rl])
+		if err != nil {
+			return err
+		}
+		off += rl
+		if err := fn(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func TestOpMsgRoundTrip(t *testing.T) {
 	msgs := []opMsg{
@@ -22,10 +47,6 @@ func TestOpMsgRoundTrip(t *testing.T) {
 		{kind: mEndOfStep},
 		{kind: mStalled},
 		{kind: mResumed},
-		{kind: mTradeEdge, trade: 41, e1: graph.Edge{U: 9, V: 3}, orig: true},
-		{kind: mTradeEdge, trade: 0, e1: graph.Edge{U: 3, V: 9}},
-		{kind: mStoreEdge, e1: graph.Edge{U: 2, V: 1000000}, orig: true},
-		{kind: mStoreEdge, e1: graph.Edge{U: 0, V: 1}},
 	}
 	for _, m := range msgs {
 		got, err := decodeOpMsg(m.encode())
@@ -66,17 +87,14 @@ func TestDecodeOpMsgRejectsBadInput(t *testing.T) {
 	if _, err := decodeOpMsg(bad); err == nil {
 		t.Fatal("kind out of range accepted")
 	}
-	// Curveball kinds validate their own (shorter) record lengths.
-	if _, err := decodeOpMsg(append(opMsg{kind: mTradeEdge}.encode(), 0)); err == nil {
-		t.Fatal("oversized trade record accepted")
-	}
-	if _, err := decodeOpMsg(opMsg{kind: mStoreEdge}.encode()[:storeMsgLen-1]); err == nil {
-		t.Fatal("truncated store record accepted")
+	// An edge run is never an opMsg: its header must not decode as one.
+	if _, err := decodeOpMsg(mkRun()); err == nil {
+		t.Fatal("edge run header decoded as an op message")
 	}
 }
 
 func TestMsgKindStrings(t *testing.T) {
-	for k := mSelectSecond; k <= mStoreEdge; k++ {
+	for k := mSelectSecond; k <= mEdgeRun; k++ {
 		if s := k.String(); s == "" || s[0] == 'm' && len(s) < 3 {
 			t.Fatalf("kind %d has bad name %q", k, s)
 		}

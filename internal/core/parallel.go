@@ -173,8 +173,10 @@ type Result struct {
 	RankInitialEdges []int64
 	RankFinalEdges   []int64
 	// RankMessages[i] counts protocol messages sent by rank i (every
-	// operation costs a constant number; end-of-step signals add O(p)
-	// per step).
+	// edge-switch operation costs a constant number; end-of-step signals
+	// add O(p) per step). For curveball: one per routed adjacency entry
+	// (drained, forwarded or settled), whether it stays on the rank or
+	// rides a run to a peer — about three times the degrees a trade trades.
 	RankMessages []int64
 	// RankFlushes[i] counts message-plane flushes forced by rank i's
 	// step loop blocking (batches pushed out before a Recv wait).
@@ -195,9 +197,11 @@ type Result struct {
 	// SpillOverlayHWM totals the ranks' overlay entry high-water marks —
 	// the peak treap entries resident between compactions.
 	SpillOverlayHWM int64
-	// SpillCompactions totals base-segment rewrites across ranks.
+	// SpillCompactions totals base-segment rewrites across ranks: overlay
+	// compactions, and each curveball round's streamed rewrite.
 	SpillCompactions int64
-	// SpillCompactNs totals wall-clock nanoseconds ranks spent compacting.
+	// SpillCompactNs totals wall-clock nanoseconds ranks spent compacting
+	// (for a streamed rewrite, finalizing the segment).
 	SpillCompactNs int64
 	// Elapsed is the wall-clock time of the switching phase (excludes
 	// graph partitioning and reassembly).

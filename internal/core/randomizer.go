@@ -55,10 +55,10 @@ func (cfg Config) algorithm() (Algorithm, error) {
 // when every rank's randomizer reports done and has announced EOS.
 //
 // The chassis calls the methods from a single goroutine; implementations
-// send through rankEngine.send and mutate local storage only through the
-// chassis accounting helpers (takeLocal/insertLocal/drainLocal), which
-// keep the sanitizer deltas and the originals counter exact for any
-// algorithm.
+// send through rankEngine.send/sendRun and mutate local storage only
+// through the chassis accounting helpers (takeLocal/insertLocal/
+// drainLocal/loadSlotEdges), which keep the sanitizer deltas and the
+// originals counter exact for any algorithm.
 type randomizer interface {
 	// prepare arms one step of size s. counts holds the step-boundary
 	// per-rank edge counts from the fused exchange (edge-switch rebuilds
@@ -82,12 +82,16 @@ type randomizer interface {
 	forfeitRemaining()
 	// handle dispatches one protocol message from src.
 	handle(om opMsg, src int) error
-	// quiesced verifies no protocol state dangles at a step boundary.
-	quiesced() error
+	// handleRun consumes the edge run starting at run[0], its kind byte
+	// (the rest of the batch follows), and reports the bytes it spanned.
+	handleRun(run []byte, src int) (int, error)
+	// endStep runs once after the step loop exits: it verifies no
+	// protocol state dangles, and curveball applies its held-back writes.
+	endStep() error
 	// cursor returns the randomizer's resume cursor — the only protocol
 	// state that survives a step boundary (the edge switcher's operation
 	// sequence counter, curveball's round number). Captured by the
-	// checkpoint layer at boundaries, where quiesced guarantees all maps
+	// checkpoint layer at boundaries, where endStep guarantees all maps
 	// and in-flight state are empty.
 	cursor() uint64
 	// restoreCursor reinstates a cursor captured by cursor at the same

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"edgeswitch/internal/mpi"
 )
 
@@ -10,8 +12,9 @@ import (
 // the mem transport, one frame write per message on TCP. sendBuffer
 // coalesces all protocol messages bound for the same destination rank
 // into a single framed payload (see appendOpMsg), flushed at the points
-// where the step loop can block; a step's worth of conversation traffic
-// to a rank then costs one transport send instead of one per message.
+// where the step loop can block or when it reaches batchFlushCap; a
+// step's worth of conversation traffic to a rank then costs one
+// transport send instead of one per message.
 //
 // Buffer ownership rules: the sender draws an encode buffer from its
 // own freelist (getBuf), ownership moves to the receiver with mpi
@@ -23,18 +26,27 @@ import (
 // global sync.Pool here; the Get/Put round trip boxes every []byte
 // into an interface and was itself a top allocation site.
 
-// initialBatchCap presizes fresh batch buffers: big enough that a
-// typical step batch (a window's worth of ~30-byte records) never
-// regrows, small enough that idle destinations cost nothing much.
-const initialBatchCap = 4 << 10
+// batchFlushCap is the size at which rankEngine.send flushes a batch
+// without waiting for the step loop to block. Conversation traffic stays
+// under it (a full window to one peer is < 5 KiB); it shapes curveball's
+// bulk runs, which otherwise grew one multi-megabyte batch per peer per
+// round — unrecyclable, and the peer idled on inputs held here. A cb-pa
+// rep took 0.43 s at 8 KiB, 0.47 s at 16 KiB, 0.54 s at 64 KiB.
+const batchFlushCap = 8 << 10
 
-// maxPooledBatch caps the capacity of recycled buffers so a one-off
-// jumbo batch does not pin memory for the rest of the run.
-const maxPooledBatch = 1 << 20
+// initialBatchCap presizes fresh buffers so that none regrows: the record
+// that takes a batch to the cap is at most a run header and entry or one
+// framed opMsg.
+const initialBatchCap = batchFlushCap + 64
 
-// maxFreeBufs caps the freelist length; beyond steady-state churn the
-// excess is left for the GC.
-const maxFreeBufs = 16
+// maxPooledBatch caps the capacity of recycled buffers; the engine's own
+// never exceed initialBatchCap.
+const maxPooledBatch = 64 << 10
+
+// maxFreeBufs caps the freelist length. It must hold the burst of run
+// buffers a curveball drain sends before it receives any (≈140 on a
+// 2.5·10^5-edge partition) for the next round to reuse them.
+const maxFreeBufs = 256
 
 // sendBuffer coalesces one rank's outbound protocol messages per
 // destination and owns the rank's batch-buffer freelist. It is not safe
@@ -43,11 +55,15 @@ type sendBuffer struct {
 	c    *mpi.Comm
 	bufs [][]byte // indexed by destination rank; nil/empty when idle
 	free [][]byte // recycled batch buffers, single-owner, unlocked
+	// runAt[dst] is the offset of the count field of the edge run that
+	// ends bufs[dst]; 0 (never a count field) when no run is open.
+	runAt []int
 }
 
 func (sb *sendBuffer) init(c *mpi.Comm) {
 	sb.c = c
 	sb.bufs = make([][]byte, c.Size())
+	sb.runAt = make([]int, c.Size())
 }
 
 // getBuf pops a recycled buffer or allocates a presized fresh one.
@@ -85,6 +101,29 @@ func (sb *sendBuffer) add(dst int, m opMsg) {
 		sb.bufs[dst] = sb.getBuf()
 	}
 	sb.bufs[dst] = appendOpMsg(sb.bufs[dst], m)
+	sb.runAt[dst] = 0
+}
+
+// addRun queues one edge-run entry for dst (see the run layout in
+// messages.go), extending the run that ends dst's batch or opening a new
+// one.
+//
+//es:hotpath
+func (sb *sendBuffer) addRun(dst int, key, other uint32, flags byte) {
+	b := sb.bufs[dst]
+	if b == nil {
+		b = sb.getBuf()
+	}
+	at := sb.runAt[dst]
+	if at == 0 {
+		b = append(b, runHdrLen, byte(mEdgeRun), 0, 0, 0, 0) // hotalloc: amortized; batch buffers come presized from the freelist
+		at = len(b) - 4
+		sb.runAt[dst] = at
+	}
+	binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])+1)
+	sb.bufs[dst] = append(b, // hotalloc: amortized; batch buffers come presized from the freelist
+		byte(key), byte(key>>8), byte(key>>16), byte(key>>24),
+		byte(other), byte(other>>8), byte(other>>16), byte(other>>24), flags)
 }
 
 // flushDst hands dst's pending batch to the transport, transferring
@@ -96,7 +135,7 @@ func (sb *sendBuffer) flushDst(dst int) error {
 	if len(b) == 0 {
 		return nil
 	}
-	sb.bufs[dst] = nil
+	sb.bufs[dst], sb.runAt[dst] = nil, 0
 	return sb.c.SendOwned(dst, opTag, b)
 }
 
@@ -104,12 +143,8 @@ func (sb *sendBuffer) flushDst(dst int) error {
 //
 //es:hotpath
 func (sb *sendBuffer) flush() error {
-	for dst, b := range sb.bufs {
-		if len(b) == 0 {
-			continue
-		}
-		sb.bufs[dst] = nil
-		if err := sb.c.SendOwned(dst, opTag, b); err != nil {
+	for dst := range sb.bufs {
+		if err := sb.flushDst(dst); err != nil {
 			return err
 		}
 	}

@@ -75,6 +75,41 @@ func TestSpillInMemoryEquivalence(t *testing.T) {
 	}
 }
 
+// TestSpillCurveballStreamsRounds counts what a curveball round costs the
+// tiered store: the partition drains out of the base segment and the
+// rebuilt one streams into the next, so no entry ever enters the overlay
+// and every rank rewrites its base exactly once per round.
+func TestSpillCurveballStreamsRounds(t *testing.T) {
+	spec := benchGenSpec("pa", 2000, 5)
+	const rounds, p = 3, 2
+	cfg := Config{
+		Ranks:          p,
+		Algorithm:      AlgoCurveball,
+		Scheme:         SchemeHPD,
+		Seed:           11,
+		DistributedGen: &spec,
+		SkipResult:     true,
+	}
+	mem, err := Parallel(nil, rounds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SpillDir = t.TempDir()
+	spill, err := Parallel(nil, rounds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spill.EdgeHash != mem.EdgeHash {
+		t.Errorf("edge fingerprints diverged: in-memory %#x, spill %#x", mem.EdgeHash, spill.EdgeHash)
+	}
+	if spill.SpillOverlayHWM != 0 {
+		t.Errorf("overlay high-water mark %d: a round materialized overlay treaps", spill.SpillOverlayHWM)
+	}
+	if spill.SpillCompactions != rounds*p {
+		t.Errorf("%d base rewrites, want one per rank per round (%d)", spill.SpillCompactions, rounds*p)
+	}
+}
+
 // TestSpillParallelEdgeSwitch: at p>1 the edge-switching conversation
 // interleaving is scheduling-dependent, so the spill run cannot be
 // compared edge-for-edge — instead it must complete under the full

@@ -19,6 +19,9 @@ import "edgeswitch/internal/graph"
 // Load protocol: bulk loads arrive as ascending-slot BuildSorted /
 // BuildSortedFlagged calls or as arbitrary Inserts; EndLoad marks the
 // partition complete (Tiered establishes its first base segment there).
+// A store whose every slot has been drained may be rebuilt the same way
+// at any time — curveball does once per round — and Tiered then streams
+// the ascending-slot builds into its next base segment.
 // EndStep is the engine's step-boundary hook, the only point a
 // compaction may run — mid-step, outstanding reads stay valid.
 type Store interface {

@@ -210,6 +210,86 @@ func TestTieredStreamingLoad(t *testing.T) {
 	requireSlotsEqual(t, mem, tr, nv, "streamed load")
 }
 
+// TestTieredStreamsRewriteAfterFullDrain is curveball's round shape: the
+// whole store is drained — some slots from the base, one from a promoted
+// overlay treap — and rebuilt by ascending-slot builds. The rebuild must
+// stream into the next base segment (no overlay entries, one compaction,
+// the old segment file gone), and a build into a store that still holds
+// entries must keep taking the overlay path.
+func TestTieredStreamsRewriteAfterFullDrain(t *testing.T) {
+	const nv = 10
+	verts := testVerts(nv)
+	mem := NewMem(verts)
+	tr := newTestTiered(t, verts, 0)
+	pr := rng.New(3)
+	build := func(li int, gaps ...graph.Vertex) {
+		var keys []graph.Vertex
+		var prios []uint32
+		var origs []bool
+		for i, g := range gaps {
+			keys = append(keys, verts[li]+g)
+			prios = append(prios, pr.Uint32())
+			origs = append(origs, i%2 == 0)
+		}
+		mem.BuildSortedFlagged(li, keys, prios, origs)
+		tr.BuildSortedFlagged(li, keys, prios, origs)
+	}
+	drain := func(li int) {
+		mem.Drain(li, func(graph.Vertex, bool) {})
+		tr.Drain(li, func(graph.Vertex, bool) {})
+	}
+	for _, li := range []int{1, 2, 5, 9} {
+		build(li, 1, 4, 90)
+	}
+	if err := tr.EndLoad(); err != nil {
+		t.Fatalf("EndLoad: %v", err)
+	}
+	firstBase := tr.BasePath()
+
+	// A partial drain leaves live entries: builds go to the overlay.
+	mem.Insert(2, verts[2]+7, false, 1)
+	tr.Insert(2, verts[2]+7, false, 1) // promotes slot 2
+	drain(1)
+	build(1, 2, 3)
+	if st := tr.Stats(); st.OverlayEntries != 6 || st.Compactions != 0 {
+		t.Fatalf("build into a live store: %d overlay entries, %d compactions, want 6 and 0", st.OverlayEntries, st.Compactions)
+	}
+	requireSlotsEqual(t, mem, tr, nv, "overlay build")
+
+	hwm := tr.Stats().OverlayHWM
+	for li := 0; li < nv; li++ {
+		drain(li)
+	}
+	for _, li := range []int{0, 2, 3, 9} {
+		build(li, 5, 6, 200, 201)
+	}
+	if err := tr.EndStep(); err != nil {
+		t.Fatalf("EndStep: %v", err)
+	}
+	st := tr.Stats()
+	if st.OverlayEntries != 0 || st.OverlayHWM != hwm {
+		t.Fatalf("full rewrite touched the overlay: %d entries, high-water mark %d -> %d", st.OverlayEntries, hwm, st.OverlayHWM)
+	}
+	if st.Compactions != 1 {
+		t.Fatalf("full rewrite counted %d compactions, want 1", st.Compactions)
+	}
+	if tr.BasePath() == firstBase {
+		t.Fatal("full rewrite kept the old base segment")
+	}
+	if _, err := os.Stat(firstBase); !os.IsNotExist(err) {
+		t.Fatalf("old base segment still on disk: %v", err)
+	}
+	requireSlotsEqual(t, mem, tr, nv, "streamed rewrite")
+
+	// The rewritten base serves point mutations and compacts like any other.
+	mem.Insert(3, verts[3]+9, true, 2)
+	tr.Insert(3, verts[3]+9, true, 2)
+	if err := tr.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	requireSlotsEqual(t, mem, tr, nv, "compaction after rewrite")
+}
+
 // TestSegmentCorruptionDetected flips one payload byte and demands the
 // cold open fail its CRC.
 func TestSegmentCorruptionDetected(t *testing.T) {

@@ -36,12 +36,16 @@ type Tiered struct {
 	promotedCount int
 	entries       int64 // live overlay entries
 	hwm           int64
+	// baseLive counts the entries of the base's unpromoted slots; with
+	// entries also 0 the store is empty and a bulk build may replace the
+	// base outright.
+	baseLive int64
 
 	seg *Segment
 	gen uint64
 
-	w     *SegmentWriter // open streaming bulk-load writer
-	wNext int            // next slot the writer expects
+	w        *SegmentWriter // open streaming bulk-build writer
+	wEntries int64          // entries streamed into w so far
 
 	loading       bool
 	loadedEntries int64 // entries seen during load, for the auto budget
@@ -59,6 +63,9 @@ type Tiered struct {
 	prios  []uint32
 	encBuf []byte
 }
+
+// emptyList is the encoding of a slot without entries.
+var emptyList = graph.AppendEmptyAdjSet(nil)
 
 // autoBudgetFloor keeps tiny partitions from compacting on every step.
 const autoBudgetFloor = 4096
@@ -125,6 +132,7 @@ func (t *Tiered) materialize(li int) {
 	t.overlay[li].BuildSortedFlagged(&t.arena, keys, prios, origs)
 	t.promoted[li] = true
 	t.promotedCount++
+	t.baseLive -= int64(len(keys))
 	t.addEntries(int64(len(keys)))
 }
 
@@ -136,16 +144,18 @@ func (t *Tiered) ensureWritable(li int) {
 	}
 }
 
-// ensureLoaded finalizes an open streaming bulk-load writer so reads and
+// ensureLoaded finalizes an open streaming bulk-build writer so reads and
 // point mutations see a complete base. Slots never bulk-filled get empty
-// lists.
+// lists. The streamed segment replaces the old base, if any, which held
+// nothing live (streamBuild's precondition); outside the initial load
+// that is a full rewrite of the base and counts as a compaction.
 func (t *Tiered) ensureLoaded() {
 	if t.w == nil {
 		return
 	}
-	empty := graph.AppendEmptyAdjSet(nil)
+	start := clock.Now()
 	for t.w.Slots() < len(t.verts) {
-		if err := t.w.Append(empty); err != nil {
+		if err := t.w.Append(emptyList); err != nil {
 			t.w.Abort()
 			t.w = nil
 			panic(fmt.Sprintf("store: finishing streamed base segment: %v", err))
@@ -156,7 +166,26 @@ func (t *Tiered) ensureLoaded() {
 	if err != nil {
 		panic(fmt.Sprintf("store: finalizing streamed base segment: %v", err))
 	}
+	if t.seg != nil {
+		t.compactions++
+		t.compactNs += int64(clock.Since(start))
+	}
+	t.installBase(seg, t.wEntries)
+}
+
+// installBase makes seg, holding live entries, the base segment and
+// every slot unpromoted; the previous base is unmapped and removed. The
+// overlay must be empty.
+func (t *Tiered) installBase(seg *Segment, live int64) {
+	if t.seg != nil {
+		old := t.seg.Path()
+		_ = t.seg.Close()
+		_ = os.Remove(old)
+	}
 	t.seg = seg
+	clear(t.promoted)
+	t.promotedCount = 0
+	t.baseLive = live
 }
 
 func (t *Tiered) addEntries(n int64) {
@@ -280,8 +309,10 @@ func (t *Tiered) Drain(li int, fn func(v graph.Vertex, original bool)) {
 		t.entries -= n
 		return
 	}
+	n := int64(0)
 	_, err := graph.WalkAdjSetBytes(t.list(li), t.verts[li], func(v graph.Vertex, orig bool) bool {
 		fn(v, orig)
+		n++
 		return true
 	})
 	if err != nil {
@@ -289,6 +320,7 @@ func (t *Tiered) Drain(li int, fn func(v graph.Vertex, original bool)) {
 	}
 	t.promoted[li] = true
 	t.promotedCount++
+	t.baseLive -= n
 }
 
 // Walk implements Store.
@@ -303,13 +335,15 @@ func (t *Tiered) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
 	}
 }
 
-// streamBuild routes an ascending-slot bulk load straight into a segment
-// writer, reporting whether it consumed the call. The first BuildSorted*
-// on a pristine store opens the writer; out-of-order or post-load calls
-// fall back to the overlay path.
-func (t *Tiered) streamBuild(li int, enc func([]byte, graph.Vertex) []byte) bool {
+// streamBuild routes an ascending-slot bulk build of n entries straight
+// into a segment writer, reporting whether it consumed the call. The
+// first BuildSorted* on a store holding nothing — pristine, or drained
+// to the last entry as by a curveball round — opens the writer: a full
+// rewrite with no overlay treaps. Builds into a store that still holds
+// entries fall back to the overlay path.
+func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) bool {
 	if t.w == nil {
-		if !t.loading || t.seg != nil || t.entries != 0 || t.promotedCount != 0 {
+		if t.entries != 0 || t.baseLive != 0 {
 			return false
 		}
 		path := filepath.Join(t.dir, segName(t.gen+1))
@@ -318,14 +352,13 @@ func (t *Tiered) streamBuild(li int, enc func([]byte, graph.Vertex) []byte) bool
 			panic(fmt.Sprintf("store: opening streamed base segment: %v", err))
 		}
 		t.gen++
-		t.w = w
+		t.w, t.wEntries = w, 0
 	}
 	if li < t.w.Slots() {
 		panic(fmt.Sprintf("store: bulk load revisited slot %d", li))
 	}
-	empty := graph.AppendEmptyAdjSet(nil)
 	for t.w.Slots() < li {
-		if err := t.w.Append(empty); err != nil {
+		if err := t.w.Append(emptyList); err != nil {
 			panic(fmt.Sprintf("store: streaming base segment: %v", err))
 		}
 	}
@@ -333,17 +366,19 @@ func (t *Tiered) streamBuild(li int, enc func([]byte, graph.Vertex) []byte) bool
 	if err := t.w.Append(t.encBuf); err != nil {
 		panic(fmt.Sprintf("store: streaming base segment: %v", err))
 	}
+	t.wEntries += int64(n)
 	return true
 }
 
-// BuildSorted implements Store. Ascending-slot loads on a pristine store
+// BuildSorted implements Store. Ascending-slot builds of an empty store
 // stream straight to the base segment — no treaps are materialized, so
-// bootstrap memory is O(scratch), not O(|E_local|).
+// the memory of a bootstrap or a full rebuild is O(scratch), not
+// O(|E_local|).
 func (t *Tiered) BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool) {
 	if t.loading {
 		t.loadedEntries += int64(len(keys))
 	}
-	if t.streamBuild(li, func(buf []byte, owner graph.Vertex) []byte {
+	if t.streamBuild(li, len(keys), func(buf []byte, owner graph.Vertex) []byte {
 		return graph.AppendSortedAdj(buf, owner, keys, original)
 	}) {
 		return
@@ -358,7 +393,7 @@ func (t *Tiered) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32,
 	if t.loading {
 		t.loadedEntries += int64(len(keys))
 	}
-	if t.streamBuild(li, func(buf []byte, owner graph.Vertex) []byte {
+	if t.streamBuild(li, len(keys), func(buf []byte, owner graph.Vertex) []byte {
 		return graph.AppendSortedAdjFlagged(buf, owner, keys, origs)
 	}) {
 		return
@@ -402,6 +437,7 @@ func (t *Tiered) EndLoad() error {
 // EndStep implements Store: past-budget overlays compact at step
 // boundaries, where no reads are outstanding.
 func (t *Tiered) EndStep() error {
+	t.ensureLoaded()
 	if t.entries <= t.budget {
 		return nil
 	}
@@ -442,22 +478,14 @@ func (t *Tiered) Compact() error {
 		return err
 	}
 	t.gen++
-	hadSeg := t.seg != nil
-	if hadSeg {
-		old := t.seg.Path()
-		_ = t.seg.Close()
-		_ = os.Remove(old)
-	}
-	t.seg = seg
 	for li := range t.verts {
 		// Without a prior base every slot lived in the overlay, flagged
 		// or not; with one, only promoted slots did.
-		if !hadSeg || t.promoted[li] {
-			t.promoted[li] = false
+		if t.inOverlay(li) {
 			t.overlay[li].DrainArena(&t.arena, func(graph.Vertex, bool) {})
 		}
 	}
-	t.promotedCount = 0
+	t.installBase(seg, t.baseLive+t.entries)
 	t.entries = 0
 	t.compactions++
 	t.compactNs += int64(clock.Since(start))
@@ -492,6 +520,9 @@ func (t *Tiered) AdoptSegment(path string, wantCRC uint32, wantSize int64) error
 		return fmt.Errorf("store: adopted segment %s holds %d slots, partition owns %d", path, seg.NV(), len(t.verts))
 	}
 	t.seg = seg
+	for li := range t.verts {
+		t.baseLive += int64(t.Len(li))
+	}
 	t.loading = false
 	if t.budget = t.cfgBudget; t.budget <= 0 {
 		// Entry counts are not framed in the segment; approximate the
