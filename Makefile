@@ -7,7 +7,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test esbench race racedist bench benchsmoke largesmoke spillsmoke clean
+.PHONY: check build vet esvet test esbench race racedist bench benchsmoke largesmoke spillsmoke loc clean
 
 check: build vet esvet test esbench race racedist
 
@@ -94,9 +94,16 @@ largesmoke:
 # rounds at p=8, run fully in-memory and then through the tiered mmap
 # store under a soft memory limit of half the sampled in-memory heap
 # peak. The capped run must complete and end bit-identical (curveball
-# is deterministic); time-boxed by the -timeout.
+# is deterministic); time-boxed by the -timeout. Then the rollback at the
+# same scale: checkpoint one spill round, restore it into fresh spill
+# directories, compare fingerprints, log restore vs bootstrap time.
 spillsmoke:
-	ESSPILL=1 $(GO) test -run='^TestSpillSmoke$$' -v -timeout 30m ./internal/core/
+	ESSPILL=1 $(GO) test -run='^TestSpillSmoke$$|^TestSpillRestoreSmoke$$' -v -timeout 30m ./internal/core/
+
+# The size ROADMAP's subtraction pass tracks: non-test Go lines of the
+# root module (cmd/esbench is its own module). Not part of `make check`.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/esbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

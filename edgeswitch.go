@@ -183,13 +183,20 @@ func TargetOpsFor(algo Algorithm, m int64, visitRate float64) (int64, error) {
 // input graph is never modified unless opt.InPlace is set on a
 // sequential run.
 func Run(g *Graph, opt Options) (*Report, error) {
-	if opt.Gen != nil {
-		if g != nil {
-			return nil, fmt.Errorf("edgeswitch: pass either a graph or Options.Gen, not both")
+	m := int64(0)
+	var spec *GenSpec
+	switch {
+	case opt.Gen != nil && g != nil:
+		return nil, fmt.Errorf("edgeswitch: pass either a graph or Options.Gen, not both")
+	case opt.Gen != nil && opt.Ranks > 1:
+		// The graph is never materialized whole — every rank generates its
+		// own partition (see core.Config.DistributedGen).
+		sp := *opt.Gen
+		if err := sp.Validate(); err != nil {
+			return nil, err
 		}
-		if opt.Ranks > 1 {
-			return runDistributedGen(opt)
-		}
+		spec, m = &sp, sp.MaxEdges()
+	case opt.Gen != nil:
 		// Sequential: materialize the identical graph in one piece.
 		pg, err := pergen.New(*opt.Gen)
 		if err != nil {
@@ -199,11 +206,13 @@ func Run(g *Graph, opt Options) (*Report, error) {
 			return nil, err
 		}
 		opt.InPlace = true // the materialized graph is ours to mutate
-	}
-	if g == nil {
+		m = g.M()
+	case g == nil:
 		return nil, fmt.Errorf("edgeswitch: need a graph or Options.Gen")
+	default:
+		m = g.M()
 	}
-	t, targetX, err := targetOps(g.M(), opt)
+	t, targetX, err := targetOps(m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -233,6 +242,7 @@ func Run(g *Graph, opt Options) (*Report, error) {
 			Elapsed:   time.Since(start),
 		}, nil
 	}
+	// With spec set g is nil: the ranks bootstrap from the generator.
 	res, err := core.Parallel(g, t, core.Config{
 		Ranks:           opt.Ranks,
 		Scheme:          opt.Scheme,
@@ -241,43 +251,22 @@ func Run(g *Graph, opt Options) (*Report, error) {
 		UseTCP:          opt.UseTCP,
 		Algorithm:       core.Algorithm(opt.Algorithm),
 		TargetVisitRate: targetX,
+		DistributedGen:  spec,
 		SpillDir:        opt.SpillDir,
 		OverlayBudget:   opt.OverlayBudget,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return parallelReport(res), nil
-}
-
-// runDistributedGen is Run's path for Options.Gen with Ranks > 1: the
-// graph is never materialized whole — every rank generates its own
-// partition (see core.Config.DistributedGen).
-func runDistributedGen(opt Options) (*Report, error) {
-	spec := *opt.Gen
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	t, targetX, err := targetOps(spec.MaxEdges(), opt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Parallel(nil, t, core.Config{
-		Ranks:           opt.Ranks,
-		Scheme:          opt.Scheme,
-		StepSize:        opt.StepSize,
-		Seed:            opt.Seed,
-		UseTCP:          opt.UseTCP,
-		Algorithm:       core.Algorithm(opt.Algorithm),
-		TargetVisitRate: targetX,
-		DistributedGen:  &spec,
-		SpillDir:        opt.SpillDir,
-		OverlayBudget:   opt.OverlayBudget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parallelReport(res), nil
+	return &Report{
+		Result:    res.Graph,
+		Ops:       res.Ops,
+		Restarts:  res.Restarts,
+		Forfeited: res.Forfeited,
+		VisitRate: res.VisitRate,
+		Elapsed:   res.Elapsed,
+		Parallel:  res,
+	}, nil
 }
 
 // targetOps resolves the operation count from Options (explicit Ops, or
@@ -302,18 +291,6 @@ func targetOps(m int64, opt Options) (int64, float64, error) {
 		return t, x, nil
 	}
 	return t, 0, nil
-}
-
-func parallelReport(res *core.Result) *Report {
-	return &Report{
-		Result:    res.Graph,
-		Ops:       res.Ops,
-		Restarts:  res.Restarts,
-		Forfeited: res.Forfeited,
-		VisitRate: res.VisitRate,
-		Elapsed:   res.Elapsed,
-		Parallel:  res,
-	}
 }
 
 // GenerateSpec materializes the counter-based generator's graph in one

@@ -8,16 +8,17 @@ import (
 	"path/filepath"
 	"sort"
 
+	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
-	"edgeswitch/internal/partition"
 	"edgeswitch/internal/store"
 )
 
 // The checkpoint protocol (DESIGN.md §6): at a step boundary every rank
-// writes its snapshot to a per-rank file (tmp + rename, CRC32C trailer),
-// all ranks allreduce the global degree vector and checksum it (the
+// saves its partition as a segment file and writes a fixed-size snapshot
+// naming it (both tmp + fsync + rename, CRC32C trailers), all ranks
+// allreduce the global degree vector and checksum it (the
 // sanitizer's degree baseline doing double duty as the restore integrity
-// check), every rank's file CRC is allgathered — the "all ranks ack" —
+// check), every rank's snapshot CRC is allgathered — the "all ranks ack" —
 // and only then does rank 0 write the manifest (tmp + rename). A commit
 // broadcast follows before garbage collection, so a crash at any point
 // leaves the previous manifest and its files untouched and restorable.
@@ -67,8 +68,8 @@ type checkpointer struct {
 // error) when checkpointing is off.
 func newCheckpointer(c *mpi.Comm, cfg Config) (*checkpointer, error) {
 	if cfg.CheckpointDir == "" {
-		if cfg.Restore || cfg.RestoreStep > 0 {
-			return nil, fmt.Errorf("core: Restore/RestoreStep need Config.CheckpointDir")
+		if cfg.Restore {
+			return nil, fmt.Errorf("core: Restore needs Config.CheckpointDir")
 		}
 		return nil, nil
 	}
@@ -78,7 +79,7 @@ func newCheckpointer(c *mpi.Comm, cfg Config) (*checkpointer, error) {
 	if err := os.MkdirAll(cfg.CheckpointDir, 0o777); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
-	ck := &checkpointer{c: c, dir: cfg.CheckpointDir, every: cfg.CheckpointEvery, keep: cfg.CheckpointKeep, cfg: cfg}
+	ck := &checkpointer{c: c, dir: cfg.CheckpointDir, every: cfg.CheckpointEvery, keep: cfg.checkpointKeep, cfg: cfg}
 	if ck.every == 0 {
 		ck.every = 1
 	}
@@ -96,18 +97,31 @@ func ckSnapPath(dir string, step int64, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%08d-rank-%04d.ck", step, rank))
 }
 
-// ckSegPath names the hard-linked base segment of an external-mode
-// snapshot (tiered storage, Config.SpillDir). The .seg suffix keeps it
-// clear of the Sscanf patterns matching .ck snapshots and manifests.
+// ckSegPath names the segment file holding the partition a snapshot
+// describes. The .seg suffix keeps it clear of the Sscanf patterns
+// matching .ck snapshots and manifests.
 func ckSegPath(dir string, step int64, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%08d-rank-%04d.seg", step, rank))
 }
 
-// writeAtomic writes data next to path and renames it into place, so a
-// crash mid-write never leaves a half-written file under the final name.
+// writeAtomic writes data next to path, fsyncs it and renames it into
+// place (SegmentWriter.Finalize's rule), so neither a crash mid-write nor
+// a power loss after the rename leaves a half-written or empty file under
+// the final name — the manifest's presence is what "committed" means.
 func writeAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -125,44 +139,23 @@ func (ck *checkpointer) degreeCRC(e *rankEngine) (uint32, error) {
 }
 
 // save runs one checkpoint at the boundary after e.stepsRun completed
-// steps: snapshot write, degree checksum, CRC allgather (the ack),
+// steps: segment + snapshot write, degree checksum, CRC allgather (the ack),
 // rank-0 manifest commit, commit broadcast, then GC of checkpoints
 // older than the retention window.
 func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	step := e.stepsRun
-	// Tiered storage checkpoints externally: force the base segment
-	// current (a no-op when the boundary's compaction already ran or the
-	// overlay is clean) and hard-link it next to the snapshot — the
-	// segment is immutable, so publishing it costs one directory entry,
-	// not an O(|E_local|) re-encode. Failures must not desert the
-	// collectives below, so they ride the ack like a snapshot-write
-	// failure.
-	var ext *segIdentity
-	var localErr error
-	if ts, ok := e.adj.(*store.Tiered); ok {
-		segPath := ckSegPath(ck.dir, step, ck.c.Rank())
-		if err := ts.Compact(); err != nil {
-			localErr = fmt.Errorf("core: compacting for checkpoint: %w", err)
-		} else if err := os.Remove(segPath); err != nil && !os.IsNotExist(err) {
-			localErr = fmt.Errorf("core: clearing stale checkpoint segment: %w", err)
-		} else if err := store.LinkOrCopy(ts.BasePath(), segPath); err != nil {
-			localErr = fmt.Errorf("core: linking checkpoint segment: %w", err)
-		} else {
-			ext = &segIdentity{size: ts.BaseSize(), crc: ts.BaseCRC()}
-		}
-	}
-	snap := e.encodeSnapshot(ext)
-	crc, err := snapshotCRC(snap)
-	if err != nil {
-		return err
-	}
 	// A local write failure must not desert the collectives below — the
 	// peers would deadlock waiting in the allgather — so it rides in the
 	// ack (a status byte ahead of the CRC) and every rank aborts this
 	// checkpoint together after the commit broadcast.
+	size, crc, localErr := e.adj.SaveSegment(ckSegPath(ck.dir, step, ck.c.Rank()))
+	if localErr != nil {
+		localErr = fmt.Errorf("core: writing checkpoint segment: %w", localErr)
+	}
+	snap := e.encodeSnapshot(segIdentity{size: size, crc: crc})
 	var own [5]byte
 	own[0] = 1
-	putU32(own[1:], crc)
+	putU32(own[1:], getU32(snap[snapLen-4:]))
 	if localErr == nil {
 		if werr := writeAtomic(ckSnapPath(ck.dir, step, ck.c.Rank()), snap); werr != nil {
 			localErr = fmt.Errorf("core: writing checkpoint snapshot: %w", werr)
@@ -286,7 +279,7 @@ func (ck *checkpointer) gc(latest int64) {
 		var rank int
 		// Two passes over the name: the literal suffix makes each Sscanf
 		// reject the other kind (n == 2 but serr != nil on a suffix
-		// mismatch), so .ck snapshots and .seg hard links GC separately.
+		// mismatch), so .ck snapshots and .seg segments GC separately.
 		if n, serr := fmt.Sscanf(ent.Name(), "snap-%d-rank-%d.ck", &step, &rank); n == 2 && serr == nil && rank == ck.c.Rank() && step < cutoff {
 			_ = os.Remove(filepath.Join(ck.dir, ent.Name()))
 			continue
@@ -340,173 +333,142 @@ func (ck *checkpointer) loadManifest(step int64) (*ckManifest, error) {
 }
 
 // restorable reports whether this rank can restore the given manifest:
-// its own snapshot file exists, passes the CRC32C trailer, and matches
-// the CRC the manifest recorded at commit time.
-func (ck *checkpointer) restorable(man *ckManifest) ([]byte, error) {
+// its own snapshot file exists, decodes (length, magic, CRC32C trailer,
+// version), matches the CRC the manifest recorded at commit time, and
+// names a segment file that opens — every byte hashed — as the one
+// recorded. A damaged file thus makes the step non-restorable (or, for an
+// exact restoreStep request, an actionable error) rather than failing
+// mid-restore.
+func (ck *checkpointer) restorable(man *ckManifest) (*snapState, error) {
 	data, err := os.ReadFile(ckSnapPath(ck.dir, man.Step, ck.c.Rank()))
 	if err != nil {
 		return nil, err
 	}
-	crc, err := snapshotCRC(data)
+	st, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	if crc != man.RankCRCs[ck.c.Rank()] {
+	if crc := getU32(data[snapLen-4:]); crc != man.RankCRCs[ck.c.Rank()] {
 		return nil, fmt.Errorf("core: rank %d snapshot for step %d carries CRC %08x, manifest recorded %08x — the file does not belong to this checkpoint; delete it and restore an earlier step",
 			ck.c.Rank(), man.Step, crc, man.RankCRCs[ck.c.Rank()])
 	}
-	// Full trailer + header verification up front, so a corrupted file
-	// surfaces here (making the step non-restorable or, for an exact
-	// RestoreStep request, an actionable error) rather than mid-restore.
-	st, _, err := decodeSnapshotHeader(data)
+	seg, err := ck.openSegment(st)
 	if err != nil {
 		return nil, err
 	}
-	if st.storage == snapStorageExternal {
-		// Cheap identity check of the hard-linked segment: size plus the
-		// stored trailer CRC value. The full content verification runs at
-		// restore (store.OpenSegment / AdoptSegment hash every byte).
-		if err := checkSegIdentity(ckSegPath(ck.dir, man.Step, ck.c.Rank()), st.seg); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
+	return st, seg.Close()
 }
 
-// checkSegIdentity verifies that the file at path has the expected size
-// and carries the expected CRC32C trailer value, without hashing it.
-func checkSegIdentity(path string, id segIdentity) error {
-	f, err := os.Open(path)
+// openSegment opens the segment file of a decoded snapshot with a full
+// content hash (store.OpenSegment) and checks it is the file the snapshot
+// names (size + CRC32C) with one list per owned vertex.
+func (ck *checkpointer) openSegment(st *snapState) (*store.Segment, error) {
+	path := ckSegPath(ck.dir, st.step, ck.c.Rank())
+	seg, err := store.OpenSegment(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
+	if seg.CRC() != st.seg.crc || seg.Size() != st.seg.size || seg.NV() != st.nv {
+		_ = seg.Close()
+		return nil, fmt.Errorf("core: checkpoint segment %s is (crc %08x, %d bytes, %d slots), snapshot recorded (crc %08x, %d bytes, %d slots)",
+			path, seg.CRC(), seg.Size(), seg.NV(), st.seg.crc, st.seg.size, st.nv)
 	}
-	if fi.Size() != id.size {
-		return fmt.Errorf("core: checkpoint segment %s is %d bytes, snapshot recorded %d", path, fi.Size(), id.size)
-	}
-	var trailer [4]byte
-	if _, err := f.ReadAt(trailer[:], id.size-4); err != nil {
-		return err
-	}
-	if got := getU32(trailer[:]); got != id.crc {
-		return fmt.Errorf("core: checkpoint segment %s carries CRC %08x, snapshot recorded %08x", path, got, id.crc)
-	}
-	return nil
+	return seg, nil
 }
 
 // agreeRestoreStep is the rollback collective: each rank offers the
-// newest step it can restore (or the exact cfg.RestoreStep) and the
+// newest step it can restore (or the exact cfg.restoreStep) and the
 // world agrees on the minimum, so every rank restores the same boundary.
 // Step 0 means at least one rank has no usable checkpoint: the world
-// bootstraps fresh. The snapshot bytes for the agreed step are returned
-// along with its manifest.
-func (ck *checkpointer) agreeRestoreStep() (int64, *ckManifest, []byte, error) {
+// bootstraps fresh. The agreed step's manifest and this rank's decoded
+// snapshot are returned.
+func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 	var local int64
 	var firstErr error
-	if ck.cfg.RestoreStep > 0 {
-		man, err := ck.loadManifest(ck.cfg.RestoreStep)
+	steps := []int64{ck.cfg.restoreStep}
+	if ck.cfg.restoreStep <= 0 {
+		steps = ck.manifestSteps()
+	}
+	for i := len(steps) - 1; i >= 0 && local == 0; i-- {
+		man, err := ck.loadManifest(steps[i])
 		if err == nil {
-			if _, err = ck.restorable(man); err == nil {
-				local = ck.cfg.RestoreStep
-			}
+			_, err = ck.restorable(man)
 		}
-		firstErr = err
-	} else {
-		steps := ck.manifestSteps()
-		for i := len(steps) - 1; i >= 0 && local == 0; i-- {
-			man, err := ck.loadManifest(steps[i])
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if _, err := ck.restorable(man); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
+		if err == nil {
 			local = steps[i]
+		} else if firstErr == nil {
+			firstErr = err
 		}
 	}
 	agreed, err := ck.c.AllreduceInt64s([]int64{local}, mpi.OpMin)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	step := agreed[0]
 	if step == 0 {
-		if ck.cfg.RestoreStep > 0 {
+		if ck.cfg.restoreStep > 0 {
 			// An exact-step restore that cannot be honored is an error, not
 			// a silent fresh start; report why this rank (or a peer)
 			// rejected it.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("a peer rank could not restore it")
 			}
-			return 0, nil, nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.RestoreStep, firstErr)
+			return nil, nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
 		}
-		return 0, nil, nil, nil
+		return nil, nil, nil
 	}
 	man, err := ck.loadManifest(step)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("core: rank %d lost checkpoint manifest for agreed step %d: %w", ck.c.Rank(), step, err)
+		return nil, nil, fmt.Errorf("core: rank %d lost checkpoint manifest for agreed step %d: %w", ck.c.Rank(), step, err)
 	}
-	snap, err := ck.restorable(man)
+	st, err := ck.restorable(man)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("core: rank %d lost checkpoint snapshot for agreed step %d: %w", ck.c.Rank(), step, err)
+		return nil, nil, fmt.Errorf("core: rank %d lost checkpoint snapshot for agreed step %d: %w", ck.c.Rank(), step, err)
 	}
-	return step, man, snap, nil
+	return man, st, nil
 }
 
-// restoreEngine rebuilds a rank engine from the agreed checkpoint. It
-// returns (nil, 0, nil) when the world agreed there is nothing to
-// restore — the caller bootstraps fresh. The restored world re-derives
-// the global degree checksum and compares it to the manifest: the
-// sanitizer's degree baseline doubling as the restore integrity check.
-func (ck *checkpointer) restoreEngine(pt partition.Partitioner, n int, m int64, cfg Config) (*rankEngine, int64, error) {
-	step, man, snap, err := ck.agreeRestoreStep()
-	if err != nil || step == 0 {
-		return nil, 0, err
+// restore loads the agreed checkpoint into the empty engine e. It reports
+// false when the world agreed there is nothing to restore — the caller
+// bootstraps fresh. m is the source's edge count, or -1 to trust the
+// manifest's. The partition goes through loadSlotEdges like any bootstrap
+// (a tiered store streams it into its first base, so its overlay budget
+// resolves from the true entry count); the loader's priority draws move
+// e.rnd, which is then set to the captured position. The restored world
+// re-derives the global degree checksum and compares it to the manifest:
+// the sanitizer's degree baseline doubling as the restore integrity check.
+func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error) {
+	man, st, err := ck.agreeRestoreStep()
+	if err != nil || man == nil {
+		return false, err
 	}
-	if man.N != n {
-		return nil, 0, fmt.Errorf("core: checkpoint step %d is for %d vertices, this run has %d", step, man.N, n)
+	step := man.Step
+	if man.N != e.n {
+		return false, fmt.Errorf("core: checkpoint step %d is for %d vertices, this run has %d", step, man.N, e.n)
 	}
 	if m >= 0 && man.M != m {
-		return nil, 0, fmt.Errorf("core: checkpoint step %d is for %d edges, this run has %d", step, man.M, m)
-	}
-	e, err := newEmptyRankEngine(ck.c, pt, n, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, adjData, err := decodeSnapshotHeader(snap)
-	if err != nil {
-		return nil, 0, err
+		return false, fmt.Errorf("core: checkpoint step %d is for %d edges, this run has %d", step, man.M, m)
 	}
 	if err := e.validateSnapshot(st, ck.algo()); err != nil {
-		return nil, 0, err
+		return false, err
 	}
 	if st.m != man.M || st.step != step {
-		return nil, 0, fmt.Errorf("core: snapshot for step %d disagrees with its manifest (m %d vs %d, step %d)", step, st.m, man.M, st.step)
+		return false, fmt.Errorf("core: snapshot for step %d disagrees with its manifest (m %d vs %d, step %d)", step, st.m, man.M, st.step)
 	}
-	if st.storage == snapStorageExternal {
-		err = e.loadSnapshotSegment(ckSegPath(ck.dir, step, ck.c.Rank()), st.seg)
-	} else {
-		err = e.loadSnapshotAdjacency(adjData)
-	}
+	ents, err := ck.readSegment(e, st)
 	if err != nil {
-		return nil, 0, err
+		return false, err
+	}
+	if err := e.loadSlotEdges(ents, false); err != nil {
+		return false, err
 	}
 	if err := e.finishLoad(man.M, cfg); err != nil {
-		return nil, 0, err
+		return false, err
 	}
 	// finishLoad derived load-time values from the restored partition;
 	// reinstate the captured run state on top of it.
 	if e.origLocal != st.origLocal {
-		return nil, 0, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", e.origLocal, st.origLocal)
+		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", e.origLocal, st.origLocal)
 	}
 	e.initialEdges = st.initialEdges
 	e.stepsRun = st.step
@@ -514,22 +476,43 @@ func (ck *checkpointer) restoreEngine(pt partition.Partitioner, n int, m int64, 
 	e.opsInitiated, e.restarts, e.forfeited, e.msgsSent = st.opsInitiated, st.restarts, st.forfeited, st.msgsSent
 	e.flushes = st.flushes
 	if err := e.rnd.SetState(st.rnd); err != nil {
-		return nil, 0, err
+		return false, err
 	}
 	e.rand.restoreCursor(st.cursor)
-	// Every rank verified its snapshot (and segment identity) in
-	// restorable() before the step was agreed, so the per-rank load and
-	// decode error paths above fire only on a corruption race, where the
-	// whole restore is abandoned anyway.
+	// Every rank verified its snapshot and segment in restorable() before
+	// the step was agreed, so the per-rank load and decode error paths
+	// above fire only on a corruption race, where the whole restore is
+	// abandoned anyway.
 	// collsync: post-agreement ranks cannot routinely diverge (see above)
 	degCRC, err := ck.degreeCRC(e)
 	if err != nil {
-		return nil, 0, err
+		return false, err
 	}
 	if degCRC != man.DegreeCRC {
-		return nil, 0, fmt.Errorf("core: rank %d restore of step %d: restored global degree sequence hashes to %08x, manifest recorded %08x — the checkpoint set is inconsistent (mixed steps or corrupted snapshot); delete step %d under %s and restore an earlier step",
+		return false, fmt.Errorf("core: rank %d restore of step %d: restored global degree sequence hashes to %08x, manifest recorded %08x — the checkpoint set is inconsistent (mixed steps or corrupted snapshot); delete step %d under %s and restore an earlier step",
 			ck.c.Rank(), step, degCRC, man.DegreeCRC, step, ck.dir)
 	}
 	ck.restoredStepSize = man.StepSize
-	return e, step, nil
+	return true, nil
+}
+
+// readSegment decodes the snapshot's segment file into the bulk loader's
+// entries for e's slots.
+func (ck *checkpointer) readSegment(e *rankEngine, st *snapState) ([]slotEdge, error) {
+	seg, err := ck.openSegment(st)
+	if err != nil {
+		return nil, err
+	}
+	defer seg.Close()
+	var ents []slotEdge
+	for li, u := range e.verts {
+		slot := int32(li)
+		if _, err := graph.WalkAdjSetBytes(seg.List(li), u, func(v graph.Vertex, orig bool) bool {
+			ents = append(ents, slotEdge{slot: slot, v: v, orig: orig})
+			return true
+		}); err != nil {
+			return nil, fmt.Errorf("core: checkpoint segment of step %d, slot %d: %w", st.step, li, err)
+		}
+	}
+	return ents, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				CheckInvariants: true,
 				CheckpointDir:   refDir,
 				CheckpointEvery: 1,
-				CheckpointKeep:  -1,
+				checkpointKeep:  -1,
 			}
 			ref, err := Parallel(g, tc.t, cfg)
 			if err != nil {
@@ -123,7 +124,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				rcfg := cfg
 				rcfg.CheckpointDir = copyCheckpointDir(t, refDir)
 				rcfg.Restore = true
-				rcfg.RestoreStep = step
+				rcfg.restoreStep = step
 				res, err := Parallel(g, tc.t, rcfg)
 				if err != nil {
 					t.Fatalf("restore from step %d: %v", step, err)
@@ -182,7 +183,7 @@ func TestCheckpointRestoreStepMissing(t *testing.T) {
 		Seed:          5,
 		CheckpointDir: t.TempDir(),
 		Restore:       true,
-		RestoreStep:   3,
+		restoreStep:   3,
 	})
 	if err == nil {
 		t.Fatal("restore from a nonexistent step succeeded")
@@ -203,7 +204,7 @@ func writeEquivalenceCheckpoints(t *testing.T, g *graph.Graph) (string, Config, 
 		Seed:            11,
 		CheckpointDir:   dir,
 		CheckpointEvery: 1,
-		CheckpointKeep:  -1,
+		checkpointKeep:  -1,
 	}
 	if _, err := Parallel(g, 3, cfg); err != nil {
 		t.Fatal(err)
@@ -229,7 +230,7 @@ func TestCheckpointCorruptSnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.Restore, cfg.RestoreStep = true, step
+	cfg.Restore, cfg.restoreStep = true, step
 	_, err = Parallel(g, 3, cfg)
 	if err == nil {
 		t.Fatal("corrupted snapshot restored")
@@ -240,7 +241,7 @@ func TestCheckpointCorruptSnapshotRejected(t *testing.T) {
 
 	// Without the exact-step demand, the agreement collective must skip
 	// past the damaged step to the newest one every rank can restore.
-	cfg.RestoreStep = 0
+	cfg.restoreStep = 0
 	res, err := Parallel(g, 3, cfg)
 	if err != nil {
 		t.Fatalf("restore could not fall back past the damaged step: %v", err)
@@ -275,7 +276,7 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.Restore, cfg.RestoreStep = true, step
+	cfg.Restore, cfg.restoreStep = true, step
 	_, err = Parallel(g, 3, cfg)
 	if err == nil {
 		t.Fatal("restore passed a wrong degree baseline")
@@ -286,10 +287,12 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 }
 
 // TestSnapshotHeaderRoundTrip pins the binary snapshot codec at the
-// engine level: every resumable field survives encode/decode, the
-// CRC32C trailer rejects any bit flip, and a version-1 snapshot (the
-// 208-byte header that carried the window controller's words) is refused
-// by version, not misdecoded.
+// engine level: every resumable field and the segment identity survive
+// encode/decode, the file is exactly snapLen bytes and any other length
+// is refused first, the CRC32C trailer rejects any bit flip, and a
+// snapshot of an earlier format — version 1 (the 208-byte header with the
+// window controller's words) or version 2 (which could embed the
+// adjacency lists) — is refused by version, not misdecoded.
 func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	g := testGraph(t, 12, 80, 320)
 	eng, w := newTestEngine(t, g)
@@ -305,16 +308,22 @@ func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	eng.restarts = 2
 	eng.flushes = 9
 
-	snap := eng.encodeSnapshot(nil)
-	st, adj, err := decodeSnapshotHeader(snap)
+	snap := eng.encodeSnapshot(segIdentity{size: 4711, crc: 0xfeedc0de})
+	if len(snap) != snapLen {
+		t.Fatalf("snapshot is %d bytes, want exactly %d", len(snap), snapLen)
+	}
+	st, err := decodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.step != 3 || st.opsInitiated != 17 || st.restarts != 2 || st.flushes != 9 {
 		t.Fatalf("counters did not round-trip: %+v", st)
 	}
-	if st.n != g.N() || st.m != g.M() || st.seed != eng.seed {
+	if st.n != g.N() || st.m != g.M() || st.seed != eng.seed || st.nv != len(eng.verts) {
 		t.Fatalf("identity did not round-trip: %+v", st)
+	}
+	if st.initialEdges != eng.initialEdges || st.origLocal != eng.origLocal {
+		t.Fatalf("edge counters did not round-trip: %+v", st)
 	}
 	if st.rnd != eng.rnd.State() {
 		t.Fatal("RNG state did not round-trip")
@@ -322,8 +331,8 @@ func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	if st.cursor != eng.rand.cursor() {
 		t.Fatal("randomizer cursor did not round-trip")
 	}
-	if len(adj) == 0 {
-		t.Fatal("no adjacency payload")
+	if st.seg != (segIdentity{size: 4711, crc: 0xfeedc0de}) {
+		t.Fatalf("segment identity did not round-trip: %+v", st.seg)
 	}
 	if err := eng.validateSnapshot(st, AlgoEdgeSwitch); err != nil {
 		t.Fatal(err)
@@ -335,19 +344,53 @@ func TestSnapshotHeaderRoundTrip(t *testing.T) {
 	for _, pos := range []int{6, 50, snapHeaderLen + 3, len(snap) - 2} {
 		bad := append([]byte(nil), snap...)
 		bad[pos] ^= 0x08
-		if _, _, err := decodeSnapshotHeader(bad); err == nil {
+		if _, err := decodeSnapshot(bad); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", pos)
 		}
 	}
-
-	// An intact file from the previous format: version word 1, CRC valid.
-	v1 := append([]byte(nil), snap[:len(snap)-4]...)
-	binary.LittleEndian.PutUint16(v1[4:], 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
-	_, _, err = decodeSnapshotHeader(v1)
-	if err == nil || !strings.Contains(err.Error(), "snapshot version 1, this binary reads 2") {
-		t.Fatalf("version-1 snapshot: got %v, want the version error", err)
+	for _, bad := range [][]byte{nil, snap[:snapLen-1], append(append([]byte(nil), snap...), 0)} {
+		if _, err := decodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "is exactly 160") {
+			t.Fatalf("%d-byte snapshot: got %v, want the length error", len(bad), err)
+		}
 	}
+
+	// Intact files from the previous formats: old version word, CRC valid.
+	for _, v := range []uint16{1, 2} {
+		old := append([]byte(nil), snap[:len(snap)-4]...)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, castagnoli))
+		want := fmt.Sprintf("snapshot version %d, this binary reads 3", v)
+		if _, err := decodeSnapshot(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d snapshot: got %v, want %q", v, err, want)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot: any bytes decode to a snapshot or a named error.
+// Each input also runs resealed (right length, magic, version and CRC
+// forced valid) so the field decoding behind the checks is reached.
+func FuzzDecodeSnapshot(f *testing.F) {
+	g := testGraph(f, 12, 80, 320)
+	eng, w := newTestEngine(f, g)
+	defer w.Close()
+	valid := eng.encodeSnapshot(segIdentity{size: 99, crc: 7})
+	f.Add(valid)
+	f.Add(valid[:snapHeaderLen])
+	f.Add([]byte(snapMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resealed := make([]byte, snapLen)
+		copy(resealed, data)
+		copy(resealed, snapMagic)
+		binary.LittleEndian.PutUint16(resealed[4:], snapVersion)
+		binary.LittleEndian.PutUint32(resealed[snapLen-4:], crc32.Checksum(resealed[:snapLen-4], castagnoli))
+		if _, err := decodeSnapshot(resealed); err != nil {
+			t.Fatalf("resealed snapshot refused: %v", err)
+		}
+		if st, err := decodeSnapshot(data); err == nil && len(data) != snapLen {
+			t.Fatalf("decoded a %d-byte snapshot: %+v", len(data), st)
+		}
+	})
 }
 
 // TestCheckpointGCCutoff drives gc directly: snapshot deletion must key
@@ -416,8 +459,8 @@ func TestCheckpointGCCutoff(t *testing.T) {
 
 // TestCheckpointGCBoundsDirectory: after a multi-rank run with the
 // default retention, the directory holds exactly the last two
-// checkpoints — keep×1 manifests and keep×ranks snapshots — with no
-// stragglers from earlier boundaries.
+// checkpoints — keep×1 manifests, keep×ranks snapshots and as many
+// segments — with no stragglers from earlier boundaries.
 func TestCheckpointGCBoundsDirectory(t *testing.T) {
 	g := testGraph(t, 13, 200, 600)
 	dir := t.TempDir()
@@ -434,17 +477,13 @@ func TestCheckpointGCBoundsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var manifests, snaps int
+	count := map[string]int{}
 	var names []string
 	for _, e := range ents {
 		names = append(names, e.Name())
-		if filepath.Ext(e.Name()) == ".json" {
-			manifests++
-		} else {
-			snaps++
-		}
+		count[filepath.Ext(e.Name())]++
 	}
-	if manifests != 2 || snaps != 4 {
-		t.Fatalf("retention window violated: %d manifests, %d snapshots: %v", manifests, snaps, names)
+	if len(names) != 10 || count[".json"] != 2 || count[".ck"] != 4 || count[".seg"] != 4 {
+		t.Fatalf("retention window violated: %v: %v", count, names)
 	}
 }

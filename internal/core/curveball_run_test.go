@@ -91,9 +91,9 @@ func armedCurveball(tb testing.TB) *curveball {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	parts := make([][]flaggedEdge, 2)
+	parts := make([][]graph.Edge, 2)
 	for _, ed := range core.Edges() {
-		parts[pt.Owner(ed.U)] = append(parts[pt.Owner(ed.U)], flaggedEdge{ed, true})
+		parts[pt.Owner(ed.U)] = append(parts[pt.Owner(ed.U)], ed)
 	}
 	w, err := mpi.NewWorld(2)
 	if err != nil {
@@ -103,7 +103,7 @@ func armedCurveball(tb testing.TB) *curveball {
 	cfg := Config{Ranks: 2, Scheme: SchemeHPD, Seed: 9, Algorithm: AlgoCurveball}
 	var r0 *curveball
 	err = w.Run(func(c *mpi.Comm) error {
-		e, err := newRankEngine(c, pt, n, core.M(), parts[c.Rank()], cfg)
+		e, err := loadTestEngine(c, pt, n, core.M(), parts[c.Rank()], cfg)
 		if err != nil {
 			return err
 		}

@@ -170,37 +170,9 @@ func (e *rankEngine) opWindowSize() int {
 	return w
 }
 
-// newRankEngine loads a rank's partition and prepares its state. Only
-// cfg.Seed, cfg.Algorithm, cfg.CheckInvariants, cfg.TargetVisitRate and
-// the storage fields (SpillDir, OverlayBudget) are consulted; the
-// communicator decides everything else. With CheckInvariants set, every
-// step boundary of the run re-verifies the engine invariants (see
-// sanitize.go and stepsync.go).
-func newRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges []flaggedEdge, cfg Config) (*rankEngine, error) {
-	e, err := newEmptyRankEngine(c, pt, n, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, fe := range edges {
-		li, ok := e.index[fe.e.U]
-		if !ok {
-			return nil, fmt.Errorf("core: rank %d handed foreign edge %v", c.Rank(), fe.e)
-		}
-		if !e.adj.Insert(int(li), fe.e.V, fe.orig, e.rnd.Uint32()) {
-			return nil, fmt.Errorf("core: rank %d handed duplicate edge %v", c.Rank(), fe.e)
-		}
-		e.deg.Add(int(li), 1)
-	}
-	if err := e.finishLoad(m, cfg); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // promotePrioSplit namespaces the tiered store's promotion-priority
 // stream in the seed's split space, clear of the per-rank run streams
-// (rank+2), the HP-U streams (1<<20 block) and the snapshot-restore
-// streams (restorePrioSplit's 1<<21 block). Treap priorities shape only
+// (rank+2) and the HP-U streams (1<<20 block). Treap priorities shape only
 // tree form, never results, but drawing them from the run RNG would
 // desynchronize spill and in-memory runs — this stream keeps the two
 // bit-identical.
@@ -217,9 +189,11 @@ func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error
 	return store.NewTiered(dir, verts, cfg.OverlayBudget, prio.Uint32)
 }
 
-// newEmptyRankEngine prepares a rank's state with an empty partition;
-// callers insert this rank's edges (a handed []flaggedEdge, or the
-// distributed-generation scan) and then finishLoad.
+// newEmptyRankEngine prepares a rank's state with an empty partition and
+// a live store the caller must close; bootstrap fills it (loadSlotEdges)
+// and then calls finishLoad. Only cfg.Seed, cfg.CheckInvariants,
+// cfg.TargetVisitRate and the storage fields (SpillDir, OverlayBudget)
+// are consulted here; the communicator decides everything else.
 func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config) (*rankEngine, error) {
 	e := &rankEngine{
 		c:        c,
@@ -591,8 +565,9 @@ type slotEdge struct {
 }
 
 // loadSlotEdges bulk-loads the rank's whole partition — every slot must
-// be empty — from entries in any order: the generation bootstrap's scan
-// and curveball's per-round rebuild. A counting sort groups by slot (a
+// be empty — from entries in any order: the only way edges enter a store
+// in bulk, shared by every bootstrap source, a checkpoint restore and
+// curveball's per-round rebuild. A counting sort groups by slot (a
 // comparison sort over the whole list would cost more than the treap
 // descents it saves); groups are insertion-sorted, hubs by
 // slices.SortFunc; each slot is built in O(d) (BuildSortedFlagged, which

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"edgeswitch/internal/gen"
@@ -12,41 +13,47 @@ import (
 
 // newTestEngine builds a single-rank edge-switch engine around a small
 // graph.
-func newTestEngine(t *testing.T, g *graph.Graph) (*rankEngine, *mpi.World) {
+func newTestEngine(t testing.TB, g *graph.Graph) (*rankEngine, *mpi.World) {
 	t.Helper()
 	return newTestEngineCfg(t, g, Config{Seed: 5, CheckInvariants: true})
 }
 
 // newTestEngineCfg builds a single-rank engine with an explicit config
 // (notably Config.Algorithm, for exercising the randomizer seam).
-func newTestEngineCfg(t *testing.T, g *graph.Graph, cfg Config) (*rankEngine, *mpi.World) {
+func newTestEngineCfg(t testing.TB, g *graph.Graph, cfg Config) (*rankEngine, *mpi.World) {
 	t.Helper()
 	w, err := mpi.NewWorld(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := partition.NewCP(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []flaggedEdge
-	for ui := 0; ui < g.N(); ui++ {
-		u := graph.Vertex(ui)
-		g.WalkReduced(u, func(v graph.Vertex, orig bool) bool {
-			edges = append(edges, flaggedEdge{graph.Edge{U: u, V: v}, orig})
-			return true
-		})
-	}
 	var eng *rankEngine
 	err = w.Run(func(c *mpi.Comm) error {
 		var err error
-		eng, err = newRankEngine(c, pt, g.N(), g.M(), edges, cfg)
+		eng, err = bootstrap(c, graphSource(g), 0, cfg)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { eng.adj.Close() })
 	return eng, w
+}
+
+// loadTestEngine builds one rank's engine from a hand-written edge list
+// (every edge owned by the rank) the way bootstrap loads a source.
+func loadTestEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges []graph.Edge, cfg Config) (*rankEngine, error) {
+	e, err := newEmptyRankEngine(c, pt, n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ents := make([]slotEdge, len(edges))
+	for i, ed := range edges {
+		ents[i] = slotEdge{slot: e.index[ed.U], v: ed.V, orig: true}
+	}
+	if err := e.loadSlotEdges(ents, false); err != nil {
+		return nil, err
+	}
+	return e, e.finishLoad(m, cfg)
 }
 
 // es extracts the edge-switch randomizer behind a test engine's seam.
@@ -220,7 +227,7 @@ func TestEngineOwnerRoutesByMinEndpoint(t *testing.T) {
 	}
 	defer w.Close()
 	err = w.Run(func(c *mpi.Comm) error {
-		eng, err := newRankEngine(c, pt, g.N(), g.M(), nil, Config{Seed: 7, CheckInvariants: true})
+		eng, err := loadTestEngine(c, pt, g.N(), g.M(), nil, Config{Seed: 7, CheckInvariants: true})
 		if err != nil {
 			return err
 		}
@@ -265,15 +272,15 @@ func TestOpWindowSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A star at vertex 0, which HP-D assigns to rank 0.
-		star := make([]flaggedEdge, tc.localEdges)
+		star := make([]graph.Edge, tc.localEdges)
 		for i := range star {
-			star[i] = flaggedEdge{graph.Edge{U: 0, V: graph.Vertex(i + 1)}, true}
+			star[i] = graph.Edge{U: 0, V: graph.Vertex(i + 1)}
 		}
 		err = w.Run(func(c *mpi.Comm) error {
 			if c.Rank() != 0 {
 				return nil
 			}
-			eng, err := newRankEngine(c, pt, tc.localEdges+1, int64(tc.localEdges), star, Config{Seed: 9})
+			eng, err := loadTestEngine(c, pt, tc.localEdges+1, int64(tc.localEdges), star, Config{Seed: 9})
 			if err != nil {
 				return err
 			}
@@ -284,6 +291,88 @@ func TestOpWindowSize(t *testing.T) {
 				eng.takeLocal()
 				if got := eng.opWindowSize(); got != tc.afterTake {
 					t.Errorf("p=%d |E_local|=%d after takeLocal: window %d, want %d", tc.ranks, tc.localEdges, got, tc.afterTake)
+				}
+			}
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// walkHash fingerprints a partition in store order: FNV-1a over every
+// (u, v, original) record Walk yields, slot by slot.
+func walkHash(e *rankEngine) uint64 {
+	h := fnv.New64a()
+	for li, u := range e.verts {
+		e.adj.Walk(li, func(v graph.Vertex, orig bool) bool {
+			var rec [9]byte
+			putEdge(rec[:], graph.Edge{U: u, V: v}, orig)
+			h.Write(rec[:])
+			return true
+		})
+	}
+	return h.Sum64()
+}
+
+// TestGraphHandoffMatchesPerEdgeLoad pins the graph hand-off through
+// loadSlotEdges against the per-edge Insert loop it replaced: the
+// constants are what that loop (newRankEngine at commit ea622a4) left
+// behind on this graph — the run RNG's position after one priority draw
+// per edge in ascending (vertex, neighbour) order, and the store's Walk
+// output. Every p=1 equivalence and EdgeHash pin rides on these staying
+// put. A tiered store held the same entries; its counters are the part
+// that moved: the hand-off now streams the first base segment where the
+// loop filled the overlay (high-water mark 158, the whole partition) and
+// compacted it (one counted compaction).
+func TestGraphHandoffMatchesPerEdgeLoad(t *testing.T) {
+	g := testGraph(t, 12, 80, 320)
+	type pin struct {
+		rnd        [4]uint64
+		walk, hash uint64
+	}
+	check := func(tag string, e *rankEngine, want pin) {
+		t.Helper()
+		if got := (pin{e.rnd.State(), walkHash(e), e.edgeHash()}); got != want {
+			t.Errorf("%s: hand-off left %#x, the per-edge loop left %#x", tag, got, want)
+		}
+	}
+
+	eng, w := newTestEngine(t, g) // p=1, CP, seed 5
+	check("p=1", eng, pin{
+		rnd:  [4]uint64{0xbe7d1014d75b50f3, 0x7ab0ce3566618ace, 0xbae809703acf015e, 0x3c08a00ba5d0ef0a},
+		walk: 0xccc9eb9c6169a0a7, hash: 0xb54644ad9520ea0d,
+	})
+	if eng.origLocal != 320 {
+		t.Errorf("p=1: %d originals, want 320", eng.origLocal)
+	}
+	w.Close()
+
+	rank1 := pin{
+		rnd:  [4]uint64{0xd0ba783c13cde3e7, 0x40b2bf9bd2b6416d, 0xbc62e8e3c0fcb1b9, 0xfc99b5ad003dd77b},
+		walk: 0x9e3780c426e44dc7, hash: 0xe674bdc51c5c0375,
+	}
+	for _, kind := range []string{"mem", "spill"} {
+		cfg := Config{Seed: 5, Scheme: SchemeHPD}
+		if kind == "spill" {
+			cfg.SpillDir = t.TempDir()
+		}
+		w, err := mpi.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *mpi.Comm) error {
+			e, err := bootstrap(c, graphSource(g), 0, cfg)
+			if err != nil {
+				return err
+			}
+			defer e.adj.Close()
+			if c.Rank() == 1 {
+				check("p=2 rank 1 "+kind, e, rank1)
+				if st := e.adj.Stats(); kind == "spill" && (st.BaseBytes != 546 || st.OverlayHWM != 0 || st.Compactions != 0) {
+					t.Errorf("tiered hand-off: %+v, want the 546-byte base streamed (no overlay entries, no compaction)", st)
 				}
 			}
 			return nil

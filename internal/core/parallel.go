@@ -112,11 +112,6 @@ type Config struct {
 	// checkpoints. 0 means 1 (every boundary) when CheckpointDir is set;
 	// ignored otherwise.
 	CheckpointEvery int64
-	// CheckpointKeep is the number of most recent checkpoints retained
-	// after each commit. 0 means the default of 2 (the newly committed
-	// one plus its predecessor); negative keeps every checkpoint (the
-	// restore-equivalence tests restore every boundary of a run).
-	CheckpointKeep int
 	// Restore resumes the run from the newest checkpoint in CheckpointDir
 	// that every rank can restore, agreed through an OpMin collective; if
 	// no common restorable checkpoint exists the run bootstraps fresh.
@@ -124,10 +119,16 @@ type Config struct {
 	// its CRC against the manifest before switching resumes. Requires
 	// CheckpointDir.
 	Restore bool
-	// RestoreStep, when > 0 with Restore, demands the checkpoint of that
-	// exact step instead of the newest restorable one; a run that cannot
-	// honor it fails with the reason rather than silently starting fresh.
-	RestoreStep int64
+
+	// checkpointKeep is the number of most recent checkpoints retained
+	// after each commit: 0 means 2 (the newly committed one plus its
+	// predecessor), negative keeps every one. restoreStep, when > 0 with
+	// Restore, demands the checkpoint of that exact step instead of the
+	// newest restorable one, and fails with the reason when it cannot be
+	// honored. Unexported: only this package's restore-equivalence tests,
+	// which restore every boundary of a run, turn either.
+	checkpointKeep int
+	restoreStep    int64
 
 	// noBatch sends every protocol message as its own transport payload
 	// instead of coalescing per destination (see sendbuf.go). Unexported:
@@ -213,9 +214,60 @@ type Result struct {
 // NewPartitioner builds the partitioner for a scheme. HP-U coefficients
 // are derived deterministically from seed.
 func NewPartitioner(g *graph.Graph, scheme Scheme, p int, seed uint64) (partition.Partitioner, error) {
+	return graphSource(g).partitioner(scheme, p, seed)
+}
+
+// source is what the bootstrap frame needs to know about where a run's
+// graph comes from — a graph handed in whole, or a generator spec every
+// rank resolves for itself (Config.DistributedGen).
+type source struct {
+	n int
+	// m is the global edge count, or -1 when only the load can tell (the
+	// contact generator's duplicates collapse at their owning rank): the
+	// frame then allreduces the loaded counts.
+	m int64
+	// cp builds scheme CP's boundaries from the reduced degrees.
+	cp func(p int) (*partition.CP, error)
+	// edges enumerates the entries of e's partition, in any order.
+	edges func(e *rankEngine) []slotEdge
+	// collapseDup says a repeated entry is the generator's to collapse
+	// rather than an error (see loadSlotEdges).
+	collapseDup bool
+	// baseline is the fingerprint SanitizeGraph checks the reassembled
+	// result (out) against.
+	baseline func(e *rankEngine, out *graph.Graph) *Baseline
+}
+
+// graphSource hands a whole graph to the ranks: each walks the reduced
+// adjacencies of the vertices it owns.
+func graphSource(g *graph.Graph) *source {
+	return &source{
+		n:  g.N(),
+		m:  g.M(),
+		cp: func(p int) (*partition.CP, error) { return partition.NewCP(g, p) },
+		edges: func(e *rankEngine) []slotEdge {
+			cnt := 0
+			for _, u := range e.verts {
+				cnt += g.ReducedDegree(u)
+			}
+			ents := make([]slotEdge, 0, cnt)
+			for li, u := range e.verts {
+				g.WalkReduced(u, func(v graph.Vertex, orig bool) bool {
+					ents = append(ents, slotEdge{slot: int32(li), v: v, orig: orig})
+					return true
+				})
+			}
+			return ents
+		},
+		baseline: func(*rankEngine, *graph.Graph) *Baseline { return NewBaseline(g) },
+	}
+}
+
+// partitioner builds the partitioner for a scheme over src.
+func (src *source) partitioner(scheme Scheme, p int, seed uint64) (partition.Partitioner, error) {
 	switch scheme {
 	case SchemeCP, "":
-		return partition.NewCP(g, p)
+		return src.cp(p)
 	case SchemeHPD:
 		return partition.NewHPD(p)
 	case SchemeHPM:
@@ -274,7 +326,8 @@ func Parallel(g *graph.Graph, t int64, cfg Config) (*Result, error) {
 // cfg.UseTCP are ignored; the communicator decides both). Rank 0 returns
 // the assembled Result; other ranks return nil. This is the entry point
 // for multi-process distributed runs, where each process loads the graph
-// and keeps only its own partition.
+// (or, with Config.DistributedGen and a nil graph, generates it) and
+// keeps only its own partition.
 func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("core: negative operation count %d", t)
@@ -285,23 +338,36 @@ func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) 
 	if math.IsNaN(cfg.TargetVisitRate) || cfg.TargetVisitRate < 0 || cfg.TargetVisitRate > 1 {
 		return nil, fmt.Errorf("core: TargetVisitRate %v outside [0, 1]", cfg.TargetVisitRate)
 	}
-	if cfg.DistributedGen != nil {
-		if g != nil {
-			return nil, fmt.Errorf("core: RunRank with Config.DistributedGen takes a nil graph (ranks generate their own partitions)")
+	var src *source
+	switch {
+	case cfg.DistributedGen != nil && g != nil:
+		return nil, fmt.Errorf("core: RunRank with Config.DistributedGen takes a nil graph (ranks generate their own partitions)")
+	case cfg.DistributedGen != nil:
+		var err error
+		if src, err = genSource(*cfg.DistributedGen); err != nil {
+			return nil, err
 		}
-		return runRankGen(c, t, cfg)
-	}
-	if g == nil {
+	case g == nil:
 		return nil, fmt.Errorf("core: RunRank needs a graph (or Config.DistributedGen)")
+	default:
+		src = graphSource(g)
 	}
-	if g.M() < 2 && t > 0 {
-		return nil, fmt.Errorf("core: need at least 2 edges to switch, have %d", g.M())
+	eng, err := bootstrap(c, src, t, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = SchemeCP
-	}
-	p := c.Size()
-	pt, err := NewPartitioner(g, cfg.Scheme, p, cfg.Seed)
+	return runEngine(eng, t, cfg, func(out *graph.Graph) *Baseline { return src.baseline(eng, out) })
+}
+
+// bootstrap is the one frame around every way a rank engine comes to
+// hold its partition: partitioner, checkpointer, empty engine, then the
+// rollback collective or — when the world agrees there is nothing to
+// restore — the source's entries, both through loadSlotEdges. The engine
+// owns a live store from newEmptyRankEngine on, so every failure after it
+// closes the store here (a tiered one holds a mapping and a spill
+// directory); on success runEngine takes the store over.
+func bootstrap(c *mpi.Comm, src *source, t int64, cfg Config) (*rankEngine, error) {
+	pt, err := src.partitioner(cfg.Scheme, c.Size(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -309,45 +375,54 @@ func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	e, err := newEmptyRankEngine(c, pt, src.n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.ckpt = ck
+	if err := e.fill(src, t, cfg); err != nil {
+		_ = e.adj.Close()
+		return nil, err
+	}
+	return e, nil
+}
 
-	var eng *rankEngine
+// fill is bootstrap's restore-or-load step on the empty engine.
+func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
+	restored := false
 	if cfg.Restore {
-		// The rollback collective: agree on the newest checkpoint every
-		// rank can restore and rebuild the engines from it; a nil engine
-		// means no common checkpoint, so bootstrap fresh below.
-		eng, _, err = ck.restoreEngine(pt, g.N(), g.M(), cfg)
-		if err != nil {
-			return nil, err
+		var err error
+		if restored, err = e.ckpt.restore(e, src.m, cfg); err != nil {
+			return err
 		}
 	}
-	if eng == nil {
-		// Load this rank's partition.
-		var local []flaggedEdge
-		for ui := 0; ui < g.N(); ui++ {
-			u := graph.Vertex(ui)
-			if pt.Owner(u) != c.Rank() {
-				continue
+	if !restored {
+		if err := e.loadSlotEdges(src.edges(e), src.collapseDup); err != nil {
+			return err
+		}
+		m := src.m
+		if m < 0 {
+			total, err := e.c.AllreduceInt64s([]int64{e.deg.Total()}, mpi.OpSum)
+			if err != nil {
+				return err
 			}
-			g.WalkReduced(u, func(v graph.Vertex, orig bool) bool {
-				local = append(local, flaggedEdge{graph.Edge{U: u, V: v}, orig})
-				return true
-			})
+			m = total[0]
 		}
-		eng, err = newRankEngine(c, pt, g.N(), g.M(), local, cfg)
-		if err != nil {
-			return nil, err
+		if err := e.finishLoad(m, cfg); err != nil {
+			return err
 		}
 	}
-	eng.ckpt = ck
-	return runEngine(eng, t, cfg, func(*graph.Graph) *Baseline { return NewBaseline(g) })
+	if e.m < 2 && t > 0 {
+		return fmt.Errorf("core: need at least 2 edges to switch, have %d", e.m)
+	}
+	return nil
 }
 
 // runEngine drives a loaded rank engine through the switching run and
-// the result gathering shared by both bootstrap paths (graph hand-off
-// and distributed generation). baseline supplies the invariant
-// fingerprint SanitizeGraph checks the reassembled result against; it
-// receives the reassembled graph for paths that have nothing earlier to
-// fingerprint.
+// the result gathering, and closes its store. baseline supplies the
+// invariant fingerprint SanitizeGraph checks the reassembled result
+// against; it receives the reassembled graph for sources that have
+// nothing earlier to fingerprint.
 func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Graph) *Baseline) (*Result, error) {
 	c, pt := eng.c, eng.pt
 	p := c.Size()

@@ -10,7 +10,7 @@ import (
 	"edgeswitch/internal/rng"
 )
 
-func testGraph(t *testing.T, seed uint64, n int, m int64) *graph.Graph {
+func testGraph(t testing.TB, seed uint64, n int, m int64) *graph.Graph {
 	t.Helper()
 	g, err := gen.ErdosRenyi(rng.New(seed), n, m)
 	if err != nil {

@@ -53,9 +53,9 @@ type Segment struct {
 }
 
 // OpenSegment maps the segment at path and verifies its header, frame
-// arithmetic and full-content CRC32C. Use it for cold opens (recovery,
-// checkpoint adoption); the writer's Finalize skips the re-verification
-// of bytes it just produced.
+// arithmetic, full-content CRC32C and offset table. Use it for cold opens
+// (recovery, checkpoint restore); the writer's Finalize skips the
+// re-verification of bytes it just produced.
 func OpenSegment(path string) (*Segment, error) {
 	return openSegment(path, true)
 }
@@ -70,11 +70,7 @@ func openSegment(path string, verify bool) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	if size < segHeaderLen+8+4 {
-		return nil, fmt.Errorf("store: segment %s truncated (%d bytes)", path, size)
-	}
-	data, err := mmapFile(f, int(size))
+	data, err := mmapFile(f, int(fi.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("store: mapping segment %s: %w", path, err)
 	}
@@ -86,9 +82,14 @@ func openSegment(path string, verify bool) (*Segment, error) {
 	return s, nil
 }
 
-// parseSegment validates the frame over an already-mapped file.
+// parseSegment validates the frame over an already-mapped file. With
+// verify it also hashes the contents and walks the offset table, so List
+// on a verified segment never meets an out-of-range offset.
 func parseSegment(path string, data []byte, verify bool) (*Segment, error) {
 	le := binary.LittleEndian
+	if len(data) < segHeaderLen+8+4 {
+		return nil, fmt.Errorf("store: segment %s truncated (%d bytes)", path, len(data))
+	}
 	if string(data[0:4]) != segMagic {
 		return nil, fmt.Errorf("store: segment %s has bad magic %q", path, data[0:4])
 	}
@@ -115,6 +116,15 @@ func parseSegment(path string, data []byte, verify bool) (*Segment, error) {
 	}
 	if last := s.offset(s.nv); last != int64(len(s.payload)) {
 		return nil, fmt.Errorf("store: segment %s offset table ends at %d, payload holds %d bytes", path, last, len(s.payload))
+	}
+	if verify {
+		for li, prev := 0, int64(0); li < s.nv; li++ {
+			off := s.offset(li)
+			if off < prev || off > int64(len(s.payload)) {
+				return nil, fmt.Errorf("store: segment %s offset table is not ascending at slot %d", path, li)
+			}
+			prev = off
+		}
 	}
 	return s, nil
 }

@@ -57,9 +57,10 @@ type Store interface {
 	BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool)
 	// BuildSortedFlagged is BuildSorted with per-entry flags.
 	BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool)
-	// AppendEncoded appends slot li's codec encoding (graph.AppendAdjSet
-	// bytes) to buf — the checkpoint snapshot's adjacency section.
-	AppendEncoded(buf []byte, li int) []byte
+	// SaveSegment publishes the whole partition as a segment file at path
+	// (replacing any file there) and reports the file's size and trailer
+	// CRC32C — a checkpoint's partition image. Call between steps.
+	SaveSegment(path string) (size int64, crc uint32, err error)
 	// EndLoad completes the bulk-load phase.
 	EndLoad() error
 	// EndStep runs at every step boundary; Tiered compacts here when the
@@ -100,7 +101,7 @@ type Mem struct {
 
 // NewMem returns an in-memory store with one empty slot per owned
 // vertex; verts maps slots to their owner labels (the gap-encoding
-// anchors AppendEncoded needs) and is retained, not copied.
+// anchors SaveSegment needs) and is retained, not copied.
 func NewMem(verts []graph.Vertex) *Mem {
 	return &Mem{verts: verts, adj: make([]graph.AdjSet, len(verts))}
 }
@@ -150,9 +151,26 @@ func (m *Mem) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, or
 	m.adj[li].BuildSortedFlagged(&m.arena, keys, prios, origs)
 }
 
-// AppendEncoded implements Store.
-func (m *Mem) AppendEncoded(buf []byte, li int) []byte {
-	return m.adj[li].AppendAdjSet(buf, m.verts[li])
+// SaveSegment implements Store: every slot is encoded and streamed
+// through a SegmentWriter (fsync + atomic rename, like a tiered base).
+func (m *Mem) SaveSegment(path string) (int64, uint32, error) {
+	w, err := NewSegmentWriter(path, len(m.verts))
+	if err != nil {
+		return 0, 0, err
+	}
+	var buf []byte
+	for li := range m.adj {
+		buf = m.adj[li].AppendAdjSet(buf[:0], m.verts[li])
+		if err := w.Append(buf); err != nil {
+			w.Abort()
+			return 0, 0, err
+		}
+	}
+	seg, err := w.Finalize()
+	if err != nil {
+		return 0, 0, err
+	}
+	return seg.Size(), seg.CRC(), seg.Close()
 }
 
 // EndLoad implements Store (a no-op).

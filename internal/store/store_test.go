@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"edgeswitch/internal/graph"
@@ -166,15 +169,47 @@ func TestMemTieredEquivalence(t *testing.T) {
 	if st.OverlayHWM == 0 {
 		t.Fatal("overlay high-water mark never moved")
 	}
-	// AppendEncoded must agree byte for byte (checkpoint snapshots
-	// depend on it), including unpromoted slots' verbatim base copies.
+	// SaveSegment must publish the same image from either store, byte for
+	// byte (checkpoints depend on it), including unpromoted slots' verbatim
+	// base copies — and the image must verify cold and decode back to the
+	// stores' state.
+	dir := t.TempDir()
+	memPath, trPath := filepath.Join(dir, "mem.seg"), filepath.Join(dir, "tiered.seg")
+	if err := os.WriteFile(trPath, []byte("stale"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	ms, mc, err := mem.SaveSegment(memPath)
+	if err != nil {
+		t.Fatalf("mem SaveSegment: %v", err)
+	}
+	ts, tc, err := tr.SaveSegment(trPath)
+	if err != nil {
+		t.Fatalf("tiered SaveSegment: %v", err)
+	}
+	mb, _ := os.ReadFile(memPath)
+	tb, _ := os.ReadFile(trPath)
+	if ms != ts || mc != tc || int64(len(mb)) != ms || !bytes.Equal(mb, tb) {
+		t.Fatalf("SaveSegment images differ: mem (%d B, crc %08x), tiered (%d B, crc %08x)", ms, mc, ts, tc)
+	}
+	seg, err := OpenSegment(trPath)
+	if err != nil {
+		t.Fatalf("saved segment does not verify: %v", err)
+	}
+	defer seg.Close()
+	if seg.NV() != nv || seg.CRC() != tc || seg.Size() != ts {
+		t.Fatalf("saved segment reports (%d slots, crc %08x, %d B), want (%d, %08x, %d)", seg.NV(), seg.CRC(), seg.Size(), nv, tc, ts)
+	}
 	for li := 0; li < nv; li++ {
-		me := mem.AppendEncoded(nil, li)
-		te := tr.AppendEncoded(nil, li)
-		if !bytes.Equal(me, te) {
-			t.Fatalf("AppendEncoded differs at slot %d", li)
+		keys, origs, _, err := graph.DecodeAdjSet(seg.List(li), verts[li], nil, nil)
+		if err != nil {
+			t.Fatalf("saved slot %d: %v", li, err)
+		}
+		wk, wo := slotState(mem, li)
+		if !slices.Equal(keys, wk) || !slices.Equal(origs, wo) {
+			t.Fatalf("saved slot %d decodes to %v/%v, store holds %v/%v", li, keys, origs, wk, wo)
 		}
 	}
+	requireSlotsEqual(t, mem, tr, nv, "after SaveSegment")
 }
 
 // TestTieredStreamingLoad checks that an ascending BuildSorted load —
@@ -244,7 +279,7 @@ func TestTieredStreamsRewriteAfterFullDrain(t *testing.T) {
 	if err := tr.EndLoad(); err != nil {
 		t.Fatalf("EndLoad: %v", err)
 	}
-	firstBase := tr.BasePath()
+	firstBase := tr.seg.Path()
 
 	// A partial drain leaves live entries: builds go to the overlay.
 	mem.Insert(2, verts[2]+7, false, 1)
@@ -273,7 +308,7 @@ func TestTieredStreamsRewriteAfterFullDrain(t *testing.T) {
 	if st.Compactions != 1 {
 		t.Fatalf("full rewrite counted %d compactions, want 1", st.Compactions)
 	}
-	if tr.BasePath() == firstBase {
+	if tr.seg.Path() == firstBase {
 		t.Fatal("full rewrite kept the old base segment")
 	}
 	if _, err := os.Stat(firstBase); !os.IsNotExist(err) {
@@ -301,7 +336,7 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	if err := tr.EndLoad(); err != nil {
 		t.Fatalf("EndLoad: %v", err)
 	}
-	path := tr.BasePath()
+	path := tr.seg.Path()
 	// Copy aside, then corrupt the copy (the original stays mapped).
 	dir := t.TempDir()
 	dst := filepath.Join(dir, "seg")
@@ -341,7 +376,7 @@ func TestRecoverNewestSegment(t *testing.T) {
 	if err := tr.Compact(); err != nil { // gen 2
 		t.Fatal(err)
 	}
-	wantCRC := tr.BaseCRC()
+	wantCRC := tr.seg.CRC()
 	tr.seg.Close() // release the mapping without removing the files
 	tr.seg = nil
 
@@ -379,31 +414,55 @@ func TestRecoverNewestSegment(t *testing.T) {
 	}
 }
 
-// TestAdoptSegment round-trips a base segment into a fresh store — the
-// checkpoint restore path — and rejects identity mismatches.
-func TestAdoptSegment(t *testing.T) {
-	const nv = 6
-	verts := testVerts(nv)
-	src := newTestTiered(t, verts, 0)
-	pr := rng.New(11)
-	for li := 0; li < nv; li++ {
-		for j := 0; j < li+1; j++ {
-			src.Insert(li, verts[li]+1+graph.Vertex(j*3), j%2 == 0, pr.Uint32())
+// FuzzParseSegment feeds parseSegment arbitrary bytes twice: as they are,
+// and with the last four bytes replaced by the CRC32C of the rest, so the
+// frame arithmetic behind the checksum is reached too. The result is a
+// Segment whose every slot can be listed, or a named error — never a
+// panic or an out-of-range index.
+func FuzzParseSegment(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.seg")
+	w, err := NewSegmentWriter(path, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, keys := range [][]graph.Vertex{{5, 9, 300}, nil, {70000}} {
+		if err := w.Append(graph.AppendSortedAdj(nil, 2, keys, true)); err != nil {
+			f.Fatal(err)
 		}
 	}
-	if err := src.EndLoad(); err != nil {
-		t.Fatal(err)
+	seg, err := w.Finalize()
+	if err != nil {
+		f.Fatal(err)
 	}
-	crc, size := src.BaseCRC(), src.BaseSize()
+	seg.Close()
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9])
+	f.Add(valid[:segHeaderLen])
+	f.Add([]byte{})
+	hugeNV := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(hugeNV[8:], 1<<63)
+	f.Add(hugeNV)
+	badOffsets := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(badOffsets[len(badOffsets)-4-3*8:], 1<<40)
+	f.Add(badOffsets)
 
-	dst := newTestTiered(t, verts, 0)
-	if err := dst.AdoptSegment(src.BasePath(), crc, size); err != nil {
-		t.Fatalf("AdoptSegment: %v", err)
-	}
-	requireSlotsEqual(t, src, dst, nv, "adopted")
-
-	bad := newTestTiered(t, verts, 0)
-	if err := bad.AdoptSegment(src.BasePath(), crc^1, size); err == nil {
-		t.Fatal("AdoptSegment accepted a CRC mismatch")
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resealed := append([]byte(nil), data...)
+		if n := len(resealed); n >= 4 {
+			binary.LittleEndian.PutUint32(resealed[n-4:], crc32.Checksum(resealed[:n-4], castagnoli))
+		}
+		for _, d := range [][]byte{data, resealed} {
+			seg, err := parseSegment("fuzz", d, true)
+			if err != nil {
+				continue
+			}
+			for li := 0; li < seg.NV(); li++ {
+				_ = seg.List(li)
+			}
+		}
+	})
 }

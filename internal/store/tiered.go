@@ -403,22 +403,10 @@ func (t *Tiered) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32,
 	t.addEntries(int64(len(keys)))
 }
 
-// AppendEncoded implements Store. Unpromoted slots copy their base bytes
-// verbatim — the encoding is identical by construction.
-func (t *Tiered) AppendEncoded(buf []byte, li int) []byte {
-	t.ensureLoaded()
-	if t.inOverlay(li) {
-		return t.overlay[li].AppendAdjSet(buf, t.verts[li])
-	}
-	return append(buf, t.list(li)...)
-}
-
 // EndLoad implements Store: the partition is complete, so the first base
 // segment is established (a streamed writer finalizes; an Insert-loaded
-// overlay compacts) and the overlay budget resolves. After AdoptSegment
-// the budget is already resolved from the segment's size and the
-// loading phase is over, so the entry-count resolution (which would see
-// zero loaded entries) is skipped.
+// overlay compacts) and the overlay budget resolves from the number of
+// entries loaded.
 func (t *Tiered) EndLoad() error {
 	if t.loading {
 		t.loading = false
@@ -492,63 +480,22 @@ func (t *Tiered) Compact() error {
 	return nil
 }
 
-// AdoptSegment installs an external base segment (a checkpoint's
-// hard-linked snapshot) as this store's base: the file is linked — or
-// copied across devices — into the spill directory as the next
-// generation, opened with a full CRC verification, and checked against
-// the expected identity. The store must be freshly created and empty.
-func (t *Tiered) AdoptSegment(path string, wantCRC uint32, wantSize int64) error {
-	if t.seg != nil || t.w != nil || t.entries != 0 {
-		return fmt.Errorf("store: AdoptSegment on a non-empty store")
+// SaveSegment implements Store: the base segment is forced current (a
+// no-op when the boundary's compaction already ran or the overlay is
+// clean) and hard-linked to path — the segment is immutable, so
+// publishing it costs one directory entry, not an O(|E_local|) re-encode.
+func (t *Tiered) SaveSegment(path string) (int64, uint32, error) {
+	if err := t.Compact(); err != nil {
+		return 0, 0, err
 	}
-	t.gen++
-	dst := filepath.Join(t.dir, segName(t.gen))
-	if err := LinkOrCopy(path, dst); err != nil {
-		return fmt.Errorf("store: adopting segment %s: %w", path, err)
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return 0, 0, err
 	}
-	seg, err := OpenSegment(dst)
-	if err != nil {
-		return err
+	if err := linkOrCopy(t.seg.Path(), path); err != nil {
+		return 0, 0, err
 	}
-	if seg.CRC() != wantCRC || seg.Size() != wantSize {
-		_ = seg.Close()
-		return fmt.Errorf("store: adopted segment %s is (crc %08x, %d bytes), manifest says (crc %08x, %d bytes)",
-			path, seg.CRC(), seg.Size(), wantCRC, wantSize)
-	}
-	if seg.NV() != len(t.verts) {
-		_ = seg.Close()
-		return fmt.Errorf("store: adopted segment %s holds %d slots, partition owns %d", path, seg.NV(), len(t.verts))
-	}
-	t.seg = seg
-	for li := range t.verts {
-		t.baseLive += int64(t.Len(li))
-	}
-	t.loading = false
-	if t.budget = t.cfgBudget; t.budget <= 0 {
-		// Entry counts are not framed in the segment; approximate the
-		// auto budget from its byte size (~1.5 encoded bytes per entry).
-		t.budget = seg.Size() / 6
-		if t.budget < autoBudgetFloor {
-			t.budget = autoBudgetFloor
-		}
-	}
-	return nil
+	return t.seg.Size(), t.seg.CRC(), nil
 }
-
-// BasePath reports the current base segment's file (empty before the
-// first compaction). Checkpoints hard-link this file after Compact.
-func (t *Tiered) BasePath() string {
-	if t.seg == nil {
-		return ""
-	}
-	return t.seg.Path()
-}
-
-// BaseCRC reports the current base segment's trailer CRC32C.
-func (t *Tiered) BaseCRC() uint32 { return t.seg.CRC() }
-
-// BaseSize reports the current base segment's byte size.
-func (t *Tiered) BaseSize() int64 { return t.seg.Size() }
 
 // Stats implements Store.
 func (t *Tiered) Stats() Stats {
@@ -583,17 +530,18 @@ func (t *Tiered) Close() error {
 	return err
 }
 
-// LinkOrCopy hard-links src to dst — sharing the inode, so immutable
+// linkOrCopy hard-links src to dst — sharing the inode, so immutable
 // base segments cost nothing to publish into a checkpoint — and falls
 // back to a byte copy across devices or on filesystems without links.
-func LinkOrCopy(src, dst string) error {
+func linkOrCopy(src, dst string) error {
 	if err := os.Link(src, dst); err == nil {
 		return nil
 	}
 	return copyFile(src, dst)
 }
 
-// copyFile is LinkOrCopy's cross-device fallback.
+// copyFile is linkOrCopy's cross-device fallback, fsynced like the
+// segment it duplicates.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
@@ -604,9 +552,11 @@ func copyFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
-		_ = out.Close()
-		return err
+	if _, err = io.Copy(out, in); err == nil {
+		err = out.Sync()
 	}
-	return out.Close()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
