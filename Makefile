@@ -7,7 +7,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test esbench race racedist bench benchsmoke largesmoke spillsmoke loc clean
+.PHONY: check build vet esvet test esbench race racedist bench benchsmoke largesmoke spillsmoke ab loc clean
 
 check: build vet esvet test esbench race racedist
 
@@ -100,10 +100,19 @@ largesmoke:
 spillsmoke:
 	ESSPILL=1 $(GO) test -run='^TestSpillSmoke$$|^TestSpillRestoreSmoke$$' -v -timeout 30m ./internal/core/
 
+# ROADMAP's A/B ground rule as one command: PAIRS interleaved runs of
+# `bash cmd/esbench/run.sh --workload $(WORKLOAD) --seconds 20` on this
+# checkout and on PARENT (exported under .bench_build/), alternating who
+# goes first; prints every run, then medians, quartiles and wins.
+#   make ab PARENT=HEAD~1 WORKLOAD=es-pa PAIRS=10
+PAIRS ?= 10
+ab:
+	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
 # The size ROADMAP's subtraction pass tracks: non-test Go lines of the
 # root module (cmd/esbench is its own module). Not part of `make check`.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/esbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/esbench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -111,91 +111,6 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// sliceAdj is the sorted-slice adjacency alternative the treap replaced:
-// O(log d) contains via binary search but O(d) insert/delete. The
-// ablation quantifies the trade-off under the switch workload's mixed
-// operation pattern (§3.3 motivates the balanced-BST choice).
-type sliceAdj struct{ vs []graph.Vertex }
-
-func (s *sliceAdj) contains(v graph.Vertex) bool {
-	i := s.search(v)
-	return i < len(s.vs) && s.vs[i] == v
-}
-
-func (s *sliceAdj) search(v graph.Vertex) int {
-	lo, hi := 0, len(s.vs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.vs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (s *sliceAdj) insert(v graph.Vertex) bool {
-	i := s.search(v)
-	if i < len(s.vs) && s.vs[i] == v {
-		return false
-	}
-	s.vs = append(s.vs, 0)
-	copy(s.vs[i+1:], s.vs[i:])
-	s.vs[i] = v
-	return true
-}
-
-func (s *sliceAdj) delete(v graph.Vertex) bool {
-	i := s.search(v)
-	if i >= len(s.vs) || s.vs[i] != v {
-		return false
-	}
-	s.vs = append(s.vs[:i], s.vs[i+1:]...)
-	return true
-}
-
-// BenchmarkAblationAdjacency compares the order-statistic treap against
-// a sorted slice under the edge-switch operation mix (contains + insert
-// + delete + k-th selection) at the paper's degree scales.
-func BenchmarkAblationAdjacency(b *testing.B) {
-	for _, degree := range []int{50, 1000, 50000} {
-		r := rng.New(uint64(degree))
-		keys := make([]graph.Vertex, degree)
-		for i := range keys {
-			keys[i] = graph.Vertex(i * 7)
-		}
-		b.Run("treap/d="+itoa(degree), func(b *testing.B) {
-			var s graph.AdjSet
-			for _, v := range keys {
-				s.Insert(v, true, r.Uint32())
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := keys[r.Intn(degree)]
-				s.Contains(v + 1)
-				s.Kth(r.Intn(s.Len()))
-				s.Delete(v)
-				s.Insert(v, false, r.Uint32())
-			}
-		})
-		b.Run("slice/d="+itoa(degree), func(b *testing.B) {
-			s := &sliceAdj{}
-			for _, v := range keys {
-				s.insert(v)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := keys[r.Intn(degree)]
-				s.contains(v + 1)
-				_ = s.vs[r.Intn(len(s.vs))] // k-th is O(1) on a slice
-				s.delete(v)
-				s.insert(v)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationConnectivityConstraint compares unconstrained
 // sequential switching against the connectivity-preserving variant.
 func BenchmarkAblationConnectivityConstraint(b *testing.B) {

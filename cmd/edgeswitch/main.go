@@ -9,6 +9,7 @@
 //	edgeswitch -in graph.txt -t 1000000 -p 16 -scheme CP -steps 100 -out shuffled.txt
 //	edgeswitch -in graph.txt -x 0.5            # sequential, half the edges
 //	edgeswitch -gen pa -n 1000000 -d 10 -p 8   # distributed bootstrap: no rank holds the whole graph
+//	edgeswitch -gen pa -n 50000 -p 2 -scheme HP-D -x 0.9 -cpuprofile cpu.prof   # then: go tool pprof -top cpu.prof
 package main
 
 import (
@@ -16,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"edgeswitch"
@@ -45,13 +48,53 @@ func main() {
 		left    = flag.Int("left", 0, "bipartition size (bipartite mode: vertices 0..left-1 are one side)")
 		spill   = flag.String("spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; bounded memory)")
 		overlay = flag.Int64("overlay-budget", 0, "per-rank overlay entry cap before compaction with -spill-dir (0: auto)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	flag.Parse()
 
-	if err := run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill, *overlay); err != nil {
+	err := profiled(*cpuProf, *memProf, func() error {
+		return run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill, *overlay)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "edgeswitch:", err)
 		os.Exit(1)
 	}
+}
+
+// profiled runs fn under the profiles asked for (an empty path skips
+// one): the CPU profile covers all of fn, the allocation profile — what
+// `go test -memprofile` writes, every allocation since start plus what is
+// live after a collection — is taken once fn has returned.
+func profiled(cpuPath, memPath string, fn func() error) (err error) {
+	if cpuPath != "" {
+		cpu, cerr := os.Create(cpuPath)
+		if cerr != nil {
+			return cerr
+		}
+		defer func() {
+			if cerr := cpu.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if cerr := pprof.StartCPUProfile(cpu); cerr != nil {
+			return cerr
+		}
+		defer pprof.StopCPUProfile() // runs before the Close above
+	}
+	if err := fn(); err != nil || memPath == "" {
+		return err
+	}
+	mem, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+		mem.Close()
+		return err
+	}
+	return mem.Close()
 }
 
 // genSpec maps the -gen/-n/-d flags to a counter-based generator spec.

@@ -120,3 +120,27 @@ func TestRunCurveball(t *testing.T) {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
+
+// TestProfiled: -cpuprofile and -memprofile each leave a non-empty file
+// behind a run, and the run's own error still comes through.
+func TestProfiled(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	err := profiled(cpu, mem, func() error {
+		return run("", "", 1, "pa", 2000, 5, "", 0, 0.5, 2, "HP-D", "", 2, 3, false, true, false, "plain", 0, "", 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	if err := profiled(filepath.Join(dir, "cpu2.prof"), "", func() error { return os.ErrInvalid }); err != os.ErrInvalid {
+		t.Errorf("the run's error came back as %v", err)
+	}
+	if err := profiled(filepath.Join(dir, "missing", "cpu.prof"), "", func() error { return nil }); err == nil {
+		t.Error("an unwritable -cpuprofile path was accepted")
+	}
+}

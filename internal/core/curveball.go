@@ -205,9 +205,6 @@ type curveball struct {
 	// number of arrivals each trade side must collect. Degrees are
 	// invariant under trading, so one bootstrap allreduce serves the run.
 	globalDeg []uint32
-	// slot maps every vertex to its local slot when this rank owns it and
-	// to ^owner (negative) when it does not.
-	slot []int32
 
 	round   int64
 	perm    []graph.Vertex
@@ -252,17 +249,9 @@ func newCurveball(e *rankEngine) (*curveball, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: curveball degree bootstrap: %w", err)
 	}
-	slot := make([]int32, e.n)
-	for v := range slot {
-		slot[v] = ^int32(e.pt.Owner(graph.Vertex(v)))
-	}
-	for li, v := range e.verts {
-		slot[v] = int32(li)
-	}
 	r := &curveball{
 		e:         e,
 		globalDeg: deg,
-		slot:      slot,
 		perm:      make([]graph.Vertex, e.n),
 		tradeOf:   make([]int32, e.n),
 		orch:      make([]int32, e.n/2),
@@ -307,7 +296,7 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 	for t := range r.orch {
 		u, v := r.perm[2*t], r.perm[2*t+1]
 		r.sideV[v>>6] |= 1 << (v & 63)
-		li := r.slot[u]
+		li := e.slot[u]
 		r.orch[t] = li
 		if li < 0 {
 			continue
@@ -378,7 +367,7 @@ func (r *curveball) toTrade(t int32, anchor, other graph.Vertex, orig bool) erro
 // owner: this rank's settled list, or the owner's run.
 func (r *curveball) settle(ed graph.Edge, orig bool) error {
 	r.e.msgsSent++
-	li := r.slot[ed.U]
+	li := r.e.slot[ed.U]
 	if li >= 0 {
 		r.keep(li, ed.V, orig)
 		return nil
@@ -485,7 +474,7 @@ func (r *curveball) handleRun(run []byte, src int) (int, error) {
 			if key >= other {
 				return 0, fmt.Errorf("core: rank %d round %d: settled edge (%d, %d) from rank %d is not normalized", rank, r.round, key, other, src)
 			}
-			li := r.slot[key]
+			li := r.e.slot[key]
 			if li < 0 {
 				return 0, fmt.Errorf("core: rank %d round %d: settled edge (%d, %d) from rank %d belongs to rank %d", rank, r.round, key, other, src, ^li)
 			}

@@ -34,18 +34,12 @@ func genSource(spec pergen.Spec) (*source, error) {
 		m:  -1,
 		cp: func(p int) (*partition.CP, error) { return partition.NewCPFromReduced(gn.ReducedDegrees(), p) },
 		edges: func(e *rankEngine) []slotEdge {
-			// Dense local-index table for the load: the engine's map serves
-			// sparse protocol-time queries, but the scan would hit it once
-			// per owned edge. PartitionEdges only hands owned minimum
-			// endpoints, so entries for foreign vertices are never read.
-			lookup := make([]int32, gn.N())
-			for i, v := range e.verts {
-				lookup[v] = int32(i)
-			}
 			p := e.c.Size()
 			buf := make([]slotEdge, 0, int(gn.Spec().MaxEdges()/int64(p))+gn.N()/p+16)
+			// PartitionEdges only hands owned minimum endpoints, so every
+			// slot read here is a local one.
 			gn.PartitionEdges(e.pt, e.c.Rank(), func(ed graph.Edge) {
-				buf = append(buf, slotEdge{slot: lookup[ed.U], v: ed.V, orig: true})
+				buf = append(buf, slotEdge{slot: e.slot[ed.U], v: ed.V, orig: true})
 			})
 			return buf
 		},

@@ -263,11 +263,11 @@ func (r *edgeSwitcher) conflicts(ed graph.Edge) bool {
 		return true
 	}
 	e := r.e
-	li, ok := e.index[ed.U]
+	li, ok := e.localSlot(ed.U)
 	if !ok {
 		return true // foreign edge: misrouted, treat as conflict
 	}
-	return e.adj.Contains(int(li), ed.V)
+	return e.adj.Contains(li, ed.V)
 }
 
 // takeRandomEdge removes a uniform random local edge into inHand.

@@ -37,15 +37,16 @@ type rankEngine struct {
 	// rand is the protocol implementation driven by the step loop.
 	rand randomizer
 
-	// Local storage: verts lists owned vertices ascending; index maps a
-	// global vertex id to its slot; adj holds the reduced adjacencies
-	// (slot li's entries are global neighbour ids, each > the owner
-	// vertex) behind the store seam — all-in-memory treaps, or the
-	// tiered mmap-base-plus-overlay store when Config.SpillDir is set;
-	// deg is the Fenwick tree over reduced degrees for O(log) uniform
-	// edge selection.
+	// Local storage: verts lists owned vertices ascending; slot is the
+	// one vertex→slot table, dense over all n vertices: the local slot of
+	// a vertex this rank owns, ^owner (negative) of one it does not; adj
+	// holds the reduced adjacencies (slot li's entries are global
+	// neighbour ids, each > the owner vertex) behind the store seam —
+	// all in memory, or the tiered mmap-base-plus-overlay store when
+	// Config.SpillDir is set; deg is the Fenwick tree over reduced degrees
+	// for O(log) uniform edge selection.
 	verts []graph.Vertex
-	index map[graph.Vertex]int32
+	slot  []int32
 	adj   store.Store
 	deg   *graph.Fenwick
 
@@ -178,7 +179,7 @@ func (e *rankEngine) opWindowSize() int {
 // bit-identical.
 const promotePrioSplit = 1 << 22
 
-// newStore builds the rank's storage: the in-memory treap store, or the
+// newStore builds the rank's storage: the in-memory store, or the
 // tiered spill store rooted at SpillDir/rank-NNNN when configured.
 func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error) {
 	if cfg.SpillDir == "" {
@@ -214,9 +215,12 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 	if e.sanitize {
 		e.degDelta = make(map[graph.Vertex]int32)
 	}
-	e.index = make(map[graph.Vertex]int32, len(e.verts))
-	for i, v := range e.verts {
-		e.index[v] = int32(i)
+	e.slot = make([]int32, n)
+	for v := range e.slot {
+		e.slot[v] = ^int32(pt.Owner(graph.Vertex(v)))
+	}
+	for li, v := range e.verts {
+		e.slot[v] = int32(li)
 	}
 	var err error
 	if e.adj, err = newStore(c, e.verts, cfg); err != nil {
@@ -497,6 +501,16 @@ func (e *rankEngine) checkStepInvariants() error {
 // owner returns the rank owning a normalized edge.
 func (e *rankEngine) owner(ed graph.Edge) int { return e.pt.Owner(ed.U) }
 
+// localSlot returns the slot of vertex u when this rank owns it. A
+// conversation record's endpoints arrive unvalidated, so a vertex outside
+// the graph is as foreign as one a peer owns.
+func (e *rankEngine) localSlot(u graph.Vertex) (int, bool) {
+	if uint(u) >= uint(len(e.slot)) || e.slot[u] < 0 {
+		return 0, false
+	}
+	return int(e.slot[u]), true
+}
+
 // takeLocal removes a uniform random local edge, returning it with its
 // original flag. The fused accounting (degree Fenwick, sanitizer delta,
 // originals counter) is what makes the sanitizer and the visit-rate
@@ -518,14 +532,14 @@ func (e *rankEngine) takeLocal() (graph.Edge, bool) {
 // insertLocal adds a normalized edge this rank owns, with the given
 // original flag, updating the fused accounting (see takeLocal).
 func (e *rankEngine) insertLocal(ed graph.Edge, orig bool) error {
-	li, ok := e.index[ed.U]
+	li, ok := e.localSlot(ed.U)
 	if !ok {
 		return fmt.Errorf("core: rank %d inserting foreign edge %v", e.c.Rank(), ed)
 	}
-	if !e.adj.Insert(int(li), ed.V, orig, e.rnd.Uint32()) {
+	if !e.adj.Insert(li, ed.V, orig, e.rnd.Uint32()) {
 		return fmt.Errorf("core: rank %d insert found duplicate edge %v", e.c.Rank(), ed)
 	}
-	e.deg.Add(int(li), 1)
+	e.deg.Add(li, 1)
 	e.noteDegree(ed, 1)
 	if orig {
 		e.origLocal++
@@ -674,6 +688,8 @@ func (e *rankEngine) edgeHash() uint64 {
 	return h
 }
 
+// send queues one conversation or step-control record; a batch that has
+// reached convFlushCap goes out now.
 func (e *rankEngine) send(dst int, m opMsg) error {
 	e.msgsSent++
 	if dst == e.c.Rank() {
@@ -681,20 +697,21 @@ func (e *rankEngine) send(dst int, m opMsg) error {
 		return nil
 	}
 	e.sb.add(dst, m)
-	return e.flushIfDue(dst)
+	return e.flushIfDue(dst, convFlushCap)
 }
 
-// sendRun queues one edge-run entry (messages.go) for a remote rank.
+// sendRun queues one edge-run entry (messages.go) for a remote rank; a
+// batch that has reached batchFlushCap goes out now.
 func (e *rankEngine) sendRun(dst int, key, other uint32, flags byte) error {
 	e.sb.addRun(dst, key, other, flags)
-	return e.flushIfDue(dst)
+	return e.flushIfDue(dst, batchFlushCap)
 }
 
-// flushIfDue hands dst's batch to the transport once it has reached
-// batchFlushCap (or at once on the unbatched reference path); otherwise
-// the batch waits for the step loop to block.
-func (e *rankEngine) flushIfDue(dst int) error {
-	if e.noBatch || len(e.sb.bufs[dst]) >= batchFlushCap {
+// flushIfDue hands dst's batch to the transport once it holds limit
+// bytes (or at once on the unbatched reference path); otherwise the
+// batch waits for the step loop to block.
+func (e *rankEngine) flushIfDue(dst, limit int) error {
+	if e.noBatch || len(e.sb.bufs[dst]) >= limit {
 		return e.sb.flushDst(dst)
 	}
 	return nil

@@ -48,7 +48,7 @@ func loadTestEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges
 	}
 	ents := make([]slotEdge, len(edges))
 	for i, ed := range edges {
-		ents[i] = slotEdge{slot: e.index[ed.U], v: ed.V, orig: true}
+		ents[i] = slotEdge{slot: e.slot[ed.U], v: ed.V, orig: true}
 	}
 	if err := e.loadSlotEdges(ents, false); err != nil {
 		return nil, err
@@ -147,8 +147,8 @@ func TestEngineTakePreservesOriginalFlag(t *testing.T) {
 	if err := r2.reinsert(b); err != nil {
 		t.Fatal(err)
 	}
-	li01 := eng.index[0]
-	li23 := eng.index[2]
+	li01 := eng.slot[0]
+	li23 := eng.slot[2]
 	if !eng.adj.Original(int(li01), 1) {
 		t.Fatal("original flag lost on (0,1)")
 	}

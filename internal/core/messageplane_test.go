@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -196,5 +197,180 @@ func TestSanitizerSingleCollectivePerStep(t *testing.T) {
 					sanitized-plain, sanitized, plain)
 			}
 		})
+	}
+}
+
+// runRecorder is a randomizer that only logs what the chassis's batch
+// decoder hands it: conversation records by sequence number, edge runs by
+// their entries' keys.
+type runRecorder struct {
+	randomizer // the step-loop half is never called
+	seqs       []uint64
+	runs       [][]uint32
+}
+
+func (r *runRecorder) handle(om opMsg, _ int) error {
+	r.seqs = append(r.seqs, om.id.seq)
+	return nil
+}
+
+func (r *runRecorder) handleRun(run []byte, _ int) (int, error) {
+	n := int(binary.LittleEndian.Uint32(run[1:]))
+	end := runHdrLen + n*runEntryLen
+	if end > len(run) {
+		return 0, fmt.Errorf("run of %d entries in %d bytes", n, len(run))
+	}
+	var keys []uint32
+	for off := runHdrLen; off < end; off += runEntryLen {
+		keys = append(keys, binary.LittleEndian.Uint32(run[off:]))
+	}
+	r.runs = append(r.runs, keys)
+	return end, nil
+}
+
+// TestFlushRule pins when a batch reaches the transport, on a 2-rank mem
+// world where rank 0 is the only sender (so the world's send counter is
+// its own): per record under noBatch, at convFlushCap for conversation
+// records, at batchFlushCap for edge runs, and otherwise only when the
+// step loop's flush-before-block drains the plane. Rank 1 decodes every
+// payload through rankEngine.handle and checks the batch sizes, FIFO
+// order across the early flushes, and that a control record between two
+// runs closes the first and the second opens its own header.
+func TestFlushRule(t *testing.T) {
+	const (
+		recLen   = 1 + opMsgLen
+		convFull = (convFlushCap + recLen - 1) / recLen                            // records that reach convFlushCap
+		runFull  = (batchFlushCap - 1 - runHdrLen + runEntryLen - 1) / runEntryLen // entries that reach batchFlushCap
+		sentinel = uint64(1) << 40
+	)
+	wantSizes := []int{
+		recLen, recLen, recLen, 1 + runHdrLen + runEntryLen, // noBatch
+		convFull * recLen, 5 * recLen, // the cap, then the remainder at the block point
+		1 + runHdrLen + runFull*runEntryLen,
+		(1 + runHdrLen + 3*runEntryLen) + recLen + (1 + runHdrLen + 2*runEntryLen) + recLen,
+	}
+	w, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	err = w.Run(func(c *mpi.Comm) error {
+		e := &rankEngine{c: c, stalled: make([]bool, 2)}
+		e.sb.init(c)
+		if c.Rank() == 1 {
+			rec := &runRecorder{}
+			e.rand = rec
+			var sizes []int
+			for len(rec.seqs) == 0 || rec.seqs[len(rec.seqs)-1] != sentinel {
+				m, err := c.Recv(0, opTag)
+				if err != nil {
+					return err
+				}
+				sizes = append(sizes, len(m.Data))
+				if err := e.handle(m); err != nil {
+					return err
+				}
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(wantSizes) {
+				return fmt.Errorf("payload sizes %v, want %v", sizes, wantSizes)
+			}
+			for i, s := range rec.seqs[:len(rec.seqs)-1] {
+				if s != uint64(i+1) {
+					return fmt.Errorf("conversation record %d carries seq %d: FIFO broken across flushes", i, s)
+				}
+			}
+			var runLens []int
+			next := uint32(0)
+			for _, keys := range rec.runs {
+				runLens = append(runLens, len(keys))
+				for _, k := range keys {
+					if k != next {
+						return fmt.Errorf("run entry %d arrived where %d was due", k, next)
+					}
+					next++
+				}
+			}
+			if want := []int{1, runFull, 3, 2}; fmt.Sprint(runLens) != fmt.Sprint(want) {
+				return fmt.Errorf("runs of %v entries, want %v", runLens, want)
+			}
+			if e.eosOthers != 1 {
+				return fmt.Errorf("the control record between the runs was seen %d times", e.eosOthers)
+			}
+			return nil
+		}
+
+		seq, key := uint64(0), uint32(0)
+		// step sends one record and requires the transport's send counter
+		// to move by exactly sent.
+		step := func(what string, run bool, sent int64) error {
+			before := c.Stats().Sends
+			var err error
+			if run {
+				err = e.sendRun(1, key, key+1, runOrig)
+				key++
+			} else {
+				seq++
+				err = e.send(1, opMsg{kind: mSelectSecond, id: opID{seq: seq}})
+			}
+			if err != nil {
+				return err
+			}
+			if got := c.Stats().Sends - before; got != sent {
+				return fmt.Errorf("%s: %d transport sends, want %d (batch now %d bytes)", what, got, sent, e.sb.pendingBytes())
+			}
+			return nil
+		}
+		e.noBatch = true
+		for i := 0; i < 3; i++ {
+			if err := step("noBatch record", false, 1); err != nil {
+				return err
+			}
+		}
+		if err := step("noBatch run entry", true, 1); err != nil {
+			return err
+		}
+		e.noBatch = false
+		for i := 1; i <= convFull+5; i++ {
+			sent := int64(0)
+			if i == convFull {
+				sent = 1
+			}
+			if err := step(fmt.Sprintf("conversation record %d", i), false, sent); err != nil {
+				return err
+			}
+		}
+		if err := e.sb.flush(); err != nil { // what the step loop does before it blocks
+			return err
+		}
+		for i := 1; i <= runFull; i++ {
+			sent := int64(0)
+			if i == runFull {
+				sent = 1
+			}
+			if err := step(fmt.Sprintf("run entry %d", i), true, sent); err != nil {
+				return err
+			}
+		}
+		for _, run := range []bool{true, true, true} {
+			if err := step("short run", run, 0); err != nil {
+				return err
+			}
+		}
+		if err := e.send(1, opMsg{kind: mEndOfStep}); err != nil {
+			return err
+		}
+		for _, run := range []bool{true, true} {
+			if err := step("run after the control record", run, 0); err != nil {
+				return err
+			}
+		}
+		seq = sentinel - 1
+		if err := step("sentinel", false, 0); err != nil {
+			return err
+		}
+		return e.sb.flush()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // the mem transport, one frame write per message on TCP. sendBuffer
 // coalesces all protocol messages bound for the same destination rank
 // into a single framed payload (see appendOpMsg), flushed at the points
-// where the step loop can block or when it reaches batchFlushCap; a
-// step's worth of conversation traffic to a rank then costs one
-// transport send instead of one per message.
+// where the step loop can block or when it reaches its flush cap
+// (convFlushCap for conversation records, batchFlushCap for edge runs);
+// a window's worth of conversation traffic to a rank then costs a few
+// transport sends instead of one per message.
 //
 // Buffer ownership rules: the sender draws an encode buffer from its
 // own freelist (getBuf), ownership moves to the receiver with mpi
@@ -26,13 +27,25 @@ import (
 // global sync.Pool here; the Get/Put round trip boxes every []byte
 // into an interface and was itself a top allocation site.
 
-// batchFlushCap is the size at which rankEngine.send flushes a batch
-// without waiting for the step loop to block. Conversation traffic stays
-// under it (a full window to one peer is < 5 KiB); it shapes curveball's
-// bulk runs, which otherwise grew one multi-megabyte batch per peer per
+// batchFlushCap is the size at which rankEngine.sendRun flushes a batch
+// without waiting for the step loop to block. It shapes curveball's bulk
+// runs, which otherwise grew one multi-megabyte batch per peer per
 // round — unrecyclable, and the peer idled on inputs held here. A cb-pa
 // rep took 0.43 s at 8 KiB, 0.47 s at 16 KiB, 0.54 s at 64 KiB.
 const batchFlushCap = 8 << 10
+
+// convFlushCap is the same for rankEngine.send, the conversation
+// records. A full 64-op window holds < 5 KiB in flight towards one peer,
+// so under batchFlushCap a rank flushed only when it was about to block:
+// two ranks handed one batch back and forth and used one CPU between
+// them. At about a quarter of the window the peer starts on the first
+// records while the sender produces the next ones. An es-pa rep (p=2,
+// flat slots, medians of 5, twice) took 0.83–0.92 s at 256 B, 0.75–0.92 s
+// at 512 B, 0.82–0.92 s at 1 KiB, 1.34–1.49 s at 2 KiB, 1.8 s at 4 KiB,
+// 1.6 s at 8 KiB; 1 KiB is the largest of the fast ones — the fewest
+// sends — and es-small-steps-tcp's 40-op steps never reach it, where a
+// count rule (flush every window/4 records) cost 10 % in extra frames.
+const convFlushCap = 1 << 10
 
 // initialBatchCap presizes fresh buffers so that none regrows: the record
 // that takes a batch to the cap is at most a run header and entry or one

@@ -1,21 +1,53 @@
 package graph
 
-// AdjSet is an order-statistic balanced binary search tree (a treap)
-// holding the reduced adjacency list of one vertex. It supports the three
-// operations the edge-switch algorithms need, all in O(log d) expected
-// time: membership test (parallel-edge detection), insert/delete (applying
-// a switch), and k-th smallest selection (uniform random neighbour pick).
+import "slices"
+
+// AdjSet holds the reduced adjacency list of one vertex as an ordered
+// set with the three operations the edge-switch algorithms need:
+// membership test (parallel-edge detection), insert/delete (applying a
+// switch), and k-th smallest selection (uniform random neighbour pick).
+//
+// A slot is one sorted pointer-free array up to flatMax entries — Kth is
+// an index, Contains a binary search, insert and delete a short memmove,
+// and the GC never scans it — and an order-statistic treap (O(log d)
+// expected per operation) beyond, where the paper's §3.3 argument for a
+// balanced tree applies: hubs. Selection is by rank within the slot in
+// both forms, so the form never changes which entry a given draw picks.
 //
 // Each entry carries an "original" flag used for visit-rate accounting:
 // edges present in the input graph are original; edges created by a switch
 // are modified (§3.1 of the paper).
 type AdjSet struct {
+	// flat is the slot while root is nil: ascending entries
+	// v<<1 | original (Vertex is a non-negative int32, so the packing is
+	// exact). Empty while the slot is a treap.
+	flat []uint32
+	// root is the slot as a treap once it has grown past flatMax. A treap
+	// goes back to flat only by emptying (drained, rebuilt, deleted to
+	// nothing): a hub hovering at the threshold does not flip per delete.
 	root *treapNode
 	// origs counts entries whose original flag is set, maintained by
 	// Insert/Delete so Graph.Reindex can rebuild the graph-level original
 	// counter in O(1) per vertex after a sharded bulk build.
 	origs int32
 }
+
+// flatMax is the entry count past which a slot is a treap: the insert
+// that would take a flat slot beyond it promotes, a longer bulk build
+// makes a treap directly. BenchmarkAblationAdjacency's engine-shaped mix
+// (Contains, Kth, delete, insert on one cache-resident slot) in ns per
+// op, treap / flat: d=50 300/83, 1000 450/220, 4096 595/380, 8192
+// 685/520, 16384 950/1150, 50000 1400/4500. 8192 is the largest measured
+// degree where the array wins even against a treap whose nodes are all
+// in cache, which in the engine they are not (DESIGN.md §4). A variable
+// only so the package's tests can lower it and cross promotion and
+// demotion in short sequences; nothing else assigns it.
+var flatMax = 8192
+
+// flatLinear is the window below which search stops halving and scans:
+// sixteen entries are one cache line, and a predictable forward scan over
+// it beats four more mispredicted halvings.
+const flatLinear = 16
 
 type treapNode struct {
 	left, right *treapNode
@@ -26,29 +58,26 @@ type treapNode struct {
 }
 
 // NodeArena is a free list of treap nodes threaded through their left
-// pointers. The parallel engine churns one delete+insert pair per edge
-// switch; without reuse every Insert allocates a node and the treap
-// dominates the engine's allocation profile. An arena is owned by a
-// single goroutine (one per rank) and shared across all of that rank's
-// AdjSets, so deletes in one vertex's set feed inserts in another's.
-// The zero value is ready to use, and a nil *NodeArena degrades to
+// pointers, shared by the hub slots of one rank: without reuse every
+// treap Insert allocates a node. An arena is owned by a single goroutine
+// (one per rank) and shared across all of that rank's AdjSets, so deletes
+// in one vertex's set feed inserts in another's. Flat slots never touch
+// it. The zero value is ready to use, and a nil *NodeArena degrades to
 // plain allocation, which is what the arena-less AdjSet methods pass.
 //
 //es:arena
 type NodeArena struct {
 	free *treapNode
 	slab []treapNode
-	// spine is BuildSorted's scratch stack (the rightmost spine of the
-	// tree under construction), kept here so bulk loads reuse one
+	// spine is the treap builder's scratch stack (the rightmost spine of
+	// the tree under construction), kept here so bulk loads reuse one
 	// allocation across every AdjSet built from the same arena.
 	spine []*treapNode
 }
 
-// arenaSlab is the nodes-per-allocation granularity of a free-list miss.
-// Bulk loads (the distributed-generation bootstrap inserts every owned
-// edge into an initially empty arena) would otherwise pay one heap
-// allocation and one GC object per edge; a slab turns that into one
-// allocation per 1024 nodes with better locality.
+// arenaSlab is the nodes-per-allocation granularity of a free-list miss:
+// building a hub pays one heap allocation and one GC object per 1024
+// nodes instead of per entry, with better locality.
 const arenaSlab = 1024
 
 func (a *NodeArena) get(v Vertex, original bool, prio uint32) *treapNode {
@@ -88,48 +117,79 @@ func size(n *treapNode) int32 {
 
 func (n *treapNode) update() { n.size = 1 + size(n.left) + size(n.right) }
 
+// find returns the node holding v in the treap rooted at n, or nil.
+func (n *treapNode) find(v Vertex) *treapNode {
+	for n != nil && n.key != v {
+		if v < n.key {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n
+}
+
+func pack(v Vertex, original bool) uint32 {
+	e := uint32(v) << 1
+	if original {
+		e |= 1
+	}
+	return e
+}
+
+func unpack(e uint32) (Vertex, bool) { return Vertex(e >> 1), e&1 == 1 }
+
+// search returns the position of the first flat entry not below v, and
+// whether that entry is v.
+func (s *AdjSet) search(v Vertex) (int, bool) {
+	f, key := s.flat, uint32(v)<<1
+	lo, hi := 0, len(f)
+	for hi-lo > flatLinear {
+		mid := int(uint(lo+hi) >> 1)
+		if f[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for lo < hi && f[lo] < key {
+		lo++
+	}
+	return lo, lo < len(f) && f[lo]>>1 == uint32(v)
+}
+
 // Len reports the number of entries in the set.
-func (s *AdjSet) Len() int { return int(size(s.root)) }
+func (s *AdjSet) Len() int { return len(s.flat) + int(size(s.root)) }
 
 // Originals reports how many entries still carry the original flag.
 func (s *AdjSet) Originals() int { return int(s.origs) }
 
 // Contains reports whether v is in the set.
 func (s *AdjSet) Contains(v Vertex) bool {
-	n := s.root
-	for n != nil {
-		switch {
-		case v < n.key:
-			n = n.left
-		case v > n.key:
-			n = n.right
-		default:
-			return true
-		}
+	if s.root != nil {
+		return s.root.find(v) != nil
 	}
-	return false
+	_, ok := s.search(v)
+	return ok
 }
 
 // Original reports whether v is present and still flagged as an original
 // (unswitched) edge endpoint.
 func (s *AdjSet) Original(v Vertex) bool {
-	n := s.root
-	for n != nil {
-		switch {
-		case v < n.key:
-			n = n.left
-		case v > n.key:
-			n = n.right
-		default:
-			return n.original
-		}
+	if s.root != nil {
+		n := s.root.find(v)
+		return n != nil && n.original
 	}
-	return false
+	i, ok := s.search(v)
+	return ok && s.flat[i]&1 == 1
 }
 
 // Kth returns the k-th smallest entry (0-based) and its original flag.
 // It panics if k is out of range; callers sample k uniformly in [0, Len()).
 func (s *AdjSet) Kth(k int) (Vertex, bool) {
+	if uint(k) < uint(len(s.flat)) {
+		return unpack(s.flat[k])
+	}
 	n := s.root
 	ki := int32(k)
 	for n != nil {
@@ -148,23 +208,34 @@ func (s *AdjSet) Kth(k int) (Vertex, bool) {
 }
 
 // Insert adds v with the given original flag and treap priority prio
-// (callers pass fresh random bits). It reports whether the value was newly
-// inserted (false means it was already present; the flag is left unchanged
-// in that case, since a duplicate insert indicates a parallel edge the
-// caller should have rejected).
+// (callers pass fresh random bits; a flat slot ignores them). It reports
+// whether the value was newly inserted (false means it was already
+// present; the flag is left unchanged in that case, since a duplicate
+// insert indicates a parallel edge the caller should have rejected).
 func (s *AdjSet) Insert(v Vertex, original bool, prio uint32) bool {
 	return s.InsertArena(nil, v, original, prio)
 }
 
-// InsertArena is Insert drawing the node from a (the hot path of the
-// parallel engine); a nil arena allocates. The insert is a single
-// descent: the classic rotation treap insert walks down comparing keys
-// (discovering a duplicate en route, where the split/merge formulation
-// needs a separate Contains pre-pass), attaches the node at the leaf and
-// rotates it up to its priority. Halving the traversals matters both in
-// the engine's per-switch path and in the bulk partition loads of the
-// distributed-generation bootstrap.
+// InsertArena is Insert drawing a hub's node from a (the hot path of the
+// parallel engine); a nil arena allocates. Either form finds a duplicate
+// on the way to the insertion point, with no separate Contains pass: one
+// search and one memmove, or the classic single-descent rotation insert
+// (attach at the leaf, rotate up to the node's priority).
 func (s *AdjSet) InsertArena(a *NodeArena, v Vertex, original bool, prio uint32) bool {
+	if s.root == nil {
+		i, dup := s.search(v)
+		if dup {
+			return false
+		}
+		if len(s.flat) < flatMax {
+			s.flat = append(s.flat, 0) // hotalloc: amortized; a slot's array doubles, and a drained slot keeps its capacity
+			copy(s.flat[i+1:], s.flat[i:])
+			s.flat[i] = pack(v, original)
+			s.origs += int32(s.flat[i] & 1)
+			return true
+		}
+		s.promote(a)
+	}
 	nn := a.get(v, original, prio)
 	root, inserted := insertPrio(s.root, nn)
 	if !inserted {
@@ -176,6 +247,26 @@ func (s *AdjSet) InsertArena(a *NodeArena, v Vertex, original bool, prio uint32)
 		s.origs++
 	}
 	return true
+}
+
+// promote turns a flat slot that has reached flatMax into a treap. Its
+// priorities are a fixed mix of the key (murmur3's 32-bit finalizer),
+// never a draw: callers bring one priority per inserted entry, and taking
+// flatMax more from a run RNG would move its stream by the slot's history.
+func (s *AdjSet) promote(a *NodeArena) {
+	spine := a.takeSpine()
+	for _, e := range s.flat {
+		v, orig := unpack(e)
+		x := uint32(v)
+		x ^= x >> 16
+		x *= 0x85ebca6b
+		x ^= x >> 13
+		x *= 0xc2b2ae35
+		x ^= x >> 16
+		spine = a.pushSpine(spine, v, orig, x)
+	}
+	s.root = a.closeSpine(spine)
+	s.flat = nil // a hub's old array is garbage, not capacity worth keeping
 }
 
 // insertPrio inserts nn into n by key, restoring the priority heap with
@@ -228,54 +319,50 @@ func rotateLeft(n *treapNode) *treapNode {
 }
 
 // BuildSorted fills an empty set in one pass from strictly ascending
-// keys and their treap priorities, drawing nodes from a (nil allocates).
-// A treap is uniquely determined by its (key, priority) pairs — ties
-// resolve the same way insertPrio's strict rotation test does — so the
-// result is identical to inserting the pairs one at a time, but costs
-// O(len) instead of O(len·log len): each node is threaded onto the
-// rightmost spine of the growing tree (the classic Cartesian-tree
-// construction), and subtree sizes are finalized exactly once, when a
-// node leaves the spine. Every entry gets the original flag.
+// keys, every entry getting the original flag. Up to flatMax keys it is
+// an append into the capacity a drain left behind and prios is ignored;
+// longer lists become a treap in O(len) with prios as the priorities
+// and nodes drawn from a (nil allocates). A treap is uniquely determined
+// by its (key, priority) pairs — ties resolve the same way insertPrio's
+// strict rotation test does — so that result is identical to inserting
+// the pairs one at a time: each node is threaded onto the rightmost
+// spine of the growing tree (the classic Cartesian-tree construction),
+// and subtree sizes are finalized exactly once, when a node leaves the
+// spine.
 func (s *AdjSet) BuildSorted(a *NodeArena, keys []Vertex, prios []uint32, original bool) {
 	s.buildSorted(a, keys, prios, nil, original)
-	if original {
-		s.origs = int32(len(keys))
-	}
 }
 
 // BuildSortedFlagged is BuildSorted with a per-entry original flag:
 // origs[i] is entry i's flag, and the set's originals counter is the
-// number of set flags. This is the snapshot-restore load path, where a
-// partition's entries carry the flags they had when the checkpoint was
-// taken rather than one uniform load-time value.
+// number of set flags. This is the engine's bulk-load path, where a
+// partition's entries carry the flags they had when they were drained or
+// checkpointed rather than one uniform load-time value.
 func (s *AdjSet) BuildSortedFlagged(a *NodeArena, keys []Vertex, prios []uint32, origs []bool) {
 	if len(origs) != len(keys) {
 		panic("graph: BuildSortedFlagged flag count != key count")
 	}
 	s.buildSorted(a, keys, prios, origs, false)
-	var cnt int32
-	for _, o := range origs {
-		if o {
-			cnt++
-		}
-	}
-	s.origs = cnt
 }
 
-// buildSorted is the shared spine construction: flags[i] gives entry i's
-// original flag when flags is non-nil, uniform otherwise. Callers set
-// s.origs themselves.
+// buildSorted is the shared bulk build: flags[i] gives entry i's original
+// flag when flags is non-nil, uniform otherwise.
 func (s *AdjSet) buildSorted(a *NodeArena, keys []Vertex, prios []uint32, flags []bool, uniform bool) {
 	if len(keys) == 0 {
 		return
 	}
-	if s.root != nil {
+	if s.Len() != 0 {
 		panic("graph: BuildSorted on a non-empty AdjSet")
 	}
+	hub := len(keys) > flatMax
 	var spine []*treapNode
-	if a != nil {
-		spine = a.spine[:0]
+	var flat []uint32
+	if hub {
+		spine = a.takeSpine()
+	} else {
+		flat = slices.Grow(s.flat[:0], len(keys))[:len(keys)]
 	}
+	origs := int32(0)
 	for i, k := range keys {
 		if i > 0 && keys[i-1] >= k {
 			panic("graph: BuildSorted keys not strictly ascending")
@@ -284,28 +371,64 @@ func (s *AdjSet) buildSorted(a *NodeArena, keys []Vertex, prios []uint32, flags 
 		if flags != nil {
 			orig = flags[i]
 		}
-		nn := a.get(k, orig, prios[i])
-		// Nodes the new maximum displaces from the spine become its left
-		// subtree; their sizes are final the moment they come off.
-		var last *treapNode
-		for len(spine) > 0 && spine[len(spine)-1].prio < nn.prio {
-			last = spine[len(spine)-1]
-			spine = spine[:len(spine)-1]
-			last.update()
+		if orig {
+			origs++
 		}
-		nn.left = last
-		if len(spine) > 0 {
-			spine[len(spine)-1].right = nn
+		if hub {
+			spine = a.pushSpine(spine, k, orig, prios[i])
+		} else {
+			flat[i] = pack(k, orig)
 		}
-		spine = append(spine, nn)
 	}
-	s.root = spine[0]
+	if hub {
+		s.root = a.closeSpine(spine)
+	} else {
+		s.flat = flat
+	}
+	s.origs = origs
+}
+
+// takeSpine, pushSpine and closeSpine build a treap from ascending keys:
+// the spine holds the rightmost path of the tree so far.
+func (a *NodeArena) takeSpine() []*treapNode {
+	if a == nil {
+		return nil
+	}
+	return a.spine[:0]
+}
+
+// pushSpine appends the new maximum key k. Nodes it displaces from the
+// spine become its left subtree; their sizes are final the moment they
+// come off.
+func (a *NodeArena) pushSpine(spine []*treapNode, k Vertex, original bool, prio uint32) []*treapNode {
+	nn := a.get(k, original, prio)
+	var last *treapNode
+	for len(spine) > 0 && spine[len(spine)-1].prio < nn.prio {
+		last = spine[len(spine)-1]
+		spine = spine[:len(spine)-1]
+		last.update()
+	}
+	nn.left = last
+	if len(spine) > 0 {
+		spine[len(spine)-1].right = nn
+	}
+	return append(spine, nn)
+}
+
+// closeSpine finalizes the sizes along the spine, hands the scratch back
+// to the arena and returns the root (nil for an empty build).
+func (a *NodeArena) closeSpine(spine []*treapNode) *treapNode {
+	if len(spine) == 0 {
+		return nil
+	}
 	for i := len(spine) - 1; i >= 0; i-- {
 		spine[i].update()
 	}
+	root := spine[0]
 	if a != nil {
 		a.spine = spine[:0]
 	}
+	return root
 }
 
 // Delete removes v, reporting whether it was present and whether the
@@ -314,58 +437,68 @@ func (s *AdjSet) Delete(v Vertex) (found, original bool) {
 	return s.DeleteArena(nil, v)
 }
 
-// DeleteArena is Delete returning the removed node to a for reuse by a
-// later InsertArena; a nil arena leaves it to the GC.
+// DeleteArena is Delete returning a hub's removed node to a for reuse by
+// a later InsertArena; a nil arena leaves it to the GC.
 func (s *AdjSet) DeleteArena(a *NodeArena, v Vertex) (found, original bool) {
-	var del func(n *treapNode) *treapNode
-	// hotalloc: recursive helper needs the self-reference; one closure per delete, amortized over the node walk
-	del = func(n *treapNode) *treapNode {
-		if n == nil {
-			return nil
-		}
-		switch {
-		case v < n.key:
-			n.left = del(n.left)
-		case v > n.key:
-			n.right = del(n.right)
-		default:
-			found, original = true, n.original
-			l, r := n.left, n.right
-			a.put(n)
-			return merge(l, r)
-		}
-		n.update()
-		return n
+	if s.root != nil {
+		s.root, found, original = deleteNode(a, s.root, v)
+	} else if i, ok := s.search(v); ok {
+		found, original = true, s.flat[i]&1 == 1
+		copy(s.flat[i:], s.flat[i+1:])
+		s.flat = s.flat[:len(s.flat)-1]
 	}
-	s.root = del(s.root)
-	if found && original {
+	if original {
 		s.origs--
 	}
 	return found, original
 }
 
-// DrainArena empties the set, invoking fn for each entry in ascending
-// key order and returning every node to a (nil leaves them to the GC).
-// This is the curveball engine's per-round bulk extraction: visiting and
-// recycling each node once costs O(d) where d repeated DeleteArena
-// descents would cost O(d log d).
-func (s *AdjSet) DrainArena(a *NodeArena, fn func(v Vertex, original bool)) {
-	var walk func(n *treapNode)
-	walk = func(n *treapNode) { // hotalloc: recursive helper needs the self-reference; one closure per drain, amortized over the node walk
-		if n == nil {
-			return
-		}
-		// a.put clobbers the node (it threads the free list through left),
-		// so capture the children first.
-		l, r := n.left, n.right
-		walk(l)
-		fn(n.key, n.original)
+// deleteNode removes v from the treap rooted at n and returns the new
+// root, whether v was there, and its flag.
+func deleteNode(a *NodeArena, n *treapNode, v Vertex) (root *treapNode, found, original bool) {
+	switch {
+	case n == nil:
+		return nil, false, false
+	case v < n.key:
+		n.left, found, original = deleteNode(a, n.left, v)
+	case v > n.key:
+		n.right, found, original = deleteNode(a, n.right, v)
+	default:
+		l, r, orig := n.left, n.right, n.original
 		a.put(n)
-		walk(r)
+		return merge(l, r), true, orig
 	}
-	walk(s.root)
+	if found {
+		n.update()
+	}
+	return n, found, original
+}
+
+// DrainArena empties the set, invoking fn for each entry in ascending
+// key order — the curveball engine's per-round bulk extraction, O(d). A
+// flat slot keeps its array for the rebuild that follows; a treap returns
+// every node to a (nil leaves them to the GC) and is flat again.
+func (s *AdjSet) DrainArena(a *NodeArena, fn func(v Vertex, original bool)) {
+	for _, e := range s.flat {
+		fn(unpack(e))
+	}
+	s.flat = s.flat[:0]
+	drainNode(a, s.root, fn)
 	s.root = nil
 	s.origs = 0
+}
+
+func drainNode(a *NodeArena, n *treapNode, fn func(v Vertex, original bool)) {
+	if n == nil {
+		return
+	}
+	// a.put clobbers the node (it threads the free list through left),
+	// so capture the children first.
+	l, r := n.left, n.right
+	drainNode(a, l, fn)
+	fn(n.key, n.original)
+	a.put(n)
+	drainNode(a, r, fn)
 }
 
 // merge joins two treaps where every key in l precedes every key in r.
@@ -389,14 +522,16 @@ func merge(l, r *treapNode) *treapNode {
 // Walk calls fn for each entry in ascending key order. Returning false
 // from fn stops the walk early.
 func (s *AdjSet) Walk(fn func(v Vertex, original bool) bool) {
-	var walk func(n *treapNode) bool
-	walk = func(n *treapNode) bool {
-		if n == nil {
-			return true
+	for _, e := range s.flat {
+		if !fn(unpack(e)) {
+			return
 		}
-		return walk(n.left) && fn(n.key, n.original) && walk(n.right)
 	}
-	walk(s.root)
+	walkNode(s.root, fn)
+}
+
+func walkNode(n *treapNode, fn func(v Vertex, original bool) bool) bool {
+	return n == nil || walkNode(n.left, fn) && fn(n.key, n.original) && walkNode(n.right, fn)
 }
 
 // Keys returns all entries in ascending order. Intended for tests and

@@ -223,6 +223,7 @@ func identicalTreap(a, b *treapNode) bool {
 }
 
 func TestBuildSortedMatchesIncrementalInsert(t *testing.T) {
+	lowerFlatMax(t, 0) // every slot a treap
 	r := rng.New(7)
 	for trial := 0; trial < 200; trial++ {
 		n := r.Intn(40) + 1
@@ -288,6 +289,7 @@ func TestBuildSortedPanicsOnUnsortedOrNonEmpty(t *testing.T) {
 // order with their original flags, the set ends empty, and every node is
 // returned to the arena free list for the round's re-inserts.
 func TestAdjSetDrainArena(t *testing.T) {
+	lowerFlatMax(t, 0) // every slot a treap
 	var s AdjSet
 	var arena NodeArena
 	r := rng.New(13)

@@ -1,9 +1,9 @@
 // Package store is the per-rank partition storage seam of the parallel
 // engine: an AdjSet-shaped, slot-indexed interface with two
-// implementations — Mem, the all-in-memory treap layer the engine always
-// had, and Tiered, a two-tier out-of-core store that keeps an immutable
-// mmap'd CSR base segment on disk with the treaps demoted to a bounded
-// delta overlay of vertices touched since the last compaction
+// implementations — Mem, one graph.AdjSet per slot all in memory, and
+// Tiered, a two-tier out-of-core store that keeps an immutable mmap'd
+// CSR base segment on disk with the AdjSets demoted to a bounded delta
+// overlay of vertices touched since the last compaction
 // (DESIGN.md §7). The engine mutates storage only through this
 // interface, so both randomizers (edge-switch conversations and
 // curveball's whole-partition drains) run unchanged over either tier.
@@ -52,8 +52,8 @@ type Store interface {
 	// returning false stops early.
 	Walk(li int, fn func(v graph.Vertex, original bool) bool)
 	// BuildSorted bulk-fills empty slot li from strictly ascending keys,
-	// all entries sharing one flag. Priorities may be ignored by
-	// implementations that do not materialize a treap for the slot.
+	// all entries sharing one flag. Priorities are ignored wherever no
+	// treap is materialized for the slot.
 	BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool)
 	// BuildSortedFlagged is BuildSorted with per-entry flags.
 	BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool)
@@ -91,8 +91,8 @@ type Stats struct {
 	CompactNs int64
 }
 
-// Mem is the all-in-memory Store: a treap per slot over one shared node
-// arena — exactly the storage the engine owned before the seam existed.
+// Mem is the all-in-memory Store: a graph.AdjSet per slot (a flat sorted
+// array; a treap over one shared node arena for hubs).
 type Mem struct {
 	verts []graph.Vertex
 	adj   []graph.AdjSet

@@ -12,10 +12,10 @@ import (
 
 // Tiered is the out-of-core Store: an immutable mmap'd base segment
 // holding the whole partition in slot order, plus a bounded in-memory
-// delta overlay — one treap per slot, but only for slots touched since
-// the last compaction. Reads consult overlay-then-base; every mutation
-// promotes its slot into the overlay first (materializing the base list
-// into a treap once); when the overlay outgrows its budget at a step
+// delta overlay — one graph.AdjSet per slot, but only for slots touched
+// since the last compaction. Reads consult overlay-then-base; every
+// mutation promotes its slot into the overlay first (decoding the base
+// list into an AdjSet once); when the overlay outgrows its budget at a step
 // boundary, a compaction merges it into a new base segment in one
 // sequential pass — unpromoted slots are copied verbatim, byte for byte,
 // since the gap encoding is owner-relative and they did not change.
@@ -24,8 +24,8 @@ import (
 //
 // Tiered never consumes the engine's run RNG: promotion priorities come
 // from the dedicated stream handed to NewTiered, so spill and in-memory
-// runs make identical random choices (priorities shape only treap form,
-// never results — selection is by key order).
+// runs make identical random choices (priorities shape only a hub's
+// treap form, never results — selection is by key order).
 type Tiered struct {
 	dir   string
 	verts []graph.Vertex
@@ -100,7 +100,7 @@ func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint3
 	}, nil
 }
 
-// inOverlay reports whether slot li's live content is the overlay treap
+// inOverlay reports whether slot li's live content is the overlay set
 // (no base yet, or promoted since the last compaction).
 func (t *Tiered) inOverlay(li int) bool { return t.seg == nil || t.promoted[li] }
 
@@ -116,7 +116,7 @@ func (t *Tiered) corrupt(li int, err error) {
 }
 
 // materialize promotes slot li: its base list is decoded into an overlay
-// treap (with fresh priorities from the promotion stream) and the base
+// set (with fresh priorities from the promotion stream) and the base
 // copy goes dead until the next compaction.
 func (t *Tiered) materialize(li int) {
 	keys, origs, _, err := graph.DecodeAdjSet(t.list(li), t.verts[li], t.keys[:0], t.origs[:0])
@@ -136,7 +136,7 @@ func (t *Tiered) materialize(li int) {
 	t.addEntries(int64(len(keys)))
 }
 
-// ensureWritable makes slot li's live content an overlay treap.
+// ensureWritable makes slot li's live content an overlay set.
 func (t *Tiered) ensureWritable(li int) {
 	t.ensureLoaded()
 	if !t.inOverlay(li) {
@@ -306,6 +306,7 @@ func (t *Tiered) Drain(li int, fn func(v graph.Vertex, original bool)) {
 	if t.inOverlay(li) {
 		n := int64(t.overlay[li].Len())
 		t.overlay[li].DrainArena(&t.arena, fn)
+		t.overlay[li] = graph.AdjSet{} // the rebuild streams to a segment; keep no array
 		t.entries -= n
 		return
 	}
@@ -339,7 +340,7 @@ func (t *Tiered) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
 // into a segment writer, reporting whether it consumed the call. The
 // first BuildSorted* on a store holding nothing — pristine, or drained
 // to the last entry as by a curveball round — opens the writer: a full
-// rewrite with no overlay treaps. Builds into a store that still holds
+// rewrite with no overlay sets. Builds into a store that still holds
 // entries fall back to the overlay path.
 func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) bool {
 	if t.w == nil {
@@ -371,7 +372,7 @@ func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) b
 }
 
 // BuildSorted implements Store. Ascending-slot builds of an empty store
-// stream straight to the base segment — no treaps are materialized, so
+// stream straight to the base segment — no AdjSets are materialized, so
 // the memory of a bootstrap or a full rebuild is O(scratch), not
 // O(|E_local|).
 func (t *Tiered) BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool) {
@@ -433,8 +434,8 @@ func (t *Tiered) EndStep() error {
 }
 
 // Compact merges the overlay into a new base segment: one sequential
-// write of all nv slots — promoted slots re-encoded from their treaps
-// (nodes recycled to the arena as they go), unpromoted slots copied byte
+// write of all nv slots — promoted slots re-encoded from their overlay
+// sets (then emptied), unpromoted slots copied byte
 // for byte from the old mapping — then an atomic rename, after which the
 // old segment is unmapped and removed. A crash anywhere in between
 // leaves either the old or the new generation complete on disk.
@@ -470,7 +471,11 @@ func (t *Tiered) Compact() error {
 		// Without a prior base every slot lived in the overlay, flagged
 		// or not; with one, only promoted slots did.
 		if t.inOverlay(li) {
+			// Hub nodes go back to the arena; a flat slot's array is
+			// dropped, or the overlay's memory would grow to the whole
+			// partition instead of the budget.
 			t.overlay[li].DrainArena(&t.arena, func(graph.Vertex, bool) {})
+			t.overlay[li] = graph.AdjSet{}
 		}
 	}
 	t.installBase(seg, t.baseLive+t.entries)
