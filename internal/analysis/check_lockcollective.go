@@ -24,7 +24,6 @@ var collectiveCalls = map[string]bool{
 	"Gather":          true,
 	"Allgather":       true,
 	"Alltoall":        true,
-	"ReduceInt64s":    true,
 	"AllreduceInt64s": true,
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"edgeswitch/internal/graph"
@@ -13,18 +15,16 @@ import (
 // initiator takes a first edge, a partner (drawn with probability
 // |E_j|/|E|) takes the second, validates the switch, and reserves,
 // commits or releases the two replacement edges at their owners with
-// acknowledged conversations. All of the protocol's roles and state live
-// here; the step loop, message plane and storage accounting are the
-// chassis's (see randomizer.go).
+// acknowledged conversations. All of the protocol's roles and state — dense
+// tables, no runtime maps — live here; the step loop, message plane and
+// storage accounting are the chassis's (see randomizer.go).
 type edgeSwitcher struct {
 	e *rankEngine
 
-	// inHand holds edges provisionally removed by an in-flight operation
-	// this rank initiated (its e1) or is partnering (its e2); the value
-	// preserves the original flag for reinsertion on abort. potential
-	// holds replacement edges reserved at this rank (§4.5 issue 1).
-	inHand    map[graph.Edge]bool
-	potential map[graph.Edge]opID
+	// custody holds the edges in-flight operations took out of the
+	// partition (e1s this rank initiated, e2s it partners) and the
+	// replacement edges reserved here (§4.5 issue 1).
+	custody custody
 
 	// cumEdges is the step-start prefix-sum of per-rank edge counts used
 	// to draw the partner rank with probability |E_j|/|E|; qBuf is the
@@ -33,15 +33,16 @@ type edgeSwitcher struct {
 	cumEdges []int64
 	qBuf     []float64
 
-	// Initiator-side state: own operations in flight, keyed by id with
-	// the taken first edge as value. Up to opWindow operations are
-	// pipelined concurrently (see opWindowSize): a window keeps the rank
-	// busy between replies, and — the message plane's point — gives each
-	// flush several records per destination instead of one. Semantically
-	// a window is no different from the concurrency already present
-	// across ranks: an in-flight e1 is out of the partition, so peers
-	// treat it exactly like another rank's in-hand edge.
-	myOps     map[opID]graph.Edge
+	// Initiator-side state: own operations in flight by window slot, and
+	// the stack of free slots, freeSlots[:nFree]. Up to opWindow operations
+	// are pipelined (see opWindowSize): a window keeps the rank busy
+	// between replies, and — the message plane's point — gives each flush
+	// several records per destination instead of one. Semantically it is
+	// the concurrency already present across ranks: an in-flight e1 is out
+	// of the partition, exactly like another rank's in-hand edge.
+	own       [opWindow]ownOp
+	freeSlots [opWindow]int32
+	nFree     int
 	seq       uint64
 	remaining int64 // ops still to complete this step
 
@@ -54,22 +55,23 @@ type edgeSwitcher struct {
 	// threshold.
 	curRestarts int64
 
-	// Partner-side state: operations this rank is orchestrating. poFree
-	// recycles finished partnerOp records (one is retired per reply
-	// conversation, so the freelist stays at the in-flight high-water
-	// mark).
-	partnerOps map[opID]*partnerOp
-	poFree     []*partnerOp
+	// Partner-side state: the operations this rank is orchestrating,
+	// partners[initiator·opWindow + slot], of which partnerLive are live.
+	partners    []partnerOp
+	partnerLive int
 }
 
 func newEdgeSwitcher(e *rankEngine) *edgeSwitcher {
-	return &edgeSwitcher{
-		e:          e,
-		inHand:     make(map[graph.Edge]bool),
-		potential:  make(map[graph.Edge]opID),
-		myOps:      make(map[opID]graph.Edge),
-		partnerOps: make(map[opID]*partnerOp),
+	r := &edgeSwitcher{
+		e:        e,
+		custody:  newCustody(256), // grows to the in-flight high-water mark
+		nFree:    opWindow,
+		partners: make([]partnerOp, e.c.Size()*opWindow),
 	}
+	for i := range r.freeSlots {
+		r.freeSlots[i] = int32(opWindow - 1 - i)
+	}
+	return r
 }
 
 // Partner-op phases.
@@ -85,18 +87,33 @@ const (
 	restartForfeit = 20000
 )
 
+// ownOp is an initiator's window slot: its operation and first edge.
+type ownOp struct {
+	seq  uint64
+	e1   graph.Edge
+	live bool
+}
+
 // partnerOp is the partner's view of an operation it orchestrates.
 type partnerOp struct {
-	id        opID
-	initiator int
-	e2        graph.Edge
-	edges     [2]graph.Edge // replacement edges A, B
-	owners    [2]int
-	resolved  [2]bool
-	okay      [2]bool
-	phase     int
-	acksLeft  int
+	seq      uint64
+	e2       graph.Edge
+	edges    [2]graph.Edge // replacement edges A, B
+	owners   [2]int32
+	live     bool
+	phase    uint8
+	acksLeft uint8
+	resolved [2]bool
+	okay     [2]bool
 }
+
+// Named refusals of a record whose op id does not fit the tables.
+var (
+	errOpRank  = errors.New("op rank out of range or not the expected rank")
+	errOpSlot  = errors.New("op window slot out of range")
+	errOpStale = errors.New("unknown or stale op")
+	errOpBusy  = errors.New("partner slot already busy")
+)
 
 // prepare rebuilds the selection prefix sums from the step-boundary edge
 // counts and draws this step's multinomial operation distribution.
@@ -140,6 +157,9 @@ func (r *edgeSwitcher) prepare(s int64, counts []int64) error {
 	return nil
 }
 
+// inFlight counts own operations occupying a window slot.
+func (r *edgeSwitcher) inFlight() int { return opWindow - r.nFree }
+
 // advance drives the initiator role: forfeit a structurally stuck
 // operation, or start own operations up to the pipelining window.
 // Filling the window before flushing is what gives the message plane
@@ -148,7 +168,7 @@ func (r *edgeSwitcher) prepare(s int64, counts []int64) error {
 //es:hotpath
 func (r *edgeSwitcher) advance() (bool, error) {
 	e := r.e
-	if int64(len(r.myOps)) >= r.remaining {
+	if int64(r.inFlight()) >= r.remaining {
 		return false, nil
 	}
 	if r.curRestarts >= restartForfeit {
@@ -164,8 +184,8 @@ func (r *edgeSwitcher) advance() (bool, error) {
 		return false, nil
 	}
 	started := false
-	for w := e.opWindowSize(); len(r.myOps) < w &&
-		int64(len(r.myOps)) < r.remaining && e.deg.Total() > 0; {
+	for w := e.opWindowSize(); r.inFlight() < w &&
+		int64(r.inFlight()) < r.remaining && e.deg.Total() > 0; {
 		if err := r.startOp(); err != nil {
 			return false, err
 		}
@@ -174,12 +194,12 @@ func (r *edgeSwitcher) advance() (bool, error) {
 	return started, nil
 }
 
-func (r *edgeSwitcher) done() bool { return r.remaining == 0 && len(r.myOps) == 0 }
+func (r *edgeSwitcher) done() bool { return r.remaining == 0 && r.inFlight() == 0 }
 
 // starved: quota left, nothing in flight, and no local edge to take — a
 // peer's commit is the only thing that can deliver one.
 func (r *edgeSwitcher) starved() bool {
-	return len(r.myOps) == 0 && r.remaining > 0 && r.e.deg.Total() == 0
+	return r.inFlight() == 0 && r.remaining > 0 && r.e.deg.Total() == 0
 }
 
 func (r *edgeSwitcher) forfeitRemaining() {
@@ -190,23 +210,23 @@ func (r *edgeSwitcher) forfeitRemaining() {
 // endStep asserts the protocol left no dangling state at a step boundary.
 func (r *edgeSwitcher) endStep() error {
 	e := r.e
-	if len(r.inHand) != 0 {
-		return fmt.Errorf("core: rank %d ends step with %d in-hand edges", e.c.Rank(), len(r.inHand))
+	if held := r.custody.live[0]; held != 0 {
+		return fmt.Errorf("core: rank %d ends step with %d in-hand edges", e.c.Rank(), held)
 	}
-	if len(r.potential) != 0 {
-		return fmt.Errorf("core: rank %d ends step with %d reservations", e.c.Rank(), len(r.potential))
+	if reserved := r.custody.live[custReserved]; reserved != 0 {
+		return fmt.Errorf("core: rank %d ends step with %d reservations", e.c.Rank(), reserved)
 	}
-	if len(r.partnerOps) != 0 {
-		return fmt.Errorf("core: rank %d ends step with %d partner ops", e.c.Rank(), len(r.partnerOps))
+	if r.partnerLive != 0 {
+		return fmt.Errorf("core: rank %d ends step with %d partner ops", e.c.Rank(), r.partnerLive)
 	}
-	if len(r.myOps) != 0 || r.remaining != 0 {
+	if r.inFlight() != 0 || r.remaining != 0 {
 		return fmt.Errorf("core: rank %d ends step mid-operation", e.c.Rank())
 	}
 	return nil
 }
 
 // cursor is the operation sequence counter: at a quiesced step boundary
-// every map is empty and seq is the only protocol state a resumed run
+// every table is empty and seq is the only protocol state a resumed run
 // needs (ids of completed operations never recur, so restoring seq keeps
 // post-restore opIDs distinct from pre-checkpoint ones).
 func (r *edgeSwitcher) cursor() uint64 { return r.seq }
@@ -223,24 +243,18 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 	switch om.kind {
 	case mSelectSecond:
 		return r.onSelectSecond(om.id, om.e1, src)
-	case mAbortOp:
-		return r.onAbort(om.id)
+	case mAbortOp, mOpDone:
+		return r.onOwnReply(om.id, om.kind)
 	case mReserve:
 		return r.onReserve(om.id, om.e1, src)
-	case mReserveOK:
-		return r.onReserveReply(om.id, om.e1, true)
-	case mReserveFail:
-		return r.onReserveReply(om.id, om.e1, false)
+	case mReserveOK, mReserveFail:
+		return r.onReserveReply(om.id, om.e1, om.kind)
 	case mCommit:
 		return r.onCommit(om.id, om.e1, src)
-	case mCommitAck:
-		return r.onAck(om.id, true)
 	case mRelease:
 		return r.onRelease(om.id, om.e1, src)
-	case mReleaseAck:
-		return r.onAck(om.id, false)
-	case mOpDone:
-		return r.onOpDone(om.id)
+	case mCommitAck, mReleaseAck:
+		return r.onAck(om.id, om.kind)
 	default:
 		return fmt.Errorf("core: rank %d edge-switch cannot handle %v", r.e.c.Rank(), om.kind)
 	}
@@ -253,47 +267,59 @@ func (r *edgeSwitcher) handleRun(_ []byte, src int) (int, error) {
 
 // ---- local edge custody ----
 
-// conflicts reports whether a normalized local edge exists (adjacency,
-// reservation, or provisionally removed).
-func (r *edgeSwitcher) conflicts(ed graph.Edge) bool {
-	if _, held := r.inHand[ed]; held {
-		return true
-	}
-	if _, reserved := r.potential[ed]; reserved {
-		return true
-	}
-	e := r.e
-	li, ok := e.localSlot(ed.U)
-	if !ok {
-		return true // foreign edge: misrouted, treat as conflict
-	}
-	return e.adj.Contains(li, ed.V)
+// wellFormed reports whether ed is a normalized edge of the graph,
+// 0 ≤ U < V < n, as a record's edge must be before it picks owners.
+func (r *edgeSwitcher) wellFormed(ed graph.Edge) bool {
+	return uint32(ed.U) < uint32(ed.V) && uint32(ed.V) < uint32(r.e.n)
 }
 
-// takeRandomEdge removes a uniform random local edge into inHand.
+// conflicts reports whether a normalized local edge exists (adjacency,
+// reservation, or provisionally removed). Custody and partition are
+// disjoint — a held edge left the partition, a reserved one is not in it
+// yet — so one probe and one Contains decide. A malformed edge conflicts.
+func (r *edgeSwitcher) conflicts(ed graph.Edge) bool {
+	if _, taken := r.custody.find(edgeKey(ed)); taken || !r.wellFormed(ed) {
+		return true
+	}
+	li, ok := r.e.localSlot(ed.U)
+	return !ok || r.e.adj.Contains(li, ed.V) // a foreign edge is misrouted: conflict
+}
+
+// takeRandomEdge removes a uniform random local edge into custody.
 func (r *edgeSwitcher) takeRandomEdge() graph.Edge {
 	ed, orig := r.e.takeLocal()
-	r.inHand[ed] = orig
+	tag := uint8(0)
+	if orig {
+		tag = custOrig
+	}
+	r.custody.add(edgeKey(ed), tag, opID{})
 	return ed
+}
+
+// release takes a held edge out of custody, returning its original flag.
+func (r *edgeSwitcher) release(ed graph.Edge, what string) (bool, error) {
+	i, ok := r.custody.find(edgeKey(ed))
+	if !ok || r.custody.slots[i].tag&custReserved != 0 {
+		return false, fmt.Errorf("core: rank %d %s edge %v it does not hold", r.e.c.Rank(), what, ed)
+	}
+	orig := r.custody.slots[i].tag&custOrig != 0
+	r.custody.remove(i)
+	return orig, nil
 }
 
 // reinsert returns an in-hand edge to the local structures (abort path).
 func (r *edgeSwitcher) reinsert(ed graph.Edge) error {
-	orig, held := r.inHand[ed]
-	if !held {
-		return fmt.Errorf("core: rank %d reinserting edge %v it does not hold", r.e.c.Rank(), ed)
+	orig, err := r.release(ed, "reinserting")
+	if err != nil {
+		return err
 	}
-	delete(r.inHand, ed)
 	return r.e.insertLocal(ed, orig)
 }
 
 // discard finalizes the removal of an in-hand edge (commit path).
 func (r *edgeSwitcher) discard(ed graph.Edge) error {
-	if _, held := r.inHand[ed]; !held {
-		return fmt.Errorf("core: rank %d discarding edge %v it does not hold", r.e.c.Rank(), ed)
-	}
-	delete(r.inHand, ed)
-	return nil
+	_, err := r.release(ed, "discarding")
+	return err
 }
 
 // pickPartner draws a rank with probability proportional to its
@@ -314,57 +340,87 @@ func (r *edgeSwitcher) pickPartner() int {
 
 // ---- initiator role ----
 
-// startOp begins one own operation: take e1, pick a partner, ask it to
-// orchestrate.
+// startOp begins one own operation in a free window slot: take e1, pick
+// a partner, ask it to orchestrate.
 func (r *edgeSwitcher) startOp() error {
 	e := r.e
 	r.seq++
-	id := opID{rank: int32(e.c.Rank()), seq: r.seq}
+	r.nFree--
+	slot := r.freeSlots[r.nFree]
+	id := opID{rank: int32(e.c.Rank()), slot: slot, seq: r.seq}
 	e1 := r.takeRandomEdge()
-	r.myOps[id] = e1
+	r.own[slot] = ownOp{seq: r.seq, e1: e1, live: true}
 	partner := r.pickPartner()
 	return e.send(partner, opMsg{kind: mSelectSecond, id: id, e1: e1})
 }
 
-// onOpDone finalizes a committed own operation.
-func (r *edgeSwitcher) onOpDone(id opID) error {
-	e := r.e
-	e1, mine := r.myOps[id]
-	if !mine {
-		return fmt.Errorf("core: rank %d got %v for unknown own op", e.c.Rank(), id)
-	}
-	if err := r.discard(e1); err != nil {
-		return err
-	}
-	delete(r.myOps, id)
-	r.remaining--
-	e.opsInitiated++
-	r.curRestarts = 0
-	return nil
+// refuse names why a record's op id does not fit the tables.
+func (r *edgeSwitcher) refuse(kind msgKind, id opID, why error) error {
+	return fmt.Errorf("core: rank %d got %v for %v: %w", r.e.c.Rank(), kind, id, why)
 }
 
-// onAbort restarts an own operation after rejection.
-func (r *edgeSwitcher) onAbort(id opID) error {
-	e := r.e
-	e1, mine := r.myOps[id]
-	if !mine {
-		return fmt.Errorf("core: rank %d got abort %v for unknown own op", e.c.Rank(), id)
+// onOwnReply finishes an own operation the reply names: committed
+// everywhere (mOpDone), or rejected and to restart with a new pair
+// (mAbortOp). Either way its window slot is free again.
+func (r *edgeSwitcher) onOwnReply(id opID, kind msgKind) error {
+	switch {
+	case int(id.rank) != r.e.c.Rank():
+		return r.refuse(kind, id, errOpRank)
+	case uint32(id.slot) >= opWindow:
+		return r.refuse(kind, id, errOpSlot)
+	case !r.own[id.slot].live || r.own[id.slot].seq != id.seq:
+		return r.refuse(kind, id, errOpStale)
 	}
-	if err := r.reinsert(e1); err != nil {
-		return err
+	o := &r.own[id.slot]
+	o.live = false
+	r.freeSlots[r.nFree] = id.slot
+	r.nFree++
+	if kind == mAbortOp {
+		r.e.restarts++
+		r.curRestarts++
+		return r.reinsert(o.e1)
 	}
-	delete(r.myOps, id)
-	e.restarts++
-	r.curRestarts++
-	return nil
+	r.remaining--
+	r.e.opsInitiated++
+	r.curRestarts = 0
+	return r.discard(o.e1)
 }
 
 // ---- partner role ----
+
+// partner returns the partner-table entry of the (initiator, slot) pair
+// id names: one id's operation occupies when live, a free one otherwise.
+func (r *edgeSwitcher) partner(id opID, kind msgKind, live bool) (*partnerOp, error) {
+	switch {
+	case uint32(id.rank) >= uint32(r.e.c.Size()):
+		return nil, r.refuse(kind, id, errOpRank)
+	case uint32(id.slot) >= opWindow:
+		return nil, r.refuse(kind, id, errOpSlot)
+	}
+	op := &r.partners[int(id.rank)*opWindow+int(id.slot)]
+	switch {
+	case !live && op.live:
+		return nil, r.refuse(kind, id, errOpBusy)
+	case live && (!op.live || op.seq != id.seq):
+		return nil, r.refuse(kind, id, errOpStale)
+	}
+	return op, nil
+}
 
 // onSelectSecond orchestrates an operation for initiator id.rank: select
 // e2, validate, and reserve the replacement edges at their owners.
 func (r *edgeSwitcher) onSelectSecond(id opID, e1 graph.Edge, initiator int) error {
 	e := r.e
+	if int(id.rank) != initiator {
+		return r.refuse(mSelectSecond, id, errOpRank)
+	}
+	op, err := r.partner(id, mSelectSecond, false)
+	if err != nil {
+		return err
+	}
+	if !r.wellFormed(e1) {
+		return fmt.Errorf("core: rank %d got %v for %v with malformed edge %v", e.c.Rank(), mSelectSecond, id, e1)
+	}
 	if e.deg.Total() == 0 {
 		return e.send(initiator, opMsg{kind: mAbortOp, id: id})
 	}
@@ -380,18 +436,17 @@ func (r *edgeSwitcher) onSelectSecond(id opID, e1 graph.Edge, initiator int) err
 		kind = Straight
 	}
 	a, b := replacement(e1, e2, kind)
-	op := r.newPartnerOp()
 	*op = partnerOp{
-		id:        id,
-		initiator: initiator,
-		e2:        e2,
-		edges:     [2]graph.Edge{a, b},
-		owners:    [2]int{e.owner(a), e.owner(b)},
-		phase:     phaseReserving,
+		seq:    id.seq,
+		e2:     e2,
+		edges:  [2]graph.Edge{a, b},
+		owners: [2]int32{int32(e.owner(a)), int32(e.owner(b))},
+		live:   true,
+		phase:  phaseReserving,
 	}
-	r.partnerOps[id] = op
+	r.partnerLive++
 	for i := 0; i < 2; i++ {
-		if err := e.send(op.owners[i], opMsg{kind: mReserve, id: id, e1: op.edges[i]}); err != nil {
+		if err := e.send(int(op.owners[i]), opMsg{kind: mReserve, id: id, e1: op.edges[i]}); err != nil {
 			return err
 		}
 	}
@@ -399,11 +454,14 @@ func (r *edgeSwitcher) onSelectSecond(id opID, e1 graph.Edge, initiator int) err
 }
 
 // onReserveReply advances a partner op when an owner answers.
-func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, ok bool) error {
+func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, kind msgKind) error {
 	e := r.e
-	op, exists := r.partnerOps[id]
-	if !exists || op.phase != phaseReserving {
-		return fmt.Errorf("core: rank %d got reserve reply for unknown %v", e.c.Rank(), id)
+	op, err := r.partner(id, kind, true)
+	if err != nil {
+		return err
+	}
+	if op.phase != phaseReserving {
+		return fmt.Errorf("core: rank %d got %v for %v in phase %d", e.c.Rank(), kind, id, op.phase)
 	}
 	idx, err := op.edgeIndex(ed)
 	if err != nil {
@@ -413,7 +471,7 @@ func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, ok bool) error {
 		return fmt.Errorf("core: rank %d got duplicate reserve reply for %v/%v", e.c.Rank(), id, ed)
 	}
 	op.resolved[idx] = true
-	op.okay[idx] = ok
+	op.okay[idx] = kind == mReserveOK
 	if !op.resolved[0] || !op.resolved[1] {
 		return nil
 	}
@@ -421,7 +479,7 @@ func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, ok bool) error {
 		op.phase = phaseCommitting
 		op.acksLeft = 2
 		for i := 0; i < 2; i++ {
-			if err := e.send(op.owners[i], opMsg{kind: mCommit, id: id, e1: op.edges[i]}); err != nil {
+			if err := e.send(int(op.owners[i]), opMsg{kind: mCommit, id: id, e1: op.edges[i]}); err != nil {
 				return err
 			}
 		}
@@ -433,69 +491,54 @@ func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, ok bool) error {
 	for i := 0; i < 2; i++ {
 		if op.okay[i] {
 			op.acksLeft++
-			if err := e.send(op.owners[i], opMsg{kind: mRelease, id: id, e1: op.edges[i]}); err != nil {
+			if err := e.send(int(op.owners[i]), opMsg{kind: mRelease, id: id, e1: op.edges[i]}); err != nil {
 				return err
 			}
 		}
 	}
 	if op.acksLeft == 0 {
-		return r.finishAbort(op)
+		return r.retire(op, id, mAbortOp)
 	}
 	return nil
 }
 
 // onAck counts commit/release acknowledgements and finishes the op when
 // all owners have applied their updates.
-func (r *edgeSwitcher) onAck(id opID, commit bool) error {
-	e := r.e
-	op, exists := r.partnerOps[id]
-	if !exists {
-		return fmt.Errorf("core: rank %d got ack for unknown %v", e.c.Rank(), id)
+func (r *edgeSwitcher) onAck(id opID, kind msgKind) error {
+	commit, phase := kind == mCommitAck, uint8(phaseReleasing)
+	if commit {
+		phase = phaseCommitting
 	}
-	if (commit && op.phase != phaseCommitting) || (!commit && op.phase != phaseReleasing) {
-		return fmt.Errorf("core: rank %d got %v ack in phase %d", e.c.Rank(), id, op.phase)
+	op, err := r.partner(id, kind, true)
+	if err != nil {
+		return err
+	}
+	if op.phase != phase || op.acksLeft == 0 {
+		return fmt.Errorf("core: rank %d got %v for %v in phase %d", r.e.c.Rank(), kind, id, op.phase)
 	}
 	op.acksLeft--
 	if op.acksLeft > 0 {
 		return nil
 	}
 	if commit {
-		if err := r.discard(op.e2); err != nil {
-			return err
-		}
-		delete(r.partnerOps, id)
-		initiator := op.initiator
-		r.freePartnerOp(op)
-		return e.send(initiator, opMsg{kind: mOpDone, id: id})
+		return r.retire(op, id, mOpDone)
 	}
-	return r.finishAbort(op)
+	return r.retire(op, id, mAbortOp)
 }
 
-func (r *edgeSwitcher) finishAbort(op *partnerOp) error {
-	if err := r.reinsert(op.e2); err != nil {
+// retire frees a finished partner op and tells its initiator: mOpDone
+// after a commit (e2 discarded), mAbortOp otherwise (e2 reinserted).
+func (r *edgeSwitcher) retire(op *partnerOp, id opID, kind msgKind) error {
+	release := r.reinsert
+	if kind == mOpDone {
+		release = r.discard
+	}
+	if err := release(op.e2); err != nil {
 		return err
 	}
-	delete(r.partnerOps, op.id)
-	initiator, id := op.initiator, op.id
-	r.freePartnerOp(op)
-	return r.e.send(initiator, opMsg{kind: mAbortOp, id: id})
-}
-
-// newPartnerOp draws a partnerOp record from the freelist; the caller
-// overwrites every field. freePartnerOp returns a record once it has
-// left partnerOps and no reference to it remains.
-func (r *edgeSwitcher) newPartnerOp() *partnerOp {
-	if n := len(r.poFree); n > 0 {
-		op := r.poFree[n-1]
-		r.poFree[n-1] = nil
-		r.poFree = r.poFree[:n-1]
-		return op
-	}
-	return new(partnerOp) // hotalloc: freelist miss; the pool exists to make this the rare path
-}
-
-func (r *edgeSwitcher) freePartnerOp(op *partnerOp) {
-	r.poFree = append(r.poFree, op) // hotalloc: freelist return; amortized growth of the partnerOp pool backbone
+	op.live = false
+	r.partnerLive--
+	return r.e.send(int(id.rank), opMsg{kind: kind, id: id})
 }
 
 func (op *partnerOp) edgeIndex(ed graph.Edge) (int, error) {
@@ -505,7 +548,7 @@ func (op *partnerOp) edgeIndex(ed graph.Edge) (int, error) {
 	case op.edges[1]:
 		return 1, nil
 	default:
-		return 0, fmt.Errorf("core: edge %v not part of %v", ed, op.id)
+		return 0, fmt.Errorf("core: edge %v is not one of the op's replacement edges %v", ed, op.edges)
 	}
 }
 
@@ -518,18 +561,26 @@ func (r *edgeSwitcher) onReserve(id opID, ed graph.Edge, partner int) error {
 	if r.conflicts(ed) {
 		return e.send(partner, opMsg{kind: mReserveFail, id: id, e1: ed})
 	}
-	r.potential[ed] = id
+	r.custody.add(edgeKey(ed), custReserved, id)
 	return e.send(partner, opMsg{kind: mReserveOK, id: id, e1: ed})
+}
+
+// unreserve drops id's reservation of ed.
+func (r *edgeSwitcher) unreserve(id opID, ed graph.Edge, kind msgKind) error {
+	i, ok := r.custody.find(edgeKey(ed))
+	if !ok || r.custody.slots[i].tag&custReserved == 0 || r.custody.slots[i].op != id {
+		return fmt.Errorf("core: rank %d %v of unreserved edge %v by %v", r.e.c.Rank(), kind, ed, id)
+	}
+	r.custody.remove(i)
+	return nil
 }
 
 // onCommit materializes a reserved edge as a modified edge.
 func (r *edgeSwitcher) onCommit(id opID, ed graph.Edge, partner int) error {
 	e := r.e
-	holder, reserved := r.potential[ed]
-	if !reserved || holder != id {
-		return fmt.Errorf("core: rank %d commit of unreserved edge %v by %v", e.c.Rank(), ed, id)
+	if err := r.unreserve(id, ed, mCommit); err != nil {
+		return err
 	}
-	delete(r.potential, ed)
 	if err := e.insertLocal(ed, false); err != nil {
 		return err
 	}
@@ -538,10 +589,90 @@ func (r *edgeSwitcher) onCommit(id opID, ed graph.Edge, partner int) error {
 
 // onRelease drops a reservation.
 func (r *edgeSwitcher) onRelease(id opID, ed graph.Edge, partner int) error {
-	holder, reserved := r.potential[ed]
-	if !reserved || holder != id {
-		return fmt.Errorf("core: rank %d release of unreserved edge %v by %v", r.e.c.Rank(), ed, id)
+	if err := r.unreserve(id, ed, mRelease); err != nil {
+		return err
 	}
-	delete(r.potential, ed)
 	return r.e.send(partner, opMsg{kind: mReleaseAck, id: id, e1: ed})
+}
+
+// ---- custody table ----
+
+// custody is the rank's one table of edges out of its partition, keyed
+// by the packed normalized edge: linear probing, backward-shift deletion
+// (no tombstones), a power-of-two size doubled at load ½. The operations
+// in flight bound it, so after the first steps it never grows again.
+type custody struct {
+	slots []custodySlot
+	shift uint   // 64 - log2(len(slots)): home is the hash's top bits
+	live  [2]int // entries held, reserved (indexed by the custReserved bit)
+}
+
+// custodySlot is one table entry; tag 0 marks it empty.
+type custodySlot struct {
+	key uint64
+	op  opID // the reserving operation (reserved entries only)
+	tag uint8
+}
+
+// custodySlot tags.
+const (
+	custReserved = 1 << iota
+	custOrig
+	custUsed
+)
+
+func edgeKey(ed graph.Edge) uint64 { return uint64(uint32(ed.U))<<32 | uint64(uint32(ed.V)) }
+
+// newCustody returns an empty table of size slots, a power of two.
+func newCustody(size int) custody {
+	return custody{slots: make([]custodySlot, size), shift: uint(bits.LeadingZeros64(uint64(size))) + 1}
+}
+
+// home is key's preferred slot (Fibonacci hashing).
+func (c *custody) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> c.shift) }
+
+// find returns the index of key's entry and true, or of the empty slot
+// that ends key's probe run and false.
+func (c *custody) find(key uint64) (int, bool) {
+	i, mask := c.home(key), len(c.slots)-1
+	for ; c.slots[i].tag != 0; i = (i + 1) & mask {
+		if c.slots[i].key == key {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// add records key, which must be absent, as held (tag 0 or custOrig) or
+// reserved by op (custReserved).
+func (c *custody) add(key uint64, tag uint8, op opID) {
+	if 2*(c.live[0]+c.live[1]+1) > len(c.slots) {
+		old := c.slots
+		c.slots = make([]custodySlot, 2*len(old)) // hotalloc: amortized; the table doubles at load ½ and keeps its high-water size
+		c.shift--
+		for _, s := range old {
+			if s.tag != 0 {
+				i, _ := c.find(s.key)
+				c.slots[i] = s
+			}
+		}
+	}
+	i, _ := c.find(key)
+	c.slots[i] = custodySlot{key: key, op: op, tag: tag | custUsed}
+	c.live[tag&custReserved]++
+}
+
+// remove deletes entry i and shifts the rest of its probe run back over
+// the hole, so every remaining key stays reachable from its home.
+func (c *custody) remove(i int) {
+	c.live[c.slots[i].tag&custReserved]--
+	mask := len(c.slots) - 1
+	for j := (i + 1) & mask; c.slots[j].tag != 0; j = (j + 1) & mask {
+		// Entry j may fill the hole iff its home is cyclically at or before i.
+		if h := c.home(c.slots[j].key); (j-h)&mask >= (j-i)&mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
+	}
+	c.slots[i] = custodySlot{}
 }

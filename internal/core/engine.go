@@ -151,7 +151,7 @@ const opWindow = 64
 // opWindowSize bounds the in-flight window by the local partition: a rank
 // never holds more than a fraction of its current edges in flight, so tiny
 // partitions degrade to the unpipelined protocol instead of emptying
-// themselves into inHand (which would inflate conflicts and stalls).
+// themselves into custody (which would inflate conflicts and stalls).
 // A single rank runs unpipelined: there is no transport to batch for,
 // and a window would draw first edges without replacement, departing
 // from the sequential chain that p=1 must realize exactly
@@ -518,8 +518,7 @@ func (e *rankEngine) localSlot(u graph.Vertex) (int, bool) {
 // through these helpers keeps both exact.
 func (e *rankEngine) takeLocal() (graph.Edge, bool) {
 	slot, offset := e.deg.FindByPrefix(e.rnd.Int64n(e.deg.Total()))
-	v, orig := e.adj.Kth(slot, int(offset))
-	e.adj.Delete(slot, v)
+	v, orig := e.adj.TakeKth(slot, int(offset))
 	e.deg.Add(slot, -1)
 	ed := graph.Edge{U: e.verts[slot], V: v}
 	e.noteDegree(ed, -1)

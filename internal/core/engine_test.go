@@ -181,9 +181,21 @@ func TestEngineConflictsChecksPotential(t *testing.T) {
 	if rs.conflicts(candidate) {
 		t.Fatal("fresh edge conflicts")
 	}
-	rs.potential[candidate] = opID{rank: 0, seq: 1}
-	if !rs.conflicts(candidate) {
-		t.Fatal("reserved edge not seen by conflict check")
+	id := opID{rank: 0, seq: 1}
+	if err := rs.onReserve(id, candidate, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rs.custody.live[custReserved] != 1 || !rs.conflicts(candidate) {
+		t.Fatalf("reserved edge not seen by conflict check (%d reservations)", rs.custody.live[custReserved])
+	}
+	if err := rs.onRelease(opID{rank: 0, seq: 2}, candidate, 0); err == nil {
+		t.Fatal("release by another op accepted")
+	}
+	if err := rs.onRelease(id, candidate, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rs.custody.live[custReserved] != 0 || rs.conflicts(candidate) {
+		t.Fatal("released edge still conflicts")
 	}
 }
 

@@ -82,14 +82,16 @@ func (k msgKind) String() string {
 	return fmt.Sprintf("msgKind(%d)", uint8(k))
 }
 
-// opID identifies an operation: the initiating rank plus a per-initiator
-// sequence number.
+// opID identifies an operation: the initiating rank, the initiator's
+// window slot (0 … opWindow-1) it occupies — together the index of its
+// state tables, checked at every lookup — and a per-initiator sequence.
 type opID struct {
 	rank int32
+	slot int32
 	seq  uint64
 }
 
-func (id opID) String() string { return fmt.Sprintf("op[%d:%d]", id.rank, id.seq) }
+func (id opID) String() string { return fmt.Sprintf("op[%d:%d@%d]", id.rank, id.seq, id.slot) }
 
 // opMsg is the decoded form of every conversation and step-control
 // message. Unused fields are zero.
@@ -100,7 +102,7 @@ type opMsg struct {
 }
 
 // opMsgLen is the fixed wire length of an opMsg record.
-const opMsgLen = 1 + 4 + 8 + 16 // kind | rank | seq | e1 (+8 reserved)
+const opMsgLen = 1 + 4 + 8 + 16 // kind | rank | seq | e1 | slot (+4 reserved)
 
 // Batch framing (the message plane, see DESIGN.md): a transport payload
 // carries one or more records, each behind a length prefix,
@@ -115,7 +117,8 @@ func appendOpMsg(buf []byte, m opMsg) []byte {
 	binary.LittleEndian.PutUint64(rec[6:], m.id.seq)
 	binary.LittleEndian.PutUint32(rec[14:], uint32(m.e1.U))
 	binary.LittleEndian.PutUint32(rec[18:], uint32(m.e1.V))
-	// The record's last 8 bytes are reserved (kept for layout stability).
+	binary.LittleEndian.PutUint32(rec[22:], uint32(m.id.slot))
+	// The record's last 4 bytes are reserved (kept for layout stability).
 	return append(buf, rec[:]...) // hotalloc: amortized; batch buffers come presized from the freelist
 }
 
@@ -154,6 +157,7 @@ func decodeOpMsg(data []byte) (opMsg, error) {
 		kind: kind,
 		id: opID{
 			rank: int32(binary.LittleEndian.Uint32(data[1:])),
+			slot: int32(binary.LittleEndian.Uint32(data[21:])),
 			seq:  binary.LittleEndian.Uint64(data[5:]),
 		},
 		e1: graph.Edge{

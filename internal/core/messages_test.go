@@ -34,19 +34,27 @@ func forEachOpMsg(data []byte, fn func(opMsg) error) error {
 
 func TestOpMsgRoundTrip(t *testing.T) {
 	msgs := []opMsg{
-		{kind: mSelectSecond, id: opID{rank: 3, seq: 12345}, e1: graph.Edge{U: 7, V: 9}},
+		{kind: mSelectSecond, id: opID{rank: 3, slot: 63, seq: 12345}, e1: graph.Edge{U: 7, V: 9}},
 		{kind: mAbortOp, id: opID{rank: 0, seq: 0}},
-		{kind: mReserve, id: opID{rank: 1023, seq: 1 << 40}, e1: graph.Edge{U: 0, V: 1}},
-		{kind: mReserveOK, id: opID{rank: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
-		{kind: mReserveFail, id: opID{rank: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
-		{kind: mCommit, id: opID{rank: 5, seq: 6}, e1: graph.Edge{U: 100000, V: 2000000}},
-		{kind: mCommitAck, id: opID{rank: 5, seq: 6}},
-		{kind: mRelease, id: opID{rank: 5, seq: 6}, e1: graph.Edge{U: 1, V: 2}},
-		{kind: mReleaseAck, id: opID{rank: 5, seq: 6}},
-		{kind: mOpDone, id: opID{rank: 9, seq: 10}},
+		{kind: mReserve, id: opID{rank: 1023, slot: 17, seq: 1 << 40}, e1: graph.Edge{U: 0, V: 1}},
+		{kind: mReserveOK, id: opID{rank: 1, slot: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
+		{kind: mReserveFail, id: opID{rank: 1, slot: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
+		{kind: mCommit, id: opID{rank: 5, slot: 2, seq: 6}, e1: graph.Edge{U: 100000, V: 2000000}},
+		{kind: mCommitAck, id: opID{rank: 5, slot: 2, seq: 6}},
+		{kind: mRelease, id: opID{rank: 5, slot: 2, seq: 6}, e1: graph.Edge{U: 1, V: 2}},
+		{kind: mReleaseAck, id: opID{rank: 5, slot: 2, seq: 6}},
+		{kind: mOpDone, id: opID{rank: 9, slot: opWindow - 1, seq: 10}},
+		// Out-of-range ids survive the codec; the tables refuse them.
+		{kind: mOpDone, id: opID{rank: -1, slot: -1, seq: 1<<64 - 1}},
 		{kind: mEndOfStep},
 		{kind: mStalled},
 		{kind: mResumed},
+	}
+	// The slot rides in the first 4 of the layout's 8 reserved bytes; the
+	// record keeps its length and every other offset.
+	rec := msgs[0].encode()
+	if len(rec) != opMsgLen || rec[21] != 63 || rec[22]|rec[23]|rec[24]|rec[25]|rec[26]|rec[27]|rec[28] != 0 {
+		t.Fatalf("record layout % x", rec)
 	}
 	for _, m := range msgs {
 		got, err := decodeOpMsg(m.encode())
@@ -60,9 +68,9 @@ func TestOpMsgRoundTrip(t *testing.T) {
 }
 
 func TestOpMsgRoundTripProperty(t *testing.T) {
-	f := func(kindRaw uint8, rank int32, seq uint64, u, v int32) bool {
+	f := func(kindRaw uint8, rank, slot int32, seq uint64, u, v int32) bool {
 		kind := msgKind(kindRaw%uint8(mResumed)) + 1
-		m := opMsg{kind: kind, id: opID{rank: rank, seq: seq}, e1: graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)}}
+		m := opMsg{kind: kind, id: opID{rank: rank, slot: slot, seq: seq}, e1: graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)}}
 		got, err := decodeOpMsg(m.encode())
 		return err == nil && got == m
 	}
@@ -118,7 +126,7 @@ func TestPartnerOpEdgeIndex(t *testing.T) {
 }
 
 func TestOpIDString(t *testing.T) {
-	if s := (opID{rank: 3, seq: 9}).String(); s != "op[3:9]" {
+	if s := (opID{rank: 3, slot: 5, seq: 9}).String(); s != "op[3:9@5]" {
 		t.Fatalf("opID string %q", s)
 	}
 }

@@ -102,17 +102,24 @@ func runAdjSetOps(t *testing.T, ops []byte, arena *NodeArena) (promotions, demot
 				t.Fatalf("%s: Delete(%d) = (%v, %v), want (%v, %v)", what, v, found, orig, want, wantOrig)
 			}
 			delete(m, v)
-		case 2: // Kth, one past the end included
+		case 2: // Kth, or TakeKthArena for arg ≥ 128; one past the end included
 			keys := m.keys()
 			k := int(arg) % (len(keys) + 1)
 			if k == len(keys) {
-				if !panics(func() { s.Kth(k) }) || !panics(func() { s.Kth(-1) }) {
+				if !panics(func() { s.Kth(k) }) || !panics(func() { s.Kth(-1) }) || !panics(func() { s.TakeKthArena(arena, k) }) {
 					t.Fatalf("%s: Kth out of range did not panic", what)
 				}
 				break
 			}
-			if got, orig := s.Kth(k); got != keys[k] || orig != m[got] {
+			kth := s.Kth
+			if arg >= 128 {
+				kth = func(k int) (Vertex, bool) { return s.TakeKthArena(arena, k) }
+			}
+			if got, orig := kth(k); got != keys[k] || orig != m[got] {
 				t.Fatalf("%s: Kth(%d) = (%d, %v), want (%d, %v)", what, k, got, orig, keys[k], m[keys[k]])
+			}
+			if arg >= 128 {
+				delete(m, keys[k])
 			}
 		case 3: // Contains / Original
 			orig, in := m[v]

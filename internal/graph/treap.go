@@ -207,6 +207,25 @@ func (s *AdjSet) Kth(k int) (Vertex, bool) {
 	panic("graph: AdjSet.Kth index out of range")
 }
 
+// TakeKthArena removes and returns the k-th smallest entry (0-based) and
+// its original flag in one search: an index and a memmove on a flat
+// slot, Kth then delete on a hub's treap (nodes go back to a). It panics
+// if k is out of range, like Kth.
+func (s *AdjSet) TakeKthArena(a *NodeArena, k int) (Vertex, bool) {
+	if s.root != nil {
+		v, _ := s.Kth(k)
+		_, orig := s.DeleteArena(a, v)
+		return v, orig
+	}
+	v, orig := unpack(s.flat[k])
+	copy(s.flat[k:], s.flat[k+1:])
+	s.flat = s.flat[:len(s.flat)-1]
+	if orig {
+		s.origs--
+	}
+	return v, orig
+}
+
 // Insert adds v with the given original flag and treap priority prio
 // (callers pass fresh random bits; a flat slot ignores them). It reports
 // whether the value was newly inserted (false means it was already

@@ -236,35 +236,6 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 	return out, nil
 }
 
-// ReduceInt64s element-wise reduces each rank's xs at root. All ranks must
-// pass slices of the same length. Non-root ranks receive nil.
-func (c *Comm) ReduceInt64s(root int, xs []int64, op ReduceOp) ([]int64, error) {
-	parts, err := c.Gather(root, Int64sToBytes(xs))
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return nil, nil
-	}
-	acc := append([]int64(nil), xs...)
-	for i, p := range parts {
-		if i == root {
-			continue
-		}
-		vs, err := BytesToInt64s(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) != len(acc) {
-			return nil, fmt.Errorf("mpi: ReduceInt64s length mismatch from rank %d", i)
-		}
-		for j := range acc {
-			acc[j] = reduceInt64(op, acc[j], vs[j])
-		}
-	}
-	return acc, nil
-}
-
 // AllreduceInt64s reduces and distributes the result to all ranks
 // (butterfly, O(log p) rounds).
 func (c *Comm) AllreduceInt64s(xs []int64, op ReduceOp) ([]int64, error) {
@@ -315,22 +286,4 @@ func BytesToUint32s(b []byte) ([]uint32, error) {
 // an n-element vector, and uint32 halves that payload relative to int64.
 func (c *Comm) AllreduceUint32s(xs []uint32, op ReduceOp) ([]uint32, error) {
 	return allreduceButterfly(c, xs, op, Uint32sToBytes, BytesToUint32s, reduceUint32)
-}
-
-// allreduceInt64sViaGather is the O(p) gather+broadcast baseline, kept
-// for cross-validation of the butterfly implementation.
-func (c *Comm) allreduceInt64sViaGather(xs []int64, op ReduceOp) ([]int64, error) {
-	acc, err := c.ReduceInt64s(0, xs, op)
-	if err != nil {
-		return nil, err
-	}
-	var flat []byte
-	if c.Rank() == 0 {
-		flat = Int64sToBytes(acc)
-	}
-	flat, err = c.Bcast(0, flat)
-	if err != nil {
-		return nil, err
-	}
-	return BytesToInt64s(flat)
 }

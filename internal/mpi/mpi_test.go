@@ -438,10 +438,53 @@ func TestAlltoall(t *testing.T) {
 	})
 }
 
+// reduceInt64sAt element-wise reduces each rank's xs at root by gather —
+// with allreduceInt64sViaGather, the O(p) oracle the butterfly is
+// checked against. Non-root ranks receive nil.
+func reduceInt64sAt(c *Comm, root int, xs []int64, op ReduceOp) ([]int64, error) {
+	parts, err := c.Gather(root, Int64sToBytes(xs))
+	if err != nil || c.Rank() != root {
+		return nil, err
+	}
+	acc := append([]int64(nil), xs...)
+	for i, p := range parts {
+		if i == root {
+			continue
+		}
+		vs, err := BytesToInt64s(p)
+		if err != nil {
+			return nil, err
+		}
+		if len(vs) != len(acc) {
+			return nil, fmt.Errorf("mpi: reduce length mismatch from rank %d", i)
+		}
+		for j := range acc {
+			acc[j] = reduceInt64(op, acc[j], vs[j])
+		}
+	}
+	return acc, nil
+}
+
+// allreduceInt64sViaGather is the gather+broadcast allreduce oracle.
+func allreduceInt64sViaGather(c *Comm, xs []int64, op ReduceOp) ([]int64, error) {
+	acc, err := reduceInt64sAt(c, 0, xs, op)
+	if err != nil {
+		return nil, err
+	}
+	var flat []byte
+	if c.Rank() == 0 {
+		flat = Int64sToBytes(acc)
+	}
+	if flat, err = c.Bcast(0, flat); err != nil {
+		return nil, err
+	}
+	return BytesToInt64s(flat)
+}
+
 func TestReduceAllreduceInt64(t *testing.T) {
 	transports(t, 4, func(c *Comm) error {
 		xs := []int64{int64(c.Rank()), int64(c.Rank() * 2), -int64(c.Rank())}
-		sum, err := c.ReduceInt64s(0, xs, OpSum)
+		sum, err := reduceInt64sAt(c, 0, xs, OpSum)
 		if err != nil {
 			return err
 		}
@@ -490,7 +533,7 @@ func TestAllreduceButterflyMatchesGather(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					gb, err := c.allreduceInt64sViaGather(xs, op)
+					gb, err := allreduceInt64sViaGather(c, xs, op)
 					if err != nil {
 						return err
 					}

@@ -36,9 +36,11 @@ type Store interface {
 	// original.
 	Original(li int, v graph.Vertex) bool
 	// Kth returns slot li's k-th smallest entry and its flag; it panics
-	// out of range, like AdjSet.Kth. Callers take the entry to mutate it
-	// (the engine's takeLocal), so Tiered promotes the slot.
+	// out of range, like AdjSet.Kth.
 	Kth(li, k int) (graph.Vertex, bool)
+	// TakeKth is Kth plus Delete of that entry in one search (the
+	// engine's takeLocal).
+	TakeKth(li, k int) (graph.Vertex, bool)
 	// Insert adds v to slot li with the given flag and treap priority,
 	// reporting false on a duplicate.
 	Insert(li int, v graph.Vertex, original bool, prio uint32) bool
@@ -120,6 +122,9 @@ func (m *Mem) Original(li int, v graph.Vertex) bool { return m.adj[li].Original(
 
 // Kth implements Store.
 func (m *Mem) Kth(li, k int) (graph.Vertex, bool) { return m.adj[li].Kth(k) }
+
+// TakeKth implements Store.
+func (m *Mem) TakeKth(li, k int) (graph.Vertex, bool) { return m.adj[li].TakeKthArena(&m.arena, k) }
 
 // Insert implements Store.
 func (m *Mem) Insert(li int, v graph.Vertex, original bool, prio uint32) bool {

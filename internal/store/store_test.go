@@ -117,14 +117,18 @@ func TestMemTieredEquivalence(t *testing.T) {
 				if mf != tf || mo != to {
 					t.Fatalf("step %d: Delete disagreement at slot %d v %d: (%v,%v) vs (%v,%v)", step, li, v, mf, mo, tf, to)
 				}
-			case 2: // kth
+			case 2: // kth, taken out on odd steps
 				n := mem.Len(li)
 				if n == 0 {
 					continue
 				}
 				k := int(r.Uint32()) % n
-				mv, mo := mem.Kth(li, k)
-				tv, to := tr.Kth(li, k)
+				mkth, tkth := mem.Kth, tr.Kth
+				if step%2 == 1 {
+					mkth, tkth = mem.TakeKth, tr.TakeKth
+				}
+				mv, mo := mkth(li, k)
+				tv, to := tkth(li, k)
 				if mv != tv || mo != to {
 					t.Fatalf("step %d: Kth(%d,%d) disagreement: (%d,%v) vs (%d,%v)", step, li, k, mv, mo, tv, to)
 				}
@@ -161,6 +165,15 @@ func TestMemTieredEquivalence(t *testing.T) {
 			t.Fatalf("tiered EndStep: %v", err)
 		}
 		requireSlotsEqual(t, mem, tr, nv, "after step")
+		overlay := int64(0)
+		for li := range verts {
+			if tr.inOverlay(li) {
+				overlay += int64(tr.overlay[li].Len())
+			}
+		}
+		if tr.entries != overlay {
+			t.Fatalf("step %d: tiered counts %d overlay entries, holds %d", step, tr.entries, overlay)
+		}
 	}
 	st := tr.Stats()
 	if st.Compactions == 0 {

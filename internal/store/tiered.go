@@ -267,12 +267,17 @@ func (t *Tiered) Original(li int, v graph.Vertex) bool {
 	return res
 }
 
-// Kth implements Store. Callers take the k-th entry to mutate the slot
-// right after (the engine's takeLocal), so the slot is promoted rather
-// than decoded twice.
+// Kth implements Store, promoting the slot like a mutation.
 func (t *Tiered) Kth(li, k int) (graph.Vertex, bool) {
 	t.ensureWritable(li)
 	return t.overlay[li].Kth(k)
+}
+
+// TakeKth implements Store: the slot is promoted, the entry leaves it.
+func (t *Tiered) TakeKth(li, k int) (graph.Vertex, bool) {
+	t.ensureWritable(li)
+	t.entries--
+	return t.overlay[li].TakeKthArena(&t.arena, k)
 }
 
 // Insert implements Store.
