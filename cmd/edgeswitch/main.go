@@ -47,14 +47,13 @@ func main() {
 		mode    = flag.String("mode", "plain", "constraint mode: plain, connected, bipartite, jdd (sequential only)")
 		left    = flag.Int("left", 0, "bipartition size (bipartite mode: vertices 0..left-1 are one side)")
 		spill   = flag.String("spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; bounded memory)")
-		overlay = flag.Int64("overlay-budget", 0, "per-rank overlay entry cap before compaction with -spill-dir (0: auto)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	flag.Parse()
 
 	err := profiled(*cpuProf, *memProf, func() error {
-		return run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill, *overlay)
+		return run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "edgeswitch:", err)
@@ -112,7 +111,7 @@ func genSpec(model string, n, d int, seed uint64) (*edgeswitch.GenSpec, error) {
 
 func run(inPath, dataset string, scale float64, genMod string, genN, genD int, outPath string, tOps int64, x float64,
 	ranks int, scheme, algo string, steps int64, seed uint64, useTCP, quiet, verbose bool, mode string, left int,
-	spillDir string, overlayBudget int64) error {
+	spillDir string) error {
 
 	if algo != "" && algo != string(edgeswitch.EdgeSwitch) && mode != "" && mode != "plain" {
 		return fmt.Errorf("mode %q supports only the edge-switch algorithm", mode)
@@ -188,17 +187,16 @@ func run(inPath, dataset string, scale float64, genMod string, genN, genD int, o
 		// Pass the raw -t through so a curveball run derived from -x keeps
 		// its early-stop target (the facade re-derives t per algorithm).
 		rep, err = edgeswitch.Run(g, edgeswitch.Options{
-			Ops:           tOps,
-			VisitRate:     x,
-			Algorithm:     edgeswitch.Algorithm(algo),
-			Ranks:         ranks,
-			Scheme:        edgeswitch.Scheme(scheme),
-			StepSize:      stepSize,
-			Seed:          seed,
-			UseTCP:        useTCP,
-			Gen:           spec,
-			SpillDir:      spillDir,
-			OverlayBudget: overlayBudget,
+			Ops:       tOps,
+			VisitRate: x,
+			Algorithm: edgeswitch.Algorithm(algo),
+			Ranks:     ranks,
+			Scheme:    edgeswitch.Scheme(scheme),
+			StepSize:  stepSize,
+			Seed:      seed,
+			UseTCP:    useTCP,
+			Gen:       spec,
+			SpillDir:  spillDir,
 		})
 	case "connected":
 		rep, err = edgeswitch.RunConnected(g, t, seed)

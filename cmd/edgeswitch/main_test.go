@@ -8,7 +8,7 @@ import (
 
 func TestRunDataset(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.txt")
-	err := run("", "erdosrenyi", 0.02, "", 0, 0, out, 500, 1, 2, "HP-U", "", 2, 7, false, true, false, "plain", 0, "", 0)
+	err := run("", "erdosrenyi", 0.02, "", 0, 0, out, 500, 1, 2, "HP-U", "", 2, 7, false, true, false, "plain", 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestRunFromFile(t *testing.T) {
 	if err := os.WriteFile(in, []byte("# 6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(in, "", 1, "", 0, 0, "", 20, 1, 1, "CP", "", 1, 3, false, true, false, "plain", 0, "", 0); err != nil {
+	if err := run(in, "", 1, "", 0, 0, "", 20, 1, 1, "CP", "", 1, 3, false, true, false, "plain", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +38,7 @@ func TestRunModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"plain", "connected", "jdd"} {
-		if err := run(in, "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 5, false, true, false, mode, 0, "", 0); err != nil {
+		if err := run(in, "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 5, false, true, false, mode, 0, ""); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestRunModes(t *testing.T) {
 	if err := os.WriteFile(bip, []byte("# 6 5\n0 3\n0 4\n1 4\n1 5\n2 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bip, "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 5, false, true, false, "bipartite", 3, "", 0); err != nil {
+	if err := run(bip, "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 5, false, true, false, "bipartite", 3, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +59,7 @@ func TestRunDistributedGen(t *testing.T) {
 	dir := t.TempDir()
 	for _, ranks := range []int{1, 4} {
 		out := filepath.Join(dir, "gen.txt")
-		if err := run("", "", 1, "pa", 600, 4, out, 100, 1, ranks, "CP", "", 1, 11, false, true, false, "plain", 0, "", 0); err != nil {
+		if err := run("", "", 1, "pa", 600, 4, out, 100, 1, ranks, "CP", "", 1, 11, false, true, false, "plain", 0, ""); err != nil {
 			t.Fatalf("p=%d: %v", ranks, err)
 		}
 		fi, err := os.Stat(out)
@@ -67,31 +67,31 @@ func TestRunDistributedGen(t *testing.T) {
 			t.Fatalf("p=%d: output not written (%v)", ranks, err)
 		}
 	}
-	if err := run("", "", 1, "contact", 600, 6, "", 50, 1, 2, "HP-D", "", 1, 11, false, true, false, "plain", 0, "", 0); err != nil {
+	if err := run("", "", 1, "contact", 600, 6, "", 50, 1, 2, "HP-D", "", 1, 11, false, true, false, "plain", 0, ""); err != nil {
 		t.Fatalf("contact: %v", err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("", "", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("missing input accepted")
 	}
-	if err := run("x.txt", "miami", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("x.txt", "miami", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("both -in and -dataset accepted")
 	}
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "bogus", 0, "", 0); err == nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "bogus", 0, ""); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
-	if err := run("", "nonexistent", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("", "nonexistent", 1, "", 0, 0, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
-	if err := run("x.txt", "", 1, "pa", 100, 4, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("x.txt", "", 1, "pa", 100, 4, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("both -in and -gen accepted")
 	}
-	if err := run("", "", 1, "bogus", 100, 4, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("", "", 1, "bogus", 100, 4, "", 10, 1, 1, "CP", "", 1, 1, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("bogus -gen model accepted")
 	}
-	if err := run("", "", 1, "pa", 100, 4, "", 10, 1, 2, "CP", "", 1, 1, false, true, false, "connected", 0, "", 0); err == nil {
+	if err := run("", "", 1, "pa", 100, 4, "", 10, 1, 2, "CP", "", 1, 1, false, true, false, "connected", 0, ""); err == nil {
 		t.Fatal("-gen with constrained mode accepted")
 	}
 }
@@ -99,24 +99,24 @@ func TestRunValidation(t *testing.T) {
 func TestRunCurveball(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.txt")
 	// Parallel, sequential, and visit-rate-derived (t=0) curveball runs.
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, out, 4, 1, 2, "HP-D", "curveball", 1, 7, false, true, false, "plain", 0, "", 0); err != nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, out, 4, 1, 2, "HP-D", "curveball", 1, 7, false, true, false, "plain", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
 		t.Fatalf("output not written: %v", err)
 	}
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 3, 1, 1, "CP", "curveball", 1, 7, false, true, false, "plain", 0, "", 0); err != nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 3, 1, 1, "CP", "curveball", 1, 7, false, true, false, "plain", 0, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 0, 0.5, 2, "CP", "curveball", 1, 7, false, true, false, "plain", 0, "", 0); err != nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 0, 0.5, 2, "CP", "curveball", 1, 7, false, true, false, "plain", 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Constrained sequential modes are edge-switch-only.
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 10, 1, 1, "CP", "curveball", 1, 7, false, true, false, "jdd", 0, "", 0); err == nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 10, 1, 1, "CP", "curveball", 1, 7, false, true, false, "jdd", 0, ""); err == nil {
 		t.Fatal("curveball accepted for a constrained mode")
 	}
 	// Unknown algorithms are rejected at t derivation.
-	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 0, 1, 1, "CP", "bogus", 1, 7, false, true, false, "plain", 0, "", 0); err == nil {
+	if err := run("", "erdosrenyi", 0.02, "", 0, 0, "", 0, 1, 1, "CP", "bogus", 1, 7, false, true, false, "plain", 0, ""); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestProfiled(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	err := profiled(cpu, mem, func() error {
-		return run("", "", 1, "pa", 2000, 5, "", 0, 0.5, 2, "HP-D", "", 2, 3, false, true, false, "plain", 0, "", 0)
+		return run("", "", 1, "pa", 2000, 5, "", 0, 0.5, 2, "HP-D", "", 2, 3, false, true, false, "plain", 0, "")
 	})
 	if err != nil {
 		t.Fatal(err)

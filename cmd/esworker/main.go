@@ -76,7 +76,6 @@ type workerOpts struct {
 	restore      bool
 	maxRollbacks int
 	spillDir     string
-	overlay      int64
 }
 
 func main() {
@@ -103,7 +102,6 @@ func main() {
 	flag.BoolVar(&o.restore, "restore", false, "resume from the newest restorable checkpoint in -checkpoint-dir before switching")
 	flag.IntVar(&o.maxRollbacks, "max-rollbacks", 3, "lost-peer rollback recoveries to attempt before failing (with -checkpoint-dir)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "spill this rank's partition to an mmap'd segment under this directory (tiered out-of-core store; safe to share across ranks — each uses its own subdirectory)")
-	flag.Int64Var(&o.overlay, "overlay-budget", 0, "overlay entry cap before compaction with -spill-dir (0: auto)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "esworker[%d]: %v\n", o.rank, err)
@@ -234,6 +232,7 @@ func childArgs(o workerOpts, r int, restore bool) []string {
 		"-steps", strconv.FormatInt(o.steps, 10),
 		"-seed", strconv.FormatUint(o.seed, 10),
 		"-timeout", o.timeout.String(),
+		"-write-timeout", o.writeTO.String(),
 	}
 	if o.genMod != "" {
 		// The generation spec must reach every rank verbatim — the
@@ -249,8 +248,7 @@ func childArgs(o workerOpts, r int, restore bool) []string {
 			"-max-rollbacks", strconv.Itoa(o.maxRollbacks))
 	}
 	if o.spillDir != "" {
-		args = append(args, "-spill-dir", o.spillDir,
-			"-overlay-budget", strconv.FormatInt(o.overlay, 10))
+		args = append(args, "-spill-dir", o.spillDir)
 	}
 	if restore {
 		args = append(args, "-restore")
@@ -367,7 +365,6 @@ func runRank(g *graph.Graph, spec *pergen.Spec, o workerOpts, t int64, targetX f
 			CheckpointEvery: o.ckEvery,
 			Restore:         restore,
 			SpillDir:        o.spillDir,
-			OverlayBudget:   o.overlay,
 		})
 		if err != nil {
 			return err

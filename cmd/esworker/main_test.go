@@ -562,7 +562,9 @@ func TestRunKillRestoreMultiProcess(t *testing.T) {
 // TestChildArgsForwardRawFlags pins the spawn contract childArgs
 // documents: the raw -t/-x flag values reach children verbatim. A
 // derived t here once suppressed the children's early stop and hung
-// -spawn -x curveball runs.
+// -spawn -x curveball runs. The transport write deadline and the spill
+// directory reach them too; a child left on the default write deadline
+// surfaced a dead peer only after 30 s.
 func TestChildArgsForwardRawFlags(t *testing.T) {
 	o := testOpts()
 	o.genMod, o.genN, o.genD = "pa", 5000, 6
@@ -571,6 +573,8 @@ func TestChildArgsForwardRawFlags(t *testing.T) {
 	o.tOps, o.x = 0, 0.9
 	o.scheme, o.algo = "HP-D", "curveball"
 	o.seed = 42
+	o.writeTO = 7 * time.Second
+	o.spillDir = "spill"
 	args := childArgs(o, 2, false)
 	get := func(flag string) string {
 		for i := 0; i+1 < len(args); i++ {
@@ -593,9 +597,18 @@ func TestChildArgsForwardRawFlags(t *testing.T) {
 	if v := get("-gen"); v != "pa" {
 		t.Fatalf("-gen %q", v)
 	}
+	if v := get("-write-timeout"); v != "7s" {
+		t.Fatalf("-write-timeout forwarded as %q, want 7s", v)
+	}
+	if v := get("-spill-dir"); v != "spill" {
+		t.Fatalf("-spill-dir %q", v)
+	}
 	for _, a := range args {
 		if a == "-checkpoint-dir" || a == "-restore" {
 			t.Fatalf("checkpoint flag %s forwarded without -checkpoint-dir set", a)
+		}
+		if a == "-overlay-budget" {
+			t.Fatalf("children got %s, a flag esworker no longer has", a)
 		}
 	}
 }

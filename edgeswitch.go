@@ -139,14 +139,10 @@ type Options struct {
 	// SpillDir, when non-empty, switches parallel ranks to the tiered
 	// out-of-core edge store: each rank keeps its partition in an mmap'd
 	// base segment under SpillDir/rank-NNNN plus a bounded in-memory
-	// delta overlay, compacted at step boundaries. Results are
-	// bit-identical to in-memory runs wherever those are deterministic.
-	// No effect on sequential runs.
+	// delta overlay of at most max(|E_local|/4, 4096) entries, compacted
+	// at step boundaries. Results are bit-identical to in-memory runs
+	// wherever those are deterministic. No effect on sequential runs.
 	SpillDir string
-	// OverlayBudget caps the per-rank overlay entry count before a
-	// compaction is forced (0 = auto: a quarter of the loaded entries,
-	// floor 4096). Only meaningful with SpillDir.
-	OverlayBudget int64
 }
 
 // Report summarizes a Run.
@@ -253,7 +249,6 @@ func Run(g *Graph, opt Options) (*Report, error) {
 		TargetVisitRate: targetX,
 		DistributedGen:  spec,
 		SpillDir:        opt.SpillDir,
-		OverlayBudget:   opt.OverlayBudget,
 	})
 	if err != nil {
 		return nil, err

@@ -187,13 +187,13 @@ func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error
 	}
 	dir := filepath.Join(cfg.SpillDir, fmt.Sprintf("rank-%04d", c.Rank()))
 	prio := rng.Split(cfg.Seed, promotePrioSplit+c.Rank())
-	return store.NewTiered(dir, verts, cfg.OverlayBudget, prio.Uint32)
+	return store.NewTiered(dir, verts, cfg.overlayBudget, prio.Uint32)
 }
 
 // newEmptyRankEngine prepares a rank's state with an empty partition and
 // a live store the caller must close; bootstrap fills it (loadSlotEdges)
 // and then calls finishLoad. Only cfg.Seed, cfg.CheckInvariants,
-// cfg.TargetVisitRate and the storage fields (SpillDir, OverlayBudget)
+// cfg.TargetVisitRate and the storage fields (SpillDir, overlayBudget)
 // are consulted here; the communicator decides everything else.
 func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config) (*rankEngine, error) {
 	e := &rankEngine{

@@ -73,22 +73,18 @@ type Config struct {
 	// O(n) allreduces per run; meant for tests and checked production
 	// runs, off by default.
 	CheckInvariants bool
-	// SpillDir, when set, switches every rank's partition storage from
-	// in-memory treaps to the tiered out-of-core store (internal/store,
-	// DESIGN.md §7): an immutable mmap'd base segment under
+	// SpillDir, when set, gives every rank's partition store a directory
+	// (internal/store, DESIGN.md §7): an immutable mmap'd base segment under
 	// SpillDir/rank-NNNN holds the partition on disk, an in-memory
 	// overlay holds only vertices touched since the last compaction, and
-	// step boundaries fold an over-budget overlay into a new base
-	// segment. Results are bit-identical to in-memory runs wherever the
-	// run is deterministic; steady-state heap is O(overlay), so runs fit
-	// under a GOMEMLIMIT far below |E_local| (the mapping is file-backed
-	// and doesn't count). Multi-process ranks need distinct or shared
-	// directories — each rank uses only its own subdirectory.
+	// step boundaries fold an overlay of more than max(|E_local|/4, 4096)
+	// entries into a new base segment. Results are bit-identical to
+	// in-memory runs wherever the run is deterministic; steady-state heap
+	// is O(overlay), so runs fit under a GOMEMLIMIT far below |E_local|
+	// (the mapping is file-backed and doesn't count). Multi-process ranks
+	// need distinct or shared directories — each rank uses only its own
+	// subdirectory.
 	SpillDir string
-	// OverlayBudget caps the tiered store's overlay entry count; a step
-	// boundary whose overlay exceeds it triggers compaction. 0 derives
-	// max(|E_local|/4, 4096) at load time. Ignored without SpillDir.
-	OverlayBudget int64
 	// DistributedGen, when non-nil, switches the bootstrap to
 	// communication-free parallel generation (internal/gen/pergen): no
 	// rank materializes the whole graph and nothing is scattered —
@@ -129,6 +125,11 @@ type Config struct {
 	// which restore every boundary of a run, turn either.
 	checkpointKeep int
 	restoreStep    int64
+
+	// overlayBudget, when > 0 with SpillDir, replaces the derived overlay
+	// budget. Unexported: only this package's spill tests, which want a
+	// compaction at every boundary, set it.
+	overlayBudget int64
 
 	// noBatch sends every protocol message as its own transport payload
 	// instead of coalescing per destination (see sendbuf.go). Unexported:

@@ -51,7 +51,7 @@ func TestSpillInMemoryEquivalence(t *testing.T) {
 			}
 			scfg := cfg
 			scfg.SpillDir = t.TempDir()
-			scfg.OverlayBudget = 64
+			scfg.overlayBudget = 64
 			spill, err := Parallel(g, tc.t, scfg)
 			if err != nil {
 				t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSpillParallelEdgeSwitch(t *testing.T) {
 		Seed:            7,
 		CheckInvariants: true,
 		SpillDir:        t.TempDir(),
-		OverlayBudget:   64,
+		overlayBudget:   64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +147,9 @@ func TestSpillParallelEdgeSwitch(t *testing.T) {
 // tiered store with a tiny overlay budget (every boundary compacts),
 // anything else the in-memory store.
 func withStore(t *testing.T, cfg Config, kind string) Config {
-	cfg.SpillDir, cfg.OverlayBudget = "", 0
+	cfg.SpillDir, cfg.overlayBudget = "", 0
 	if kind == "spill" {
-		cfg.SpillDir, cfg.OverlayBudget = t.TempDir(), 64
+		cfg.SpillDir, cfg.overlayBudget = t.TempDir(), 64
 	}
 	return cfg
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // A base segment is one rank's immutable CSR image of its partition:
@@ -38,8 +36,7 @@ const (
 // family.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// segName names generation g's base segment. Generations only grow;
-// recovery picks the newest file that verifies.
+// segName names generation g's base segment; generations only grow.
 func segName(gen uint64) string { return fmt.Sprintf("base-%08d.seg", gen) }
 
 // Segment is an open, read-only, mmap'd base segment.
@@ -54,7 +51,7 @@ type Segment struct {
 
 // OpenSegment maps the segment at path and verifies its header, frame
 // arithmetic, full-content CRC32C and offset table. Use it for cold opens
-// (recovery, checkpoint restore); the writer's Finalize skips the
+// (checkpoint restore); the writer's Finalize skips the
 // re-verification of bytes it just produced.
 func OpenSegment(path string) (*Segment, error) {
 	return openSegment(path, true)
@@ -166,8 +163,7 @@ func (s *Segment) Close() error {
 
 // SegmentWriter streams a new base segment to path+".tmp" in one
 // sequential pass; Finalize fsyncs and renames it into place, so a crash
-// at any earlier point leaves only a .tmp file the recovery scan
-// ignores and removes.
+// at any earlier point never leaves a partial file under path.
 type SegmentWriter struct {
 	path    string
 	f       *os.File
@@ -275,42 +271,4 @@ func (w *SegmentWriter) Abort() {
 		w.f = nil
 	}
 	_ = os.Remove(w.path + ".tmp")
-}
-
-// RecoverNewestSegment scans dir for base segments and opens the newest
-// generation that verifies, removing .tmp leftovers and any segment that
-// fails verification (half-written survivors of a crash mid-compaction;
-// the atomic rename guarantees at least one complete predecessor
-// exists whenever any generation was ever finalized). It returns
-// (nil, 0, nil) for a directory with no usable segment.
-func RecoverNewestSegment(dir string) (*Segment, uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	var gens []uint64
-	for _, ent := range ents {
-		name := ent.Name()
-		if filepath.Ext(name) == ".tmp" {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		var gen uint64
-		if n, serr := fmt.Sscanf(name, "base-%d.seg", &gen); n == 1 && serr == nil {
-			gens = append(gens, gen)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, gen := range gens {
-		path := filepath.Join(dir, segName(gen))
-		seg, err := openSegment(path, true)
-		if err == nil {
-			return seg, gen, nil
-		}
-		// A segment that fails verification was never renamed complete —
-		// or was damaged after the fact; either way the next-older
-		// generation is the restorable base.
-		_ = os.Remove(path)
-	}
-	return nil, 0, nil
 }

@@ -1,12 +1,13 @@
 // Package store is the per-rank partition storage seam of the parallel
-// engine: an AdjSet-shaped, slot-indexed interface with two
-// implementations — Mem, one graph.AdjSet per slot all in memory, and
-// Tiered, a two-tier out-of-core store that keeps an immutable mmap'd
-// CSR base segment on disk with the AdjSets demoted to a bounded delta
-// overlay of vertices touched since the last compaction
-// (DESIGN.md §7). The engine mutates storage only through this
-// interface, so both randomizers (edge-switch conversations and
-// curveball's whole-partition drains) run unchanged over either tier.
+// engine: an AdjSet-shaped, slot-indexed interface with one
+// implementation, Tiered — one graph.AdjSet per touched slot in an
+// in-memory overlay, over an immutable mmap'd CSR base segment when the
+// store has a directory (DESIGN.md §7). Without a directory (NewMem)
+// every slot stays in the overlay for good and the store never touches
+// the filesystem until a checkpoint asks for its segment image. The
+// engine mutates storage only through this interface, so both
+// randomizers (edge-switch conversations and curveball's
+// whole-partition drains) run unchanged with or without a directory.
 package store
 
 import "edgeswitch/internal/graph"
@@ -18,10 +19,11 @@ import "edgeswitch/internal/graph"
 //
 // Load protocol: bulk loads arrive as ascending-slot BuildSorted /
 // BuildSortedFlagged calls or as arbitrary Inserts; EndLoad marks the
-// partition complete (Tiered establishes its first base segment there).
-// A store whose every slot has been drained may be rebuilt the same way
-// at any time — curveball does once per round — and Tiered then streams
-// the ascending-slot builds into its next base segment.
+// partition complete (a store with a directory establishes its first
+// base segment there). A store whose every slot has been drained may be
+// rebuilt the same way at any time — curveball does once per round — and
+// a store with a directory then streams the ascending-slot builds into
+// its next base segment.
 // EndStep is the engine's step-boundary hook, the only point a
 // compaction may run — mid-step, outstanding reads stay valid.
 type Store interface {
@@ -65,10 +67,10 @@ type Store interface {
 	SaveSegment(path string) (size int64, crc uint32, err error)
 	// EndLoad completes the bulk-load phase.
 	EndLoad() error
-	// EndStep runs at every step boundary; Tiered compacts here when the
-	// overlay exceeds its budget.
+	// EndStep runs at every step boundary; a store with a directory
+	// compacts here when the overlay exceeds its budget.
 	EndStep() error
-	// Stats reports the spill counters (zero for Mem).
+	// Stats reports the spill counters (zero without a directory).
 	Stats() Stats
 	// Close releases every resource (mappings, spill files). The store
 	// is unusable afterwards.
@@ -80,7 +82,7 @@ type Store interface {
 // attribute time to compaction vs switching.
 type Stats struct {
 	// BaseBytes is the current base segment's on-disk size (0 before the
-	// first compaction and always 0 for Mem).
+	// first compaction).
 	BaseBytes int64
 	// OverlayEntries is the overlay's current entry count.
 	OverlayEntries int64
@@ -92,100 +94,3 @@ type Stats struct {
 	// compacting.
 	CompactNs int64
 }
-
-// Mem is the all-in-memory Store: a graph.AdjSet per slot (a flat sorted
-// array; a treap over one shared node arena for hubs).
-type Mem struct {
-	verts []graph.Vertex
-	adj   []graph.AdjSet
-	arena graph.NodeArena
-}
-
-// NewMem returns an in-memory store with one empty slot per owned
-// vertex; verts maps slots to their owner labels (the gap-encoding
-// anchors SaveSegment needs) and is retained, not copied.
-func NewMem(verts []graph.Vertex) *Mem {
-	return &Mem{verts: verts, adj: make([]graph.AdjSet, len(verts))}
-}
-
-// Len implements Store.
-func (m *Mem) Len(li int) int { return m.adj[li].Len() }
-
-// Originals implements Store.
-func (m *Mem) Originals(li int) int { return m.adj[li].Originals() }
-
-// Contains implements Store.
-func (m *Mem) Contains(li int, v graph.Vertex) bool { return m.adj[li].Contains(v) }
-
-// Original implements Store.
-func (m *Mem) Original(li int, v graph.Vertex) bool { return m.adj[li].Original(v) }
-
-// Kth implements Store.
-func (m *Mem) Kth(li, k int) (graph.Vertex, bool) { return m.adj[li].Kth(k) }
-
-// TakeKth implements Store.
-func (m *Mem) TakeKth(li, k int) (graph.Vertex, bool) { return m.adj[li].TakeKthArena(&m.arena, k) }
-
-// Insert implements Store.
-func (m *Mem) Insert(li int, v graph.Vertex, original bool, prio uint32) bool {
-	return m.adj[li].InsertArena(&m.arena, v, original, prio)
-}
-
-// Delete implements Store.
-func (m *Mem) Delete(li int, v graph.Vertex) (found, original bool) {
-	return m.adj[li].DeleteArena(&m.arena, v)
-}
-
-// Drain implements Store.
-func (m *Mem) Drain(li int, fn func(v graph.Vertex, original bool)) {
-	m.adj[li].DrainArena(&m.arena, fn)
-}
-
-// Walk implements Store.
-func (m *Mem) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
-	m.adj[li].Walk(fn)
-}
-
-// BuildSorted implements Store.
-func (m *Mem) BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool) {
-	m.adj[li].BuildSorted(&m.arena, keys, prios, original)
-}
-
-// BuildSortedFlagged implements Store.
-func (m *Mem) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool) {
-	m.adj[li].BuildSortedFlagged(&m.arena, keys, prios, origs)
-}
-
-// SaveSegment implements Store: every slot is encoded and streamed
-// through a SegmentWriter (fsync + atomic rename, like a tiered base).
-func (m *Mem) SaveSegment(path string) (int64, uint32, error) {
-	w, err := NewSegmentWriter(path, len(m.verts))
-	if err != nil {
-		return 0, 0, err
-	}
-	var buf []byte
-	for li := range m.adj {
-		buf = m.adj[li].AppendAdjSet(buf[:0], m.verts[li])
-		if err := w.Append(buf); err != nil {
-			w.Abort()
-			return 0, 0, err
-		}
-	}
-	seg, err := w.Finalize()
-	if err != nil {
-		return 0, 0, err
-	}
-	return seg.Size(), seg.CRC(), seg.Close()
-}
-
-// EndLoad implements Store (a no-op).
-func (m *Mem) EndLoad() error { return nil }
-
-// EndStep implements Store (a no-op).
-func (m *Mem) EndStep() error { return nil }
-
-// Stats implements Store (all zeros).
-func (m *Mem) Stats() Stats { return Stats{} }
-
-// Close implements Store (a no-op).
-func (m *Mem) Close() error { return nil }

@@ -99,6 +99,9 @@ func TestMemTieredEquivalence(t *testing.T) {
 		t.Fatal("tiered store has no base segment after EndLoad")
 	}
 	requireSlotsEqual(t, mem, tr, nv, "after load")
+	if st := mem.Stats(); st != (Stats{}) {
+		t.Fatalf("store without a directory reports spill counters %+v", st)
+	}
 
 	for step := 0; step < 60; step++ {
 		for op := 0; op < 20; op++ {
@@ -369,61 +372,56 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestRecoverNewestSegment builds three generations, damages the newest
-// and leaves a .tmp straggler — the recovery scan must clean both up and
-// hand back the intact middle generation, proving a crash anywhere in a
-// compaction leaves a restorable base (the atomic rename guarantee).
-func TestRecoverNewestSegment(t *testing.T) {
-	verts := testVerts(3)
-	dir := t.TempDir()
-	r := rng.New(1)
-	tr, err := NewTiered(dir, verts, 0, r.Uint32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Insert(0, verts[0]+1, true, 5)
-	if err := tr.EndLoad(); err != nil { // gen 1
-		t.Fatal(err)
-	}
-	tr.Insert(1, verts[1]+3, false, 6)
-	if err := tr.Compact(); err != nil { // gen 2
-		t.Fatal(err)
-	}
-	wantCRC := tr.seg.CRC()
-	tr.seg.Close() // release the mapping without removing the files
-	tr.seg = nil
-
-	// Simulate a crash mid-compaction of gen 3: a half-written .tmp …
-	if err := os.WriteFile(filepath.Join(dir, segName(3)+".tmp"), []byte("ESSGpartial"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	// … and a gen-4 file that was damaged after renaming.
-	data, err := os.ReadFile(filepath.Join(dir, segName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-1] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, segName(4)), bad, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	seg, gen, err := RecoverNewestSegment(dir)
-	if err != nil {
-		t.Fatalf("RecoverNewestSegment: %v", err)
-	}
-	if seg == nil || gen != 2 {
-		t.Fatalf("recovered generation %d, want 2", gen)
-	}
-	if seg.CRC() != wantCRC {
-		t.Fatalf("recovered segment CRC %08x, want %08x", seg.CRC(), wantCRC)
-	}
-	seg.Close()
-	if _, err := os.Stat(filepath.Join(dir, segName(4))); !os.IsNotExist(err) {
-		t.Fatal("damaged gen-4 segment not removed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, segName(3)+".tmp")); !os.IsNotExist(err) {
-		t.Fatal(".tmp straggler not removed")
+// TestTieredAutoBudget pins the one budget rule: with budget 0 a step
+// boundary leaves an overlay of max(loaded/4, 4096) entries alone and
+// compacts one entry past it.
+func TestTieredAutoBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		slots, perSlot int
+		budget         int64
+	}{
+		{"quarter", 40, 1000, 10000}, // 40 000 loaded
+		{"floor", 4, 25, 4096},       // 100 loaded
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			verts := testVerts(tc.slots)
+			tr := newTestTiered(t, verts, 0)
+			for li := range verts {
+				keys := make([]graph.Vertex, tc.perSlot)
+				for j := range keys {
+					keys[j] = verts[li] + 1 + graph.Vertex(j)
+				}
+				tr.BuildSorted(li, keys, nil, true)
+			}
+			if err := tr.EndLoad(); err != nil {
+				t.Fatalf("EndLoad: %v", err)
+			}
+			// Promote whole slots, then top slot 0 up with fresh entries
+			// until the overlay holds exactly the budget.
+			overlay := int64(0)
+			for li := 0; li < tc.slots && overlay+int64(tc.perSlot) <= tc.budget; li++ {
+				tr.Kth(li, 0)
+				overlay += int64(tc.perSlot)
+			}
+			for v := verts[0] + 1 + graph.Vertex(tc.perSlot); overlay < tc.budget; v++ {
+				tr.Insert(0, v, false, 0)
+				overlay++
+			}
+			endStep := func(wantEntries, wantCompactions int64) {
+				t.Helper()
+				if err := tr.EndStep(); err != nil {
+					t.Fatalf("EndStep: %v", err)
+				}
+				if st := tr.Stats(); st.OverlayEntries != wantEntries || st.Compactions != wantCompactions {
+					t.Fatalf("after EndStep: %d overlay entries, %d compactions; want %d and %d",
+						st.OverlayEntries, st.Compactions, wantEntries, wantCompactions)
+				}
+			}
+			endStep(tc.budget, 0)
+			tr.Insert(0, verts[0]+100000, false, 0)
+			endStep(0, 1)
+		})
 	}
 }
 

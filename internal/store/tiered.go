@@ -10,9 +10,15 @@ import (
 	"edgeswitch/internal/graph"
 )
 
-// Tiered is the out-of-core Store: an immutable mmap'd base segment
-// holding the whole partition in slot order, plus a bounded in-memory
-// delta overlay — one graph.AdjSet per slot, but only for slots touched
+// Tiered is the Store: an in-memory overlay — one graph.AdjSet per slot
+// (a flat sorted array; a treap over one shared node arena for hubs) —
+// over an optional immutable mmap'd base segment holding the whole
+// partition in slot order.
+//
+// Without a directory (NewMem) there is no base: every slot lives in the
+// overlay for good, nothing streams or compacts, and Stats stay zero.
+//
+// With a directory (NewTiered) the overlay holds only the slots touched
 // since the last compaction. Reads consult overlay-then-base; every
 // mutation promotes its slot into the overlay first (decoding the base
 // list into an AdjSet once); when the overlay outgrows its budget at a step
@@ -27,7 +33,7 @@ import (
 // runs make identical random choices (priorities shape only a hub's
 // treap form, never results — selection is by key order).
 type Tiered struct {
-	dir   string
+	dir   string // "" keeps every slot in the overlay, with no base
 	verts []graph.Vertex
 
 	overlay       []graph.AdjSet
@@ -47,10 +53,7 @@ type Tiered struct {
 	w        *SegmentWriter // open streaming bulk-build writer
 	wEntries int64          // entries streamed into w so far
 
-	loading       bool
-	loadedEntries int64 // entries seen during load, for the auto budget
-	budget        int64
-	cfgBudget     int64
+	budget int64 // overlay entries a step boundary leaves uncompacted
 
 	prio func() uint32
 
@@ -73,7 +76,7 @@ const autoBudgetFloor = 4096
 // NewTiered creates a tiered store spilling to dir (created if absent;
 // any stale segments from a previous run are removed). verts maps slots
 // to owner labels and is retained. budget caps the overlay's entry
-// count; 0 resolves to max(loadedEntries/4, 4096) at EndLoad. prio
+// count; 0 resolves at EndLoad to max(entries held/4, 4096). prio
 // supplies treap priorities for promoted entries and must be a stream
 // independent of the run RNG.
 func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint32) (*Tiered, error) {
@@ -90,14 +93,20 @@ func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint3
 		}
 	}
 	return &Tiered{
-		dir:       dir,
-		verts:     verts,
-		overlay:   make([]graph.AdjSet, len(verts)),
-		promoted:  make([]bool, len(verts)),
-		loading:   true,
-		cfgBudget: budget,
-		prio:      prio,
+		dir:      dir,
+		verts:    verts,
+		overlay:  make([]graph.AdjSet, len(verts)),
+		promoted: make([]bool, len(verts)),
+		budget:   budget,
+		prio:     prio,
 	}, nil
+}
+
+// NewMem returns a store without a directory: one empty in-memory slot
+// per owned vertex. verts maps slots to their owner labels (the
+// gap-encoding anchors SaveSegment needs) and is retained, not copied.
+func NewMem(verts []graph.Vertex) *Tiered {
+	return &Tiered{verts: verts, overlay: make([]graph.AdjSet, len(verts))}
 }
 
 // inOverlay reports whether slot li's live content is the overlay set
@@ -115,10 +124,15 @@ func (t *Tiered) corrupt(li int, err error) {
 	panic(fmt.Sprintf("store: base segment %s slot %d undecodable after CRC pass: %v", t.seg.Path(), li, err))
 }
 
-// materialize promotes slot li: its base list is decoded into an overlay
-// set (with fresh priorities from the promotion stream) and the base
-// copy goes dead until the next compaction.
+// materialize finalizes a streamed base and promotes slot li if it is
+// not yet an overlay set: its base list is decoded into one (with fresh
+// priorities from the promotion stream) and the base copy goes dead
+// until the next compaction.
 func (t *Tiered) materialize(li int) {
+	t.ensureLoaded()
+	if t.inOverlay(li) {
+		return
+	}
 	keys, origs, _, err := graph.DecodeAdjSet(t.list(li), t.verts[li], t.keys[:0], t.origs[:0])
 	if err != nil {
 		t.corrupt(li, err)
@@ -136,23 +150,29 @@ func (t *Tiered) materialize(li int) {
 	t.addEntries(int64(len(keys)))
 }
 
-// ensureWritable makes slot li's live content an overlay set.
+// ensureWritable makes slot li's live content an overlay set; inlinable,
+// so a slot already there costs two branches.
 func (t *Tiered) ensureWritable(li int) {
-	t.ensureLoaded()
-	if !t.inOverlay(li) {
+	if t.w != nil || !t.inOverlay(li) {
 		t.materialize(li)
 	}
 }
 
 // ensureLoaded finalizes an open streaming bulk-build writer so reads and
-// point mutations see a complete base. Slots never bulk-filled get empty
-// lists. The streamed segment replaces the old base, if any, which held
-// nothing live (streamBuild's precondition); outside the initial load
-// that is a full rewrite of the base and counts as a compaction.
+// point mutations see a complete base; it is the one branch every call
+// pays, so it stays inlinable.
 func (t *Tiered) ensureLoaded() {
-	if t.w == nil {
-		return
+	if t.w != nil {
+		t.finishStream()
 	}
+}
+
+// finishStream finalizes the streaming writer. Slots never bulk-filled
+// get empty lists. The streamed segment replaces the old base, if any,
+// which held nothing live (streamBuild's precondition); outside the
+// initial load that is a full rewrite of the base and counts as a
+// compaction.
+func (t *Tiered) finishStream() {
 	start := clock.Now()
 	for t.w.Slots() < len(t.verts) {
 		if err := t.w.Append(emptyList); err != nil {
@@ -286,9 +306,6 @@ func (t *Tiered) Insert(li int, v graph.Vertex, original bool, prio uint32) bool
 	ok := t.overlay[li].InsertArena(&t.arena, v, original, prio)
 	if ok {
 		t.addEntries(1)
-		if t.loading {
-			t.loadedEntries++
-		}
 	}
 	return ok
 }
@@ -311,7 +328,11 @@ func (t *Tiered) Drain(li int, fn func(v graph.Vertex, original bool)) {
 	if t.inOverlay(li) {
 		n := int64(t.overlay[li].Len())
 		t.overlay[li].DrainArena(&t.arena, fn)
-		t.overlay[li] = graph.AdjSet{} // the rebuild streams to a segment; keep no array
+		if t.dir != "" {
+			// The rebuild streams to a segment; keep no array. Without a
+			// directory the rebuild refills this one.
+			t.overlay[li] = graph.AdjSet{}
+		}
 		t.entries -= n
 		return
 	}
@@ -346,10 +367,10 @@ func (t *Tiered) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
 // first BuildSorted* on a store holding nothing — pristine, or drained
 // to the last entry as by a curveball round — opens the writer: a full
 // rewrite with no overlay sets. Builds into a store that still holds
-// entries fall back to the overlay path.
+// entries, or that has no directory, take the overlay path.
 func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) bool {
 	if t.w == nil {
-		if t.entries != 0 || t.baseLive != 0 {
+		if t.dir == "" || t.entries != 0 || t.baseLive != 0 {
 			return false
 		}
 		path := filepath.Join(t.dir, segName(t.gen+1))
@@ -381,9 +402,6 @@ func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) b
 // the memory of a bootstrap or a full rebuild is O(scratch), not
 // O(|E_local|).
 func (t *Tiered) BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool) {
-	if t.loading {
-		t.loadedEntries += int64(len(keys))
-	}
 	if t.streamBuild(li, len(keys), func(buf []byte, owner graph.Vertex) []byte {
 		return graph.AppendSortedAdj(buf, owner, keys, original)
 	}) {
@@ -396,9 +414,6 @@ func (t *Tiered) BuildSorted(li int, keys []graph.Vertex, prios []uint32, origin
 
 // BuildSortedFlagged implements Store; see BuildSorted.
 func (t *Tiered) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool) {
-	if t.loading {
-		t.loadedEntries += int64(len(keys))
-	}
 	if t.streamBuild(li, len(keys), func(buf []byte, owner graph.Vertex) []byte {
 		return graph.AppendSortedAdjFlagged(buf, owner, keys, origs)
 	}) {
@@ -411,20 +426,13 @@ func (t *Tiered) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32,
 
 // EndLoad implements Store: the partition is complete, so the first base
 // segment is established (a streamed writer finalizes; an Insert-loaded
-// overlay compacts) and the overlay budget resolves from the number of
-// entries loaded.
+// overlay compacts) and an unset overlay budget resolves from the number
+// of entries loaded.
 func (t *Tiered) EndLoad() error {
-	if t.loading {
-		t.loading = false
-		t.budget = t.cfgBudget
-		if t.budget <= 0 {
-			t.budget = t.loadedEntries / 4
-			if t.budget < autoBudgetFloor {
-				t.budget = autoBudgetFloor
-			}
-		}
-	}
 	t.ensureLoaded()
+	if t.budget <= 0 {
+		t.budget = max((t.baseLive+t.entries)/4, autoBudgetFloor)
+	}
 	return t.Compact()
 }
 
@@ -443,31 +451,15 @@ func (t *Tiered) EndStep() error {
 // sets (then emptied), unpromoted slots copied byte
 // for byte from the old mapping — then an atomic rename, after which the
 // old segment is unmapped and removed. A crash anywhere in between
-// leaves either the old or the new generation complete on disk.
+// leaves either the old or the new generation complete on disk. Without
+// a directory there is no base to merge into, and Compact does nothing.
 func (t *Tiered) Compact() error {
 	t.ensureLoaded()
-	if t.seg != nil && t.promotedCount == 0 {
+	if t.dir == "" || t.seg != nil && t.promotedCount == 0 {
 		return nil
 	}
 	start := clock.Now()
-	path := filepath.Join(t.dir, segName(t.gen+1))
-	w, err := NewSegmentWriter(path, len(t.verts))
-	if err != nil {
-		return err
-	}
-	for li := range t.verts {
-		if t.inOverlay(li) {
-			t.encBuf = t.overlay[li].AppendAdjSet(t.encBuf[:0], t.verts[li])
-			err = w.Append(t.encBuf)
-		} else {
-			err = w.Append(t.list(li))
-		}
-		if err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	seg, err := w.Finalize()
+	seg, err := t.writeSlots(filepath.Join(t.dir, segName(t.gen+1)))
 	if err != nil {
 		return err
 	}
@@ -490,11 +482,42 @@ func (t *Tiered) Compact() error {
 	return nil
 }
 
-// SaveSegment implements Store: the base segment is forced current (a
-// no-op when the boundary's compaction already ran or the overlay is
-// clean) and hard-linked to path — the segment is immutable, so
-// publishing it costs one directory entry, not an O(|E_local|) re-encode.
+// writeSlots writes every slot in slot order into a new segment at path
+// — overlay slots encoded, unpromoted slots' base lists copied verbatim —
+// and returns it finalized and mapped.
+func (t *Tiered) writeSlots(path string) (*Segment, error) {
+	w, err := NewSegmentWriter(path, len(t.verts))
+	if err != nil {
+		return nil, err
+	}
+	for li := range t.verts {
+		if t.inOverlay(li) {
+			t.encBuf = t.overlay[li].AppendAdjSet(t.encBuf[:0], t.verts[li])
+			err = w.Append(t.encBuf)
+		} else {
+			err = w.Append(t.list(li))
+		}
+		if err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+	return w.Finalize()
+}
+
+// SaveSegment implements Store. With a directory the base segment is
+// forced current (a no-op when the boundary's compaction already ran or
+// the overlay is clean) and hard-linked to path — the segment is
+// immutable, so publishing it costs one directory entry, not an
+// O(|E_local|) re-encode. Without one, the slots are encoded into path.
 func (t *Tiered) SaveSegment(path string) (int64, uint32, error) {
+	if t.dir == "" {
+		seg, err := t.writeSlots(path)
+		if err != nil {
+			return 0, 0, err
+		}
+		return seg.Size(), seg.CRC(), seg.Close()
+	}
 	if err := t.Compact(); err != nil {
 		return 0, 0, err
 	}
@@ -509,6 +532,9 @@ func (t *Tiered) SaveSegment(path string) (int64, uint32, error) {
 
 // Stats implements Store.
 func (t *Tiered) Stats() Stats {
+	if t.dir == "" {
+		return Stats{}
+	}
 	s := Stats{
 		OverlayEntries: t.entries,
 		OverlayHWM:     t.hwm,
@@ -525,6 +551,9 @@ func (t *Tiered) Stats() Stats {
 // directory removed. Checkpoint hard links keep their segment inodes
 // alive independently.
 func (t *Tiered) Close() error {
+	if t.dir == "" {
+		return nil
+	}
 	if t.w != nil {
 		t.w.Abort()
 		t.w = nil
