@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"time"
@@ -76,6 +78,8 @@ type workerOpts struct {
 	restore      bool
 	maxRollbacks int
 	spillDir     string
+	cpuProf      string // rank N profiles to <cpuProf>.rank<N>, and so for memProf
+	memProf      string
 }
 
 func main() {
@@ -102,11 +106,43 @@ func main() {
 	flag.BoolVar(&o.restore, "restore", false, "resume from the newest restorable checkpoint in -checkpoint-dir before switching")
 	flag.IntVar(&o.maxRollbacks, "max-rollbacks", 3, "lost-peer rollback recoveries to attempt before failing (with -checkpoint-dir)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "spill this rank's partition to an mmap'd segment under this directory (tiered out-of-core store; safe to share across ranks — each uses its own subdirectory)")
+	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of this process's whole run to <path>.rank<N>")
+	flag.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to <path>.rank<N> when this process's run ends")
 	flag.Parse()
-	if err := run(o); err != nil {
+	if err := profiled(o.cpuProf, o.memProf, o.rank, func() error { return run(o) }); err != nil {
 		fmt.Fprintf(os.Stderr, "esworker[%d]: %v\n", o.rank, err)
 		os.Exit(1)
 	}
+}
+
+// profiled runs fn under the profiles asked for (an empty path skips
+// one), as edgeswitch's flags of the same names do, except that every
+// process writes its own <path>.rank<N>. The CPU profile covers all of fn,
+// rollbacks included; the allocation profile is taken once fn returns.
+func profiled(cpuPath, memPath string, rank int, fn func() error) (err error) {
+	suffix := ".rank" + strconv.Itoa(rank)
+	if cpuPath != "" {
+		cpu, cerr := os.Create(cpuPath + suffix)
+		if cerr != nil {
+			return cerr
+		}
+		if cerr := pprof.StartCPUProfile(cpu); cerr != nil {
+			return errors.Join(cerr, cpu.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, cpu.Close())
+		}()
+	}
+	if err := fn(); err != nil || memPath == "" {
+		return err
+	}
+	mem, err := os.Create(memPath + suffix)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
 }
 
 // genSpec maps the -gen/-n/-d flags to a counter-based generator spec.
@@ -249,6 +285,12 @@ func childArgs(o workerOpts, r int, restore bool) []string {
 	}
 	if o.spillDir != "" {
 		args = append(args, "-spill-dir", o.spillDir)
+	}
+	if o.cpuProf != "" {
+		args = append(args, "-cpuprofile", o.cpuProf)
+	}
+	if o.memProf != "" {
+		args = append(args, "-memprofile", o.memProf)
 	}
 	if restore {
 		args = append(args, "-restore")

@@ -140,6 +140,26 @@ func TestRunSingleRank(t *testing.T) {
 	}
 }
 
+// TestProfiledPerRank: -cpuprofile and -memprofile leave one non-empty
+// file per process, named after its rank, so spawned ranks sharing the
+// flag values never overwrite each other.
+func TestProfiledPerRank(t *testing.T) {
+	dir := t.TempDir()
+	o := testOpts()
+	o.graphPath = writeTestGraph(t)
+	o.coord = freePort(t)
+	o.tOps = 20
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := profiled(cpu, mem, 3, func() error { return run(o) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu + ".rank3", mem + ".rank3"} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: %v (empty or missing)", path, err)
+		}
+	}
+}
+
 // TestRunMultiRankInProcess drives the worker's run() once per "process"
 // concurrently — the same path cmd-line invocations exercise across OS
 // processes.
@@ -575,6 +595,7 @@ func TestChildArgsForwardRawFlags(t *testing.T) {
 	o.seed = 42
 	o.writeTO = 7 * time.Second
 	o.spillDir = "spill"
+	o.cpuProf, o.memProf = "cpu.prof", "mem.prof"
 	args := childArgs(o, 2, false)
 	get := func(flag string) string {
 		for i := 0; i+1 < len(args); i++ {
@@ -602,6 +623,12 @@ func TestChildArgsForwardRawFlags(t *testing.T) {
 	}
 	if v := get("-spill-dir"); v != "spill" {
 		t.Fatalf("-spill-dir %q", v)
+	}
+	if v := get("-cpuprofile"); v != "cpu.prof" {
+		t.Fatalf("-cpuprofile forwarded as %q, want the raw path (the child appends its rank)", v)
+	}
+	if v := get("-memprofile"); v != "mem.prof" {
+		t.Fatalf("-memprofile forwarded as %q, want the raw path", v)
 	}
 	for _, a := range args {
 		if a == "-checkpoint-dir" || a == "-restore" {

@@ -45,10 +45,11 @@ import (
 // on arrival order, but the slice is sorted before the trade reads it).
 
 // Stream-id name spaces: the top two bits split the 64-bit id space so
-// pairing draws, trade draws, and everything else (rng.Split consumers)
-// can never collide.
+// curveball's pairing and trade draws, the edge switcher's step quotas
+// and every other stream (pergen's small ids) can never collide.
 const (
 	cbStreamPair  = uint64(1) << 62
+	esStreamQuota = uint64(2) << 62
 	cbStreamTrade = uint64(3) << 62
 )
 

@@ -8,6 +8,7 @@ import (
 
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/randvar"
+	"edgeswitch/internal/rng"
 )
 
 // edgeSwitcher is the randomizer implementation of the paper's
@@ -27,11 +28,9 @@ type edgeSwitcher struct {
 	custody custody
 
 	// cumEdges is the step-start prefix-sum of per-rank edge counts used
-	// to draw the partner rank with probability |E_j|/|E|; qBuf is the
-	// matching multinomial weight scratch. Both are sized once and
+	// to draw the partner rank with probability |E_j|/|E|, sized once and
 	// rewritten at every step boundary.
 	cumEdges []int64
-	qBuf     []float64
 
 	// Initiator-side state: own operations in flight by window slot, and
 	// the stack of free slots, freeSlots[:nFree]. Up to opWindow operations
@@ -116,15 +115,13 @@ var (
 )
 
 // prepare rebuilds the selection prefix sums from the step-boundary edge
-// counts and draws this step's multinomial operation distribution.
+// counts and takes this rank's share of the step's operation quotas.
 func (r *edgeSwitcher) prepare(s int64, counts []int64) error {
 	e := r.e
 	p := e.c.Size()
 	if r.cumEdges == nil {
 		r.cumEdges = make([]int64, p+1)
-		r.qBuf = make([]float64, p)
 	}
-	q := r.qBuf
 	var total int64
 	for i, cnt := range counts {
 		if cnt < 0 {
@@ -132,29 +129,32 @@ func (r *edgeSwitcher) prepare(s int64, counts []int64) error {
 		}
 		r.cumEdges[i] = total
 		total += cnt
-		q[i] = float64(cnt) / float64(e.m)
 	}
 	r.cumEdges[p] = total
 	if total != e.m {
 		return fmt.Errorf("core: edge count drifted: %d != %d", total, e.m)
 	}
-	// Guard against floating-point drift in Σq.
-	var qs float64
-	for _, v := range q {
-		qs += v
-	}
-	if qs != 1 {
-		q[p-1] += 1 - qs
-		if q[p-1] < 0 {
-			q[p-1] = 0
-		}
-	}
-	dist, err := randvar.ParallelMultinomialGathered(e.c, e.rnd, s, q)
+	quotas, err := stepQuotas(e.seed, e.stepsRun, s, counts, e.m)
 	if err != nil {
 		return err
 	}
-	r.remaining = dist[e.c.Rank()]
+	r.remaining = quotas[e.c.Rank()]
 	return nil
+}
+
+// stepQuotas draws step's operation quotas, M(s, |E_0|/m, …, |E_{p-1}|/m)
+// (§4.5), as a pure function of its arguments: its RNG is seeded from the
+// counter stream keyed by (seed, step), so every rank draws the identical
+// vector from the gathered counts and the boundary needs no collective of
+// its own. At p = 1, q = [1] and the quota is [s] without a draw.
+func stepQuotas(seed uint64, step, s int64, counts []int64, m int64) ([]int64, error) {
+	q := make([]float64, len(counts))
+	for i, cnt := range counts {
+		q[i] = float64(cnt) / float64(m)
+	}
+	var rnd rng.RNG
+	rnd.Seed(rng.NewStream(seed, esStreamQuota|uint64(step)).At(0))
+	return randvar.Multinomial(&rnd, s, q)
 }
 
 // inFlight counts own operations occupying a window slot.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"edgeswitch/internal/gen"
@@ -90,7 +92,7 @@ func TestCustodyDifferential(t *testing.T) {
 
 // armedSwitchers bootstraps a live 2-rank edge-switch world (HP-D, a
 // small random graph) and arms both ranks for a step: a quota and a
-// uniform partner distribution, without the collective prepare needs.
+// uniform partner distribution, set directly rather than by prepare.
 // Messages a test makes them send stay queued in the message plane or
 // the peer's mailbox.
 func armedSwitchers(tb testing.TB) [2]*edgeSwitcher {
@@ -268,10 +270,10 @@ func FuzzConversationRecord(f *testing.F) {
 
 // TestEdgeSwitchSteadyStateAllocs counts what the protocol allocates per
 // operation once the engine is warm: the mallocs of a 12-step run minus
-// those of a 2-step run on the same graph, over the 20 steps' worth of
+// those of a 2-step run on the same graph, over the 10 steps' worth of
 // operations between them. What remains (≈ 0.1) is a flat slot's first
 // insert after the load regrowing its exact-size array and the per-step
-// multinomial; the op tables and the custody table allocate nothing per
+// quota draw; the op tables and the custody table allocate nothing per
 // operation.
 func TestEdgeSwitchSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
@@ -297,5 +299,116 @@ func TestEdgeSwitchSteadyStateAllocs(t *testing.T) {
 	t.Logf("mallocs: 2 steps %d, 12 steps %d → %.3f per op", short, long, perOp)
 	if perOp >= 0.2 {
 		t.Fatalf("%.3f mallocs per operation in steady state, want < 0.2", perOp)
+	}
+}
+
+// TestStepQuotasReplicated pins what keeps ranks in agreement without a
+// collective: the quota draw is a pure function of its inputs, every
+// vector hands out exactly s operations, and each step draws from its
+// own stream.
+func TestStepQuotasReplicated(t *testing.T) {
+	counts := []int64{700, 0, 1300, 2000}
+	const m, s = 4000, 40
+	first, err := stepQuotas(5, 0, s, counts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for step := int64(0); step < 200; step++ {
+		a, err := stepQuotas(5, step, s, counts, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := stepQuotas(5, step, s, append([]int64(nil), counts...), m)
+		var sum int64
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("step %d: equal inputs drew %v and %v", step, a, b)
+			}
+			sum += a[i]
+		}
+		if sum != s || a[1] != 0 {
+			t.Fatalf("step %d: quotas %v, want %d operations and none for the empty rank", step, a, s)
+		}
+		if !slices.Equal(a, first) {
+			differ++
+		}
+	}
+	if differ < 150 {
+		t.Fatalf("only %d of 199 later steps drew a vector other than step 0's", differ)
+	}
+}
+
+// TestStepQuotasMoments checks the draw is the multinomial §4.5 asks
+// for: over 10⁴ steps at p=4, each rank's quota has mean s·qᵢ and
+// variance s·qᵢ(1−qᵢ) (bands of about five standard errors).
+func TestStepQuotasMoments(t *testing.T) {
+	counts := []int64{100, 300, 600, 1000}
+	const m, s, draws = 2000, 400, 10000
+	var sum, sumSq [4]float64
+	for step := int64(0); step < draws; step++ {
+		x, err := stepQuotas(17, step, s, counts, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range x {
+			sum[i] += float64(v)
+			sumSq[i] += float64(v) * float64(v)
+		}
+	}
+	for i, cnt := range counts {
+		q := float64(cnt) / m
+		wantMean, wantVar := s*q, s*q*(1-q)
+		mean := sum[i] / draws
+		variance := (sumSq[i] - draws*mean*mean) / (draws - 1)
+		if d := math.Abs(mean - wantMean); d > 5*math.Sqrt(wantVar/draws) {
+			t.Errorf("rank %d: mean quota %.3f, want %.3f", i, mean, wantMean)
+		}
+		if d := math.Abs(variance/wantVar - 1); d > 5*math.Sqrt(2.0/draws) {
+			t.Errorf("rank %d: quota variance %.3f, want %.3f", i, variance, wantVar)
+		}
+	}
+}
+
+// TestPrepareLeavesRunRNG arms one step on bare engines at p=1 and p=3,
+// with no peer communicating: every rank's share comes out of the same
+// vector, the shares sum to s, and no rank's run RNG moves — p=1 streams
+// and every pin keep their positions.
+func TestPrepareLeavesRunRNG(t *testing.T) {
+	const s = 90
+	for _, counts := range [][]int64{{500}, {120, 300, 80}} {
+		p := len(counts)
+		w, err := mpi.NewWorld(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares := make([]int64, p)
+		err = w.Run(func(c *mpi.Comm) error {
+			e := &rankEngine{c: c, rnd: rng.Split(8, c.Rank()+2), seed: 8, m: 500, stepsRun: 6}
+			before := e.rnd.State()
+			r := newEdgeSwitcher(e)
+			if err := r.prepare(s, counts); err != nil {
+				return err
+			}
+			if e.rnd.State() != before {
+				return errors.New("prepare moved the run RNG")
+			}
+			shares[c.Rank()] = r.remaining
+			return nil
+		})
+		w.Close()
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		want, err := stepQuotas(8, 6, s, counts, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(shares, want) {
+			t.Fatalf("p=%d: ranks took %v, want shares of %v", p, shares, want)
+		}
+		if p == 1 && shares[0] != s {
+			t.Fatalf("p=1 share %d, want %d", shares[0], s)
+		}
 	}
 }

@@ -28,7 +28,7 @@ type rankEngine struct {
 
 	// seed is the run seed verbatim (rnd is already split per rank);
 	// randomizers that key counter streams off global coordinates
-	// (curveball's pairing and trade streams) need the shared value.
+	// (curveball's trades, the edge switcher's quotas) need the shared value.
 	seed uint64
 
 	n int   // global vertex count
@@ -179,8 +179,8 @@ func (e *rankEngine) opWindowSize() int {
 // bit-identical.
 const promotePrioSplit = 1 << 22
 
-// newStore builds the rank's storage: the in-memory store, or the
-// tiered spill store rooted at SpillDir/rank-NNNN when configured.
+// newStore builds the rank's one partition store: all in memory, or
+// spilling to a base segment under SpillDir/rank-NNNN when configured.
 func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error) {
 	if cfg.SpillDir == "" {
 		return store.NewMem(verts), nil
@@ -264,11 +264,11 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 // run executes t operations in steps of stepSize (§4.5's step protocol;
 // for curveball a step is one global round and stepSize is 1). Each step
 // boundary costs exactly one collective, the fused stepExchange: it
-// carries the edge counts prepare needs, the global originals sum for
-// visit-rate targeting, and, in sanitized runs, the sparse degree-delta
-// conservation check — a step's deltas are verified by the next
-// boundary's exchange, and the final step by the full verifyBaseline
-// pass at the end of the run.
+// carries the edge counts prepare needs (step quotas are drawn from them,
+// not exchanged), the global originals sum for visit-rate targeting, and,
+// in sanitized runs, the sparse degree-delta conservation check — a
+// step's deltas are verified by the next boundary's exchange, and the
+// final step by the full verifyBaseline pass at the end of the run.
 func (e *rankEngine) run(t, stepSize int64) error {
 	if t == 0 {
 		return nil

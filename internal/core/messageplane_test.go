@@ -161,6 +161,28 @@ func TestBatchingReducesTransportSends(t *testing.T) {
 	}
 }
 
+// TestOneCollectivePerStepBoundary pins the step protocol's price: a
+// boundary is the fused step exchange and nothing else, on both
+// transports. Ten more edge-switch steps cost exactly ten more
+// collectives — the operation quotas come from the exchanged counts,
+// not from a collective of their own.
+func TestOneCollectivePerStepBoundary(t *testing.T) {
+	g, err := gen.ErdosRenyi(rng.Split(29, 0), 400, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stepSize = 100
+	for _, tcp := range []bool{false, true} {
+		cfg := Config{Ranks: 2, Scheme: SchemeHPD, StepSize: stepSize, Seed: 29, SkipResult: true, UseTCP: tcp}
+		_, short := runCounted(t, g, 2*stepSize, cfg)
+		_, long := runCounted(t, g, 12*stepSize, cfg)
+		if long-short != 10 {
+			t.Errorf("tcp=%v: 10 more steps cost %d more collectives (%d vs %d), want exactly 10",
+				tcp, long-short, long, short)
+		}
+	}
+}
+
 // TestSanitizerSingleCollectivePerStep pins the fused step exchange: with
 // the sanitizer enabled, degree-drift verification rides inside the
 // step-boundary exchange, so the per-step collective count is identical

@@ -283,8 +283,8 @@ func (src *source) partitioner(scheme Scheme, p int, seed uint64) (partition.Par
 // Parallel performs t edge switch operations on a copy of g distributed
 // over cfg.Ranks goroutine ranks, following §4–§5: the graph is
 // partitioned by the configured scheme; each step's operations are
-// spread over ranks with the parallel multinomial generator keyed to the
-// current per-partition edge counts; each operation runs the
+// spread over ranks by a multinomial keyed to the current per-partition
+// edge counts, which every rank draws identically; each operation runs the
 // reserve/commit conversation protocol. The input graph g is not
 // modified.
 //

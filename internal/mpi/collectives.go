@@ -45,7 +45,11 @@ func (c *Comm) Barrier() error {
 // returned slice is the received payload; on root it is data itself.
 // Binomial-tree dissemination, O(log p) rounds.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	base := c.nextCollTag()
+	return c.bcast(c.nextCollTag(), root, data)
+}
+
+// bcast is Bcast under a caller-reserved tag.
+func (c *Comm) bcast(base, root int, data []byte) ([]byte, error) {
 	p := c.Size()
 	// Work in a rotated space where root is rank 0.
 	vr := (c.Rank() - root + p) % p
@@ -77,7 +81,11 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // Gather collects each rank's data at root. On root the result has one
 // entry per rank (index = rank); on other ranks it is nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	base := c.nextCollTag()
+	return c.gather(c.nextCollTag(), root, data)
+}
+
+// gather is Gather under a caller-reserved tag.
+func (c *Comm) gather(base, root int, data []byte) ([][]byte, error) {
 	if c.Rank() != root {
 		return nil, c.send(root, base, data)
 	}
@@ -98,10 +106,11 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects every rank's data on every rank (gather to rank 0,
-// then broadcast of the concatenation).
+// Allgather collects every rank's data on every rank: one collective, a
+// gather to rank 0 (round 0) and a broadcast of the concatenation (round 1).
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	parts, err := c.Gather(0, data)
+	base := c.nextCollTag()
+	parts, err := c.gather(base, 0, data)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +118,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	if c.Rank() == 0 {
 		flat = encodeParts(parts)
 	}
-	flat, err = c.Bcast(0, flat)
+	flat, err = c.bcast(base+1, 0, flat)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func JoinDistributed(rank, size int, addr string, timeout time.Duration, opts ..
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pw := &ProcWorld{rank: rank, size: size, box: newMailbox()}
+	pw := &ProcWorld{rank: rank, size: size, box: newMailbox(0)} // network receives park (see recvSpin)
 	if rank == 0 {
 		hub, err := newDistHub(addr, size)
 		if err != nil {

@@ -156,6 +156,43 @@ func TestDistributedCollectives(t *testing.T) {
 	})
 }
 
+// TestRecvSpinByTransport pins who spins before parking: a mem world's
+// mailboxes poll recvSpin times, because the sender is another rank's
+// goroutine; every network mailbox — a WithTCP world's and a
+// ProcWorld's — parks at once, leaving the P to the netpoller that
+// delivers its frames.
+func TestRecvSpinByTransport(t *testing.T) {
+	spinIs := func(want int) func(c *Comm) error {
+		return func(c *Comm) error {
+			if got := c.world.boxes[c.rank].spin; got != want {
+				return fmt.Errorf("mailbox spins %d, want %d", got, want)
+			}
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"mem", nil, recvSpin},
+		{"tcp", []Option{WithTCP()}, 0},
+	} {
+		w, err := NewWorld(2, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(spinIs(tc.want))
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	runDistributed(t, 2, spinIs(0))
+}
+
 func TestDistributedLateJoiner(t *testing.T) {
 	// Rank 1 joins late; rank 0's early sends must be held and delivered.
 	addr := freeAddr(t)

@@ -173,7 +173,7 @@ func TestHubWriterPostMortem(t *testing.T) {
 // TestMailboxFail pins fail-fast receive semantics: messages queued
 // before the fault still deliver, then the named error surfaces.
 func TestMailboxFail(t *testing.T) {
-	mb := newMailbox()
+	mb := newMailbox(0)
 	mb.put(Message{Src: 1, Tag: 2, Data: []byte("queued")})
 	sentinel := errors.New("sentinel fault")
 	mb.fail(sentinel)

@@ -30,14 +30,16 @@ type mailbox struct {
 	// within microseconds, which is the common case for the edge-switch
 	// conversation protocol).
 	size atomic.Int64
+	spin int // busy-poll rounds before a receive parks; set by the transport
 }
 
-// recvSpin bounds the busy-poll before a blocking receive parks on the
-// condition variable.
+// recvSpin is the spin of mem mailboxes, whose sender is a running
+// goroutine. Network mailboxes spin 0: the scheduler checks the global run
+// queue, where Gosched puts a spinner, before it polls the network.
 const recvSpin = 128
 
-func newMailbox() *mailbox {
-	mb := &mailbox{}
+func newMailbox(spin int) *mailbox {
+	mb := &mailbox{spin: spin}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -114,12 +116,12 @@ func (mb *mailbox) get(src, tag int) (m Message, ok bool) {
 			mb.mu.Unlock()
 			return Message{}, false
 		}
-		if spins < recvSpin {
+		if spins < mb.spin {
 			// Busy-poll: release the lock, yield, and re-check only
 			// when the size counter moves.
 			mb.mu.Unlock()
 			before := mb.size.Load()
-			for ; spins < recvSpin; spins++ {
+			for ; spins < mb.spin; spins++ {
 				runtime.Gosched()
 				if mb.size.Load() != before {
 					break

@@ -105,9 +105,13 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	if w.transport == nil {
 		w.transport = &memTransport{}
 	}
+	spin := 0 // a receive on a network transport parks at once (see recvSpin)
+	if _, mem := w.transport.(*memTransport); mem {
+		spin = recvSpin
+	}
 	w.boxes = make([]*mailbox, size)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		w.boxes[i] = newMailbox(spin)
 	}
 	return w, nil
 }

@@ -211,9 +211,9 @@ func ParallelMultinomial(c *mpi.Comm, r *rng.RNG, n int64, q []float64) ([]int64
 }
 
 // ParallelMultinomialGathered runs ParallelMultinomial and assembles the
-// full ℓ-vector on every rank. Convenience wrapper used by the
-// edge-switch step protocol, where ℓ = p and every rank wants the whole
-// distribution of operations.
+// full ℓ-vector on every rank, at the cost of a second collective, for
+// cmd/multinomial. The edge-switch engine does not use it: every rank
+// draws its ℓ = p step quotas itself from a shared counter stream.
 func ParallelMultinomialGathered(c *mpi.Comm, r *rng.RNG, n int64, q []float64) ([]int64, error) {
 	owned, err := ParallelMultinomial(c, r, n, q)
 	if err != nil {
