@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // Fenwick-tree edge sampler vs a linear scan, the in-process vs TCP
-// transports, per-operation message cost, the connectivity constraint's
-// overhead, and edge switching vs the configuration-model baseline for
-// degree-sequence random graph generation.
+// transports, per-operation message cost, and edge switching vs the
+// configuration-model baseline for degree-sequence random graph
+// generation.
 package edgeswitch
 
 import (
@@ -109,27 +109,6 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkAblationConnectivityConstraint compares unconstrained
-// sequential switching against the connectivity-preserving variant.
-func BenchmarkAblationConnectivityConstraint(b *testing.B) {
-	g := benchGraph(b, "smallworld", 0.05)
-	const t = int64(5000)
-	b.Run("unconstrained", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, Options{Ops: t, Seed: uint64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("connected", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := RunConnected(g, t, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationDegreeSequenceGenerators compares the paper's

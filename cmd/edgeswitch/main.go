@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -22,40 +23,55 @@ import (
 	"time"
 
 	"edgeswitch"
+	"edgeswitch/internal/core"
+	"edgeswitch/internal/gen/pergen"
 	"edgeswitch/internal/metrics"
 )
 
+// options carries every edgeswitch flag.
+type options struct {
+	inPath, dataset  string
+	scale            float64
+	genMod           string
+	genN, genD       int
+	outPath          string
+	tOps             int64
+	x                float64
+	ranks            int
+	scheme, algo     string
+	steps            int64
+	seed             uint64
+	useTCP           bool
+	quiet, verbose   bool
+	spillDir         string
+	cpuProf, memProf string
+}
+
 func main() {
-	var (
-		inPath  = flag.String("in", "", "input edge-list file (text, or binary with .bin extension)")
-		dataset = flag.String("dataset", "", "generate a dataset stand-in instead of reading a file (one of: miami newyork losangeles flickr livejournal smallworld erdosrenyi pa)")
-		scale   = flag.Float64("scale", 1, "dataset scale multiplier (with -dataset)")
-		genMod  = flag.String("gen", "", "counter-based generator model (pa, contact): with -p>1 every rank generates only its own partition — no rank-0 materialization, no scatter")
-		genN    = flag.Int("n", 100000, "vertex count (with -gen)")
-		genD    = flag.Int("d", 10, "degree parameter (with -gen: pa edges per vertex, contact average degree)")
-		outPath = flag.String("out", "", "write the switched graph to this file")
-		tOps    = flag.Int64("t", 0, "number of edge switch operations (0: derive from -x)")
-		x       = flag.Float64("x", 1, "target visit rate in (0,1] used when -t is 0")
-		ranks   = flag.Int("p", 1, "number of parallel ranks (1: sequential algorithm)")
-		scheme  = flag.String("scheme", "CP", "partitioning scheme: CP, HP-D, HP-M, HP-U")
-		algo    = flag.String("algo", "edge-switch", "randomization algorithm: edge-switch, curveball (curveball: -t counts global trade rounds and -steps is ignored)")
-		steps   = flag.Int64("steps", 1, "number of steps (parallel; step size = t/steps)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		useTCP  = flag.Bool("tcp", false, "route parallel messages over loopback TCP")
-		quiet   = flag.Bool("q", false, "suppress the per-rank table")
-		verbose = flag.Bool("v", false, "print extra run counters (spill/compaction stats with -spill-dir)")
-		mode    = flag.String("mode", "plain", "constraint mode: plain, connected, bipartite, jdd (sequential only)")
-		left    = flag.Int("left", 0, "bipartition size (bipartite mode: vertices 0..left-1 are one side)")
-		spill   = flag.String("spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; bounded memory)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
-		memProf = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
-	)
+	var o options
+	flag.StringVar(&o.inPath, "in", "", "input edge-list file (text, or binary with .bin extension)")
+	flag.StringVar(&o.dataset, "dataset", "", "generate a dataset stand-in instead of reading a file (one of: miami newyork losangeles flickr livejournal smallworld erdosrenyi pa)")
+	flag.Float64Var(&o.scale, "scale", 1, "dataset scale multiplier (with -dataset)")
+	flag.StringVar(&o.genMod, "gen", "", "counter-based generator model (pa, contact): with -p>1 every rank generates only its own partition — no rank-0 materialization, no scatter")
+	flag.IntVar(&o.genN, "n", 100000, "vertex count (with -gen)")
+	flag.IntVar(&o.genD, "d", 10, "degree parameter (with -gen: pa edges per vertex, contact average degree)")
+	flag.StringVar(&o.outPath, "out", "", "write the switched graph to this file")
+	flag.Int64Var(&o.tOps, "t", 0, "number of edge switch operations (0: derive from -x)")
+	flag.Float64Var(&o.x, "x", 1, "target visit rate in (0,1] used when -t is 0")
+	flag.IntVar(&o.ranks, "p", 1, "number of parallel ranks (1: sequential algorithm)")
+	flag.StringVar(&o.scheme, "scheme", "CP", "partitioning scheme: CP, HP-D, HP-M, HP-U")
+	flag.StringVar(&o.algo, "algo", "edge-switch", "randomization algorithm: edge-switch, curveball (curveball: -t counts global trade rounds and -steps is ignored)")
+	flag.Int64Var(&o.steps, "steps", 1, "number of steps (parallel; step size = t/steps)")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
+	flag.BoolVar(&o.useTCP, "tcp", false, "route parallel messages over loopback TCP")
+	flag.BoolVar(&o.quiet, "q", false, "suppress the per-rank table")
+	flag.BoolVar(&o.verbose, "v", false, "print extra run counters (spill/compaction stats with -spill-dir)")
+	flag.StringVar(&o.spillDir, "spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; bounded memory)")
+	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+	flag.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to this file when the run ends")
 	flag.Parse()
 
-	err := profiled(*cpuProf, *memProf, func() error {
-		return run(*inPath, *dataset, *scale, *genMod, *genN, *genD, *outPath, *tOps, *x, *ranks, *scheme, *algo, *steps, *seed, *useTCP, *quiet, *verbose, *mode, *left, *spill)
-	})
-	if err != nil {
+	if err := profiled(o.cpuProf, o.memProf, func() error { return run(o, os.Stdout) }); err != nil {
 		fmt.Fprintln(os.Stderr, "edgeswitch:", err)
 		os.Exit(1)
 	}
@@ -96,53 +112,32 @@ func profiled(cpuPath, memPath string, fn func() error) (err error) {
 	return mem.Close()
 }
 
-// genSpec maps the -gen/-n/-d flags to a counter-based generator spec.
-func genSpec(model string, n, d int, seed uint64) (*edgeswitch.GenSpec, error) {
-	switch model {
-	case "pa":
-		return &edgeswitch.GenSpec{Model: edgeswitch.GenPA, Seed: seed, N: n, D: d}, nil
-	case "contact":
-		return &edgeswitch.GenSpec{Model: edgeswitch.GenContact, Seed: seed, N: n,
-			Contact: edgeswitch.ContactConfig{AvgDegree: float64(d), CommunitySize: 40, WithinFrac: 0.8}}, nil
-	default:
-		return nil, fmt.Errorf("-gen supports models pa and contact, not %q", model)
-	}
-}
-
-func run(inPath, dataset string, scale float64, genMod string, genN, genD int, outPath string, tOps int64, x float64,
-	ranks int, scheme, algo string, steps int64, seed uint64, useTCP, quiet, verbose bool, mode string, left int,
-	spillDir string) error {
-
-	if algo != "" && algo != string(edgeswitch.EdgeSwitch) && mode != "" && mode != "plain" {
-		return fmt.Errorf("mode %q supports only the edge-switch algorithm", mode)
-	}
-
+// run loads or generates the graph, switches it and writes the report
+// to w.
+func run(o options, w io.Writer) error {
 	var g *edgeswitch.Graph
 	var spec *edgeswitch.GenSpec
 	var err error
 	switch {
-	case inPath != "" && dataset != "" || genMod != "" && (inPath != "" || dataset != ""):
+	case o.inPath != "" && o.dataset != "" || o.genMod != "" && (o.inPath != "" || o.dataset != ""):
 		return fmt.Errorf("use exactly one of -in, -dataset, -gen")
-	case genMod != "":
-		if spec, err = genSpec(genMod, genN, genD, seed); err != nil {
+	case o.genMod != "":
+		var sp edgeswitch.GenSpec
+		if sp, err = pergen.SpecFor(o.genMod, o.genN, o.genD, o.seed); err != nil {
 			return err
 		}
-		if mode != "" && mode != "plain" {
-			return fmt.Errorf("-gen supports only the plain mode")
+		if o.ranks > 1 {
+			spec = &sp
+		} else {
+			// Sequential runs materialize the (identical) graph anyway; do
+			// it here so the budget derives from its exact edge count, as
+			// the facade's does.
+			g, err = edgeswitch.GenerateSpec(sp)
 		}
-		if ranks <= 1 {
-			// Sequential runs materialize the (identical) graph anyway;
-			// go through the same path as everyone else so the per-mode
-			// switch below applies.
-			if g, err = edgeswitch.GenerateSpec(*spec); err != nil {
-				return err
-			}
-			spec = nil
-		}
-	case inPath != "":
-		g, err = edgeswitch.LoadGraphFile(inPath, seed)
-	case dataset != "":
-		g, err = edgeswitch.Generate(dataset, scale, seed)
+	case o.inPath != "":
+		g, err = edgeswitch.LoadGraphFile(o.inPath, o.seed)
+	case o.dataset != "":
+		g, err = edgeswitch.Generate(o.dataset, o.scale, o.seed)
 	default:
 		return fmt.Errorf("need -in FILE, -dataset NAME (datasets: %v) or -gen MODEL", edgeswitch.Datasets())
 	}
@@ -151,78 +146,58 @@ func run(inPath, dataset string, scale float64, genMod string, genN, genD int, o
 	}
 
 	// With a distributed-generation spec there is no materialized graph
-	// here: derive t from the spec's deterministic edge bound, exactly as
-	// every rank will.
-	mEdges := int64(0)
+	// here: the budget derives from the spec's deterministic edge bound,
+	// exactly as every rank's does.
+	var mEdges int64
 	if g != nil {
 		mEdges = g.M()
+		fmt.Fprintf(w, "graph: n=%d m=%d | p=%d scheme=%s\n", g.N(), mEdges, o.ranks, o.scheme)
 	} else {
 		mEdges = spec.MaxEdges()
+		fmt.Fprintf(w, "graph: gen=%s n=%d m<=%d (distributed, no rank materializes it) | p=%d scheme=%s\n",
+			o.genMod, o.genN, mEdges, o.ranks, o.scheme)
 	}
-	t := tOps
-	if t == 0 {
-		t, err = edgeswitch.TargetOpsFor(edgeswitch.Algorithm(algo), mEdges, x)
-		if err != nil {
-			return err
-		}
+	t, targetX, err := core.Budget(core.Algorithm(o.algo), mEdges, o.tOps, o.x)
+	if err != nil {
+		return err
 	}
 	stepSize := int64(0)
-	if steps > 1 {
-		stepSize = (t + steps - 1) / steps
+	if o.steps > 1 {
+		stepSize = (t + o.steps - 1) / o.steps
 	}
-	unit := "ops"
-	if edgeswitch.Algorithm(algo) == edgeswitch.Curveball {
-		unit = "rounds"
-	}
-	if g != nil {
-		fmt.Printf("graph: n=%d m=%d | t=%d %s | p=%d scheme=%s mode=%s\n", g.N(), g.M(), t, unit, ranks, scheme, mode)
-	} else {
-		fmt.Printf("graph: gen=%s n=%d m<=%d (distributed, no rank materializes it) | t=%d %s | p=%d scheme=%s\n",
-			genMod, genN, mEdges, t, unit, ranks, scheme)
-	}
+	fmt.Fprintf(w, "budget: algo=%s t=%d step-size=%d stop-at=%g\n", o.algo, t, stepSize, targetX)
 
-	var rep *edgeswitch.Report
-	switch mode {
-	case "plain", "":
-		// Pass the raw -t through so a curveball run derived from -x keeps
-		// its early-stop target (the facade re-derives t per algorithm).
-		rep, err = edgeswitch.Run(g, edgeswitch.Options{
-			Ops:       tOps,
-			VisitRate: x,
-			Algorithm: edgeswitch.Algorithm(algo),
-			Ranks:     ranks,
-			Scheme:    edgeswitch.Scheme(scheme),
-			StepSize:  stepSize,
-			Seed:      seed,
-			UseTCP:    useTCP,
-			Gen:       spec,
-			SpillDir:  spillDir,
-		})
-	case "connected":
-		rep, err = edgeswitch.RunConnected(g, t, seed)
-	case "bipartite":
-		rep, err = edgeswitch.RunBipartite(g, left, t, seed)
-	case "jdd":
-		rep, err = edgeswitch.RunJointDegree(g, t, seed)
-	default:
-		return fmt.Errorf("unknown mode %q (plain, connected, bipartite, jdd)", mode)
-	}
+	// Pass the raw -t/-x through: the facade derives the same budget with
+	// the same core.Budget, and a curveball run derived from -x keeps its
+	// early-stop target only that way.
+	rep, err := edgeswitch.Run(g, edgeswitch.Options{
+		Ops:       o.tOps,
+		VisitRate: o.x,
+		Algorithm: edgeswitch.Algorithm(o.algo),
+		Ranks:     o.ranks,
+		Scheme:    edgeswitch.Scheme(o.scheme),
+		StepSize:  stepSize,
+		Seed:      o.seed,
+		UseTCP:    o.useTCP,
+		Gen:       spec,
+		SpillDir:  o.spillDir,
+	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("completed %d ops (%d restarts, %d forfeited) in %v\n",
+	fmt.Fprintf(w, "completed %d ops (%d restarts, %d forfeited) in %v\n",
 		rep.Ops, rep.Restarts, rep.Forfeited, rep.Elapsed)
-	fmt.Printf("observed visit rate: %.6f\n", rep.VisitRate)
-	if verbose && rep.Parallel != nil && spillDir != "" {
+	fmt.Fprintf(w, "observed visit rate: %.6f\n", rep.VisitRate)
+	if o.verbose && rep.Parallel != nil && o.spillDir != "" {
 		p := rep.Parallel
-		fmt.Printf("spill: base %d B | overlay high-water %d entries | %d compactions (%v)\n",
+		fmt.Fprintf(w, "spill: base %d B | overlay high-water %d entries | %d compactions (%v)\n",
 			p.SpillBaseBytes, p.SpillOverlayHWM, p.SpillCompactions, time.Duration(p.SpillCompactNs))
 	}
-	if rep.Parallel != nil && !quiet {
-		fmt.Println("rank\tvertices\tedges0\tedgesN\tops\trestarts")
+	if rep.Parallel != nil && !o.quiet {
+		fmt.Fprintln(w, "rank\tvertices\tedges0\tedgesN\tops\trestarts")
 		for i := range rep.Parallel.RankOps {
-			fmt.Printf("%d\t%d\t%d\t%d\t%d\t%d\n", i,
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\n", i,
 				rep.Parallel.RankVertices[i],
 				rep.Parallel.RankInitialEdges[i],
 				rep.Parallel.RankFinalEdges[i],
@@ -234,13 +209,13 @@ func run(inPath, dataset string, scale float64, genMod string, genN, genD int, o
 		for _, r := range ab {
 			lo, hi = math.Min(lo, r), math.Max(hi, r)
 		}
-		fmt.Printf("abort rate per rank: min %.3f max %.3f\n", lo, hi)
+		fmt.Fprintf(w, "abort rate per rank: min %.3f max %.3f\n", lo, hi)
 	}
-	if outPath != "" {
-		if err := edgeswitch.SaveGraphFile(outPath, rep.Result); err != nil {
+	if o.outPath != "" {
+		if err := edgeswitch.SaveGraphFile(o.outPath, rep.Result); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", outPath)
+		fmt.Fprintf(w, "wrote %s\n", o.outPath)
 	}
 	return nil
 }

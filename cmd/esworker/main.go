@@ -49,7 +49,6 @@ import (
 
 	"edgeswitch"
 	"edgeswitch/internal/core"
-	"edgeswitch/internal/gen"
 	"edgeswitch/internal/gen/pergen"
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
@@ -145,19 +144,6 @@ func profiled(cpuPath, memPath string, rank int, fn func() error) (err error) {
 	return errors.Join(pprof.Lookup("allocs").WriteTo(mem, 0), mem.Close())
 }
 
-// genSpec maps the -gen/-n/-d flags to a counter-based generator spec.
-func genSpec(model string, n, d int, seed uint64) (*pergen.Spec, error) {
-	switch model {
-	case "pa":
-		return &pergen.Spec{Model: pergen.ModelPA, Seed: seed, N: n, D: d}, nil
-	case "contact":
-		return &pergen.Spec{Model: pergen.ModelContact, Seed: seed, N: n,
-			Contact: gen.ContactConfig{AvgDegree: float64(d), CommunitySize: 40, WithinFrac: 0.8}}, nil
-	default:
-		return nil, fmt.Errorf("-gen supports models pa and contact, not %q", model)
-	}
-}
-
 func run(o workerOpts) error {
 	if o.restore && o.ckDir == "" {
 		return fmt.Errorf("-restore needs -checkpoint-dir")
@@ -170,13 +156,11 @@ func run(o workerOpts) error {
 	case o.graphPath != "" && o.genMod != "":
 		return fmt.Errorf("use either -graph or -gen, not both")
 	case o.genMod != "":
-		if spec, err = genSpec(o.genMod, o.genN, o.genD, o.seed); err != nil {
+		sp, err := pergen.SpecFor(o.genMod, o.genN, o.genD, o.seed)
+		if err != nil {
 			return err
 		}
-		if err = spec.Validate(); err != nil {
-			return err
-		}
-		mEdges = spec.MaxEdges()
+		spec, mEdges = &sp, sp.MaxEdges()
 	case o.graphPath != "":
 		if g, err = edgeswitch.LoadGraphFile(o.graphPath, o.seed); err != nil {
 			return err
@@ -185,24 +169,19 @@ func run(o workerOpts) error {
 	default:
 		return fmt.Errorf("need -graph FILE or -gen MODEL")
 	}
-	// Every rank derives the same t from the same flags — with -gen this
-	// needs no collective because MaxEdges is deterministic in the spec.
-	t := o.tOps
-	targetX := 0.0
-	if t == 0 {
-		t, err = edgeswitch.TargetOpsFor(edgeswitch.Algorithm(o.algo), mEdges, o.x)
-		if err != nil {
-			return err
-		}
-		if edgeswitch.Algorithm(o.algo) == edgeswitch.Curveball {
-			// The round bound is conservative; stop at the first round
-			// boundary where the observed rate reaches the target.
-			targetX = o.x
-		}
+	// Every rank derives the same budget from the same flags — with -gen
+	// this needs no collective because MaxEdges is deterministic in the
+	// spec.
+	t, targetX, err := core.Budget(core.Algorithm(o.algo), mEdges, o.tOps, o.x)
+	if err != nil {
+		return err
 	}
 	stepSize := int64(0)
 	if o.steps > 1 {
 		stepSize = (t + o.steps - 1) / o.steps
+	}
+	if o.rank == 0 {
+		fmt.Printf("budget: algo=%s t=%d step-size=%d stop-at=%g\n", o.algo, t, stepSize, targetX)
 	}
 
 	children := map[int]*exec.Cmd{}

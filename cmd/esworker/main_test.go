@@ -291,6 +291,11 @@ func TestRunValidation(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Fatal("-restore without -checkpoint-dir accepted")
 	}
+	o = base
+	o.genMod, o.tOps, o.x = "pa", 0, 0
+	if err := run(o); err == nil {
+		t.Fatal("-t 0 -x 0 accepted")
+	}
 }
 
 // TestReapChildrenKill covers the rank-0 failure path: children must be

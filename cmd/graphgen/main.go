@@ -106,22 +106,10 @@ func run(dataset string, scale float64, model string, n int, m int64, d int,
 // count (the distributed bootstrap derives partitions of exactly this
 // graph).
 func runPergen(model string, n, d int, seed uint64) (*graph.Graph, error) {
-	var spec pergen.Spec
-	switch model {
-	case "pa":
-		spec = pergen.Spec{Model: pergen.ModelPA, Seed: seed, N: n, D: d}
-	case "contact":
-		spec = pergen.Spec{Model: pergen.ModelContact, Seed: seed, N: n,
-			Contact: gen.ContactConfig{AvgDegree: float64(d), CommunitySize: 40, WithinFrac: 0.8}}
-	case "":
-		return nil, fmt.Errorf("-pergen needs -model pa or -model contact")
-	default:
-		return nil, fmt.Errorf("-pergen supports models pa and contact, not %q", model)
-	}
-	pg, err := pergen.New(spec)
+	spec, err := pergen.SpecFor(model, n, d, seed)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "pergen spec: model=%s n=%d d=%d seed=%d (p-invariant)\n", model, n, d, seed)
-	return pg.Full()
+	return edgeswitch.GenerateSpec(spec)
 }

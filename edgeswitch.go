@@ -168,13 +168,6 @@ func TargetOps(m int64, visitRate float64) (int64, error) {
 	return core.OpsForVisitRate(m, visitRate)
 }
 
-// TargetOpsFor converts a visit rate into the operation count of the
-// given algorithm: switch operations for EdgeSwitch, global rounds for
-// Curveball.
-func TargetOpsFor(algo Algorithm, m int64, visitRate float64) (int64, error) {
-	return core.OpsForVisitRateAlgo(algo, m, visitRate)
-}
-
 // Run switches edges on g according to opt and returns a report. The
 // input graph is never modified unless opt.InPlace is set on a
 // sequential run.
@@ -208,7 +201,11 @@ func Run(g *Graph, opt Options) (*Report, error) {
 	default:
 		m = g.M()
 	}
-	t, targetX, err := targetOps(m, opt)
+	x := opt.VisitRate
+	if x == 0 {
+		x = 1
+	}
+	t, targetX, err := core.Budget(opt.Algorithm, m, opt.Ops, x)
 	if err != nil {
 		return nil, err
 	}
@@ -219,13 +216,10 @@ func Run(g *Graph, opt Options) (*Report, error) {
 		}
 		start := time.Now()
 		var st core.SeqStats
-		switch opt.Algorithm {
-		case Curveball:
+		if opt.Algorithm == Curveball {
 			st, err = core.SequentialCurveball(work, t, opt.Seed)
-		case EdgeSwitch, "":
+		} else {
 			st, err = core.Sequential(work, t, rng.Split(opt.Seed, 1))
-		default:
-			err = fmt.Errorf("edgeswitch: unknown algorithm %q", opt.Algorithm)
 		}
 		if err != nil {
 			return nil, err
@@ -264,30 +258,6 @@ func Run(g *Graph, opt Options) (*Report, error) {
 	}, nil
 }
 
-// targetOps resolves the operation count from Options (explicit Ops, or
-// the per-algorithm visit-rate derivation over m edges). For
-// visit-rate-driven curveball runs it also returns the rate as an
-// early-stop target: the round bound is conservative, so the engine
-// should quit at the first round boundary where the observed rate
-// reaches it rather than run the full bound.
-func targetOps(m int64, opt Options) (int64, float64, error) {
-	if opt.Ops != 0 {
-		return opt.Ops, 0, nil
-	}
-	x := opt.VisitRate
-	if x == 0 {
-		x = 1
-	}
-	t, err := core.OpsForVisitRateAlgo(core.Algorithm(opt.Algorithm), m, x)
-	if err != nil {
-		return 0, 0, err
-	}
-	if opt.Algorithm == Curveball {
-		return t, x, nil
-	}
-	return t, 0, nil
-}
-
 // GenerateSpec materializes the counter-based generator's graph in one
 // piece — byte-identical to what any rank count of the distributed
 // bootstrap produces for the same spec.
@@ -297,85 +267,6 @@ func GenerateSpec(spec GenSpec) (*Graph, error) {
 		return nil, err
 	}
 	return pg.Full()
-}
-
-// RunConnected performs t connectivity-preserving edge switch operations
-// on a copy of the connected graph g (sequentially): switches that would
-// disconnect the graph are rejected and retried, the constrained variant
-// §1 mentions (NetworkX's connected double-edge swap). If t is zero it is
-// derived from a full visit rate.
-func RunConnected(g *Graph, t int64, seed uint64) (*Report, error) {
-	if t == 0 {
-		var err error
-		t, err = core.OpsForVisitRate(g.M(), 1)
-		if err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	out, st, err := core.SequentialConnected(g, t, rng.Split(seed, 3))
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:   out,
-		Ops:      st.Ops,
-		Restarts: st.Restarts,
-		Elapsed:  time.Since(start),
-	}, nil
-}
-
-// RunBipartite performs t bipartition-preserving switches (only cross
-// switches between side-crossing edges) on a copy of g, whose vertices
-// 0..leftSize-1 form one side. This randomizes a bipartite graph within
-// its degree sequence — the paper's application [6]. t = 0 derives the
-// full-visit-rate operation count.
-func RunBipartite(g *Graph, leftSize int, t int64, seed uint64) (*Report, error) {
-	if t == 0 {
-		var err error
-		t, err = core.OpsForVisitRate(g.M(), 1)
-		if err != nil {
-			return nil, err
-		}
-	}
-	work := g.Clone(rng.Split(seed, 4))
-	start := time.Now()
-	st, err := core.SequentialBipartite(work, leftSize, t, rng.Split(seed, 5))
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:    work,
-		Ops:       st.Ops,
-		Restarts:  st.Restarts,
-		VisitRate: st.VisitRate,
-		Elapsed:   time.Since(start),
-	}, nil
-}
-
-// RunJointDegree performs t switches preserving the joint degree
-// distribution (the multiset of endpoint-degree pairs over edges) on a
-// copy of g — the MCMC move of the paper's application [7].
-func RunJointDegree(g *Graph, t int64, seed uint64) (*Report, error) {
-	work := g.Clone(rng.Split(seed, 6))
-	start := time.Now()
-	st, err := core.SequentialJointDegree(work, t, rng.Split(seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:    work,
-		Ops:       st.Ops,
-		Restarts:  st.Restarts,
-		VisitRate: st.VisitRate,
-		Elapsed:   time.Since(start),
-	}, nil
-}
-
-// JointDegreeDistribution reports the multiset of endpoint-degree pairs
-// over edges (the RunJointDegree invariant), keyed by (min,max) degree.
-func JointDegreeDistribution(g *Graph) map[[2]int]int64 {
-	return core.JointDegreeDistribution(g)
 }
 
 // RandomGraph generates a uniform-ish random simple graph with the given

@@ -185,57 +185,6 @@ func TestFileIORoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunBipartite(t *testing.T) {
-	// K_{3,3} minus nothing: 3 left, 3 right, all 9 edges.
-	var edges []Edge
-	for u := 0; u < 3; u++ {
-		for v := 3; v < 6; v++ {
-			edges = append(edges, Edge{U: Vertex(u), V: Vertex(v)})
-		}
-	}
-	g, err := NewGraph(6, edges, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Complete bipartite graph: every switch creates parallel edges, so
-	// asking for ops would spin; use a sparser graph instead.
-	g2, err := NewGraph(8, []Edge{{U: 0, V: 4}, {U: 1, V: 5}, {U: 2, V: 6}, {U: 3, V: 7}, {U: 0, V: 5}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = g
-	rep, err := RunBipartite(g2, 4, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range rep.Result.Edges() {
-		if (e.U < 4) == (e.V < 4) {
-			t.Fatalf("edge %v violates bipartition", e)
-		}
-	}
-	if rep.Ops != 50 {
-		t.Fatalf("ops %d", rep.Ops)
-	}
-}
-
-func TestRunJointDegree(t *testing.T) {
-	g, err := Generate("erdosrenyi", 0.02, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := JointDegreeDistribution(g)
-	rep, err := RunJointDegree(g, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := JointDegreeDistribution(rep.Result)
-	for k, v := range before {
-		if after[k] != v {
-			t.Fatalf("JDD[%v] changed %d -> %d", k, v, after[k])
-		}
-	}
-}
-
 func TestFacadeMetrics(t *testing.T) {
 	// Triangle: clustering 1, avg path 1, ER(g,g)=0.
 	g, err := NewGraph(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}, 1)
@@ -254,43 +203,6 @@ func TestFacadeMetrics(t *testing.T) {
 	er, err := ErrorRate(g, g, 2)
 	if err != nil || er != 0 {
 		t.Fatalf("ER(g,g) = %v, %v", er, err)
-	}
-}
-
-func TestRunConnected(t *testing.T) {
-	g, err := Generate("smallworld", 0.02, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunConnected(g, 500, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ops != 500 {
-		t.Fatalf("ops %d", rep.Ops)
-	}
-	if err := rep.Result.CheckSimple(); err != nil {
-		t.Fatal(err)
-	}
-	// Connectivity: one BFS from vertex 0 must reach everyone.
-	full := rep.Result.FullAdjacency()
-	seen := make([]bool, rep.Result.N())
-	queue := []Vertex{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range full[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	if count != rep.Result.N() {
-		t.Fatalf("result disconnected: reached %d of %d", count, rep.Result.N())
 	}
 }
 

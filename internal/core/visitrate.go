@@ -132,3 +132,32 @@ func OpsForVisitRateAlgo(algo Algorithm, m int64, x float64) (int64, error) {
 		return 0, fmt.Errorf("core: unknown algorithm %q", algo)
 	}
 }
+
+// Budget is the one rule that turns a run's operation count and target
+// visit rate into what the engine runs: ops > 0 is taken as t; ops = 0
+// derives t from x ∈ (0, 1] over m edges (OpsForVisitRateAlgo). A
+// visit-rate-derived curveball run also gets stopAt = x, the
+// Config.TargetVisitRate early stop, because its round count is a
+// conservative ceiling; every other run gets stopAt = 0. The facade and
+// the CLIs all call it, so processes given the same flags agree on
+// (t, stopAt) — ranks that disagree deadlock at the stop boundary.
+func Budget(algo Algorithm, m, ops int64, x float64) (t int64, stopAt float64, err error) {
+	if algo, err = (Config{Algorithm: algo}).algorithm(); err != nil {
+		return 0, 0, err
+	}
+	switch {
+	case ops < 0:
+		return 0, 0, fmt.Errorf("core: negative operation count %d", ops)
+	case ops > 0:
+		return ops, 0, nil
+	case !(x > 0 && x <= 1):
+		return 0, 0, fmt.Errorf("core: target visit rate %v out of (0,1] with no operation count", x)
+	}
+	if t, err = OpsForVisitRateAlgo(algo, m, x); err != nil {
+		return 0, 0, err
+	}
+	if algo == AlgoCurveball {
+		stopAt = x
+	}
+	return t, stopAt, nil
+}

@@ -140,3 +140,38 @@ func TestVisitRate(t *testing.T) {
 		t.Fatalf("empty graph: %v", v)
 	}
 }
+
+// TestBudget pins the run-budget rule: an explicit count is t, x ∈ (0, 1]
+// derives it per algorithm, only a derived curveball budget arms the
+// early stop, and x = 0 with no count is refused rather than read as 0
+// operations or as a full visit.
+func TestBudget(t *testing.T) {
+	const m = int64(10000)
+	esOps, _ := OpsForVisitRate(m, 0.5)
+	cbRounds, _ := CurveballRoundsForVisitRate(m, 0.9)
+	for _, c := range []struct {
+		algo   Algorithm
+		ops    int64
+		x      float64
+		t      int64
+		stopAt float64
+		ok     bool
+	}{
+		{"", 0, 0.5, esOps, 0, true},
+		{AlgoEdgeSwitch, 0, 0.5, esOps, 0, true},
+		{AlgoCurveball, 0, 0.9, cbRounds, 0.9, true},
+		{AlgoEdgeSwitch, 40, 0, 40, 0, true},
+		{AlgoCurveball, 3, 0.9, 3, 0, true},
+		{AlgoEdgeSwitch, 0, 0, 0, 0, false},
+		{AlgoCurveball, 0, 0, 0, 0, false},
+		{AlgoEdgeSwitch, 0, 1.5, 0, 0, false},
+		{AlgoEdgeSwitch, -1, 1, 0, 0, false},
+		{"bogus", 40, 1, 0, 0, false},
+	} {
+		tt, stopAt, err := Budget(c.algo, m, c.ops, c.x)
+		if (err == nil) != c.ok || tt != c.t || stopAt != c.stopAt {
+			t.Errorf("Budget(%q, %d, %d, %v) = (%d, %v, %v), want (%d, %v, ok=%v)",
+				c.algo, m, c.ops, c.x, tt, stopAt, err, c.t, c.stopAt, c.ok)
+		}
+	}
+}

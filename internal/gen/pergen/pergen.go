@@ -123,6 +123,23 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
+// SpecFor maps the CLIs' generator flags (model, -n, -d, -seed) to a
+// validated Spec: d is preferential attachment's edges per vertex, or
+// the contact model's average degree, in communities of 40 with 80 % of
+// contacts inside them. edgeswitch -gen, esworker -gen and
+// graphgen -pergen all build their spec here, so the same flags denote
+// the same graph in all three.
+func SpecFor(model string, n, d int, seed uint64) (Spec, error) {
+	sp := Spec{Model: Model(model), Seed: seed, N: n}
+	switch sp.Model {
+	case ModelPA:
+		sp.D = d
+	case ModelContact:
+		sp.Contact = gen.ContactConfig{AvgDegree: float64(d), CommunitySize: 40, WithinFrac: 0.8}
+	}
+	return sp, sp.Validate()
+}
+
 func (sp Spec) contactConfig() gen.ContactConfig {
 	cc := sp.Contact
 	cc.N = sp.N

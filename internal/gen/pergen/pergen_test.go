@@ -55,6 +55,33 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestSpecFor pins the CLIs' flag mapping: the spec every -gen/-pergen
+// flag set denotes, and that a model it does not know is refused.
+func TestSpecFor(t *testing.T) {
+	cases := []struct {
+		model string
+		n, d  int
+		want  Spec
+		ok    bool
+	}{
+		{"pa", 500, 4, Spec{Model: ModelPA, Seed: 7, N: 500, D: 4}, true},
+		{"contact", 600, 6, Spec{Model: ModelContact, Seed: 7, N: 600,
+			Contact: gen.ContactConfig{AvgDegree: 6, CommunitySize: 40, WithinFrac: 0.8}}, true},
+		{"pa", 4, 4, Spec{Model: ModelPA, Seed: 7, N: 4, D: 4}, false},
+		{"er", 500, 4, Spec{Model: "er", Seed: 7, N: 500}, false},
+		{"", 500, 4, Spec{Seed: 7, N: 500}, false},
+	}
+	for _, c := range cases {
+		got, err := SpecFor(c.model, c.n, c.d, 7)
+		if got != c.want {
+			t.Errorf("SpecFor(%q, %d, %d) = %+v, want %+v", c.model, c.n, c.d, got, c.want)
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("SpecFor(%q, %d, %d): err = %v, want ok=%v", c.model, c.n, c.d, err, c.ok)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	for _, sp := range []Spec{paSpec(42), contactSpec(42)} {
 		a, err := New(sp)

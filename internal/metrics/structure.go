@@ -2,15 +2,13 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"edgeswitch/internal/graph"
 )
 
-// Structural measurements beyond the paper's core metrics, used by the
-// examples and by downstream null-model studies: degree assortativity,
-// connected components, exact triangle counts, and a degree-distribution
-// distance. All are deterministic.
+// Structural measurements beyond the paper's core metrics, for
+// null-model studies: degree assortativity, exact triangle counts, and a
+// degree-distribution distance. All are deterministic.
 
 // Assortativity computes the degree assortativity coefficient (Pearson
 // correlation of endpoint degrees over edges, Newman 2002). Edge
@@ -44,47 +42,6 @@ func Assortativity(g *graph.Graph) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(varX*varY)
-}
-
-// ConnectedComponents returns the size of every connected component in
-// descending order. Isolated vertices count as size-1 components.
-func ConnectedComponents(g *graph.Graph) []int {
-	n := g.N()
-	full := g.FullAdjacency()
-	seen := make([]bool, n)
-	var sizes []int
-	queue := make([]graph.Vertex, 0, n)
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		queue = append(queue[:0], graph.Vertex(s))
-		size := 0
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			size++
-			for _, v := range full[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sizes = append(sizes, size)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
-// IsConnected reports whether the graph is a single connected component
-// (the constraint RunConnected preserves). The empty graph is connected.
-func IsConnected(g *graph.Graph) bool {
-	if g.N() == 0 {
-		return true
-	}
-	return len(ConnectedComponents(g)) == 1
 }
 
 // Triangles counts the triangles in g exactly, using the standard

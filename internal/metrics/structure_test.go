@@ -69,28 +69,6 @@ func TestAssortativitySwitchingNeutralizes(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	// Two triangles and an isolated vertex.
-	g := mustGraph(t, 7, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
-		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5},
-	})
-	sizes := ConnectedComponents(g)
-	if len(sizes) != 3 || sizes[0] != 3 || sizes[1] != 3 || sizes[2] != 1 {
-		t.Fatalf("components %v", sizes)
-	}
-	if IsConnected(g) {
-		t.Fatal("disconnected graph reported connected")
-	}
-	ring := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}})
-	if !IsConnected(ring) {
-		t.Fatal("ring reported disconnected")
-	}
-	if !IsConnected(mustGraph(t, 0, nil)) {
-		t.Fatal("empty graph reported disconnected")
-	}
-}
-
 func TestTriangles(t *testing.T) {
 	cases := []struct {
 		n     int
