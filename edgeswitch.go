@@ -217,7 +217,7 @@ func Run(g *Graph, opt Options) (*Report, error) {
 		start := time.Now()
 		var st core.SeqStats
 		if opt.Algorithm == Curveball {
-			st, err = core.SequentialCurveball(work, t, opt.Seed)
+			st, err = core.SequentialCurveballUntil(work, t, opt.Seed, targetX)
 		} else {
 			st, err = core.Sequential(work, t, rng.Split(opt.Seed, 1))
 		}

@@ -222,3 +222,26 @@ func TestVisitRateEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestCurveballVisitRateStopRankInvariant: curveball is deterministic and
+// p-invariant, so a visit-rate run must stop at the same round boundary
+// whether it runs sequentially or on ranks — equal trades, equal rate.
+func TestCurveballVisitRateStopRankInvariant(t *testing.T) {
+	spec := GenSpec{Model: GenPA, Seed: 1, N: 5000, D: 10}
+	var reps []*Report
+	for _, ranks := range []int{1, 2} {
+		rep, err := Run(nil, Options{Gen: &spec, Algorithm: Curveball, VisitRate: 0.5, Ranks: ranks, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ranks=%d: %d trades, visit rate %.3f", ranks, rep.Ops, rep.VisitRate)
+		reps = append(reps, rep)
+	}
+	if reps[0].Ops != reps[1].Ops || reps[0].VisitRate != reps[1].VisitRate {
+		t.Fatalf("ranks 1 ran %d trades to rate %v, ranks 2 ran %d trades to rate %v",
+			reps[0].Ops, reps[0].VisitRate, reps[1].Ops, reps[1].VisitRate)
+	}
+	if reps[0].VisitRate < 0.5 {
+		t.Fatalf("stopped at visit rate %v, below the 0.5 target", reps[0].VisitRate)
+	}
+}

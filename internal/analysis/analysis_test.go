@@ -100,26 +100,6 @@ func TestChecksOnFixtures(t *testing.T) {
 			check: "golifecycle", variant: "good", as: "internal/mpi",
 		},
 		{
-			name:  "copylock fires on by-value locks",
-			check: "copylock", variant: "bad", as: "internal/mpi",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 14}, // parameter sync.Mutex
-				{"bad.go", 16}, // parameter struct holding a Mutex
-				{"bad.go", 18}, // result sync.WaitGroup
-				{"bad.go", 20}, // by-value receiver
-				{"bad.go", 22}, // parameter atomic.Int64
-				{"bad.go", 24}, // parameter [2]sync.Mutex
-				{"bad.go", 26}, // function-literal parameter sync.Once
-			},
-			msg: "by value",
-		},
-		{
-			name:  "copylock silent on indirections",
-			check: "copylock", variant: "good", as: "internal/mpi",
-			typecheck: true,
-		},
-		{
 			name:  "mpierr fires on dropped transport errors",
 			check: "mpierr", variant: "bad", as: "internal/mpi",
 			typecheck: true,
@@ -227,57 +207,6 @@ func TestChecksOnFixtures(t *testing.T) {
 		{
 			name:  "collsync accepts joins, sends and annotated sites",
 			check: "collsync", variant: "good", as: "internal/mpi",
-			typecheck: true,
-		},
-		{
-			name:  "hotalloc fires on every allocation shape below a root",
-			check: "hotalloc", variant: "bad", as: "internal/core",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 14}, // append
-				{"bad.go", 15}, // make
-				{"bad.go", 17}, // new
-				{"bad.go", 19}, // &composite literal
-				{"bad.go", 21}, // slice literal
-				{"bad.go", 28}, // fmt.Sprintf, reached via the call graph
-				{"bad.go", 30}, // string -> []byte conversion
-				{"bad.go", 32}, // capturing function literal
-				{"bad.go", 38}, // interface boxing
-			},
-			msg: "es:hotpath root",
-		},
-		{
-			name:  "hotalloc accepts waived freelist paths, fmt.Errorf and arena sinks",
-			check: "hotalloc", variant: "good", as: "internal/core",
-			typecheck: true,
-		},
-		{
-			name:  "hotalloc catches a Sprintf regression two calls below the loop",
-			check: "hotalloc", variant: "regress", as: "internal/core",
-			typecheck: true,
-			want:      []finding{{"regress.go", 21}},
-			msg:       "fmt.Sprintf",
-		},
-		{
-			name:  "sendowned fires on use-after-transfer",
-			check: "sendowned", variant: "bad", as: "internal/core",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 11}, // append after send
-				{"bad.go", 18}, // read after send
-				{"bad.go", 26}, // moved on one path, used at the join
-				{"bad.go", 32}, // recycled onto a freelist after send
-			},
-			msg: "SendOwned",
-		},
-		{
-			name:  "sendowned exempts non-engine packages",
-			check: "sendowned", variant: "bad", as: "internal/harness",
-			typecheck: true,
-		},
-		{
-			name:  "sendowned accepts rebinds, fresh loop buffers and annotations",
-			check: "sendowned", variant: "good", as: "internal/core",
 			typecheck: true,
 		},
 		{

@@ -1,46 +1,34 @@
 package analysis
 
 // The annotation registry: every comment marker the suite reacts to,
-// in one place. Two kinds exist — waivers, which silence one finding at
+// in one place. Each marker is a waiver that silences one finding at
 // one site (`// <marker> <reason>` on the finding's line or the line
-// above; the reason is mandatory prose for the reviewer), and roots,
-// which feed a check its starting set (`//es:hotpath` marks a function
-// as a hot-path root for the allocation guard), and sinks, which end a
-// check's call-graph walk (`//es:arena` marks a type whose methods are
-// the blessed allocation slow path). README's "Annotations" table
-// renders this registry and TestAnnotationsDocumented pins the two
-// together, so a new marker cannot ship undocumented.
+// above; the reason is mandatory prose for the reviewer). README's
+// "Annotations" table renders this registry and
+// TestAnnotationsDocumented pins the two together, so a new marker
+// cannot ship undocumented.
 
 // Annotation is one registered comment marker.
 type Annotation struct {
 	Marker string // literal text looked for in comments
 	Check  string // owning check
-	Kind   string // "waiver", "root" or "sink"
 	Doc    string // one-line purpose, mirrored in README
 }
 
 // Annotations returns the registry in presentation order.
 func Annotations() []Annotation {
 	return []Annotation{
-		{Marker: lifecycleMarker, Check: "golifecycle", Kind: "waiver",
+		{Marker: lifecycleMarker, Check: "golifecycle",
 			Doc: "names the lifecycle mechanism of a goroutine the structural Done()/recover() rule cannot see"},
-		{Marker: nopollMarker, Check: "nopoll", Kind: "waiver",
+		{Marker: nopollMarker, Check: "nopoll",
 			Doc: "justifies a sleep-in-loop where no blocking wait exists"},
-		{Marker: tagMarker, Check: "tagcheck", Kind: "waiver",
+		{Marker: tagMarker, Check: "tagcheck",
 			Doc: "permits a raw or one-sided message tag at one transport call site"},
-		{Marker: lockCollMarker, Check: "lockcollective", Kind: "waiver",
+		{Marker: lockCollMarker, Check: "lockcollective",
 			Doc: "permits a collective under a held mutex (e.g. teardown with peers already gone)"},
-		{Marker: collsyncMarker, Check: "collsync", Kind: "waiver",
+		{Marker: collsyncMarker, Check: "collsync",
 			Doc: "permits a collective under a rank-dependent branch (all ranks provably take the same path)"},
-		{Marker: hotpathMarker, Check: "hotalloc", Kind: "root",
-			Doc: "marks a function as a hot-path root; the allocation guard walks the call graph from here"},
-		{Marker: hotallocMarker, Check: "hotalloc", Kind: "waiver",
-			Doc: "accepts one allocation site on a hot path (freelist miss, amortized growth, debug-gated)"},
-		{Marker: arenaMarker, Check: "hotalloc", Kind: "sink",
-			Doc: "marks a type as an allocation arena; the guard neither audits nor descends through its methods"},
-		{Marker: sendownedMarker, Check: "sendowned", Kind: "waiver",
-			Doc: "permits touching a buffer after SendOwned (e.g. a test asserting the transfer)"},
-		{Marker: mmaplifeMarker, Check: "mmaplife", Kind: "waiver",
+		{Marker: mmaplifeMarker, Check: "mmaplife",
 			Doc: "permits touching a mapping-derived slice after its segment's Close (the bytes are provably still valid)"},
 	}
 }

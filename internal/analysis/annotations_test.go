@@ -30,14 +30,11 @@ func TestAnnotationsDocumented(t *testing.T) {
 		if !checks[a.Check] {
 			t.Errorf("annotation %q names unregistered check %q", a.Marker, a.Check)
 		}
-		if a.Kind != "waiver" && a.Kind != "root" && a.Kind != "sink" {
-			t.Errorf("annotation %q has unknown kind %q", a.Marker, a.Kind)
-		}
 		if seen[a.Marker] {
 			t.Errorf("duplicate marker %q", a.Marker)
 		}
 		seen[a.Marker] = true
-		if !strings.Contains(readme, "`// "+a.Marker+"`") && !strings.Contains(readme, "`//"+a.Marker+"`") {
+		if !strings.Contains(readme, "`// "+a.Marker+"`") {
 			t.Errorf("marker %q is not documented in README.md", a.Marker)
 		}
 	}
@@ -46,7 +43,7 @@ func TestAnnotationsDocumented(t *testing.T) {
 	// the per-check marker constants are the ground truth.
 	for _, marker := range []string{
 		lifecycleMarker, nopollMarker, tagMarker, lockCollMarker,
-		collsyncMarker, hotpathMarker, hotallocMarker, arenaMarker, sendownedMarker,
+		collsyncMarker, mmaplifeMarker,
 	} {
 		if !seen[marker] {
 			t.Errorf("marker constant %q missing from Annotations()", marker)

@@ -101,15 +101,14 @@ func collectivePerformers(pkgs []*Package) map[*types.Func]string {
 	return performs
 }
 
-// callGraphSources adapts the framework's packages to flow.Source,
-// indexing each by its position in pkgs.
+// callGraphSources adapts the framework's packages to flow.Source.
 func callGraphSources(pkgs []*Package) []flow.Source {
 	srcs := make([]flow.Source, 0, len(pkgs))
-	for i, pkg := range pkgs {
+	for _, pkg := range pkgs {
 		if pkg.TypesInfo == nil {
 			continue
 		}
-		src := flow.Source{PkgID: i, Info: pkg.TypesInfo}
+		src := flow.Source{Info: pkg.TypesInfo}
 		for _, f := range pkg.Files {
 			if f.Test || f.BuildTagged {
 				continue

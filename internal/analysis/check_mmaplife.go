@@ -25,8 +25,7 @@ var mmapPaths = []string{"internal/store", "internal/core"}
 // path. Unit tests rarely catch it: the kernel may keep the pages
 // resident until the address space is reused.
 //
-// The rule is a forward may-analysis over the CFG, shaped like
-// sendowned: a local slice variable assigned from a []byte-returning
+// The rule is a forward may-analysis over the CFG: a local slice variable assigned from a []byte-returning
 // method call on a Segment-typed receiver becomes derived from that
 // segment; a Close or Unmap call on the segment kills the mapping
 // (closed on ANY path into a join counts); any later mention of a
@@ -271,6 +270,19 @@ func (p *Pass) segmentSliceSource(expr ast.Expr) *types.Var {
 		return nil
 	}
 	return p.identVar(recv)
+}
+
+// identVar resolves an identifier to the local variable it denotes.
+func (p *Pass) identVar(id *ast.Ident) *types.Var {
+	obj := p.Pkg.TypesInfo.Uses[id]
+	if obj == nil {
+		obj = p.Pkg.TypesInfo.Defs[id]
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() {
+		return nil
+	}
+	return v
 }
 
 // segmentClose is one Close/Unmap call on a tracked segment variable.

@@ -6,12 +6,8 @@ import (
 )
 
 // Source is one package's contribution to a call graph: its parsed
-// files and resolved type information. PkgID is an opaque caller-chosen
-// index (the analysis framework uses the package's position in the slice
-// handed to the checks) so graph nodes can be mapped back to packages
-// without this package importing the framework.
+// files and resolved type information.
 type Source struct {
-	PkgID int
 	Info  *types.Info
 	Files []*ast.File
 }
@@ -22,9 +18,8 @@ type Source struct {
 // conservative reachability questions the checks ask, its calls belong
 // to whoever created it.
 type Node struct {
-	Obj   *types.Func
-	Decl  *ast.FuncDecl
-	PkgID int
+	Obj  *types.Func
+	Decl *ast.FuncDecl
 
 	Callees []*Node
 	Callers []*Node
@@ -39,10 +34,8 @@ func (n *Node) Name() string { return n.Decl.Name.Name }
 // declaration across the given packages, edges for direct calls that
 // resolve to one of those declarations. Interface-method calls, function
 // values, and calls into other modules (including the standard library)
-// produce no edges — the graph under-approximates call targets, so
-// reachability answers are "definitely reachable via static calls", the
-// right polarity for allocation guards, and "definitely performs" for
-// collective propagation.
+// produce no edges — the graph under-approximates call targets, so a
+// function it shows reaching a collective definitely performs one.
 type CallGraph struct {
 	nodes map[*types.Func]*Node
 	all   []*Node
@@ -67,7 +60,7 @@ func BuildCallGraph(srcs []Source) *CallGraph {
 				if !ok {
 					continue
 				}
-				n := &Node{Obj: obj, Decl: fd, PkgID: src.PkgID}
+				n := &Node{Obj: obj, Decl: fd}
 				g.nodes[obj] = n
 				g.all = append(g.all, n)
 			}
@@ -124,10 +117,6 @@ func addEdge(from, to *Node) {
 // Nodes returns every node in declaration order (per package, per file).
 func (g *CallGraph) Nodes() []*Node { return g.all }
 
-// NodeOf returns the node for a declared function object, nil if the
-// object is not part of the graph.
-func (g *CallGraph) NodeOf(obj *types.Func) *Node { return g.nodes[obj] }
-
 // Callee resolves the static callee of a call expression to a declared
 // function object: a plain function call, a method call on a concrete
 // receiver, or a package-qualified call. Interface-method calls resolve
@@ -145,38 +134,4 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// Reach is the result of a reachability walk: for every reached node,
-// the root it was first discovered from and the call-graph parent on
-// that first path (nil for roots themselves).
-type Reach struct {
-	Root   map[*Node]*Node
-	Parent map[*Node]*Node
-}
-
-// ReachableNodes walks callee edges breadth-first from the given roots.
-func (g *CallGraph) ReachableNodes(roots []*Node) Reach {
-	r := Reach{Root: make(map[*Node]*Node), Parent: make(map[*Node]*Node)}
-	queue := make([]*Node, 0, len(roots))
-	for _, root := range roots {
-		if root == nil || r.Root[root] != nil {
-			continue
-		}
-		r.Root[root] = root
-		queue = append(queue, root)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Callees {
-			if r.Root[c] != nil {
-				continue
-			}
-			r.Root[c] = r.Root[n]
-			r.Parent[c] = n
-			queue = append(queue, c)
-		}
-	}
-	return r
 }

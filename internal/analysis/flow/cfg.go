@@ -6,11 +6,11 @@
 //
 // The CFG gives checks branch structure (which statements execute under
 // which conditions — the shape collsync's rank-divergence rule and
-// sendowned's use-after-transfer dataflow need); the call graph gives
-// them interprocedural reach (which functions a hot loop or a collective
-// flows into). Both are deliberately conservative approximations:
-// interface and function-value calls produce no edges, panics are
-// ignored, and gotos resolve by label within one function.
+// mmaplife's use-after-unmap dataflow need); the call graph gives them
+// interprocedural reach (which functions perform a collective). Both
+// are deliberately conservative approximations: interface and
+// function-value calls produce no edges, panics are ignored, and gotos
+// resolve by label within one function.
 package flow
 
 import (

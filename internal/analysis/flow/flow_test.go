@@ -235,7 +235,7 @@ func f() func() {
 	}
 }
 
-func TestCallGraphEdgesAndReach(t *testing.T) {
+func TestCallGraphEdges(t *testing.T) {
 	src := `package p
 type T struct{}
 func (t *T) m() { helper() }
@@ -257,7 +257,7 @@ func root(t *T) { t.m() }`
 	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
-	g := BuildCallGraph([]Source{{PkgID: 0, Info: info, Files: []*ast.File{f}}})
+	g := BuildCallGraph([]Source{{Info: info, Files: []*ast.File{f}}})
 	byName := make(map[string]*Node)
 	for _, n := range g.Nodes() {
 		byName[n.Name()] = n
@@ -265,20 +265,20 @@ func root(t *T) { t.m() }`
 	if len(byName) != 5 {
 		t.Fatalf("got %d nodes, want 5", len(byName))
 	}
-	reach := g.ReachableNodes([]*Node{byName["root"]})
-	for _, name := range []string{"root", "m", "helper", "leaf"} {
-		if reach.Root[byName[name]] == nil {
-			t.Errorf("%s not reachable from root", name)
+	callees := func(name string) map[string]bool {
+		out := make(map[string]bool)
+		for _, c := range byName[name].Callees {
+			out[c.Name()] = true
+		}
+		return out
+	}
+	for caller, callee := range map[string]string{"root": "m", "m": "helper", "helper": "leaf"} {
+		if got := callees(caller); len(got) != 1 || !got[callee] {
+			t.Errorf("%s calls %v, want only %s", caller, got, callee)
 		}
 	}
-	if reach.Root[byName["lone"]] != nil {
-		t.Error("lone wrongly reachable")
-	}
-	if reach.Root[byName["leaf"]] != byName["root"] {
-		t.Error("leaf not attributed to root")
-	}
-	if reach.Parent[byName["leaf"]] != byName["helper"] {
-		t.Error("leaf's parent should be helper")
+	if len(byName["lone"].Callers) != 0 || len(byName["leaf"].Callees) != 0 {
+		t.Error("lone has callers or leaf has callees")
 	}
 	// Caller edges mirror callee edges.
 	foundCaller := false

@@ -148,15 +148,15 @@ func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, out
 	for i < len(uList) || j < len(vList) {
 		switch {
 		case j >= len(vList) || (i < len(uList) && uList[i].other < vList[j].other):
-			pool = append(pool, uList[i]) // hotalloc: amortized; caller scratch persists at its high-water capacity
+			pool = append(pool, uList[i])
 			nU++
 			i++
 		case i >= len(uList) || vList[j].other < uList[i].other:
-			pool = append(pool, vList[j]) // hotalloc: amortized; caller scratch persists at its high-water capacity
+			pool = append(pool, vList[j])
 			j++
 		default:
 			// Shared neighbour: both sides keep it, flags intact.
-			out = append(out, uList[i], vList[j]) // hotalloc: amortized; caller scratch persists at its high-water capacity
+			out = append(out, uList[i], vList[j])
 			i++
 			j++
 		}
@@ -176,7 +176,7 @@ func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, out
 			ed.anchorV = toV
 			ed.orig = false
 		}
-		out = append(out, ed) // hotalloc: amortized; caller scratch persists at its high-water capacity
+		out = append(out, ed)
 	}
 	return pool, out
 }
@@ -268,7 +268,7 @@ func newCurveball(e *rankEngine) (*curveball, error) {
 // only when n entries do not fit.
 func roundBuf[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, 0, n+n/8) // hotalloc: sized once per round; persists at its high-water capacity
+		return make([]T, 0, n+n/8)
 	}
 	return buf[:0]
 }
@@ -276,8 +276,6 @@ func roundBuf[T any](buf []T, n int) []T {
 // prepare arms one round: derive the pairing, lay out the arena, and
 // drain the whole partition into it and into the peers' runs, executing
 // owned trades as they complete.
-//
-//es:hotpath
 func (r *curveball) prepare(s int64, counts []int64) error {
 	e := r.e
 	if s != 1 {
@@ -380,9 +378,11 @@ func (r *curveball) settle(ed graph.Edge, orig bool) error {
 	return r.e.sendRun(int(^li), uint32(ed.U), uint32(ed.V), flags)
 }
 
-// keep appends one owned edge to the settled list.
+// keep appends one owned edge to the settled list. prepare sizes the list
+// to the partition, which a round changes by a few percent, so it grows
+// rarely.
 func (r *curveball) keep(li int32, v graph.Vertex, orig bool) {
-	r.settled = append(r.settled, slotEdge{slot: li, v: v, orig: orig}) // hotalloc: amortized; prepare sizes the list to the partition, which a round changes by a few percent
+	r.settled = append(r.settled, slotEdge{slot: li, v: v, orig: orig})
 }
 
 func (r *curveball) pushReady(t int32) {
@@ -445,10 +445,7 @@ func (r *curveball) handle(om opMsg, src int) error {
 // handleRun decodes one edge run in place — trade arrivals into the
 // arena, settled edges onto the settled list — then executes every trade
 // it completed. The bytes come off a socket, so every field is checked
-// before it indexes anything. (A hotpath root of its own: the interface
-// dispatch ends hotalloc's static call walk.)
-//
-//es:hotpath
+// before it indexes anything.
 func (r *curveball) handleRun(run []byte, src int) (int, error) {
 	rank := r.e.c.Rank()
 	if len(run) < runHdrLen {
@@ -500,8 +497,6 @@ func (r *curveball) handleRun(run []byte, src int) (int, error) {
 
 // runReady executes complete trades until none is left; a trade's output
 // may complete later local trades, which join the stack.
-//
-//es:hotpath
 func (r *curveball) runReady() error {
 	for n := len(r.ready); n > 0; n = len(r.ready) {
 		t := r.ready[n-1]
@@ -613,6 +608,15 @@ type seqCBTrade struct {
 // trades (⌊n/2⌋ per round, matching the engine, which also counts
 // empty trades).
 func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, error) {
+	return SequentialCurveballUntil(g, rounds, seed, 0)
+}
+
+// SequentialCurveballUntil is SequentialCurveball with the engine's
+// visit-rate stop (Config.TargetVisitRate): when stopAt > 0 the run ends
+// at the first round boundary where the visit rate has reached stopAt,
+// so it performs the same rounds as a parallel run given the same
+// budget.
+func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt float64) (SeqStats, error) {
 	if rounds < 0 {
 		return SeqStats{}, fmt.Errorf("core: negative round count %d", rounds)
 	}
@@ -655,6 +659,17 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 	}
 
 	for round := int64(1); round <= rounds; round++ {
+		if stopAt > 0 {
+			var origs int64
+			for _, se := range cur {
+				if se.orig {
+					origs++
+				}
+			}
+			if VisitRate(origs, m0) >= stopAt {
+				break
+			}
+		}
 		cbPermute(perm, seed, round)
 		cbAssignTrades(tradeOf, perm)
 		for t := range trades {
@@ -728,14 +743,4 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 	}
 	st.VisitRate = VisitRate(g.Originals(), m0)
 	return st, nil
-}
-
-// SequentialCurveballVisitRate computes the round count for the target
-// visit rate and runs SequentialCurveball.
-func SequentialCurveballVisitRate(g *graph.Graph, x float64, seed uint64) (SeqStats, error) {
-	rounds, err := CurveballRoundsForVisitRate(g.M(), x)
-	if err != nil {
-		return SeqStats{}, err
-	}
-	return SequentialCurveball(g, rounds, seed)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"edgeswitch/internal/gen"
@@ -111,5 +112,34 @@ func TestDistributedGenValidation(t *testing.T) {
 	// Nil graph without a generator spec is rejected.
 	if _, err := Parallel(nil, 10, Config{Ranks: 2}); err == nil {
 		t.Fatal("Parallel accepted a nil graph without DistributedGen")
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestBootstrapAllocs pins what a generation bootstrap allocates: pergen
+// scans allocate nothing and loadSlotEdges sorts into reused scratch, so
+// what remains is about one exact-size adjacency array per vertex
+// (0.86 at p=2 under HP-D, whatever n). A per-edge allocation would add
+// d = 10 per vertex.
+func TestBootstrapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates about twice as often here")
+	}
+	for _, n := range []int{5001, 50001} {
+		spec := pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: n, D: 10}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Parallel(nil, 0, Config{Ranks: 2, Scheme: SchemeHPD, Seed: 19, SkipResult: true, DistributedGen: &spec}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perVertex := float64(after.Mallocs-before.Mallocs) / float64(n)
+		t.Logf("n=%d: %d mallocs, %.3f per vertex", n, after.Mallocs-before.Mallocs, perVertex)
+		if perVertex >= 0.9 {
+			t.Errorf("n=%d: bootstrap made %.3f mallocs per vertex, want < 0.9", n, perVertex)
+		}
 	}
 }

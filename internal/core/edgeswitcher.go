@@ -164,8 +164,6 @@ func (r *edgeSwitcher) inFlight() int { return opWindow - r.nFree }
 // operation, or start own operations up to the pipelining window.
 // Filling the window before flushing is what gives the message plane
 // several records per destination batch.
-//
-//es:hotpath
 func (r *edgeSwitcher) advance() (bool, error) {
 	e := r.e
 	if int64(r.inFlight()) >= r.remaining {
@@ -233,12 +231,7 @@ func (r *edgeSwitcher) cursor() uint64 { return r.seq }
 
 func (r *edgeSwitcher) restoreCursor(c uint64) { r.seq = c }
 
-// handle dispatches one conversation-protocol message from src. The
-// chassis dispatches through the randomizer interface, which ends
-// hotalloc's static call walk, so the per-message entry points root
-// their own audits.
-//
-//es:hotpath
+// handle dispatches one conversation-protocol message from src.
 func (r *edgeSwitcher) handle(om opMsg, src int) error {
 	switch om.kind {
 	case mSelectSecond:
@@ -334,7 +327,7 @@ func (r *edgeSwitcher) pickPartner() int {
 	}
 	x := e.rnd.Int64n(r.cumEdges[len(r.cumEdges)-1])
 	// First rank whose cumulative range contains x.
-	idx := sort.Search(len(r.cumEdges)-1, func(i int) bool { return r.cumEdges[i+1] > x }) // hotalloc: non-escaping closure; sort.Search does not retain it, so it stays on the stack
+	idx := sort.Search(len(r.cumEdges)-1, func(i int) bool { return r.cumEdges[i+1] > x })
 	return idx
 }
 
@@ -648,7 +641,7 @@ func (c *custody) find(key uint64) (int, bool) {
 func (c *custody) add(key uint64, tag uint8, op opID) {
 	if 2*(c.live[0]+c.live[1]+1) > len(c.slots) {
 		old := c.slots
-		c.slots = make([]custodySlot, 2*len(old)) // hotalloc: amortized; the table doubles at load ½ and keeps its high-water size
+		c.slots = make([]custodySlot, 2*len(old))
 		c.shift--
 		for _, s := range old {
 			if s.tag != 0 {

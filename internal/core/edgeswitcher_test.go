@@ -276,9 +276,6 @@ func FuzzConversationRecord(f *testing.F) {
 // quota draw; the op tables and the custody table allocate nothing per
 // operation.
 func TestEdgeSwitchSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full randomizations")
-	}
 	g, err := gen.PrefAttachment(rng.New(1), 5001, 10)
 	if err != nil {
 		t.Fatal(err)

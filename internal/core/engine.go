@@ -370,8 +370,6 @@ func (e *rankEngine) broadcastCtl(kind msgKind) error {
 // randomizer advance, emit/collect end-of-step signals, block when idle.
 // Everything here is algorithm-independent; the randomizer contributes
 // only progress (advance/handle) and its done/starved status.
-//
-//es:hotpath
 func (e *rankEngine) stepLoop() error {
 	p := e.c.Size()
 	r := e.rand
@@ -471,7 +469,7 @@ func (e *rankEngine) stepLoop() error {
 		}
 		if debugTrace {
 			e.trace("blocking: done=%v starved=%v deg=%d eos=%d stalled=%d myStalled=%v sentEOS=%v",
-				r.done(), r.starved(), e.deg.Total(), e.eosOthers, e.stalledCount, e.myStalled, e.sentEOS) // hotalloc: trace arguments are built only when debugTrace (package variable, read once at init from ESDEBUG) is set
+				r.done(), r.starved(), e.deg.Total(), e.eosOthers, e.stalledCount, e.myStalled, e.sentEOS)
 		}
 		m, err := e.c.Recv(mpi.AnySource, opTag)
 		if err != nil {
@@ -590,13 +588,11 @@ type slotEdge struct {
 // unless collapseDup: the contact generator's rare cross-slot collisions
 // collapse (both copies share their minimum endpoint, so they meet
 // inside one rank), a randomizer producing a parallel edge is a bug.
-//
-//es:hotpath
 func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 	nv := len(e.verts)
 	ld := &e.load
 	if cap(ld.sorted) < len(ents) {
-		ld.sorted = make([]slotEdge, len(ents)+len(ents)/8) // hotalloc: amortized; persists at the partition's high-water size
+		ld.sorted = make([]slotEdge, len(ents)+len(ents)/8)
 	}
 	// Counting sort: after the prefix sums ends[li] is group li's start,
 	// and the scatter advances it to the group's end.
@@ -624,7 +620,7 @@ func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 			continue
 		}
 		if n := len(grp); cap(ld.keys) < n {
-			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n) // hotalloc: amortized; scratch persists at the largest group's size
+			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n)
 		}
 		if len(grp) <= 32 {
 			for i := 1; i < len(grp); i++ {
@@ -692,7 +688,7 @@ func (e *rankEngine) edgeHash() uint64 {
 func (e *rankEngine) send(dst int, m opMsg) error {
 	e.msgsSent++
 	if dst == e.c.Rank() {
-		e.selfQ = append(e.selfQ, m) // hotalloc: amortized; selfQ is a reusable double-buffer drained every loop pass
+		e.selfQ = append(e.selfQ, m)
 		return nil
 	}
 	e.sb.add(dst, m)
@@ -755,7 +751,7 @@ func (e *rankEngine) handle(m mpi.Message) error {
 // step-control kinds and hands everything else to the randomizer.
 func (e *rankEngine) handleMsg(om opMsg, src int) error {
 	if debugTrace {
-		e.trace("recv %v %v e=%v from %d", om.kind, om.id, om.e1, src) // hotalloc: trace arguments are built only when debugTrace (package variable, read once at init from ESDEBUG) is set
+		e.trace("recv %v %v e=%v from %d", om.kind, om.id, om.e1, src)
 	}
 	switch om.kind {
 	case mEndOfStep:
@@ -795,6 +791,6 @@ var traceOut io.Writer = os.Stderr
 
 func (e *rankEngine) trace(format string, args ...any) {
 	if debugTrace {
-		fmt.Fprintf(traceOut, "[rank %d] %s\n", e.c.Rank(), fmt.Sprintf(format, args...)) // hotalloc: runs only when debugTrace (package variable, read once at init from ESDEBUG) is set
+		fmt.Fprintf(traceOut, "[rank %d] %s\n", e.c.Rank(), fmt.Sprintf(format, args...))
 	}
 }

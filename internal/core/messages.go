@@ -119,7 +119,7 @@ func appendOpMsg(buf []byte, m opMsg) []byte {
 	binary.LittleEndian.PutUint32(rec[18:], uint32(m.e1.V))
 	binary.LittleEndian.PutUint32(rec[22:], uint32(m.id.slot))
 	// The record's last 4 bytes are reserved (kept for layout stability).
-	return append(buf, rec[:]...) // hotalloc: amortized; batch buffers come presized from the freelist
+	return append(buf, rec[:]...)
 }
 
 // Edge runs: curveball moves every adjacency entry once or twice per

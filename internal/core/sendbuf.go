@@ -80,8 +80,6 @@ func (sb *sendBuffer) init(c *mpi.Comm) {
 }
 
 // getBuf pops a recycled buffer or allocates a presized fresh one.
-//
-//es:hotpath
 func (sb *sendBuffer) getBuf() []byte {
 	if n := len(sb.free); n > 0 {
 		b := sb.free[n-1]
@@ -89,26 +87,22 @@ func (sb *sendBuffer) getBuf() []byte {
 		sb.free = sb.free[:n-1]
 		return b
 	}
-	return make([]byte, 0, initialBatchCap) // hotalloc: freelist miss; presized so the buffer never regrows in steady state
+	return make([]byte, 0, initialBatchCap)
 }
 
 // recycle returns a buffer the caller has finished reading — usually
 // one that arrived from a peer via SendOwned — to this rank's freelist.
-//
-//es:hotpath
 func (sb *sendBuffer) recycle(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBatch || len(sb.free) >= maxFreeBufs {
 		return
 	}
-	sb.free = append(sb.free, b[:0]) // hotalloc: freelist return, bounded by maxFreeBufs
+	sb.free = append(sb.free, b[:0])
 }
 
 // add queues m for dst. Messages to one destination are delivered in
 // add order within and across batches (the transports are FIFO per
 // (src,dst) pair), so coalescing preserves the protocol's ordering
 // assumptions.
-//
-//es:hotpath
 func (sb *sendBuffer) add(dst int, m opMsg) {
 	if sb.bufs[dst] == nil {
 		sb.bufs[dst] = sb.getBuf()
@@ -120,8 +114,6 @@ func (sb *sendBuffer) add(dst int, m opMsg) {
 // addRun queues one edge-run entry for dst (see the run layout in
 // messages.go), extending the run that ends dst's batch or opening a new
 // one.
-//
-//es:hotpath
 func (sb *sendBuffer) addRun(dst int, key, other uint32, flags byte) {
 	b := sb.bufs[dst]
 	if b == nil {
@@ -129,20 +121,18 @@ func (sb *sendBuffer) addRun(dst int, key, other uint32, flags byte) {
 	}
 	at := sb.runAt[dst]
 	if at == 0 {
-		b = append(b, runHdrLen, byte(mEdgeRun), 0, 0, 0, 0) // hotalloc: amortized; batch buffers come presized from the freelist
+		b = append(b, runHdrLen, byte(mEdgeRun), 0, 0, 0, 0)
 		at = len(b) - 4
 		sb.runAt[dst] = at
 	}
 	binary.LittleEndian.PutUint32(b[at:], binary.LittleEndian.Uint32(b[at:])+1)
-	sb.bufs[dst] = append(b, // hotalloc: amortized; batch buffers come presized from the freelist
+	sb.bufs[dst] = append(b,
 		byte(key), byte(key>>8), byte(key>>16), byte(key>>24),
 		byte(other), byte(other>>8), byte(other>>16), byte(other>>24), flags)
 }
 
 // flushDst hands dst's pending batch to the transport, transferring
 // buffer ownership to the receiver.
-//
-//es:hotpath
 func (sb *sendBuffer) flushDst(dst int) error {
 	b := sb.bufs[dst]
 	if len(b) == 0 {
@@ -153,8 +143,6 @@ func (sb *sendBuffer) flushDst(dst int) error {
 }
 
 // flush sends every pending batch.
-//
-//es:hotpath
 func (sb *sendBuffer) flush() error {
 	for dst := range sb.bufs {
 		if err := sb.flushDst(dst); err != nil {

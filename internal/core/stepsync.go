@@ -52,8 +52,8 @@ func (e *rankEngine) noteDegree(ed graph.Edge, d int32) {
 // Unchecked runs take an allocation-free fast path: noteDegree never
 // populated e.degDelta, so every payload is the bare 20-byte header and
 // the drift accounting (a map plus a decoded delta vector per rank,
-// every boundary) would be pure overhead. The encode/decode helpers of
-// that path are hot-path roots, so hotalloc keeps it clean.
+// every boundary) would be pure overhead. TestEdgeSwitchSteadyStateAllocs
+// pins it at run time.
 func (e *rankEngine) stepExchange() ([]int64, int64, error) {
 	if e.sanitize {
 		return e.stepExchangeChecked()
@@ -131,9 +131,8 @@ func (e *rankEngine) stepExchangeChecked() ([]int64, int64, error) {
 }
 
 // encodeStepFast writes the unchecked exchange payload — edge count,
-// originals count, zero deltas — into the engine's reused buffer.
-//
-//es:hotpath encodeStepFast runs at every step boundary of unchecked runs.
+// originals count, zero deltas — into the engine's reused buffer. It runs
+// at every step boundary of unchecked runs.
 func (e *rankEngine) encodeStepFast() []byte {
 	buf := e.stepBuf[:20]
 	binary.LittleEndian.PutUint64(buf[0:], uint64(e.deg.Total()))
@@ -143,10 +142,9 @@ func (e *rankEngine) encodeStepFast() []byte {
 }
 
 // decodeStepCounts reads the edge and originals counts of one payload
-// without materializing its delta vector (the unchecked fast path; in
-// those runs k is always 0, but the length is validated regardless).
-//
-//es:hotpath decodeStepCounts runs p times per boundary of unchecked runs.
+// without materializing its delta vector (the unchecked fast path, run
+// p times per boundary; in those runs k is always 0, but the length is
+// validated regardless).
 func decodeStepCounts(pb []byte) (int64, int64, error) {
 	if len(pb) < 20 {
 		return 0, 0, fmt.Errorf("truncated step payload (%d bytes)", len(pb))

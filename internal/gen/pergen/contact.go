@@ -115,8 +115,6 @@ func newContactGen(sp Spec) *contactGen {
 // withinEdges enumerates the accepted within-community pairs: pair w of
 // the global intra-community pair enumeration is an edge iff its
 // Bernoulli draw clears withinQ.
-//
-//es:hotpath withinEdges is one Bernoulli hash per community-internal pair.
 func (c *contactGen) withinEdges(fn func(graph.Edge)) {
 	w := uint64(0)
 	for _, cm := range c.comms {
@@ -135,8 +133,6 @@ func (c *contactGen) withinEdges(fn func(graph.Edge)) {
 // endpoints (bounded, from its own counter range) while the pair is a
 // loop or intra-community; with a single community the intra filter is
 // dropped, as in the sequential generator. Exhausted slots are dropped.
-//
-//es:hotpath crossEdges resolves one endpoint pair per cross slot.
 func (c *contactGen) crossEdges(fn func(graph.Edge)) {
 	requireCross := len(c.comms) > 1
 	for t := int64(0); t < c.crossCnt; t++ {

@@ -65,9 +65,8 @@ func (p *paGen) genVertex(e int64) graph.Vertex {
 }
 
 // resolvePos resolves the vertex stored at position r of the conceptual
-// flat edge array, by recomputation only.
-//
-//es:hotpath resolvePos is the pergen inner loop: one expected-O(1) chain per edge of the graph.
+// flat edge array, by recomputation only. It is the pergen inner loop:
+// one expected-O(1) chain per edge of the graph.
 func (p *paGen) resolvePos(r uint64) graph.Vertex {
 	for {
 		e := int64(r >> 1)
@@ -89,8 +88,6 @@ func (p *paGen) resolvePos(r uint64) graph.Vertex {
 // vertexTargets resolves the final (simplified) targets of vertex v's d
 // slots into the reusable scratch buffer. Dropped slots (attempt budget
 // exhausted) simply do not appear.
-//
-//es:hotpath vertexTargets runs once per generated vertex.
 func (p *paGen) vertexTargets(v int64) []graph.Vertex {
 	out := p.tbuf[:0]
 	k0 := p.mc + (v-int64(p.s))*int64(p.d)
@@ -105,7 +102,7 @@ func (p *paGen) vertexTargets(v int64) []graph.Vertex {
 			t = p.resolvePos(p.retry.Uint64nAt(uint64(k)<<6|uint64(a), uint64(2*k)))
 		}
 		if t >= 0 {
-			out = append(out, t) // hotalloc: amortized growth into the reusable d-capacity scratch
+			out = append(out, t)
 		}
 	}
 	p.tbuf = out[:0]

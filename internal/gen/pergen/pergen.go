@@ -214,30 +214,36 @@ func (g *Gen) Edges(fn func(graph.Edge)) {
 // adjacency structure collapses them, and because both copies share the
 // same minimum endpoint the collapse happens wholly inside one rank —
 // the global edge set never depends on p.
+//
+// The ownership test runs once per generated edge per rank, so it is
+// devirtualized: for CP the interface call plus boundary binary search
+// collapse to a single range comparison, and for HP-D the division hash
+// is inlined. Other schemes keep the generic call — their Owner is one
+// hash. Each filter is a non-escaping literal, so an enumeration
+// allocates nothing.
 func (g *Gen) PartitionEdges(pt partition.Partitioner, rank int, fn func(graph.Edge)) {
-	owned := ownedFilter(pt, rank)
-	g.Edges(func(e graph.Edge) {
-		if owned(e.U) {
-			fn(e)
-		}
-	})
-}
-
-// ownedFilter devirtualizes the per-edge ownership test: the filter runs
-// once per generated edge per rank, so for CP the interface call plus
-// boundary binary search collapse to a single range comparison, and for
-// HP-D the division hash is inlined. Other schemes keep the generic
-// call — their Owner is one hash.
-func ownedFilter(pt partition.Partitioner, rank int) func(graph.Vertex) bool {
 	switch p := pt.(type) {
 	case *partition.CP:
 		lo, hi := p.Range(rank)
-		return func(v graph.Vertex) bool { return lo <= v && v < hi }
+		g.Edges(func(e graph.Edge) {
+			if lo <= e.U && e.U < hi {
+				fn(e)
+			}
+		})
 	case *partition.HPD:
 		n := p.Parts()
-		return func(v graph.Vertex) bool { return int(v)%n == rank }
+		g.Edges(func(e graph.Edge) {
+			if int(e.U)%n == rank {
+				fn(e)
+			}
+		})
+	default:
+		g.Edges(func(e graph.Edge) {
+			if pt.Owner(e.U) == rank {
+				fn(e)
+			}
+		})
 	}
-	return func(v graph.Vertex) bool { return pt.Owner(v) == rank }
 }
 
 // ReducedDegrees returns the per-vertex reduced degree (edges whose

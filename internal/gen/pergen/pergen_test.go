@@ -1,6 +1,7 @@
 package pergen
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -356,6 +357,47 @@ func TestReducedDegreesMatchEnumeration(t *testing.T) {
 		g.Edges(func(graph.Edge) { m++ })
 		if sum != m {
 			t.Fatalf("%s: reduced degrees sum to %d, enumeration has %d edges", sp.Model, sum, m)
+		}
+	}
+}
+
+// TestGenSteadyStateAllocs pins the scan loops allocation-free: once New
+// has built the tables, a full enumeration and a per-rank enumeration
+// under CP and HP-D allocate nothing, whatever the graph's size.
+func TestGenSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		model string
+		n     int
+	}{{"pa", 5000}, {"pa", 50000}, {"contact", 5000}, {"contact", 50000}} {
+		model := fmt.Sprintf("%s n=%d", c.model, c.n)
+		sp, err := SpecFor(c.model, c.n, 10, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := New(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m int64
+		count := func(graph.Edge) { m++ }
+		if a := testing.AllocsPerRun(5, func() { g.Edges(count) }); a != 0 {
+			t.Errorf("%s: Edges made %.1f allocations per enumeration, want 0", model, a)
+		}
+		cp, err := partition.NewCPFromReduced(g.ReducedDegrees(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hpd, err := partition.NewHPD(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range []partition.Partitioner{cp, hpd} {
+			if a := testing.AllocsPerRun(5, func() { g.PartitionEdges(pt, 1, count) }); a != 0 {
+				t.Errorf("%s/%s: PartitionEdges made %.1f allocations per enumeration, want 0", model, pt.Name(), a)
+			}
+		}
+		if m == 0 {
+			t.Fatalf("%s: enumerated no edges", model)
 		}
 	}
 }

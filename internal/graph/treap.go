@@ -64,8 +64,6 @@ type treapNode struct {
 // in one vertex's set feed inserts in another's. Flat slots never touch
 // it. The zero value is ready to use, and a nil *NodeArena degrades to
 // plain allocation, which is what the arena-less AdjSet methods pass.
-//
-//es:arena
 type NodeArena struct {
 	free *treapNode
 	slab []treapNode
@@ -90,8 +88,7 @@ func (a *NodeArena) get(v Vertex, original bool, prio uint32) *treapNode {
 		return n
 	}
 	if len(a.slab) == 0 {
-		// The free-list miss is the slow path the arena exists to avoid;
-		// the //es:arena marker on the type waives it.
+		// The free-list miss is the slow path the arena exists to avoid.
 		a.slab = make([]treapNode, arenaSlab)
 	}
 	n := &a.slab[0]
@@ -247,7 +244,7 @@ func (s *AdjSet) InsertArena(a *NodeArena, v Vertex, original bool, prio uint32)
 			return false
 		}
 		if len(s.flat) < flatMax {
-			s.flat = append(s.flat, 0) // hotalloc: amortized; a slot's array doubles, and a drained slot keeps its capacity
+			s.flat = append(s.flat, 0)
 			copy(s.flat[i+1:], s.flat[i:])
 			s.flat[i] = pack(v, original)
 			s.origs += int32(s.flat[i] & 1)

@@ -147,9 +147,9 @@ func (mb *mailbox) takeAllInto(src, tag int, out []Message) []Message {
 	kept := mb.queue[:0]
 	for _, m := range mb.queue {
 		if match(m, src, tag) {
-			out = append(out, m) // hotalloc: amortized; out is the caller's reusable drain buffer
+			out = append(out, m)
 		} else {
-			kept = append(kept, m) // hotalloc: in-place compaction; kept aliases queue's backing array and cannot grow
+			kept = append(kept, m)
 		}
 	}
 	// Zero the tail so released messages can be collected.
