@@ -7,7 +7,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test esbench race racedist bench benchsmoke largesmoke spillsmoke ab loc clean
+.PHONY: check build vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab loc clean
 
 check: build vet esvet test esbench race racedist
 
@@ -49,6 +49,15 @@ race:
 racedist:
 	$(GO) test -race -timeout 10m ./cmd/esworker/
 	$(GO) test -race -count=5 -timeout 10m -run '^TestRunKillRestoreMultiProcess$$' ./cmd/esworker/
+
+# The engine's decoders of untrusted bytes, fuzzed 10 s each beyond their
+# seed corpora: conversation records (framed at each kind's length, fed
+# to a live 2-rank engine), curveball edge runs, and checkpoint
+# snapshots. Every input must be handled or refused with an error.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzConversationRecord$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzEdgeRun$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

@@ -72,7 +72,10 @@ func BenchmarkAblationTransports(b *testing.B) {
 }
 
 // BenchmarkAblationMessageCost measures protocol messages per completed
-// operation across rank counts (the constant the §4.5 analysis assumes).
+// operation across rank counts. §4.5 assumes a constant; here only legs
+// that cross ranks are messages, so the count follows the remote share
+// of the replacement-edge owners: 0 at p=1, ≈1.8 at p=2, ≈3.5 at p=4 and
+// ≈4.5 at p=8 on this graph.
 func BenchmarkAblationMessageCost(b *testing.B) {
 	g := benchGraph(b, "erdosrenyi", 0.05)
 	const t = int64(20000)

@@ -14,17 +14,19 @@ import (
 // edgeSwitcher is the randomizer implementation of the paper's
 // single-edge-switch conversation protocol (§4.4–§4.5): per operation an
 // initiator takes a first edge, a partner (drawn with probability
-// |E_j|/|E|) takes the second, validates the switch, and reserves,
-// commits or releases the two replacement edges at their owners with
-// acknowledged conversations. All of the protocol's roles and state — dense
-// tables, no runtime maps — live here; the step loop, message plane and
-// storage accounting are the chassis's (see randomizer.go).
+// |E_j|/|E|) takes the second, validates the switch, and has the two
+// replacement edges checked and inserted at their owners. A rank's own
+// share of an operation runs inline and only legs that cross ranks
+// become records (see messages.go). All of the protocol's roles and
+// state — dense tables, no runtime maps — live here; the step loop,
+// message plane and storage accounting are the chassis's (see
+// randomizer.go).
 type edgeSwitcher struct {
 	e *rankEngine
 
-	// custody holds the edges in-flight operations took out of the
-	// partition (e1s this rank initiated, e2s it partners) and the
-	// replacement edges reserved here (§4.5 issue 1).
+	// custody holds the edges of operations waiting on a message: their
+	// taken e1s and e2s and the replacement edges reserved here (§4.5
+	// issue 1). An operation that never waits never enters it.
 	custody custody
 
 	// cumEdges is the step-start prefix-sum of per-rank edge counts used
@@ -32,8 +34,8 @@ type edgeSwitcher struct {
 	// rewritten at every step boundary.
 	cumEdges []int64
 
-	// Initiator-side state: own operations in flight by window slot, and
-	// the stack of free slots, freeSlots[:nFree]. Up to opWindow operations
+	// Initiator-side state: waiting own operations by window slot, and the
+	// stack of free slots, freeSlots[:nFree]. Up to opWindow operations
 	// are pipelined (see opWindowSize): a window keeps the rank busy
 	// between replies, and — the message plane's point — gives each flush
 	// several records per destination instead of one. Semantically it is
@@ -54,7 +56,7 @@ type edgeSwitcher struct {
 	// threshold.
 	curRestarts int64
 
-	// Partner-side state: the operations this rank is orchestrating,
+	// Partner-side state: the waiting operations this rank orchestrates,
 	// partners[initiator·opWindow + slot], of which partnerLive are live.
 	partners    []partnerOp
 	partnerLive int
@@ -78,6 +80,7 @@ const (
 	phaseReserving = iota
 	phaseCommitting
 	phaseReleasing
+	phaseLastAgent
 )
 
 // Restart-escalation thresholds (see edgeSwitcher.curRestarts).
@@ -99,6 +102,7 @@ type partnerOp struct {
 	e2       graph.Edge
 	edges    [2]graph.Edge // replacement edges A, B
 	owners   [2]int32
+	agent    int32 // phaseLastAgent: the one remote owner
 	live     bool
 	phase    uint8
 	acksLeft uint8
@@ -106,12 +110,18 @@ type partnerOp struct {
 	okay     [2]bool
 }
 
-// Named refusals of a record whose op id does not fit the tables.
+// Named refusals of a record that does not fit the tables or the
+// protocol.
 var (
-	errOpRank  = errors.New("op rank out of range or not the expected rank")
-	errOpSlot  = errors.New("op window slot out of range")
-	errOpStale = errors.New("unknown or stale op")
-	errOpBusy  = errors.New("partner slot already busy")
+	errOpRank   = errors.New("op rank out of range or not the expected rank")
+	errOpSlot   = errors.New("op window slot out of range")
+	errOpStale  = errors.New("unknown or stale op")
+	errOpBusy   = errors.New("partner slot already busy")
+	errMask     = errors.New("last-agent mask not 1, 2 or 3")
+	errSameEdge = errors.New("last-agent edges are equal")
+	errNotOwner = errors.New("edge not owned by the receiver")
+	errNoAgent  = errors.New("op not waiting on a last agent")
+	errAgent    = errors.New("reply from a rank that was not asked")
 )
 
 // prepare rebuilds the selection prefix sums from the step-boundary edge
@@ -161,9 +171,10 @@ func stepQuotas(seed uint64, step, s int64, counts []int64, m int64) ([]int64, e
 func (r *edgeSwitcher) inFlight() int { return opWindow - r.nFree }
 
 // advance drives the initiator role: forfeit a structurally stuck
-// operation, or start own operations up to the pipelining window.
+// operation, or start own operations until opWindowSize of them wait.
 // Filling the window before flushing is what gives the message plane
-// several records per destination batch.
+// several records per destination batch. Inline aborts never fill it,
+// so the loop also stops at restartForfeit.
 func (r *edgeSwitcher) advance() (bool, error) {
 	e := r.e
 	if int64(r.inFlight()) >= r.remaining {
@@ -182,8 +193,8 @@ func (r *edgeSwitcher) advance() (bool, error) {
 		return false, nil
 	}
 	started := false
-	for w := e.opWindowSize(); r.inFlight() < w &&
-		int64(r.inFlight()) < r.remaining && e.deg.Total() > 0; {
+	for w := e.opWindowSize(); r.inFlight() < w && int64(r.inFlight()) < r.remaining &&
+		e.deg.Total() > 0 && r.curRestarts < restartForfeit; {
 		if err := r.startOp(); err != nil {
 			return false, err
 		}
@@ -242,12 +253,14 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 		return r.onReserve(om.id, om.e1, src)
 	case mReserveOK, mReserveFail:
 		return r.onReserveReply(om.id, om.e1, om.kind)
-	case mCommit:
-		return r.onCommit(om.id, om.e1, src)
-	case mRelease:
-		return r.onRelease(om.id, om.e1, src)
+	case mCommit, mRelease:
+		return r.onDecision(om.id, om.e1, om.kind, src)
 	case mCommitAck, mReleaseAck:
 		return r.onAck(om.id, om.kind)
+	case mLastAgent:
+		return r.onLastAgent(om, src)
+	case mCommitted, mRefused:
+		return r.onAgentReply(om.id, om.kind, src)
 	default:
 		return fmt.Errorf("core: rank %d edge-switch cannot handle %v", r.e.c.Rank(), om.kind)
 	}
@@ -278,15 +291,13 @@ func (r *edgeSwitcher) conflicts(ed graph.Edge) bool {
 	return !ok || r.e.adj.Contains(li, ed.V) // a foreign edge is misrouted: conflict
 }
 
-// takeRandomEdge removes a uniform random local edge into custody.
-func (r *edgeSwitcher) takeRandomEdge() graph.Edge {
-	ed, orig := r.e.takeLocal()
+// hold keeps a taken edge of a waiting operation in custody.
+func (r *edgeSwitcher) hold(ed graph.Edge, orig bool) {
 	tag := uint8(0)
 	if orig {
 		tag = custOrig
 	}
 	r.custody.add(edgeKey(ed), tag, opID{})
-	return ed
 }
 
 // release takes a held edge out of custody, returning its original flag.
@@ -333,28 +344,40 @@ func (r *edgeSwitcher) pickPartner() int {
 
 // ---- initiator role ----
 
-// startOp begins one own operation in a free window slot: take e1, pick
-// a partner, ask it to orchestrate.
+// startOp begins one own operation: take e1, pick a partner. A partner
+// that is this rank orchestrates in place; only an operation that then
+// waits on a message takes the free slot, with e1 held in custody.
 func (r *edgeSwitcher) startOp() error {
 	e := r.e
+	me := e.c.Rank()
 	r.seq++
-	r.nFree--
-	slot := r.freeSlots[r.nFree]
-	id := opID{rank: int32(e.c.Rank()), slot: slot, seq: r.seq}
-	e1 := r.takeRandomEdge()
-	r.own[slot] = ownOp{seq: r.seq, e1: e1, live: true}
+	id := opID{rank: int32(me), slot: r.freeSlots[r.nFree-1], seq: r.seq}
+	e1, orig := e.takeLocal()
 	partner := r.pickPartner()
+	if partner == me {
+		if out, err := r.orchestrate(id, e1); err != nil {
+			return err
+		} else if out != 0 {
+			return r.settle(e1, orig, out)
+		}
+	}
+	r.nFree--
+	r.own[id.slot] = ownOp{seq: r.seq, e1: e1, live: true}
+	r.hold(e1, orig)
+	if partner == me {
+		return nil
+	}
 	return e.send(partner, opMsg{kind: mSelectSecond, id: id, e1: e1})
 }
 
-// refuse names why a record's op id does not fit the tables.
+// refuse names why a record does not fit the tables or the protocol.
 func (r *edgeSwitcher) refuse(kind msgKind, id opID, why error) error {
 	return fmt.Errorf("core: rank %d got %v for %v: %w", r.e.c.Rank(), kind, id, why)
 }
 
-// onOwnReply finishes an own operation the reply names: committed
-// everywhere (mOpDone), or rejected and to restart with a new pair
-// (mAbortOp). Either way its window slot is free again.
+// onOwnReply finishes a waiting own operation: committed everywhere
+// (mOpDone) or rejected (mAbortOp). Either way its window slot is free
+// again and e1 leaves custody.
 func (r *edgeSwitcher) onOwnReply(id opID, kind msgKind) error {
 	switch {
 	case int(id.rank) != r.e.c.Rank():
@@ -368,15 +391,26 @@ func (r *edgeSwitcher) onOwnReply(id opID, kind msgKind) error {
 	o.live = false
 	r.freeSlots[r.nFree] = id.slot
 	r.nFree++
+	orig, err := r.release(o.e1, "finishing")
+	if err != nil {
+		return err
+	}
+	return r.settle(o.e1, orig, kind)
+}
+
+// settle ends an own operation whose first edge e1 is out of custody:
+// after a commit (mOpDone) e1 stays removed; after an abort it goes back
+// with its original flag and the operation restarts with a new pair.
+func (r *edgeSwitcher) settle(e1 graph.Edge, orig bool, kind msgKind) error {
 	if kind == mAbortOp {
 		r.e.restarts++
 		r.curRestarts++
-		return r.reinsert(o.e1)
+		return r.e.insertLocal(e1, orig)
 	}
 	r.remaining--
 	r.e.opsInitiated++
 	r.curRestarts = 0
-	return r.discard(o.e1)
+	return nil
 }
 
 // ---- partner role ----
@@ -400,50 +434,110 @@ func (r *edgeSwitcher) partner(id opID, kind msgKind, live bool) (*partnerOp, er
 	return op, nil
 }
 
-// onSelectSecond orchestrates an operation for initiator id.rank: select
-// e2, validate, and reserve the replacement edges at their owners.
+// onSelectSecond orchestrates an operation for a remote initiator and
+// tells it the outcome unless the operation now waits.
 func (r *edgeSwitcher) onSelectSecond(id opID, e1 graph.Edge, initiator int) error {
 	e := r.e
 	if int(id.rank) != initiator {
 		return r.refuse(mSelectSecond, id, errOpRank)
 	}
-	op, err := r.partner(id, mSelectSecond, false)
-	if err != nil {
+	if _, err := r.partner(id, mSelectSecond, false); err != nil {
 		return err
 	}
 	if !r.wellFormed(e1) {
 		return fmt.Errorf("core: rank %d got %v for %v with malformed edge %v", e.c.Rank(), mSelectSecond, id, e1)
 	}
-	if e.deg.Total() == 0 {
-		return e.send(initiator, opMsg{kind: mAbortOp, id: id})
+	out, err := r.orchestrate(id, e1)
+	if err != nil || out == 0 {
+		return err
 	}
-	e2 := r.takeRandomEdge()
+	return e.send(initiator, opMsg{kind: out, id: id})
+}
+
+// orchestrate is the partner's turn (§4.4): take e2, validate, draw the
+// kind, and check the replacement edges this rank owns in place. With
+// both here, or a refusal, it ends at once. Otherwise id's free partner
+// entry waits, e2 held and the local edge reserved, on the last agent —
+// or on reserve/commit rounds with two distinct remote owners. It
+// returns the initiator's outcome (mOpDone, mAbortOp), or 0 while waiting.
+func (r *edgeSwitcher) orchestrate(id opID, e1 graph.Edge) (msgKind, error) {
+	e := r.e
+	if e.deg.Total() == 0 {
+		return mAbortOp, nil
+	}
+	e2, orig := e.takeLocal()
 	if switchInvalid(e1, e2) {
-		if err := r.reinsert(e2); err != nil {
-			return err
-		}
-		return e.send(initiator, opMsg{kind: mAbortOp, id: id})
+		return mAbortOp, e.insertLocal(e2, orig)
 	}
 	kind := Cross
 	if e.rnd.Bool() {
 		kind = Straight
 	}
 	a, b := replacement(e1, e2, kind)
-	*op = partnerOp{
-		seq:    id.seq,
-		e2:     e2,
-		edges:  [2]graph.Edge{a, b},
-		owners: [2]int32{int32(e.owner(a)), int32(e.owner(b))},
-		live:   true,
-		phase:  phaseReserving,
-	}
-	r.partnerLive++
-	for i := 0; i < 2; i++ {
-		if err := e.send(int(op.owners[i]), opMsg{kind: mReserve, id: id, e1: op.edges[i]}); err != nil {
-			return err
+	me := int32(e.c.Rank())
+	edges, owners := [2]graph.Edge{a, b}, [2]int32{int32(e.owner(a)), int32(e.owner(b))}
+	var mask uint8 // the replacement edges another rank owns
+	for i, ed := range edges {
+		if owners[i] != me {
+			mask |= 1 << i
+		} else if r.conflicts(ed) {
+			return mAbortOp, e.insertLocal(e2, orig)
 		}
 	}
-	return nil
+	if mask == 0 {
+		for _, ed := range edges {
+			if err := e.insertLocal(ed, false); err != nil {
+				return 0, err
+			}
+		}
+		return mOpDone, nil
+	}
+	agent := owners[0]
+	if mask == 2 {
+		agent = owners[1]
+	}
+	op := &r.partners[int(id.rank)*opWindow+int(id.slot)]
+	*op = partnerOp{seq: id.seq, e2: e2, edges: edges, owners: owners, agent: agent, live: true, phase: phaseLastAgent}
+	r.partnerLive++
+	r.hold(e2, orig)
+	if mask == 3 && owners[0] != owners[1] {
+		op.phase = phaseReserving
+		for i, ed := range edges {
+			if err := e.send(int(owners[i]), opMsg{kind: mReserve, id: id, e1: ed}); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	}
+	for i, ed := range edges {
+		if mask>>i&1 == 0 {
+			r.custody.add(edgeKey(ed), custReserved, id)
+		}
+	}
+	return 0, e.send(int(agent), opMsg{kind: mLastAgent, id: id, e1: a, e2: b, mask: mask})
+}
+
+// onAgentReply finishes an operation waiting on its last agent: the edges
+// reserved here commit with the agent's (mCommitted) or are released.
+func (r *edgeSwitcher) onAgentReply(id opID, kind msgKind, src int) error {
+	op, err := r.partner(id, kind, true)
+	if err != nil {
+		return err
+	}
+	switch {
+	case op.phase != phaseLastAgent:
+		return r.refuse(kind, id, errNoAgent)
+	case int32(src) != op.agent:
+		return r.refuse(kind, id, errAgent)
+	}
+	for i, ed := range op.edges {
+		if op.owners[i] != op.agent {
+			if err := r.unreserve(id, ed, kind, kind == mCommitted); err != nil {
+				return err
+			}
+		}
+	}
+	return r.retire(op, id, kind == mCommitted)
 }
 
 // onReserveReply advances a partner op when an owner answers.
@@ -490,7 +584,7 @@ func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, kind msgKind) erro
 		}
 	}
 	if op.acksLeft == 0 {
-		return r.retire(op, id, mAbortOp)
+		return r.retire(op, id, false)
 	}
 	return nil
 }
@@ -513,24 +607,29 @@ func (r *edgeSwitcher) onAck(id opID, kind msgKind) error {
 	if op.acksLeft > 0 {
 		return nil
 	}
-	if commit {
-		return r.retire(op, id, mOpDone)
-	}
-	return r.retire(op, id, mAbortOp)
+	return r.retire(op, id, commit)
 }
 
-// retire frees a finished partner op and tells its initiator: mOpDone
-// after a commit (e2 discarded), mAbortOp otherwise (e2 reinserted).
-func (r *edgeSwitcher) retire(op *partnerOp, id opID, kind msgKind) error {
-	release := r.reinsert
-	if kind == mOpDone {
-		release = r.discard
+// retire frees a finished partner op — e2 discarded after a commit,
+// reinserted otherwise — and tells the initiator: directly when it is
+// this rank, by record otherwise, and not at all when it was the last
+// agent and settled its side itself.
+func (r *edgeSwitcher) retire(op *partnerOp, id opID, commit bool) error {
+	kind, release := mAbortOp, r.reinsert
+	if commit {
+		kind, release = mOpDone, r.discard
 	}
 	if err := release(op.e2); err != nil {
 		return err
 	}
 	op.live = false
 	r.partnerLive--
+	switch {
+	case int(id.rank) == r.e.c.Rank():
+		return r.onOwnReply(id, kind)
+	case op.phase == phaseLastAgent && op.agent == id.rank:
+		return nil
+	}
 	return r.e.send(int(id.rank), opMsg{kind: kind, id: id})
 }
 
@@ -547,6 +646,46 @@ func (op *partnerOp) edgeIndex(ed graph.Edge) (int, error) {
 
 // ---- owner role ----
 
+// onLastAgent is the last agent's turn, two-phase commit's last-agent
+// optimization: the partner has reserved what it owns and hands over
+// the rest, the edges mask names. They all commit here or none does, and
+// the reply says which. When this rank initiated the operation it
+// settles it here as well, and the partner owes it no reply.
+func (r *edgeSwitcher) onLastAgent(m opMsg, partner int) error {
+	e := r.e
+	switch {
+	case m.mask == 0 || m.mask > 3:
+		return r.refuse(m.kind, m.id, errMask)
+	case m.mask == 3 && m.e1 == m.e2:
+		return r.refuse(m.kind, m.id, errSameEdge)
+	}
+	edges := [2]graph.Edge{m.e1, m.e2}
+	reply, outcome := mCommitted, mOpDone
+	for i, ed := range edges {
+		_, local := e.localSlot(ed.U)
+		switch {
+		case m.mask>>i&1 == 0:
+		case !local || !r.wellFormed(ed):
+			return r.refuse(m.kind, m.id, errNotOwner)
+		case r.conflicts(ed):
+			reply, outcome = mRefused, mAbortOp
+		}
+	}
+	if int(m.id.rank) == e.c.Rank() {
+		if err := r.onOwnReply(m.id, outcome); err != nil {
+			return err
+		}
+	}
+	for i, ed := range edges {
+		if reply == mCommitted && m.mask>>i&1 != 0 {
+			if err := e.insertLocal(ed, false); err != nil {
+				return err
+			}
+		}
+	}
+	return e.send(partner, opMsg{kind: reply, id: m.id})
+}
+
 // onReserve answers a reservation request with a conflict check; a
 // successful check records the potential edge (§4.5 issue 1).
 func (r *edgeSwitcher) onReserve(id opID, ed graph.Edge, partner int) error {
@@ -558,34 +697,31 @@ func (r *edgeSwitcher) onReserve(id opID, ed graph.Edge, partner int) error {
 	return e.send(partner, opMsg{kind: mReserveOK, id: id, e1: ed})
 }
 
-// unreserve drops id's reservation of ed.
-func (r *edgeSwitcher) unreserve(id opID, ed graph.Edge, kind msgKind) error {
+// unreserve ends id's reservation of ed: commit materializes it as a
+// modified edge, otherwise it is dropped.
+func (r *edgeSwitcher) unreserve(id opID, ed graph.Edge, kind msgKind, commit bool) error {
 	i, ok := r.custody.find(edgeKey(ed))
 	if !ok || r.custody.slots[i].tag&custReserved == 0 || r.custody.slots[i].op != id {
 		return fmt.Errorf("core: rank %d %v of unreserved edge %v by %v", r.e.c.Rank(), kind, ed, id)
 	}
 	r.custody.remove(i)
-	return nil
+	if !commit {
+		return nil
+	}
+	return r.e.insertLocal(ed, false)
 }
 
-// onCommit materializes a reserved edge as a modified edge.
-func (r *edgeSwitcher) onCommit(id opID, ed graph.Edge, partner int) error {
-	e := r.e
-	if err := r.unreserve(id, ed, mCommit); err != nil {
+// onDecision applies the partner's decision on a reserved edge, mCommit
+// or mRelease, and acknowledges it.
+func (r *edgeSwitcher) onDecision(id opID, ed graph.Edge, kind msgKind, partner int) error {
+	if err := r.unreserve(id, ed, kind, kind == mCommit); err != nil {
 		return err
 	}
-	if err := e.insertLocal(ed, false); err != nil {
-		return err
+	ack := mReleaseAck
+	if kind == mCommit {
+		ack = mCommitAck
 	}
-	return e.send(partner, opMsg{kind: mCommitAck, id: id, e1: ed})
-}
-
-// onRelease drops a reservation.
-func (r *edgeSwitcher) onRelease(id opID, ed graph.Edge, partner int) error {
-	if err := r.unreserve(id, ed, mRelease); err != nil {
-		return err
-	}
-	return r.e.send(partner, opMsg{kind: mReleaseAck, id: id, e1: ed})
+	return r.e.send(partner, opMsg{kind: ack, id: id})
 }
 
 // ---- custody table ----
@@ -593,7 +729,8 @@ func (r *edgeSwitcher) onRelease(id opID, ed graph.Edge, partner int) error {
 // custody is the rank's one table of edges out of its partition, keyed
 // by the packed normalized edge: linear probing, backward-shift deletion
 // (no tombstones), a power-of-two size doubled at load ½. The operations
-// in flight bound it, so after the first steps it never grows again.
+// waiting on messages bound it, so after the first steps it never grows
+// again.
 type custody struct {
 	slots []custodySlot
 	shift uint   // 64 - log2(len(slots)): home is the hash's top bits

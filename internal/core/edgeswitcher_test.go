@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"edgeswitch/internal/gen"
@@ -90,6 +92,20 @@ func TestCustodyDifferential(t *testing.T) {
 	}
 }
 
+// takeRandomEdge takes a uniform random local edge into custody, as a
+// waiting operation holds it.
+func (r *edgeSwitcher) takeRandomEdge() graph.Edge {
+	ed, orig := r.e.takeLocal()
+	r.hold(ed, orig)
+	return ed
+}
+
+// forcePartner makes every later partner draw pick rank p of a 2-rank
+// world.
+func (r *edgeSwitcher) forcePartner(p int) {
+	r.cumEdges = []int64{0, int64(1 - p), 1}
+}
+
 // armedSwitchers bootstraps a live 2-rank edge-switch world (HP-D, a
 // small random graph) and arms both ranks for a step: a quota and a
 // uniform partner distribution, set directly rather than by prepare.
@@ -101,6 +117,12 @@ func armedSwitchers(tb testing.TB) [2]*edgeSwitcher {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return armedSwitchersOn(tb, g)
+}
+
+// armedSwitchersOn is armedSwitchers on graph g.
+func armedSwitchersOn(tb testing.TB, g *graph.Graph) [2]*edgeSwitcher {
+	tb.Helper()
 	w, err := mpi.NewWorld(2)
 	if err != nil {
 		tb.Fatal(err)
@@ -128,9 +150,11 @@ func armedSwitchers(tb testing.TB) [2]*edgeSwitcher {
 
 // TestOpSlotReuse: a finished own operation's window slot is the next
 // one started, after a commit (mOpDone) and after an abort (mAbortOp),
-// and the finished id is stale from then on.
+// and the finished id is stale from then on. The partner is the peer, so
+// every operation waits in the window.
 func TestOpSlotReuse(t *testing.T) {
 	r := armedSwitchers(t)[0]
+	r.forcePartner(1)
 	started := func() opID {
 		t.Helper()
 		if err := r.startOp(); err != nil {
@@ -182,20 +206,13 @@ func TestOpSlotReuse(t *testing.T) {
 // partner's side, and leaves the tables as they were.
 func TestOpTablesRefuseBadIDs(t *testing.T) {
 	rs := armedSwitchers(t)
-	r0, r1 := rs[0], rs[1]
+	r0 := rs[0]
+	r0.forcePartner(1)
 	if err := r0.startOp(); err != nil {
 		t.Fatal(err)
 	}
 	own := opID{rank: 0, slot: r0.freeSlots[r0.nFree], seq: r0.seq}
-	// A live partner op at rank 0 for initiator 1: retry until the drawn
-	// second edge makes a valid switch (an invalid one aborts at once).
-	var part opID
-	for r0.partnerLive == 0 {
-		part = opID{rank: 1, slot: 5, seq: part.seq + 1}
-		if err := r0.handle(opMsg{kind: mSelectSecond, id: part, e1: r1.takeRandomEdge()}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	part := partnerWaiting(t, rs)
 	for _, tc := range []struct {
 		m    opMsg
 		src  int
@@ -217,6 +234,8 @@ func TestOpTablesRefuseBadIDs(t *testing.T) {
 		{opMsg{kind: mReserveOK, id: opID{rank: 1, slot: part.slot + 1, seq: part.seq}}, 1, errOpStale},
 		{opMsg{kind: mCommitAck, id: opID{rank: 1, slot: part.slot, seq: 0}}, 1, errOpStale},
 		{opMsg{kind: mReleaseAck, id: opID{rank: 1, slot: opWindow, seq: part.seq}}, 1, errOpSlot},
+		{opMsg{kind: mCommitted, id: opID{rank: 1, slot: part.slot, seq: part.seq + 1}}, 1, errOpStale},
+		{opMsg{kind: mRefused, id: opID{rank: 1, slot: -1, seq: part.seq}}, 1, errOpSlot},
 	} {
 		err := r0.handle(tc.m, tc.src)
 		if !errors.Is(err, tc.want) {
@@ -232,14 +251,184 @@ func TestOpTablesRefuseBadIDs(t *testing.T) {
 	}
 }
 
-// FuzzConversationRecord feeds arbitrary 29-byte records through the
-// receive path of a live 2-rank engine with own and partner operations
-// in flight: every record is handled or refused with an error, never a
-// panic or an out-of-range index.
-func FuzzConversationRecord(f *testing.F) {
-	seed := func(kind msgKind, id opID, ed graph.Edge) {
-		f.Add(opMsg{kind: kind, id: id, e1: ed}.encode(), uint8(1))
+// partnerWaiting has rank 0 orchestrate operation op[1:1@5] for rank 1,
+// each time with a fresh first edge from rank 1, until the operation
+// waits on its last agent instead of finishing at once; it returns the
+// id.
+func partnerWaiting(tb testing.TB, rs [2]*edgeSwitcher) opID {
+	tb.Helper()
+	id := opID{rank: 1, slot: 5, seq: 1}
+	for !rs[0].partners[opWindow+5].live {
+		if err := rs[0].handle(opMsg{kind: mSelectSecond, id: id, e1: rs[1].takeRandomEdge()}, 1); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	return id
+}
+
+// TestLastAgentRefusals: a last-agent request or reply that does not fit
+// the protocol is refused by name and leaves the tables as they were —
+// a mask naming no edge or more than two, two equal edges, an edge the
+// receiver does not own, a reply for an operation not waiting on a last
+// agent, and a reply from a rank that was not asked.
+func TestLastAgentRefusals(t *testing.T) {
+	rs := armedSwitchers(t)
+	r0 := rs[0]
+	r0.forcePartner(1)
+	if err := r0.startOp(); err != nil {
+		t.Fatal(err)
+	}
+	own := opID{rank: 0, slot: r0.freeSlots[r0.nFree], seq: r0.seq}
+	part := partnerWaiting(t, rs)
+	mine, theirs := graph.Edge{U: 0, V: 79}, graph.Edge{U: 1, V: 79} // HP-D: rank u mod 2 owns (u, v)
+	for _, tc := range []struct {
+		m    opMsg
+		src  int
+		want error
+	}{
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: theirs, mask: 0}, 1, errMask},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: theirs, mask: 4}, 1, errMask},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: mine, mask: 3}, 1, errSameEdge},
+		{opMsg{kind: mLastAgent, id: own, e1: theirs, e2: mine, mask: 1}, 1, errNotOwner},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: graph.Edge{U: 80, V: 2}, mask: 3}, 1, errNotOwner},
+		{opMsg{kind: mLastAgent, id: opID{rank: 0, slot: own.slot, seq: own.seq + 1}, e1: mine, mask: 1}, 1, errOpStale},
+		{opMsg{kind: mCommitted, id: part}, 0, errAgent},
+		{opMsg{kind: mRefused, id: own}, 1, errOpStale},
+	} {
+		if err := r0.handle(tc.m, tc.src); !errors.Is(err, tc.want) {
+			t.Errorf("%v %v mask %d from %d: got %v, want %v", tc.m.kind, tc.m.id, tc.m.mask, tc.src, err, tc.want)
+		}
+	}
+	op := &r0.partners[opWindow+5]
+	op.phase = phaseCommitting
+	if err := r0.handle(opMsg{kind: mCommitted, id: part}, 1); !errors.Is(err, errNoAgent) {
+		t.Errorf("committed for an op committing by rounds: got %v, want %v", err, errNoAgent)
+	}
+	op.phase = phaseLastAgent
+	if r0.inFlight() != 1 || r0.partnerLive != 1 || !op.live || r0.custody.live != [2]int{2, 0} && r0.custody.live != [2]int{2, 1} {
+		t.Fatalf("refusals changed the tables: %d in flight, %d partner ops, custody %v", r0.inFlight(), r0.partnerLive, r0.custody.live)
+	}
+	// The live ids still work.
+	if err := r0.handle(opMsg{kind: mRefused, id: part}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r0.handle(opMsg{kind: mLastAgent, id: own, e1: mine, e2: theirs, mask: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if r0.inFlight() != 0 || r0.partnerLive != 0 || r0.custody.live != [2]int{} {
+		t.Fatalf("live ids left %d in flight, %d partner ops, custody %v", r0.inFlight(), r0.partnerLive, r0.custody.live)
+	}
+}
+
+// hopGraph is a 2-rank HP-D fixture for TestConversationHops: rank 0
+// owns the edges with an even smaller endpoint, rank 1 the others.
+func hopGraph(tb testing.TB, edges ...graph.Edge) [2]*edgeSwitcher {
+	tb.Helper()
+	g, err := graph.FromEdges(8, edges, rng.New(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return armedSwitchersOn(tb, g)
+}
+
+// TestConversationHops pins what a switch costs on the wire, one
+// operation per locality case on a 2-rank world whose edges force the
+// case: rank 0 initiates with the partner forced, every record is
+// delivered by hand, and the log lists each record and the moment the
+// initiator's operation completes. Only legs that cross ranks are
+// records; a single remote owner commits on reservation. Then a p = 1
+// run sends nothing at all.
+func TestConversationHops(t *testing.T) {
+	e := func(u, v graph.Vertex) graph.Edge { return graph.Edge{U: u, V: v} }
+	for _, tc := range []struct {
+		name    string
+		edges   []graph.Edge
+		partner int
+		want    string
+	}{
+		// Every replacement edge of {0,2}×{4,6} has an even smaller end.
+		{"fully local", []graph.Edge{e(0, 2), e(4, 6)}, 0, "done"},
+		// {0,1}×{2,3}: one replacement edge starts at 0, the other at 1.
+		{"local partner, one remote owner", []graph.Edge{e(0, 1), e(2, 3)}, 0,
+			"0→1 lastAgent, 1→0 committed, done"},
+		// (0,1)×(3,5): one replacement edge at 0, the other at 1.
+		{"remote partner, owners initiator and partner", []graph.Edge{e(0, 1), e(3, 5)}, 1,
+			"0→1 selectSecond, 1→0 lastAgent, done, 0→1 committed"},
+		// (4,6)×(1,3): both replacement edges start at 1 or 3.
+		{"remote partner owns both", []graph.Edge{e(4, 6), e(1, 3)}, 1,
+			"0→1 selectSecond, 1→0 opDone, done"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := hopGraph(t, tc.edges...)
+			rs[0].remaining, rs[1].remaining = 1, 0
+			rs[0].forcePartner(tc.partner)
+			var log []string
+			finished := false
+			done := func() {
+				if !finished && rs[0].done() {
+					finished = true
+					log = append(log, "done")
+				}
+			}
+			if err := rs[0].startOp(); err != nil {
+				t.Fatal(err)
+			}
+			done()
+			for moved := true; moved; {
+				moved = false
+				for from, r := range rs {
+					to := 1 - from
+					batch := r.e.sb.bufs[to]
+					if len(batch) == 0 {
+						continue
+					}
+					r.e.sb.bufs[to] = nil
+					err := forEachOpMsg(batch, func(m opMsg) error {
+						log = append(log, fmt.Sprintf("%d→%d %v", from, to, m.kind))
+						if err := rs[to].handle(m, from); err != nil {
+							return err
+						}
+						done()
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					moved = true
+				}
+			}
+			if got := strings.Join(log, ", "); got != tc.want {
+				t.Errorf("records %q, want %q", got, tc.want)
+			}
+			for _, r := range rs {
+				if err := r.endStep(); err != nil {
+					t.Error(err)
+				}
+			}
+			if rs[0].e.opsInitiated != 1 || rs[0].e.restarts != 0 {
+				t.Errorf("%d ops, %d restarts, want one committed switch", rs[0].e.opsInitiated, rs[0].e.restarts)
+			}
+		})
+	}
+
+	g := testGraph(t, 1, 1000, 5000)
+	res, err := Parallel(g, 2000, Config{Ranks: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, _ := runCounted(t, g, 2000, Config{Ranks: 1, Seed: 42, SkipResult: true})
+	if res.RankMessages[0] != 0 || stats.Sends != 0 || stats.Bytes != 0 {
+		t.Errorf("p=1 sent %d records and %d transport payloads (%d bytes), want none", res.RankMessages[0], stats.Sends, stats.Bytes)
+	}
+}
+
+// FuzzConversationRecord feeds arbitrary records, each framed at its
+// kind's length, through the receive path of a live 2-rank engine with
+// own and partner operations in flight: every record is handled or
+// refused with an error, never a panic or an out-of-range index.
+func FuzzConversationRecord(f *testing.F) {
+	add := func(m opMsg, src uint8) { f.Add(m.encode(), src) }
+	seed := func(kind msgKind, id opID, ed graph.Edge) { add(opMsg{kind: kind, id: id, e1: ed}, 1) }
 	for k := mSelectSecond; k <= mEdgeRun; k++ {
 		seed(k, opID{rank: 1, slot: 5, seq: 1}, graph.Edge{U: 1, V: 2})
 		seed(k, opID{rank: 0, slot: 0, seq: 1}, graph.Edge{U: 0, V: 3})
@@ -252,19 +441,33 @@ func FuzzConversationRecord(f *testing.F) {
 	seed(mReserve, opID{rank: 1, slot: 5, seq: 1}, graph.Edge{U: 0, V: 1 << 30})
 	// Found by the fuzzer: a first edge off the graph picked owner -1.
 	seed(mSelectSecond, opID{rank: 1, slot: 6, seq: 1}, graph.Edge{U: 0x30303030, V: 0x31303030})
+	// Last-agent requests, well-formed and not, and replies from the
+	// agent and from a rank that was not asked.
+	for mask := uint8(0); mask <= 4; mask++ {
+		add(opMsg{kind: mLastAgent, id: opID{rank: 0, slot: 0, seq: 1}, e1: graph.Edge{U: 0, V: 3}, e2: graph.Edge{U: 2, V: 5}, mask: mask}, 1)
+		add(opMsg{kind: mLastAgent, id: opID{rank: 1, slot: 5, seq: 1}, e1: graph.Edge{U: 4, V: 7}, e2: graph.Edge{U: 1, V: 2}, mask: mask}, 1)
+	}
+	add(opMsg{kind: mLastAgent, id: opID{rank: 1, slot: 5, seq: 1}, e1: graph.Edge{U: 2, V: 9}, e2: graph.Edge{U: 2, V: 9}, mask: 3}, 1)
+	add(opMsg{kind: mLastAgent, id: opID{rank: 0, slot: 0, seq: 1}, e1: graph.Edge{U: 9, V: 2}, mask: 1}, 1)
+	for _, k := range []msgKind{mCommitted, mRefused} {
+		add(opMsg{kind: k, id: opID{rank: 1, slot: 5, seq: 1}}, 0)
+		add(opMsg{kind: k, id: opID{rank: 0, slot: 0, seq: 1}}, 1)
+	}
 	f.Fuzz(func(t *testing.T, rec []byte, src uint8) {
 		rs := armedSwitchers(t)
 		r0 := rs[0]
 		if _, err := r0.advance(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r0.handle(opMsg{kind: mSelectSecond, id: opID{rank: 1, slot: 5, seq: 1}, e1: rs[1].takeRandomEdge()}, 1); err != nil {
-			t.Fatal(err)
+		partnerWaiting(t, rs)
+		kind := msgKind(0)
+		if len(rec) > 0 {
+			kind = msgKind(rec[0])
 		}
-		var frame [1 + opMsgLen]byte
-		frame[0] = opMsgLen
+		frame := make([]byte, 1+recLen(kind))
+		frame[0] = byte(len(frame) - 1)
 		copy(frame[1:], rec)
-		_ = r0.e.handle(mpi.Message{Src: int(src % 2), Data: frame[:]})
+		_ = r0.e.handle(mpi.Message{Src: int(src % 2), Data: frame})
 	})
 }
 

@@ -85,15 +85,6 @@ type rankEngine struct {
 	// short by targetX — the number Result.Steps reports.
 	stepsRun int64
 
-	// selfQ buffers messages this rank addressed to itself (local
-	// switches and locally-owned replacement edges). Bypassing the
-	// mailbox for them keeps per-pair FIFO (it is its own pair) and
-	// removes all locking from the p=1 and mostly-local fast paths.
-	// selfQSpare is the drained previous buffer, swapped back in on the
-	// next drain so the two alternate instead of reallocating.
-	selfQ      []opMsg
-	selfQSpare []opMsg
-
 	// recvBuf is the reused RecvAllInto batch slice for the drain loop.
 	recvBuf []mpi.Message
 
@@ -151,16 +142,11 @@ const opWindow = 64
 // opWindowSize bounds the in-flight window by the local partition: a rank
 // never holds more than a fraction of its current edges in flight, so tiny
 // partitions degrade to the unpipelined protocol instead of emptying
-// themselves into custody (which would inflate conflicts and stalls).
-// A single rank runs unpipelined: there is no transport to batch for,
-// and a window would draw first edges without replacement, departing
-// from the sequential chain that p=1 must realize exactly
-// (TestSequentialMatchesParallelP1Distribution). Otherwise the window is
-// 64 ∧ |E_local|/8 of the live partition, at least 1.
+// themselves into custody (which would inflate conflicts and stalls):
+// 64 ∧ |E_local|/8 of the live partition, at least 1. Only waiting
+// operations count, so at p = 1, where all complete inline, the chain is
+// the sequential one (TestSequentialMatchesParallelP1Distribution).
 func (e *rankEngine) opWindowSize() int {
-	if e.c.Size() == 1 {
-		return 1
-	}
 	w := int(e.deg.Total() / 8)
 	if w < 1 {
 		w = 1
@@ -374,23 +360,8 @@ func (e *rankEngine) stepLoop() error {
 	p := e.c.Size()
 	r := e.rand
 	for {
-		// Drain everything already queued: self-addressed messages
-		// first (lock-free), then the mailbox in arrival order.
+		// Drain everything already queued, in arrival order.
 		for {
-			if len(e.selfQ) > 0 {
-				// Swap in the spare buffer so handlers can keep queueing
-				// while this batch drains; the drained buffer becomes the
-				// next spare (two arrays alternate, no reallocation).
-				q := e.selfQ
-				e.selfQ = e.selfQSpare[:0]
-				for _, om := range q {
-					if err := e.handleMsg(om, e.c.Rank()); err != nil {
-						return err
-					}
-				}
-				e.selfQSpare = q[:0]
-				continue
-			}
 			batch := e.c.RecvAllInto(mpi.AnySource, opTag, e.recvBuf[:0])
 			e.recvBuf = batch
 			if len(batch) == 0 {
@@ -453,14 +424,9 @@ func (e *rankEngine) stepLoop() error {
 		if e.sentEOS && e.eosOthers == p-1 {
 			return e.sb.flush()
 		}
-		// Nothing to do right now: block for the next message (the
-		// self queue is necessarily empty here — every branch that
-		// fills it loops back through the drain). Everything batched
-		// must go out first: peers may be blocked on exactly the
-		// messages we are holding.
-		if len(e.selfQ) > 0 {
-			continue
-		}
+		// Nothing to do right now: block for the next message.
+		// Everything batched must go out first: peers may be blocked on
+		// exactly the messages we are holding.
 		if e.sb.pendingBytes() > 0 {
 			e.flushes++
 		}
@@ -683,14 +649,14 @@ func (e *rankEngine) edgeHash() uint64 {
 	return h
 }
 
-// send queues one conversation or step-control record; a batch that has
-// reached convFlushCap goes out now.
+// send queues one conversation or step-control record for a peer; a
+// batch that has reached convFlushCap goes out now. A rank's own share
+// of the protocol runs inline, so a record addressed to itself is a bug.
 func (e *rankEngine) send(dst int, m opMsg) error {
-	e.msgsSent++
 	if dst == e.c.Rank() {
-		e.selfQ = append(e.selfQ, m)
-		return nil
+		return fmt.Errorf("core: rank %d addressed %v for %v to itself", dst, m.kind, m.id)
 	}
+	e.msgsSent++
 	e.sb.add(dst, m)
 	return e.flushIfDue(dst, convFlushCap)
 }

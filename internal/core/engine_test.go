@@ -157,41 +157,31 @@ func TestEngineTakePreservesOriginalFlag(t *testing.T) {
 	}
 }
 
+// TestEngineConflictsChecksPotential: an edge reserved for a remote
+// partner (rank 1) conflicts until that operation releases it.
 func TestEngineConflictsChecksPotential(t *testing.T) {
-	r := rng.New(4)
-	g, err := gen.ErdosRenyi(r, 20, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, w := newTestEngine(t, g)
-	defer w.Close()
-	// A fresh non-edge.
+	rs := armedSwitchers(t)[0]
+	// A fresh non-edge this rank owns (HP-D: an even smaller endpoint).
 	var candidate graph.Edge
-	for u := graph.Vertex(0); u < 19; u++ {
-		e := graph.Edge{U: u, V: u + 1}
-		if !g.HasEdge(e) {
+	for u := graph.Vertex(0); u < 78 && candidate == (graph.Edge{}); u += 2 {
+		if e := (graph.Edge{U: u, V: u + 1}); !rs.conflicts(e) {
 			candidate = e
-			break
 		}
 	}
 	if candidate == (graph.Edge{}) {
-		t.Skip("graph too dense for a candidate")
+		t.Fatal("graph too dense for a candidate")
 	}
-	rs := es(t, eng)
-	if rs.conflicts(candidate) {
-		t.Fatal("fresh edge conflicts")
-	}
-	id := opID{rank: 0, seq: 1}
-	if err := rs.onReserve(id, candidate, 0); err != nil {
+	id := opID{rank: 1, seq: 1}
+	if err := rs.onReserve(id, candidate, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rs.custody.live[custReserved] != 1 || !rs.conflicts(candidate) {
 		t.Fatalf("reserved edge not seen by conflict check (%d reservations)", rs.custody.live[custReserved])
 	}
-	if err := rs.onRelease(opID{rank: 0, seq: 2}, candidate, 0); err == nil {
+	if err := rs.onDecision(opID{rank: 1, seq: 2}, candidate, mRelease, 1); err == nil {
 		t.Fatal("release by another op accepted")
 	}
-	if err := rs.onRelease(id, candidate, 0); err != nil {
+	if err := rs.onDecision(id, candidate, mRelease, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rs.custody.live[custReserved] != 0 || rs.conflicts(candidate) {
@@ -255,10 +245,9 @@ func TestEngineOwnerRoutesByMinEndpoint(t *testing.T) {
 	}
 }
 
-// TestOpWindowSize pins the engine's only pipelining window: exactly 1 on
-// a single rank whatever the partition holds (the sequential chain p=1
-// must realize), otherwise 64 ∧ |E_local|/8 and never below 1 — read off
-// the live partition, so it shrinks as soon as takeLocal removes an edge.
+// TestOpWindowSize pins the engine's only pipelining window, the same at
+// every rank count: 64 ∧ |E_local|/8 and never below 1 — read off the
+// live partition, so it shrinks as soon as takeLocal removes an edge.
 func TestOpWindowSize(t *testing.T) {
 	for _, tc := range []struct {
 		ranks, localEdges, want int
@@ -266,8 +255,8 @@ func TestOpWindowSize(t *testing.T) {
 	}{
 		{ranks: 1, localEdges: 0, want: 1},
 		{ranks: 1, localEdges: 8, want: 1},
-		{ranks: 1, localEdges: 512, want: 1, afterTake: 1},
-		{ranks: 1, localEdges: 10000, want: 1},
+		{ranks: 1, localEdges: 512, want: 64, afterTake: 63},
+		{ranks: 1, localEdges: 10000, want: 64},
 		{ranks: 2, localEdges: 0, want: 1},
 		{ranks: 2, localEdges: 7, want: 1},
 		{ranks: 2, localEdges: 8, want: 1},

@@ -260,7 +260,8 @@ func (r *runRecorder) handleRun(run []byte, _ int) (int, error) {
 // runs closes the first and the second opens its own header.
 func TestFlushRule(t *testing.T) {
 	const (
-		recLen   = 1 + opMsgLen
+		recLen   = 1 + edgeRecLen                                                  // a framed mSelectSecond
+		ctlLen   = 1 + 1                                                           // a framed step-control record
 		convFull = (convFlushCap + recLen - 1) / recLen                            // records that reach convFlushCap
 		runFull  = (batchFlushCap - 1 - runHdrLen + runEntryLen - 1) / runEntryLen // entries that reach batchFlushCap
 		sentinel = uint64(1) << 40
@@ -269,7 +270,7 @@ func TestFlushRule(t *testing.T) {
 		recLen, recLen, recLen, 1 + runHdrLen + runEntryLen, // noBatch
 		convFull * recLen, 5 * recLen, // the cap, then the remainder at the block point
 		1 + runHdrLen + runFull*runEntryLen,
-		(1 + runHdrLen + 3*runEntryLen) + recLen + (1 + runHdrLen + 2*runEntryLen) + recLen,
+		(1 + runHdrLen + 3*runEntryLen) + ctlLen + (1 + runHdrLen + 2*runEntryLen) + recLen,
 	}
 	w, err := mpi.NewWorld(2)
 	if err != nil {

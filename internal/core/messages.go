@@ -10,10 +10,17 @@ import (
 // The conversation protocol of §4.4–§4.5, generalised (see DESIGN.md §4):
 // an operation is a short exchange between the initiator (owner of the
 // first edge), the partner (owner of the second edge; may equal the
-// initiator for a local switch), and the owners of the two replacement
-// edges. All owner-directed mutations are acknowledged so that when an
-// initiator's operation completes, every remote update it caused has been
-// applied — the property that makes the end-of-step barrier sound.
+// initiator), and the owners of the two replacement edges. Only legs
+// that cross ranks are records; a rank's own share is a direct call.
+// When every replacement edge the partner does not own lives on one
+// rank, that rank is the last agent (mLastAgent): it commits its edges on
+// reservation and replies once. Only two distinct remote owners (p ≥ 3)
+// take reserve/commit rounds with acknowledgements.
+//
+// The end-of-step barrier is sound because a rank's records to a peer
+// arrive in send order: an owner acknowledges or replies before its own
+// end-of-step signal, so a rank that has heard end-of-step from everyone
+// has seen every update applied and every partner entry retired.
 //
 // The curveball randomizer has no conversations: its adjacency entries
 // travel as packed edge runs (mEdgeRun, below) inside the same batches,
@@ -49,6 +56,12 @@ const (
 	mReleaseAck
 	// mOpDone: partner → initiator. Switch committed everywhere.
 	mOpDone
+	// mLastAgent: partner → the one remote owner. Carries both replacement
+	// edges and mask; the receiver commits all edges it owns or none.
+	mLastAgent
+	// mCommitted / mRefused: last agent → partner replies.
+	mCommitted
+	mRefused
 	// mEndOfStep: rank → all. The sender has completed its quota for the
 	// current step (it keeps serving until everyone has).
 	mEndOfStep
@@ -71,7 +84,8 @@ var msgKindNames = [...]string{
 	mSelectSecond: "selectSecond", mAbortOp: "abortOp", mReserve: "reserve",
 	mReserveOK: "reserveOK", mReserveFail: "reserveFail", mCommit: "commit",
 	mCommitAck: "commitAck", mRelease: "release", mReleaseAck: "releaseAck",
-	mOpDone: "opDone", mEndOfStep: "endOfStep", mStalled: "stalled",
+	mOpDone: "opDone", mLastAgent: "lastAgent", mCommitted: "committed",
+	mRefused: "refused", mEndOfStep: "endOfStep", mStalled: "stalled",
 	mResumed: "resumed", mEdgeRun: "edgeRun",
 }
 
@@ -94,15 +108,37 @@ type opID struct {
 func (id opID) String() string { return fmt.Sprintf("op[%d:%d@%d]", id.rank, id.seq, id.slot) }
 
 // opMsg is the decoded form of every conversation and step-control
-// message. Unused fields are zero.
+// message. Fields the kind does not carry are zero.
 type opMsg struct {
 	kind msgKind
 	id   opID       // operation id
 	e1   graph.Edge // mSelectSecond: first edge; owner messages: target edge
+	e2   graph.Edge // mLastAgent: the second replacement edge
+	mask uint8      // mLastAgent: bit i set for each edge the receiver owns
 }
 
-// opMsgLen is the fixed wire length of an opMsg record.
-const opMsgLen = 1 + 4 + 8 + 16 // kind | rank | seq | e1 | slot (+4 reserved)
+// Record layout, `kind uint8 | rank uint32 | slot uint32 | seq uint64`,
+// then the kind's edges (`u uint32 | v uint32` each) and mLastAgent's
+// mask byte; step-control records are the kind byte alone. recLen gives
+// each kind's length, and a record of any other length is refused.
+const (
+	idRecLen   = 1 + 4 + 4 + 8
+	edgeRecLen = idRecLen + 8
+	lastRecLen = edgeRecLen + 8 + 1
+)
+
+func recLen(k msgKind) int {
+	switch k {
+	case mSelectSecond, mReserve, mReserveOK, mReserveFail, mCommit, mRelease:
+		return edgeRecLen
+	case mLastAgent:
+		return lastRecLen
+	case mEndOfStep, mStalled, mResumed:
+		return 1
+	default:
+		return idRecLen
+	}
+}
 
 // Batch framing (the message plane, see DESIGN.md): a transport payload
 // carries one or more records, each behind a length prefix,
@@ -111,15 +147,19 @@ const opMsgLen = 1 + 4 + 8 + 16 // kind | rank | seq | e1 | slot (+4 reserved)
 
 // appendOpMsg appends one framed record to a batch buffer.
 func appendOpMsg(buf []byte, m opMsg) []byte {
-	var rec [1 + opMsgLen]byte
-	rec[0], rec[1] = opMsgLen, byte(m.kind)
-	binary.LittleEndian.PutUint32(rec[2:], uint32(m.id.rank))
-	binary.LittleEndian.PutUint64(rec[6:], m.id.seq)
-	binary.LittleEndian.PutUint32(rec[14:], uint32(m.e1.U))
-	binary.LittleEndian.PutUint32(rec[18:], uint32(m.e1.V))
-	binary.LittleEndian.PutUint32(rec[22:], uint32(m.id.slot))
-	// The record's last 4 bytes are reserved (kept for layout stability).
-	return append(buf, rec[:]...)
+	n := recLen(m.kind)
+	var rec [1 + lastRecLen]byte
+	rec[0], rec[1] = byte(n), byte(m.kind)
+	le := binary.LittleEndian
+	le.PutUint32(rec[2:], uint32(m.id.rank))
+	le.PutUint32(rec[6:], uint32(m.id.slot))
+	le.PutUint64(rec[10:], m.id.seq)
+	le.PutUint32(rec[18:], uint32(m.e1.U))
+	le.PutUint32(rec[22:], uint32(m.e1.V))
+	le.PutUint32(rec[26:], uint32(m.e2.U))
+	le.PutUint32(rec[30:], uint32(m.e2.V))
+	rec[34] = m.mask
+	return append(buf, rec[:1+n]...)
 }
 
 // Edge runs: curveball moves every adjacency entry once or twice per
@@ -150,19 +190,17 @@ func decodeOpMsg(data []byte) (opMsg, error) {
 	if kind < mSelectSecond || kind > mResumed {
 		return opMsg{}, fmt.Errorf("core: unknown message kind %d", data[0])
 	}
-	if len(data) != opMsgLen {
-		return opMsg{}, fmt.Errorf("core: bad op message length %d", len(data))
+	if len(data) != recLen(kind) {
+		return opMsg{}, fmt.Errorf("core: bad %v record length %d", kind, len(data))
 	}
+	var rec [lastRecLen]byte // fields the kind does not carry decode as zero
+	copy(rec[:], data)
+	le := binary.LittleEndian
 	return opMsg{
 		kind: kind,
-		id: opID{
-			rank: int32(binary.LittleEndian.Uint32(data[1:])),
-			slot: int32(binary.LittleEndian.Uint32(data[21:])),
-			seq:  binary.LittleEndian.Uint64(data[5:]),
-		},
-		e1: graph.Edge{
-			U: graph.Vertex(binary.LittleEndian.Uint32(data[13:])),
-			V: graph.Vertex(binary.LittleEndian.Uint32(data[17:])),
-		},
+		id:   opID{rank: int32(le.Uint32(rec[1:])), slot: int32(le.Uint32(rec[5:])), seq: le.Uint64(rec[9:])},
+		e1:   graph.Edge{U: graph.Vertex(le.Uint32(rec[17:])), V: graph.Vertex(le.Uint32(rec[21:]))},
+		e2:   graph.Edge{U: graph.Vertex(le.Uint32(rec[25:])), V: graph.Vertex(le.Uint32(rec[29:]))},
+		mask: rec[33],
 	}, nil
 }

@@ -44,20 +44,29 @@ func TestOpMsgRoundTrip(t *testing.T) {
 		{kind: mRelease, id: opID{rank: 5, slot: 2, seq: 6}, e1: graph.Edge{U: 1, V: 2}},
 		{kind: mReleaseAck, id: opID{rank: 5, slot: 2, seq: 6}},
 		{kind: mOpDone, id: opID{rank: 9, slot: opWindow - 1, seq: 10}},
-		// Out-of-range ids survive the codec; the tables refuse them.
+		{kind: mLastAgent, id: opID{rank: 2, slot: 7, seq: 11}, e1: graph.Edge{U: 4, V: 8}, e2: graph.Edge{U: 5, V: 1 << 20}, mask: 2},
+		{kind: mCommitted, id: opID{rank: 2, slot: 7, seq: 11}},
+		{kind: mRefused, id: opID{rank: 2, slot: 7, seq: 11}},
+		// Out-of-range ids and masks survive the codec; the handlers refuse them.
 		{kind: mOpDone, id: opID{rank: -1, slot: -1, seq: 1<<64 - 1}},
+		{kind: mLastAgent, id: opID{rank: 1, slot: 1, seq: 1}, mask: 0xff},
 		{kind: mEndOfStep},
 		{kind: mStalled},
 		{kind: mResumed},
 	}
-	// The slot rides in the first 4 of the layout's 8 reserved bytes; the
-	// record keeps its length and every other offset.
-	rec := msgs[0].encode()
-	if len(rec) != opMsgLen || rec[21] != 63 || rec[22]|rec[23]|rec[24]|rec[25]|rec[26]|rec[27]|rec[28] != 0 {
-		t.Fatalf("record layout % x", rec)
+	// The layout: kind | rank | slot | seq | the kind's edges | mask.
+	rec := msgs[10].encode()
+	want := []byte{byte(mLastAgent), 2, 0, 0, 0, 7, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0, 8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0x10, 0, 2}
+	if string(rec) != string(want) {
+		t.Fatalf("record layout % x, want % x", rec, want)
 	}
 	for _, m := range msgs {
-		got, err := decodeOpMsg(m.encode())
+		rec := m.encode()
+		if len(rec) != recLen(m.kind) {
+			t.Fatalf("%v: %d-byte record, want %d", m.kind, len(rec), recLen(m.kind))
+		}
+		got, err := decodeOpMsg(rec)
 		if err != nil {
 			t.Fatalf("%v: %v", m.kind, err)
 		}
@@ -68,9 +77,20 @@ func TestOpMsgRoundTrip(t *testing.T) {
 }
 
 func TestOpMsgRoundTripProperty(t *testing.T) {
-	f := func(kindRaw uint8, rank, slot int32, seq uint64, u, v int32) bool {
+	f := func(kindRaw uint8, rank, slot int32, seq uint64, u, v, x, y int32, mask uint8) bool {
 		kind := msgKind(kindRaw%uint8(mResumed)) + 1
-		m := opMsg{kind: kind, id: opID{rank: rank, slot: slot, seq: seq}, e1: graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)}}
+		m := opMsg{kind: kind, id: opID{rank: rank, slot: slot, seq: seq},
+			e1: graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)}, e2: graph.Edge{U: graph.Vertex(x), V: graph.Vertex(y)}, mask: mask}
+		// A kind carries only its own fields.
+		switch n := recLen(kind); {
+		case n == 1:
+			m = opMsg{kind: kind}
+		case n == idRecLen:
+			m.e1 = graph.Edge{}
+			fallthrough
+		case n == edgeRecLen:
+			m.e2, m.mask = graph.Edge{}, 0
+		}
 		got, err := decodeOpMsg(m.encode())
 		return err == nil && got == m
 	}
@@ -83,10 +103,15 @@ func TestDecodeOpMsgRejectsBadInput(t *testing.T) {
 	if _, err := decodeOpMsg(nil); err == nil {
 		t.Fatal("nil payload accepted")
 	}
-	if _, err := decodeOpMsg(make([]byte, opMsgLen-1)); err == nil {
+	bad := opMsg{kind: mSelectSecond}.encode()
+	if _, err := decodeOpMsg(bad[:len(bad)-1]); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	bad := opMsg{kind: mSelectSecond}.encode()
+	// Each kind has one length: a select-length reply is refused.
+	bad[0] = byte(mOpDone)
+	if _, err := decodeOpMsg(bad); err == nil {
+		t.Fatal("over-long record accepted")
+	}
 	bad[0] = 0
 	if _, err := decodeOpMsg(bad); err == nil {
 		t.Fatal("kind 0 accepted")

@@ -174,11 +174,15 @@ type Result struct {
 	RankVertices     []int64
 	RankInitialEdges []int64
 	RankFinalEdges   []int64
-	// RankMessages[i] counts protocol messages sent by rank i (every
-	// edge-switch operation costs a constant number; end-of-step signals
-	// add O(p) per step). For curveball: one per routed adjacency entry
-	// (drained, forwarded or settled), whether it stays on the rank or
-	// rides a run to a peer — about three times the degrees a trade trades.
+	// RankMessages[i] counts protocol messages sent by rank i. For
+	// edge-switching these are records to peers, as many as the placement
+	// of an operation's edges demands: none when all of them live on the
+	// initiator (so every count is 0 at p=1), 2–4 through a partner
+	// owning both replacement edges or a last agent, up to 10 when two
+	// ranks other than the partner own them; end-of-step signals add O(p)
+	// per step. For curveball: one per routed adjacency entry (drained,
+	// forwarded or settled), whether it stays on the rank or rides a run
+	// to a peer — about three times the degrees a trade trades.
 	RankMessages []int64
 	// RankFlushes[i] counts message-plane flushes forced by rank i's
 	// step loop blocking (batches pushed out before a Recv wait).

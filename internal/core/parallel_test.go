@@ -51,13 +51,6 @@ func checkRun(t *testing.T, g *graph.Graph, res *Result, tOps int64) {
 	if sumEdges != g.M() {
 		t.Fatalf("final rank edges sum %d != m %d", sumEdges, g.M())
 	}
-	var sumMsgs int64
-	for _, c := range res.RankMessages {
-		sumMsgs += c
-	}
-	if res.Ops > 0 && sumMsgs < res.Ops {
-		t.Fatalf("message count %d implausibly low for %d ops", sumMsgs, res.Ops)
-	}
 }
 
 func TestParallelSingleRank(t *testing.T) {
@@ -188,7 +181,10 @@ func TestParallelVisitRate(t *testing.T) {
 }
 
 // TestParallelSimilarToSequential is the §4.6 similarity experiment in
-// miniature: ER(seq, par) should be comparable to ER(seq, seq).
+// miniature: ER(seq, par) should be comparable to ER(seq, seq). Besides
+// p=8 HP-U, it judges p=2 HP-D, where most switches commit through a
+// last agent, and p=2 CP, where most complete inline, each in one step
+// and in ten.
 func TestParallelSimilarToSequential(t *testing.T) {
 	base := testGraph(t, 10, 2000, 16000)
 	tOps := int64(8000)
@@ -209,19 +205,30 @@ func TestParallelSimilarToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Parallel(base, tOps, Config{Ranks: 8, Scheme: SchemeHPU, Seed: 300, StepSize: tOps / 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := metrics.ErrorRate(s1, res.Graph, rBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parallel process must look like another sequential run: its
-	// error rate against a sequential result should be within a factor
-	// of the seq-vs-seq baseline (generous factor for a small graph).
-	if er > 2.5*baseline+0.5 {
-		t.Fatalf("ER(seq,par) = %f far above baseline ER(seq,seq) = %f", er, baseline)
+	for _, cfg := range []Config{
+		{Ranks: 8, Scheme: SchemeHPU, StepSize: tOps / 10},
+		{Ranks: 2, Scheme: SchemeHPD},
+		{Ranks: 2, Scheme: SchemeHPD, StepSize: tOps / 10},
+		{Ranks: 2, Scheme: SchemeCP},
+		{Ranks: 2, Scheme: SchemeCP, StepSize: tOps / 10},
+	} {
+		cfg.Seed = 300
+		res, err := Parallel(base, tOps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		er, err := metrics.ErrorRate(s1, res.Graph, rBlocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("p=%d %s steps of %d: ER(seq,par) = %.3f, ER(seq,seq) = %.3f", cfg.Ranks, cfg.Scheme, cfg.StepSize, er, baseline)
+		// The parallel process must look like another sequential run: its
+		// error rate against a sequential result should be within a factor
+		// of the seq-vs-seq baseline (generous factor for a small graph).
+		if er > 2.5*baseline+0.5 {
+			t.Errorf("p=%d %s steps of %d: ER(seq,par) = %f far above baseline ER(seq,seq) = %f",
+				cfg.Ranks, cfg.Scheme, cfg.StepSize, er, baseline)
+		}
 	}
 }
 

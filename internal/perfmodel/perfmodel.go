@@ -7,8 +7,8 @@
 //
 // The model is LogP-flavoured and deliberately simple; every parameter is
 // either measured from this repository's engine (per-operation message
-// and round-trip counts, which BenchmarkAblationMessageCost shows are
-// constant in p) or taken from the communication characteristics of the
+// and round-trip counts; BenchmarkAblationMessageCost measures the first
+// per rank count) or taken from the communication characteristics of the
 // paper's testbed class. It captures the three effects that shape the
 // published curves:
 //
@@ -78,12 +78,16 @@ type Workload struct {
 	Ops int64
 	// Steps is the number of steps (≥ 1).
 	Steps int
-	// MsgsPerOp is the protocol messages per completed operation
-	// (measured: ~10.1, constant in p).
+	// MsgsPerOp is the protocol messages per completed operation. It
+	// grows with p, since a rank's own share of an operation sends
+	// nothing: BenchmarkAblationMessageCost measures 0 at p=1 and ≈4.5
+	// at p=8. DefaultWorkload keeps the 10.1 measured when every leg was
+	// a message.
 	MsgsPerOp float64
 	// RoundsPerOp is the sequential message round trips on an operation's
-	// critical path (select → reserve → commit-ack → done ≈ 3.5 when the
-	// partner and owners differ).
+	// critical path (select → last-agent request → reply → done is 2 when
+	// the partner and the owner differ; DefaultWorkload keeps the 3.5 of
+	// the protocol with reserve and commit rounds).
 	RoundsPerOp float64
 	// MsgBytes is the wire size of a protocol message.
 	MsgBytes int
