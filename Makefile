@@ -37,8 +37,9 @@ esbench:
 race:
 	$(GO) test -race -timeout 20m $(RACE_PKGS)
 
-# Multi-process distributed leg: drives the real ProcWorld/esworker path
-# across genuine OS processes (helper-process pattern in main_test.go),
+# Multi-process distributed leg: drives the real ProcWorld path of
+# `edgeswitch -coordinator` across genuine OS processes (the test binary
+# runs as the command, see TestMain in cmd/edgeswitch/main_test.go),
 # with the race detector on in every process. Includes the
 # fault-injection leg (TestRunKillRestoreMultiProcess): a worker is
 # SIGKILLed mid-run and the world must roll back to its last committed
@@ -47,8 +48,8 @@ race:
 # about one run in four while the restarted coordinator's listen did not
 # retry "address already in use" (see newDistHub), which one pass hides.
 racedist:
-	$(GO) test -race -timeout 10m ./cmd/esworker/
-	$(GO) test -race -count=5 -timeout 10m -run '^TestRunKillRestoreMultiProcess$$' ./cmd/esworker/
+	$(GO) test -race -timeout 10m ./cmd/edgeswitch/
+	$(GO) test -race -count=5 -timeout 10m -run '^TestRunKillRestoreMultiProcess$$' ./cmd/edgeswitch/
 
 # The engine's decoders of untrusted bytes, fuzzed 10 s each beyond their
 # seed corpora: conversation records (framed at each kind's length, fed

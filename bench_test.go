@@ -21,7 +21,7 @@ import (
 // benchGraph memoizes the benchmark inputs across benchmarks.
 var benchGraphs = map[string]*Graph{}
 
-func benchGraph(b *testing.B, name string, scale float64) *Graph {
+func benchGraph(b testing.TB, name string, scale float64) *Graph {
 	b.Helper()
 	key := fmt.Sprintf("%s/%v", name, scale)
 	if g, ok := benchGraphs[key]; ok {
@@ -51,7 +51,7 @@ func BenchmarkTable1VisitRate(b *testing.B) {
 	t := benchOps(b, g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(g, Options{Ops: t, Seed: uint64(i)})
+		rep, err := Run(g, Options{Config: Config{Seed: uint64(i)}, Ops: t})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig6_7StepSizeByRanks(b *testing.B) {
 func BenchmarkFig8_9StepSizeSweep(b *testing.B) {
 	g := benchGraph(b, "miami", 0.05)
 	t := benchOps(b, g, 1)
-	seq, err := Run(g, Options{Ops: t, Seed: 1})
+	seq, err := Run(g, Options{Config: Config{Seed: 1}, Ops: t})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func BenchmarkFig23WeakScalingSchemes(b *testing.B) {
 func BenchmarkTable3OneStepError(b *testing.B) {
 	g := benchGraph(b, "miami", 0.05)
 	t := benchOps(b, g, 1)
-	seq, err := Run(g, Options{Ops: t, Seed: 1})
+	seq, err := Run(g, Options{Config: Config{Seed: 1}, Ops: t})
 	if err != nil {
 		b.Fatal(err)
 	}

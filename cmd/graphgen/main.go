@@ -12,8 +12,8 @@
 // With -pergen, the pa and contact models use the counter-based
 // partition-local generator (internal/gen/pergen): the output is a pure
 // function of (-model, -n, -d, -seed), byte-identical to what every rank
-// of a distributed `edgeswitch -gen` / `esworker -gen` bootstrap derives
-// for the same spec — so graphgen doubles as the reference materializer
+// of a distributed `edgeswitch -gen` bootstrap derives for the same
+// spec — so graphgen doubles as the reference materializer
 // for distributed runs. Every generator here is seeded exclusively by
 // -seed; there is no time-based or implicit fallback, and a seed that
 // cannot reach the generator is an error rather than a silent reseed.

@@ -78,7 +78,7 @@ const (
 	GenContact = pergen.ModelContact
 )
 
-// Partitioning schemes for Options.Scheme.
+// Partitioning schemes for Config.Scheme.
 const (
 	CP  = core.SchemeCP
 	HPD = core.SchemeHPD
@@ -86,7 +86,7 @@ const (
 	HPU = core.SchemeHPU
 )
 
-// Randomization algorithms for Options.Algorithm.
+// Randomization algorithms for Config.Algorithm.
 const (
 	// EdgeSwitch is the paper's protocol: each operation switches the
 	// endpoints of two random edges (the default).
@@ -97,8 +97,19 @@ const (
 	Curveball = core.AlgoCurveball
 )
 
-// Options configures a Run.
+// Config configures the parallel engine (core.Config): ranks, scheme,
+// step size, seed, transport, algorithm, distributed generation, and the
+// spill and checkpoint directories.
+type Config = core.Config
+
+// Options configures a Run: the engine Config plus the run budget.
 type Options struct {
+	// Config configures the engine; Run derives its TargetVisitRate from
+	// Ops and VisitRate. Ranks 0 or 1 selects the sequential algorithm,
+	// which materializes a DistributedGen graph in one piece and refuses
+	// UseTCP, SpillDir and checkpointing. With DistributedGen set Run takes
+	// a nil graph.
+	Config
 	// Ops is the operation count t: edge switch operations, or global
 	// rounds when Algorithm is Curveball. If zero, it is derived from
 	// VisitRate.
@@ -109,40 +120,9 @@ type Options struct {
 	// for curveball, with the run stopping early once the observed rate
 	// reaches x). Defaults to 1.
 	VisitRate float64
-	// Algorithm selects the randomization protocol: EdgeSwitch (the
-	// default) or Curveball.
-	Algorithm Algorithm
-	// Ranks is the number of parallel ranks p. 0 or 1 selects the
-	// sequential algorithm.
-	Ranks int
-	// Scheme is the partitioning scheme for parallel runs (default CP).
-	Scheme Scheme
-	// StepSize is the parallel step size s (0 = single step; the HP
-	// schemes are accurate in one step, CP wants t/100 or so — §5.2).
-	StepSize int64
-	// Seed makes runs reproducible; same seed, same sequential result.
-	Seed uint64
-	// UseTCP routes parallel engine traffic over loopback TCP.
-	UseTCP bool
 	// InPlace lets the sequential path mutate g directly instead of a
 	// clone (saves memory on large graphs).
 	InPlace bool
-	// Gen, when non-nil, generates the input graph from a counter-based
-	// spec instead of taking one: Run must then be called with a nil
-	// graph. With Ranks > 1 the bootstrap is fully distributed — each
-	// rank generates only its own partition (core.Config.DistributedGen)
-	// and no rank ever holds the whole graph; sequential runs materialize
-	// the identical graph in-process. When Ops is zero, the operation
-	// count derives from the spec's deterministic MaxEdges bound, so all
-	// ranks agree on t without a collective.
-	Gen *GenSpec
-	// SpillDir, when non-empty, switches parallel ranks to the tiered
-	// out-of-core edge store: each rank keeps its partition in an mmap'd
-	// base segment under SpillDir/rank-NNNN plus a bounded in-memory
-	// delta overlay of at most max(|E_local|/4, 4096) entries, compacted
-	// at step boundaries. Results are bit-identical to in-memory runs
-	// wherever those are deterministic. No effect on sequential runs.
-	SpillDir string
 }
 
 // Report summarizes a Run.
@@ -172,34 +152,29 @@ func TargetOps(m int64, visitRate float64) (int64, error) {
 // input graph is never modified unless opt.InPlace is set on a
 // sequential run.
 func Run(g *Graph, opt Options) (*Report, error) {
-	m := int64(0)
-	var spec *GenSpec
+	spec, sequential := opt.DistributedGen, opt.Ranks <= 1
+	var err error
 	switch {
-	case opt.Gen != nil && g != nil:
-		return nil, fmt.Errorf("edgeswitch: pass either a graph or Options.Gen, not both")
-	case opt.Gen != nil && opt.Ranks > 1:
-		// The graph is never materialized whole — every rank generates its
-		// own partition (see core.Config.DistributedGen).
-		sp := *opt.Gen
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		spec, m = &sp, sp.MaxEdges()
-	case opt.Gen != nil:
-		// Sequential: materialize the identical graph in one piece.
-		pg, err := pergen.New(*opt.Gen)
-		if err != nil {
-			return nil, err
-		}
-		if g, err = pg.Full(); err != nil {
-			return nil, err
-		}
-		opt.InPlace = true // the materialized graph is ours to mutate
+	case (spec == nil) == (g == nil):
+		return nil, fmt.Errorf("edgeswitch: pass exactly one of a graph and Config.DistributedGen")
+	case sequential && (opt.UseTCP || opt.SpillDir != "" || opt.CheckpointDir != "" || opt.Restore):
+		return nil, fmt.Errorf("edgeswitch: UseTCP, SpillDir and checkpointing need Ranks > 1")
+	case spec != nil && sequential:
+		// Materialize the identical graph in one piece, ours to mutate.
+		g, err = GenerateSpec(*spec)
+		opt.InPlace = true
+	case spec != nil:
+		// Every rank generates its own partition; no one holds the whole.
+		err = spec.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	m := int64(0)
+	if g != nil {
 		m = g.M()
-	case g == nil:
-		return nil, fmt.Errorf("edgeswitch: need a graph or Options.Gen")
-	default:
-		m = g.M()
+	} else {
+		m = spec.MaxEdges()
 	}
 	x := opt.VisitRate
 	if x == 0 {
@@ -209,7 +184,7 @@ func Run(g *Graph, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Ranks <= 1 {
+	if sequential {
 		work := g
 		if !opt.InPlace {
 			work = g.Clone(rng.Split(opt.Seed, 0))
@@ -232,18 +207,8 @@ func Run(g *Graph, opt Options) (*Report, error) {
 			Elapsed:   time.Since(start),
 		}, nil
 	}
-	// With spec set g is nil: the ranks bootstrap from the generator.
-	res, err := core.Parallel(g, t, core.Config{
-		Ranks:           opt.Ranks,
-		Scheme:          opt.Scheme,
-		StepSize:        opt.StepSize,
-		Seed:            opt.Seed,
-		UseTCP:          opt.UseTCP,
-		Algorithm:       core.Algorithm(opt.Algorithm),
-		TargetVisitRate: targetX,
-		DistributedGen:  spec,
-		SpillDir:        opt.SpillDir,
-	})
+	opt.TargetVisitRate = targetX
+	res, err := core.Parallel(g, t, opt.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +246,7 @@ func RandomGraph(degrees []int, seed uint64, ranks int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Run(g, Options{VisitRate: 1, Ranks: ranks, Seed: seed, InPlace: true})
+	rep, err := Run(g, Options{Config: Config{Ranks: ranks, Seed: seed}, VisitRate: 1, InPlace: true})
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ func TestRunSequentialDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(g, Options{Seed: 2}) // default: x=1, sequential
+	rep, err := Run(g, Options{Config: Config{Seed: 2}}) // default: x=1, sequential
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRunInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(g, Options{Ops: 500, Seed: 4, InPlace: true})
+	rep, err := Run(g, Options{Config: Config{Seed: 4}, Ops: 500, InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRunParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(g, Options{Ops: 2000, Ranks: 4, Scheme: HPU, Seed: 6, StepSize: 500})
+	rep, err := Run(g, Options{Config: Config{Ranks: 4, Scheme: HPU, Seed: 6, StepSize: 500}, Ops: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestVisitRateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0.3, 0.7} {
-		rep, err := Run(g, Options{VisitRate: x, Seed: 11})
+		rep, err := Run(g, Options{Config: Config{Seed: 11}, VisitRate: x})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestCurveballVisitRateStopRankInvariant(t *testing.T) {
 	spec := GenSpec{Model: GenPA, Seed: 1, N: 5000, D: 10}
 	var reps []*Report
 	for _, ranks := range []int{1, 2} {
-		rep, err := Run(nil, Options{Gen: &spec, Algorithm: Curveball, VisitRate: 0.5, Ranks: ranks, Seed: 7})
+		rep, err := Run(nil, Options{Config: Config{DistributedGen: &spec, Algorithm: Curveball, Ranks: ranks, Seed: 7}, VisitRate: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

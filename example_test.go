@@ -16,10 +16,8 @@ func Example() {
 	degreesBefore := g.Degrees()
 
 	rep, err := edgeswitch.Run(g, edgeswitch.Options{
-		VisitRate: 1, // modify every edge
-		Ranks:     2, // parallel, 2 ranks
-		Scheme:    edgeswitch.HPU,
-		Seed:      7,
+		Config:    edgeswitch.Config{Ranks: 2, Scheme: edgeswitch.HPU, Seed: 7}, // parallel, 2 ranks
+		VisitRate: 1,                                                            // modify every edge
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,11 +73,11 @@ func ExampleErrorRate() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := edgeswitch.Run(g, edgeswitch.Options{Ops: 2000, Seed: 1})
+	seq, err := edgeswitch.Run(g, edgeswitch.Options{Config: edgeswitch.Config{Seed: 1}, Ops: 2000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	par, err := edgeswitch.Run(g, edgeswitch.Options{Ops: 2000, Ranks: 4, Seed: 2})
+	par, err := edgeswitch.Run(g, edgeswitch.Options{Config: edgeswitch.Config{Ranks: 4, Seed: 2}, Ops: 2000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,11 +35,8 @@ func main() {
 	}
 	for _, scheme := range []edgeswitch.Scheme{edgeswitch.HPD, edgeswitch.HPU, edgeswitch.CP} {
 		rep, err := edgeswitch.Run(adv, edgeswitch.Options{
-			Ops:      t,
-			Ranks:    p,
-			Scheme:   scheme,
-			StepSize: t / 100,
-			Seed:     11,
+			Config: edgeswitch.Config{Ranks: p, Scheme: scheme, StepSize: t / 100, Seed: 11},
+			Ops:    t,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -28,7 +28,8 @@ func main() {
 	skews := map[edgeswitch.Scheme]float64{}
 	for _, scheme := range []edgeswitch.Scheme{edgeswitch.CP, edgeswitch.HPU} {
 		rep, err := edgeswitch.Run(g, edgeswitch.Options{
-			Ops: t, Ranks: 8, Scheme: scheme, StepSize: t / 100, Seed: 13,
+			Config: edgeswitch.Config{Ranks: 8, Scheme: scheme, StepSize: t / 100, Seed: 13},
+			Ops:    t,
 		})
 		if err != nil {
 			log.Fatal(err)

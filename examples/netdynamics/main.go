@@ -37,10 +37,8 @@ func main() {
 		}
 		// Incremental: only the additional operations for this x.
 		rep, err := edgeswitch.Run(cur, edgeswitch.Options{
+			Config: edgeswitch.Config{Ranks: 4, Scheme: edgeswitch.HPU, Seed: uint64(100 * x)},
 			Ops:    total - prevOps,
-			Ranks:  4,
-			Scheme: edgeswitch.HPU,
-			Seed:   uint64(100 * x),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -22,10 +22,8 @@ func main() {
 	// Randomize: visit every edge (x = 1) using 4 parallel ranks with
 	// universal-hash partitioning, the paper's recommended scheme.
 	rep, err := edgeswitch.Run(g, edgeswitch.Options{
+		Config:    edgeswitch.Config{Ranks: 4, Scheme: edgeswitch.HPU, Seed: 42},
 		VisitRate: 1,
-		Ranks:     4,
-		Scheme:    edgeswitch.HPU,
-		Seed:      42,
 	})
 	if err != nil {
 		log.Fatal(err)

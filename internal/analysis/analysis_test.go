@@ -108,7 +108,7 @@ func TestChecksOnFixtures(t *testing.T) {
 		},
 		{
 			name:  "mpierr exempts non-engine packages",
-			check: "mpierr", variant: "bad", as: "cmd/esworker",
+			check: "mpierr", variant: "bad", as: "cmd/edgeswitch",
 		},
 		{
 			name:  "mpierr accepts handled, discarded and deferred errors",

@@ -12,7 +12,7 @@ var fprintFmtFuncs = map[string]bool{"Fprint": true, "Fprintf": true, "Fprintln"
 // library's only sanctioned outputs are return values and errors;
 // experiment tables go through an injected io.Writer (see
 // internal/harness.Config.Out). A stray fmt.Println in internal/core
-// corrupts the machine-readable output of cmd/experiments and esworker
+// corrupts the machine-readable output of cmd/experiments and edgeswitch
 // pipelines, and hardcoding os.Stderr makes output uncapturable in
 // tests. Only cmd/ and examples/ may address the terminal directly.
 var checkNoPrint = &Check{

@@ -1,5 +1,5 @@
 // Fixture: dropped transport errors. Checked impersonated as
-// internal/mpi (must fire) and cmd/esworker (exempt path). Type-checked
+// internal/mpi (must fire) and cmd/edgeswitch (exempt path). Type-checked
 // so the no-error Quiet.Close below is recognised as exempt.
 package fixture
 

@@ -25,7 +25,7 @@ import (
 //     the whole graph (pergen Full) and writes the binary edge list;
 //     then every rank parses the full file, builds the whole graph in
 //     its own memory, and the engine keeps only the owned partition.
-//     This is exactly `graphgen` + per-process `esworker -graph` (see
+//     This is exactly `graphgen` + per-process `edgeswitch -in` (see
 //     RunRank's contract: "each process loads the graph and keeps only
 //     its own partition").
 //   - scatter: the charitable in-memory lower bound on the same

@@ -155,7 +155,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 
 // TestCheckpointRestoreFreshWhenEmpty: Restore against an empty
 // directory (no committed manifest) bootstraps a fresh run rather than
-// failing — the esworker rollback loop relies on this when a world
+// failing — the edgeswitch rollback loop relies on this when a world
 // faults before its first checkpoint commits.
 func TestCheckpointRestoreFreshWhenEmpty(t *testing.T) {
 	g := testGraph(t, 8, 200, 600)

@@ -14,7 +14,7 @@ import (
 // TestRunRankDistributed runs the parallel algorithm over the
 // multi-process transport (mpi.ProcWorld): each "process" is simulated by
 // a goroutine with its own world membership and its own copy of the
-// graph, exactly as cmd/esworker does across real OS processes.
+// graph, exactly as edgeswitch -coordinator does across real OS processes.
 func TestRunRankDistributed(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

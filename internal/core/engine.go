@@ -319,7 +319,7 @@ func (e *rankEngine) run(t, stepSize int64) error {
 // stepErr labels an error with the failing rank, step and phase. The %w
 // chain is preserved so transport faults stay matchable: a run aborted by
 // a lost peer satisfies errors.Is(err, mpi.ErrPeerLost) all the way up
-// through RunRank to cmd/esworker.
+// through RunRank to edgeswitch -coordinator.
 func (e *rankEngine) stepErr(step int, phase string, err error) error {
 	return fmt.Errorf("core: rank %d, step %d (%s): %w", e.c.Rank(), step, phase, err)
 }

@@ -293,7 +293,7 @@ func (src *source) partitioner(scheme Scheme, p int, seed uint64) (partition.Par
 // modified.
 //
 // For true multi-process distribution, run one RunRank per process over
-// an mpi.ProcWorld instead (see cmd/esworker).
+// an mpi.ProcWorld instead (see edgeswitch -coordinator).
 func Parallel(g *graph.Graph, t int64, cfg Config) (*Result, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("core: Ranks must be >= 1, got %d", cfg.Ranks)

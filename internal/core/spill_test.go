@@ -341,7 +341,8 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 // TestBootstrapFailureClosesStore: a load that fails after the rank's
 // store exists — here a source handing the same edge twice — must close
 // it: a tiered store would otherwise leak its mapping and leave
-// SpillDir/rank-NNNN behind for esworker's in-process retry to trip on.
+// SpillDir/rank-NNNN behind for the rollback loop's in-process retry to
+// trip on.
 func TestBootstrapFailureClosesStore(t *testing.T) {
 	g := testGraph(t, 18, 60, 200)
 	src := graphSource(g)

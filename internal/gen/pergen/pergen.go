@@ -126,9 +126,9 @@ func (sp Spec) Validate() error {
 // SpecFor maps the CLIs' generator flags (model, -n, -d, -seed) to a
 // validated Spec: d is preferential attachment's edges per vertex, or
 // the contact model's average degree, in communities of 40 with 80 % of
-// contacts inside them. edgeswitch -gen, esworker -gen and
-// graphgen -pergen all build their spec here, so the same flags denote
-// the same graph in all three.
+// contacts inside them. edgeswitch -gen (at any -p, in one process or
+// many) and graphgen -pergen both build their spec here, so the same
+// flags denote the same graph in both.
 func SpecFor(model string, n, d int, seed uint64) (Spec, error) {
 	sp := Spec{Model: Model(model), Seed: seed, N: n}
 	switch sp.Model {

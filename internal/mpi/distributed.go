@@ -29,7 +29,7 @@ import (
 // deadlines, so a peer that stopped reading surfaces as an error within
 // the write timeout rather than blocking forever.
 //
-// Typical use (see cmd/esworker):
+// Typical use (see edgeswitch -coordinator):
 //
 //	pw, err := JoinDistributed(rank, size, "127.0.0.1:9876")
 //	...
@@ -420,7 +420,7 @@ func (h *distHub) admit(conn net.Conn) {
 			status = joinClosed
 		case h.anyFault:
 			// The world already lost a member: it is doomed, and the
-			// recovery layer (cmd/esworker's rollback loop) will tear it
+			// recovery layer (cmd/edgeswitch's rollback loop) will tear it
 			// down and restart the coordinator on the same address.
 			// Admitting the joiner now — a replacement for the lost rank,
 			// or a survivor re-dialing early — would only wedge it in the

@@ -12,7 +12,7 @@ import (
 // frame index. Tests install it per rank through testDialWrap (see
 // distributed.go) to exercise the transport's failure paths: checksum
 // rejection, FAULT broadcast, fail-fast teardown. It deliberately lives
-// outside _test.go files so future chaos tooling (e.g. an esworker
+// outside _test.go files so future chaos tooling (e.g. an edgeswitch
 // -chaos mode) can reuse it.
 
 // A faultAction says what to do with one outbound frame.

@@ -91,7 +91,7 @@ const (
 func joinStatusText(status uint32) string {
 	switch status {
 	case joinBadMagic:
-		return "bad magic (not an esworker peer?)"
+		return "bad magic (not an edgeswitch peer?)"
 	case joinBadVersion:
 		return "wire version mismatch (mixed binaries)"
 	case joinBadRank:

@@ -12,8 +12,8 @@ import (
 // the one routing hub there is (distHub, see distributed.go) on a loopback
 // port and joins every rank to it as a distClient delivering into the
 // world's own mailboxes. Nothing here routes, frames or handshakes — an
-// in-process TCP world runs exactly the code path esworker deploys, so it
-// shares its failure semantics: a lost connection fails the survivors'
+// in-process TCP world runs exactly the code multi-process runs deploy, so
+// it shares its failure semantics: a lost connection fails the survivors'
 // receives with an ErrPeerLost naming the rank.
 type tcpTransport struct {
 	hub     *distHub

@@ -7,7 +7,7 @@
 //
 // The model is LogP-flavoured and deliberately simple; every parameter is
 // either measured from this repository's engine (per-operation message
-// and round-trip counts; BenchmarkAblationMessageCost measures the first
+// and round-trip counts; TestMessagesPerOpBounded measures the first
 // per rank count) or taken from the communication characteristics of the
 // paper's testbed class. It captures the three effects that shape the
 // published curves:
@@ -80,7 +80,7 @@ type Workload struct {
 	Steps int
 	// MsgsPerOp is the protocol messages per completed operation. It
 	// grows with p, since a rank's own share of an operation sends
-	// nothing: BenchmarkAblationMessageCost measures 0 at p=1 and ≈4.5
+	// nothing: TestMessagesPerOpBounded measures 0 at p=1 and ≈4.5
 	// at p=8. DefaultWorkload keeps the 10.1 measured when every leg was
 	// a message.
 	MsgsPerOp float64

@@ -212,7 +212,7 @@ func ParallelMultinomial(c *mpi.Comm, r *rng.RNG, n int64, q []float64) ([]int64
 
 // ParallelMultinomialGathered runs ParallelMultinomial and assembles the
 // full ℓ-vector on every rank, at the cost of a second collective, for
-// cmd/multinomial. The edge-switch engine does not use it: every rank
+// timing Algorithm 5. The edge-switch engine does not use it: every rank
 // draws its ℓ = p step quotas itself from a shared counter stream.
 func ParallelMultinomialGathered(c *mpi.Comm, r *rng.RNG, n int64, q []float64) ([]int64, error) {
 	owned, err := ParallelMultinomial(c, r, n, q)

@@ -78,7 +78,7 @@ type Store interface {
 }
 
 // Stats are the observability counters of a tiered store, surfaced
-// through core.Result and `edgeswitch -v` so benchmark runs can
+// through core.Result and `edgeswitch -spill-dir` so benchmark runs can
 // attribute time to compaction vs switching.
 type Stats struct {
 	// BaseBytes is the current base segment's on-disk size (0 before the
