@@ -104,10 +104,21 @@ func TestRunDataset(t *testing.T) {
 	}
 }
 
-// TestRunFromFile: the t the budget line announces is the number of
-// switches then performed, sequentially, in-process and as a one-process
-// TCP world, and -t 0 -x 0 is refused by every mode alike.
 func TestRunFromFile(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "in.txt")
+	if err := os.WriteFile(in, []byte("# 6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runArgs("-in", in, "-t", "20", "-seed", "3"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBudgetMatchesEsworker: the t the budget line announces is the
+// number of switches then performed, sequentially, in-process and in the
+// worker mode (-coordinator, which replaced the esworker binary) as a
+// one-process TCP world, and -t 0 -x 0 is refused by every mode alike.
+func TestBudgetMatchesEsworker(t *testing.T) {
 	in := writeGraph(t, 200, 1, 2, 5)
 	for _, c := range []struct {
 		t, x  string
@@ -166,16 +177,33 @@ func TestRunDistributedGen(t *testing.T) {
 	}
 }
 
-// TestRunValidation: every command line here is refused, and none of the
-// coordinator rows gets as far as dialing.
+// refusal is a command line run must refuse.
+type refusal struct {
+	name string
+	args []string
+}
+
+// refuseAll fails the test for every command line in rs that runs.
+func refuseAll(t *testing.T, rs []refusal) {
+	t.Helper()
+	for _, r := range rs {
+		_, err := runArgs(r.args...)
+		if err == nil {
+			t.Errorf("%s accepted", r.name)
+		}
+		t.Logf("%s: %v", r.name, err)
+	}
+}
+
+// with returns base followed by args, never sharing base's backing array.
+func with(base []string, args ...string) []string {
+	return append(append([]string{}, base...), args...)
+}
+
+// TestRunValidation: every command line here is refused.
 func TestRunValidation(t *testing.T) {
-	coord := []string{"-coordinator", "127.0.0.1:1", "-timeout", "1s"}
 	er := []string{"-dataset", "erdosrenyi", "-scale", "0.02", "-t", "10"}
-	with := func(base []string, args ...string) []string { return append(append([]string{}, base...), args...) }
-	for _, c := range []struct {
-		name string
-		args []string
-	}{
+	refuseAll(t, []refusal{
 		{"missing input", []string{"-t", "10"}},
 		{"both -in and -dataset", []string{"-in", "x.txt", "-dataset", "miami"}},
 		{"unknown dataset", []string{"-dataset", "nonexistent"}},
@@ -183,9 +211,6 @@ func TestRunValidation(t *testing.T) {
 		{"bogus -gen model", []string{"-gen", "bogus", "-n", "100", "-d", "4"}},
 		{"missing file", []string{"-in", "/nonexistent/file.txt"}},
 		{"-t 0 -x 0", []string{"-dataset", "erdosrenyi", "-scale", "0.02", "-t", "0", "-x", "0"}},
-		{"-t 0 -x 0 with -coordinator", with(coord, "-gen", "pa", "-t", "0", "-x", "0")},
-		{"missing file with -coordinator", with(coord, "-in", "/nonexistent/file.txt")},
-		{"bogus -gen model with -coordinator", with(coord, "-gen", "bogus")},
 		{"-p 0", with(er, "-p", "0")},
 		{"-p -3", with(er, "-p", "-3")},
 		{"-steps 0", with(er, "-p", "2", "-steps", "0")},
@@ -198,15 +223,23 @@ func TestRunValidation(t *testing.T) {
 		{"-timeout without -coordinator", with(er, "-p", "2", "-timeout", "30s")},
 		{"-write-timeout without -coordinator", with(er, "-p", "2", "-write-timeout", "5s")},
 		{"-max-rollbacks without -coordinator", with(er, "-p", "2", "-max-rollbacks", "1")},
-		{"-restore without -checkpoint-dir", with(coord, "-gen", "pa", "-restore")},
 		{"stray argument", with(er, "extra")},
-	} {
-		_, err := runArgs(c.args...)
-		if err == nil {
-			t.Errorf("%s accepted", c.name)
-		}
-		t.Logf("%s: %v", c.name, err)
-	}
+	})
+}
+
+// TestRunValidationCoordinator: the worker mode refuses what the local
+// one does, and a -restore with nothing to restore from, before it gets
+// as far as dialing the coordinator.
+func TestRunValidationCoordinator(t *testing.T) {
+	coord := []string{"-coordinator", "127.0.0.1:1", "-timeout", "1s", "-t", "10"}
+	refuseAll(t, []refusal{
+		{"missing input", coord},
+		{"missing file", with(coord, "-in", "/nonexistent/file.txt")},
+		{"both -in and -gen", with(coord, "-in", "g.txt", "-gen", "pa")},
+		{"bogus -gen model", with(coord, "-gen", "bogus")},
+		{"-restore without -checkpoint-dir", with(coord, "-gen", "pa", "-restore")},
+		{"-t 0 -x 0", with(coord, "-gen", "pa", "-t", "0", "-x", "0")},
+	})
 }
 
 func TestRunCurveball(t *testing.T) {
@@ -231,31 +264,28 @@ func TestRunCurveball(t *testing.T) {
 	}
 }
 
+// checkProfiles fails unless every path names a non-empty file.
+func checkProfiles(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, path := range paths {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestProfiled: -cpuprofile and -memprofile each leave a non-empty file
-// behind a run — named after the rank with -coordinator, so spawned ranks
-// given the same flag values never overwrite each other — and the run's
-// own error still comes through.
+// behind a run, and the run's own error still comes through.
 func TestProfiled(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	local := mustParse(t, "-gen", "pa", "-n", "2000", "-d", "5", "-x", "0.5", "-p", "2", "-scheme", "HP-D",
+	o := mustParse(t, "-gen", "pa", "-n", "2000", "-d", "5", "-x", "0.5", "-p", "2", "-scheme", "HP-D",
 		"-steps", "2", "-seed", "3", "-cpuprofile", cpu, "-memprofile", mem)
-	world := mustParse(t, "-in", writeGraph(t, 12, 1), "-t", "20", "-coordinator", freePort(t), "-timeout", "5s",
-		"-cpuprofile", cpu, "-memprofile", mem)
-	for _, c := range []struct {
-		o      options
-		suffix string
-	}{{local, ""}, {world, ".rank0"}} {
-		if err := profiled(c.o, func() error { return run(c.o, io.Discard) }); err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range []string{cpu + c.suffix, mem + c.suffix} {
-			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-				t.Errorf("profile %s missing or empty (%v)", filepath.Base(path), err)
-			}
-		}
+	if err := profiled(o, func() error { return run(o, io.Discard) }); err != nil {
+		t.Fatal(err)
 	}
-	o := options{cpuProf: filepath.Join(dir, "cpu2.prof")}
+	checkProfiles(t, cpu, mem)
+	o = options{cpuProf: filepath.Join(dir, "cpu2.prof")}
 	if err := profiled(o, func() error { return os.ErrInvalid }); !errors.Is(err, os.ErrInvalid) {
 		t.Errorf("the run's error came back as %v", err)
 	}
@@ -265,14 +295,38 @@ func TestProfiled(t *testing.T) {
 	}
 }
 
-// TestChildArgsRoundTrip: parsing the command line childArgs builds for
-// a spawned rank gives back the parent's options with only -rank, -spawn
-// and -restore changed. The parent sets every flag to a non-default
-// value, so a flag left out of what children get fails here: a derived -t
-// in place of the raw one once disarmed the children's early stop and
-// hung -spawn curveball runs, and a dropped -write-timeout left them on
-// the 30 s default.
-func TestChildArgsRoundTrip(t *testing.T) {
+// TestProfiledPerRank: with -coordinator the profiles are named after the
+// rank, so spawned ranks given the same flag values never overwrite each
+// other.
+func TestProfiledPerRank(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	o := mustParse(t, "-in", writeGraph(t, 12, 1), "-t", "20", "-coordinator", freePort(t), "-timeout", "5s",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	if err := profiled(o, func() error { return run(o, io.Discard) }); err != nil {
+		t.Fatal(err)
+	}
+	checkProfiles(t, cpu+".rank0", mem+".rank0")
+}
+
+// checkChildArgs: parsing the command line childArgs builds for spawned
+// rank 2 gives back o with only -rank, -spawn and -restore changed, so a
+// flag left out of what children get fails here.
+func checkChildArgs(t *testing.T, o options, restore bool) {
+	t.Helper()
+	got := mustParse(t, childArgs(o, 2, restore)...)
+	want := o
+	want.rank, want.spawn, want.restore = 2, false, restore
+	if got != want {
+		t.Errorf("restore=%v: childArgs %q parse to\n%+v, want\n%+v", restore, childArgs(o, 2, restore), got, want)
+	}
+}
+
+// TestChildArgsForwardRawFlags: a parent with every flag at a non-default
+// value round-trips through childArgs. A derived -t in place of the raw
+// one once disarmed the children's early stop and hung -spawn curveball
+// runs, and a dropped -write-timeout left them on the 30 s default.
+func TestChildArgsForwardRawFlags(t *testing.T) {
 	args := []string{
 		"-in", "g.txt", "-dataset", "miami", "-scale", "0.5", "-gen", "pa", "-n", "5000", "-d", "6",
 		"-out", "out.txt", "-t", "0", "-x", "0.9", "-p", "3", "-scheme", "HP-D", "-algo", "curveball",
@@ -281,7 +335,6 @@ func TestChildArgsRoundTrip(t *testing.T) {
 		"-coordinator", "127.0.0.1:9", "-rank", "1", "-spawn", "-restore", "-timeout", "9s",
 		"-write-timeout", "7s", "-max-rollbacks", "4",
 	}
-	o := mustParse(t, args...)
 	// -t stays at its default 0: the raw value a derived t must not replace.
 	fs := bind(new(options))
 	if err := fs.Parse(args); err != nil {
@@ -292,13 +345,17 @@ func TestChildArgsRoundTrip(t *testing.T) {
 			t.Errorf("-%s is at its default here: give it another value", f.Name)
 		}
 	})
+	checkChildArgs(t, mustParse(t, args...), false)
+}
+
+// TestChildArgsForwardCheckpointFlags: a checkpointing world's children
+// get its checkpoint flags, and -restore only when they replace a lost
+// rank.
+func TestChildArgsForwardCheckpointFlags(t *testing.T) {
+	o := mustParse(t, "-in", "g.txt", "-p", "4", "-coordinator", "127.0.0.1:9",
+		"-checkpoint-dir", "ck", "-checkpoint-every", "5", "-max-rollbacks", "7")
 	for _, restore := range []bool{false, true} {
-		got := mustParse(t, childArgs(o, 2, restore)...)
-		want := o
-		want.rank, want.spawn, want.restore = 2, false, restore
-		if got != want {
-			t.Errorf("restore=%v: childArgs %q parse to\n%+v, want\n%+v", restore, childArgs(o, 2, restore), got, want)
-		}
+		checkChildArgs(t, o, restore)
 	}
 }
 
