@@ -63,8 +63,9 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
-# One tiny iteration of the engine-step benchmarks on small inputs
-# (proves the bench harness still runs, without measuring anything),
+# One tiny iteration of the engine-step benchmarks on small inputs and
+# of the mem/tcp 64 B ping-pong (proves the bench harness still runs,
+# without measuring anything),
 # plus the regression guards: one full-size run of the tiny-uniform
 # p=8 engine config (≈120 edges per rank), failing if transport sends
 # or restarts regress >2x against the baseline recorded in the test,
@@ -87,6 +88,7 @@ benchsmoke:
 	$(GO) test -short -run=^$$ -bench=BenchmarkGenerate -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench='BenchmarkRandomizer/.*/pa/mem/p2$$' -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench=BenchmarkOutOfCore -benchtime=1x ./internal/core/
+	$(GO) test -short -run=^$$ -bench=BenchmarkPingPong -benchtime=1x ./internal/mpi/
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeEngineRegression$$' -v ./internal/core/
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokePergenRegression$$' -v ./internal/core/
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeCurveballRegression$$' -v ./internal/core/

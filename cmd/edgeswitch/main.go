@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"runtime"
@@ -109,6 +110,8 @@ func parse(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case fs.NArg() > 0:
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
@@ -118,10 +121,16 @@ func parse(args []string) (options, error) {
 		return o, fmt.Errorf("-steps %d: need at least one step", o.steps)
 	case o.restore && o.ckDir == "":
 		return o, fmt.Errorf("-restore needs -checkpoint-dir")
+	case set["checkpoint-every"] && o.ckDir == "":
+		return o, fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
+	case o.ckEvery < 1:
+		return o, fmt.Errorf("-checkpoint-every %d: need at least 1", o.ckEvery)
+	case o.coord != "" && o.useTCP:
+		return o, fmt.Errorf("-tcp with -coordinator: a coordinator world is always TCP")
+	case o.coord != "" && anyPort(o.coord) && o.ranks > 1 && !o.spawn:
+		return o, fmt.Errorf("-coordinator %s: the other ranks cannot find port 0; name a port, or -spawn them", o.coord)
 	}
 	if o.coord == "" {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		for _, name := range coordinatorOnly {
 			if set[name] {
 				return o, fmt.Errorf("-%s needs -coordinator", name)
@@ -129,6 +138,12 @@ func parse(args []string) (options, error) {
 		}
 	}
 	return o, nil
+}
+
+// anyPort reports whether addr asks the listener to pick a port.
+func anyPort(addr string) bool {
+	_, port, err := net.SplitHostPort(addr)
+	return err == nil && port == "0"
 }
 
 func main() {
@@ -316,6 +331,18 @@ func report(w io.Writer, o options, res *core.Result) error {
 // coordinator address and resume from the agreed checkpoint, and rank 0
 // replaces its lost children.
 func runWorld(g *edgeswitch.Graph, t int64, cfg core.Config, o options) (*core.Result, error) {
+	if o.rank == 0 && anyPort(o.coord) {
+		// Pick the port now: the children dial it, and a restarted
+		// coordinator listens on it again.
+		ln, err := net.Listen("tcp", o.coord)
+		if err != nil {
+			return nil, err
+		}
+		o.coord = ln.Addr().String()
+		if err := ln.Close(); err != nil {
+			return nil, err
+		}
+	}
 	children := map[int]*exec.Cmd{}
 	if o.spawn && o.rank == 0 {
 		if err := spawnChildren(o, children); err != nil {
@@ -448,11 +475,14 @@ func runRank(g *edgeswitch.Graph, t int64, cfg core.Config, o options) (res *cor
 		return nil, nil, err
 	}
 	defer func() {
-		// Capture the fault record before teardown discards it; teardown
-		// errors surface transport faults recorded while the world was
-		// live but must not mask the run's own error.
+		// Close returns once the coordinator has read this rank's
+		// departure, so the fault record read after it holds every loss
+		// this rank reported. Teardown errors surface transport faults
+		// recorded while the world was live but must not mask the run's
+		// own error.
+		cerr := pw.Close()
 		lost = pw.LostRanks()
-		if cerr := pw.Close(); cerr != nil && err == nil {
+		if cerr != nil && err == nil {
 			err = cerr
 		}
 	}()

@@ -223,6 +223,10 @@ func TestRunValidation(t *testing.T) {
 		{"-timeout without -coordinator", with(er, "-p", "2", "-timeout", "30s")},
 		{"-write-timeout without -coordinator", with(er, "-p", "2", "-write-timeout", "5s")},
 		{"-max-rollbacks without -coordinator", with(er, "-p", "2", "-max-rollbacks", "1")},
+		{"-tcp with -coordinator", with(er, "-tcp", "-coordinator", "127.0.0.1:1")},
+		{"-checkpoint-every without -checkpoint-dir", with(er, "-p", "2", "-checkpoint-every", "2")},
+		{"-checkpoint-every 0", with(er, "-p", "2", "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "0")},
+		{"-checkpoint-every -1", with(er, "-p", "2", "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-1")},
 		{"stray argument", with(er, "extra")},
 	})
 }
@@ -239,6 +243,7 @@ func TestRunValidationCoordinator(t *testing.T) {
 		{"bogus -gen model", with(coord, "-gen", "bogus")},
 		{"-restore without -checkpoint-dir", with(coord, "-gen", "pa", "-restore")},
 		{"-t 0 -x 0", with(coord, "-gen", "pa", "-t", "0", "-x", "0")},
+		{"-p 2 on port 0 without -spawn", []string{"-coordinator", "127.0.0.1:0", "-p", "2", "-gen", "pa"}},
 	})
 }
 
@@ -330,18 +335,19 @@ func TestChildArgsForwardRawFlags(t *testing.T) {
 	args := []string{
 		"-in", "g.txt", "-dataset", "miami", "-scale", "0.5", "-gen", "pa", "-n", "5000", "-d", "6",
 		"-out", "out.txt", "-t", "0", "-x", "0.9", "-p", "3", "-scheme", "HP-D", "-algo", "curveball",
-		"-steps", "7", "-seed", "42", "-tcp", "-q", "-spill-dir", "spill", "-checkpoint-dir", "ck",
+		"-steps", "7", "-seed", "42", "-q", "-spill-dir", "spill", "-checkpoint-dir", "ck",
 		"-checkpoint-every", "5", "-cpuprofile", "cpu.prof", "-memprofile", "mem.prof",
 		"-coordinator", "127.0.0.1:9", "-rank", "1", "-spawn", "-restore", "-timeout", "9s",
 		"-write-timeout", "7s", "-max-rollbacks", "4",
 	}
-	// -t stays at its default 0: the raw value a derived t must not replace.
+	// -t stays at its default 0: the raw value a derived t must not
+	// replace. -tcp stays off: -coordinator refuses it.
 	fs := bind(new(options))
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name != "t" && f.Value.String() == f.DefValue {
+		if f.Name != "t" && f.Name != "tcp" && f.Value.String() == f.DefValue {
 			t.Errorf("-%s is at its default here: give it another value", f.Name)
 		}
 	})
@@ -417,14 +423,17 @@ func runMultiProcess(t *testing.T, args ...string) {
 	}
 }
 
+// TestRunSingleRank: a one-process world, on a named port and on port 0.
 func TestRunSingleRank(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "out.txt")
-	if _, err := runArgs("-in", writeGraph(t, 12, 1), "-coordinator", freePort(t), "-t", "20",
-		"-timeout", "5s", "-write-timeout", "5s", "-out", out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Fatalf("output missing: %v", err)
+	for _, coord := range []string{freePort(t), "127.0.0.1:0"} {
+		out := filepath.Join(t.TempDir(), "out.txt")
+		if _, err := runArgs("-in", writeGraph(t, 12, 1), "-coordinator", coord, "-t", "20",
+			"-timeout", "5s", "-write-timeout", "5s", "-out", out); err != nil {
+			t.Fatalf("-coordinator %s: %v", coord, err)
+		}
+		if _, err := os.Stat(out); err != nil {
+			t.Fatalf("-coordinator %s: output missing: %v", coord, err)
+		}
 	}
 }
 
@@ -437,17 +446,20 @@ func TestRunMultiProcess(t *testing.T) {
 }
 
 // TestRunSpawn: rank 0 alone, with -spawn, starts the rest of the world
-// itself and writes the result.
+// itself and writes the result — on a named port, and on port 0, which
+// rank 0 resolves before it spawns.
 func TestRunSpawn(t *testing.T) {
 	t.Setenv(asCommand, "1") // the spawned ranks run this binary as edgeswitch
-	out := filepath.Join(t.TempDir(), "out.txt")
-	rep, err := runArgs("-in", writeGraph(t, 12, 1), "-p", "3", "-coordinator", freePort(t), "-spawn",
-		"-t", "30", "-scheme", "HP-D", "-steps", "3", "-seed", "9", "-timeout", "20s", "-out", out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
-		t.Fatalf("output not written (%v):\n%s", err, rep)
+	for _, coord := range []string{freePort(t), "127.0.0.1:0"} {
+		out := filepath.Join(t.TempDir(), "out.txt")
+		rep, err := runArgs("-in", writeGraph(t, 12, 1), "-p", "3", "-coordinator", coord, "-spawn",
+			"-t", "30", "-scheme", "HP-D", "-steps", "3", "-seed", "9", "-timeout", "20s", "-out", out)
+		if err != nil {
+			t.Fatalf("-coordinator %s: %v", coord, err)
+		}
+		if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
+			t.Fatalf("-coordinator %s: output not written (%v):\n%s", coord, err, rep)
+		}
 	}
 }
 

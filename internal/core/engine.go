@@ -122,11 +122,9 @@ type rankEngine struct {
 	ckpt         *checkpointer
 	restoredStep int64
 
-	// Reused step-boundary scratch (see stepsync.go): stepCounts holds
-	// the decoded per-rank edge counts, stepBuf the unchecked-run encode
-	// buffer — both allocated once so boundaries stay off the allocator.
+	// Reused step-boundary scratch (see stepsync.go): the (p+1)-vector an
+	// unchecked run's step exchange sums.
 	stepCounts []int64
-	stepBuf    []byte
 
 	// Statistics.
 	opsInitiated int64
@@ -193,7 +191,6 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		noBatch:  cfg.noBatch,
 		targetX:  cfg.TargetVisitRate,
 		stalled:  make([]bool, c.Size()),
-		stepBuf:  make([]byte, 20),
 	}
 	e.sb.init(c)
 	e.drainEach = e.drainEntry

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"edgeswitch/internal/graph"
+	"edgeswitch/internal/mpi"
 )
 
 // The fused step-boundary exchange: every step boundary needs the
@@ -15,19 +16,22 @@ import (
 // in sanitized runs — a degree-conservation check. Those used to be
 // separate collectives, the last a full O(n) degree-vector allreduce
 // that dominated checked runs on large vertex sets. They are now one
-// allgather whose payload carries the edge count, the local originals
-// count, and a sparse delta vector: only the vertices whose local degree
-// changed since the previous exchange, O(ops) entries instead of O(n). A
-// valid randomization move relocates degree between ranks but never
-// creates or destroys it — edge switches move two endpoints, curveball
-// trades reassign whole adjacency entries between the paired vertices —
-// so the deltas must cancel exactly when summed across ranks. This is
-// what makes the check algorithm-agnostic: it asserts conservation of
-// the degree sequence, not any particular mutation shape, and every
-// randomizer feeds it through the same takeLocal/insertLocal/drainLocal
-// accounting.
+// collective. Unchecked runs sum a (p+1)-vector — the rank's edge count
+// at index rank, its originals count at index p — with AllreduceInt64s,
+// whose butterfly takes one round at p = 2 where an allgather's gather
+// and broadcast take two. Sanitized runs allgather a payload carrying the
+// edge count, the local originals count, and a sparse delta vector: only
+// the vertices whose local degree changed since the previous exchange,
+// O(ops) entries instead of O(n). A valid randomization move relocates
+// degree between ranks but never creates or destroys it — edge switches
+// move two endpoints, curveball trades reassign whole adjacency entries
+// between the paired vertices — so the deltas must cancel exactly when
+// summed across ranks. This is what makes the check algorithm-agnostic:
+// it asserts conservation of the degree sequence, not any particular
+// mutation shape, and every randomizer feeds it through the same
+// takeLocal/insertLocal/drainLocal accounting.
 //
-// Payload layout:
+// Sanitized payload layout:
 // edges int64 | originals int64 | k uint32 | k × (vertex uint32, delta int32).
 // Deltas are sorted by vertex so the payload is deterministic.
 
@@ -47,39 +51,33 @@ func (e *rankEngine) noteDegree(ed graph.Edge, d int32) {
 // also runs the local structural scan and verifies that the gathered
 // degree deltas cancel; any violation is reported with the same
 // actionable formatting as the full sanitizer. Deltas for the final
-// step are covered by verifyBaseline at the end of the run.
-//
-// Unchecked runs take an allocation-free fast path: noteDegree never
-// populated e.degDelta, so every payload is the bare 20-byte header and
-// the drift accounting (a map plus a decoded delta vector per rank,
-// every boundary) would be pure overhead. TestEdgeSwitchSteadyStateAllocs
-// pins it at run time.
+// step are covered by verifyBaseline at the end of the run. Unchecked
+// runs never populate e.degDelta (see noteDegree), so they exchange the
+// two counts alone.
 func (e *rankEngine) stepExchange() ([]int64, int64, error) {
 	if e.sanitize {
 		return e.stepExchangeChecked()
 	}
-	parts, err := e.c.Allgather(e.encodeStepFast())
+	p := e.c.Size()
+	if cap(e.stepCounts) < p+1 {
+		e.stepCounts = make([]int64, p+1)
+	}
+	vec := e.stepCounts[:p+1]
+	clear(vec)
+	vec[e.c.Rank()], vec[p] = e.deg.Total(), e.origLocal
+	sums, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
 	if err != nil {
 		return nil, 0, err
 	}
-	if cap(e.stepCounts) < len(parts) {
-		e.stepCounts = make([]int64, len(parts))
-	}
-	counts := e.stepCounts[:len(parts)]
-	var total, origs int64
-	for rank, pb := range parts {
-		cnt, org, err := decodeStepCounts(pb)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: rank %d step exchange: bad payload from rank %d: %w", e.c.Rank(), rank, err)
-		}
-		counts[rank] = cnt
+	counts := sums[:p]
+	var total int64
+	for _, cnt := range counts {
 		total += cnt
-		origs += org
 	}
 	if total != e.m {
 		return nil, 0, fmt.Errorf("core: edge count drifted: %d != %d", total, e.m)
 	}
-	return counts, origs, nil
+	return counts, sums[p], nil
 }
 
 // stepExchangeChecked is the sanitized boundary exchange: payloads carry
@@ -128,34 +126,6 @@ func (e *rankEngine) stepExchangeChecked() ([]int64, int64, error) {
 		return nil, 0, fmt.Errorf("core: rank %d invariant sanitizer: %s", e.c.Rank(), summarize(vg.list))
 	}
 	return counts, origs, nil
-}
-
-// encodeStepFast writes the unchecked exchange payload — edge count,
-// originals count, zero deltas — into the engine's reused buffer. It runs
-// at every step boundary of unchecked runs.
-func (e *rankEngine) encodeStepFast() []byte {
-	buf := e.stepBuf[:20]
-	binary.LittleEndian.PutUint64(buf[0:], uint64(e.deg.Total()))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(e.origLocal))
-	binary.LittleEndian.PutUint32(buf[16:], 0)
-	return buf
-}
-
-// decodeStepCounts reads the edge and originals counts of one payload
-// without materializing its delta vector (the unchecked fast path, run
-// p times per boundary; in those runs k is always 0, but the length is
-// validated regardless).
-func decodeStepCounts(pb []byte) (int64, int64, error) {
-	if len(pb) < 20 {
-		return 0, 0, fmt.Errorf("truncated step payload (%d bytes)", len(pb))
-	}
-	cnt := int64(binary.LittleEndian.Uint64(pb[0:]))
-	origs := int64(binary.LittleEndian.Uint64(pb[8:]))
-	k := int(binary.LittleEndian.Uint32(pb[16:]))
-	if len(pb) != 20+8*k {
-		return 0, 0, fmt.Errorf("step payload length %d does not match %d deltas", len(pb), k)
-	}
-	return cnt, origs, nil
 }
 
 // encodeStepDeltas serializes a sanitized rank's contribution to the

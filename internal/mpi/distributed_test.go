@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -239,6 +240,68 @@ func TestDistributedLateJoiner(t *testing.T) {
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+}
+
+// tagRecorder passes writes through, recording the tag of every frame.
+type tagRecorder struct {
+	net.Conn
+	mu   sync.Mutex
+	buf  []byte
+	tags []int
+}
+
+func (tr *tagRecorder) Write(p []byte) (int, error) {
+	tr.mu.Lock()
+	tr.buf = append(tr.buf, p...)
+	for {
+		frame, rest, ok := splitFrame(tr.buf)
+		if !ok {
+			break
+		}
+		tr.buf = rest
+		tr.tags = append(tr.tags, frameTag(frame))
+	}
+	tr.mu.Unlock()
+	return tr.Conn.Write(p)
+}
+
+// TestHubCarriesNoDataFrames: after an all-pairs exchange and a
+// collective at p = 3, every frame the coordinator read was a control
+// frame — the data went over the links.
+func TestHubCarriesNoDataFrames(t *testing.T) {
+	recorders := make([]*tagRecorder, 3)
+	testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+		if peer != coordinator {
+			return conn
+		}
+		recorders[rank] = &tagRecorder{Conn: conn}
+		return recorders[rank]
+	}
+	t.Cleanup(func() { testDialWrap = nil })
+	runDistributed(t, 3, func(c *Comm) error {
+		for dst := 0; dst < c.Size(); dst++ {
+			if err := c.Send(dst, 3, []byte{byte(c.Rank())}); err != nil {
+				return err
+			}
+		}
+		for src := 0; src < c.Size(); src++ {
+			if m, err := c.Recv(src, 3); err != nil || int(m.Data[0]) != src {
+				return fmt.Errorf("from rank %d: %v %v", src, m.Data, err)
+			}
+		}
+		_, err := c.AllreduceInt64s([]int64{1}, OpSum)
+		return err
+	})
+	for rank, tr := range recorders {
+		if tr == nil || !slices.Contains(tr.tags, wireTagLeave) {
+			t.Fatalf("rank %d: the coordinator never read its LEAVE, so its control frames went unrecorded", rank)
+		}
+		for _, tag := range tr.tags {
+			if tag >= 0 {
+				t.Fatalf("rank %d sent the coordinator a data frame (tag %d); tags %v", rank, tag, tr.tags)
+			}
 		}
 	}
 }

@@ -40,6 +40,31 @@ func closeWorlds(worlds []*ProcWorld) {
 	}
 }
 
+// joinRankZero starts rank 0 of a size-n world on addr — the join returns
+// only once the whole world has formed — and waits until its coordinator
+// accepts connections.
+func joinRankZero(t *testing.T, addr string, size int) <-chan *ProcWorld {
+	t.Helper()
+	joined := make(chan *ProcWorld, 1)
+	go func() {
+		pw, err := JoinDistributed(0, size, addr, 10*time.Second)
+		if err != nil {
+			t.Errorf("rank 0: %v", err)
+		}
+		joined <- pw
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			_ = conn.Close()
+			return joined
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never listened on %s: %v", addr, err)
+		}
+	}
+}
+
 // TestStrayConnectionsDoNotBlockJoin drives the coordinator's accept loop
 // with garbage while a legitimate world forms: a connection sending a
 // malformed hello, one sending nothing, and one closing immediately. None
@@ -50,11 +75,7 @@ func TestStrayConnectionsDoNotBlockJoin(t *testing.T) {
 	addr := freeAddr(t)
 
 	// Rank 0 first, so the hub is up before the strays attack.
-	pw0, err := JoinDistributed(0, 3, addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pw0.Close()
+	joined0 := joinRankZero(t, addr, 3)
 
 	// Stray 1: garbage hello (wrong magic, full length).
 	stray1, err := net.Dial("tcp", addr)
@@ -82,7 +103,7 @@ func TestStrayConnectionsDoNotBlockJoin(t *testing.T) {
 	// The remaining legitimate ranks must still be able to join and talk.
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
-	worlds := []*ProcWorld{pw0, nil, nil}
+	worlds := make([]*ProcWorld, 3)
 	for rank := 1; rank < 3; rank++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -91,6 +112,11 @@ func TestStrayConnectionsDoNotBlockJoin(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
+	worlds[0] = <-joined0
+	defer closeWorlds(worlds)
+	if worlds[0] == nil {
+		t.FailNow()
+	}
 	for rank := 1; rank < 3; rank++ {
 		if errs[rank] != nil {
 			t.Fatalf("rank %d locked out by stray connection: %v", rank, errs[rank])
@@ -114,7 +140,6 @@ func TestStrayConnectionsDoNotBlockJoin(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	closeWorlds(worlds[1:])
 	for rank, err := range runErrs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
@@ -174,20 +199,14 @@ func TestDuplicateRankRejected(t *testing.T) {
 // later.
 func TestVersionMismatchRejected(t *testing.T) {
 	addr := freeAddr(t)
-	pw0, err := JoinDistributed(0, 2, addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pw0.Close()
+	joined0 := joinRankZero(t, addr, 2)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := make([]byte, helloLen)
-	frame := encodeFrame(0, 0, nil) // scribble a valid magic then break the version
-	_ = frame
+	hello := make([]byte, helloLen)             // a hello of another version may be shaped differently past these 16 bytes
 	copy(hello, []byte{0x31, 0x57, 0x53, 0x45}) // wireMagic little-endian
 	hello[4] = wireVersion + 1
 	hello[8] = 2  // size
@@ -201,34 +220,39 @@ func TestVersionMismatchRejected(t *testing.T) {
 
 	// The true rank 1 can still join afterwards.
 	pw1, err := JoinDistributed(1, 2, addr, 10*time.Second)
+	pw0 := <-joined0
+	closeWorlds([]*ProcWorld{pw0, pw1})
 	if err != nil {
 		t.Fatalf("legitimate rank blocked after version-mismatch reject: %v", err)
 	}
-	_ = pw1.Close()
 }
 
 // TestSizeMismatchRejected: ranks disagreeing on the world size must not
 // form a world.
 func TestSizeMismatchRejected(t *testing.T) {
 	addr := freeAddr(t)
-	pw0, err := JoinDistributed(0, 2, addr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pw0.Close()
-	if _, err := JoinDistributed(1, 4, addr, 2*time.Second); !errors.Is(err, ErrHandshake) {
+	joined0 := joinRankZero(t, addr, 2)
+	_, err := JoinDistributed(1, 4, addr, 2*time.Second)
+	// The true rank 1 completes the world, so rank 0's join returns.
+	pw1, err1 := JoinDistributed(1, 2, addr, 10*time.Second)
+	closeWorlds([]*ProcWorld{<-joined0, pw1})
+	if !errors.Is(err, ErrHandshake) {
 		t.Fatalf("size mismatch: err = %v, want ErrHandshake", err)
+	}
+	if err1 != nil {
+		t.Fatalf("legitimate rank blocked after size-mismatch reject: %v", err1)
 	}
 }
 
-// TestSeveredRankFaultsSurvivors is the acceptance scenario: one rank's
-// connection is severed mid-run; every surviving rank must return a named
-// ErrPeerLost error promptly (via the hub's FAULT broadcast) instead of
-// hanging in Recv until an external timeout.
+// TestSeveredRankFaultsSurvivors is the acceptance scenario: rank 2's
+// link to rank 0 is severed mid-run; every surviving rank must return a
+// named ErrPeerLost error promptly — rank 0 from the EOF it reads, rank 1
+// from the coordinator's FAULT broadcast — instead of hanging in Recv
+// until an external timeout.
 func TestSeveredRankFaultsSurvivors(t *testing.T) {
 	addr := freeAddr(t)
-	testDialWrap = func(rank int, conn net.Conn) net.Conn {
-		if rank == 2 {
+	testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+		if rank == 2 && peer == 0 {
 			return newFaultConn(conn, map[int]faultRule{3: {action: faultSever}})
 		}
 		return conn
@@ -291,12 +315,13 @@ func TestSeveredRankFaultsSurvivors(t *testing.T) {
 }
 
 // TestCorruptedFrameFaultsWorld: a frame corrupted on the wire is caught
-// by the CRC32C trailer at the hub, the corrupting rank is declared lost,
-// and the survivor's error names both the rank and the checksum failure.
+// by the CRC32C trailer at the receiving rank, the corrupting rank is
+// declared lost, and the survivor's error names both the rank and the
+// checksum failure.
 func TestCorruptedFrameFaultsWorld(t *testing.T) {
 	addr := freeAddr(t)
-	testDialWrap = func(rank int, conn net.Conn) net.Conn {
-		if rank == 1 {
+	testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+		if rank == 1 && peer == 0 {
 			return newFaultConn(conn, map[int]faultRule{2: {action: faultCorrupt}})
 		}
 		return conn
@@ -358,8 +383,8 @@ func TestCorruptedFrameFaultsWorld(t *testing.T) {
 // the transport cannot detect a drop, only higher-level protocols can.)
 func TestDelayedFrameStillDelivers(t *testing.T) {
 	addr := freeAddr(t)
-	testDialWrap = func(rank int, conn net.Conn) net.Conn {
-		if rank == 1 {
+	testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+		if rank == 1 && peer == 0 {
 			return newFaultConn(conn, map[int]faultRule{0: {action: faultDelay, delay: 300 * time.Millisecond}})
 		}
 		return conn
@@ -608,15 +633,16 @@ func settleGoroutines(t *testing.T, want int) {
 }
 
 // TestInProcessTCPSeveredRank pins what an in-process WithTCP world gains
-// by being the distributed hub and clients in one process: rank 1's
-// connection is severed at its third frame, and ranks 0 and 2 — blocked in
-// Recv — get an ErrPeerLost naming rank 1 from the hub's FAULT broadcast.
-// The fault is counted, World.Close reports it, and every hub and client
+// by being the distributed coordinator and ranks in one process: rank 1's
+// link to rank 0 is severed at its third frame, and ranks 0 and 2 —
+// blocked in Recv — get an ErrPeerLost naming rank 1, rank 0 from the EOF
+// and rank 2 from the coordinator's FAULT broadcast. The fault is
+// counted, World.Close reports it, and every coordinator and rank
 // goroutine is joined.
 func TestInProcessTCPSeveredRank(t *testing.T) {
 	before := runtime.NumGoroutine()
-	testDialWrap = func(rank int, conn net.Conn) net.Conn {
-		if rank == 1 {
+	testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+		if rank == 1 && peer == 0 {
 			return newFaultConn(conn, map[int]faultRule{2: {action: faultSever}})
 		}
 		return conn
@@ -701,7 +727,7 @@ func TestHubListenRetriesAddrInUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.AfterFunc(20*time.Millisecond, func() { _ = holder.Close() })
-	hub, err := newDistHub(addr, 1)
+	hub, err := newDistHub(addr, 1, writeTimeout)
 	if err != nil {
 		t.Fatalf("listen did not ride out a 20ms holder: %v", err)
 	}
@@ -720,7 +746,7 @@ func TestHubListenGivesUpOnHeldAddr(t *testing.T) {
 	}
 	defer holder.Close()
 	start := time.Now()
-	hub, err := newDistHub(addr, 1)
+	hub, err := newDistHub(addr, 1, writeTimeout)
 	if err == nil {
 		_ = hub.stop()
 		t.Fatal("listen on a held address succeeded")
@@ -730,5 +756,79 @@ func TestHubListenGivesUpOnHeldAddr(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < 500*time.Millisecond || waited > 5*time.Second {
 		t.Fatalf("gave up after %v, want the ≈0.5s retry window", waited)
+	}
+}
+
+// TestLinkFaultReachesBystander: a fault on the link between ranks 1 and
+// 2 reaches rank 0, which is no party to it, through the coordinator.
+// Rank 0's blocked Recv returns an ErrPeerLost naming the faulty rank
+// (and the checksum failure, for a corrupted frame), its LostRanks names
+// that rank, and Close joins every goroutine. The sever row faults the
+// link's dialing end, the corrupt row its accepting end.
+func TestLinkFaultReachesBystander(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		faulty, peer int // the faulty rank and the far end of its faulty link
+		rule         faultRule
+		want         string
+	}{
+		{"sever", 2, 1, faultRule{action: faultSever}, "rank 2"},
+		{"corrupt", 1, 2, faultRule{action: faultCorrupt}, "checksum"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			testDialWrap = func(rank, peer int, conn net.Conn) net.Conn {
+				if rank == tc.faulty && peer == tc.peer {
+					return newFaultConn(conn, map[int]faultRule{3: tc.rule})
+				}
+				return conn
+			}
+			t.Cleanup(func() { testDialWrap = nil })
+
+			worlds, errs := joinWorld(t, freeAddr(t), 3)
+			for rank, err := range errs {
+				if err != nil {
+					closeWorlds(worlds)
+					t.Fatalf("rank %d join: %v", rank, err)
+				}
+			}
+			runErrs := make([]error, 3)
+			var wg sync.WaitGroup
+			for rank, pw := range worlds {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					runErrs[rank] = pw.Run(func(c *Comm) error {
+						if c.Rank() == 0 {
+							_, err := c.Recv(AnySource, 9) // never sent; unblocked by the FAULT
+							return err
+						}
+						other := 3 - c.Rank()
+						for i := 0; i < 10; i++ {
+							if err := c.Send(other, 1, []byte{byte(i)}); err != nil {
+								return err
+							}
+							if _, err := c.Recv(other, 1); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				}()
+			}
+			wg.Wait()
+			lost := worlds[0].LostRanks()
+			closeWorlds(worlds)
+
+			err := runErrs[0]
+			if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), fmt.Sprintf("rank %d", tc.faulty)) ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("bystander rank 0: err = %v, want ErrPeerLost naming rank %d and %q", err, tc.faulty, tc.want)
+			}
+			if len(lost) != 1 || lost[0] != tc.faulty {
+				t.Fatalf("rank 0 LostRanks = %v, want [%d]", lost, tc.faulty)
+			}
+			settleGoroutines(t, before)
+		})
 	}
 }

@@ -9,11 +9,12 @@ import (
 // Fault injection: a net.Conn wrapper that understands the wire format
 // well enough to manipulate individual outbound frames — drop one,
 // corrupt one, delay one, or sever the connection at one — selected by
-// frame index. Tests install it per rank through testDialWrap (see
+// frame index. Tests install it on one connection — a rank's link to a
+// peer, or its control connection — through testDialWrap (see
 // distributed.go) to exercise the transport's failure paths: checksum
-// rejection, FAULT broadcast, fail-fast teardown. It deliberately lives
-// outside _test.go files so future chaos tooling (e.g. an edgeswitch
-// -chaos mode) can reuse it.
+// rejection, lost-peer reports, FAULT broadcast, fail-fast teardown. It
+// deliberately lives outside _test.go files so future chaos tooling
+// (e.g. an edgeswitch -chaos mode) can reuse it.
 
 // A faultAction says what to do with one outbound frame.
 type faultAction int

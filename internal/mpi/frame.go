@@ -8,41 +8,54 @@ import (
 	"io"
 )
 
-// Wire protocol (version 2), spoken between the hub and its clients
-// whether they share a process (WithTCP) or not (JoinDistributed):
+// Wire protocol (version 3), spoken on a rank's control connection to
+// the coordinator and on its link to each other rank, whether the ranks
+// share a process (WithTCP) or not (JoinDistributed):
 //
-//	hello (client → hub, once): magic u32 | version u32 | size u32 | rank u32
-//	ack   (hub → client, once): magic u32 | version u32 | status u32
-//	frame (either direction):   peer i32 | tag i32 | len u32 | payload | crc32c u32
+//	hello (rank → coordinator, and dialer → acceptor on a link, once):
+//	      magic u32 | version u32 | size u32 | rank u32 | n u32 | n-byte address
+//	ack   (the answer, once):  magic u32 | version u32 | status u32
+//	frame (either direction):  peer i32 | tag i32 | len u32 | payload | crc32c u32
 //
-// The CRC32C trailer covers frame[4 : frameHeader+len] — tag, length and
-// payload, but NOT the peer field. The hub rewrites peer in place when
-// forwarding (destination on the way in, source on the way out), and
-// excluding it lets the rewritten frame be forwarded without recomputing
-// the checksum. A corrupted frame is rejected by readFrame with
-// ErrChecksum instead of silently desynchronizing the stream, and the
-// versioned hello makes mismatched binaries fail loudly at join time.
+// A coordinator hello carries the rank's data-plane listen address; a
+// link hello names the dialer and carries none. Magic and version are
+// checked before the rest is read, so a binary of another version is
+// refused by name whatever its hello looks like. On a link the peer field
+// names the sender. The CRC32C trailer covers frame[4 : frameHeader+len]
+// — tag, length and payload, but NOT the peer field. A corrupted frame is
+// rejected by readFrame with ErrChecksum instead of silently
+// desynchronizing the stream.
 //
 // Application tags are non-negative (collectives use the reserved block at
 // collTagBase and up); negative tags are the transport's control plane and
-// never reach a mailbox:
+// never reach a mailbox. Data frames travel only on links; the control
+// connection carries only these:
 //
-//	wireTagFault — hub → clients: a rank's connection dropped; the peer
-//	  field carries the failed rank and the payload a diagnostic string.
-//	  Receivers fail their mailbox with ErrPeerLost so every blocked
-//	  receive returns a named error instead of hanging.
-//	wireTagLeave — client → hub: orderly departure, sent by stop() just
-//	  before closing. The hub marks the rank departed so the subsequent
-//	  EOF is a clean exit, not a fault.
+//	wireTagRoster — coordinator → ranks, once all have joined: the payload
+//	  lists every rank's data-plane address (encodeParts, by rank).
+//	wireTagLost — rank → coordinator: the link to the rank in the peer
+//	  field ended in EOF without a LEAVE or failed a checksum; the payload
+//	  carries the diagnostic.
+//	wireTagFault — coordinator → ranks: the rank in the peer field was
+//	  declared lost; the payload carries a diagnostic. Receivers fail
+//	  their mailbox with ErrPeerLost so every blocked receive returns a
+//	  named error instead of hanging.
+//	wireTagLeave — rank → coordinator and on every link: orderly
+//	  departure, sent by stop() just before closing, so the subsequent EOF
+//	  is a clean exit, not a fault.
 const (
 	wireMagic   = 0x45535731 // "ESW1"
-	wireVersion = 2
+	wireVersion = 3
 
-	helloLen = 16
+	helloLen = 16 // the fixed part, before the address
 	ackLen   = 12
 
-	wireTagFault = -2
-	wireTagLeave = -3
+	maxHelloAddr = 256
+
+	wireTagFault  = -2
+	wireTagLeave  = -3
+	wireTagLost   = -4
+	wireTagRoster = -5
 )
 
 // frame layout: peer int32 | tag int32 | len uint32 | payload | crc32c.
@@ -127,9 +140,8 @@ func encodeFrame(peer, tag int, payload []byte) []byte {
 // readFrame reads one complete frame and verifies its checksum. The
 // returned slice is the full wire image (header + payload + trailer) and
 // is freshly allocated on every call: the caller owns it outright and may
-// rewrite the peer field in place (hub forwarding) or retain sub-slices
-// indefinitely (mailbox payloads alias it — see framePayload). peer is
-// the decoded peer field.
+// retain sub-slices indefinitely (mailbox payloads alias it — see
+// framePayload). peer is the decoded peer field.
 func readFrame(r io.Reader) (frame []byte, peer int, err error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -151,68 +163,77 @@ func readFrame(r io.Reader) (frame []byte, peer int, err error) {
 	return frame, int(int32(binary.LittleEndian.Uint32(hdr[0:]))), nil
 }
 
-// putFramePeer rewrites a frame's peer field in place. The checksum
-// excludes the peer field precisely so this is trailer-safe.
-func putFramePeer(frame []byte, peer int) {
-	binary.LittleEndian.PutUint32(frame[0:], uint32(peer))
-}
-
 // frameTag decodes a frame's tag field.
 func frameTag(frame []byte) int {
 	return int(int32(binary.LittleEndian.Uint32(frame[4:])))
 }
 
 // framePayload returns the payload of a full wire frame. The slice
-// aliases the frame's buffer, which readFrame allocated fresh — both
-// transports hand it to the mailbox without copying.
+// aliases the frame's buffer, which readFrame allocated fresh, so a link
+// reader hands it to the mailbox without copying.
 func framePayload(frame []byte) []byte {
 	return frame[frameHeader : len(frame)-frameTrailer]
 }
 
-// encodeFaultFrame builds the control frame the hub broadcasts when a
-// rank's connection drops: the peer field names the failed rank, the
+// encodeFaultFrame builds the control frame the coordinator broadcasts
+// when it declares a rank lost: the peer field names the rank, the
 // payload carries a diagnostic.
 func encodeFaultFrame(rank int, msg string) []byte {
 	return encodeFrame(rank, wireTagFault, []byte(msg))
 }
 
-// writeHello sends the client half of the versioned handshake.
-func writeHello(w io.Writer, size, rank int) error {
-	var hello [helloLen]byte
+// writeHello sends the dialer half of the versioned handshake; addr is
+// the data-plane listen address of a coordinator hello, empty on a link.
+func writeHello(w io.Writer, size, rank int, addr string) error {
+	hello := make([]byte, helloLen+4+len(addr))
 	binary.LittleEndian.PutUint32(hello[0:], wireMagic)
 	binary.LittleEndian.PutUint32(hello[4:], wireVersion)
 	binary.LittleEndian.PutUint32(hello[8:], uint32(size))
 	binary.LittleEndian.PutUint32(hello[12:], uint32(rank))
-	_, err := w.Write(hello[:])
+	binary.LittleEndian.PutUint32(hello[16:], uint32(len(addr)))
+	copy(hello[20:], addr)
+	_, err := w.Write(hello)
 	return err
 }
 
-// readHello reads and validates a client hello against the hub's world
-// size. It returns the announced rank and a join status (joinOK when the
-// hello is well-formed and in range; duplicate detection is the caller's
-// job, it needs the membership table).
-func readHello(r io.Reader, size int) (rank int, status uint32, err error) {
-	var hello [helloLen]byte
-	if _, err := io.ReadFull(r, hello[:]); err != nil {
-		return 0, 0, err
+// readHello reads and validates a hello against the world size. It
+// returns the announced rank and address and a join status (joinOK when
+// the hello is well-formed and in range; duplicate detection is the
+// caller's job, it needs the membership table). A wrong magic or version
+// is answered before anything past the fixed part is read.
+func readHello(r io.Reader, size int) (rank int, addr string, status uint32, err error) {
+	var hello [helloLen + 4]byte
+	if _, err := io.ReadFull(r, hello[:helloLen]); err != nil {
+		return 0, "", 0, err
 	}
 	if binary.LittleEndian.Uint32(hello[0:]) != wireMagic {
-		return 0, joinBadMagic, nil
+		return 0, "", joinBadMagic, nil
 	}
 	if binary.LittleEndian.Uint32(hello[4:]) != wireVersion {
-		return 0, joinBadVersion, nil
+		return 0, "", joinBadVersion, nil
+	}
+	if _, err := io.ReadFull(r, hello[helloLen:]); err != nil {
+		return 0, "", 0, err
+	}
+	n := binary.LittleEndian.Uint32(hello[helloLen:])
+	if n > maxHelloAddr {
+		return 0, "", 0, fmt.Errorf("mpi: hello address of %d bytes", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, "", 0, err
 	}
 	if int(binary.LittleEndian.Uint32(hello[8:])) != size {
-		return 0, joinSizeMismatch, nil
+		return 0, "", joinSizeMismatch, nil
 	}
 	rank = int(int32(binary.LittleEndian.Uint32(hello[12:])))
 	if rank < 0 || rank >= size {
-		return rank, joinBadRank, nil
+		return rank, "", joinBadRank, nil
 	}
-	return rank, joinOK, nil
+	return rank, string(buf), joinOK, nil
 }
 
-// writeAck sends the hub half of the handshake.
+// writeAck sends the answering half of the handshake.
 func writeAck(w io.Writer, status uint32) error {
 	var ack [ackLen]byte
 	binary.LittleEndian.PutUint32(ack[0:], wireMagic)
@@ -222,7 +243,7 @@ func writeAck(w io.Writer, status uint32) error {
 	return err
 }
 
-// readAck reads the hub's handshake reply. A non-OK status comes back as
+// readAck reads the handshake reply. A non-OK status comes back as
 // an ErrHandshake-wrapped error (permanent — retrying cannot help),
 // except joinClosed, which maps to the transient errJoinClosed; a
 // malformed or short ack comes back as the underlying I/O error

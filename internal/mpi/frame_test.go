@@ -19,16 +19,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if peer != 3 || frameTag(got) != 42 || !bytes.Equal(framePayload(got), payload) {
 		t.Fatalf("round trip: peer=%d tag=%d payload=%q", peer, frameTag(got), framePayload(got))
 	}
-	// The hub's peer rewrite must keep the trailer valid: the checksum
-	// excludes the peer field by design.
-	putFramePeer(frame, 7)
-	got, peer, err = readFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("peer rewrite invalidated checksum: %v", err)
-	}
-	if peer != 7 || !bytes.Equal(framePayload(got), payload) {
-		t.Fatalf("after rewrite: peer=%d payload=%q", peer, framePayload(got))
-	}
 }
 
 func TestFrameEmptyPayload(t *testing.T) {
@@ -84,31 +74,52 @@ func TestFrameTooLarge(t *testing.T) {
 
 func TestHandshakeCodec(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHello(&buf, 4, 2); err != nil {
+	if err := writeHello(&buf, 4, 2, "10.0.0.7:4242"); err != nil {
 		t.Fatal(err)
 	}
-	rank, status, err := readHello(&buf, 4)
-	if err != nil || status != joinOK || rank != 2 {
-		t.Fatalf("hello: rank=%d status=%d err=%v", rank, status, err)
+	rank, addr, status, err := readHello(&buf, 4)
+	if err != nil || status != joinOK || rank != 2 || addr != "10.0.0.7:4242" {
+		t.Fatalf("hello: rank=%d addr=%q status=%d err=%v", rank, addr, status, err)
+	}
+	// A link hello carries no address.
+	buf.Reset()
+	_ = writeHello(&buf, 4, 3, "")
+	if rank, addr, status, err := readHello(&buf, 4); err != nil || status != joinOK || rank != 3 || addr != "" {
+		t.Fatalf("link hello: rank=%d addr=%q status=%d err=%v", rank, addr, status, err)
 	}
 
 	// Wrong world size must be rejected before the rank is even ranged.
 	buf.Reset()
-	_ = writeHello(&buf, 8, 2)
-	if _, status, _ := readHello(&buf, 4); status != joinSizeMismatch {
+	_ = writeHello(&buf, 8, 2, "")
+	if _, _, status, _ := readHello(&buf, 4); status != joinSizeMismatch {
 		t.Fatalf("size mismatch status = %d", status)
 	}
 
 	// Out-of-range rank.
 	buf.Reset()
-	_ = writeHello(&buf, 4, 9)
-	if _, status, _ := readHello(&buf, 4); status != joinBadRank {
+	_ = writeHello(&buf, 4, 9, "")
+	if _, _, status, _ := readHello(&buf, 4); status != joinBadRank {
 		t.Fatalf("bad rank status = %d", status)
 	}
 
-	// Garbage magic.
-	if _, status, _ := readHello(bytes.NewReader(make([]byte, helloLen)), 4); status != joinBadMagic {
+	// Garbage magic, and another version, are refused from the fixed
+	// part alone: nothing past it is read.
+	if _, _, status, _ := readHello(bytes.NewReader(make([]byte, helloLen)), 4); status != joinBadMagic {
 		t.Fatal("garbage hello accepted")
+	}
+	buf.Reset()
+	_ = writeHello(&buf, 4, 2, "")
+	old := buf.Bytes()[:helloLen]
+	old[4] = wireVersion - 1
+	if _, _, status, err := readHello(bytes.NewReader(old), 4); status != joinBadVersion || err != nil {
+		t.Fatalf("older version: status = %d, err = %v", status, err)
+	}
+
+	// An address longer than any real one is a malformed hello.
+	buf.Reset()
+	_ = writeHello(&buf, 4, 2, strings.Repeat("x", maxHelloAddr+1))
+	if _, _, _, err := readHello(&buf, 4); err == nil {
+		t.Fatal("oversized hello address accepted")
 	}
 
 	// Ack round trip: OK passes, every permanent rejection maps to
@@ -137,36 +148,31 @@ func TestHandshakeCodec(t *testing.T) {
 	}
 }
 
-// TestHubWriterPostMortem pins the post-failure contract: after drain
-// dies on a write error, the error is recorded, the queue is released,
-// and later pushes are dropped instead of growing without bound.
-func TestHubWriterPostMortem(t *testing.T) {
-	client, server := net.Pipe()
-	_ = client.Close() // the destination is already gone
-
-	hw := newHubWriter()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		hw.drain(server)
-	}()
-	hw.push(encodeFrame(0, 1, []byte("doomed")))
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("drain did not exit on write error")
+// TestLinkWritePostMortem pins a link's post-failure contract: once a
+// write fails, the error names the peer and every later send to it fails
+// fast with that error instead of writing again; a send to a peer that
+// left in order is dropped without error.
+func TestLinkWritePostMortem(t *testing.T) {
+	dead := func() *link {
+		near, far := net.Pipe()
+		_ = far.Close() // the peer is already gone
+		return &link{peer: 1, conn: near}
 	}
-	if hw.error() == nil {
-		t.Fatal("write error not recorded")
+	c := &distClient{links: []*link{nil, dead()}, box: newMailbox(0), writeTimeout: time.Second}
+	err := c.send(0, 1, 1, []byte("doomed"))
+	if !errors.Is(err, ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("write to a dead link: err = %v, want ErrPeerLost naming rank 1", err)
 	}
 	for i := 0; i < 1000; i++ {
-		hw.push(encodeFrame(0, 1, []byte("post-mortem")))
+		if again := c.send(0, 1, 1, []byte("post-mortem")); again != err {
+			t.Fatalf("send %d after the failure: err = %v, want the recorded %v", i, again, err)
+		}
 	}
-	hw.mu.Lock()
-	queued := len(hw.queue)
-	hw.mu.Unlock()
-	if queued != 0 {
-		t.Fatalf("dead writer queued %d frames; post-mortem pushes must be dropped", queued)
+
+	c.links[1] = dead()
+	c.links[1].departed.Store(true)
+	if err := c.send(0, 1, 1, []byte("after LEAVE")); err != nil {
+		t.Fatalf("send to a departed peer: err = %v, want it dropped", err)
 	}
 }
 

@@ -13,12 +13,13 @@
 //   - mem: messages move between ranks through unbounded in-process
 //     mailboxes; this is the default and what benchmarks use.
 //   - tcp: every message is serialized into a checksummed binary frame
-//     and routed over real loopback TCP sockets through a hub, exercising
-//     the full wire path (serialization, kernel socket buffers, framing).
+//     and sent over a real loopback TCP link between the two ranks,
+//     exercising the full wire path (serialization, kernel socket
+//     buffers, framing).
 //
-// There is one hub. A WithTCP world is a distributed world (see
-// distributed.go) whose members all live in this process: the same
-// distHub routes, the same distClient per rank dials it, and a lost
+// A WithTCP world is a distributed world (see distributed.go) whose ranks
+// all live in this process: the same coordinator admits them and hands
+// out the roster, the same links carry their frames, and a lost link or
 // connection surfaces as the same ErrPeerLost naming the rank that a
 // multi-process ProcWorld reports.
 //
@@ -58,8 +59,8 @@ type Transport interface {
 	start(boxes []*mailbox) error
 	// stop tears the transport down.
 	stop() error
-	// faults reports how many transport faults (dead peer connections,
-	// failed hub writers, checksum rejections) this transport observed.
+	// faults reports how many transport faults (lost peers, dead
+	// connections, checksum rejections) this transport observed.
 	faults() int64
 }
 
@@ -82,8 +83,8 @@ type World struct {
 // Option configures a World.
 type Option func(*World) error
 
-// WithTCP routes all messages over loopback TCP sockets instead of
-// in-process mailboxes.
+// WithTCP sends all messages over loopback TCP links, one per pair of
+// ranks, instead of through in-process mailboxes.
 func WithTCP() Option {
 	return func(w *World) error {
 		w.transport = &tcpTransport{}
@@ -129,8 +130,8 @@ type CommStats struct {
 	Sends       int64
 	Bytes       int64
 	Collectives int64
-	// Faults counts transport faults observed (dead peer connections,
-	// failed hub writers, checksum rejections). Non-zero Faults means at
+	// Faults counts transport faults observed (lost peers, dead
+	// connections, checksum rejections). Non-zero Faults means at
 	// least one rank saw a named transport error; see ErrPeerLost.
 	Faults int64
 }

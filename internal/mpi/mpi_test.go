@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // transports runs the test body against both transports.
@@ -709,6 +710,61 @@ func BenchmarkP2PMem(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkPingPong times a 64 B round trip between two ranks on each
+// transport — rank 0 sends, rank 1 echoes — and reports it as us/op
+// (µs per round trip), the latency a remote switch pays per hop pair.
+func BenchmarkPingPong(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"mem", nil},
+		{"tcp", []Option{WithTCP()}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w, err := NewWorld(2, tc.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Run(func(c *Comm) error { return c.Barrier() }); err != nil {
+				b.Fatal(err) // the transport is up before the clock starts
+			}
+			payload := make([]byte, 64)
+			var elapsed time.Duration
+			b.ResetTimer()
+			err = w.Run(func(c *Comm) error {
+				peer := 1 - c.Rank()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					if c.Rank() == 0 {
+						if err := c.Send(peer, 1, payload); err != nil {
+							return err
+						}
+					}
+					m, err := c.Recv(peer, 1)
+					if err != nil {
+						return err
+					}
+					if c.Rank() == 1 {
+						if err := c.SendOwned(peer, 1, m.Data); err != nil {
+							return err
+						}
+					}
+				}
+				if c.Rank() == 0 {
+					elapsed = time.Since(start)
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/1e3/float64(b.N), "us/op")
+		})
+	}
 }
 
 func BenchmarkBarrier8(b *testing.B) {
