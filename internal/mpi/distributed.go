@@ -215,6 +215,7 @@ type link struct {
 	conn     net.Conn
 	mu       sync.Mutex  // serializes writes
 	err      error       // first write failure: later sends fail fast with it
+	renew    time.Time   // when the write deadline is next pushed out
 	departed atomic.Bool // the peer sent LEAVE: its EOF is clean
 }
 
@@ -522,7 +523,13 @@ func (c *distClient) send(src, dst, tag int, data []byte) error {
 	if l.err != nil || l.departed.Load() {
 		return l.err // a peer that left in order receives nothing more
 	}
-	_ = l.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	if now := time.Now(); now.After(l.renew) {
+		// Renewing the deadline costs about as much as a small write, so
+		// it is pushed out only once half of it has passed: a write
+		// still fails within the write timeout, and no sooner than half.
+		_ = l.conn.SetWriteDeadline(now.Add(c.writeTimeout))
+		l.renew = now.Add(c.writeTimeout / 2)
+	}
 	_, err := l.conn.Write(encodeFrame(src, tag, data))
 	if err == nil || l.departed.Load() {
 		return nil
