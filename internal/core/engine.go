@@ -122,10 +122,6 @@ type rankEngine struct {
 	ckpt         *checkpointer
 	restoredStep int64
 
-	// Reused step-boundary scratch (see stepsync.go): the (p+1)-vector an
-	// unchecked run's step exchange sums.
-	stepCounts []int64
-
 	// Statistics.
 	opsInitiated int64
 	restarts     int64

@@ -59,11 +59,7 @@ func (e *rankEngine) stepExchange() ([]int64, int64, error) {
 		return e.stepExchangeChecked()
 	}
 	p := e.c.Size()
-	if cap(e.stepCounts) < p+1 {
-		e.stepCounts = make([]int64, p+1)
-	}
-	vec := e.stepCounts[:p+1]
-	clear(vec)
+	vec := make([]int64, p+1)
 	vec[e.c.Rank()], vec[p] = e.deg.Total(), e.origLocal
 	sums, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
 	if err != nil {
