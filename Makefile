@@ -17,14 +17,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Exits 1 only on error-severity findings; warn-severity (e.g.
-# configdoc) is report-only. CI additionally uploads `esvet -sarif`
-# to code scanning.
+# Exits 1 on any finding. CI additionally uploads `esvet -sarif` to
+# code scanning.
 esvet:
 	$(GO) run ./cmd/esvet ./...
 
+# A deadlock (ranks disagreeing on a collective or a message tag) shows
+# up only as a hung test: the 5-minute bound fails it with a goroutine
+# dump instead of waiting out the 10-minute default. The slowest
+# packages, internal/core and internal/harness, pass in under a minute.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 # cmd/esbench is a nested module (BENCHMARK.json builds and runs it), so
 # the ./... patterns above never see it: vet and test it by name, or an

@@ -1,26 +1,21 @@
-// Command esvet runs the project's static-analysis suite: the invariant
-// checks of internal/analysis that the Go compiler and `go vet` cannot
-// express (deterministic randomness, wall-clock hygiene, goroutine
-// lifecycles, lock copies, dropped transport errors, library prints,
-// sleep-polling in the runtime, rank-divergent collectives, hot-path
-// allocations, buffer ownership after SendOwned, undocumented config
-// fields).
+// Command esvet runs the project's static-analysis suite: the checks of
+// internal/analysis for the invariants that no test, `go vet` or race
+// gate catches (deterministic randomness, goroutine lifecycles, dropped
+// transport errors, library prints, sleep-polling in the runtime,
+// undocumented config fields).
 //
 // Usage:
 //
 //	go run ./cmd/esvet            # analyze the enclosing module
 //	go run ./cmd/esvet ./...      # same (the pattern is accepted for familiarity)
-//	go run ./cmd/esvet -json      # machine-readable diagnostics
 //	go run ./cmd/esvet -sarif     # SARIF 2.1.0 for code-scanning upload
 //	go run ./cmd/esvet -check norand,mpierr
 //	go run ./cmd/esvet -list      # print the check catalogue
 //
-// Exit status: 0 clean (warn-severity findings are report-only),
-// 1 error-severity findings reported, 2 usage or load error.
+// Exit status: 0 clean, 1 findings reported, 2 usage or load error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +33,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("esvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
 	checkList := fs.String("check", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
@@ -46,14 +40,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "esvet: -json and -sarif are mutually exclusive")
-		return 2
-	}
-
 	if *list {
 		for _, c := range analysis.Checks() {
-			fmt.Fprintf(stdout, "%-14s %-5s %s\n", c.Name, c.Severity, c.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", c.Name, c.Doc)
 		}
 		return 0
 	}
@@ -93,39 +82,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := analysis.RunChecks(mod.Packages, checks)
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "esvet:", err)
-			return 2
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := writeSARIF(stdout, checks, diags); err != nil {
 			fmt.Fprintln(stderr, "esvet:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
-	}
-	// Only error-severity findings gate the build; warnings are
-	// report-only (they still appear in every output format above).
-	errs := 0
-	for _, d := range diags {
-		if d.Severity != analysis.SevWarn.String() {
-			errs++
+		if len(diags) > 0 {
+			fmt.Fprintf(stderr, "esvet: %d finding(s)\n", len(diags))
 		}
 	}
-	if len(diags) > 0 && !*jsonOut && !*sarifOut {
-		fmt.Fprintf(stderr, "esvet: %d finding(s), %d gating\n", len(diags), errs)
-	}
-	if errs > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

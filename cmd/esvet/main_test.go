@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -89,41 +88,6 @@ func TestRunReportsFindings(t *testing.T) {
 	}
 }
 
-func TestRunJSON(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":               fixtureGoMod,
-		"internal/core/bad.go": badCore,
-	})
-	code, stdout, _ := runCLI(t, "-json", "-root", dir)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	var diags []analysis.Diagnostic
-	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
-		t.Fatalf("output is not a diagnostic array: %v\n%s", err, stdout)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
-	}
-	if diags[0].Check != "norand" || diags[0].File != "internal/core/bad.go" || diags[0].Line != 5 {
-		t.Fatalf("unexpected first diagnostic: %+v", diags[0])
-	}
-}
-
-func TestRunJSONCleanIsEmptyArray(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":              fixtureGoMod,
-		"internal/core/ok.go": cleanCore,
-	})
-	code, stdout, _ := runCLI(t, "-json", "-root", dir)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("clean JSON output %q, want []", stdout)
-	}
-}
-
 func TestRunCheckFilter(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":               fixtureGoMod,
@@ -192,9 +156,8 @@ func TestRunOnRepository(t *testing.T) {
 	}
 }
 
-// TestWarnSeverityDoesNotGate: a module whose only findings are
-// warn-severity must print them but exit 0.
-func TestWarnSeverityDoesNotGate(t *testing.T) {
+// TestConfigDocGates: configdoc findings gate like every other check.
+func TestConfigDocGates(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": fixtureGoMod,
 		"internal/core/cfg.go": `package core
@@ -206,13 +169,13 @@ type Config struct {
 `,
 	})
 	code, stdout, stderr := runCLI(t, "-root", dir)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0 (warnings are report-only)\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "[configdoc] warning:") {
-		t.Fatalf("warning not reported:\n%s", stdout)
+	if !strings.Contains(stdout, "[configdoc] exported field Config.Undocumented") {
+		t.Fatalf("finding not reported:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "1 finding(s), 0 gating") {
+	if !strings.Contains(stderr, "1 finding(s)") {
 		t.Fatalf("summary missing: %q", stderr)
 	}
 }
@@ -223,7 +186,7 @@ type Config struct {
 func runGolden(t *testing.T, golden string, args ...string) {
 	t.Helper()
 	code, stdout, stderr := runCLI(t, append(args, "-root", filepath.Join("testdata", "module"))...)
-	// The fixture trips one error-severity finding, so the run must gate.
+	// The fixture trips two findings, so the run must gate.
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -244,54 +207,49 @@ func runGolden(t *testing.T, golden string, args ...string) {
 	}
 }
 
-// TestGoldenJSON pins the -json diagnostic schema: field names,
-// severity strings, module-relative slash paths, and the
-// file/line/col/check sort order.
-func TestGoldenJSON(t *testing.T) {
-	runGolden(t, "golden.json", "-json")
-}
-
 // TestGoldenSARIF pins the -sarif output: the 2.1.0 envelope, one rule
-// per registered check with its gating level, and result locations.
+// per registered check, module-relative slash paths, the
+// file/line/col/check sort order, and result locations.
 func TestGoldenSARIF(t *testing.T) {
 	runGolden(t, "golden.sarif", "-sarif")
 }
 
-// TestJSONSarifExclusive: the two machine formats cannot combine.
-func TestJSONSarifExclusive(t *testing.T) {
-	code, _, stderr := runCLI(t, "-json", "-sarif")
-	if code != 2 || !strings.Contains(stderr, "mutually exclusive") {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-}
-
 // TestListMatchesReadme pins `esvet -list` against the README check
-// table: same checks, same order, same severity. A check added to the
-// registry without a README row (or vice versa) fails here.
+// table: same checks, same order. A check added to the registry without
+// a README row (or vice versa) fails here.
 func TestListMatchesReadme(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list exit code = %d (stderr: %s)", code, stderr)
 	}
-	type row struct{ name, severity string }
-	var listed []row
+	var listed []string
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		fields := strings.Fields(line)
-		if len(fields) < 3 {
+		if len(fields) < 2 {
 			t.Fatalf("unparseable -list line %q", line)
 		}
-		listed = append(listed, row{fields[0], fields[1]})
+		listed = append(listed, fields[0])
 	}
 
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Check-table rows look like: | `name` | severity | invariant ... |
-	rowRE := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\| (error|warn) \\|")
-	var documented []row
-	for _, m := range rowRE.FindAllStringSubmatch(string(readme), -1) {
-		documented = append(documented, row{m[1], m[2]})
+	// The check table starts at its "| check |" header row; its rows
+	// look like: | `name` | invariant ... |
+	_, table, ok := strings.Cut(string(readme), "\n| check |")
+	if !ok {
+		t.Fatal("README has no check table")
+	}
+	rowRE := regexp.MustCompile("^\\| `([a-z]+)` \\|")
+	var documented []string
+	for _, line := range strings.Split(table, "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if m := rowRE.FindStringSubmatch(line); m != nil {
+			documented = append(documented, m[1])
+		}
 	}
 
 	if len(listed) != len(documented) {
@@ -308,8 +266,8 @@ func TestListMatchesReadme(t *testing.T) {
 		t.Fatalf("registry has %d checks, -list shows %d", len(names), len(listed))
 	}
 	for i, name := range names {
-		if listed[i].name != name {
-			t.Errorf("registry order %d is %q, -list shows %q", i, name, listed[i].name)
+		if listed[i] != name {
+			t.Errorf("registry order %d is %q, -list shows %q", i, name, listed[i])
 		}
 	}
 }

@@ -72,14 +72,6 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn"`
 }
 
-// sarifLevel maps the suite's severity strings onto SARIF levels.
-func sarifLevel(severity string) string {
-	if severity == analysis.SevWarn.String() {
-		return "warning"
-	}
-	return "error"
-}
-
 // writeSARIF emits the diagnostics of one module analysis as a SARIF
 // log. checks is the set that ran (rules metadata); nil means all.
 func writeSARIF(w io.Writer, checks []*analysis.Check, diags []analysis.Diagnostic) error {
@@ -91,14 +83,14 @@ func writeSARIF(w io.Writer, checks []*analysis.Check, diags []analysis.Diagnost
 		rules[i] = sarifRule{
 			ID:                   c.Name,
 			ShortDescription:     sarifText{Text: c.Doc},
-			DefaultConfiguration: sarifDefault{Level: sarifLevel(c.Severity.String())},
+			DefaultConfiguration: sarifDefault{Level: "error"},
 		}
 	}
 	results := make([]sarifResult, len(diags))
 	for i, d := range diags {
 		results[i] = sarifResult{
 			RuleID:  d.Check,
-			Level:   sarifLevel(d.Severity),
+			Level:   "error",
 			Message: sarifText{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{

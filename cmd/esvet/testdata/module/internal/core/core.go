@@ -1,7 +1,6 @@
-// Package core is the golden-test fixture: a tiny module that trips a
-// deterministic mix of error- and warn-severity checks so the JSON and
-// SARIF outputs pin the diagnostic schema, module-relative paths, sort
-// order, and severity strings.
+// Package core is the golden-test fixture: a tiny module that trips two
+// checks at once so the SARIF output pins the diagnostic schema,
+// module-relative paths and sort order.
 package core
 
 import "math/rand"

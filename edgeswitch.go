@@ -298,13 +298,6 @@ func AvgShortestPath(g *Graph, sources int, seed uint64) float64 {
 	return metrics.AvgShortestPath(g, sources, rng.New(seed))
 }
 
-// SampleSubgraph returns the subgraph induced by k uniform random
-// vertices of g, densely relabeled — a representative subsample for
-// tuning or metric estimation on huge graphs.
-func SampleSubgraph(g *Graph, k int, seed uint64) *Graph {
-	return graph.SampleSubgraph(g, k, rng.Split(seed, 8))
-}
-
 // NewGraph builds a graph on n vertices from an edge list.
 func NewGraph(n int, edges []Edge, seed uint64) (*Graph, error) {
 	return graph.FromEdges(n, edges, rng.New(seed))

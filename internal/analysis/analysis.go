@@ -2,18 +2,22 @@
 // plus the project-specific checks behind cmd/esvet. The parallel engine
 // is a message-passing state machine whose correctness rests on
 // invariants the compiler cannot see: every random draw must flow through
-// the deterministic internal/rng streams, wall-clock reads must stay out
-// of deterministic paths, every goroutine in the runtime must have an
-// explicit lifecycle, and transport errors must not be dropped. Each
-// check encodes one such invariant as a mechanical rule with file:line
-// diagnostics, so a violation is caught by `go run ./cmd/esvet` (or the
-// test suite) instead of by a silently biased benchmark run.
+// the deterministic internal/rng streams, every goroutine in the runtime
+// must have an explicit lifecycle, and transport errors must not be
+// dropped. Each check encodes one such invariant as a mechanical rule
+// with file:line diagnostics, and every finding fails the build.
 //
-// Invariants another gate already measures are deliberately left out:
-// hot-path allocations are pinned by the steady-state Mallocs and
-// testing.AllocsPerRun tests, buffer ownership after mpi SendOwned by the
-// race detector (`make race`), and by-value locks by `go vet`'s
-// copylocks.
+// A check belongs here only if no other gate catches its bug: planted in
+// a copy of the tree, the bug must leave `go build`, `go vet`,
+// `go test -timeout 5m ./...` and `make race` green (README's check
+// table names each injection). Bugs the gates already catch are left to
+// them: a read of an unmapped segment faults the tests; a wall-clock
+// value feeding the run's randomness fails the determinism pins; a rank
+// that skips a collective, sends under an unmatched tag or holds a lock
+// its peers need across a collective hangs them until the test timeout;
+// hot-path allocations fail the steady-state allocation pins; buffer
+// ownership after mpi SendOwned fails `make race`; and by-value locks
+// fail `go vet`'s copylocks.
 //
 // The framework is built only on go/ast, go/parser, go/token and
 // go/types; see load.go for how a module is parsed and type-checked
@@ -29,51 +33,24 @@ import (
 	"strings"
 )
 
-// Severity grades a finding. SevError findings gate CI (`make check`
-// fails, esvet exits 1); SevWarn findings are report-only — printed and
-// carried into JSON/SARIF output, but never fail the build.
-type Severity int
-
-const (
-	SevError Severity = iota
-	SevWarn
-)
-
-func (s Severity) String() string {
-	if s == SevWarn {
-		return "warn"
-	}
-	return "error"
-}
-
 // Diagnostic is one finding, positioned for editors (file:line:col).
 type Diagnostic struct {
-	Check    string `json:"check"`
-	Severity string `json:"severity"` // "error" or "warn"
-	File     string `json:"file"`     // module-relative path
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Check   string
+	File    string // module-relative path
+	Line    int
+	Col     int
+	Message string
 }
 
 func (d Diagnostic) String() string {
-	sev := ""
-	if d.Severity == SevWarn.String() {
-		sev = "warning: "
-	}
-	return fmt.Sprintf("%s:%d:%d: [%s] %s%s", d.File, d.Line, d.Col, d.Check, sev, d.Message)
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// Check is one named rule. Exactly one of Run and RunModule is set:
-// Run inspects a single package per call; RunModule runs once over the
-// whole package set (for rules that need the cross-package call graph).
-// The zero Severity is SevError — report-only checks opt into SevWarn.
+// Check is one named rule; Run inspects a single package per call.
 type Check struct {
-	Name      string
-	Doc       string
-	Severity  Severity
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Checks returns every registered check in presentation order. The
@@ -82,15 +59,10 @@ type Check struct {
 func Checks() []*Check {
 	return []*Check{
 		checkNoRand,
-		checkNoTime,
 		checkGoLifecycle,
 		checkMPIErr,
 		checkNoPrint,
 		checkNoPoll,
-		checkTag,
-		checkLockCollective,
-		checkCollSync,
-		checkMmapLife,
 		checkConfigDoc,
 	}
 }
@@ -114,54 +86,28 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.out = append(*p.out, diagnostic(p.check, p.Pkg, pos, format, args...))
-}
-
-// ModulePass carries one whole-module check run: the rule sees every
-// package at once (module checks build cross-package structures like the
-// call graph) and reports findings against the package owning each
-// position.
-type ModulePass struct {
-	Pkgs  []*Package
-	check *Check
-	out   *[]Diagnostic
-}
-
-// Reportf records a finding at pos, which must belong to pkg's FileSet.
-func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	*p.out = append(*p.out, diagnostic(p.check, pkg, pos, format, args...))
-}
-
-func diagnostic(c *Check, pkg *Package, pos token.Pos, format string, args ...any) Diagnostic {
-	position := pkg.Fset.Position(pos)
+	position := p.Pkg.Fset.Position(pos)
 	file := position.Filename
-	if pkg.Module != nil {
-		file = pkg.Module.Rel(file)
+	if p.Pkg.Module != nil {
+		file = p.Pkg.Module.Rel(file)
 	}
-	return Diagnostic{
-		Check:    c.Name,
-		Severity: c.Severity.String(),
-		File:     file,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	}
+	*p.out = append(*p.out, Diagnostic{
+		Check:   p.check.Name,
+		File:    file,
+		Line:    position.Line,
+		Col:     position.Column,
+		Message: fmt.Sprintf(format, args...),
+	})
 }
 
 // RunChecks executes the given checks (all registered ones if nil) over
-// the packages and returns the findings sorted by position. Package
-// checks run once per package; module checks run once over the whole
-// set.
+// every package and returns the findings sorted by position.
 func RunChecks(pkgs []*Package, checks []*Check) []Diagnostic {
 	if checks == nil {
 		checks = Checks()
 	}
 	var diags []Diagnostic
 	for _, c := range checks {
-		if c.RunModule != nil {
-			c.RunModule(&ModulePass{Pkgs: pkgs, check: c, out: &diags})
-			continue
-		}
 		for _, pkg := range pkgs {
 			c.Run(&Pass{Pkg: pkg, check: c, out: &diags})
 		}
@@ -181,11 +127,6 @@ func RunChecks(pkgs []*Package, checks []*Check) []Diagnostic {
 	})
 	return diags
 }
-
-// deterministicPaths are the packages whose behaviour must be a pure
-// function of the experiment seed (see DESIGN.md): no wall clock, no
-// global randomness.
-var deterministicPaths = []string{"internal/core", "internal/rng", "internal/partition"}
 
 // enginePaths are the message-passing runtime and the engine built on it,
 // where goroutine lifecycles and transport errors are load-bearing.

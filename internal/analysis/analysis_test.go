@@ -66,26 +66,6 @@ func TestChecksOnFixtures(t *testing.T) {
 			check: "norand", variant: "good", as: "internal/core",
 		},
 		{
-			name:  "notime fires in a deterministic package",
-			check: "notime", variant: "bad", as: "internal/core",
-			want: []finding{{"bad.go", 8}, {"bad.go", 10}},
-			msg:  "internal/clock",
-		},
-		{
-			name:  "notime exempts non-deterministic packages",
-			check: "notime", variant: "bad", as: "internal/harness",
-		},
-		{
-			name:  "notime resolves shadowing with type info",
-			check: "notime", variant: "good", as: "internal/core",
-			typecheck: true,
-		},
-		{
-			name:  "notime overapproximates shadowing without type info",
-			check: "notime", variant: "good", as: "internal/core",
-			want: []finding{{"good.go", 14}},
-		},
-		{
 			name:  "golifecycle fires in the runtime",
 			check: "golifecycle", variant: "bad", as: "internal/mpi",
 			want: []finding{{"bad.go", 7}, {"bad.go", 10}, {"bad.go", 11}},
@@ -148,87 +128,14 @@ func TestChecksOnFixtures(t *testing.T) {
 			check: "nopoll", variant: "good", as: "internal/mpi",
 		},
 		{
-			name:  "tagcheck fires on raw and one-sided tags",
-			check: "tagcheck", variant: "bad", as: "internal/core",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 19}, // raw literal tag in Send
-				{"bad.go", 22}, // ackTag used on the send side only
-			},
-			msg: "tag",
-		},
-		{
-			name:  "tagcheck literal rule runs without type info",
-			check: "tagcheck", variant: "bad", as: "internal/core",
-			want: []finding{{"bad.go", 19}},
-			msg:  "raw integer tag",
-		},
-		{
-			name:  "tagcheck exempts non-engine packages",
-			check: "tagcheck", variant: "bad", as: "internal/metrics",
-		},
-		{
-			name:  "tagcheck accepts named, wildcard and annotated tags",
-			check: "tagcheck", variant: "good", as: "internal/core",
+			name:  "nopoll resolves shadowing with type info",
+			check: "nopoll", variant: "shadow", as: "internal/mpi",
 			typecheck: true,
 		},
 		{
-			name:  "lockcollective fires under held mutexes",
-			check: "lockcollective", variant: "bad", as: "internal/core",
-			want: []finding{
-				{"bad.go", 22}, // Barrier under a deferred Unlock
-				{"bad.go", 27}, // Allgather between Lock and Unlock
-			},
-			msg: "holding",
-		},
-		{
-			name:  "lockcollective exempts non-engine packages",
-			check: "lockcollective", variant: "bad", as: "internal/harness",
-		},
-		{
-			name:  "lockcollective accepts released locks, literal scopes and annotations",
-			check: "lockcollective", variant: "good", as: "internal/core",
-		},
-		{
-			name:  "collsync fires on rank-divergent collectives",
-			check: "collsync", variant: "bad", as: "internal/mpi",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 12}, // Barrier inside a rank branch
-				{"bad.go", 23}, // Barrier after a rank-keyed early return
-				{"bad.go", 32}, // call to sync() (performs Barrier) inside a rank branch
-			},
-			msg: "rank-dependent branch",
-		},
-		{
-			name:  "collsync exempts non-engine packages",
-			check: "collsync", variant: "bad", as: "internal/harness",
-		},
-		{
-			name:  "collsync accepts joins, sends and annotated sites",
-			check: "collsync", variant: "good", as: "internal/mpi",
-			typecheck: true,
-		},
-		{
-			name:  "mmaplife fires on slice uses after Close/Unmap",
-			check: "mmaplife", variant: "bad", as: "internal/store",
-			typecheck: true,
-			want: []finding{
-				{"bad.go", 13}, // read after Close
-				{"bad.go", 22}, // closed on one path, used at the join
-				{"bad.go", 29}, // returned after Unmap
-			},
-			msg: "unmapped",
-		},
-		{
-			name:  "mmaplife exempts non-store packages",
-			check: "mmaplife", variant: "bad", as: "internal/harness",
-			typecheck: true,
-		},
-		{
-			name:  "mmaplife accepts copy-out, deferred Close, rebinds and annotations",
-			check: "mmaplife", variant: "good", as: "internal/store",
-			typecheck: true,
+			name:  "nopoll overapproximates shadowing without type info",
+			check: "nopoll", variant: "shadow", as: "internal/mpi",
+			want: []finding{{"shadow.go", 15}},
 		},
 		{
 			name:  "configdoc fires on undocumented exported config fields",
@@ -281,8 +188,8 @@ func TestCheckCatalogue(t *testing.T) {
 		if c.Name == "" || c.Doc == "" {
 			t.Fatalf("check %+v incompletely registered", c)
 		}
-		if (c.Run == nil) == (c.RunModule == nil) {
-			t.Fatalf("check %q must set exactly one of Run and RunModule", c.Name)
+		if c.Run == nil {
+			t.Fatalf("check %q has no Run", c.Name)
 		}
 		if seen[c.Name] {
 			t.Fatalf("duplicate check name %q", c.Name)

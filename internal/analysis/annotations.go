@@ -22,13 +22,5 @@ func Annotations() []Annotation {
 			Doc: "names the lifecycle mechanism of a goroutine the structural Done()/recover() rule cannot see"},
 		{Marker: nopollMarker, Check: "nopoll",
 			Doc: "justifies a sleep-in-loop where no blocking wait exists"},
-		{Marker: tagMarker, Check: "tagcheck",
-			Doc: "permits a raw or one-sided message tag at one transport call site"},
-		{Marker: lockCollMarker, Check: "lockcollective",
-			Doc: "permits a collective under a held mutex (e.g. teardown with peers already gone)"},
-		{Marker: collsyncMarker, Check: "collsync",
-			Doc: "permits a collective under a rank-dependent branch (all ranks provably take the same path)"},
-		{Marker: mmaplifeMarker, Check: "mmaplife",
-			Doc: "permits touching a mapping-derived slice after its segment's Close (the bytes are provably still valid)"},
 	}
 }

@@ -12,13 +12,12 @@ import (
 // value's meaning, the valid range, and the perf consequences all live
 // in the field comment. The rule is name-based: a struct type named
 // Config or Options, or ending in Config, Options, or Option, is a
-// configuration struct. Report-only (SevWarn): prose quality is for
-// review, the check only catches absence.
+// configuration struct. Prose quality is for review; the check only
+// catches absence.
 var checkConfigDoc = &Check{
 	Name: "configdoc",
 	Doc: "exported fields of configuration structs (Config, Options, " +
 		"*Config, *Options, *Option) must carry a doc comment",
-	Severity: SevWarn,
 	Run: func(p *Pass) {
 		for _, f := range p.Pkg.Files {
 			if f.Test {

@@ -1,8 +1,12 @@
 //go:build esdebug
 
 // Fixture: build-tagged files are exempt (debug instrumentation gate).
-package fixture
+package bad
 
 import "time"
 
-func DebugStamp() time.Time { return time.Now() }
+func debugSpin(ready func() bool) {
+	for !ready() {
+		time.Sleep(time.Millisecond)
+	}
+}

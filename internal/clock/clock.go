@@ -1,11 +1,11 @@
 // Package clock is the library's single wall-clock gateway. The
 // deterministic packages (internal/core, internal/rng,
 // internal/partition) must behave as pure functions of (input, seed,
-// config); esvet's notime check forbids them from calling time.Now or
-// time.Since directly. Code in those packages that legitimately needs to
-// *measure* elapsed time — never to make decisions — reads it through
-// this package, where tests can substitute a fake clock and where every
-// wall-clock dependency of a deterministic path is visible in one place.
+// config), so they never make decisions from the wall clock. Code in
+// those packages that legitimately needs to *measure* elapsed time reads
+// it through this package, where tests can substitute a fake clock and
+// where every wall-clock dependency of a deterministic path is visible in
+// one place.
 package clock
 
 import "time"

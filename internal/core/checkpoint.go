@@ -483,7 +483,6 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	// the step was agreed, so the per-rank load and decode error paths
 	// above fire only on a corruption race, where the whole restore is
 	// abandoned anyway.
-	// collsync: post-agreement ranks cannot routinely diverge (see above)
 	degCRC, err := ck.degreeCRC(e)
 	if err != nil {
 		return false, err

@@ -144,8 +144,8 @@ func (s *Segment) CRC() uint32 { return s.crc }
 func (s *Segment) Path() string { return s.path }
 
 // List returns slot li's encoded adjacency list as a zero-copy slice of
-// the mapping. The slice dies with the segment: it must not be used
-// after Close (the mmaplife vet check enforces this for locals).
+// the mapping. The slice dies with the segment: Close unmaps its pages,
+// and a later read faults.
 func (s *Segment) List(li int) []byte {
 	lo, hi := s.offset(li), s.offset(li+1)
 	if lo < 0 || hi < lo || hi > int64(len(s.payload)) {
