@@ -42,7 +42,6 @@ import (
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/metrics"
 	"edgeswitch/internal/rng"
-	"edgeswitch/internal/tune"
 )
 
 // Re-exported fundamental types.
@@ -262,15 +261,6 @@ func Generate(dataset string, scale float64, seed uint64) (*Graph, error) {
 
 // Datasets lists the available dataset names.
 func Datasets() []string { return gen.DatasetNames() }
-
-// TuneStepSize runs the paper's §4.7 step-size selection procedure: it
-// probes candidate step sizes on g with the real engines and returns the
-// largest one whose error rate against the sequential process stays at
-// the sequential noise floor, along with the measured error rates. Tune
-// on a representative subsample when g is huge.
-func TuneStepSize(g *Graph, t int64, ranks int, scheme Scheme, seed uint64) (*tune.Result, error) {
-	return tune.StepSize(g, t, tune.Options{Ranks: ranks, Scheme: scheme, Seed: seed})
-}
 
 // ErrorRate measures the paper's similarity metric between two resultant
 // graphs (§4.6, eqs. 6–7): both vertex sets are cut into blocks

@@ -51,8 +51,11 @@ type Config struct {
 	Scheme Scheme
 	// StepSize is the number of operations per step (§4.5); operations
 	// are re-distributed by multinomial sampling and the probability
-	// vector is refreshed between steps. 0 means a single step (the HP
-	// schemes' recommended mode, Table 3).
+	// vector is refreshed between steps. 0 means a single step.
+	//
+	// The rule (§4.7): one step for the HP schemes (Table 3), about t/100
+	// for CP (Figs. 8–11), whose one-step error rate is several times the
+	// sequential baseline. harness.TestTable3Verdict asserts both.
 	StepSize int64
 	// Seed drives every random choice of the run.
 	Seed uint64

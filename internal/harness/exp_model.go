@@ -43,7 +43,7 @@ func runFig4Model(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		res, err := parRun(g, t, core.Config{
+		res, err := core.Parallel(g, t, core.Config{
 			Ranks: cfg.MaxRanks, Scheme: pr.scheme, Seed: cfg.Seed,
 			StepSize: t / 100, SkipResult: true,
 		})

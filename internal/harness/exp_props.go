@@ -47,7 +47,7 @@ func runFig12_13(cfg Config) error {
 			if _, err := core.Sequential(seqG, delta, seqR); err != nil {
 				return err
 			}
-			res, err := parRun(parG, delta, core.Config{
+			res, err := core.Parallel(parG, delta, core.Config{
 				Ranks: cfg.MaxRanks, Scheme: core.SchemeHPU, Seed: cfg.Seed + uint64(x*100),
 			})
 			if err != nil {
@@ -120,7 +120,7 @@ func runFig18(cfg Config) error {
 	tw := newTable(cfg.Out)
 	fmt.Fprintln(tw, "scheme\tquantity\tmin\tmedian\tmax\tmax/mean")
 	for _, scheme := range core.Schemes() {
-		res, err := parRun(g, t, core.Config{
+		res, err := core.Parallel(g, t, core.Config{
 			Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 		})
 		if err != nil {
@@ -147,7 +147,7 @@ func runFig19_20(cfg Config) error {
 			return err
 		}
 		for _, scheme := range core.Schemes() {
-			res, err := parRun(g, t, core.Config{
+			res, err := core.Parallel(g, t, core.Config{
 				Ranks: cfg.MaxRanks, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 			})
 			if err != nil {

@@ -32,7 +32,7 @@ func strongScaling(cfg Config, scheme core.Scheme, names []string) error {
 		fmt.Fprintf(tw, "%s\t%d\t%d\tseq\t%s\t1.00\t-\n", name, g.M(), t, ms(base))
 		var p1 time.Duration
 		for _, p := range rankSweep(cfg) {
-			res, err := parRun(g, t, core.Config{
+			res, err := core.Parallel(g, t, core.Config{
 				Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 			})
 			if err != nil {
@@ -90,7 +90,7 @@ func runFig15(cfg Config) error {
 		for _, scheme := range core.Schemes() {
 			var p1 time.Duration
 			for _, p := range rankSweep(cfg) {
-				res, err := parRun(g, t, core.Config{
+				res, err := core.Parallel(g, t, core.Config{
 					Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 				})
 				if err != nil {
@@ -142,7 +142,7 @@ func weakScaling(cfg Config, schemes []core.Scheme) error {
 				label string
 				g     *graph.Graph
 			}{{"growing", growing}, {"fixed", fixed}} {
-				res, err := parRun(v.g, t, core.Config{
+				res, err := core.Parallel(v.g, t, core.Config{
 					Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: step, SkipResult: true,
 				})
 				if err != nil {
@@ -165,58 +165,83 @@ func runFig5(cfg Config) error { return weakScaling(cfg, []core.Scheme{core.Sche
 // runFig23 is weak scaling of all four schemes.
 func runFig23(cfg Config) error { return weakScaling(cfg, core.Schemes()) }
 
-// runFig21_22 reproduces the adversarial worst case: the PA graph is
-// relabeled so the n/p highest-degree vertices land on one HP-D rank.
-// Fig. 21 is that rank's workload dominance; Fig. 22 the scheme speedup
-// comparison on the manipulated graph (the paper reports CP running 28×
-// faster than HP-D there).
-func runFig21_22(cfg Config) error {
+// fig21_22Row is one scheme's run on the adversarially relabeled graph.
+type fig21_22Row struct {
+	scheme  core.Scheme
+	elapsed time.Duration
+	// speedup is HP-D's elapsed time over this scheme's.
+	speedup float64
+	// hotShare is the percentage of all operations the hot rank performed.
+	hotShare float64
+	// maxOverMean is the per-rank operation imbalance.
+	maxOverMean float64
+}
+
+// fig21_22 relabels the PA stand-in so the n/p highest-degree vertices
+// land on one HP-D rank, runs every scheme on it at p = MaxRanks, and
+// returns the relabeled graph, the hot rank and one row per scheme.
+func fig21_22(cfg Config) (*graph.Graph, int, []fig21_22Row, error) {
 	g, err := dataset(cfg, "pa")
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
 	p := cfg.MaxRanks
 	hot := p / 4
 	adv, err := gen.AdversarialRelabel(rng.Split(cfg.Seed, 52), g, p, hot)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
 	t, err := opsForX(adv, 1)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
-	fmt.Fprintf(cfg.Out, "PA stand-in n=%d m=%d, adversarially relabeled for HP-D, p=%d, hot rank=%d\n",
-		adv.N(), adv.M(), p, hot)
-	tw := newTable(cfg.Out)
-	fmt.Fprintln(tw, "scheme\ttime ms\tspeedup vs HP-D\thot-rank ops share %\tmax/mean workload")
+	var rows []fig21_22Row
 	var hpdTime time.Duration
 	for _, scheme := range core.Schemes() {
-		res, err := parRun(adv, t, core.Config{
+		res, err := core.Parallel(adv, t, core.Config{
 			Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 		})
 		if err != nil {
-			return err
+			return nil, 0, nil, err
 		}
 		if scheme == core.SchemeHPD {
 			hpdTime = res.Elapsed
 		}
-		var total, hotOps int64
-		for rank, ops := range res.RankOps {
+		var total int64
+		for _, ops := range res.RankOps {
 			total += ops
-			if rank == hot {
-				hotOps = ops
-			}
 		}
-		_, _, _, imb := deciles(res.RankOps)
-		rel := 0.0
-		if res.Elapsed > 0 && hpdTime > 0 {
-			rel = float64(hpdTime) / float64(res.Elapsed)
-		}
-		share := 0.0
+		row := fig21_22Row{scheme: scheme, elapsed: res.Elapsed}
 		if total > 0 {
-			share = 100 * float64(hotOps) / float64(total)
+			row.hotShare = 100 * float64(res.RankOps[hot]) / float64(total)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.1f\t%.2f\n", scheme, ms(res.Elapsed), rel, share, imb)
+		_, _, _, row.maxOverMean = deciles(res.RankOps)
+		rows = append(rows, row)
+	}
+	// core.Schemes lists CP before HP-D, so the ratios wait for every run.
+	for i := range rows {
+		if rows[i].elapsed > 0 {
+			rows[i].speedup = float64(hpdTime) / float64(rows[i].elapsed)
+		}
+	}
+	return adv, hot, rows, nil
+}
+
+// runFig21_22 reproduces the adversarial worst case. Fig. 21 is the hot
+// HP-D rank's workload dominance; Fig. 22 the scheme speedup comparison
+// on the manipulated graph (the paper reports CP running 28× faster than
+// HP-D there).
+func runFig21_22(cfg Config) error {
+	adv, hot, rows, err := fig21_22(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(cfg.Out, "PA stand-in n=%d m=%d, adversarially relabeled for HP-D, p=%d, hot rank=%d\n",
+		adv.N(), adv.M(), cfg.MaxRanks, hot)
+	tw := newTable(cfg.Out)
+	fmt.Fprintln(tw, "scheme\ttime ms\tspeedup vs HP-D\thot-rank ops share %\tmax/mean workload")
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.1f\t%.2f\n", r.scheme, ms(r.elapsed), r.speedup, r.hotShare, r.maxOverMean)
 	}
 	return tw.Flush()
 }

@@ -60,7 +60,7 @@ func parER(cfg Config, g *graph.Graph, t int64, pcfg core.Config) (float64, erro
 		}
 		pc := pcfg
 		pc.Seed = cfg.Seed + uint64(rep)*31
-		res, err := parRun(g, t, pc)
+		res, err := core.Parallel(g, t, pc)
 		if err != nil {
 			return 0, err
 		}
@@ -107,7 +107,7 @@ func runFig6_7(cfg Config) error {
 				continue
 			}
 			pcfg := core.Config{Ranks: p, Scheme: core.SchemeCP, Seed: cfg.Seed, StepSize: s}
-			res, err := parRun(g, t, pcfg)
+			res, err := core.Parallel(g, t, pcfg)
 			if err != nil {
 				return err
 			}
@@ -170,7 +170,7 @@ func stepSizeSweep(cfg Config, name string, g *graph.Graph, scheme core.Scheme) 
 	fmt.Fprintln(tw, "step size\tsteps\ttime ms\tspeedup\tER vs seq %")
 	for _, s := range stepSizes(t) {
 		pcfg := core.Config{Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: s}
-		res, err := parRun(g, t, pcfg)
+		res, err := core.Parallel(g, t, pcfg)
 		if err != nil {
 			return err
 		}
@@ -184,40 +184,66 @@ func stepSizeSweep(cfg Config, name string, g *graph.Graph, scheme core.Scheme) 
 	return tw.Flush()
 }
 
+// table3Row is one dataset's line of Table 3. Every error rate is a mean
+// over cfg.Reps runs, in percent.
+type table3Row struct {
+	dataset string
+	// baseline is the sequential-vs-sequential error rate.
+	baseline float64
+	// oneStep is each scheme's parallel-vs-sequential error rate with all
+	// t operations in a single step.
+	oneStep map[core.Scheme]float64
+	// cpT100 is CP's error rate at step size t/100.
+	cpT100 float64
+}
+
+// table3 measures the one-step accuracy comparison on the named
+// datasets at p = MaxRanks.
+func table3(cfg Config, names []string) ([]table3Row, error) {
+	var rows []table3Row
+	for _, name := range names {
+		g, err := dataset(cfg, name)
+		if err != nil {
+			return nil, err
+		}
+		t, err := opsForX(g, 1)
+		if err != nil {
+			return nil, err
+		}
+		row := table3Row{dataset: name, oneStep: map[core.Scheme]float64{}}
+		if row.baseline, err = seqBaselineER(cfg, g, t); err != nil {
+			return nil, err
+		}
+		for _, scheme := range []core.Scheme{core.SchemeHPD, core.SchemeHPM, core.SchemeHPU, core.SchemeCP} {
+			er, err := parER(cfg, g, t, core.Config{Ranks: cfg.MaxRanks, Scheme: scheme, Seed: cfg.Seed})
+			if err != nil {
+				return nil, err
+			}
+			row.oneStep[scheme] = er
+		}
+		row.cpT100, err = parER(cfg, g, t, core.Config{Ranks: cfg.MaxRanks, Scheme: core.SchemeCP, Seed: cfg.Seed, StepSize: t / 100})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
 // runTable3 reproduces the one-step accuracy comparison: the HP schemes
 // performing all operations in a single step stay at the sequential
 // baseline error rate, while CP needs many steps.
 func runTable3(cfg Config) error {
+	rows, err := table3(cfg, []string{"miami", "smallworld", "livejournal"})
+	if err != nil {
+		return err
+	}
 	tw := newTable(cfg.Out)
 	fmt.Fprintln(tw, "dataset\tseq-vs-seq ER %\tHP-D 1-step\tHP-M 1-step\tHP-U 1-step\tCP 1-step\tCP 100-step")
-	for _, name := range []string{"miami", "smallworld", "livejournal"} {
-		g, err := dataset(cfg, name)
-		if err != nil {
-			return err
-		}
-		t, err := opsForX(g, 1)
-		if err != nil {
-			return err
-		}
-		baseline, err := seqBaselineER(cfg, g, t)
-		if err != nil {
-			return err
-		}
-		row := fmt.Sprintf("%s\t%.3f", name, baseline)
-		for _, c := range []core.Config{
-			{Ranks: cfg.MaxRanks, Scheme: core.SchemeHPD, Seed: cfg.Seed},
-			{Ranks: cfg.MaxRanks, Scheme: core.SchemeHPM, Seed: cfg.Seed},
-			{Ranks: cfg.MaxRanks, Scheme: core.SchemeHPU, Seed: cfg.Seed},
-			{Ranks: cfg.MaxRanks, Scheme: core.SchemeCP, Seed: cfg.Seed},
-			{Ranks: cfg.MaxRanks, Scheme: core.SchemeCP, Seed: cfg.Seed, StepSize: t / 100},
-		} {
-			er, err := parER(cfg, g, t, c)
-			if err != nil {
-				return err
-			}
-			row += fmt.Sprintf("\t%.3f", er)
-		}
-		fmt.Fprintln(tw, row)
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n", r.dataset, r.baseline,
+			r.oneStep[core.SchemeHPD], r.oneStep[core.SchemeHPM], r.oneStep[core.SchemeHPU],
+			r.oneStep[core.SchemeCP], r.cpT100)
 	}
 	return tw.Flush()
 }

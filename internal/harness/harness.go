@@ -184,11 +184,6 @@ func seqResult(g *graph.Graph, t int64, seed uint64) (*graph.Graph, error) {
 	return work, nil
 }
 
-// parRun executes a parallel run, optionally keeping the result graph.
-func parRun(g *graph.Graph, t int64, cfg core.Config) (*core.Result, error) {
-	return core.Parallel(g, t, cfg)
-}
-
 // newTable starts an aligned table writer.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

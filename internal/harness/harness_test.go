@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"edgeswitch/internal/core"
 )
 
 func quickCfg(buf *bytes.Buffer) Config {
@@ -108,5 +110,79 @@ func TestDeciles(t *testing.T) {
 	}
 	if _, _, _, z := deciles(nil); z != 0 {
 		t.Fatal("empty deciles")
+	}
+}
+
+// TestTable3Verdict asserts the paper's step-size answer (§4.7, Table 3)
+// against the sequential-vs-sequential error rate (ER): the HP schemes
+// stay at the baseline in one step, CP does at step size t/100, and CP
+// in one step does not, on the two clustered stand-ins. It fixes p = 4
+// and scale 0.05: at Quick's scale 0.02 (p = 2 on two cores) CP's
+// one-step ER is 0.9–1.5× the baseline (10 seeds), too close to tell.
+func TestTable3Verdict(t *testing.T) {
+	// Ratios to the seq-vs-seq ER over seeds 1–30: HP one-step
+	// 0.94–1.25, CP t/100 0.90–1.13, CP one-step 2.66–4.34. The upper
+	// bands are 1.2× the largest ratio seen. Quotas drawn from stale
+	// edge counts put CP t/100 at 2.1–2.8×.
+	const (
+		hpBand     = 1.5
+		cpT100Band = 1.35
+		cpOneStep  = 2.0
+	)
+	cfg := Config{Scale: 0.05, MaxRanks: 4, Reps: 2}.withDefaults()
+	rows, err := table3(cfg, []string{"miami", "smallworld"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		for _, s := range []core.Scheme{core.SchemeHPD, core.SchemeHPM, core.SchemeHPU} {
+			if ratio := r.oneStep[s] / r.baseline; ratio > hpBand {
+				t.Errorf("%s: %s one-step ER %.3f%% is %.2f× the seq-vs-seq %.3f%% (band %.2f)",
+					r.dataset, s, r.oneStep[s], ratio, r.baseline, hpBand)
+			}
+		}
+		if ratio := r.cpT100 / r.baseline; ratio > cpT100Band {
+			t.Errorf("%s: CP ER at t/100 %.3f%% is %.2f× the seq-vs-seq %.3f%% (band %.2f)",
+				r.dataset, r.cpT100, ratio, r.baseline, cpT100Band)
+		}
+		if ratio := r.oneStep[core.SchemeCP] / r.baseline; ratio < cpOneStep {
+			t.Errorf("%s: CP one-step ER %.3f%% is only %.2f× the seq-vs-seq %.3f%% (want ≥ %.2f)",
+				r.dataset, r.oneStep[core.SchemeCP], ratio, r.baseline, cpOneStep)
+		}
+	}
+}
+
+// TestFig21_22Verdict asserts the adversarial worst case (Figs. 21–22):
+// on the relabeled PA graph the hot HP-D rank carries several times its
+// fair share of operations, while HP-U's random hash keeps the ranks
+// balanced.
+func TestFig21_22Verdict(t *testing.T) {
+	// Over seeds 1–30 the hot HP-D rank did 39.8–40.8% of the ops
+	// (3.2× the fair 12.5%) and HP-U's max/mean was 1.03–1.23.
+	const (
+		hotOverFair = 2.5
+		hpuImbBand  = 1.3
+	)
+	cfg := Config{Scale: 0.05, MaxRanks: 8}.withDefaults()
+	_, _, rows, err := fig21_22(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fair := 100 / float64(cfg.MaxRanks)
+	for _, r := range rows {
+		if r.speedup <= 0 {
+			t.Errorf("%s: speedup vs HP-D %.2f", r.scheme, r.speedup)
+		}
+		switch r.scheme {
+		case core.SchemeHPD:
+			if r.hotShare < hotOverFair*fair {
+				t.Errorf("HP-D hot rank does %.1f%% of the ops, want ≥ %.1f × the fair %.1f%%",
+					r.hotShare, hotOverFair, fair)
+			}
+		case core.SchemeHPU:
+			if r.maxOverMean > hpuImbBand {
+				t.Errorf("HP-U ops max/mean %.2f, want ≤ %.2f", r.maxOverMean, hpuImbBand)
+			}
+		}
 	}
 }
