@@ -7,7 +7,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab loc clean
+.PHONY: check build vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab profile loc clean
 
 check: build vet esvet test esbench race racedist
 
@@ -123,6 +123,15 @@ spillsmoke:
 PAIRS ?= 10
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# ROADMAP's CPU-claim ground rule as one command: `edgeswitch
+# -cpuprofile` over seeds 1-5 on this checkout and on PARENT, then both
+# merged pprof top-15 lists with their total sample seconds
+# (scripts/profile.sh; default args are the es-pa shape). Not part of
+# `make check`.
+#   make profile PARENT=HEAD~1
+profile:
+	bash scripts/profile.sh $(PARENT)
 
 # The size ROADMAP's subtraction pass tracks: non-test Go lines of the
 # root module (cmd/esbench is its own module). Not part of `make check`.

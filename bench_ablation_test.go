@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// Fenwick-tree edge sampler vs a linear scan, the in-process vs TCP
+// counted-tree edge sampler vs a linear scan, the in-process vs TCP
 // transports, and edge switching vs the configuration-model baseline for
 // degree-sequence random graph generation — plus the per-operation
 // message-cost bound as a test.
@@ -14,8 +14,9 @@ import (
 	"edgeswitch/internal/rng"
 )
 
-// BenchmarkAblationEdgeSampling compares the O(log n) Fenwick-tree
-// weighted sampler against the O(n) linear scan it replaces.
+// BenchmarkAblationEdgeSampling compares the O(log16 n) counted-tree
+// weighted sampler (graph.Fenwick) against the O(n) linear scan it
+// replaces.
 func BenchmarkAblationEdgeSampling(b *testing.B) {
 	const n = 1 << 17
 	r := rng.New(1)

@@ -43,8 +43,8 @@ type rankEngine struct {
 	// holds the reduced adjacencies (slot li's entries are global
 	// neighbour ids, each > the owner vertex) behind the store seam —
 	// all in memory, or the tiered mmap-base-plus-overlay store when
-	// Config.SpillDir is set; deg is the Fenwick tree over reduced degrees
-	// for O(log) uniform edge selection.
+	// Config.SpillDir is set; deg is the 16-ary counted tree over reduced
+	// degrees for O(log16 n) uniform edge selection.
 	verts []graph.Vertex
 	slot  []int32
 	adj   store.Store

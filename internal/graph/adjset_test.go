@@ -317,6 +317,33 @@ func FuzzAdjSetOps(f *testing.F) {
 	})
 }
 
+// TestAdjSetSearchMatchesSortSearch checks the branchless flat search
+// against sort.Search at every length up to three linear windows and at
+// the largest flat slots: probes below, on, between and above the
+// entries, with entries carrying either original flag.
+func TestAdjSetSearchMatchesSortSearch(t *testing.T) {
+	lengths := []int{8191, 8192}
+	for n := 0; n <= 3*flatLinear; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for flip := uint32(0); flip < 2; flip++ {
+			var s AdjSet
+			for i := 0; i < n; i++ {
+				s.flat = append(s.flat, pack(Vertex(3*i+1), (uint32(i)+flip)&1 == 1))
+			}
+			for v := Vertex(0); v <= Vertex(3*n+1); v++ {
+				key := uint32(v) << 1
+				want := sort.Search(n, func(j int) bool { return s.flat[j] >= key })
+				wantOK := want < n && s.flat[want]>>1 == uint32(v)
+				if i, ok := s.search(v); i != want || ok != wantOK {
+					t.Fatalf("len %d flip %d: search(%d) = (%d,%v), want (%d,%v)", n, flip, v, i, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAblationAdjacency is where flatMax is decided: the engine's
 // per-switch mix on one slot (Contains, Kth, Delete, Insert) at degrees
 // from a typical slot to the paper's PA-100M hub scale, with the slot

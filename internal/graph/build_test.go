@@ -21,8 +21,15 @@ func TestNewFenwickFromMatchesAdds(t *testing.T) {
 			t.Fatalf("n=%d: total %d, want %d", n, got.Total(), ref.Total())
 		}
 		for i := 0; i < n; i++ {
-			if got.PrefixSum(i) != ref.PrefixSum(i) {
-				t.Fatalf("n=%d: prefix[%d] = %d, want %d", n, i, got.PrefixSum(i), ref.PrefixSum(i))
+			if got.Get(i) != ref.Get(i) {
+				t.Fatalf("n=%d: weight[%d] = %d, want %d", n, i, got.Get(i), ref.Get(i))
+			}
+		}
+		for target := int64(0); target < got.Total(); target++ {
+			slot, off := got.FindByPrefix(target)
+			wantSlot, wantOff := ref.FindByPrefix(target)
+			if slot != wantSlot || off != wantOff {
+				t.Fatalf("n=%d: FindByPrefix(%d) = (%d,%d), want (%d,%d)", n, target, slot, off, wantSlot, wantOff)
 			}
 		}
 	}

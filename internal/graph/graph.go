@@ -1,8 +1,9 @@
 // Package graph provides the in-memory graph representation shared by the
 // sequential and parallel edge-switch algorithms: simple undirected graphs
 // stored as reduced adjacency lists (each edge (u,v) with u < v appears
-// once, in the list of u), with order-statistic treap adjacency sets and
-// Fenwick-tree degree indices for O(log) uniform edge sampling.
+// once, in the list of u), with flat-or-treap adjacency sets and 16-ary
+// counted-tree degree indices (Fenwick) for uniform edge sampling in
+// O(log16 n) adjacent words.
 package graph
 
 import (
@@ -34,8 +35,9 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 // Graph is a simple undirected graph with reduced adjacency lists.
 // adj[u] holds exactly the neighbours v of u with v > u, so each edge is
 // stored once and "edge (a,b) exists" is always answered by probing
-// min(a,b)'s list. The Graph maintains a Fenwick tree over reduced degrees
-// so that a uniform random edge can be drawn in O(log n).
+// min(a,b)'s list. The Graph maintains a 16-ary counted tree (Fenwick)
+// over reduced degrees so that a uniform random edge can be drawn in
+// O(log16 n).
 //
 // Graph is not safe for concurrent mutation; the parallel engine gives
 // each rank exclusive ownership of a Partition instead.

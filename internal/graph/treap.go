@@ -36,17 +36,18 @@ type AdjSet struct {
 // that would take a flat slot beyond it promotes, a longer bulk build
 // makes a treap directly. BenchmarkAblationAdjacency's engine-shaped mix
 // (Contains, Kth, delete, insert on one cache-resident slot) in ns per
-// op, treap / flat: d=50 300/83, 1000 450/220, 4096 595/380, 8192
-// 685/520, 16384 950/1150, 50000 1400/4500. 8192 is the largest measured
-// degree where the array wins even against a treap whose nodes are all
-// in cache, which in the engine they are not (DESIGN.md §4). A variable
-// only so the package's tests can lower it and cross promotion and
-// demotion in short sequences; nothing else assigns it.
+// op, treap / flat, medians of 3 on a shared 2-vCPU Xeon: d=50 555/155,
+// 1000 920/330, 4096 1070/720, 8192 1340/1100, 16384 1570/2340, 50000
+// 2090/7400. 8192 is the largest measured degree where the array wins
+// even against a treap whose nodes are all in cache, which in the engine
+// they are not (DESIGN.md §4). A variable only so the package's tests can
+// lower it and cross promotion and demotion in short sequences; nothing
+// else assigns it.
 var flatMax = 8192
 
 // flatLinear is the window below which search stops halving and scans:
 // sixteen entries are one cache line, and a predictable forward scan over
-// it beats four more mispredicted halvings.
+// it beats four more halvings, each waiting on the load before it.
 const flatLinear = 16
 
 type treapNode struct {
@@ -137,19 +138,19 @@ func pack(v Vertex, original bool) uint32 {
 func unpack(e uint32) (Vertex, bool) { return Vertex(e >> 1), e&1 == 1 }
 
 // search returns the position of the first flat entry not below v, and
-// whether that entry is v.
+// whether that entry is v. The position stays within [lo, lo+n]; each
+// halving keeps the upper or lower part without a branch: lt is 1 when
+// f[lo+half-1] < key (the 32-bit difference borrows into bit 63).
 func (s *AdjSet) search(v Vertex) (int, bool) {
 	f, key := s.flat, uint32(v)<<1
-	lo, hi := 0, len(f)
-	for hi-lo > flatLinear {
-		mid := int(uint(lo+hi) >> 1)
-		if f[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	lo, n := 0, len(f)
+	for n > flatLinear {
+		half := n >> 1
+		lt := int((uint64(f[lo+half-1]) - uint64(key)) >> 63)
+		lo += half & -lt
+		n -= half
 	}
-	for lo < hi && f[lo] < key {
+	for hi := lo + n; lo < hi && f[lo] < key; {
 		lo++
 	}
 	return lo, lo < len(f) && f[lo]>>1 == uint32(v)
