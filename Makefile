@@ -127,11 +127,12 @@ ab:
 # ROADMAP's CPU-claim ground rule as one command: `edgeswitch
 # -cpuprofile` over seeds 1-5 on this checkout and on PARENT, then both
 # merged pprof top-15 lists with their total sample seconds
-# (scripts/profile.sh; default args are the es-pa shape). Not part of
-# `make check`.
+# (scripts/profile.sh). ARGS are the edgeswitch arguments; empty, the
+# script's es-pa shape. Not part of `make check`.
 #   make profile PARENT=HEAD~1
+#   make profile PARENT=<rev> ARGS="-gen pa -n 50000 -d 10 -p 2 -x 0.9 -scheme HP-D -algo curveball -q"
 profile:
-	bash scripts/profile.sh $(PARENT)
+	bash scripts/profile.sh $(PARENT) $(ARGS)
 
 # The size ROADMAP's subtraction pass tracks: non-test Go lines of the
 # root module (cmd/esbench is its own module). Not part of `make check`.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -43,6 +42,10 @@ import (
 // only on the multiset of arrivals, never on arrival order or on which
 // rank computed it (where in its arena slice an arrival lands does depend
 // on arrival order, but the slice is sorted before the trade reads it).
+// An arrival is one uint32 word other<<1 | orig, the flat-slot packing;
+// the half of the trade's arena slice holding it says which side it is
+// on. A side's neighbours are distinct, so sorting its words sorts it by
+// other.
 
 // Stream-id name spaces: the top two bits split the 64-bit id space so
 // curveball's pairing and trade draws, the edge switcher's step quotas
@@ -65,13 +68,22 @@ func cbTradeStream(seed uint64, round int64, trade int32) rng.Stream {
 	return rng.NewStream(seed, cbStreamTrade|uint64(round)<<31|uint64(uint32(trade)))
 }
 
-// cbEdge is one adjacency entry in flight through a trade: the non-anchor
+// cbEdge is one adjacency entry leaving a trade: the non-anchor
 // endpoint, which side of the trade the anchor is (u = perm[2t],
 // v = perm[2t+1]), and the original flag.
 type cbEdge struct {
 	other   graph.Vertex
 	anchorV bool
 	orig    bool
+}
+
+// cbWord packs one trade arrival as other<<1 | orig.
+func cbWord(other graph.Vertex, orig bool) uint32 {
+	w := uint32(other) << 1
+	if orig {
+		w |= 1
+	}
+	return w
 }
 
 // cbPermute fills perm with the round's pairing permutation: identity
@@ -117,46 +129,49 @@ func cbFirstTrade(tradeOf []int32, u, w graph.Vertex) (trade int32, anchorW bool
 	}
 }
 
-// sortCBEdges orders arrivals by non-anchor endpoint: insertion sort for
-// the common small lists, slices.SortFunc beyond (generic, so no
-// interface boxing or closure capture on the per-trade path).
-func sortCBEdges(es []cbEdge) {
-	if len(es) <= 24 {
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j].other < es[j-1].other; j-- {
-				es[j], es[j-1] = es[j-1], es[j]
+// sortCBEdges orders one side's arrival words, and so the side by
+// non-anchor endpoint: insertion sort for the common small lists,
+// slices.Sort beyond.
+func sortCBEdges(ws []uint32) {
+	if len(ws) <= 24 {
+		for i := 1; i < len(ws); i++ {
+			for j := i; j > 0 && ws[j] < ws[j-1]; j-- {
+				ws[j], ws[j-1] = ws[j-1], ws[j]
 			}
 		}
 		return
 	}
-	slices.SortFunc(es, func(a, b cbEdge) int { return cmp.Compare(a.other, b.other) })
+	slices.Sort(ws)
 }
 
-// cbApplyTrade performs one trade on sorted per-side arrival lists
-// (uList anchored at u, vList at v; the pair edge, if any, is handled by
-// the caller and appears in neither). Shared neighbours keep their
-// sides; the disjoint rest is pooled in ascending endpoint order — the
-// canonical order that makes the outcome arrival-order-independent — and
-// a partial Fisher–Yates over the trade stream selects |u-only| entries
-// for u, the rest going to v. An entry that changes sides loses its
-// original flag (that adjacency was modified); one that stays keeps it.
-// pool and out are caller scratch, returned for reuse.
-func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, outOut []cbEdge) {
+// cbApplyTrade performs one trade on the sorted arrival words of each
+// side (uList anchored at u, vList at v; the pair edge, if any, is
+// handled by the caller and appears in neither). Shared neighbours keep
+// their sides; the disjoint rest is pooled in ascending endpoint order —
+// the canonical order that makes the outcome arrival-order-independent —
+// as word<<1 | fromV, and a partial Fisher–Yates over the trade stream
+// selects |u-only| entries for u, the rest going to v. An entry that
+// changes sides loses its original flag (that adjacency was modified);
+// one that stays keeps it. pool and out are caller scratch, returned for
+// reuse.
+func cbApplyTrade(uList, vList []uint32, pool []uint64, out []cbEdge, st rng.Stream) (poolOut []uint64, outOut []cbEdge) {
 	pool, out = pool[:0], out[:0]
 	nU := 0
 	i, j := 0, 0
 	for i < len(uList) || j < len(vList) {
 		switch {
-		case j >= len(vList) || (i < len(uList) && uList[i].other < vList[j].other):
-			pool = append(pool, uList[i])
+		case j >= len(vList) || (i < len(uList) && uList[i]>>1 < vList[j]>>1):
+			pool = append(pool, uint64(uList[i])<<1)
 			nU++
 			i++
-		case i >= len(uList) || vList[j].other < uList[i].other:
-			pool = append(pool, vList[j])
+		case i >= len(uList) || vList[j]>>1 < uList[i]>>1:
+			pool = append(pool, uint64(vList[j])<<1|1)
 			j++
 		default:
 			// Shared neighbour: both sides keep it, flags intact.
-			out = append(out, uList[i], vList[j])
+			out = append(out,
+				cbEdge{other: graph.Vertex(uList[i] >> 1), orig: uList[i]&1 != 0},
+				cbEdge{other: graph.Vertex(vList[j] >> 1), anchorV: true, orig: vList[j]&1 != 0})
 			i++
 			j++
 		}
@@ -169,14 +184,10 @@ func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, out
 		ctr++
 		pool[k], pool[r] = pool[r], pool[k]
 	}
-	for k := range pool {
-		ed := pool[k]
+	for k, w := range pool {
 		toV := k >= nU
-		if ed.anchorV != toV {
-			ed.anchorV = toV
-			ed.orig = false
-		}
-		out = append(out, ed)
+		// A side change (fromV != toV) clears the original flag.
+		out = append(out, cbEdge{other: graph.Vertex(w >> 2), anchorV: toV, orig: w&2 != 0 && (w&1 != 0) == toV})
 	}
 	return pool, out
 }
@@ -184,7 +195,7 @@ func cbApplyTrade(uList, vList, pool, out []cbEdge, st rng.Stream) (poolOut, out
 // cbTrade is the orchestrator-side state of one trade, stored at the
 // local slot of perm[2t] (a vertex joins at most one trade per round, so
 // the slot is a perfect key and the table recycles across rounds). Its
-// arrivals live in the round's arena: the u side at
+// arrival words live in the round's arena: the u side at
 // arena[off : off+du], the v side right behind it.
 type cbTrade struct {
 	u, v   graph.Vertex // perm[2t], perm[2t+1]
@@ -219,7 +230,7 @@ type curveball struct {
 	trades  []cbTrade // indexed by local slot of the trade's u
 	pending int       // owned trades not yet executed this round
 
-	arena   []cbEdge   // this round's arrivals, one slice pair per owned trade
+	arena   []uint32   // this round's arrival words, one slice pair per owned trade
 	ready   []int32    // owned trades holding every arrival, not yet executed
 	settled []slotEdge // edges final for the round that this rank owns
 
@@ -229,7 +240,8 @@ type curveball struct {
 	drainErr  error
 
 	// Execution scratch, reused across trades.
-	pool, out []cbEdge
+	pool []uint64
+	out  []cbEdge
 }
 
 // newCurveball bootstraps the curveball randomizer: one O(n)
@@ -427,7 +439,7 @@ func (r *curveball) arrive(ts *cbTrade, t int32, anchorV bool, other graph.Verte
 	case *n+pair >= d:
 		return fmt.Errorf("core: rank %d round %d: trade %d got more than the %d edges of vertex %d", r.e.c.Rank(), r.round, t, d, anchor)
 	default:
-		r.arena[base+int(*n)] = cbEdge{other: other, anchorV: anchorV, orig: orig}
+		r.arena[base+int(*n)] = cbWord(other, orig)
 		*n++
 	}
 	if ts.nU+pair == ts.du && ts.nV+pair == ts.dv {
@@ -578,9 +590,13 @@ func (r *curveball) endStep() error {
 	if r.pending != 0 {
 		return fmt.Errorf("core: rank %d ends round %d with %d unexecuted trades", r.e.c.Rank(), r.round, r.pending)
 	}
+	// The loader keeps the settled list's array and drops the one it
+	// scattered through, which becomes next round's settled list.
+	next := r.e.load.spare
 	if err := r.e.loadSlotEdges(r.settled, false); err != nil {
 		return fmt.Errorf("core: round %d: %w", r.round, err)
 	}
+	r.settled = next[:0]
 	return nil
 }
 
@@ -591,12 +607,12 @@ type seqCBEdge struct {
 	orig bool
 }
 
-// seqCBTrade is one trade of the sequential reference: its arrivals in
-// one buffer, split by side when the trade runs.
+// seqCBTrade is one trade of the sequential reference: its arrival
+// words (cbWord) in one buffer per side.
 type seqCBTrade struct {
 	u, v     graph.Vertex
 	pairFlag uint8 // as cbTrade.pairFlag
-	buf      []cbEdge
+	uw, vw   []uint32
 }
 
 // SequentialCurveball performs `rounds` global trade rounds on g in
@@ -637,12 +653,13 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 	tradeOf := make([]int32, n)
 	nt := n / 2
 	trades := make([]seqCBTrade, nt)
-	var ubuf, vbuf, pool, out []cbEdge
+	var pool []uint64
+	var out []cbEdge
 	next := make([]seqCBEdge, 0, len(cur))
 
 	// arrive delivers one adjacency entry to trade t, mirroring
 	// curveball.arrive: the pair edge is flagged aside, everything else
-	// joins the arrival buffer on its anchor's side.
+	// joins its anchor's side.
 	arrive := func(t int32, anchor, other graph.Vertex, orig bool) {
 		ts := &trades[t]
 		switch {
@@ -652,9 +669,9 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 				ts.pairFlag = 1
 			}
 		case anchor == ts.u:
-			ts.buf = append(ts.buf, cbEdge{other: other, orig: orig})
+			ts.uw = append(ts.uw, cbWord(other, orig))
 		default:
-			ts.buf = append(ts.buf, cbEdge{other: other, anchorV: true, orig: orig})
+			ts.vw = append(ts.vw, cbWord(other, orig))
 		}
 	}
 
@@ -673,8 +690,8 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 		cbPermute(perm, seed, round)
 		cbAssignTrades(tradeOf, perm)
 		for t := range trades {
-			buf := trades[t].buf[:0]
-			trades[t] = seqCBTrade{u: perm[2*t], v: perm[2*t+1], buf: buf}
+			ts := &trades[t]
+			*ts = seqCBTrade{u: perm[2*t], v: perm[2*t+1], uw: ts.uw[:0], vw: ts.vw[:0]}
 		}
 		next = next[:0]
 		for _, se := range cur {
@@ -694,17 +711,9 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 		// curveball.execute does.
 		for t := 0; t < nt; t++ {
 			ts := &trades[t]
-			ubuf, vbuf = ubuf[:0], vbuf[:0]
-			for _, ed := range ts.buf {
-				if ed.anchorV {
-					vbuf = append(vbuf, ed)
-				} else {
-					ubuf = append(ubuf, ed)
-				}
-			}
-			sortCBEdges(ubuf)
-			sortCBEdges(vbuf)
-			pool, out = cbApplyTrade(ubuf, vbuf, pool, out, cbTradeStream(seed, round, int32(t)))
+			sortCBEdges(ts.uw)
+			sortCBEdges(ts.vw)
+			pool, out = cbApplyTrade(ts.uw, ts.vw, pool, out, cbTradeStream(seed, round, int32(t)))
 			for _, ed := range out {
 				anchor := ts.u
 				if ed.anchorV {

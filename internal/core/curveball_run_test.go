@@ -251,7 +251,7 @@ func TestEdgeRunRejectsCorruption(t *testing.T) {
 		r := armedCurveball(t)
 		tr := pickTrade(t, r, "pending", pending)
 		ts := &r.trades[r.orch[tr]]
-		before := append([]cbEdge(nil), r.arena...)
+		before := append([]uint32(nil), r.arena...)
 		var ents []runEnt
 		for _, x := range spare(ts, int(ts.du)+1) {
 			ents = append(ents, runEnt{tr, x, runTrade})

@@ -335,18 +335,9 @@ func TestCBAssignAndFirstTrade(t *testing.T) {
 // degrees, side changes clear the original flag, and the outcome is a
 // pure function of the sorted input lists.
 func TestCBApplyTrade(t *testing.T) {
-	uList := []cbEdge{
-		{other: 2, orig: true},
-		{other: 5, orig: true},
-		{other: 7, orig: false},
-	}
-	vList := []cbEdge{
-		{other: 3, anchorV: true, orig: true},
-		{other: 5, anchorV: true, orig: false},
-	}
-	st := cbTradeStream(11, 1, 0)
-	var pool, out []cbEdge
-	pool, out = cbApplyTrade(uList, vList, pool, out, st)
+	uList := []uint32{cbWord(2, true), cbWord(5, true), cbWord(7, false)}
+	vList := []uint32{cbWord(3, true), cbWord(5, false)}
+	_, out := cbApplyTrade(uList, vList, nil, nil, cbTradeStream(11, 1, 0))
 	if len(out) != len(uList)+len(vList) {
 		t.Fatalf("trade changed cardinality: %d -> %d", len(uList)+len(vList), len(out))
 	}
@@ -372,13 +363,7 @@ func TestCBApplyTrade(t *testing.T) {
 			if ed.anchorV {
 				from = vList
 			}
-			found := false
-			for _, src := range from {
-				if src.other == ed.other && src.orig {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.Contains(from, cbWord(ed.other, true)) {
 				t.Fatalf("entry %+v kept its original flag across a side change", ed)
 			}
 		}
@@ -392,21 +377,39 @@ func TestCBApplyTrade(t *testing.T) {
 
 	// Determinism: the same multiset presented in any arrival order must
 	// produce the same result once sorted.
-	u2 := []cbEdge{uList[2], uList[0], uList[1]}
-	v2 := []cbEdge{vList[1], vList[0]}
+	u2 := []uint32{uList[2], uList[0], uList[1]}
+	v2 := []uint32{vList[1], vList[0]}
 	sortCBEdges(u2)
 	sortCBEdges(v2)
-	var pool2, out2 []cbEdge
-	_, out2 = cbApplyTrade(u2, v2, pool2, out2, cbTradeStream(11, 1, 0))
-	if len(out2) != len(out) {
-		t.Fatalf("shuffled arrivals changed cardinality: %d vs %d", len(out), len(out2))
+	_, out2 := cbApplyTrade(u2, v2, nil, nil, cbTradeStream(11, 1, 0))
+	if !slices.Equal(out, out2) {
+		t.Fatalf("shuffled arrivals diverged: %+v vs %+v", out, out2)
 	}
-	for i := range out {
-		if out[i] != out2[i] {
-			t.Fatalf("shuffled arrivals diverged at %d: %+v vs %+v", i, out[i], out2[i])
+}
+
+// TestSortCBEdgesWords pins what the packed arrival words rely on: a
+// side's neighbours are distinct, so sorting its words (either branch of
+// sortCBEdges) orders it exactly as sorting by other would, whatever the
+// original flags.
+func TestSortCBEdgesWords(t *testing.T) {
+	r := rng.New(7)
+	lengths := []int{3000}
+	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		others := r.Perm(4*n + 8)[:n]
+		ws := make([]uint32, n)
+		for i, o := range others {
+			ws[i] = cbWord(graph.Vertex(o), r.Bool())
+		}
+		want := slices.Clone(ws)
+		slices.SortStableFunc(want, func(a, b uint32) int { return int(a>>1) - int(b>>1) })
+		sortCBEdges(ws)
+		if !slices.Equal(ws, want) {
+			t.Fatalf("length %d: word order %v, order by other %v", n, ws, want)
 		}
 	}
-	_ = pool
 }
 
 // TestSequentialCurveballBasics covers the reference implementation's

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
@@ -61,11 +59,11 @@ type rankEngine struct {
 
 	// load is loadSlotEdges' working memory, reused across rounds.
 	load struct {
-		ends   []int32 // per-slot group ends after the counting sort
-		sorted []slotEdge
-		keys   []graph.Vertex
-		prios  []uint32
-		origs  []bool
+		cnt   []int32    // n+1 counting-sort counters, by neighbour then by slot
+		spare []slotEdge // the last load's entries: the next one's scatter buffer
+		keys  []graph.Vertex
+		prios []uint32
+		origs []bool
 	}
 
 	// origLocal counts local adjacency entries still flagged original,
@@ -190,7 +188,7 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 	}
 	e.sb.init(c)
 	e.drainEach = e.drainEntry
-	e.load.ends = make([]int32, len(e.verts))
+	e.load.cnt = make([]int32, n+1)
 	if e.sanitize {
 		e.degDelta = make(map[graph.Vertex]int32)
 	}
@@ -537,58 +535,72 @@ type slotEdge struct {
 // loadSlotEdges bulk-loads the rank's whole partition — every slot must
 // be empty — from entries in any order: the only way edges enter a store
 // in bulk, shared by every bootstrap source, a checkpoint restore and
-// curveball's per-round rebuild. A counting sort groups by slot (a
-// comparison sort over the whole list would cost more than the treap
-// descents it saves); groups are insertion-sorted, hubs by
-// slices.SortFunc; each slot is built in O(d) (BuildSortedFlagged, which
-// a tiered store streams into a base segment) with one treap priority
-// from the run RNG per entry. The accounting is insertLocal's, fused:
-// Fenwick degree, sanitizer deltas, originals counter. A repeated entry is an error
-// unless collapseDup: the contact generator's rare cross-slot collisions
-// collapse (both copies share their minimum endpoint, so they meet
-// inside one rank), a randomizer producing a parallel edge is a bug.
+// curveball's per-round rebuild. A stable LSD counting sort — scatter by
+// neighbour into load.spare, then by slot back into ents — leaves each
+// slot's group ascending in v with no comparison sort. ents is consumed
+// as the second half of that ping-pong: its array becomes load.spare for
+// the next load, and the buffer scattered through is dropped before the
+// slots are built, so a load never holds two copies of the partition
+// while the store grows. A neighbour outside [0, n) is a named error
+// before anything moves. Each slot is built in O(d) (BuildSortedFlagged,
+// which a tiered store streams into a base segment) with one treap
+// priority from the run RNG per entry. The accounting is insertLocal's,
+// fused: Fenwick degree, sanitizer deltas, originals counter. A repeated
+// entry is an error unless collapseDup: the contact generator's rare
+// cross-slot collisions collapse (both copies share their minimum
+// endpoint, so they meet inside one rank), a randomizer producing a
+// parallel edge is a bug.
 func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 	nv := len(e.verts)
 	ld := &e.load
-	if cap(ld.sorted) < len(ents) {
-		ld.sorted = make([]slotEdge, len(ents)+len(ents)/8)
+	byV := ld.spare
+	if cap(byV) < len(ents) {
+		byV = make([]slotEdge, len(ents)+len(ents)/8)
 	}
-	// Counting sort: after the prefix sums ends[li] is group li's start,
-	// and the scatter advances it to the group's end.
-	ends, sorted := ld.ends, ld.sorted[:len(ents)]
-	clear(ends)
+	byV = byV[:len(ents)]
+	// Each pass counts key k into cnt[k+1]; after the prefix sums cnt[k]
+	// is group k's start, and the scatter advances it to the group's end.
+	cnt := ld.cnt
+	clear(cnt)
 	for i := range ents {
-		if li := int(ents[i].slot) + 1; li < nv {
-			ends[li]++
+		v := ents[i].v
+		if uint(v) >= uint(e.n) {
+			return fmt.Errorf("core: rank %d bulk load: slot %d names vertex %d of %d", e.c.Rank(), ents[i].slot, v, e.n)
 		}
+		cnt[v+1]++
 	}
-	for li := 1; li < nv; li++ {
-		ends[li] += ends[li-1]
+	for k := 1; k < len(cnt); k++ {
+		cnt[k] += cnt[k-1]
 	}
 	for i := range ents {
-		li := ents[i].slot
-		sorted[ends[li]] = ents[i]
-		ends[li]++
+		v := ents[i].v
+		byV[cnt[v]] = ents[i]
+		cnt[v]++
 	}
+	cnt = cnt[:nv+1]
+	clear(cnt)
+	for i := range byV {
+		cnt[byV[i].slot+1]++
+	}
+	for li := 1; li <= nv; li++ {
+		cnt[li] += cnt[li-1]
+	}
+	for i := range byV {
+		li := byV[i].slot
+		ents[cnt[li]] = byV[i]
+		cnt[li]++
+	}
+	ld.spare = ents
 
 	start := int32(0)
 	for li := 0; li < nv; li++ {
-		grp := sorted[start:ends[li]]
-		start = ends[li]
+		grp := ents[start:cnt[li]]
+		start = cnt[li]
 		if len(grp) == 0 {
 			continue
 		}
 		if n := len(grp); cap(ld.keys) < n {
 			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n)
-		}
-		if len(grp) <= 32 {
-			for i := 1; i < len(grp); i++ {
-				for j := i; j > 0 && grp[j].v < grp[j-1].v; j-- {
-					grp[j], grp[j-1] = grp[j-1], grp[j]
-				}
-			}
-		} else {
-			slices.SortFunc(grp, func(a, b slotEdge) int { return cmp.Compare(a.v, b.v) })
 		}
 		u := e.verts[li]
 		n := 0
