@@ -66,42 +66,20 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
-# One tiny iteration of the engine-step benchmarks on small inputs and
-# of the mem/tcp 64 B ping-pong (proves the bench harness still runs,
-# without measuring anything),
-# plus the regression guards: one full-size run of the tiny-uniform
-# p=8 engine config (≈120 edges per rank), failing if transport sends
-# or restarts regress >2x against the baseline recorded in the test,
-# and one replay of the generation-bootstrap guard config (pa n=100k p=8),
-# failing if the deterministic edge count drifts from BENCH_pergen.json
-# or pergen is slower than the file bootstrap (the committed speedup is
-# machine-dependent and only logged), and one replay per algorithm of the
-# randomizer-seam guard (pa/mem/p2 to x=0.9), failing if curveball ends
-# below the target visit rate or edge-switching (whose t is an
-# expectation) more than 0.01 from it, the deterministic curveball
-# trajectory drifts from BENCH_curveball.json, or transport sends
-# regress >2x, and one replay of the out-of-core guard slice (pa n=100k
-# p=8, in-memory vs tiered store under the committed memory cap),
-# failing if the deterministic edge fingerprint drifts, the overlay
-# high-water mark exceeds a tenth of the edges, or a rank rewrites its
-# base more than once per round plus once. CI runs this so benchmark,
-# protocol, generator, and store rot is caught early.
+# One tiny iteration of each benchmark family on small inputs (engine
+# step, randomizer seam, out-of-core store, mem/tcp ping-pong): proves
+# the bench harness still runs, measures nothing. The regression guards
+# these families once fed (TestBenchsmoke*) are plain tier-1 tests.
 benchsmoke:
 	$(GO) test -short -run=^$$ -bench=BenchmarkEngineStep -benchtime=1x ./internal/core/
-	$(GO) test -short -run=^$$ -bench=BenchmarkGenerate -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench='BenchmarkRandomizer/.*/pa/mem/p2$$' -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench=BenchmarkOutOfCore -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench=BenchmarkPingPong -benchtime=1x ./internal/mpi/
-	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeEngineRegression$$' -v ./internal/core/
-	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokePergenRegression$$' -v ./internal/core/
-	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeCurveballRegression$$' -v ./internal/core/
-	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeOutOfCoreRegression$$' -v ./internal/core/
 
 # Large-graph smokes: a >=10^7-edge preferential-attachment graph
-# through the communication-free bootstrap at p=8, pinned to the exact
-# deterministic edge count in BENCH_pergen.json, plus a ~10^6-edge
-# curveball run to the target visit rate at p=8; both time-boxed by the
-# -timeout.
+# through the communication-free bootstrap at p=8, pinned to its exact
+# deterministic edge count, plus a ~10^6-edge curveball run to the
+# target visit rate at p=8; both time-boxed by the -timeout.
 largesmoke:
 	ESLARGE=1 $(GO) test -run='^TestLargeGenSmoke$$|^TestLargeCurveballSmoke$$' -v -timeout 10m ./internal/core/
 

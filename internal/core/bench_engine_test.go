@@ -55,9 +55,7 @@ func benchEngine(b *testing.B, g *graph.Graph, ops int64, useTCP bool, cfg Confi
 
 // BenchmarkEngineStep times one full engine step (a complete RunRank with
 // a single-step quota) across the message-plane matrix: both transports,
-// two rank counts, batching on/off (nobatch is the unbatched reference
-// path, Config.noBatch), sanitizer on/off. BENCH_messageplane.json
-// records the numbers.
+// two rank counts, sanitizer on/off.
 func BenchmarkEngineStep(b *testing.B) {
 	n, m, ops := 1200, int64(6000), int64(4000)
 	if testing.Short() {
@@ -68,12 +66,11 @@ func BenchmarkEngineStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	variants := []struct {
-		name              string
-		sanitize, noBatch bool
+		name     string
+		sanitize bool
 	}{
 		{name: "batch"},
 		{name: "batch+sanitize", sanitize: true},
-		{name: "nobatch", noBatch: true},
 	}
 	for _, transport := range []string{"mem", "tcp"} {
 		for _, p := range []int{2, 8} {
@@ -84,7 +81,6 @@ func BenchmarkEngineStep(b *testing.B) {
 						Scheme:          SchemeHPD,
 						Seed:            31,
 						CheckInvariants: v.sanitize,
-						noBatch:         v.noBatch,
 					})
 				})
 			}

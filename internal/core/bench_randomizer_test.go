@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -13,7 +12,7 @@ import (
 	"edgeswitch/internal/mpi"
 )
 
-// The randomizer benchmark matrix behind BENCH_curveball.json: both
+// The randomizer benchmark matrix: both
 // algorithms behind the Randomizer seam (edge-switch conversations vs
 // global curveball trades) driven to the SAME target visit rate
 // (x = 0.9) on the pergen evaluation graphs (pa, contact), across both
@@ -38,23 +37,17 @@ func randBenchReached(algo Algorithm, x float64) bool {
 	return math.Abs(x-randBenchTargetX) <= 0.01
 }
 
-// randBenchCell is one matrix measurement, as committed to
-// BENCH_curveball.json.
-type randBenchCell struct {
-	Algo      string  `json:"algo"`
-	Model     string  `json:"model"`
-	Transport string  `json:"transport"`
-	Ranks     int     `json:"ranks"`
-	M         int64   `json:"m"`          // edge count of the input graph
-	Budget    int64   `json:"budget"`     // per-algorithm t for x=0.9 (ops, or rounds)
-	Steps     int     `json:"steps"`      // steps actually run (early stop can shorten)
-	Ops       int64   `json:"ops"`        // operations executed (switches, or trades)
-	VisitRate float64 `json:"visit_rate"` // achieved — see randBenchReached
-	Msgs      int64   `json:"msgs"`       // transport payloads
-	Bytes     int64   `json:"bytes"`      // transport payload volume
-	Seconds   float64 `json:"seconds"`
+// randBenchAlgos lists both randomizers in presentation order.
+var randBenchAlgos = []Algorithm{AlgoEdgeSwitch, AlgoCurveball}
 
-	records int64 // protocol records behind Msgs (sum of Result.RankMessages); not committed
+// randBenchCell is one matrix measurement.
+type randBenchCell struct {
+	steps     int     // steps actually run (early stop can shorten)
+	ops       int64   // operations executed (switches, or trades)
+	visitRate float64 // achieved — see randBenchReached
+	msgs      int64   // transport payloads
+	records   int64   // protocol records behind msgs (sum of Result.RankMessages)
+	seconds   float64
 }
 
 // randBenchGraph materializes a pergen benchmark graph small enough for
@@ -130,26 +123,19 @@ func runRandomizerCell(tb testing.TB, algo Algorithm, model, transport string, p
 		records += n
 	}
 	return randBenchCell{
+		steps:     res.Steps,
+		ops:       res.Ops,
+		visitRate: res.VisitRate,
+		msgs:      st.Sends - start.Sends,
 		records:   records,
-		Algo:      string(algo),
-		Model:     model,
-		Transport: transport,
-		Ranks:     p,
-		M:         g.M(),
-		Budget:    budget,
-		Steps:     res.Steps,
-		Ops:       res.Ops,
-		VisitRate: res.VisitRate,
-		Msgs:      st.Sends - start.Sends,
-		Bytes:     st.Bytes - start.Bytes,
-		Seconds:   elapsed.Seconds(),
+		seconds:   elapsed.Seconds(),
 	}
 }
 
 // BenchmarkRandomizer times both randomizers to the common target visit
 // rate across the transport × rank matrix on the pergen graphs.
 func BenchmarkRandomizer(b *testing.B) {
-	for _, algo := range Algorithms() {
+	for _, algo := range randBenchAlgos {
 		for _, model := range []string{"pa", "contact"} {
 			for _, transport := range []string{"mem", "tcp"} {
 				for _, p := range []int{2, 8} {
@@ -158,12 +144,12 @@ func BenchmarkRandomizer(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							cell = runRandomizerCell(b, algo, model, transport, p)
 						}
-						if !randBenchReached(algo, cell.VisitRate) {
-							b.Fatalf("visit rate %v misses target %v", cell.VisitRate, randBenchTargetX)
+						if !randBenchReached(algo, cell.visitRate) {
+							b.Fatalf("visit rate %v misses target %v", cell.visitRate, randBenchTargetX)
 						}
-						b.ReportMetric(float64(cell.Ops)/cell.Seconds, "ops/s")
-						b.ReportMetric(cell.VisitRate, "visitrate")
-						b.ReportMetric(float64(cell.Msgs), "msgs/run")
+						b.ReportMetric(float64(cell.ops)/cell.seconds, "ops/s")
+						b.ReportMetric(cell.visitRate, "visitrate")
+						b.ReportMetric(float64(cell.msgs), "msgs/run")
 					})
 				}
 			}
@@ -171,111 +157,45 @@ func BenchmarkRandomizer(b *testing.B) {
 	}
 }
 
-// TestBenchRandomizerRecord regenerates BENCH_curveball.json from the
-// mem-transport matrix. Run with BENCHRECORD=1 after engine changes that
-// move the numbers, and commit the result.
-func TestBenchRandomizerRecord(t *testing.T) {
-	if os.Getenv("BENCHRECORD") == "" {
-		t.Skip("set BENCHRECORD=1 to regenerate BENCH_curveball.json")
-	}
-	var cells []randBenchCell
-	for _, algo := range Algorithms() {
-		for _, model := range []string{"pa", "contact"} {
-			for _, p := range []int{2, 8} {
-				cell := runRandomizerCell(t, algo, model, "mem", p)
-				if !randBenchReached(algo, cell.VisitRate) {
-					t.Fatalf("%s/%s/p%d: visit rate %v misses target", algo, model, p, cell.VisitRate)
-				}
-				cells = append(cells, cell)
-			}
-		}
-	}
-	doc := map[string]any{
-		"benchmark": "BenchmarkRandomizer (internal/core/bench_randomizer_test.go)",
-		"description": "Both randomizers behind the engine seam driven to the same target visit rate " +
-			"(x=0.9, TargetVisitRate early stop) on pergen graphs (pa n=2000 d=5, contact n=2000 d=6), " +
-			"mem transport, p in {2,8}, seed 42. budget is the per-algorithm t for x=0.9 " +
-			"(OpsForVisitRateAlgo: switch ops, or global rounds via the conservative 0.25/round bound); " +
-			"steps/ops/visit_rate are what the run actually did. Curveball cells are deterministic " +
-			"(p-invariant trades; the guard pins them exactly); edge-switch cells vary with scheduling " +
-			"(the guard only bands msgs and checks the target).",
-		"date":     time.Now().Format("2006-01-02"),
-		"command":  "BENCHRECORD=1 go test -run '^TestBenchRandomizerRecord$' -v ./internal/core/",
-		"target_x": randBenchTargetX,
-		"matrix":   cells,
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_curveball.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_curveball.json with %d cells", len(cells))
-}
-
-// TestBenchsmokeCurveballRegression is the benchsmoke guard for the
-// randomizer seam: it replays the pa/mem cells of BENCH_curveball.json
-// at p=2 once per algorithm and fails if (a) either algorithm no longer
-// reaches the common target visit rate within its per-algorithm budget,
-// (b) the curveball trajectory drifts from the committed baseline —
-// trades are deterministic and p-invariant, so steps, ops, and achieved
-// visit rate must match exactly — or (c) either algorithm's transport
-// sends regress beyond 2x the committed value, or (d) edge-switching
-// stops coalescing: its sends must stay below a quarter of its records.
-// The edge-switch send baseline was re-recorded (476 → 1438, the median of
-// five runs) when conversation batches began to flush at convFlushCap
-// instead of only where the step loop blocks: those extra sends are the
-// overlap between the two ranks, bought on purpose, and (d) is the edge
-// that keeps them from sliding towards one send per record. No other
-// number in BENCH_curveball.json moved. Runs only under BENCHSMOKE=1
-// (`make benchsmoke`).
+// TestBenchsmokeCurveballRegression is the regression guard for the
+// randomizer seam: it runs the pa/mem/p2 cell once per algorithm and
+// fails if (a) either algorithm no longer reaches the common target
+// visit rate within its per-algorithm budget, (b) the curveball
+// trajectory drifts — trades are deterministic and p-invariant, so
+// steps, ops, and achieved visit rate must match exactly — (c) either
+// algorithm's transport sends regress beyond 2x the recorded value, or
+// (d) edge-switching stops coalescing: its sends must stay below a
+// quarter of its records. Conversation batches flush at convFlushCap as
+// well as where the step loop blocks; those sends buy overlap between
+// the two ranks, and (d) keeps them from sliding towards one send per
+// record.
 func TestBenchsmokeCurveballRegression(t *testing.T) {
-	if os.Getenv("BENCHSMOKE") == "" {
-		t.Skip("set BENCHSMOKE=1 to run the benchsmoke regression guard")
+	if raceEnabled {
+		t.Skip("a counter guard; -race only slows it")
 	}
-	raw, err := os.ReadFile("../../BENCH_curveball.json")
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
+	base := map[Algorithm]randBenchCell{
+		AlgoEdgeSwitch: {msgs: 1438},
+		AlgoCurveball:  {steps: 3, ops: 3000, visitRate: 0.9224837255883825, msgs: 113},
 	}
-	var bench struct {
-		TargetX float64         `json:"target_x"`
-		Matrix  []randBenchCell `json:"matrix"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("BENCH_curveball.json: %v", err)
-	}
-	if bench.TargetX != randBenchTargetX {
-		t.Fatalf("baseline target_x %v, guard expects %v", bench.TargetX, randBenchTargetX)
-	}
-	base := map[string]randBenchCell{}
-	for _, c := range bench.Matrix {
-		if c.Model == "pa" && c.Transport == "mem" && c.Ranks == 2 {
-			base[c.Algo] = c
-		}
-	}
-	for _, algo := range Algorithms() {
-		bc, ok := base[string(algo)]
-		if !ok {
-			t.Fatalf("BENCH_curveball.json lacks the pa/mem/p2 %s baseline", algo)
-		}
+	for _, algo := range randBenchAlgos {
+		bc := base[algo]
 		got := runRandomizerCell(t, algo, "pa", "mem", 2)
-		t.Logf("%s: visit rate %.4f in %d steps / %d ops, %d msgs (baseline %.4f / %d / %d / %d)",
-			algo, got.VisitRate, got.Steps, got.Ops, got.Msgs, bc.VisitRate, bc.Steps, bc.Ops, bc.Msgs)
-		if !randBenchReached(algo, got.VisitRate) {
-			t.Errorf("%s: visit rate %v no longer reaches the target %v", algo, got.VisitRate, randBenchTargetX)
+		t.Logf("%s: visit rate %.4f in %d steps / %d ops, %d msgs for %d records (baseline msgs %d)",
+			algo, got.visitRate, got.steps, got.ops, got.msgs, got.records, bc.msgs)
+		if !randBenchReached(algo, got.visitRate) {
+			t.Errorf("%s: visit rate %v no longer reaches the target %v", algo, got.visitRate, randBenchTargetX)
 		}
 		if algo == AlgoCurveball {
-			if got.Steps != bc.Steps || got.Ops != bc.Ops || got.VisitRate != bc.VisitRate {
+			if got.steps != bc.steps || got.ops != bc.ops || got.visitRate != bc.visitRate {
 				t.Errorf("%s trajectory drifted: steps %d ops %d rate %v, baseline steps %d ops %d rate %v — trades are deterministic, so this is a correctness regression",
-					algo, got.Steps, got.Ops, got.VisitRate, bc.Steps, bc.Ops, bc.VisitRate)
+					algo, got.steps, got.ops, got.visitRate, bc.steps, bc.ops, bc.visitRate)
 			}
 		}
-		if got.Msgs > 2*bc.Msgs {
-			t.Errorf("%s transport sends regressed >2x: %d vs baseline %d", algo, got.Msgs, bc.Msgs)
+		if got.msgs > 2*bc.msgs {
+			t.Errorf("%s transport sends regressed >2x: %d vs baseline %d", algo, got.msgs, bc.msgs)
 		}
-		if algo == AlgoEdgeSwitch && got.Msgs >= got.records/4 {
-			t.Errorf("%s no longer coalesces: %d transport sends for %d records", algo, got.Msgs, got.records)
+		if algo == AlgoEdgeSwitch && got.msgs >= got.records/4 {
+			t.Errorf("%s no longer coalesces: %d transport sends for %d records", algo, got.msgs, got.records)
 		}
 	}
 }

@@ -97,11 +97,8 @@ type rankEngine struct {
 
 	// sb is the batching message plane (see sendbuf.go): outbound
 	// protocol messages coalesce per destination and flush whenever the
-	// step loop is about to block. noBatch (Config.noBatch, settable only
-	// by this package's tests) flushes after every message instead: the
-	// unbatched reference path the coalescing win is measured against.
-	sb      sendBuffer
-	noBatch bool
+	// step loop is about to block.
+	sb sendBuffer
 
 	// Invariant sanitizer (Config.CheckInvariants): when sanitize is set,
 	// baseDeg records the global degree sequence at load time, degDelta
@@ -182,7 +179,6 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		n:        n,
 		verts:    partition.LocalVertices(pt, n, c.Rank()),
 		sanitize: cfg.CheckInvariants,
-		noBatch:  cfg.noBatch,
 		targetX:  cfg.TargetVisitRate,
 		stalled:  make([]bool, c.Size()),
 	}
@@ -674,10 +670,9 @@ func (e *rankEngine) sendRun(dst int, key, other uint32, flags byte) error {
 }
 
 // flushIfDue hands dst's batch to the transport once it holds limit
-// bytes (or at once on the unbatched reference path); otherwise the
-// batch waits for the step loop to block.
+// bytes; otherwise the batch waits for the step loop to block.
 func (e *rankEngine) flushIfDue(dst, limit int) error {
-	if e.noBatch || len(e.sb.bufs[dst]) >= limit {
+	if len(e.sb.bufs[dst]) >= limit {
 		return e.sb.flushDst(dst)
 	}
 	return nil

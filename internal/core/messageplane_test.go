@@ -127,37 +127,44 @@ func runCounted(t *testing.T, g *graph.Graph, ops int64, cfg Config) (mpi.CommSt
 }
 
 // TestBatchingReducesTransportSends is the message plane's headline
-// acceptance check: at p = 8 on the mem transport, the batched engine
-// must reach the target in at least 5x fewer transport sends than the
-// unbatched one (ISSUE acceptance criterion).
+// check: at p = 8 on the mem transport, the engine must hand the
+// transport at least 5x fewer payloads than it sends protocol records
+// (Σ Result.RankMessages) — the count one send per record would cost.
 func TestBatchingReducesTransportSends(t *testing.T) {
 	g, err := gen.ErdosRenyi(rng.Split(11, 0), 1200, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Ranks:      8,
-		Scheme:     SchemeHPD,
-		StepSize:   1500,
-		Seed:       11,
-		SkipResult: true,
+	const p, ops = 8, 6000
+	w, err := mpi.NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const ops = 6000
-
-	unbatched := cfg
-	unbatched.noBatch = true
-	base, _ := runCounted(t, g, ops, unbatched)
-	batched, _ := runCounted(t, g, ops, cfg)
-
-	t.Logf("unbatched: %d sends / %d bytes; batched: %d sends / %d bytes (%.1fx fewer sends)",
-		base.Sends, base.Bytes, batched.Sends, batched.Bytes,
-		float64(base.Sends)/float64(batched.Sends))
-	if batched.Sends == 0 || base.Sends == 0 {
-		t.Fatalf("transport counters did not move: base %+v batched %+v", base, batched)
+	defer w.Close()
+	var res *Result
+	err = w.Run(func(c *mpi.Comm) error {
+		r, err := RunRank(c, g, ops, Config{Ranks: p, Scheme: SchemeHPD, StepSize: 1500, Seed: 11, SkipResult: true})
+		if c.Rank() == 0 {
+			res = r
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if base.Sends < 5*batched.Sends {
-		t.Errorf("batching saved only %.1fx sends (%d -> %d), want >= 5x",
-			float64(base.Sends)/float64(batched.Sends), base.Sends, batched.Sends)
+	var records int64
+	for _, n := range res.RankMessages {
+		records += n
+	}
+	sends := w.Stats().Sends
+	t.Logf("%d records in %d transport sends / %d bytes (%.1fx fewer sends)",
+		records, sends, w.Stats().Bytes, float64(records)/float64(sends))
+	if sends == 0 || records == 0 {
+		t.Fatalf("counters did not move: %d records, %d sends", records, sends)
+	}
+	if 5*sends > records {
+		t.Errorf("batching saved only %.1fx sends (%d records -> %d sends), want >= 5x",
+			float64(records)/float64(sends), records, sends)
 	}
 }
 
@@ -252,9 +259,9 @@ func (r *runRecorder) handleRun(run []byte, _ int) (int, error) {
 
 // TestFlushRule pins when a batch reaches the transport, on a 2-rank mem
 // world where rank 0 is the only sender (so the world's send counter is
-// its own): per record under noBatch, at convFlushCap for conversation
-// records, at batchFlushCap for edge runs, and otherwise only when the
-// step loop's flush-before-block drains the plane. Rank 1 decodes every
+// its own): at convFlushCap for conversation records, at batchFlushCap
+// for edge runs, and otherwise only when the step loop's
+// flush-before-block drains the plane. Rank 1 decodes every
 // payload through rankEngine.handle and checks the batch sizes, FIFO
 // order across the early flushes, and that a control record between two
 // runs closes the first and the second opens its own header.
@@ -267,7 +274,6 @@ func TestFlushRule(t *testing.T) {
 		sentinel = uint64(1) << 40
 	)
 	wantSizes := []int{
-		recLen, recLen, recLen, 1 + runHdrLen + runEntryLen, // noBatch
 		convFull * recLen, 5 * recLen, // the cap, then the remainder at the block point
 		1 + runHdrLen + runFull*runEntryLen,
 		(1 + runHdrLen + 3*runEntryLen) + ctlLen + (1 + runHdrLen + 2*runEntryLen) + recLen,
@@ -277,7 +283,14 @@ func TestFlushRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	err = w.Run(func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) (err error) {
+		// A rank that fails must not leave the other blocked in Recv for
+		// the sentinel: closing the world fails its wait.
+		defer func() {
+			if err != nil {
+				w.Close()
+			}
+		}()
 		e := &rankEngine{c: c, stalled: make([]bool, 2)}
 		e.sb.init(c)
 		if c.Rank() == 1 {
@@ -313,7 +326,7 @@ func TestFlushRule(t *testing.T) {
 					next++
 				}
 			}
-			if want := []int{1, runFull, 3, 2}; fmt.Sprint(runLens) != fmt.Sprint(want) {
+			if want := []int{runFull, 3, 2}; fmt.Sprint(runLens) != fmt.Sprint(want) {
 				return fmt.Errorf("runs of %v entries, want %v", runLens, want)
 			}
 			if e.eosOthers != 1 {
@@ -343,16 +356,6 @@ func TestFlushRule(t *testing.T) {
 			}
 			return nil
 		}
-		e.noBatch = true
-		for i := 0; i < 3; i++ {
-			if err := step("noBatch record", false, 1); err != nil {
-				return err
-			}
-		}
-		if err := step("noBatch run entry", true, 1); err != nil {
-			return err
-		}
-		e.noBatch = false
 		for i := 1; i <= convFull+5; i++ {
 			sent := int64(0)
 			if i == convFull {

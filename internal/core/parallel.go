@@ -133,13 +133,6 @@ type Config struct {
 	// budget. Unexported: only this package's spill tests, which want a
 	// compaction at every boundary, set it.
 	overlayBudget int64
-
-	// noBatch sends every protocol message as its own transport payload
-	// instead of coalescing per destination (see sendbuf.go). Unexported:
-	// it is the reference path TestBatchingReducesTransportSends and
-	// BenchmarkEngineStep/nobatch measure the message plane against, not
-	// a run mode.
-	noBatch bool
 }
 
 // Result reports a parallel run.

@@ -33,9 +33,6 @@ const (
 	AlgoCurveball Algorithm = "curveball"
 )
 
-// Algorithms lists the implemented algorithms in presentation order.
-func Algorithms() []Algorithm { return []Algorithm{AlgoEdgeSwitch, AlgoCurveball} }
-
 // algorithm normalizes and validates Config.Algorithm ("" means the
 // default edge-switch protocol).
 func (cfg Config) algorithm() (Algorithm, error) {

@@ -402,8 +402,9 @@ func peakHeapDuring(f func()) uint64 {
 // half that peak. The capped spill run must complete and its final edge
 // fingerprint must be bit-identical to the uncapped in-memory run —
 // curveball is deterministic at every rank count, so any divergence is
-// a store bug, not scheduling noise. Runtimes are logged, not asserted:
-// the BENCH_outofcore.json guard owns the performance band.
+// a store bug, not scheduling noise. Runtimes are logged, not asserted;
+// TestBenchsmokeOutOfCoreRegression counts what the store does at a
+// smaller scale.
 func TestSpillSmoke(t *testing.T) {
 	if os.Getenv("ESSPILL") == "" {
 		t.Skip("set ESSPILL=1 to run the out-of-core smoke (generates a 10^7-edge graph)")
