@@ -106,10 +106,6 @@ func TestChecksOnFixtures(t *testing.T) {
 			check: "noprint", variant: "bad", as: "cmd/edgeswitch",
 		},
 		{
-			name:  "noprint exempts examples",
-			check: "noprint", variant: "bad", as: "examples/quickstart",
-		},
-		{
 			name:  "noprint silent on injected writers",
 			check: "noprint", variant: "good", as: "internal/metrics",
 		},

@@ -14,13 +14,13 @@ var fprintFmtFuncs = map[string]bool{"Fprint": true, "Fprintf": true, "Fprintln"
 // internal/harness.Config.Out). A stray fmt.Println in internal/core
 // corrupts the machine-readable output of cmd/experiments and edgeswitch
 // pipelines, and hardcoding os.Stderr makes output uncapturable in
-// tests. Only cmd/ and examples/ may address the terminal directly.
+// tests. Only cmd/ may address the terminal directly.
 var checkNoPrint = &Check{
 	Name: "noprint",
 	Doc: "forbid fmt.Print*/println and fmt.Fprint*(os.Stdout/os.Stderr, ...) " +
-		"in library packages; only cmd/ and examples/ may print",
+		"in library packages; only cmd/ may print",
 	Run: func(p *Pass) {
-		if p.Pkg.Under("cmd", "examples") {
+		if p.Pkg.Under("cmd") {
 			return
 		}
 		for _, f := range p.Pkg.Files {

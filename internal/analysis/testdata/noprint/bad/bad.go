@@ -1,6 +1,6 @@
 // Fixture: terminal output from a library package. Checked impersonated
-// as internal/metrics (must fire) and cmd/edgeswitch / examples
-// (exempt paths).
+// as internal/metrics (must fire) and cmd/edgeswitch (the exempt
+// path).
 package fixture
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"edgeswitch/internal/graph"
@@ -117,5 +118,190 @@ func TestSequentialTransitionSymmetry(t *testing.T) {
 	ratio := float64(counts["B"]) / float64(counts["C"])
 	if math.Abs(ratio-1) > 0.1 {
 		t.Fatalf("asymmetric transitions: %v", counts)
+	}
+}
+
+// Curveball (Carstens et al., arXiv:1804.08487) samples the same
+// distribution as edge switching: its trade kernel is symmetric, so the
+// chain is uniform over a degree class. C4 alone cannot show a biased
+// trade: every trade there has one free neighbour per side, and the
+// random order of a trade's pair already makes a coin flip of any fixed
+// rule. The class (3,2,2,1,1,1), with 15 labelled realizations, has
+// trades with one free neighbour on one side and two on the other, where
+// a redistribution that is not uniform over the pool shows as a
+// stationary distribution that is not uniform.
+var (
+	cycleDegrees  = []int{2, 2, 2, 2}
+	skewedDegrees = []int{3, 2, 2, 1, 1, 1}
+)
+
+// degreeClass enumerates every labelled simple graph with the degree
+// sequence deg: the realizations in a fixed order, and the index of each
+// by classKey.
+func degreeClass(deg []int) ([][]graph.Edge, map[string]int) {
+	var pairs []graph.Edge
+	for u := range deg {
+		for v := u + 1; v < len(deg); v++ {
+			pairs = append(pairs, graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)})
+		}
+	}
+	var reals [][]graph.Edge
+	index := map[string]int{}
+	for mask := 0; mask < 1<<len(pairs); mask++ {
+		d := make([]int, len(deg))
+		var es []graph.Edge
+		for i, e := range pairs {
+			if mask>>i&1 == 1 {
+				d[e.U]++
+				d[e.V]++
+				es = append(es, e)
+			}
+		}
+		if slices.Equal(d, deg) {
+			index[fmt.Sprint(es)] = len(reals)
+			reals = append(reals, es)
+		}
+	}
+	return reals, index
+}
+
+// classKey is the realization g is, as degreeClass indexes it.
+func classKey(t *testing.T, g *graph.Graph, index map[string]int) int {
+	t.Helper()
+	es := g.Edges()
+	for i := range es {
+		es[i] = es[i].Norm()
+	}
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		if a.U != b.U {
+			return int(a.U) - int(b.U)
+		}
+		return int(a.V) - int(b.V)
+	})
+	k, ok := index[fmt.Sprint(es)]
+	if !ok {
+		t.Fatalf("%v is not in the degree class", es)
+	}
+	return k
+}
+
+func realization(t *testing.T, deg []int, es []graph.Edge) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(len(deg), es, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// uniformChi2 runs a chain of samples steps from the first realization
+// of deg, counts the realizations it visits, and returns the chi-square
+// statistic against the uniform distribution and its degrees of freedom.
+func uniformChi2(t *testing.T, deg []int, samples int, step func(g *graph.Graph, seed uint64) *graph.Graph) (chi2 float64, dof int) {
+	t.Helper()
+	reals, index := degreeClass(deg)
+	counts := make([]int, len(reals))
+	g := realization(t, deg, reals[0])
+	for i := 0; i < samples; i++ {
+		g = step(g, uint64(i+1))
+		counts[classKey(t, g, index)]++
+	}
+	expected := float64(samples) / float64(len(reals))
+	for _, c := range counts {
+		d := float64(c) - expected
+		chi2 += d * d / expected
+	}
+	return chi2, len(reals) - 1
+}
+
+// chi2Bound is eight standard deviations above the mean of a chi-square
+// with dof degrees of freedom: a correct chain stays under it, and a
+// biased one over the classes above lands far past it.
+func chi2Bound(dof int) float64 { return float64(dof) + 8*math.Sqrt(2*float64(dof)) }
+
+// cbRounds is the curveball rounds between two samples: enough that
+// consecutive samples are nearly independent on these small classes.
+const cbRounds = 4
+
+func TestSequentialCurveballUniformOverDegreeClass(t *testing.T) {
+	for _, deg := range [][]int{cycleDegrees, skewedDegrees} {
+		chi2, dof := uniformChi2(t, deg, 3000, func(g *graph.Graph, seed uint64) *graph.Graph {
+			if _, err := SequentialCurveball(g, cbRounds, seed); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		})
+		t.Logf("degrees %v: chi2=%.1f (dof %d)", deg, chi2, dof)
+		if chi2 > chi2Bound(dof) {
+			t.Errorf("degrees %v: curveball not uniform over the class: chi2=%.1f, bound %.1f", deg, chi2, chi2Bound(dof))
+		}
+	}
+}
+
+// TestParallelCurveballUniformOverDegreeClass runs the same chain through
+// the distributed engine at p=2. Each step must also equal the sequential
+// reference from the same graph and seed, so the sequential tests'
+// kernel is the one the engine runs.
+func TestParallelCurveballUniformOverDegreeClass(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("400 small parallel runs")
+	}
+	chi2, dof := uniformChi2(t, skewedDegrees, 400, func(g *graph.Graph, seed uint64) *graph.Graph {
+		res, err := Parallel(g, cbRounds, Config{Ranks: 2, Algorithm: AlgoCurveball, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SequentialCurveball(g, cbRounds, seed); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Graph.Edges(), g.Edges()) {
+			t.Fatalf("seed %d: p=2 result %v differs from the sequential %v", seed, res.Graph.Edges(), g.Edges())
+		}
+		return res.Graph
+	})
+	// 400 samples carry less power than the sequential chain's 3000, so
+	// the bound is tighter than chi2Bound: a chi-square with 14 degrees
+	// of freedom exceeds 45 with probability 4e-5, and 1000 seeded
+	// chains of this length peaked at 38.6.
+	t.Logf("chi2=%.1f (dof %d)", chi2, dof)
+	if chi2 > 45 {
+		t.Errorf("p=2 curveball not uniform over the class: chi2=%.1f (dof %d), bound 45", chi2, dof)
+	}
+}
+
+// TestSequentialCurveballTransitionSymmetry: from every realization, one
+// round leads to each other realization as often as the reverse round
+// leads back (the kernel is symmetric, which is what makes the uniform
+// distribution stationary).
+func TestSequentialCurveballTransitionSymmetry(t *testing.T) {
+	reals, index := degreeClass(skewedDegrees)
+	const trials = 1000
+	counts := make([][]int, len(reals))
+	for a, es := range reals {
+		counts[a] = make([]int, len(reals))
+		for i := 0; i < trials; i++ {
+			g := realization(t, skewedDegrees, es)
+			if _, err := SequentialCurveball(g, 1, uint64(a*trials+i+1)); err != nil {
+				t.Fatal(err)
+			}
+			counts[a][classKey(t, g, index)]++
+		}
+	}
+	// Each pair's forward and backward counts are equal in expectation:
+	// sum their squared differences, normalized, into a chi-square.
+	var chi2 float64
+	dof := 0
+	for a := range reals {
+		for b := a + 1; b < len(reals); b++ {
+			if n := counts[a][b] + counts[b][a]; n > 0 {
+				d := float64(counts[a][b] - counts[b][a])
+				chi2 += d * d / float64(n)
+				dof++
+			}
+		}
+	}
+	t.Logf("chi2=%.1f over %d pairs", chi2, dof)
+	if chi2 > chi2Bound(dof) {
+		t.Fatalf("asymmetric curveball transitions: chi2=%.1f over %d pairs, bound %.1f", chi2, dof, chi2Bound(dof))
 	}
 }

@@ -109,7 +109,6 @@ var registry = []Experiment{
 	{"table3", "Table 3", "one-step HP error rates vs sequential baseline", runTable3},
 	{"fig24", "Fig. 24", "strong scaling of the parallel multinomial generator", runFig24},
 	{"fig25", "Fig. 25", "weak scaling of the parallel multinomial generator", runFig25},
-	{"fig4_model", "Figs. 4/14/15 (model)", "cluster-scale speedup projection from the analytical performance model", runFig4Model},
 }
 
 // Experiments returns all experiments in presentation order.

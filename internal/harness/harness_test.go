@@ -49,7 +49,7 @@ func TestExperimentsCoverPaper(t *testing.T) {
 		"table1", "table2", "table3",
 		"fig4", "fig5", "fig6_7", "fig8_9", "fig10_11", "fig12_13",
 		"fig14", "fig15", "fig16_17", "fig18", "fig19_20", "fig21_22",
-		"fig23", "fig24", "fig25", "fig4_model",
+		"fig23", "fig24", "fig25",
 	}
 	have := map[string]bool{}
 	for _, e := range Experiments() {

@@ -8,7 +8,9 @@
 # both sides run the harness their own tree carries, unmodified:
 # `bash cmd/esbench/run.sh --workload W --seed <pair> --seconds 20`. Pairs
 # alternate which side goes first. Prints every run, then per end-to-end
-# metric the medians, quartiles and how many pairs the change won.
+# metric the medians, quartiles and how many pairs the change won. A run
+# that prints no report is counted per side and left out of the pairs,
+# medians and quartiles.
 set -euo pipefail
 parent=${1:?usage: scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]}
 workload=${2:?usage: scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]}
@@ -57,22 +59,34 @@ function summary(side, m,    n, v, i, j, t) {
 	n = 0
 	for (i = 1; i <= pairs; i++) if ((i, side, m) in val) v[++n] = val[i, side, m]
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+	if (n == 0) return sprintf("%-6s no runs reported", side)
 	return sprintf("%-6s median %-10.6g quartiles %.6g .. %.6g (n=%d)", side, quart(v, n, 2), quart(v, n, 1), quart(v, n, 3), n)
 }
-$4 != "" { val[$1, $2, $3] = $4; if ($1 > pairs) pairs = $1 }
+# A run that printed no report leaves its values empty: it is never stored,
+# so it counts in no pair and no summary, only in the "no report" line.
+{ if ($1 > pairs) pairs = $1 }
+$4 != "" { val[$1, $2, $3] = $4 }
+$3 == "randomize_s" && $4 == "" { noreport[$2]++ }
+# cell formats one side of a pair, "-" when that run gave no report.
+function cell(i, side, m) { return ((i, side, m) in val) ? sprintf("%.4g", val[i, side, m]) : "-" }
 END {
 	printf "\n%s: change vs parent %s, %d pairs\n", workload, rev, pairs
+	printf "runs with no report: parent %d, change %d\n", noreport["parent"], noreport["change"]
 	split("randomize_s visits_per_s setup_s", ms, " ")
 	for (k = 1; k <= 3; k++) {
-		m = ms[k]; wins = 0; ties = 0; line = ""
+		m = ms[k]; wins = 0; ties = 0; n = 0; line = ""
 		for (i = 1; i <= pairs; i++) {
-			p = val[i, "parent", m]; c = val[i, "change", m]
+			line = line " " cell(i, "parent", m) "/" cell(i, "change", m)
+			if (!((i, "parent", m) in val) || !((i, "change", m) in val)) continue
+			n++; p = val[i, "parent", m]; c = val[i, "change", m]
 			better = (m == "visits_per_s") ? (c > p) : (c < p)
 			if (c == p) ties++; else if (better) wins++
-			line = line sprintf(" %.4g/%.4g", p, c)
 		}
-		printf "\n%s  (parent/change per pair:%s)\n  %s\n  %s\n  change better in %d of %d pairs (%d ties)\n", m, line, summary("parent", m), summary("change", m), wins, pairs, ties
+		printf "\n%s  (parent/change per pair:%s)\n  %s\n  %s\n  change better in %d of %d pairs (%d ties)\n", m, line, summary("parent", m), summary("change", m), wins, n, ties
 	}
-	for (i = 1; i <= pairs; i++) { fp += val[i, "parent", "failed"]; fc += val[i, "change", "failed"] }
+	for (i = 1; i <= pairs; i++) {
+		if ((i, "parent", "failed") in val) fp += val[i, "parent", "failed"]
+		if ((i, "change", "failed") in val) fc += val[i, "change", "failed"]
+	}
 	printf "\nfailed operations: parent %d, change %d\n", fp, fc
 }' "$out"
