@@ -75,9 +75,10 @@ func BenchmarkAblationTransports(b *testing.B) {
 // TestMessagesPerOpBounded is §4.5's message-cost verdict as a gate: a
 // switch costs O(1) protocol messages at any p. Only legs that cross
 // ranks are messages, so the count follows the remote share of the
-// replacement-edge owners — 0 at p=1, ≈1.8 at p=2, ≈3.5 at p=4 and ≈4.5
-// at p=8 on this graph — and the protocol's worst case (two remote owners
-// besides the partner) bounds it by 10 per completed operation.
+// replacement-edge owners — 0 at p=1, ≈1.8 at p=2, ≈2.9 at p=4 and ≈3.4
+// at p=8 on this graph. A completed switch costs at most 5 (a relay
+// chain: two remote owners besides the partner); the bound of 10 leaves
+// room for the records of aborted attempts.
 func TestMessagesPerOpBounded(t *testing.T) {
 	g := benchGraph(t, "erdosrenyi", 0.05)
 	const ops = int64(20000)

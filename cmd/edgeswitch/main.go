@@ -127,6 +127,10 @@ func parse(args []string) (options, error) {
 		return o, fmt.Errorf("-checkpoint-every %d: need at least 1", o.ckEvery)
 	case o.coord != "" && o.useTCP:
 		return o, fmt.Errorf("-tcp with -coordinator: a coordinator world is always TCP")
+	case set["scale"] && o.dataset == "":
+		return o, fmt.Errorf("-scale needs -dataset")
+	case (set["n"] || set["d"]) && o.genMod == "":
+		return o, fmt.Errorf("-n and -d need -gen")
 	case o.coord != "" && anyPort(o.coord) && o.ranks > 1 && !o.spawn:
 		return o, fmt.Errorf("-coordinator %s: the other ranks cannot find port 0; name a port, or -spawn them", o.coord)
 	}

@@ -203,6 +203,10 @@ func with(base []string, args ...string) []string {
 // TestRunValidation: every command line here is refused.
 func TestRunValidation(t *testing.T) {
 	er := []string{"-dataset", "erdosrenyi", "-scale", "0.02", "-t", "10"}
+	c4 := filepath.Join(t.TempDir(), "c4.txt")
+	if err := os.WriteFile(c4, []byte("0 1\n1 2\n2 3\n0 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	refuseAll(t, []refusal{
 		{"missing input", []string{"-t", "10"}},
 		{"both -in and -dataset", []string{"-in", "x.txt", "-dataset", "miami"}},
@@ -228,6 +232,9 @@ func TestRunValidation(t *testing.T) {
 		{"-checkpoint-every 0", with(er, "-p", "2", "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "0")},
 		{"-checkpoint-every -1", with(er, "-p", "2", "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-1")},
 		{"stray argument", with(er, "extra")},
+		{"-n and -d without -gen", with(er, "-n", "5", "-d", "3")},
+		{"-scale without -dataset", []string{"-in", c4, "-scale", "7", "-t", "2"}},
+		{"-scale with -gen", []string{"-gen", "pa", "-n", "300", "-d", "3", "-scale", "9", "-t", "5"}},
 	})
 }
 
@@ -244,6 +251,9 @@ func TestRunValidationCoordinator(t *testing.T) {
 		{"-restore without -checkpoint-dir", with(coord, "-gen", "pa", "-restore")},
 		{"-t 0 -x 0", with(coord, "-gen", "pa", "-t", "0", "-x", "0")},
 		{"-p 2 on port 0 without -spawn", []string{"-coordinator", "127.0.0.1:0", "-p", "2", "-gen", "pa"}},
+		{"-n without -gen", with(coord, "-dataset", "erdosrenyi", "-n", "5")},
+		{"-d without -gen", with(coord, "-in", "g.txt", "-d", "3")},
+		{"-scale without -dataset", with(coord, "-gen", "pa", "-scale", "9")},
 	})
 }
 

@@ -56,8 +56,10 @@ type edgeSwitcher struct {
 	// threshold.
 	curRestarts int64
 
-	// Partner-side state: the waiting operations this rank orchestrates,
-	// partners[initiator·opWindow + slot], of which partnerLive are live.
+	// Partner-side state: the waiting operations this rank orchestrates or
+	// relays, partners[initiator·opWindow + slot], of which partnerLive are
+	// live. A relay never partners the operation it relays, so one table
+	// serves both.
 	partners    []partnerOp
 	partnerLive int
 }
@@ -75,14 +77,6 @@ func newEdgeSwitcher(e *rankEngine) *edgeSwitcher {
 	return r
 }
 
-// Partner-op phases.
-const (
-	phaseReserving = iota
-	phaseCommitting
-	phaseReleasing
-	phaseLastAgent
-)
-
 // Restart-escalation thresholds (see edgeSwitcher.curRestarts).
 const (
 	restartExplore = 256
@@ -96,32 +90,33 @@ type ownOp struct {
 	live bool
 }
 
-// partnerOp is the partner's view of an operation it orchestrates.
+// partnerOp is an operation waiting on a last agent's reply: at its
+// partner, e2 held and the replacement edges the partner owns reserved;
+// at a relay, edge 0 reserved and edge 1 forwarded to its owner.
 type partnerOp struct {
-	seq      uint64
-	e2       graph.Edge
-	edges    [2]graph.Edge // replacement edges A, B
-	owners   [2]int32
-	agent    int32 // phaseLastAgent: the one remote owner
-	live     bool
-	phase    uint8
-	acksLeft uint8
-	resolved [2]bool
-	okay     [2]bool
+	seq     uint64
+	e2      graph.Edge    // partner: its taken second edge
+	edges   [2]graph.Edge // replacement edges A, B
+	owners  [2]int32
+	agent   int32 // the rank whose reply the entry waits on
+	partner int32 // relay: the partner it answers
+	relay   bool
+	live    bool
 }
 
 // Named refusals of a record that does not fit the tables or the
 // protocol.
 var (
-	errOpRank   = errors.New("op rank out of range or not the expected rank")
-	errOpSlot   = errors.New("op window slot out of range")
-	errOpStale  = errors.New("unknown or stale op")
-	errOpBusy   = errors.New("partner slot already busy")
-	errMask     = errors.New("last-agent mask not 1, 2 or 3")
-	errSameEdge = errors.New("last-agent edges are equal")
-	errNotOwner = errors.New("edge not owned by the receiver")
-	errNoAgent  = errors.New("op not waiting on a last agent")
-	errAgent    = errors.New("reply from a rank that was not asked")
+	errOpRank      = errors.New("op rank out of range or not the expected rank")
+	errOpSlot      = errors.New("op window slot out of range")
+	errOpStale     = errors.New("unknown or stale op")
+	errOpBusy      = errors.New("partner slot already busy")
+	errMask        = errors.New("last-agent mask names no edge, or a relayed one both")
+	errSameEdge    = errors.New("last-agent edges are equal")
+	errNotOwner    = errors.New("edge not owned by the receiver")
+	errRelayLoop   = errors.New("relay target is the sender")
+	errAgent       = errors.New("reply from a rank that was not asked")
+	errRetiredKind = errors.New("retired two-phase-commit kind")
 )
 
 // prepare rebuilds the selection prefix sums from the step-boundary edge
@@ -249,14 +244,6 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 		return r.onSelectSecond(om.id, om.e1, src)
 	case mAbortOp, mOpDone:
 		return r.onOwnReply(om.id, om.kind)
-	case mReserve:
-		return r.onReserve(om.id, om.e1, src)
-	case mReserveOK, mReserveFail:
-		return r.onReserveReply(om.id, om.e1, om.kind)
-	case mCommit, mRelease:
-		return r.onDecision(om.id, om.e1, om.kind, src)
-	case mCommitAck, mReleaseAck:
-		return r.onAck(om.id, om.kind)
 	case mLastAgent:
 		return r.onLastAgent(om, src)
 	case mCommitted, mRefused:
@@ -379,15 +366,10 @@ func (r *edgeSwitcher) refuse(kind msgKind, id opID, why error) error {
 // (mOpDone) or rejected (mAbortOp). Either way its window slot is free
 // again and e1 leaves custody.
 func (r *edgeSwitcher) onOwnReply(id opID, kind msgKind) error {
-	switch {
-	case int(id.rank) != r.e.c.Rank():
-		return r.refuse(kind, id, errOpRank)
-	case uint32(id.slot) >= opWindow:
-		return r.refuse(kind, id, errOpSlot)
-	case !r.own[id.slot].live || r.own[id.slot].seq != id.seq:
-		return r.refuse(kind, id, errOpStale)
+	o, err := r.ownOp(id, kind)
+	if err != nil {
+		return err
 	}
-	o := &r.own[id.slot]
 	o.live = false
 	r.freeSlots[r.nFree] = id.slot
 	r.nFree++
@@ -396,6 +378,19 @@ func (r *edgeSwitcher) onOwnReply(id opID, kind msgKind) error {
 		return err
 	}
 	return r.settle(o.e1, orig, kind)
+}
+
+// ownOp returns the window slot of the live own operation id names.
+func (r *edgeSwitcher) ownOp(id opID, kind msgKind) (*ownOp, error) {
+	switch {
+	case int(id.rank) != r.e.c.Rank():
+		return nil, r.refuse(kind, id, errOpRank)
+	case uint32(id.slot) >= opWindow:
+		return nil, r.refuse(kind, id, errOpSlot)
+	case !r.own[id.slot].live || r.own[id.slot].seq != id.seq:
+		return nil, r.refuse(kind, id, errOpStale)
+	}
+	return &r.own[id.slot], nil
 }
 
 // settle ends an own operation whose first edge e1 is out of custody:
@@ -457,9 +452,10 @@ func (r *edgeSwitcher) onSelectSecond(id opID, e1 graph.Edge, initiator int) err
 // orchestrate is the partner's turn (§4.4): take e2, validate, draw the
 // kind, and check the replacement edges this rank owns in place. With
 // both here, or a refusal, it ends at once. Otherwise id's free partner
-// entry waits, e2 held and the local edge reserved, on the last agent —
-// or on reserve/commit rounds with two distinct remote owners. It
-// returns the initiator's outcome (mOpDone, mAbortOp), or 0 while waiting.
+// entry waits, e2 held and the local edge reserved, on the last agent: the
+// owner of the first edge this rank does not own, which relays the second
+// when another rank owns it. It returns the initiator's outcome (mOpDone,
+// mAbortOp), or 0 while waiting.
 func (r *edgeSwitcher) orchestrate(id opID, e1 graph.Edge) (msgKind, error) {
 	e := r.e
 	if e.deg.Total() == 0 {
@@ -496,19 +492,9 @@ func (r *edgeSwitcher) orchestrate(id opID, e1 graph.Edge) (msgKind, error) {
 	if mask == 2 {
 		agent = owners[1]
 	}
-	op := &r.partners[int(id.rank)*opWindow+int(id.slot)]
-	*op = partnerOp{seq: id.seq, e2: e2, edges: edges, owners: owners, agent: agent, live: true, phase: phaseLastAgent}
+	r.partners[int(id.rank)*opWindow+int(id.slot)] = partnerOp{seq: id.seq, e2: e2, edges: edges, owners: owners, agent: agent, live: true}
 	r.partnerLive++
 	r.hold(e2, orig)
-	if mask == 3 && owners[0] != owners[1] {
-		op.phase = phaseReserving
-		for i, ed := range edges {
-			if err := e.send(int(owners[i]), opMsg{kind: mReserve, id: id, e1: ed}); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}
 	for i, ed := range edges {
 		if mask>>i&1 == 0 {
 			r.custody.add(edgeKey(ed), custReserved, id)
@@ -517,97 +503,31 @@ func (r *edgeSwitcher) orchestrate(id opID, e1 graph.Edge) (msgKind, error) {
 	return 0, e.send(int(agent), opMsg{kind: mLastAgent, id: id, e1: a, e2: b, mask: mask})
 }
 
-// onAgentReply finishes an operation waiting on its last agent: the edges
-// reserved here commit with the agent's (mCommitted) or are released.
+// onAgentReply finishes an entry waiting on its last agent: the edges
+// reserved here commit with the agent's (mCommitted) or are released. A
+// partner then retires the operation; a relay passes the reply on.
 func (r *edgeSwitcher) onAgentReply(id opID, kind msgKind, src int) error {
 	op, err := r.partner(id, kind, true)
 	if err != nil {
 		return err
 	}
-	switch {
-	case op.phase != phaseLastAgent:
-		return r.refuse(kind, id, errNoAgent)
-	case int32(src) != op.agent:
+	if int32(src) != op.agent {
 		return r.refuse(kind, id, errAgent)
 	}
+	me := int32(r.e.c.Rank())
 	for i, ed := range op.edges {
-		if op.owners[i] != op.agent {
+		if op.owners[i] == me {
 			if err := r.unreserve(id, ed, kind, kind == mCommitted); err != nil {
 				return err
 			}
 		}
 	}
-	return r.retire(op, id, kind == mCommitted)
-}
-
-// onReserveReply advances a partner op when an owner answers.
-func (r *edgeSwitcher) onReserveReply(id opID, ed graph.Edge, kind msgKind) error {
-	e := r.e
-	op, err := r.partner(id, kind, true)
-	if err != nil {
-		return err
+	if !op.relay {
+		return r.retire(op, id, kind == mCommitted)
 	}
-	if op.phase != phaseReserving {
-		return fmt.Errorf("core: rank %d got %v for %v in phase %d", e.c.Rank(), kind, id, op.phase)
-	}
-	idx, err := op.edgeIndex(ed)
-	if err != nil {
-		return err
-	}
-	if op.resolved[idx] {
-		return fmt.Errorf("core: rank %d got duplicate reserve reply for %v/%v", e.c.Rank(), id, ed)
-	}
-	op.resolved[idx] = true
-	op.okay[idx] = kind == mReserveOK
-	if !op.resolved[0] || !op.resolved[1] {
-		return nil
-	}
-	if op.okay[0] && op.okay[1] {
-		op.phase = phaseCommitting
-		op.acksLeft = 2
-		for i := 0; i < 2; i++ {
-			if err := e.send(int(op.owners[i]), opMsg{kind: mCommit, id: id, e1: op.edges[i]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// At least one conflict: release successful reservations, then abort.
-	op.phase = phaseReleasing
-	op.acksLeft = 0
-	for i := 0; i < 2; i++ {
-		if op.okay[i] {
-			op.acksLeft++
-			if err := e.send(int(op.owners[i]), opMsg{kind: mRelease, id: id, e1: op.edges[i]}); err != nil {
-				return err
-			}
-		}
-	}
-	if op.acksLeft == 0 {
-		return r.retire(op, id, false)
-	}
-	return nil
-}
-
-// onAck counts commit/release acknowledgements and finishes the op when
-// all owners have applied their updates.
-func (r *edgeSwitcher) onAck(id opID, kind msgKind) error {
-	commit, phase := kind == mCommitAck, uint8(phaseReleasing)
-	if commit {
-		phase = phaseCommitting
-	}
-	op, err := r.partner(id, kind, true)
-	if err != nil {
-		return err
-	}
-	if op.phase != phase || op.acksLeft == 0 {
-		return fmt.Errorf("core: rank %d got %v for %v in phase %d", r.e.c.Rank(), kind, id, op.phase)
-	}
-	op.acksLeft--
-	if op.acksLeft > 0 {
-		return nil
-	}
-	return r.retire(op, id, commit)
+	op.live = false
+	r.partnerLive--
+	return r.answer(id, kind, int(op.partner))
 }
 
 // retire frees a finished partner op — e2 discarded after a commit,
@@ -627,74 +547,99 @@ func (r *edgeSwitcher) retire(op *partnerOp, id opID, commit bool) error {
 	switch {
 	case int(id.rank) == r.e.c.Rank():
 		return r.onOwnReply(id, kind)
-	case op.phase == phaseLastAgent && op.agent == id.rank:
+	case op.agent == id.rank:
 		return nil
 	}
 	return r.e.send(int(id.rank), opMsg{kind: kind, id: id})
 }
 
-func (op *partnerOp) edgeIndex(ed graph.Edge) (int, error) {
-	switch ed {
-	case op.edges[0]:
-		return 0, nil
-	case op.edges[1]:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("core: edge %v is not one of the op's replacement edges %v", ed, op.edges)
-	}
-}
-
 // ---- owner role ----
 
 // onLastAgent is the last agent's turn, two-phase commit's last-agent
-// optimization: the partner has reserved what it owns and hands over
-// the rest, the edges mask names. They all commit here or none does, and
-// the reply says which. When this rank initiated the operation it
-// settles it here as well, and the partner owes it no reply.
-func (r *edgeSwitcher) onLastAgent(m opMsg, partner int) error {
+// optimization: the sender has reserved what it owns and hands over the
+// rest, the edges mask names. They all commit here or none does, and the
+// reply says which. A partner's request naming an edge 1 this rank does
+// not own makes it the relay: with its own edge 0 clear it reserves that
+// and forwards edge 1 (see relay). Only the rank that answers the partner
+// directly settles the initiator's operation when it is this rank; a
+// relayed record's receiver never does.
+func (r *edgeSwitcher) onLastAgent(m opMsg, src int) error {
 	e := r.e
+	relayed, owned := m.mask&maskRelayed != 0, m.mask&3
 	switch {
-	case m.mask == 0 || m.mask > 3:
+	case owned == 0 || m.mask > 7 || relayed && owned == 3:
 		return r.refuse(m.kind, m.id, errMask)
-	case m.mask == 3 && m.e1 == m.e2:
+	case owned == 3 && m.e1 == m.e2:
 		return r.refuse(m.kind, m.id, errSameEdge)
 	}
-	edges := [2]graph.Edge{m.e1, m.e2}
-	reply, outcome := mCommitted, mOpDone
-	for i, ed := range edges {
-		_, local := e.localSlot(ed.U)
-		switch {
-		case m.mask>>i&1 == 0:
-		case !local || !r.wellFormed(ed):
-			return r.refuse(m.kind, m.id, errNotOwner)
-		case r.conflicts(ed):
-			reply, outcome = mRefused, mAbortOp
-		}
-	}
-	if int(m.id.rank) == e.c.Rank() {
-		if err := r.onOwnReply(m.id, outcome); err != nil {
+	if !relayed && int(m.id.rank) == e.c.Rank() {
+		if _, err := r.ownOp(m.id, m.kind); err != nil {
 			return err
 		}
 	}
+	_, local1 := e.localSlot(m.e2.U)
+	relay := !relayed && owned == 3 && !local1 && r.wellFormed(m.e2)
+	if relay {
+		owned = 1
+		if e.owner(m.e2) == src {
+			return r.refuse(m.kind, m.id, errRelayLoop)
+		}
+		if _, err := r.partner(m.id, m.kind, false); err != nil {
+			return err
+		}
+	}
+	edges := [2]graph.Edge{m.e1, m.e2}
+	reply := mCommitted
 	for i, ed := range edges {
-		if reply == mCommitted && m.mask>>i&1 != 0 {
+		_, local := e.localSlot(ed.U)
+		switch {
+		case owned>>i&1 == 0:
+		case !local || !r.wellFormed(ed):
+			return r.refuse(m.kind, m.id, errNotOwner)
+		case r.conflicts(ed):
+			reply = mRefused
+		}
+	}
+	if relay && reply == mCommitted {
+		return r.relay(m, src)
+	}
+	for i, ed := range edges {
+		if reply == mCommitted && owned>>i&1 != 0 {
 			if err := e.insertLocal(ed, false); err != nil {
 				return err
 			}
 		}
 	}
-	return e.send(partner, opMsg{kind: reply, id: m.id})
+	if relayed {
+		return e.send(src, opMsg{kind: reply, id: m.id})
+	}
+	return r.answer(m.id, reply, src)
 }
 
-// onReserve answers a reservation request with a conflict check; a
-// successful check records the potential edge (§4.5 issue 1).
-func (r *edgeSwitcher) onReserve(id opID, ed graph.Edge, partner int) error {
-	e := r.e
-	if r.conflicts(ed) {
-		return e.send(partner, opMsg{kind: mReserveFail, id: id, e1: ed})
+// relay reserves edge 0 for m's operation in the relay's partner entry
+// and forwards edge 1 to its owner, whose reply onAgentReply passes on.
+func (r *edgeSwitcher) relay(m opMsg, partner int) error {
+	me, next := int32(r.e.c.Rank()), int32(r.e.owner(m.e2))
+	r.partners[int(m.id.rank)*opWindow+int(m.id.slot)] = partnerOp{seq: m.id.seq, edges: [2]graph.Edge{m.e1, m.e2},
+		owners: [2]int32{me, next}, agent: next, partner: int32(partner), relay: true, live: true}
+	r.partnerLive++
+	r.custody.add(edgeKey(m.e1), custReserved, m.id)
+	return r.e.send(int(next), opMsg{kind: mLastAgent, id: m.id, e1: m.e1, e2: m.e2, mask: 2 | maskRelayed})
+}
+
+// answer gives the partner a chain's reply, first settling the
+// initiator's operation when this rank initiated it.
+func (r *edgeSwitcher) answer(id opID, reply msgKind, partner int) error {
+	if int(id.rank) == r.e.c.Rank() {
+		outcome := mOpDone
+		if reply == mRefused {
+			outcome = mAbortOp
+		}
+		if err := r.onOwnReply(id, outcome); err != nil {
+			return err
+		}
 	}
-	r.custody.add(edgeKey(ed), custReserved, id)
-	return e.send(partner, opMsg{kind: mReserveOK, id: id, e1: ed})
+	return r.e.send(partner, opMsg{kind: reply, id: id})
 }
 
 // unreserve ends id's reservation of ed: commit materializes it as a
@@ -709,19 +654,6 @@ func (r *edgeSwitcher) unreserve(id opID, ed graph.Edge, kind msgKind, commit bo
 		return nil
 	}
 	return r.e.insertLocal(ed, false)
-}
-
-// onDecision applies the partner's decision on a reserved edge, mCommit
-// or mRelease, and acknowledges it.
-func (r *edgeSwitcher) onDecision(id opID, ed graph.Edge, kind msgKind, partner int) error {
-	if err := r.unreserve(id, ed, kind, kind == mCommit); err != nil {
-		return err
-	}
-	ack := mReleaseAck
-	if kind == mCommit {
-		ack = mCommitAck
-	}
-	return r.e.send(partner, opMsg{kind: ack, id: id})
 }
 
 // ---- custody table ----

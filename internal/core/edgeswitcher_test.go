@@ -100,10 +100,11 @@ func (r *edgeSwitcher) takeRandomEdge() graph.Edge {
 	return ed
 }
 
-// forcePartner makes every later partner draw pick rank p of a 2-rank
-// world.
+// forcePartner makes every later partner draw pick rank p.
 func (r *edgeSwitcher) forcePartner(p int) {
-	r.cumEdges = []int64{0, int64(1 - p), 1}
+	for i := range r.cumEdges {
+		r.cumEdges[i] = int64(min(max(i-p, 0), 1))
+	}
 }
 
 // armedSwitchers bootstraps a live 2-rank edge-switch world (HP-D, a
@@ -111,24 +112,24 @@ func (r *edgeSwitcher) forcePartner(p int) {
 // uniform partner distribution, set directly rather than by prepare.
 // Messages a test makes them send stay queued in the message plane or
 // the peer's mailbox.
-func armedSwitchers(tb testing.TB) [2]*edgeSwitcher {
+func armedSwitchers(tb testing.TB) []*edgeSwitcher {
 	tb.Helper()
 	g, err := gen.ErdosRenyi(rng.New(12), 80, 320)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return armedSwitchersOn(tb, g)
+	return armedWorld(tb, g, 2)
 }
 
-// armedSwitchersOn is armedSwitchers on graph g.
-func armedSwitchersOn(tb testing.TB, g *graph.Graph) [2]*edgeSwitcher {
+// armedWorld is armedSwitchers on graph g over p ranks.
+func armedWorld(tb testing.TB, g *graph.Graph, p int) []*edgeSwitcher {
 	tb.Helper()
-	w, err := mpi.NewWorld(2)
+	w, err := mpi.NewWorld(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { w.Close() })
-	var rs [2]*edgeSwitcher
+	rs := make([]*edgeSwitcher, p)
 	err = w.Run(func(c *mpi.Comm) error {
 		e, err := bootstrap(c, graphSource(g), 0, Config{Seed: 5, Scheme: SchemeHPD, CheckInvariants: true})
 		if err != nil {
@@ -143,7 +144,10 @@ func armedSwitchersOn(tb testing.TB, g *graph.Graph) [2]*edgeSwitcher {
 	for _, r := range rs {
 		tb.Cleanup(func() { r.e.adj.Close() })
 		r.remaining = 1 << 20
-		r.cumEdges = []int64{0, 1, 2}
+		r.cumEdges = make([]int64, p+1)
+		for i := range r.cumEdges {
+			r.cumEdges[i] = int64(i)
+		}
 	}
 	return rs
 }
@@ -227,13 +231,12 @@ func TestOpTablesRefuseBadIDs(t *testing.T) {
 		{opMsg{kind: mSelectSecond, id: opID{rank: 1, slot: 6, seq: 1}}, 0, errOpRank},
 		{opMsg{kind: mSelectSecond, id: opID{rank: 2, slot: 0, seq: 1}}, 2, errOpRank},
 		{opMsg{kind: mSelectSecond, id: opID{rank: 1, slot: opWindow, seq: 1}}, 1, errOpSlot},
-		{opMsg{kind: mReserveOK, id: opID{rank: 2, slot: part.slot, seq: part.seq}}, 1, errOpRank},
-		{opMsg{kind: mReserveFail, id: opID{rank: -1, slot: part.slot, seq: part.seq}}, 1, errOpRank},
-		{opMsg{kind: mReserveOK, id: opID{rank: 1, slot: 1 << 20, seq: part.seq}}, 1, errOpSlot},
-		{opMsg{kind: mReserveOK, id: opID{rank: 1, slot: part.slot, seq: part.seq + 1}}, 1, errOpStale},
-		{opMsg{kind: mReserveOK, id: opID{rank: 1, slot: part.slot + 1, seq: part.seq}}, 1, errOpStale},
-		{opMsg{kind: mCommitAck, id: opID{rank: 1, slot: part.slot, seq: 0}}, 1, errOpStale},
-		{opMsg{kind: mReleaseAck, id: opID{rank: 1, slot: opWindow, seq: part.seq}}, 1, errOpSlot},
+		{opMsg{kind: mCommitted, id: opID{rank: 2, slot: part.slot, seq: part.seq}}, 1, errOpRank},
+		{opMsg{kind: mRefused, id: opID{rank: -1, slot: part.slot, seq: part.seq}}, 1, errOpRank},
+		{opMsg{kind: mCommitted, id: opID{rank: 1, slot: 1 << 20, seq: part.seq}}, 1, errOpSlot},
+		{opMsg{kind: mRefused, id: opID{rank: 1, slot: part.slot + 1, seq: part.seq}}, 1, errOpStale},
+		{opMsg{kind: mCommitted, id: opID{rank: 1, slot: part.slot, seq: 0}}, 1, errOpStale},
+		{opMsg{kind: mRefused, id: opID{rank: 1, slot: opWindow, seq: part.seq}}, 1, errOpSlot},
 		{opMsg{kind: mCommitted, id: opID{rank: 1, slot: part.slot, seq: part.seq + 1}}, 1, errOpStale},
 		{opMsg{kind: mRefused, id: opID{rank: 1, slot: -1, seq: part.seq}}, 1, errOpSlot},
 	} {
@@ -255,7 +258,7 @@ func TestOpTablesRefuseBadIDs(t *testing.T) {
 // each time with a fresh first edge from rank 1, until the operation
 // waits on its last agent instead of finishing at once; it returns the
 // id.
-func partnerWaiting(tb testing.TB, rs [2]*edgeSwitcher) opID {
+func partnerWaiting(tb testing.TB, rs []*edgeSwitcher) opID {
 	tb.Helper()
 	id := opID{rank: 1, slot: 5, seq: 1}
 	for !rs[0].partners[opWindow+5].live {
@@ -268,9 +271,9 @@ func partnerWaiting(tb testing.TB, rs [2]*edgeSwitcher) opID {
 
 // TestLastAgentRefusals: a last-agent request or reply that does not fit
 // the protocol is refused by name and leaves the tables as they were —
-// a mask naming no edge or more than two, two equal edges, an edge the
-// receiver does not own, a reply for an operation not waiting on a last
-// agent, and a reply from a rank that was not asked.
+// a mask naming no edge, two equal edges, an edge the receiver does not
+// own, a relay request whose forward target is the sender, and a reply
+// from a rank that was not asked.
 func TestLastAgentRefusals(t *testing.T) {
 	rs := armedSwitchers(t)
 	r0 := rs[0]
@@ -291,6 +294,7 @@ func TestLastAgentRefusals(t *testing.T) {
 		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: mine, mask: 3}, 1, errSameEdge},
 		{opMsg{kind: mLastAgent, id: own, e1: theirs, e2: mine, mask: 1}, 1, errNotOwner},
 		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: graph.Edge{U: 80, V: 2}, mask: 3}, 1, errNotOwner},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: theirs, mask: 3}, 1, errRelayLoop},
 		{opMsg{kind: mLastAgent, id: opID{rank: 0, slot: own.slot, seq: own.seq + 1}, e1: mine, mask: 1}, 1, errOpStale},
 		{opMsg{kind: mCommitted, id: part}, 0, errAgent},
 		{opMsg{kind: mRefused, id: own}, 1, errOpStale},
@@ -300,11 +304,6 @@ func TestLastAgentRefusals(t *testing.T) {
 		}
 	}
 	op := &r0.partners[opWindow+5]
-	op.phase = phaseCommitting
-	if err := r0.handle(opMsg{kind: mCommitted, id: part}, 1); !errors.Is(err, errNoAgent) {
-		t.Errorf("committed for an op committing by rounds: got %v, want %v", err, errNoAgent)
-	}
-	op.phase = phaseLastAgent
 	if r0.inFlight() != 1 || r0.partnerLive != 1 || !op.live || r0.custody.live != [2]int{2, 0} && r0.custody.live != [2]int{2, 1} {
 		t.Fatalf("refusals changed the tables: %d in flight, %d partner ops, custody %v", r0.inFlight(), r0.partnerLive, r0.custody.live)
 	}
@@ -320,54 +319,136 @@ func TestLastAgentRefusals(t *testing.T) {
 	}
 }
 
-// hopGraph is a 2-rank HP-D fixture for TestConversationHops: rank 0
-// owns the edges with an even smaller endpoint, rank 1 the others.
-func hopGraph(tb testing.TB, edges ...graph.Edge) [2]*edgeSwitcher {
+// TestRelayRefusals: on a 3-rank world, a relayed last-agent record or
+// a relay request that does not fit the protocol is refused by name and
+// leaves the tables as they were — a relayed record naming both edges, a
+// relayed edge the receiver does not own, a relay whose forward target
+// is the sender, a relay request whose partner entry is busy or whose
+// rank is out of range, and a record of a retired two-phase-commit kind. A
+// relayed record for the receiver's own operation commits without
+// settling it: only the rank answering the partner directly may.
+func TestRelayRefusals(t *testing.T) {
+	g, err := gen.ErdosRenyi(rng.New(12), 90, 360)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := armedWorld(t, g, 3)
+	r0 := rs[0]
+	r0.forcePartner(1)
+	if err := r0.startOp(); err != nil {
+		t.Fatal(err)
+	}
+	own := opID{rank: 0, slot: r0.freeSlots[r0.nFree], seq: r0.seq}
+	part := partnerWaiting(t, rs)
+	// HP-D over 3 ranks: rank u mod 3 owns (u, v).
+	var mine graph.Edge
+	for u := graph.Vertex(0); mine == (graph.Edge{}); u += 3 {
+		if ed := (graph.Edge{U: u, V: 89}); !r0.conflicts(ed) {
+			mine = ed
+		}
+	}
+	at1, at2 := graph.Edge{U: 1, V: 89}, graph.Edge{U: 2, V: 89}
+	for _, tc := range []struct {
+		m    opMsg
+		src  int
+		want error
+	}{
+		{opMsg{kind: mLastAgent, id: own, e1: at2, e2: mine, mask: 3 | maskRelayed}, 2, errMask},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: at2, mask: 2 | maskRelayed}, 2, errNotOwner},
+		{opMsg{kind: mLastAgent, id: own, e1: mine, e2: at2, mask: 3}, 2, errRelayLoop},
+		{opMsg{kind: mLastAgent, id: part, e1: mine, e2: at1, mask: 3}, 2, errOpBusy},
+		{opMsg{kind: mLastAgent, id: opID{rank: 3, slot: 0, seq: 1}, e1: mine, e2: at1, mask: 3}, 2, errOpRank},
+	} {
+		if err := r0.handle(tc.m, tc.src); !errors.Is(err, tc.want) {
+			t.Errorf("%v %v mask %d from %d: got %v, want %v", tc.m.kind, tc.m.id, tc.m.mask, tc.src, err, tc.want)
+		}
+	}
+	for k := byte(mAbortOp) + 1; k < byte(mOpDone); k++ {
+		frame := append([]byte{edgeRecLen, k}, make([]byte, edgeRecLen-1)...)
+		if err := r0.e.handle(mpi.Message{Src: 1, Data: frame}); !errors.Is(err, errRetiredKind) {
+			t.Errorf("retired kind %d: got %v, want %v", k, err, errRetiredKind)
+		}
+	}
+	if r0.inFlight() != 1 || r0.partnerLive != 1 || r0.custody.live[custReserved] > 1 {
+		t.Fatalf("refusals changed the tables: %d in flight, %d partner ops, custody %v", r0.inFlight(), r0.partnerLive, r0.custody.live)
+	}
+	if err := r0.handle(opMsg{kind: mLastAgent, id: own, e1: at2, e2: mine, mask: 2 | maskRelayed}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if r0.inFlight() != 1 || !r0.conflicts(mine) {
+		t.Fatalf("relayed record: %d in flight, edge committed %v; want the op waiting on its partner", r0.inFlight(), r0.conflicts(mine))
+	}
+}
+
+// hopGraph is a p-rank HP-D fixture for TestConversationHops: rank
+// u mod p owns the edges whose smaller endpoint is u.
+func hopGraph(tb testing.TB, p int, edges ...graph.Edge) []*edgeSwitcher {
 	tb.Helper()
 	g, err := graph.FromEdges(8, edges, rng.New(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return armedSwitchersOn(tb, g)
+	return armedWorld(tb, g, p)
 }
 
 // TestConversationHops pins what a switch costs on the wire, one
-// operation per locality case on a 2-rank world whose edges force the
-// case: rank 0 initiates with the partner forced, every record is
-// delivered by hand, and the log lists each record and the moment the
-// initiator's operation completes. Only legs that cross ranks are
-// records; a single remote owner commits on reservation. Then a p = 1
-// run sends nothing at all.
+// operation per locality case on a world whose edges force the case:
+// rank 0 initiates with the partner forced, every record is delivered by
+// hand, and the log lists each record and the moment the initiator's
+// operation completes. Only legs that cross ranks are records; a single
+// remote owner commits on reservation, and two remote owners form a relay
+// chain. Then a p = 1 run sends nothing at all.
 func TestConversationHops(t *testing.T) {
 	e := func(u, v graph.Vertex) graph.Edge { return graph.Edge{U: u, V: v} }
 	for _, tc := range []struct {
-		name    string
-		edges   []graph.Edge
-		partner int
-		want    string
+		name     string
+		p        int
+		edges    []graph.Edge
+		reserved []graph.Edge // edges rank 0 holds reserved for another operation
+		partner  int
+		want     string
 	}{
 		// Every replacement edge of {0,2}×{4,6} has an even smaller end.
-		{"fully local", []graph.Edge{e(0, 2), e(4, 6)}, 0, "done"},
+		{"fully local", 2, []graph.Edge{e(0, 2), e(4, 6)}, nil, 0, "done"},
 		// {0,1}×{2,3}: one replacement edge starts at 0, the other at 1.
-		{"local partner, one remote owner", []graph.Edge{e(0, 1), e(2, 3)}, 0,
+		{"local partner, one remote owner", 2, []graph.Edge{e(0, 1), e(2, 3)}, nil, 0,
 			"0→1 lastAgent, 1→0 committed, done"},
 		// (0,1)×(3,5): one replacement edge at 0, the other at 1.
-		{"remote partner, owners initiator and partner", []graph.Edge{e(0, 1), e(3, 5)}, 1,
+		{"remote partner, owners initiator and partner", 2, []graph.Edge{e(0, 1), e(3, 5)}, nil, 1,
 			"0→1 selectSecond, 1→0 lastAgent, done, 0→1 committed"},
 		// (4,6)×(1,3): both replacement edges start at 1 or 3.
-		{"remote partner owns both", []graph.Edge{e(4, 6), e(1, 3)}, 1,
+		{"remote partner owns both", 2, []graph.Edge{e(4, 6), e(1, 3)}, nil, 1,
 			"0→1 selectSecond, 1→0 opDone, done"},
+		// (0,2)×(4,5) at p = 3: edge 0, (0,4) or (0,5), is rank 0's and
+		// edge 1, (2,5) or (2,4), rank 2's. With edges owned by their
+		// smaller endpoint, the first replacement edge of a relay is
+		// always the initiator's, so the relay settles inline.
+		{"two remote owners: relay chain", 3, []graph.Edge{e(0, 2), e(4, 5)}, nil, 1,
+			"0→1 selectSecond, 1→0 lastAgent, 0→2 lastAgent relayed, 2→0 committed, done, 0→1 committed"},
+		{"two remote owners: relay refuses at once", 3, []graph.Edge{e(0, 2), e(4, 5)}, []graph.Edge{e(0, 4), e(0, 5)}, 1,
+			"0→1 selectSecond, 1→0 lastAgent, restart, 0→1 refused"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := hopGraph(t, tc.edges...)
-			rs[0].remaining, rs[1].remaining = 1, 0
+			rs := hopGraph(t, tc.p, tc.edges...)
+			for _, r := range rs[1:] {
+				r.remaining = 0
+			}
+			rs[0].remaining = 1
 			rs[0].forcePartner(tc.partner)
+			other := opID{rank: 2, seq: 1}
+			for _, ed := range tc.reserved {
+				rs[0].custody.add(edgeKey(ed), custReserved, other)
+			}
 			var log []string
 			finished := false
 			done := func() {
-				if !finished && rs[0].done() {
+				switch {
+				case !finished && rs[0].done():
 					finished = true
 					log = append(log, "done")
+				case !finished && rs[0].e.restarts == 1 && rs[0].inFlight() == 0:
+					finished = true
+					log = append(log, "restart")
 				}
 			}
 			if err := rs[0].startOp(); err != nil {
@@ -377,36 +458,50 @@ func TestConversationHops(t *testing.T) {
 			for moved := true; moved; {
 				moved = false
 				for from, r := range rs {
-					to := 1 - from
-					batch := r.e.sb.bufs[to]
-					if len(batch) == 0 {
-						continue
-					}
-					r.e.sb.bufs[to] = nil
-					err := forEachOpMsg(batch, func(m opMsg) error {
-						log = append(log, fmt.Sprintf("%d→%d %v", from, to, m.kind))
-						if err := rs[to].handle(m, from); err != nil {
-							return err
+					for to, batch := range r.e.sb.bufs {
+						if len(batch) == 0 {
+							continue
 						}
-						done()
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
+						r.e.sb.bufs[to] = nil
+						err := forEachOpMsg(batch, func(m opMsg) error {
+							rec := fmt.Sprintf("%d→%d %v", from, to, m.kind)
+							if m.mask&maskRelayed != 0 {
+								rec += " relayed"
+							}
+							log = append(log, rec)
+							if err := rs[to].handle(m, from); err != nil {
+								return err
+							}
+							done()
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						moved = true
 					}
-					moved = true
 				}
 			}
 			if got := strings.Join(log, ", "); got != tc.want {
 				t.Errorf("records %q, want %q", got, tc.want)
+			}
+			wantOps := int64(1)
+			if tc.reserved != nil {
+				wantOps = 0
+				rs[0].remaining = 0
+				for _, ed := range tc.reserved {
+					if err := rs[0].unreserve(other, ed, mRefused, false); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			for _, r := range rs {
 				if err := r.endStep(); err != nil {
 					t.Error(err)
 				}
 			}
-			if rs[0].e.opsInitiated != 1 || rs[0].e.restarts != 0 {
-				t.Errorf("%d ops, %d restarts, want one committed switch", rs[0].e.opsInitiated, rs[0].e.restarts)
+			if rs[0].e.opsInitiated != wantOps || rs[0].e.restarts != 1-wantOps {
+				t.Errorf("%d ops, %d restarts, want %d committed switches", rs[0].e.opsInitiated, rs[0].e.restarts, wantOps)
 			}
 		})
 	}
@@ -434,16 +529,17 @@ func FuzzConversationRecord(f *testing.F) {
 		seed(k, opID{rank: 0, slot: 0, seq: 1}, graph.Edge{U: 0, V: 3})
 	}
 	seed(mOpDone, opID{rank: 0, slot: opWindow, seq: 1}, graph.Edge{})
-	seed(mReserveOK, opID{rank: 2, slot: 5, seq: 1}, graph.Edge{U: 1, V: 2})
-	seed(mCommitAck, opID{rank: 1, slot: 5, seq: 0}, graph.Edge{})
-	seed(mCommit, opID{rank: 1, slot: 5, seq: 1}, graph.Edge{U: -1, V: 1 << 30})
-	seed(mReserve, opID{rank: 1, slot: 5, seq: 1}, graph.Edge{U: 0, V: 0})
-	seed(mReserve, opID{rank: 1, slot: 5, seq: 1}, graph.Edge{U: 0, V: 1 << 30})
+	seed(mCommitted, opID{rank: 2, slot: 5, seq: 1}, graph.Edge{})
+	seed(mRefused, opID{rank: 1, slot: 5, seq: 0}, graph.Edge{})
+	// The retired two-phase-commit kinds, framed at their old lengths.
+	for k := byte(mAbortOp) + 1; k < byte(mOpDone); k++ {
+		f.Add(append([]byte{k}, make([]byte, edgeRecLen-1)...), uint8(1))
+	}
 	// Found by the fuzzer: a first edge off the graph picked owner -1.
 	seed(mSelectSecond, opID{rank: 1, slot: 6, seq: 1}, graph.Edge{U: 0x30303030, V: 0x31303030})
-	// Last-agent requests, well-formed and not, and replies from the
-	// agent and from a rank that was not asked.
-	for mask := uint8(0); mask <= 4; mask++ {
+	// Last-agent requests, relayed or not, well-formed and not, and
+	// replies from the agent and from a rank that was not asked.
+	for mask := uint8(0); mask <= 8; mask++ {
 		add(opMsg{kind: mLastAgent, id: opID{rank: 0, slot: 0, seq: 1}, e1: graph.Edge{U: 0, V: 3}, e2: graph.Edge{U: 2, V: 5}, mask: mask}, 1)
 		add(opMsg{kind: mLastAgent, id: opID{rank: 1, slot: 5, seq: 1}, e1: graph.Edge{U: 4, V: 7}, e2: graph.Edge{U: 1, V: 2}, mask: mask}, 1)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 
 	"edgeswitch/internal/graph"
@@ -420,10 +418,6 @@ func (e *rankEngine) stepLoop() error {
 		if err := e.sb.flush(); err != nil {
 			return err
 		}
-		if debugTrace {
-			e.trace("blocking: done=%v starved=%v deg=%d eos=%d stalled=%d myStalled=%v sentEOS=%v",
-				r.done(), r.starved(), e.deg.Total(), e.eosOthers, e.stalledCount, e.myStalled, e.sentEOS)
-		}
 		m, err := e.c.Recv(mpi.AnySource, opTag)
 		if err != nil {
 			return err
@@ -716,9 +710,6 @@ func (e *rankEngine) handle(m mpi.Message) error {
 // handleMsg dispatches one message from src: the chassis consumes the
 // step-control kinds and hands everything else to the randomizer.
 func (e *rankEngine) handleMsg(om opMsg, src int) error {
-	if debugTrace {
-		e.trace("recv %v %v e=%v from %d", om.kind, om.id, om.e1, src)
-	}
 	switch om.kind {
 	case mEndOfStep:
 		e.eosOthers++
@@ -742,21 +733,5 @@ func (e *rankEngine) handleMsg(om opMsg, src int) error {
 		return nil
 	default:
 		return e.rand.handle(om, src)
-	}
-}
-
-// debugTrace, when enabled via the ESDEBUG environment variable, prints
-// every message a rank handles plus its loop state. Temporary diagnostic.
-var debugTrace = os.Getenv("ESDEBUG") != ""
-
-// traceOut receives debug traces. A variable rather than a hardcoded
-// fmt.Fprintf(os.Stderr, ...) so tests can capture traces and the
-// noprint check's "no direct terminal writes in library packages" rule
-// holds; writes are serialized per line by the underlying file.
-var traceOut io.Writer = os.Stderr
-
-func (e *rankEngine) trace(format string, args ...any) {
-	if debugTrace {
-		fmt.Fprintf(traceOut, "[rank %d] %s\n", e.c.Rank(), fmt.Sprintf(format, args...))
 	}
 }

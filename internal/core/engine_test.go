@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"hash/fnv"
 	"testing"
 
@@ -157,13 +158,18 @@ func TestEngineTakePreservesOriginalFlag(t *testing.T) {
 	}
 }
 
-// TestEngineConflictsChecksPotential: an edge reserved for a remote
-// partner (rank 1) conflicts until that operation releases it.
+// TestEngineConflictsChecksPotential: an edge a relay reserves for a
+// remote operation conflicts until the second owner's reply ends the
+// reservation, and the relay passes that reply to the partner.
 func TestEngineConflictsChecksPotential(t *testing.T) {
-	rs := armedSwitchers(t)[0]
-	// A fresh non-edge this rank owns (HP-D: an even smaller endpoint).
+	g, err := gen.ErdosRenyi(rng.New(12), 80, 320)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := armedWorld(t, g, 3)[0]
+	// A fresh non-edge this rank owns (HP-D: a smaller endpoint ≡ 0 mod 3).
 	var candidate graph.Edge
-	for u := graph.Vertex(0); u < 78 && candidate == (graph.Edge{}); u += 2 {
+	for u := graph.Vertex(0); u < 78 && candidate == (graph.Edge{}); u += 3 {
 		if e := (graph.Edge{U: u, V: u + 1}); !rs.conflicts(e) {
 			candidate = e
 		}
@@ -171,21 +177,29 @@ func TestEngineConflictsChecksPotential(t *testing.T) {
 	if candidate == (graph.Edge{}) {
 		t.Fatal("graph too dense for a candidate")
 	}
-	id := opID{rank: 1, seq: 1}
-	if err := rs.onReserve(id, candidate, 1); err != nil {
+	id := opID{rank: 1, slot: 3, seq: 1}
+	req := opMsg{kind: mLastAgent, id: id, e1: candidate, e2: graph.Edge{U: 2, V: 79}, mask: 3}
+	if err := rs.handle(req, 1); err != nil {
 		t.Fatal(err)
 	}
-	if rs.custody.live[custReserved] != 1 || !rs.conflicts(candidate) {
-		t.Fatalf("reserved edge not seen by conflict check (%d reservations)", rs.custody.live[custReserved])
+	if rs.custody.live[custReserved] != 1 || !rs.conflicts(candidate) || rs.partnerLive != 1 {
+		t.Fatalf("relayed edge not seen by conflict check (%d reservations)", rs.custody.live[custReserved])
 	}
-	if err := rs.onDecision(opID{rank: 1, seq: 2}, candidate, mRelease, 1); err == nil {
-		t.Fatal("release by another op accepted")
+	if err := rs.handle(opMsg{kind: mRefused, id: id}, 1); !errors.Is(err, errAgent) {
+		t.Fatalf("reply from the partner: got %v, want %v", err, errAgent)
 	}
-	if err := rs.onDecision(id, candidate, mRelease, 1); err != nil {
+	if err := rs.handle(opMsg{kind: mRefused, id: id}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if rs.custody.live[custReserved] != 0 || rs.conflicts(candidate) {
+	if rs.custody.live[custReserved] != 0 || rs.conflicts(candidate) || rs.partnerLive != 0 {
 		t.Fatal("released edge still conflicts")
+	}
+	var got []opMsg
+	if err := forEachOpMsg(rs.e.sb.bufs[1], func(m opMsg) error { got = append(got, m); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != (opMsg{kind: mRefused, id: id}) {
+		t.Fatalf("relay sent the partner %v, want one refusal", got)
 	}
 }
 

@@ -12,15 +12,17 @@ import (
 // first edge), the partner (owner of the second edge; may equal the
 // initiator), and the owners of the two replacement edges. Only legs
 // that cross ranks are records; a rank's own share is a direct call.
-// When every replacement edge the partner does not own lives on one
-// rank, that rank is the last agent (mLastAgent): it commits its edges on
-// reservation and replies once. Only two distinct remote owners (p ≥ 3)
-// take reserve/commit rounds with acknowledgements.
+// Every replacement edge the partner does not own is committed by a last
+// agent (mLastAgent), which commits its edges on reservation and replies
+// once. When two distinct remote owners hold them (p ≥ 3), they form a
+// relay chain: the owner of edge 0 reserves it and forwards edge 1 to its
+// owner, then passes that owner's answer back to the partner.
 //
 // The end-of-step barrier is sound because a rank's records to a peer
-// arrive in send order: an owner acknowledges or replies before its own
-// end-of-step signal, so a rank that has heard end-of-step from everyone
-// has seen every update applied and every partner entry retired.
+// arrive in send order: an owner replies before its own end-of-step
+// signal, and only the rank that answers the partner directly settles the
+// initiator's operation inline, so a rank that has heard end-of-step from
+// everyone has seen every update applied and every partner entry retired.
 //
 // The curveball randomizer has no conversations: its adjacency entries
 // travel as packed edge runs (mEdgeRun, below) inside the same batches,
@@ -40,26 +42,18 @@ const (
 	// mAbortOp: partner → initiator. The operation was rejected
 	// (useless/loop/parallel-edge/empty partition); restart with a new pair.
 	mAbortOp
-	// mReserve: partner → owner. Reserve a replacement edge in the
-	// owner's potential-edge set after a conflict check.
-	mReserve
-	// mReserveOK / mReserveFail: owner → partner replies.
-	mReserveOK
-	mReserveFail
-	// mCommit: partner → owner. Materialize a reserved edge.
-	mCommit
-	// mCommitAck: owner → partner.
-	mCommitAck
-	// mRelease: partner → owner. Drop a reservation after a failed switch.
-	mRelease
-	// mReleaseAck: owner → partner.
-	mReleaseAck
+	// Kinds 3–9 were the two-phase-commit round of an older protocol
+	// (reserve, reserveOK, reserveFail, commit, commitAck, release,
+	// releaseAck); a record carrying one is refused with errRetiredKind.
+	//
 	// mOpDone: partner → initiator. Switch committed everywhere.
-	mOpDone
-	// mLastAgent: partner → the one remote owner. Carries both replacement
-	// edges and mask; the receiver commits all edges it owns or none.
+	mOpDone msgKind = iota + 8
+	// mLastAgent: partner → the owner of the first replacement edge it
+	// does not own, or relay → the second owner (mask bit maskRelayed).
+	// Carries both replacement edges and mask; the receiver commits all
+	// edges it owns or none, relaying the other one when both are remote.
 	mLastAgent
-	// mCommitted / mRefused: last agent → partner replies.
+	// mCommitted / mRefused: last agent → partner (or relay) replies.
 	mCommitted
 	mRefused
 	// mEndOfStep: rank → all. The sender has completed its quota for the
@@ -81,16 +75,14 @@ const (
 )
 
 var msgKindNames = [...]string{
-	mSelectSecond: "selectSecond", mAbortOp: "abortOp", mReserve: "reserve",
-	mReserveOK: "reserveOK", mReserveFail: "reserveFail", mCommit: "commit",
-	mCommitAck: "commitAck", mRelease: "release", mReleaseAck: "releaseAck",
-	mOpDone: "opDone", mLastAgent: "lastAgent", mCommitted: "committed",
-	mRefused: "refused", mEndOfStep: "endOfStep", mStalled: "stalled",
-	mResumed: "resumed", mEdgeRun: "edgeRun",
+	mSelectSecond: "selectSecond", mAbortOp: "abortOp", mOpDone: "opDone",
+	mLastAgent: "lastAgent", mCommitted: "committed", mRefused: "refused",
+	mEndOfStep: "endOfStep", mStalled: "stalled", mResumed: "resumed",
+	mEdgeRun: "edgeRun",
 }
 
 func (k msgKind) String() string {
-	if k >= mSelectSecond && int(k) < len(msgKindNames) {
+	if int(k) < len(msgKindNames) && msgKindNames[k] != "" {
 		return msgKindNames[k]
 	}
 	return fmt.Sprintf("msgKind(%d)", uint8(k))
@@ -114,8 +106,12 @@ type opMsg struct {
 	id   opID       // operation id
 	e1   graph.Edge // mSelectSecond: first edge; owner messages: target edge
 	e2   graph.Edge // mLastAgent: the second replacement edge
-	mask uint8      // mLastAgent: bit i set for each edge the receiver owns
+	mask uint8      // mLastAgent: bit i set for each edge the sender hands over, plus maskRelayed
 }
+
+// maskRelayed marks a last-agent record forwarded by a relay: the
+// receiver answers the relay and never settles the initiator's operation.
+const maskRelayed = 4
 
 // Record layout, `kind uint8 | rank uint32 | slot uint32 | seq uint64`,
 // then the kind's edges (`u uint32 | v uint32` each) and mLastAgent's
@@ -129,7 +125,7 @@ const (
 
 func recLen(k msgKind) int {
 	switch k {
-	case mSelectSecond, mReserve, mReserveOK, mReserveFail, mCommit, mRelease:
+	case mSelectSecond:
 		return edgeRecLen
 	case mLastAgent:
 		return lastRecLen
@@ -187,7 +183,10 @@ func decodeOpMsg(data []byte) (opMsg, error) {
 		return opMsg{}, fmt.Errorf("core: empty op message")
 	}
 	kind := msgKind(data[0])
-	if kind < mSelectSecond || kind > mResumed {
+	switch {
+	case kind > mAbortOp && kind < mOpDone:
+		return opMsg{}, fmt.Errorf("core: message kind %d: %w", data[0], errRetiredKind)
+	case kind < mSelectSecond || kind > mResumed:
 		return opMsg{}, fmt.Errorf("core: unknown message kind %d", data[0])
 	}
 	if len(data) != recLen(kind) {

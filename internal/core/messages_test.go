@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -36,15 +37,9 @@ func TestOpMsgRoundTrip(t *testing.T) {
 	msgs := []opMsg{
 		{kind: mSelectSecond, id: opID{rank: 3, slot: 63, seq: 12345}, e1: graph.Edge{U: 7, V: 9}},
 		{kind: mAbortOp, id: opID{rank: 0, seq: 0}},
-		{kind: mReserve, id: opID{rank: 1023, slot: 17, seq: 1 << 40}, e1: graph.Edge{U: 0, V: 1}},
-		{kind: mReserveOK, id: opID{rank: 1, slot: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
-		{kind: mReserveFail, id: opID{rank: 1, slot: 1, seq: 2}, e1: graph.Edge{U: 2, V: 3}},
-		{kind: mCommit, id: opID{rank: 5, slot: 2, seq: 6}, e1: graph.Edge{U: 100000, V: 2000000}},
-		{kind: mCommitAck, id: opID{rank: 5, slot: 2, seq: 6}},
-		{kind: mRelease, id: opID{rank: 5, slot: 2, seq: 6}, e1: graph.Edge{U: 1, V: 2}},
-		{kind: mReleaseAck, id: opID{rank: 5, slot: 2, seq: 6}},
 		{kind: mOpDone, id: opID{rank: 9, slot: opWindow - 1, seq: 10}},
 		{kind: mLastAgent, id: opID{rank: 2, slot: 7, seq: 11}, e1: graph.Edge{U: 4, V: 8}, e2: graph.Edge{U: 5, V: 1 << 20}, mask: 2},
+		{kind: mLastAgent, id: opID{rank: 1023, slot: 17, seq: 1 << 40}, e1: graph.Edge{U: 0, V: 1}, e2: graph.Edge{U: 100000, V: 2000000}, mask: 2 | maskRelayed},
 		{kind: mCommitted, id: opID{rank: 2, slot: 7, seq: 11}},
 		{kind: mRefused, id: opID{rank: 2, slot: 7, seq: 11}},
 		// Out-of-range ids and masks survive the codec; the handlers refuse them.
@@ -55,7 +50,7 @@ func TestOpMsgRoundTrip(t *testing.T) {
 		{kind: mResumed},
 	}
 	// The layout: kind | rank | slot | seq | the kind's edges | mask.
-	rec := msgs[10].encode()
+	rec := msgs[3].encode()
 	want := []byte{byte(mLastAgent), 2, 0, 0, 0, 7, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0,
 		4, 0, 0, 0, 8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0x10, 0, 2}
 	if string(rec) != string(want) {
@@ -77,8 +72,9 @@ func TestOpMsgRoundTrip(t *testing.T) {
 }
 
 func TestOpMsgRoundTripProperty(t *testing.T) {
+	kinds := []msgKind{mSelectSecond, mAbortOp, mOpDone, mLastAgent, mCommitted, mRefused, mEndOfStep, mStalled, mResumed}
 	f := func(kindRaw uint8, rank, slot int32, seq uint64, u, v, x, y int32, mask uint8) bool {
-		kind := msgKind(kindRaw%uint8(mResumed)) + 1
+		kind := kinds[int(kindRaw)%len(kinds)]
 		m := opMsg{kind: kind, id: opID{rank: rank, slot: slot, seq: seq},
 			e1: graph.Edge{U: graph.Vertex(u), V: graph.Vertex(v)}, e2: graph.Edge{U: graph.Vertex(x), V: graph.Vertex(y)}, mask: mask}
 		// A kind carries only its own fields.
@@ -120,6 +116,16 @@ func TestDecodeOpMsgRejectsBadInput(t *testing.T) {
 	if _, err := decodeOpMsg(bad); err == nil {
 		t.Fatal("kind out of range accepted")
 	}
+	// A retired two-phase-commit record is refused by name at its old
+	// length and at any other.
+	for k := byte(mAbortOp) + 1; k < byte(mOpDone); k++ {
+		for _, n := range []int{idRecLen, edgeRecLen} {
+			rec := append([]byte{k}, make([]byte, n-1)...)
+			if _, err := decodeOpMsg(rec); !errors.Is(err, errRetiredKind) {
+				t.Fatalf("retired kind %d (%d bytes): got %v, want %v", k, n, err, errRetiredKind)
+			}
+		}
+	}
 	// An edge run is never an opMsg: its header must not decode as one.
 	if _, err := decodeOpMsg(mkRun()); err == nil {
 		t.Fatal("edge run header decoded as an op message")
@@ -132,21 +138,13 @@ func TestMsgKindStrings(t *testing.T) {
 			t.Fatalf("kind %d has bad name %q", k, s)
 		}
 	}
+	// The kinds that survive the retired two-phase-commit round keep their
+	// byte values: 1, 2 and 10–17.
+	if mAbortOp != 2 || mOpDone != 10 || mEdgeRun != 17 {
+		t.Fatalf("kind bytes moved: abortOp %d, opDone %d, edgeRun %d", mAbortOp, mOpDone, mEdgeRun)
+	}
 	if s := msgKind(200).String(); s != "msgKind(200)" {
 		t.Fatalf("unknown kind string %q", s)
-	}
-}
-
-func TestPartnerOpEdgeIndex(t *testing.T) {
-	op := &partnerOp{edges: [2]graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}}
-	if i, err := op.edgeIndex(graph.Edge{U: 1, V: 2}); err != nil || i != 0 {
-		t.Fatalf("edge 0: %d %v", i, err)
-	}
-	if i, err := op.edgeIndex(graph.Edge{U: 3, V: 4}); err != nil || i != 1 {
-		t.Fatalf("edge 1: %d %v", i, err)
-	}
-	if _, err := op.edgeIndex(graph.Edge{U: 5, V: 6}); err == nil {
-		t.Fatal("foreign edge accepted")
 	}
 }
 

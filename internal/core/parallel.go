@@ -174,8 +174,9 @@ type Result struct {
 	// edge-switching these are records to peers, as many as the placement
 	// of an operation's edges demands: none when all of them live on the
 	// initiator (so every count is 0 at p=1), 2–4 through a partner
-	// owning both replacement edges or a last agent, up to 10 when two
-	// ranks other than the partner own them; end-of-step signals add O(p)
+	// owning both replacement edges or a last agent, up to 5 through a
+	// relay chain when two ranks other than the partner own them (the
+	// relay is then the initiator); end-of-step signals add O(p)
 	// per step. For curveball: one per routed adjacency entry (drained,
 	// forwarded or settled), whether it stays on the rank or rides a run
 	// to a peer — about three times the degrees a trade trades.
@@ -285,8 +286,9 @@ func (src *source) partitioner(scheme Scheme, p int, seed uint64) (partition.Par
 // partitioned by the configured scheme; each step's operations are
 // spread over ranks by a multinomial keyed to the current per-partition
 // edge counts, which every rank draws identically; each operation runs the
-// reserve/commit conversation protocol. The input graph g is not
-// modified.
+// conversation protocol, its replacement edges checked as potential edges
+// and committed by a last agent or a relay chain. The input graph g is
+// not modified.
 //
 // For true multi-process distribution, run one RunRank per process over
 // an mpi.ProcWorld instead (see edgeswitch -coordinator).

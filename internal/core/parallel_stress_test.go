@@ -5,7 +5,7 @@ import (
 )
 
 // TestParallelStressManyRanksSmallSteps is the engine's race gate: 8
-// ranks, deliberately small steps (so the reserve/commit protocol, the
+// ranks, deliberately small steps (so the conversation protocol, the
 // end-of-step handshake and the sanitizer's collectives all fire many
 // times) on both the mailbox and loopback-TCP transports, with the
 // invariant sanitizer verifying the full distributed state at every step

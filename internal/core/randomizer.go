@@ -21,8 +21,8 @@ type Algorithm string
 const (
 	// AlgoEdgeSwitch is the paper's single-edge-switch conversation
 	// protocol (§4.4–§4.5): each operation takes two random edges and
-	// swaps their endpoints under a reserve/commit/release conversation
-	// between the initiator, a partner, and the replacement-edge owners.
+	// swaps their endpoints under a conversation between the initiator,
+	// a partner, and the replacement-edge owners.
 	// The default.
 	AlgoEdgeSwitch Algorithm = "edge-switch"
 	// AlgoCurveball is the global curveball trade chain

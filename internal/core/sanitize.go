@@ -6,7 +6,6 @@ import (
 
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
-	"edgeswitch/internal/partition"
 )
 
 // The invariant sanitizer: the dynamic counterpart of the esvet static
@@ -17,8 +16,7 @@ import (
 // it silently biases every statistic computed from the shuffled graph,
 // which is why checked runs re-verify the full state at every step
 // boundary (enable with Config.CheckInvariants) instead of trusting the
-// protocol. See Sanitize, SanitizeGraph and SanitizeDistribution for the
-// standalone checkers.
+// protocol. See Sanitize and SanitizeGraph for the standalone checkers.
 
 // ViolationKind classifies a sanitizer finding.
 type ViolationKind string
@@ -73,21 +71,6 @@ func NewBaseline(g *graph.Graph) *Baseline {
 	return &Baseline{N: g.N(), M: g.M(), Degrees: d64}
 }
 
-// BaselineOfEdges records the fingerprint of an explicit edge list over
-// n vertices (no simplicity checks; run Sanitize for those).
-func BaselineOfEdges(n int, edges []graph.Edge) *Baseline {
-	b := &Baseline{N: n, M: int64(len(edges)), Degrees: make([]int64, n)}
-	for _, e := range edges {
-		if 0 <= e.U && int(e.U) < n {
-			b.Degrees[e.U]++
-		}
-		if 0 <= e.V && int(e.V) < n && e.U != e.V {
-			b.Degrees[e.V]++
-		}
-	}
-	return b
-}
-
 // Sanitize checks an edge multiset over n vertices against the
 // simple-graph invariants and, when base is non-nil, against the
 // recorded baseline. It returns every violation found (capped at
@@ -137,38 +120,6 @@ func SanitizeGraph(g *graph.Graph, base *Baseline) []Violation {
 		}
 		checkBaseline(&vs, g.N(), g.M(), d64, base)
 	}
-	return vs.list
-}
-
-// SanitizeDistribution checks the exactly-once edge-ownership invariant
-// across partitions: parts[r] is rank r's claimed (normalized, reduced)
-// edge set; every edge must live in exactly the part of
-// pt.Owner(edge.U), no edge may appear in two parts, and the union must
-// satisfy Sanitize against base.
-func SanitizeDistribution(pt partition.Partitioner, n int, parts [][]graph.Edge, base *Baseline) []Violation {
-	var vs violations
-	union := make([]graph.Edge, 0)
-	holders := make(map[graph.Edge]int)
-	for rank, edges := range parts {
-		for _, e := range edges {
-			if e.U > e.V {
-				vs.addf(VOwnership, "rank %d stores unnormalized edge (%d,%d): reduced adjacency must key edges by their min endpoint", rank, e.U, e.V)
-				e = e.Norm()
-			}
-			if !e.IsLoop() && e.U >= 0 && int(e.V) < n {
-				if owner := pt.Owner(e.U); owner != rank {
-					vs.addf(VOwnership, "rank %d stores edge (%d,%d) owned by rank %d: every edge must live in exactly its owner's partition", rank, e.U, e.V, owner)
-				}
-			}
-			if prev, dup := holders[e]; dup {
-				vs.addf(VOwnership, "edge (%d,%d) held by both rank %d and rank %d: edges must be owned exactly once", e.U, e.V, prev, rank)
-			} else {
-				holders[e] = rank
-			}
-			union = append(union, e)
-		}
-	}
-	vs.list = append(vs.list, Sanitize(n, union, base)...)
 	return vs.list
 }
 

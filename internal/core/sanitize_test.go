@@ -6,7 +6,6 @@ import (
 
 	"edgeswitch/internal/gen"
 	"edgeswitch/internal/graph"
-	"edgeswitch/internal/partition"
 	"edgeswitch/internal/rng"
 )
 
@@ -132,57 +131,6 @@ func TestSanitizeCapsRepeatedViolations(t *testing.T) {
 	if !strings.Contains(last.Message, "suppressed") {
 		t.Fatalf("cap marker missing: %v", last)
 	}
-}
-
-func TestSanitizeDistribution(t *testing.T) {
-	pt, err := partition.NewHPD(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// HP-D with p=2: even vertices -> rank 0, odd -> rank 1.
-	clean := [][]graph.Edge{
-		{{U: 0, V: 1}, {U: 2, V: 3}},
-		{{U: 1, V: 2}, {U: 3, V: 4}},
-	}
-	n := 5
-	if vs := SanitizeDistribution(pt, n, clean, BaselineOfEdges(n, flatten(clean))); len(vs) != 0 {
-		t.Fatalf("clean distribution flagged: %v", vs)
-	}
-
-	t.Run("wrong owner", func(t *testing.T) {
-		parts := [][]graph.Edge{
-			{{U: 0, V: 1}, {U: 1, V: 2}}, // (1,2) belongs to rank 1
-			{{U: 3, V: 4}},
-		}
-		vs := SanitizeDistribution(pt, n, parts, nil)
-		wantKind(t, vs, VOwnership, "rank 0", "(1,2)", "owned by rank 1")
-	})
-
-	t.Run("held twice", func(t *testing.T) {
-		parts := [][]graph.Edge{
-			{{U: 0, V: 1}},
-			{{U: 0, V: 1}, {U: 3, V: 4}},
-		}
-		vs := SanitizeDistribution(pt, n, parts, nil)
-		wantKind(t, vs, VOwnership, "(0,1)", "both rank 0 and rank 1", "exactly once")
-	})
-
-	t.Run("unnormalized", func(t *testing.T) {
-		parts := [][]graph.Edge{
-			{{U: 2, V: 1}}, // stored backwards
-			nil,
-		}
-		vs := SanitizeDistribution(pt, n, parts, nil)
-		wantKind(t, vs, VOwnership, "unnormalized", "min endpoint")
-	})
-}
-
-func flatten(parts [][]graph.Edge) []graph.Edge {
-	var out []graph.Edge
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // TestEngineSanitizerDetectsDroppedEdge corrupts a live engine (discard

@@ -73,29 +73,6 @@ func TestSequentialUniformOverDegreeClass(t *testing.T) {
 	}
 }
 
-func TestParallelUniformOverDegreeClass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("many small parallel runs")
-	}
-	counts := map[string]int{}
-	const samples = 400
-	for i := 0; i < samples; i++ {
-		r := rng.New(uint64(1000 + i))
-		g := startCycle(t, r)
-		res, err := Parallel(g, 8, Config{Ranks: 2, Scheme: SchemeHPD, Seed: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[cycleID(t, res.Graph)]++
-	}
-	// Loose check: every realization appears a healthy number of times.
-	for _, id := range []string{"A", "B", "C"} {
-		if counts[id] < samples/6 {
-			t.Fatalf("realization %s underrepresented: %v", id, counts)
-		}
-	}
-}
-
 // TestSequentialStationaryFromEachStart: starting from any of the three
 // realizations, one switch leads to each other realization with equal
 // probability (the chain's transition symmetry).
@@ -266,6 +243,64 @@ func TestParallelCurveballUniformOverDegreeClass(t *testing.T) {
 	t.Logf("chi2=%.1f (dof %d)", chi2, dof)
 	if chi2 > 45 {
 		t.Errorf("p=2 curveball not uniform over the class: chi2=%.1f (dof %d), bound 45", chi2, dof)
+	}
+}
+
+// The parallel edge-switch chain is sampled every esSpacing operations,
+// in steps of esStepSize, so the step quotas and the partner odds follow
+// the edge counts closely.
+const (
+	esSpacing  = 20
+	esStepSize = 4
+)
+
+// parallelSwitchChi2 is uniformChi2 for the edge-switch chain run through
+// the distributed engine at p ranks (HP-D).
+func parallelSwitchChi2(t *testing.T, p int, deg []int, samples int) (chi2 float64, dof int) {
+	t.Helper()
+	return uniformChi2(t, deg, samples, func(g *graph.Graph, seed uint64) *graph.Graph {
+		res, err := Parallel(g, esSpacing, Config{Ranks: p, Scheme: SchemeHPD, StepSize: esStepSize, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Graph
+	})
+}
+
+// TestParallelUniformOverDegreeClass runs the edge-switch chain through
+// the distributed engine over C4 and the skewed class, at p = 2 and at
+// p = 4, where a switch whose replacement edges have two remote owners
+// commits through a relay chain. Each sample continues from the last.
+//
+// The bounds come from 20 runs of this chain, each with every seed
+// shifted by k·10⁶, on this engine and on the two-phase-commit engine it
+// replaced. Three are chi2Bound. The fourth is
+// a band: at p = 2 the chain over C4 is not uniform, on either engine
+// (chi2 22–79 over 1000 samples). The partner is drawn with odds |E_j|/m
+// but takes e2 from the m_j − 1 edges e1 left, so a pair inside one
+// partition is drawn m_j/(m_j − 1) times as often as across two. At
+// p = 2 one of the two switches out of two of the three 4-cycles is such
+// a pair; at p = 4 none is.
+func TestParallelUniformOverDegreeClass(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("2900 small parallel runs")
+	}
+	for _, tc := range []struct {
+		p       int
+		deg     []int
+		samples int
+		bound   float64
+	}{
+		{2, cycleDegrees, 1000, 120},
+		{2, skewedDegrees, 600, chi2Bound(14)},
+		{4, cycleDegrees, 1000, chi2Bound(2)},
+		{4, skewedDegrees, 300, chi2Bound(14)},
+	} {
+		chi2, dof := parallelSwitchChi2(t, tc.p, tc.deg, tc.samples)
+		t.Logf("p=%d degrees %v: chi2=%.1f (dof %d), bound %.1f", tc.p, tc.deg, chi2, dof, tc.bound)
+		if chi2 > tc.bound {
+			t.Errorf("p=%d degrees %v: switching not uniform over the class: chi2=%.1f, bound %.1f", tc.p, tc.deg, chi2, tc.bound)
+		}
 	}
 }
 

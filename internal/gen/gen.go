@@ -302,9 +302,6 @@ func RMAT(r *rng.RNG, scale int, m int64, a, b, c float64) (*graph.Graph, error)
 	return g, nil
 }
 
-// DegreeSequence returns the (full) degree of every vertex.
-func DegreeSequence(g *graph.Graph) []int { return g.Degrees() }
-
 // IsGraphical applies the Erdős–Gallai criterion to decide whether a
 // degree sequence can be realized by a simple graph.
 func IsGraphical(degrees []int) bool {

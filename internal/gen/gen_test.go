@@ -313,7 +313,7 @@ func TestHavelHakimiMatchesGeneratedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := DegreeSequence(g)
+	ds := g.Degrees()
 	if !IsGraphical(ds) {
 		t.Fatal("real graph's degree sequence reported non-graphical")
 	}

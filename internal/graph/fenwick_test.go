@@ -233,7 +233,7 @@ func TestFenwickDifferential(t *testing.T) {
 // heavyTailed draws a Pareto(1.5)-like degree: mostly single digits,
 // occasionally thousands, like a preferential-attachment partition.
 func heavyTailed(r *rng.RNG) int64 {
-	return int64(math.Min(3*math.Pow(r.Float64Open(), -1/1.5), 1e6))
+	return int64(math.Min(3*math.Pow(1-r.Float64(), -1/1.5), 1e6))
 }
 
 // BenchmarkSelection times the engine's per-operation use of the tree:

@@ -208,19 +208,6 @@ func (g *Graph) Originals() int64 { return g.originals }
 // ReducedDegree reports |{v > u : (u,v) ∈ E}|.
 func (g *Graph) ReducedDegree(u Vertex) int { return g.adj[u].Len() }
 
-// Degree reports the full degree of u. O(m/n) on average is not available
-// from reduced lists alone, so this is O(n log d) if called for all
-// vertices; use Degrees for bulk queries.
-func (g *Graph) Degree(u Vertex) int {
-	d := g.adj[u].Len()
-	for w := Vertex(0); w < u; w++ {
-		if g.adj[w].Contains(u) {
-			d++
-		}
-	}
-	return d
-}
-
 // Degrees returns the full degree of every vertex in O(m + n).
 func (g *Graph) Degrees() []int {
 	deg := make([]int, g.n)
@@ -254,20 +241,6 @@ func (g *Graph) Edges() []Edge {
 			return true
 		})
 	}
-	return out
-}
-
-// Neighbors returns the full neighbour set of u in ascending order,
-// reconstructed from the reduced lists in O(n log d) worst case; intended
-// for metrics and tests, not hot paths. For bulk access use FullAdjacency.
-func (g *Graph) Neighbors(u Vertex) []Vertex {
-	var out []Vertex
-	for w := Vertex(0); w < u; w++ {
-		if g.adj[w].Contains(u) {
-			out = append(out, w)
-		}
-	}
-	out = append(out, g.adj[u].Keys()...)
 	return out
 }
 

@@ -96,20 +96,9 @@ func TestDegrees(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Degrees()[%d] = %d, want %d", i, got[i], want[i])
 		}
-		if g.Degree(Vertex(i)) != want[i] {
-			t.Fatalf("Degree(%d) = %d, want %d", i, g.Degree(Vertex(i)), want[i])
-		}
 	}
 	if g.ReducedDegree(0) != 1 || g.ReducedDegree(4) != 0 {
 		t.Fatal("reduced degrees wrong")
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	g := path5(t)
-	nb := g.Neighbors(2)
-	if len(nb) != 2 || nb[0] != 1 || nb[1] != 3 {
-		t.Fatalf("Neighbors(2) = %v", nb)
 	}
 }
 

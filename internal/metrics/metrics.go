@@ -175,33 +175,6 @@ func AvgShortestPath(g *graph.Graph, sources int, r *rng.RNG) float64 {
 	return totalDist / pairs
 }
 
-// DegreeStats summarizes a degree sequence.
-type DegreeStats struct {
-	Min, Max int
-	Avg      float64
-}
-
-// Degrees computes min/max/average degree.
-func Degrees(g *graph.Graph) DegreeStats {
-	ds := g.Degrees()
-	if len(ds) == 0 {
-		return DegreeStats{}
-	}
-	st := DegreeStats{Min: ds[0], Max: ds[0]}
-	var sum int64
-	for _, d := range ds {
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		sum += int64(d)
-	}
-	st.Avg = float64(sum) / float64(len(ds))
-	return st
-}
-
 // AbortRates converts per-rank restart and completed-operation counts
 // into per-rank abort rates restarts/(restarts+ops) — the fraction of a
 // rank's selections that were rejected and retried.
@@ -254,21 +227,4 @@ func LoadImbalance(loads []int64) Imbalance {
 		MaxOverMean: mx / mean,
 		CV:          math.Sqrt(varSum/float64(len(loads))) / mean,
 	}
-}
-
-// DegreeHistogram buckets the degree sequence into a log₂ histogram:
-// bucket k counts vertices with degree in [2^k, 2^{k+1}).
-func DegreeHistogram(g *graph.Graph) []int64 {
-	var hist []int64
-	for _, d := range g.Degrees() {
-		k := 0
-		for x := d; x > 1; x >>= 1 {
-			k++
-		}
-		for len(hist) <= k {
-			hist = append(hist, 0)
-		}
-		hist[k]++
-	}
-	return hist
 }

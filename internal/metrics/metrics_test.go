@@ -155,14 +155,6 @@ func TestAvgShortestPathEmpty(t *testing.T) {
 	}
 }
 
-func TestDegreesStats(t *testing.T) {
-	g := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	st := Degrees(g)
-	if st.Min != 1 || st.Max != 3 || math.Abs(st.Avg-1.5) > 1e-12 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 func TestLoadImbalance(t *testing.T) {
 	perfect := LoadImbalance([]int64{10, 10, 10, 10})
 	if math.Abs(perfect.MaxOverMean-1) > 1e-12 || perfect.CV != 0 {
@@ -178,15 +170,6 @@ func TestLoadImbalance(t *testing.T) {
 	zero := LoadImbalance([]int64{0, 0})
 	if zero.MaxOverMean != 1 {
 		t.Fatalf("all-zero loads: %+v", zero)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	// Star: center degree 3 (bucket 1: [2,4)), leaves degree 1 (bucket 0).
-	g := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	h := DegreeHistogram(g)
-	if len(h) != 2 || h[0] != 3 || h[1] != 1 {
-		t.Fatalf("histogram %v", h)
 	}
 }
 

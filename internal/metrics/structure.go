@@ -7,8 +7,8 @@ import (
 )
 
 // Structural measurements beyond the paper's core metrics, for
-// null-model studies: degree assortativity, exact triangle counts, and a
-// degree-distribution distance. All are deterministic.
+// null-model studies: degree assortativity and exact triangle counts.
+// Both are deterministic.
 
 // Assortativity computes the degree assortativity coefficient (Pearson
 // correlation of endpoint degrees over edges, Newman 2002). Edge
@@ -69,52 +69,4 @@ func Triangles(g *graph.Graph) int64 {
 		higher = higher[:0]
 	}
 	return count
-}
-
-// GlobalClustering computes the transitivity 3·triangles / open wedges
-// (distinct from the average local coefficient ClusteringCoefficient
-// returns).
-func GlobalClustering(g *graph.Graph) float64 {
-	var wedges int64
-	for _, d := range g.Degrees() {
-		wedges += int64(d) * int64(d-1) / 2
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return 3 * float64(Triangles(g)) / float64(wedges)
-}
-
-// DegreeDistributionDistance computes the total-variation distance
-// between the degree distributions of two graphs: ½ Σ_d |p₁(d) − p₂(d)|.
-// Zero iff the distributions coincide; degree-preserving switching must
-// keep it at exactly 0 against the input graph.
-func DegreeDistributionDistance(a, b *graph.Graph) float64 {
-	pa := degreeDist(a)
-	pb := degreeDist(b)
-	keys := map[int]bool{}
-	for d := range pa {
-		keys[d] = true
-	}
-	for d := range pb {
-		keys[d] = true
-	}
-	var tv float64
-	for d := range keys {
-		tv += math.Abs(pa[d] - pb[d])
-	}
-	return tv / 2
-}
-
-func degreeDist(g *graph.Graph) map[int]float64 {
-	out := map[int]float64{}
-	ds := g.Degrees()
-	if len(ds) == 0 {
-		return out
-	}
-	w := 1 / float64(len(ds))
-	for _, d := range ds {
-		out[d] += w
-	}
-	return out
 }

@@ -14,7 +14,6 @@ package rng
 
 import (
 	"errors"
-	"math"
 	"math/bits"
 )
 
@@ -58,11 +57,12 @@ func (r *RNG) Seed(seed uint64) {
 // Split derives an independent generator for stream index i.
 // Splitting the same seed with the same index always yields the same
 // stream, which gives per-rank determinism in parallel runs.
+//
+// The stream's seed is the SplitMix64 output that follows i+1 steps (none
+// for a negative i) from a key of seed. A step only adds SplitMix64's
+// increment to the state, so the walk is one multiply: O(1) for any i.
 func Split(seed uint64, i int) *RNG {
-	sm := seed ^ 0x5851f42d4c957f2d
-	for j := 0; j <= i; j++ {
-		splitMix64(&sm)
-	}
+	sm := (seed ^ 0x5851f42d4c957f2d) + uint64(max(i+1, 0))*0x9e3779b97f4a7c15
 	return New(splitMix64(&sm) ^ uint64(i)*0xd1342543de82ef95)
 }
 
@@ -101,9 +101,6 @@ func (r *RNG) Uint64() uint64 {
 // Uint32 returns 32 uniformly distributed random bits.
 func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Int63 returns a non-negative int64 with 63 uniform bits.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Int64n returns a uniform integer in [0, n). It panics if n <= 0.
 // Uses Lemire's multiply-shift rejection method, which is unbiased.
 func (r *RNG) Int64n(n int64) int64 {
@@ -133,49 +130,8 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Open returns a uniform float64 in (0, 1), never exactly zero.
-// Useful for inverse-transform sampling where log(u) must be finite.
-func (r *RNG) Float64Open() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return u
-		}
-	}
-}
-
 // Bool returns a fair coin flip.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Geometric returns a variate distributed Geometric(q): the number of
-// Bernoulli(q) trials up to and including the first success (support 1, 2,
-// ...). It panics unless 0 < q <= 1.
-func (r *RNG) Geometric(q float64) int64 {
-	if q <= 0 || q > 1 {
-		panic("rng: Geometric requires 0 < q <= 1")
-	}
-	if q == 1 {
-		return 1
-	}
-	// Inverse transform: ceil(ln(u) / ln(1-q)).
-	u := r.Float64Open()
-	return int64(math.Ceil(math.Log(u) / math.Log1p(-q)))
-}
-
-// Exp returns an exponential variate with rate 1.
-func (r *RNG) Exp() float64 { return -math.Log(r.Float64Open()) }
 
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {

@@ -45,6 +45,28 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// splitWalk is Split as the SplitMix64 walk it shortcuts: i+1 steps
+// from the keyed seed, one at a time.
+func splitWalk(seed uint64, i int) *RNG {
+	sm := seed ^ 0x5851f42d4c957f2d
+	for j := 0; j <= i; j++ {
+		splitMix64(&sm)
+	}
+	return New(splitMix64(&sm) ^ uint64(i)*0xd1342543de82ef95)
+}
+
+// TestSplitMatchesWalk: the closed-form Split is bit-identical to the
+// walk, for negative, small and large stream indices.
+func TestSplitMatchesWalk(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef, 1<<64 - 1} {
+		for _, i := range []int{-3, -1, 0, 1, 2, 7, 1 << 20, 1<<21 + 1, 1<<22 + 7} {
+			if got, want := Split(seed, i).State(), splitWalk(seed, i).State(); got != want {
+				t.Errorf("Split(%#x, %d) state %x, walk %x", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestInt64nRange(t *testing.T) {
 	r := New(3)
 	for _, n := range []int64{1, 2, 3, 7, 16, 100, 1 << 40} {
@@ -109,61 +131,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestFloat64OpenNeverZero(t *testing.T) {
-	r := New(13)
-	for i := 0; i < 100000; i++ {
-		if r.Float64Open() == 0 {
-			t.Fatal("Float64Open returned 0")
-		}
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(17)
-	for _, q := range []float64{0.1, 0.3, 0.5, 0.9} {
-		sum := 0.0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			v := r.Geometric(q)
-			if v < 1 {
-				t.Fatalf("Geometric(%f) = %d < 1", q, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / n
-		want := 1 / q
-		if math.Abs(mean-want)/want > 0.05 {
-			t.Fatalf("Geometric(%f) mean %f, want ~%f", q, mean, want)
-		}
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	r := New(19)
-	if v := r.Geometric(1); v != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", v)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %f too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %f too far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	f := func(seed uint64, nRaw uint8) bool {
@@ -204,18 +171,6 @@ func TestBoolBalance(t *testing.T) {
 	}
 	if trues < n/2-1000 || trues > n/2+1000 {
 		t.Fatalf("Bool heavily biased: %d/%d true", trues, n)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(41)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("Exp mean %f, want ~1", mean)
 	}
 }
 
