@@ -104,10 +104,10 @@ func BenchmarkOutOfCore(b *testing.B) {
 // fingerprint drifts from the recorded deterministic value, or if the
 // store stops streaming: it counts, it does not time (a wall-clock
 // ratio of two paths that speed up by different factors bands nothing).
-// A curveball round rewrites a fully drained partition straight into
-// the next base segment, so the overlay stays a small fraction of the
-// edges (≤ m/10, summed over ranks) and every rank rewrites its base at
-// most once per round plus once at load.
+// A curveball run rewrites its fully drained partition straight into a
+// new base segment, so the overlay stays a small fraction of the edges
+// (≤ m/10, summed over ranks) and every rank rewrites its base at most
+// once per round plus once at load.
 func TestBenchsmokeOutOfCoreRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a counter guard; -race only slows it")

@@ -459,7 +459,7 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	if err != nil {
 		return false, err
 	}
-	if err := e.loadSlotEdges(ents, false); err != nil {
+	if err := e.loadSlotEdges(ents, nil, false); err != nil {
 		return false, err
 	}
 	if err := e.finishLoad(man.M, cfg); err != nil {

@@ -22,19 +22,25 @@ import (
 // Distribution: the owner of perm[2i] orchestrates trade i, and a round
 // moves flat arrays only (DESIGN.md §5). prepare lays out one arrival
 // arena sized exactly from the global degrees — invariant across the run,
-// bootstrapped by one AllreduceUint32s — and drains the whole partition
-// (drainLocal), routing each edge to the EARLIEST trade this round
-// touching one of its endpoints, anchored there (cbFirstTrade; an edge
-// touching no trade — the sat-out vertex of an odd-n round — is final at
-// once): into that trade's arena slice, or into its orchestrator's edge
-// run (messages.go). A trade holding every edge incident to its two
-// vertices goes on the ready stack; executing it writes each result into
-// the slice or run of the later trade of its non-traded endpoint, or,
-// when no later trade wants it, onto its owner's settled list, which
-// endStep bulk-loads back into the store. Induction on the trade index
-// makes this deadlock-free: trade 0's inputs come only from drains,
-// trade i's only from drains and trades < i. The step-boundary Allgather
-// barriers rounds, so nothing leaks across them.
+// bootstrapped by one AllreduceUint32s — and routes the whole partition
+// to the EARLIEST trade this round touching one of each edge's
+// endpoints, anchored there (cbFirstTrade; an edge touching no trade —
+// the sat-out vertex of an odd-n round — is final at once): into that
+// trade's arena slice, or into its orchestrator's edge run (messages.go).
+// A trade holding every edge incident to its two vertices goes on the
+// ready stack; executing it writes each result into the slice or run of
+// the later trade of its non-traded endpoint, or, when no later trade
+// wants it, onto its owner's settled list. Induction on the trade index
+// makes this deadlock-free: trade 0's inputs come only from the routed
+// partition, trade i's only from it and trades < i. The step-boundary
+// exchange barriers rounds, so nothing leaks across them.
+//
+// Lifecycle: the round's settled list is the partition, and the next
+// round routes it as it stands (the two lists alternate). The store
+// holds the partition only after bootstrap or a restore, when prepare
+// first drains it into the list (drainPartition), and wherever something
+// reads it: the chassis calls storePartition at a checkpoint boundary, at
+// every boundary of a sanitized run and at the end of the run.
 //
 // Determinism (the p-invariance pin): a trade's inputs are sorted by
 // non-anchor endpoint before the uniform redistribution, which draws from
@@ -233,11 +239,10 @@ type curveball struct {
 	arena   []uint32   // this round's arrival words, one slice pair per owned trade
 	ready   []int32    // owned trades holding every arrival, not yet executed
 	settled []slotEdge // edges final for the round that this rank owns
-
-	// routeEach is r.routeDrained bound once (no closure per round);
-	// drainErr is the first error it hit — a store drain cannot abort.
-	routeEach func(ed graph.Edge, orig bool)
-	drainErr  error
+	// prev is the last round's settled list; while carried is set it is
+	// the partition and the store is drained.
+	prev    []slotEdge
+	carried bool
 
 	// Execution scratch, reused across trades.
 	pool []uint64
@@ -272,7 +277,6 @@ func newCurveball(e *rankEngine) (*curveball, error) {
 		trades:    make([]cbTrade, len(e.verts)),
 		ready:     make([]int32, 0, len(e.verts)),
 	}
-	r.routeEach = r.routeDrained
 	return r, nil
 }
 
@@ -286,8 +290,9 @@ func roundBuf[T any](buf []T, n int) []T {
 }
 
 // prepare arms one round: derive the pairing, lay out the arena, and
-// drain the whole partition into it and into the peers' runs, executing
-// owned trades as they complete.
+// route the whole partition — the carried settled list, into which a
+// stored partition is drained first — into it and into the peers' runs,
+// executing owned trades as they complete.
 func (r *curveball) prepare(s int64, counts []int64) error {
 	e := r.e
 	if s != 1 {
@@ -322,14 +327,16 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 		}
 	}
 	r.arena = roundBuf(r.arena, need)[:need]
-	r.settled = roundBuf(r.settled, int(e.deg.Total()))
+	r.settled = roundBuf(r.settled, int(e.localEdges()))
 
-	// Drain every owned adjacency, executing trades as they complete.
-	r.drainErr = nil
-	for li := range e.verts {
-		e.drainLocal(li, r.routeEach)
-		if r.drainErr != nil {
-			return r.drainErr
+	if !r.carried {
+		r.prev = e.drainPartition(roundBuf(r.prev, int(e.localEdges())))
+	}
+	r.carried = false
+	// Route every owned edge, executing trades as they complete.
+	for _, se := range r.prev {
+		if err := r.route(e.carryOut(se), se.orig); err != nil {
+			return err
 		}
 		if err := r.runReady(); err != nil {
 			return err
@@ -338,20 +345,17 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 	return r.runReady()
 }
 
-// routeDrained sends one drained edge to its earliest incident trade, or
-// to the settled list when neither endpoint trades this round.
-func (r *curveball) routeDrained(ed graph.Edge, orig bool) {
-	if r.drainErr != nil {
-		return
-	}
+// route sends one edge of the partition to its earliest incident trade,
+// or to the settled list when neither endpoint trades this round.
+func (r *curveball) route(ed graph.Edge, orig bool) error {
 	t, anchorW := cbFirstTrade(r.tradeOf, ed.U, ed.V)
 	switch {
 	case t < 0:
-		r.drainErr = r.settle(ed, orig)
+		return r.settle(ed, orig)
 	case anchorW:
-		r.drainErr = r.toTrade(t, ed.V, ed.U, orig)
+		return r.toTrade(t, ed.V, ed.U, orig)
 	default:
-		r.drainErr = r.toTrade(t, ed.U, ed.V, orig)
+		return r.toTrade(t, ed.U, ed.V, orig)
 	}
 }
 
@@ -390,11 +394,13 @@ func (r *curveball) settle(ed graph.Edge, orig bool) error {
 	return r.e.sendRun(int(^li), uint32(ed.U), uint32(ed.V), flags)
 }
 
-// keep appends one owned edge to the settled list. prepare sizes the list
-// to the partition, which a round changes by a few percent, so it grows
-// rarely.
+// keep appends one owned edge to the settled list, which joins the
+// partition. prepare sizes the list to the partition, which a round
+// changes by a few percent, so it grows rarely.
 func (r *curveball) keep(li int32, v graph.Vertex, orig bool) {
-	r.settled = append(r.settled, slotEdge{slot: li, v: v, orig: orig})
+	se := slotEdge{slot: li, v: v, orig: orig}
+	r.settled = append(r.settled, se)
+	r.e.carryIn(se)
 }
 
 func (r *curveball) pushReady(t int32) {
@@ -583,20 +589,34 @@ func (r *curveball) starved() bool { return false }
 // never forfeited.
 func (r *curveball) forfeitRemaining() {}
 
-// endStep verifies every owned trade executed and rebuilds the drained
-// partition from the settled list — complete, since every peer's
-// end-of-step signal travelled behind its last run.
+// endStep verifies every owned trade executed and that the settled list
+// — complete, since every peer's end-of-step signal travelled behind its
+// last run — holds the edges the round kept, then carries it to the next
+// round as the partition.
 func (r *curveball) endStep() error {
+	e := r.e
 	if r.pending != 0 {
-		return fmt.Errorf("core: rank %d ends round %d with %d unexecuted trades", r.e.c.Rank(), r.round, r.pending)
+		return fmt.Errorf("core: rank %d ends round %d with %d unexecuted trades", e.c.Rank(), r.round, r.pending)
 	}
-	// The loader keeps the settled list's array and drops the one it
-	// scattered through, which becomes next round's settled list.
-	next := r.e.load.spare
-	if err := r.e.loadSlotEdges(r.settled, false); err != nil {
+	if n := e.localEdges(); int64(len(r.settled)) != n {
+		return fmt.Errorf("core: rank %d ends round %d with %d settled edges, its edge count is %d", e.c.Rank(), r.round, len(r.settled), n)
+	}
+	r.prev, r.settled = r.settled, r.prev[:0]
+	r.carried = true
+	return nil
+}
+
+// storePartition bulk-loads a carried partition into the drained store,
+// scattering it through the idle settled list.
+func (r *curveball) storePartition() error {
+	if !r.carried {
+		return nil
+	}
+	r.carried = false
+	if err := r.e.loadSlotEdges(r.prev, r.settled, false); err != nil {
 		return fmt.Errorf("core: round %d: %w", r.round, err)
 	}
-	r.settled = next[:0]
+	r.e.outside -= int64(len(r.prev))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,30 +284,76 @@ func TestEdgeRunRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestCurveballRejectsDuplicateSettledEdge: two equal settled edges in
-// one slot — what the per-edge path reported as "insert found duplicate
-// edge" — surface when the round's rebuild sorts the slot.
+// TestCurveballRejectsDuplicateSettledEdge: a corrupt settled list never
+// survives a round boundary silently, although the list is carried to the
+// next round without a sort. An extra copy of a settled edge fails at
+// that boundary's edge-count check; a settled edge replaced by a copy of
+// another (the count intact) fails in the next round, where the copy's
+// trade side collects more than its degree. Either error names the rank
+// and the round.
 func TestCurveballRejectsDuplicateSettledEdge(t *testing.T) {
 	g := testGraph(t, 46, 60, 240)
-	eng, w := newTestEngineCfg(t, g, Config{Seed: 5, Algorithm: AlgoCurveball})
-	defer w.Close()
-	r := eng.rand.(*curveball)
-	if err := r.prepare(1, nil); err != nil {
-		t.Fatal(err)
+	round1 := func(t *testing.T) *curveball {
+		eng, w := newTestEngineCfg(t, g, Config{Seed: 5, Algorithm: AlgoCurveball})
+		t.Cleanup(func() { w.Close() })
+		r := eng.rand.(*curveball)
+		if err := r.prepare(1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if r.pending != 0 || int64(len(r.settled)) != g.M() {
+			t.Fatalf("single-rank round left %d trades pending and settled %d of %d edges", r.pending, len(r.settled), g.M())
+		}
+		return r
 	}
-	if r.pending != 0 || int64(len(r.settled)) != g.M() {
-		t.Fatalf("single-rank round left %d trades pending and settled %d of %d edges", r.pending, len(r.settled), g.M())
-	}
-	r.settled = append(r.settled, r.settled[len(r.settled)/2])
-	err := r.endStep()
-	if err == nil {
-		t.Fatal("duplicate settled edge accepted")
-	}
-	for _, want := range []string{"duplicate edge", "rank 0", "round 1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+	requireNamed := func(t *testing.T, err error, wants ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("corrupt settled list accepted")
+		}
+		t.Logf("refused: %v", err)
+		for _, want := range wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not mention %q", err, want)
+			}
 		}
 	}
+
+	t.Run("extra copy", func(t *testing.T) {
+		r := round1(t)
+		r.settled = append(r.settled, r.settled[len(r.settled)/2])
+		requireNamed(t, r.endStep(), "edge count", "rank 0", "round 1")
+	})
+
+	t.Run("replaced by a copy", func(t *testing.T) {
+		r := round1(t)
+		edge := func(se slotEdge) graph.Edge { return graph.Edge{U: r.e.verts[se.slot], V: se.v} }
+		touches := func(ed graph.Edge, x graph.Vertex) bool { return ed.U == x || ed.V == x }
+		// The copy touches perm[0] of round 2 but not its partner, so it
+		// goes to trade 0 anchored at perm[0]; trade 0 collects only routed
+		// edges, none forwarded by an earlier trade, so that side sees all
+		// of its edges plus the copy. The replaced edge is disjoint from the
+		// copy.
+		perm := make([]graph.Vertex, g.N())
+		cbPermute(perm, r.e.seed, 2)
+		c := slices.IndexFunc(r.settled, func(se slotEdge) bool {
+			return touches(edge(se), perm[0]) && !touches(edge(se), perm[1])
+		})
+		if c < 0 {
+			t.Fatalf("no settled edge at vertex %d", perm[0])
+		}
+		cp := edge(r.settled[c])
+		i := slices.IndexFunc(r.settled, func(se slotEdge) bool {
+			return !touches(edge(se), cp.U) && !touches(edge(se), cp.V)
+		})
+		if i < 0 {
+			t.Fatalf("no settled edge disjoint from %v", cp)
+		}
+		r.settled[i] = r.settled[c]
+		if err := r.endStep(); err != nil {
+			t.Fatalf("the boundary refused a list of the right length: %v", err)
+		}
+		requireNamed(t, r.prepare(1, nil), "rank 0", "round 2", "trade 0")
+	})
 }
 
 // TestEdgeSwitchRejectsEdgeRun: a run reaching an edge-switch engine is

@@ -543,11 +543,12 @@ func TestCurveballFlatEquivalence(t *testing.T) {
 }
 
 // TestCurveballSteadyStateAllocs counts instead of timing: once the
-// first round has sized the arena, the settled list and the run
-// buffers, a round on the pa graph costs less than one heap allocation
-// per trade, all ranks together. The delta between a one-round and a
-// five-round run of the same configuration is rounds 2..5; setup and
-// teardown cancel.
+// first two rounds have sized the arena, the two settled lists and the
+// run buffers, a round on the pa graph costs less than one heap
+// allocation per ten trades, all ranks together (about one per 40, one
+// per 25 under -race). The delta between a one-round and a five-round
+// run of the same configuration is rounds 2..5; setup and teardown
+// cancel.
 func TestCurveballSteadyStateAllocs(t *testing.T) {
 	spec := pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: 5001, D: 10}
 	mallocs := func(rounds int64) uint64 {
@@ -566,7 +567,7 @@ func TestCurveballSteadyStateAllocs(t *testing.T) {
 	one, many := mallocs(1), mallocs(k)
 	trades := uint64(k-1) * uint64(spec.N/2)
 	t.Logf("1 round: %d mallocs, %d rounds: %d; %d trades in rounds 2..%d", one, k, many, trades, k)
-	if many > one && many-one >= trades {
-		t.Fatalf("rounds 2..%d made %d allocations for %d trades, want fewer than one per trade", k, many-one, trades)
+	if many > one && many-one >= trades/10 {
+		t.Fatalf("rounds 2..%d made %d allocations for %d trades, want fewer than one per ten trades", k, many-one, trades)
 	}
 }

@@ -211,6 +211,9 @@ func (r *edgeSwitcher) forfeitRemaining() {
 	r.remaining = 0
 }
 
+// storePartition: the edge switcher works in the store throughout.
+func (r *edgeSwitcher) storePartition() error { return nil }
+
 // endStep asserts the protocol left no dangling state at a step boundary.
 func (r *edgeSwitcher) endStep() error {
 	e := r.e

@@ -46,27 +46,32 @@ type rankEngine struct {
 	adj   store.Store
 	deg   *graph.Fenwick
 
+	// outside counts the partition's edges held outside the store —
+	// curveball's settled list, which carries the partition from one round
+	// to the next — so the partition holds localEdges() = deg.Total() +
+	// outside. drainPartition, carryIn and carryOut maintain it, and
+	// curveball's fill returns it to 0.
+	outside      int64
 	initialEdges int64
 
-	// drainLocal's plumbing: drainEach is e.drainEntry bound once (no
-	// closure per drain); drainU and drainFn are the vertex being drained
-	// and the caller's sink.
+	// drainPartition's plumbing: drainEach is e.drainEntry bound once (no
+	// closure per slot); drainSlot and drainBuf are the slot being drained
+	// and the list it fills.
 	drainEach func(v graph.Vertex, orig bool)
-	drainU    graph.Vertex
-	drainFn   func(ed graph.Edge, orig bool)
+	drainSlot int32
+	drainBuf  []slotEdge
 
-	// load is loadSlotEdges' working memory, reused across rounds.
+	// load is loadSlotEdges' working memory, reused across loads.
 	load struct {
-		cnt   []int32    // n+1 counting-sort counters, by neighbour then by slot
-		spare []slotEdge // the last load's entries: the next one's scatter buffer
+		cnt   []int32 // n+1 counting-sort counters, by neighbour then by slot
 		keys  []graph.Vertex
 		prios []uint32
 		origs []bool
 	}
 
-	// origLocal counts local adjacency entries still flagged original,
-	// maintained by the takeLocal/insertLocal/drainLocal/loadSlotEdges
-	// accounting helpers. Summed across ranks at every step boundary
+	// origLocal counts the partition's edges still flagged original,
+	// maintained by the takeLocal/insertLocal/carryIn/carryOut accounting
+	// helpers. Summed across ranks at every step boundary
 	// (fused into stepExchange) it yields the exact global visit rate
 	// without reassembling the graph.
 	origLocal int64
@@ -210,8 +215,6 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 	}
 	e.m = m
 	e.initialEdges = e.deg.Total()
-	// What a bulk load accounted is the baseline, not a step's deltas.
-	clear(e.degDelta)
 	e.origLocal = 0
 	for li := range e.verts {
 		e.origLocal += int64(e.adj.Originals(li))
@@ -278,6 +281,16 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		if err := e.checkStepInvariants(); err != nil {
 			return err
 		}
+		e.stepsRun++
+		save := e.ckpt != nil && e.stepsRun%e.ckpt.every == 0
+		// A randomizer may carry the partition to the next step outside
+		// the store; a boundary whose store something reads — the
+		// sanitizer's scan, a checkpoint's segment — gets it back first.
+		if e.sanitize || save {
+			if err := e.rand.storePartition(); err != nil {
+				return e.stepErr(step, "store fill", err)
+			}
+		}
 		// The boundary is the store's compaction point: no reads are
 		// outstanding, so a tiered store past its overlay budget can fold
 		// the overlay into a fresh base segment here. Runs before the
@@ -285,8 +298,7 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		if err := e.adj.EndStep(); err != nil {
 			return e.stepErr(step, "store compaction", err)
 		}
-		e.stepsRun++
-		if e.ckpt != nil && e.stepsRun%e.ckpt.every == 0 {
+		if save {
 			// The boundary is a consistent cut: the plane is empty and the
 			// randomizer quiescent (checkStepInvariants), so the snapshot
 			// protocol runs here, between steps.
@@ -294,6 +306,15 @@ func (e *rankEngine) run(t, stepSize int64) error {
 				return e.stepErr(step, "checkpoint", err)
 			}
 		}
+	}
+	// Everything after the run reads the store: the full sanitizer pass,
+	// the edge hash, the statistics and the reassembly. EndStep finalizes
+	// a base segment the fill streamed before Stats counts it.
+	if err := e.rand.storePartition(); err != nil {
+		return fmt.Errorf("core: rank %d, after step %d (store fill): %w", e.c.Rank(), e.stepsRun, err)
+	}
+	if err := e.adj.EndStep(); err != nil {
+		return fmt.Errorf("core: rank %d, after step %d (store compaction): %w", e.c.Rank(), e.stepsRun, err)
 	}
 	if e.sanitize {
 		return e.verifyBaseline()
@@ -429,8 +450,7 @@ func (e *rankEngine) stepLoop() error {
 }
 
 // checkStepInvariants asserts the step left no dangling state: the
-// randomizer's protocol is quiescent (and its held-back store writes are
-// applied) and the message plane is empty.
+// randomizer's protocol is quiescent and the message plane is empty.
 func (e *rankEngine) checkStepInvariants() error {
 	if err := e.rand.endStep(); err != nil {
 		return err
@@ -491,61 +511,87 @@ func (e *rankEngine) insertLocal(ed graph.Edge, orig bool) error {
 	return nil
 }
 
-// drainLocal empties one owned vertex's whole adjacency in ascending
-// order, handing each (edge, original) to fn and keeping the fused
-// accounting exact — curveball's per-round bulk extraction. The removal
-// deltas cancel against the loadSlotEdges call that restores the traded
-// lists, so the sanitizer's conservation check holds across a round.
-func (e *rankEngine) drainLocal(li int, fn func(ed graph.Edge, orig bool)) {
-	cnt := e.adj.Len(li)
-	if cnt == 0 {
-		return
+// localEdges is the partition's edge count, wherever its edges are.
+func (e *rankEngine) localEdges() int64 { return e.deg.Total() + e.outside }
+
+// drainPartition empties the store into buf, in ascending (slot, v)
+// order, and returns it — curveball's extraction of a stored partition,
+// the inverse of loadSlotEdges. The edges leave the store, not the
+// partition: they move from the Fenwick tree to outside.
+func (e *rankEngine) drainPartition(buf []slotEdge) []slotEdge {
+	e.drainBuf = buf
+	for li := range e.verts {
+		d := e.deg.Get(li)
+		if d == 0 {
+			continue
+		}
+		e.drainSlot = int32(li)
+		e.adj.Drain(li, e.drainEach)
+		e.deg.Add(li, -d)
+		e.outside += d
 	}
-	e.origLocal -= int64(e.adj.Originals(li))
-	e.drainU, e.drainFn = e.verts[li], fn
-	e.adj.Drain(li, e.drainEach)
-	e.deg.Add(li, int64(-cnt))
+	buf, e.drainBuf = e.drainBuf, nil
+	return buf
 }
 
-// drainEntry is drainLocal's per-entry step (bound once as e.drainEach).
+// drainEntry is drainPartition's per-entry step (bound once as
+// e.drainEach).
 func (e *rankEngine) drainEntry(v graph.Vertex, orig bool) {
-	ed := graph.Edge{U: e.drainU, V: v}
-	e.noteDegree(ed, -1)
-	e.drainFn(ed, orig)
+	e.drainBuf = append(e.drainBuf, slotEdge{slot: e.drainSlot, v: v, orig: orig})
 }
 
 // slotEdge is one adjacency entry keyed by the local slot of its owner
-// vertex — the unit of the bulk loader.
+// vertex — the unit of the bulk loader and of curveball's settled list.
 type slotEdge struct {
 	slot int32
 	v    graph.Vertex
 	orig bool
 }
 
+// carryIn and carryOut are the fused accounting (see takeLocal) of an
+// owned edge joining or leaving the partition outside the store:
+// curveball's settled list, which carries the partition from one round
+// to the next. carryOut returns the edge.
+func (e *rankEngine) carryIn(se slotEdge) {
+	e.outside++
+	e.noteDegree(graph.Edge{U: e.verts[se.slot], V: se.v}, 1)
+	if se.orig {
+		e.origLocal++
+	}
+}
+
+func (e *rankEngine) carryOut(se slotEdge) graph.Edge {
+	ed := graph.Edge{U: e.verts[se.slot], V: se.v}
+	e.outside--
+	e.noteDegree(ed, -1)
+	if se.orig {
+		e.origLocal--
+	}
+	return ed
+}
+
 // loadSlotEdges bulk-loads the rank's whole partition — every slot must
 // be empty — from entries in any order: the only way edges enter a store
 // in bulk, shared by every bootstrap source, a checkpoint restore and
-// curveball's per-round rebuild. A stable LSD counting sort — scatter by
-// neighbour into load.spare, then by slot back into ents — leaves each
-// slot's group ascending in v with no comparison sort. ents is consumed
-// as the second half of that ping-pong: its array becomes load.spare for
-// the next load, and the buffer scattered through is dropped before the
-// slots are built, so a load never holds two copies of the partition
-// while the store grows. A neighbour outside [0, n) is a named error
-// before anything moves. Each slot is built in O(d) (BuildSortedFlagged,
-// which a tiered store streams into a base segment) with one treap
-// priority from the run RNG per entry. The accounting is insertLocal's,
-// fused: Fenwick degree, sanitizer deltas, originals counter. A repeated
-// entry is an error unless collapseDup: the contact generator's rare
-// cross-slot collisions collapse (both copies share their minimum
-// endpoint, so they meet inside one rank), a randomizer producing a
-// parallel edge is a bug.
-func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
+// curveball's fill of a carried partition. A stable LSD counting sort —
+// scatter by neighbour into spare, then by slot back into ents — leaves
+// each slot's group ascending in v with no comparison sort; spare is
+// allocated when it is too small, and both arrays stay the caller's. A
+// neighbour outside [0, n) is a named error before anything moves. Each
+// slot is built in O(d) (BuildSortedFlagged, which a tiered store streams
+// into a base segment) with one treap priority from the run RNG per
+// entry, and counted into the Fenwick tree. No originals count or
+// sanitizer delta moves: finishLoad counts a bootstrap's originals, and
+// carryIn counted those of a carried partition. A repeated entry is an
+// error unless collapseDup: the contact generator's rare cross-slot
+// collisions collapse (both copies share their minimum endpoint, so they
+// meet inside one rank), a randomizer producing a parallel edge is a bug.
+func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) error {
 	nv := len(e.verts)
 	ld := &e.load
-	byV := ld.spare
+	byV := spare
 	if cap(byV) < len(ents) {
-		byV = make([]slotEdge, len(ents)+len(ents)/8)
+		byV = make([]slotEdge, len(ents))
 	}
 	byV = byV[:len(ents)]
 	// Each pass counts key k into cnt[k+1]; after the prefix sums cnt[k]
@@ -580,7 +626,6 @@ func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 		ents[cnt[li]] = byV[i]
 		cnt[li]++
 	}
-	ld.spare = ents
 
 	start := int32(0)
 	for li := 0; li < nv; li++ {
@@ -592,7 +637,6 @@ func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 		if n := len(grp); cap(ld.keys) < n {
 			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n)
 		}
-		u := e.verts[li]
 		n := 0
 		for i := range grp {
 			// One draw per entry, collapsed or not, as insertLocal would.
@@ -601,14 +645,10 @@ func (e *rankEngine) loadSlotEdges(ents []slotEdge, collapseDup bool) error {
 				if collapseDup {
 					continue
 				}
-				return fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: u, V: grp[i].v})
+				return fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: e.verts[li], V: grp[i].v})
 			}
 			ld.keys[n], ld.prios[n], ld.origs[n] = grp[i].v, prio, grp[i].orig
 			n++
-			e.noteDegree(graph.Edge{U: u, V: grp[i].v}, 1)
-			if grp[i].orig {
-				e.origLocal++
-			}
 		}
 		e.adj.BuildSortedFlagged(li, ld.keys[:n], ld.prios[:n], ld.origs[:n])
 		e.deg.Add(li, int64(n))

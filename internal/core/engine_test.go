@@ -51,7 +51,7 @@ func loadTestEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges
 	for i, ed := range edges {
 		ents[i] = slotEdge{slot: e.slot[ed.U], v: ed.V, orig: true}
 	}
-	if err := e.loadSlotEdges(ents, false); err != nil {
+	if err := e.loadSlotEdges(ents, nil, false); err != nil {
 		return nil, err
 	}
 	return e, e.finishLoad(m, cfg)

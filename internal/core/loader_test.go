@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -72,7 +71,8 @@ func withLoadEngines(t testing.TB, n, engines int, cfg Config, fn func(es []*ran
 // refLoadSlotEdges is loadSlotEdges' specification with a comparison
 // sort: entries sorted by (slot, v) — stably, so of two equal entries
 // the earlier one's flag survives a collapse — then, slot by slot, one
-// run-RNG priority per entry and one BuildSortedFlagged.
+// run-RNG priority per entry, one BuildSortedFlagged and one Fenwick
+// update.
 func refLoadSlotEdges(e *rankEngine, ents []slotEdge, collapseDup bool) error {
 	ents = slices.Clone(ents)
 	sort.SliceStable(ents, func(i, j int) bool {
@@ -93,10 +93,6 @@ func refLoadSlotEdges(e *rankEngine, ents []slotEdge, collapseDup bool) error {
 				return fmt.Errorf("duplicate entry %+v", ents[i])
 			}
 			keys, prios, origs = append(keys, ents[i].v), append(prios, prio), append(origs, ents[i].orig)
-			e.noteDegree(graph.Edge{U: e.verts[li], V: ents[i].v}, 1)
-			if ents[i].orig {
-				e.origLocal++
-			}
 		}
 		e.adj.BuildSortedFlagged(int(li), keys, prios, origs)
 		e.deg.Add(int(li), int64(len(keys)))
@@ -141,9 +137,9 @@ func loaderInput(r *rng.RNG, n int, dups bool) []slotEdge {
 // TestLoadSlotEdgesMatchesReference pins the counting-sort loader to its
 // comparison-sort specification on shuffled input: the same builds
 // (keys, priorities, flags per slot, the hub's treap included), the same
-// Walk and Fenwick degree per slot, the same run-RNG state, originals
-// count and sanitizer deltas — and a repeated entry refused by both
-// unless collapseDup.
+// Walk and Fenwick degree per slot and the same run-RNG state — and a
+// repeated entry refused by both unless collapseDup. The load moves no
+// originals count or sanitizer delta.
 func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 	const n = 12000
 	for _, tc := range []struct {
@@ -153,7 +149,7 @@ func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 			ents := loaderInput(rng.New(3), n, tc.dups)
 			withLoadEngines(t, n, 2, Config{Seed: 5, CheckInvariants: true}, func(es []*rankEngine) {
 				got, want := es[0], es[1]
-				gotErr := got.loadSlotEdges(slices.Clone(ents), tc.collapse)
+				gotErr := got.loadSlotEdges(slices.Clone(ents), nil, tc.collapse)
 				wantErr := refLoadSlotEdges(want, ents, tc.collapse)
 				if tc.dups && !tc.collapse {
 					if gotErr == nil || wantErr == nil || !strings.Contains(gotErr.Error(), "duplicate edge") {
@@ -196,8 +192,8 @@ func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 				if got.rnd.State() != want.rnd.State() {
 					t.Errorf("run RNG at %#x, reference %#x", got.rnd.State(), want.rnd.State())
 				}
-				if got.origLocal != want.origLocal || !maps.Equal(got.degDelta, want.degDelta) {
-					t.Errorf("originals %d, reference %d (or the sanitizer deltas differ)", got.origLocal, want.origLocal)
+				if got.origLocal != 0 || len(got.degDelta) != 0 {
+					t.Errorf("the load counted %d originals and %d sanitizer deltas, want none", got.origLocal, len(got.degDelta))
 				}
 			})
 		})
@@ -215,7 +211,7 @@ func TestLoadSlotEdgesRefusesForeignVertex(t *testing.T) {
 			e := es[0]
 			rnd := e.rnd.State()
 			ents := []slotEdge{{slot: 0, v: 1, orig: true}, {slot: 3, v: v}}
-			err := e.loadSlotEdges(ents, false)
+			err := e.loadSlotEdges(ents, nil, false)
 			want := fmt.Sprintf("core: rank 0 bulk load: slot 3 names vertex %d of %d", v, n)
 			if err == nil || err.Error() != want {
 				t.Fatalf("v=%d: got %v, want %q", v, err, want)
@@ -229,8 +225,8 @@ func TestLoadSlotEdgesRefusesForeignVertex(t *testing.T) {
 
 // BenchmarkLoadSlotEdges times the bulk loader per entry on a PA
 // partition of ≈ 2.5·10^5 entries, in generation order and shuffled (the
-// curveball settled list's order), reusing buffers as curveball's
-// rebuild does.
+// curveball settled list's order), scattering through a reused spare as
+// curveball's fill does.
 func BenchmarkLoadSlotEdges(b *testing.B) {
 	src, err := genSource(pergen.Spec{Model: pergen.ModelPA, Seed: 42, N: 25000, D: 10})
 	if err != nil {
@@ -246,23 +242,17 @@ func BenchmarkLoadSlotEdges(b *testing.B) {
 					r := rng.New(1)
 					r.Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
 				}
-				var ents []slotEdge
-				drop := func(graph.Edge, bool) {}
+				var ents, spare []slotEdge
 				b.ResetTimer()
 				for range b.N {
 					b.StopTimer()
-					for li := range e.verts {
-						e.drainLocal(li, drop)
-					}
+					ents = e.drainPartition(ents[:0])
 					ents = append(ents[:0], input...)
 					b.StartTimer()
-					// The loader keeps ents and drops its spare, which
-					// holds the next load's entries.
-					next := e.load.spare
-					if err := e.loadSlotEdges(ents, true); err != nil {
+					if err := e.loadSlotEdges(ents, spare, true); err != nil {
 						b.Fatal(err)
 					}
-					ents = next
+					ents, spare = spare, ents
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(input)), "ns/entry")
 			})

@@ -201,7 +201,9 @@ type Result struct {
 	// the peak treap entries resident between compactions.
 	SpillOverlayHWM int64
 	// SpillCompactions totals base-segment rewrites across ranks: overlay
-	// compactions, and each curveball round's streamed rewrite.
+	// compactions, and the streamed rewrite of a drained partition —
+	// curveball's fill of its carried settled list at the end of the run
+	// and at each checkpoint or sanitized boundary.
 	SpillCompactions int64
 	// SpillCompactNs totals wall-clock nanoseconds ranks spent compacting
 	// (for a streamed rewrite, finalizing the segment).
@@ -400,7 +402,7 @@ func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
 		}
 	}
 	if !restored {
-		if err := e.loadSlotEdges(src.edges(e), src.collapseDup); err != nil {
+		if err := e.loadSlotEdges(src.edges(e), nil, src.collapseDup); err != nil {
 			return err
 		}
 		m := src.m
@@ -459,7 +461,7 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Gr
 	// bit-identity checks cost no extra communication.
 	ss := eng.adj.Stats()
 	stats := []int64{eng.opsInitiated, eng.restarts, eng.forfeited,
-		int64(len(eng.verts)), eng.initialEdges, eng.deg.Total(), eng.msgsSent,
+		int64(len(eng.verts)), eng.initialEdges, eng.localEdges(), eng.msgsSent,
 		eng.flushes, eng.origLocal,
 		ss.BaseBytes, ss.OverlayHWM, ss.Compactions, ss.CompactNs,
 		int64(eng.edgeHash())}

@@ -52,10 +52,12 @@ func (cfg Config) algorithm() (Algorithm, error) {
 // when every rank's randomizer reports done and has announced EOS.
 //
 // The chassis calls the methods from a single goroutine; implementations
-// send through rankEngine.send/sendRun and mutate local storage only
-// through the chassis accounting helpers (takeLocal/insertLocal/
-// drainLocal/loadSlotEdges), which keep the sanitizer deltas and the
-// originals counter exact for any algorithm.
+// send through rankEngine.send/sendRun and change the partition only
+// through the chassis accounting helpers (takeLocal/insertLocal on the
+// store, carryIn/carryOut for edges held outside it), which keep the edge
+// count, the sanitizer deltas and the originals counter exact for any
+// algorithm; drainPartition and loadSlotEdges move a whole partition out
+// of the store and back without changing it.
 type randomizer interface {
 	// prepare arms one step of size s. counts holds the step-boundary
 	// per-rank edge counts from the fused exchange (edge-switch rebuilds
@@ -83,8 +85,14 @@ type randomizer interface {
 	// (the rest of the batch follows), and reports the bytes it spanned.
 	handleRun(run []byte, src int) (int, error)
 	// endStep runs once after the step loop exits: it verifies no
-	// protocol state dangles, and curveball applies its held-back writes.
+	// protocol state dangles.
 	endStep() error
+	// storePartition puts a partition the randomizer carries outside the
+	// store (curveball's settled list) back into it with loadSlotEdges.
+	// The chassis calls it, between steps, wherever something reads the
+	// store: a checkpoint boundary, every boundary of a sanitized run, and
+	// the end of the run.
+	storePartition() error
 	// cursor returns the randomizer's resume cursor — the only protocol
 	// state that survives a step boundary (the edge switcher's operation
 	// sequence counter, curveball's round number). Captured by the

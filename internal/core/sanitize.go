@@ -194,9 +194,10 @@ func (e *rankEngine) recordBaseline() error {
 }
 
 // sanitizeLocal scans this rank's structures: simplicity (no loops, no
-// duplicates, normalized order), vertex ranges, Fenwick consistency, and
-// the ownership invariant (this rank holds exactly the reduced lists of
-// the vertices the partitioner assigns to it).
+// duplicates, normalized order), vertex ranges, Fenwick consistency, a
+// store holding the whole partition, and the ownership invariant (this
+// rank holds exactly the reduced lists of the vertices the partitioner
+// assigns to it).
 func (e *rankEngine) sanitizeLocal() []Violation {
 	var vs violations
 	rank := e.c.Rank()
@@ -223,6 +224,9 @@ func (e *rankEngine) sanitizeLocal() []Violation {
 		if int64(e.adj.Len(li)) != e.deg.Get(li) {
 			vs.addf(VEdgeCount, "Fenwick degree of vertex %d is %d, adjacency holds %d", u, e.deg.Get(li), e.adj.Len(li))
 		}
+	}
+	if e.outside != 0 {
+		vs.addf(VEdgeCount, "rank %d holds %d edges outside its store, which a checked boundary scans", rank, e.outside)
 	}
 	return vs.list
 }

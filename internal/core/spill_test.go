@@ -79,38 +79,42 @@ func TestSpillInMemoryEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillCurveballStreamsRounds counts what a curveball round costs the
-// tiered store: the partition drains out of the base segment and the
-// rebuilt one streams into the next, so no entry ever enters the overlay
-// and every rank rewrites its base exactly once per round.
+// TestSpillCurveballStreamsRounds counts what curveball costs the tiered
+// store: the first round drains the partition out of the bootstrap base
+// segment, the rounds carry it outside the store, and the end of the run
+// streams it into one new base — no entry ever enters the overlay, and
+// every rank rewrites its base exactly once per run, whatever the round
+// count.
 func TestSpillCurveballStreamsRounds(t *testing.T) {
 	spec := benchGenSpec("pa", 2000, 5)
-	const rounds, p = 3, 2
-	cfg := Config{
-		Ranks:          p,
-		Algorithm:      AlgoCurveball,
-		Scheme:         SchemeHPD,
-		Seed:           11,
-		DistributedGen: &spec,
-		SkipResult:     true,
-	}
-	mem, err := Parallel(nil, rounds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SpillDir = t.TempDir()
-	spill, err := Parallel(nil, rounds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spill.EdgeHash != mem.EdgeHash {
-		t.Errorf("edge fingerprints diverged: in-memory %#x, spill %#x", mem.EdgeHash, spill.EdgeHash)
-	}
-	if spill.SpillOverlayHWM != 0 {
-		t.Errorf("overlay high-water mark %d: a round materialized overlay treaps", spill.SpillOverlayHWM)
-	}
-	if spill.SpillCompactions != rounds*p {
-		t.Errorf("%d base rewrites, want one per rank per round (%d)", spill.SpillCompactions, rounds*p)
+	const p = 2
+	for _, rounds := range []int64{1, 3} {
+		cfg := Config{
+			Ranks:          p,
+			Algorithm:      AlgoCurveball,
+			Scheme:         SchemeHPD,
+			Seed:           11,
+			DistributedGen: &spec,
+			SkipResult:     true,
+		}
+		mem, err := Parallel(nil, rounds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SpillDir = t.TempDir()
+		spill, err := Parallel(nil, rounds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spill.EdgeHash != mem.EdgeHash {
+			t.Errorf("%d rounds: edge fingerprints diverged: in-memory %#x, spill %#x", rounds, mem.EdgeHash, spill.EdgeHash)
+		}
+		if spill.SpillOverlayHWM != 0 {
+			t.Errorf("%d rounds: overlay high-water mark %d: a round materialized overlay treaps", rounds, spill.SpillOverlayHWM)
+		}
+		if spill.SpillCompactions != p {
+			t.Errorf("%d rounds: %d base rewrites, want one per rank per run (%d)", rounds, spill.SpillCompactions, p)
+		}
 	}
 }
 
@@ -171,10 +175,14 @@ func requireNoSpillLeft(t *testing.T, spillDir string) {
 // segment file next to a fixed-size snapshot) and a restore one loader
 // (loadSlotEdges), whichever store wrote it and whichever store resumes
 // it. For every deterministic configuration, a reference run under each
-// store checkpoints every boundary; each boundary is then restored under
+// store checkpoints at its cadence; each checkpoint is then restored under
 // each store and must end bit-identical to the uninterrupted run — edge
 // flags, EdgeHash, ops and restarts. Crash recovery cannot depend on the
-// survivor being configured like the victim.
+// survivor being configured like the victim. The sanitized rows
+// checkpoint every boundary; the unsanitized curveball rows checkpoint
+// every second one, so their odd boundaries carry the partition to the
+// next round outside the store and the even ones fill it for the
+// snapshot.
 //
 // The corruption rows damage rank 0's files of the newest checkpoint.
 // Demanding that exact step must fail naming the cause — and, restoring
@@ -185,38 +193,50 @@ func requireNoSpillLeft(t *testing.T, spillDir string) {
 func TestCheckpointStoreMatrix(t *testing.T) {
 	g := testGraph(t, 16, 400, 1600)
 	stores := []string{"mem", "spill"}
-	runs := []struct {
+	type ckRun struct {
 		name     string
 		algo     Algorithm
 		ranks    int
 		t        int64
 		stepSize int64
-	}{
-		{"curveball-p1", AlgoCurveball, 1, 3, 0},
-		{"curveball-p2", AlgoCurveball, 2, 3, 0},
-		{"curveball-p8", AlgoCurveball, 8, 3, 0},
-		{"edgeswitch-p1", AlgoEdgeSwitch, 1, 600, 200},
+		every    int64
+		checked  bool
+	}
+	runs := []ckRun{
+		{"curveball-p1", AlgoCurveball, 1, 3, 0, 1, true},
+		{"curveball-p2", AlgoCurveball, 2, 3, 0, 1, true},
+		{"curveball-p8", AlgoCurveball, 8, 3, 0, 1, true},
+		{"edgeswitch-p1", AlgoEdgeSwitch, 1, 600, 200, 1, true},
+		{"curveball-p2-every2", AlgoCurveball, 2, 5, 0, 2, false},
+		{"curveball-p8-every2", AlgoCurveball, 8, 5, 0, 2, false},
 	}
 	// reference runs tc under the write store, keeping every checkpoint.
-	reference := func(t *testing.T, algo Algorithm, ranks int, ops, stepSize int64, write string) (Config, *Result, []int64) {
+	reference := func(t *testing.T, tc ckRun, write string) (Config, *Result, []int64) {
 		cfg := withStore(t, Config{
-			Ranks:           ranks,
-			Algorithm:       algo,
+			Ranks:           tc.ranks,
+			Algorithm:       tc.algo,
 			Scheme:          SchemeHPD,
-			StepSize:        stepSize,
+			StepSize:        tc.stepSize,
 			Seed:            11,
-			CheckInvariants: true,
+			CheckInvariants: tc.checked,
 			CheckpointDir:   t.TempDir(),
-			CheckpointEvery: 1,
+			CheckpointEvery: tc.every,
 			checkpointKeep:  -1,
 		}, write)
-		ref, err := Parallel(g, ops, cfg)
+		ref, err := Parallel(g, tc.t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps := manifestStepsIn(t, cfg.CheckpointDir)
+		nsteps := tc.t // a curveball step is one round
+		if tc.stepSize > 0 {
+			nsteps = tc.t / tc.stepSize
+		}
+		if want := nsteps / tc.every; int64(len(steps)) != want {
+			t.Fatalf("%d checkpoints over %d steps at every %d, want %d", len(steps), nsteps, tc.every, want)
+		}
 		for _, step := range steps {
-			for r := 0; r < ranks; r++ {
+			for r := 0; r < tc.ranks; r++ {
 				if fi, err := os.Stat(ckSnapPath(cfg.CheckpointDir, step, r)); err != nil || fi.Size() != snapLen {
 					t.Fatalf("step %d rank %d: snapshot is not the fixed %d-byte record: %v", step, r, snapLen, err)
 				}
@@ -239,7 +259,7 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 	for _, tc := range runs {
 		for _, write := range stores {
 			t.Run(tc.name+"/"+write, func(t *testing.T) {
-				cfg, ref, steps := reference(t, tc.algo, tc.ranks, tc.t, tc.stepSize, write)
+				cfg, ref, steps := reference(t, tc, write)
 				for _, step := range steps {
 					for _, read := range stores {
 						rcfg := withStore(t, cfg, read)
@@ -305,7 +325,7 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 	}
 	for _, write := range stores {
 		t.Run("corrupt/"+write, func(t *testing.T) {
-			cfg, ref, steps := reference(t, AlgoCurveball, 2, 3, 0, write)
+			cfg, ref, steps := reference(t, runs[1], write)
 			last := steps[len(steps)-1]
 			for _, row := range corruptions {
 				for _, read := range stores {

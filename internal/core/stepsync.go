@@ -29,7 +29,7 @@ import (
 // summed across ranks. This is what makes the check algorithm-agnostic:
 // it asserts conservation of the degree sequence, not any particular
 // mutation shape, and every randomizer feeds it through the same
-// takeLocal/insertLocal/drainLocal accounting.
+// takeLocal/insertLocal/carryIn/carryOut accounting.
 //
 // Sanitized payload layout:
 // edges int64 | originals int64 | k uint32 | k × (vertex uint32, delta int32).
@@ -60,7 +60,7 @@ func (e *rankEngine) stepExchange() ([]int64, int64, error) {
 	}
 	p := e.c.Size()
 	vec := make([]int64, p+1)
-	vec[e.c.Rank()], vec[p] = e.deg.Total(), e.origLocal
+	vec[e.c.Rank()], vec[p] = e.localEdges(), e.origLocal
 	sums, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
 	if err != nil {
 		return nil, 0, err
@@ -136,7 +136,7 @@ func (e *rankEngine) encodeStepDeltas() []byte {
 	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	buf := make([]byte, 20+8*len(touched))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(e.deg.Total()))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(e.localEdges()))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(e.origLocal))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(len(touched)))
 	off := 20

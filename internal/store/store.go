@@ -7,7 +7,8 @@
 // the filesystem until a checkpoint asks for its segment image. The
 // engine mutates storage only through this interface, so both
 // randomizers (edge-switch conversations and curveball's
-// whole-partition drains) run unchanged with or without a directory.
+// whole-partition drains and fills) run unchanged with or without a
+// directory.
 package store
 
 import "edgeswitch/internal/graph"
@@ -21,9 +22,9 @@ import "edgeswitch/internal/graph"
 // BuildSortedFlagged calls or as arbitrary Inserts; EndLoad marks the
 // partition complete (a store with a directory establishes its first
 // base segment there). A store whose every slot has been drained may be
-// rebuilt the same way at any time — curveball does once per round — and
-// a store with a directory then streams the ascending-slot builds into
-// its next base segment.
+// refilled the same way at any time — curveball does where something
+// reads its carried partition — and a store with a directory then
+// streams the ascending-slot builds into its next base segment.
 // EndStep is the engine's step-boundary hook, the only point a
 // compaction may run — mid-step, outstanding reads stay valid.
 type Store interface {
@@ -50,7 +51,7 @@ type Store interface {
 	// the removed entry.
 	Delete(li int, v graph.Vertex) (found, original bool)
 	// Drain empties slot li, invoking fn for each entry in ascending
-	// order — curveball's per-round bulk extraction.
+	// order — curveball's bulk extraction of a stored partition.
 	Drain(li int, fn func(v graph.Vertex, original bool))
 	// Walk visits slot li in ascending order without mutating it; fn
 	// returning false stops early.

@@ -329,8 +329,8 @@ func (t *Tiered) Drain(li int, fn func(v graph.Vertex, original bool)) {
 		n := int64(t.overlay[li].Len())
 		t.overlay[li].DrainArena(&t.arena, fn)
 		if t.dir != "" {
-			// The rebuild streams to a segment; keep no array. Without a
-			// directory the rebuild refills this one.
+			// A refill streams to a segment; keep no array. Without a
+			// directory a refill reuses this one.
 			t.overlay[li] = graph.AdjSet{}
 		}
 		t.entries -= n
@@ -365,7 +365,7 @@ func (t *Tiered) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
 // streamBuild routes an ascending-slot bulk build of n entries straight
 // into a segment writer, reporting whether it consumed the call. The
 // first BuildSorted* on a store holding nothing — pristine, or drained
-// to the last entry as by a curveball round — opens the writer: a full
+// to the last entry as curveball leaves it — opens the writer: a full
 // rewrite with no overlay sets. Builds into a store that still holds
 // entries, or that has no directory, take the overlay path.
 func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) bool {
