@@ -160,7 +160,7 @@ func TestBudgetMatchesEsworker(t *testing.T) {
 }
 
 // TestRunDistributedGen exercises the -gen path sequentially and with
-// the communication-free parallel bootstrap, writing both results to
+// the parallel generation bootstrap, writing both results to
 // confirm the full pipeline (generate → switch → reassemble → save).
 func TestRunDistributedGen(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "gen.txt")
@@ -474,8 +474,8 @@ func TestRunSpawn(t *testing.T) {
 }
 
 // TestRunGenMultiRank runs a distributed world where no rank ever loads
-// a graph file: the partitions are generated communication-free from the
-// shared spec.
+// a graph file: the ranks generate the partitions from the shared spec,
+// one share each, and route the edges to their owners.
 func TestRunGenMultiRank(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "gen-out.txt")
 	runInProcess(t, 3, "-gen", "pa", "-n", "600", "-d", "4", "-t", "50", "-seed", "9", "-out", out)

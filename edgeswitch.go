@@ -57,10 +57,10 @@ type (
 	// Algorithm selects the randomization protocol (edge switching or
 	// global curveball trades) behind the core engine's Randomizer seam.
 	Algorithm = core.Algorithm
-	// GenSpec describes a graph for counter-based, communication-free
-	// parallel generation (internal/gen/pergen): the graph is a pure,
-	// p-invariant function of the spec, so parallel ranks can each build
-	// exactly their own partition with no rank-0 materialization and no
+	// GenSpec describes a graph for counter-based parallel generation
+	// (internal/gen/pergen): the graph is a pure, p-invariant function of
+	// the spec, so parallel ranks generate one share of it each and route
+	// the edges to their owners, with no rank-0 materialization and no
 	// scatter.
 	GenSpec = pergen.Spec
 	// GenModel names a pergen-capable generator model.

@@ -11,7 +11,7 @@ import (
 
 // The out-of-core benchmark: the identical deterministic workload — two
 // global curveball rounds on a pergen pa graph at p=8,
-// communication-free bootstrap, SkipResult — run with every partition
+// distributed-generation bootstrap, SkipResult — run with every partition
 // in treaps and through the tiered mmap store. Curveball is
 // deterministic at every rank count, so both must produce the same edge
 // fingerprint.

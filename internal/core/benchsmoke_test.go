@@ -87,7 +87,7 @@ func benchGenSpec(model string, n, d int) pergen.Spec {
 	return pergen.Spec{Model: pergen.ModelPA, Seed: 42, N: n, D: d}
 }
 
-// pergenBootstrap runs the communication-free bootstrap of spec at p
+// pergenBootstrap runs the generation bootstrap of spec at p
 // ranks (t=0, SkipResult, HP-D) and returns the global edge count the
 // ranks loaded.
 func pergenBootstrap(tb testing.TB, spec pergen.Spec, p int) int64 {
@@ -103,8 +103,9 @@ func pergenBootstrap(tb testing.TB, spec pergen.Spec, p int) int64 {
 }
 
 // TestBenchsmokePergenRegression is the regression guard for the
-// communication-free bootstrap: pa n=100k d=10 at p=8 must load exactly
-// the edges it loaded when the generator was written. The counter-based
+// generation bootstrap: pa n=100k d=10 at p=8 — each rank resolving one
+// share of the ≈10^6 edges and routing the rest — must load exactly the
+// edges it loaded when the generator was written. The counter-based
 // generator is deterministic, so any drift is a correctness regression,
 // not noise. TestDistributedGenPInvariance pins the same bootstrap to
 // pergen's Full() edge for edge on smaller specs.
@@ -123,8 +124,9 @@ func TestBenchsmokePergenRegression(t *testing.T) {
 }
 
 // TestLargeGenSmoke is the CI large-graph leg: generate a >=10^7-edge
-// preferential-attachment graph with the communication-free bootstrap at
-// p=8 and verify the exact deterministic edge count. Runs only under
+// preferential-attachment graph with the generation bootstrap at p=8
+// (each rank resolves one share, ≈1.25·10^6 edges, and routes the rest)
+// and verify the exact deterministic edge count. Runs only under
 // ESLARGE=1 (`make largesmoke`), which time-boxes it with -timeout.
 func TestLargeGenSmoke(t *testing.T) {
 	if os.Getenv("ESLARGE") == "" {

@@ -459,16 +459,17 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	if err != nil {
 		return false, err
 	}
-	if err := e.loadSlotEdges(ents, nil, false); err != nil {
+	origs, err := e.loadSlotEdges(ents, nil, false)
+	if err != nil {
 		return false, err
 	}
-	if err := e.finishLoad(man.M, cfg); err != nil {
+	if err := e.finishLoad(man.M, origs, cfg); err != nil {
 		return false, err
 	}
 	// finishLoad derived load-time values from the restored partition;
 	// reinstate the captured run state on top of it.
-	if e.origLocal != st.origLocal {
-		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", e.origLocal, st.origLocal)
+	if origs != st.origLocal {
+		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", origs, st.origLocal)
 	}
 	e.initialEdges = st.initialEdges
 	e.stepsRun = st.step

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -574,15 +575,38 @@ func (r *curveball) cursor() uint64 { return uint64(r.round) }
 func (r *curveball) restoreCursor(c uint64) { r.round = int64(c) }
 
 // advance: curveball is fully event-driven — prepare seeds the round and
-// handleRun does the rest.
-func (r *curveball) advance() (bool, error) { return false, nil }
+// handleRun does the rest. It only refuses a round that can never end.
+// Every peer sends its runs before its end-of-step signal over FIFO links
+// and sends no run after it (its trades are done), and the chassis
+// drains all queued messages before it calls advance: once every peer's
+// signal is in, no arrival can still come, so an owned trade still
+// waiting waits forever — its inputs were corrupt.
+func (r *curveball) advance() (bool, error) {
+	e := r.e
+	if r.pending == 0 || e.eosOthers < e.c.Size()-1 {
+		return false, nil
+	}
+	for t, li := range r.orch {
+		if li < 0 || r.trades[li].done {
+			continue
+		}
+		ts := &r.trades[li]
+		return false, fmt.Errorf("core: rank %d round %d: %w: %d trades wait, first trade %d of (%d, %d) holds %d of %d and %d of %d arrivals",
+			e.c.Rank(), r.round, errRoundStuck, r.pending, t, ts.u, ts.v, ts.nU, ts.du, ts.nV, ts.dv)
+	}
+	return false, fmt.Errorf("core: rank %d round %d: %w: %d trades wait", e.c.Rank(), r.round, errRoundStuck, r.pending)
+}
+
+// errRoundStuck names a curveball round that can never finish.
+var errRoundStuck = errors.New("round cannot finish: every peer has ended it")
 
 // done: all owned trades executed. The chassis keeps draining runs from
 // peers (settled edges for this partition) until everyone is done.
 func (r *curveball) done() bool { return r.pending == 0 }
 
-// starved: never — every owned trade is guaranteed its exact arrival
-// count by the degree invariant, so waiting always terminates.
+// starved: never — a trade waits only for arrivals its peers still owe
+// it, and a round whose arrivals can no longer come is refused by
+// advance.
 func (r *curveball) starved() bool { return false }
 
 // forfeitRemaining: unreachable (starved is never true), and trades are
@@ -613,7 +637,9 @@ func (r *curveball) storePartition() error {
 		return nil
 	}
 	r.carried = false
-	if err := r.e.loadSlotEdges(r.prev, r.settled, false); err != nil {
+	// carryIn counted the list's originals; the loader's count is not
+	// needed.
+	if _, err := r.e.loadSlotEdges(r.prev, r.settled, false); err != nil {
 		return fmt.Errorf("core: round %d: %w", r.round, err)
 	}
 	r.e.outside -= int64(len(r.prev))

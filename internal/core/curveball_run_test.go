@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"edgeswitch/internal/gen"
 	"edgeswitch/internal/graph"
@@ -354,6 +356,146 @@ func TestCurveballRejectsDuplicateSettledEdge(t *testing.T) {
 		}
 		requireNamed(t, r.prepare(1, nil), "rank 0", "round 2", "trade 0")
 	})
+}
+
+// oneRankOwns is a two-part partitioner: rank 1 owns the marked
+// vertices, rank 0 all others.
+type oneRankOwns []bool
+
+func (o oneRankOwns) Owner(v graph.Vertex) int {
+	if o[v] {
+		return 1
+	}
+	return 0
+}
+func (oneRankOwns) Parts() int   { return 2 }
+func (oneRankOwns) Name() string { return "one-rank-owns" }
+
+// TestCurveballStuckRoundFails drives the replaced-by-a-copy corruption
+// of TestCurveballRejectsDuplicateSettledEdge through two full rounds of
+// a two-rank world, choosing the edges so that no trade side ever holds
+// more than its degree. Replacing X = {perm[0], z} of round 2 leaves
+// trade 0 waiting forever; the copy of C = {w, y} lands on w's side of
+// w's trade, which also waits for the two edges trade 0 would forward to
+// w (a shared neighbour of trade 0's pair), so that side never fills.
+// Rank 1 owns vertices that orchestrate no trade of round 2, so it ends
+// the round; rank 0 must then refuse the round by name instead of waiting
+// for arrivals that cannot come.
+func TestCurveballStuckRoundFails(t *testing.T) {
+	const seed = 5
+	g := testGraph(t, 46, 60, 600)
+	n := g.N()
+	// Curveball is p-invariant: the sequential reference's round 1 is the
+	// graph every world carries into round 2.
+	g1 := g.Clone(rng.New(1))
+	if _, err := SequentialCurveball(g1, 1, seed); err != nil {
+		t.Fatal(err)
+	}
+	adj := g1.FullAdjacency()
+	perm := make([]graph.Vertex, n)
+	cbPermute(perm, seed, 2)
+	tradeOf := make([]int32, n)
+	cbAssignTrades(tradeOf, perm)
+	u0, v0 := perm[0], perm[1]
+	var x, c graph.Edge
+	found := false
+	for _, w := range adj[u0] {
+		if w == v0 || !slices.Contains(adj[v0], w) {
+			continue
+		}
+		yi := slices.IndexFunc(adj[w], func(y graph.Vertex) bool { return y != u0 && y != v0 && tradeOf[y] > tradeOf[w] })
+		if yi < 0 {
+			continue
+		}
+		y := adj[w][yi]
+		zi := slices.IndexFunc(adj[u0], func(z graph.Vertex) bool { return z != v0 && z != w && z != y })
+		if zi < 0 {
+			continue
+		}
+		x, c, found = graph.Edge{U: u0, V: adj[u0][zi]}.Norm(), graph.Edge{U: w, V: y}.Norm(), true
+		break
+	}
+	if !found {
+		t.Fatalf("round 2's trade 0 (%d, %d) has no usable shared neighbour", u0, v0)
+	}
+	owns := make(oneRankOwns, n)
+	for i := 1; i < n; i += 2 {
+		if v := perm[i]; v != x.U && v != c.U {
+			owns[v] = true
+		}
+	}
+
+	w, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(comm *mpi.Comm) error {
+			var mine []graph.Edge
+			for _, ed := range g.Edges() {
+				if owns.Owner(ed.U) == comm.Rank() {
+					mine = append(mine, ed)
+				}
+			}
+			e, err := loadTestEngine(comm, owns, n, g.M(), mine, Config{Seed: seed, Algorithm: AlgoCurveball})
+			if err != nil {
+				return err
+			}
+			defer e.adj.Close()
+			if err := curveballRounds(e, x, c); err != nil {
+				w.Close() // the peer may be waiting on this rank
+				return err
+			}
+			return nil
+		})
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		w.Close()
+		t.Fatal("round 2 hung")
+	}
+	t.Logf("refused: %v", err)
+	if !errors.Is(err, errRoundStuck) {
+		t.Fatalf("got %v, want %v", err, errRoundStuck)
+	}
+	if want := fmt.Sprintf("rank 0 round 2: %v: ", errRoundStuck); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("first trade 0 of (%d, %d)", u0, v0)) {
+		t.Fatalf("error %q does not name rank 0, round 2 and trade 0", err)
+	}
+}
+
+// curveballRounds runs two rounds of e's world as the chassis does,
+// replacing rank 0's carried copy of x by one of c between them.
+func curveballRounds(e *rankEngine, x, c graph.Edge) error {
+	for round := 1; round <= 2; round++ {
+		counts, _, err := e.stepExchange()
+		if err != nil {
+			return err
+		}
+		if round == 2 && e.c.Rank() == 0 {
+			r := e.rand.(*curveball)
+			at := func(ed graph.Edge) int {
+				return slices.IndexFunc(r.prev, func(se slotEdge) bool { return se.slot == e.slot[ed.U] && se.v == ed.V })
+			}
+			xi, ci := at(x), at(c)
+			if xi < 0 || ci < 0 {
+				return fmt.Errorf("rank 0 does not carry %v and %v into round 2", x, c)
+			}
+			r.prev[xi] = r.prev[ci]
+		}
+		if err := e.beginStep(1, counts); err != nil {
+			return err
+		}
+		if err := e.stepLoop(); err != nil {
+			return err
+		}
+		if err := e.checkStepInvariants(); err != nil {
+			return err
+		}
+	}
+	return errors.New("the corrupt round ended")
 }
 
 // TestEdgeSwitchRejectsEdgeRun: a run reaching an edge-switch engine is

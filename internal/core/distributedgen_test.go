@@ -1,11 +1,19 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"edgeswitch/internal/gen"
 	"edgeswitch/internal/gen/pergen"
+	"edgeswitch/internal/graph"
+	"edgeswitch/internal/mpi"
+	"edgeswitch/internal/partition"
 	"edgeswitch/internal/rng"
 )
 
@@ -35,7 +43,7 @@ func TestDistributedGenPInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := full.Edges()
-			for _, p := range []int{1, 2, 8} {
+			for _, p := range []int{1, 2, 3, 8} {
 				for _, scheme := range Schemes() {
 					res, err := Parallel(nil, 0, Config{
 						Ranks:           p,
@@ -141,5 +149,117 @@ func TestBootstrapAllocs(t *testing.T) {
 		if perVertex >= 0.9 {
 			t.Errorf("n=%d: bootstrap made %.3f mallocs per vertex, want < 0.9", n, perVertex)
 		}
+	}
+}
+
+// routeBytes packs (u, v) entries as the bootstrap routes them.
+func routeBytes(es ...graph.Edge) []byte {
+	var b []byte
+	for _, e := range es {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.U))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.V))
+	}
+	return b
+}
+
+// withRouteEngines runs fn on every rank of a p-rank world, each with an
+// empty engine over n vertices under HP-D.
+func withRouteEngines(t *testing.T, n, p int, fn func(e *rankEngine) error) {
+	t.Helper()
+	w, err := mpi.NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	pt, err := partition.NewHPD(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *mpi.Comm) error {
+		e, err := newEmptyRankEngine(c, pt, n, Config{Seed: 5})
+		if err != nil {
+			return err
+		}
+		defer e.adj.Close()
+		return fn(e)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRouteRefusals: a routed chunk comes off a socket, so each
+// corruption is a named error naming the sender, never an index out of
+// range or a foreign edge in the partition.
+func TestRouteRefusals(t *testing.T) {
+	const n = 10 // HP-D over 2 ranks: rank 0 owns the even vertices
+	good := routeBytes(graph.Edge{U: 2, V: 5}, graph.Edge{U: 4, V: 9})
+	full := make([]byte, routeChunk)
+	for i := 0; i < routeChunk; i += 8 {
+		copy(full[i:], good[:8])
+	}
+	withRouteEngines(t, n, 2, func(e *rankEngine) error {
+		if e.c.Rank() != 0 {
+			return nil
+		}
+		got, err := e.decodeRoute(1, good, nil)
+		if want := []slotEdge{{slot: e.slot[2], v: 5, orig: true}, {slot: e.slot[4], v: 9, orig: true}}; err != nil || !slices.Equal(got, want) {
+			t.Errorf("good chunk: %v, %v; want %v", got, err, want)
+		}
+		for _, tc := range []struct {
+			name string
+			data []byte
+			want error
+		}{
+			{"odd length", good[:5], errRouteLength},
+			{"truncated chunk", full[:routeChunk-4], errRouteLength},
+			{"oversized chunk", append(slices.Clone(full), good[:8]...), errRouteLength},
+			{"foreign u", routeBytes(graph.Edge{U: 3, V: 5}), errRouteForeign},
+			{"u = v", routeBytes(graph.Edge{U: 4, V: 4}), errRouteEdge},
+			{"u > v", routeBytes(graph.Edge{U: 6, V: 2}), errRouteEdge},
+			{"v >= n", routeBytes(graph.Edge{U: 2, V: n}), errRouteEdge},
+			{"v far past n", routeBytes(graph.Edge{U: 2, V: 1<<31 - 1}), errRouteEdge},
+		} {
+			_, err := e.decodeRoute(1, tc.data, nil)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "from rank 1") {
+				t.Errorf("%s: got %v, want %v from rank 1", tc.name, err, tc.want)
+			}
+		}
+		return nil
+	})
+}
+
+// TestRouteChunkBoundaries: whatever a rank routes to a peer — nothing,
+// part of a chunk, exactly one or several full chunks — arrives whole and
+// in order, the stream closed by its short chunk.
+func TestRouteChunkBoundaries(t *testing.T) {
+	const n = 40000
+	per := routeChunk / 8
+	for _, k := range []int{0, 1, per - 1, per, per + 1, 2 * per, 3*per + 5} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			withRouteEngines(t, n, 2, func(e *rankEngine) error {
+				// HP-D over 2 ranks: rank 1 owns the odd vertices.
+				rt := newRouter(e, nil)
+				if e.c.Rank() == 0 {
+					for i := range k {
+						rt.add(1, graph.Edge{U: graph.Vertex(2*(i%(n/4)) + 1), V: n - 1})
+					}
+					_, err := rt.finish()
+					return err
+				}
+				var want []slotEdge
+				for i := range k {
+					want = append(want, slotEdge{slot: e.slot[2*(i%(n/4))+1], v: n - 1, orig: true})
+				}
+				got, err := rt.finish()
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%d routed entries arrived as %d", len(want), len(got))
+				}
+				return nil
+			})
+		})
 	}
 }

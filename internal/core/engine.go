@@ -206,19 +206,17 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 	return e, nil
 }
 
-// finishLoad records the global edge count m and the partition size,
-// counts the loaded originals, and attaches the configured randomizer —
-// the steps that need the local edges to be in place.
-func (e *rankEngine) finishLoad(m int64, cfg Config) error {
+// finishLoad records the global edge count m, the partition size and
+// its originals count origs (loadSlotEdges' result), and attaches the
+// configured randomizer — the steps that need the local edges to be in
+// place.
+func (e *rankEngine) finishLoad(m, origs int64, cfg Config) error {
 	if err := e.adj.EndLoad(); err != nil {
 		return fmt.Errorf("core: rank %d finishing storage load: %w", e.c.Rank(), err)
 	}
 	e.m = m
 	e.initialEdges = e.deg.Total()
-	e.origLocal = 0
-	for li := range e.verts {
-		e.origLocal += int64(e.adj.Originals(li))
-	}
+	e.origLocal = origs
 	algo, err := cfg.algorithm()
 	if err != nil {
 		return err
@@ -571,22 +569,26 @@ func (e *rankEngine) carryOut(se slotEdge) graph.Edge {
 }
 
 // loadSlotEdges bulk-loads the rank's whole partition — every slot must
-// be empty — from entries in any order: the only way edges enter a store
-// in bulk, shared by every bootstrap source, a checkpoint restore and
-// curveball's fill of a carried partition. A stable LSD counting sort —
-// scatter by neighbour into spare, then by slot back into ents — leaves
-// each slot's group ascending in v with no comparison sort; spare is
-// allocated when it is too small, and both arrays stay the caller's. A
-// neighbour outside [0, n) is a named error before anything moves. Each
-// slot is built in O(d) (BuildSortedFlagged, which a tiered store streams
-// into a base segment) with one treap priority from the run RNG per
-// entry, and counted into the Fenwick tree. No originals count or
-// sanitizer delta moves: finishLoad counts a bootstrap's originals, and
-// carryIn counted those of a carried partition. A repeated entry is an
-// error unless collapseDup: the contact generator's rare cross-slot
-// collisions collapse (both copies share their minimum endpoint, so they
-// meet inside one rank), a randomizer producing a parallel edge is a bug.
-func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) error {
+// be empty — from entries in any order, and returns how many of the
+// loaded entries are originals: the only way edges enter a store in bulk,
+// shared by every bootstrap source, a checkpoint restore and curveball's
+// fill of a carried partition. A stable LSD counting sort — scatter by
+// neighbour into spare, then by slot back into ents — leaves each slot's
+// group ascending in v with no comparison sort; spare is allocated when
+// it is too small, and both arrays stay the caller's. A neighbour outside
+// [0, n) is a named error before anything moves. Each slot is built in
+// O(d) (BuildSortedFlagged, which a tiered store streams into a base
+// segment) with one treap priority from the run RNG per entry, drawn in
+// (slot, v) order, and counted into the Fenwick tree. Copies of an entry
+// differ in nothing the sort orders them by, so the store and the run RNG
+// depend on the entries' multiset, never on their arrival order. No
+// sanitizer delta or originals counter moves: a bootstrap hands the
+// count to finishLoad, and carryIn counted those of a carried partition.
+// A repeated entry is an error unless collapseDup: the contact
+// generator's rare cross-slot collisions collapse (both copies share
+// their minimum endpoint, so they meet inside one rank), a randomizer
+// producing a parallel edge is a bug.
+func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) (int64, error) {
 	nv := len(e.verts)
 	ld := &e.load
 	byV := spare
@@ -601,7 +603,7 @@ func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) err
 	for i := range ents {
 		v := ents[i].v
 		if uint(v) >= uint(e.n) {
-			return fmt.Errorf("core: rank %d bulk load: slot %d names vertex %d of %d", e.c.Rank(), ents[i].slot, v, e.n)
+			return 0, fmt.Errorf("core: rank %d bulk load: slot %d names vertex %d of %d", e.c.Rank(), ents[i].slot, v, e.n)
 		}
 		cnt[v+1]++
 	}
@@ -628,6 +630,7 @@ func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) err
 	}
 
 	start := int32(0)
+	var origs int64
 	for li := 0; li < nv; li++ {
 		grp := ents[start:cnt[li]]
 		start = cnt[li]
@@ -645,15 +648,18 @@ func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) err
 				if collapseDup {
 					continue
 				}
-				return fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: e.verts[li], V: grp[i].v})
+				return 0, fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: e.verts[li], V: grp[i].v})
 			}
 			ld.keys[n], ld.prios[n], ld.origs[n] = grp[i].v, prio, grp[i].orig
+			if grp[i].orig {
+				origs++
+			}
 			n++
 		}
 		e.adj.BuildSortedFlagged(li, ld.keys[:n], ld.prios[:n], ld.origs[:n])
 		e.deg.Add(li, int64(n))
 	}
-	return nil
+	return origs, nil
 }
 
 // edgeHash fingerprints this rank's edge set: an order-independent sum

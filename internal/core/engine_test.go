@@ -51,10 +51,11 @@ func loadTestEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges
 	for i, ed := range edges {
 		ents[i] = slotEdge{slot: e.slot[ed.U], v: ed.V, orig: true}
 	}
-	if err := e.loadSlotEdges(ents, nil, false); err != nil {
+	origs, err := e.loadSlotEdges(ents, nil, false)
+	if err != nil {
 		return nil, err
 	}
-	return e, e.finishLoad(m, cfg)
+	return e, e.finishLoad(m, origs, cfg)
 }
 
 // es extracts the edge-switch randomizer behind a test engine's seam.

@@ -149,7 +149,7 @@ func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 			ents := loaderInput(rng.New(3), n, tc.dups)
 			withLoadEngines(t, n, 2, Config{Seed: 5, CheckInvariants: true}, func(es []*rankEngine) {
 				got, want := es[0], es[1]
-				gotErr := got.loadSlotEdges(slices.Clone(ents), nil, tc.collapse)
+				gotOrigs, gotErr := got.loadSlotEdges(slices.Clone(ents), nil, tc.collapse)
 				wantErr := refLoadSlotEdges(want, ents, tc.collapse)
 				if tc.dups && !tc.collapse {
 					if gotErr == nil || wantErr == nil || !strings.Contains(gotErr.Error(), "duplicate edge") {
@@ -195,6 +195,17 @@ func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 				if got.origLocal != 0 || len(got.degDelta) != 0 {
 					t.Errorf("the load counted %d originals and %d sanitizer deltas, want none", got.origLocal, len(got.degDelta))
 				}
+				var origs int64
+				for _, b := range wb {
+					for _, o := range b.origs {
+						if o {
+							origs++
+						}
+					}
+				}
+				if gotOrigs != origs {
+					t.Errorf("the load reported %d originals, it built %d", gotOrigs, origs)
+				}
 			})
 		})
 	}
@@ -211,7 +222,7 @@ func TestLoadSlotEdgesRefusesForeignVertex(t *testing.T) {
 			e := es[0]
 			rnd := e.rnd.State()
 			ents := []slotEdge{{slot: 0, v: 1, orig: true}, {slot: 3, v: v}}
-			err := e.loadSlotEdges(ents, nil, false)
+			_, err := e.loadSlotEdges(ents, nil, false)
 			want := fmt.Sprintf("core: rank 0 bulk load: slot 3 names vertex %d of %d", v, n)
 			if err == nil || err.Error() != want {
 				t.Fatalf("v=%d: got %v, want %q", v, err, want)
@@ -237,7 +248,10 @@ func BenchmarkLoadSlotEdges(b *testing.B) {
 			withLoadEngines(b, src.n, 1, Config{Seed: 5}, func(es []*rankEngine) {
 				e := es[0]
 				e.adj = e.adj.(*recStore).Store
-				input := src.edges(e)
+				input, err := src.edges(e)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if order == "shuffled" {
 					r := rng.New(1)
 					r.Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
@@ -249,7 +263,7 @@ func BenchmarkLoadSlotEdges(b *testing.B) {
 					ents = e.drainPartition(ents[:0])
 					ents = append(ents[:0], input...)
 					b.StartTimer()
-					if err := e.loadSlotEdges(ents, spare, true); err != nil {
+					if _, err := e.loadSlotEdges(ents, spare, true); err != nil {
 						b.Fatal(err)
 					}
 					ents, spare = spare, ents

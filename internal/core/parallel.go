@@ -88,15 +88,13 @@ type Config struct {
 	// need distinct or shared directories — each rank uses only its own
 	// subdirectory.
 	SpillDir string
-	// DistributedGen, when non-nil, switches the bootstrap to
-	// communication-free parallel generation (internal/gen/pergen): no
-	// rank materializes the whole graph and nothing is scattered —
-	// every rank resolves the spec's counter streams itself and builds
-	// exactly its own partition. RunRank must then be called with a nil
-	// graph; the resulting edge set is byte-identical to
-	// pergen.New(spec).Full() at every rank count. Only a single 8-byte
-	// allreduce (the exact global edge count) touches the network
-	// before switching starts.
+	// DistributedGen, when non-nil, switches the bootstrap to parallel
+	// generation (internal/gen/pergen): no rank materializes the whole
+	// graph and nothing is scattered — every rank resolves one share of
+	// the spec's edges, about m/p of them, and routes each edge to the
+	// owner of its minimum endpoint in one chunked exchange. RunRank must
+	// then be called with a nil graph; the resulting edge set is
+	// byte-identical to pergen.New(spec).Full() at every rank count.
 	DistributedGen *pergen.Spec
 	// CheckpointDir, when set, enables step-boundary checkpointing: every
 	// CheckpointEvery-th completed step, each rank writes its partition,
@@ -218,7 +216,7 @@ type Result struct {
 // NewPartitioner builds the partitioner for a scheme. HP-U coefficients
 // are derived deterministically from seed.
 func NewPartitioner(g *graph.Graph, scheme Scheme, p int, seed uint64) (partition.Partitioner, error) {
-	return graphSource(g).partitioner(scheme, p, seed)
+	return graphSource(g).partitioner(nil, scheme, p, seed)
 }
 
 // source is what the bootstrap frame needs to know about where a run's
@@ -230,10 +228,11 @@ type source struct {
 	// contact generator's duplicates collapse at their owning rank): the
 	// frame then allreduces the loaded counts.
 	m int64
-	// cp builds scheme CP's boundaries from the reduced degrees.
-	cp func(p int) (*partition.CP, error)
-	// edges enumerates the entries of e's partition, in any order.
-	edges func(e *rankEngine) []slotEdge
+	// cp builds scheme CP's boundaries over p ranks from the reduced
+	// degrees; a generated source sums them over c (nil outside a world).
+	cp func(c *mpi.Comm, p int) (*partition.CP, error)
+	// edges returns the entries of e's partition, in any order.
+	edges func(e *rankEngine) ([]slotEdge, error)
 	// collapseDup says a repeated entry is the generator's to collapse
 	// rather than an error (see loadSlotEdges).
 	collapseDup bool
@@ -248,8 +247,8 @@ func graphSource(g *graph.Graph) *source {
 	return &source{
 		n:  g.N(),
 		m:  g.M(),
-		cp: func(p int) (*partition.CP, error) { return partition.NewCP(g, p) },
-		edges: func(e *rankEngine) []slotEdge {
+		cp: func(_ *mpi.Comm, p int) (*partition.CP, error) { return partition.NewCP(g, p) },
+		edges: func(e *rankEngine) ([]slotEdge, error) {
 			cnt := 0
 			for _, u := range e.verts {
 				cnt += g.ReducedDegree(u)
@@ -261,17 +260,18 @@ func graphSource(g *graph.Graph) *source {
 					return true
 				})
 			}
-			return ents
+			return ents, nil
 		},
 		baseline: func(*rankEngine, *graph.Graph) *Baseline { return NewBaseline(g) },
 	}
 }
 
-// partitioner builds the partitioner for a scheme over src.
-func (src *source) partitioner(scheme Scheme, p int, seed uint64) (partition.Partitioner, error) {
+// partitioner builds the partitioner for a scheme over src; c is the
+// bootstrap's communicator, or nil outside a world.
+func (src *source) partitioner(c *mpi.Comm, scheme Scheme, p int, seed uint64) (partition.Partitioner, error) {
 	switch scheme {
 	case SchemeCP, "":
-		return src.cp(p)
+		return src.cp(c, p)
 	case SchemeHPD:
 		return partition.NewHPD(p)
 	case SchemeHPM:
@@ -361,7 +361,10 @@ func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(eng, t, cfg, func(out *graph.Graph) *Baseline { return src.baseline(eng, out) })
+	// Only the baseline outlives the bootstrap: holding src would keep a
+	// generated source's tables and any cached share alive for the run.
+	baseline := src.baseline
+	return runEngine(eng, t, cfg, func(out *graph.Graph) *Baseline { return baseline(eng, out) })
 }
 
 // bootstrap is the one frame around every way a rank engine comes to
@@ -372,7 +375,7 @@ func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) 
 // closes the store here (a tiered one holds a mapping and a spill
 // directory); on success runEngine takes the store over.
 func bootstrap(c *mpi.Comm, src *source, t int64, cfg Config) (*rankEngine, error) {
-	pt, err := src.partitioner(cfg.Scheme, c.Size(), cfg.Seed)
+	pt, err := src.partitioner(c, cfg.Scheme, c.Size(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +405,12 @@ func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
 		}
 	}
 	if !restored {
-		if err := e.loadSlotEdges(src.edges(e), nil, src.collapseDup); err != nil {
+		ents, err := src.edges(e)
+		if err != nil {
+			return err
+		}
+		origs, err := e.loadSlotEdges(ents, nil, src.collapseDup)
+		if err != nil {
 			return err
 		}
 		m := src.m
@@ -413,7 +421,7 @@ func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
 			}
 			m = total[0]
 		}
-		if err := e.finishLoad(m, cfg); err != nil {
+		if err := e.finishLoad(m, origs, cfg); err != nil {
 			return err
 		}
 	}

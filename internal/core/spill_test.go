@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"edgeswitch/internal/mpi"
+	"edgeswitch/internal/rng"
 )
 
 // TestSpillInMemoryEquivalence is the out-of-core tentpole pin: wherever
@@ -358,6 +359,50 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 	}
 }
 
+// TestSpillBootstrapCountsOriginals: a bootstrap takes each rank's
+// originals count from the bulk loader instead of walking the base
+// segment it has just streamed, and that count is the walked one —
+// modified edges included, so it is not simply the edge count.
+func TestSpillBootstrapCountsOriginals(t *testing.T) {
+	g := testGraph(t, 21, 400, 2000)
+	r := rng.New(4)
+	for i, ed := range g.Edges() {
+		if i%3 == 0 {
+			g.RemoveEdge(ed)
+			g.AddModified(ed, r)
+		}
+	}
+	w, err := mpi.NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	cfg := Config{Seed: 3, Scheme: SchemeHPD, SpillDir: t.TempDir()}
+	origs := make([]int64, 2)
+	err = w.Run(func(c *mpi.Comm) error {
+		e, err := bootstrap(c, graphSource(g), 10, cfg)
+		if err != nil {
+			return err
+		}
+		defer e.adj.Close()
+		var walked int64
+		for li := range e.verts {
+			walked += int64(e.adj.Originals(li))
+		}
+		if e.origLocal != walked {
+			return fmt.Errorf("rank %d: origLocal %d, the store walks %d originals", c.Rank(), e.origLocal, walked)
+		}
+		origs[c.Rank()] = walked
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := origs[0] + origs[1]; got != g.Originals() || got == g.M() {
+		t.Fatalf("ranks hold %d originals, the graph %d of %d edges", got, g.Originals(), g.M())
+	}
+}
+
 // TestBootstrapFailureClosesStore: a load that fails after the rank's
 // store exists — here a source handing the same edge twice — must close
 // it: a tiered store would otherwise leak its mapping and leave
@@ -366,9 +411,9 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 func TestBootstrapFailureClosesStore(t *testing.T) {
 	g := testGraph(t, 18, 60, 200)
 	src := graphSource(g)
-	src.edges = func(e *rankEngine) []slotEdge {
-		ents := graphSource(g).edges(e)
-		return append(ents, ents[0])
+	src.edges = func(e *rankEngine) ([]slotEdge, error) {
+		ents, err := graphSource(g).edges(e)
+		return append(ents, ents[0]), err
 	}
 	w, err := mpi.NewWorld(1)
 	if err != nil {
@@ -416,7 +461,7 @@ func peakHeapDuring(f func()) uint64 {
 
 // TestSpillSmoke is the CI out-of-core leg (`make spillsmoke`, gated on
 // ESSPILL=1): bootstrap a >=10^7-edge preferential-attachment graph
-// communication-free at p=8, run two global curveball rounds fully
+// by distributed generation at p=8, run two global curveball rounds fully
 // in-memory while sampling the heap high-water mark, then repeat the
 // identical run through the tiered store under a soft memory limit of
 // half that peak. The capped spill run must complete and its final edge

@@ -1,6 +1,8 @@
 package pergen
 
 import (
+	"slices"
+
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/rng"
 )
@@ -36,6 +38,10 @@ type contactGen struct {
 
 	comms  []communitySpan
 	commOf []int32
+	// pairOff[i] is the global index of community i's first internal pair
+	// (Σ C(size, 2) over the communities before it), so a share starting
+	// at community i starts its within-pair counter there.
+	pairOff []int64
 
 	sizes  rng.Stream
 	within rng.Stream
@@ -91,11 +97,12 @@ func newContactGen(sp Spec) *contactGen {
 	// Bernoulli count — every rank computes it from the same scan, so
 	// the cross slot count (and with it the total) is deterministic.
 	targetM := int64(cc.AvgDegree * float64(cc.N) / 2)
-	var withinCapacity int64
-	for _, cm := range c.comms {
+	c.pairOff = make([]int64, len(c.comms)+1)
+	for i, cm := range c.comms {
 		sz := int64(cm.hi - cm.lo)
-		withinCapacity += sz * (sz - 1) / 2
+		c.pairOff[i+1] = c.pairOff[i] + sz*(sz-1)/2
 	}
+	withinCapacity := c.pairOff[len(c.comms)]
 	withinBudget := int64(float64(targetM) * cc.WithinFrac)
 	if withinCapacity > 0 {
 		c.withinQ = float64(withinBudget) / float64(withinCapacity)
@@ -104,7 +111,7 @@ func newContactGen(sp Spec) *contactGen {
 		}
 	}
 	withinCount := int64(0)
-	c.withinEdges(func(graph.Edge) { withinCount++ })
+	c.withinEdges(0, len(c.comms), func(graph.Edge) { withinCount++ })
 	c.crossCnt = targetM - withinCount
 	if c.crossCnt < 0 {
 		c.crossCnt = 0
@@ -112,12 +119,12 @@ func newContactGen(sp Spec) *contactGen {
 	return c
 }
 
-// withinEdges enumerates the accepted within-community pairs: pair w of
-// the global intra-community pair enumeration is an edge iff its
-// Bernoulli draw clears withinQ.
-func (c *contactGen) withinEdges(fn func(graph.Edge)) {
-	w := uint64(0)
-	for _, cm := range c.comms {
+// withinEdges enumerates the accepted within-community pairs of
+// communities [lo, hi): pair w of the global intra-community pair
+// enumeration is an edge iff its Bernoulli draw clears withinQ.
+func (c *contactGen) withinEdges(lo, hi int, fn func(graph.Edge)) {
+	w := uint64(c.pairOff[lo])
+	for _, cm := range c.comms[lo:hi] {
 		for i := cm.lo; i < cm.hi; i++ {
 			for j := i + 1; j < cm.hi; j++ {
 				if c.within.Float64At(w) < c.withinQ {
@@ -129,13 +136,13 @@ func (c *contactGen) withinEdges(fn func(graph.Edge)) {
 	}
 }
 
-// crossEdges enumerates the cross-community slots. A slot redraws its
-// endpoints (bounded, from its own counter range) while the pair is a
+// crossEdges enumerates cross-community slots [lo, hi). A slot redraws
+// its endpoints (bounded, from its own counter range) while the pair is a
 // loop or intra-community; with a single community the intra filter is
 // dropped, as in the sequential generator. Exhausted slots are dropped.
-func (c *contactGen) crossEdges(fn func(graph.Edge)) {
+func (c *contactGen) crossEdges(lo, hi int64, fn func(graph.Edge)) {
 	requireCross := len(c.comms) > 1
-	for t := int64(0); t < c.crossCnt; t++ {
+	for t := lo; t < hi; t++ {
 		for a := uint64(0); a <= maxResolveAttempts; a++ {
 			ctr := uint64(t)<<6 | a
 			u := graph.Vertex(c.cross.Uint64nAt(2*ctr, uint64(c.n)))
@@ -152,9 +159,33 @@ func (c *contactGen) crossEdges(fn func(graph.Edge)) {
 	}
 }
 
-// edges enumerates within-community edges first, then cross slots —
-// the deterministic order Edges documents.
-func (c *contactGen) edges(fn func(graph.Edge)) {
-	c.withinEdges(fn)
-	c.crossEdges(fn)
+// shareBound returns where share r of parts starts: at community ci and
+// cross slot t. Shares split one line of work — every community's
+// internal pairs (one draw each), then the cross slots (two draws each) —
+// at r/parts of its length, so the shares cost about the same; share r
+// starts at the first community, or failing that the first slot, at or
+// past its point.
+func (c *contactGen) shareBound(r, parts int) (ci int, t int64) {
+	pairs := c.pairOff[len(c.comms)]
+	if r == parts {
+		return len(c.comms), c.crossCnt
+	}
+	at := (pairs + 2*c.crossCnt) * int64(r) / int64(parts)
+	if at <= pairs {
+		ci, _ := slices.BinarySearch(c.pairOff[:len(c.comms)], at)
+		return ci, 0
+	}
+	return len(c.comms), min((at-pairs+1)/2, c.crossCnt)
+}
+
+// share enumerates share r of parts: the within-community edges of its
+// communities, then its cross slots. A share that holds cross slots
+// starts past every community, so shares 0..parts−1 in order enumerate
+// every within-community edge before the first cross slot — the order
+// Edges documents.
+func (c *contactGen) share(r, parts int, fn func(graph.Edge)) {
+	cLo, tLo := c.shareBound(r, parts)
+	cHi, tHi := c.shareBound(r+1, parts)
+	c.withinEdges(cLo, cHi, fn)
+	c.crossEdges(tLo, tHi, fn)
 }

@@ -123,15 +123,32 @@ func (p *paGen) conflicts(t, v graph.Vertex, prev []graph.Vertex) bool {
 	return false
 }
 
-// edges enumerates the full graph: the clique, then every vertex's
-// slots in vertex order. All emitted edges are normalized (targets are
-// strictly older — smaller — than their generating vertex) and, thanks
-// to the per-vertex dedup, distinct.
-func (p *paGen) edges(fn func(graph.Edge)) {
-	for _, e := range p.clique {
-		fn(e)
+// shareBound returns the first attaching vertex of share r of parts:
+// the vertex whose first slot is the first at or past slot r·K/parts, K
+// the total slot count (clique pairs, then d slots per attaching vertex).
+// Every share therefore holds K/parts slots to within d, and share 0 also
+// holds the clique.
+func (p *paGen) shareBound(r, parts int) int64 {
+	k := p.mc + (int64(p.n)-int64(p.s))*int64(p.d)
+	off := k*int64(r)/int64(parts) - p.mc
+	if off <= 0 {
+		return int64(p.s)
 	}
-	for v := int64(p.s); v < int64(p.n); v++ {
+	return min(int64(p.s)+(off+int64(p.d)-1)/int64(p.d), int64(p.n))
+}
+
+// share enumerates share r of parts: the clique when r = 0, then every
+// slot of the attaching vertices [shareBound(r), shareBound(r+1)) in
+// vertex order. All emitted edges are normalized (targets are strictly
+// older — smaller — than their generating vertex) and, thanks to the
+// per-vertex dedup, distinct.
+func (p *paGen) share(r, parts int, fn func(graph.Edge)) {
+	if r == 0 {
+		for _, e := range p.clique {
+			fn(e)
+		}
+	}
+	for v, hi := p.shareBound(r, parts), p.shareBound(r+1, parts); v < hi; v++ {
 		for _, t := range p.vertexTargets(v) {
 			fn(graph.Edge{U: t, V: graph.Vertex(v)})
 		}

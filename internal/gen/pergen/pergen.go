@@ -8,9 +8,9 @@
 // generator makes is re-expressed as a pure function of a counter-based
 // RNG stream (rng.Stream), so the step "read a previously generated
 // value" becomes "recompute it from its counter". With that, any rank
-// can resolve any edge of the graph in O(1) expected hash work, and a
-// rank materializes exactly the edges its partition owns — no rank-0
-// build, no scatter, no data exchange of any kind.
+// can resolve any edge of the graph in O(1) expected hash work: p ranks
+// split the enumeration into p shares (ShareEdges) and generate the
+// graph once between them, with no rank-0 build and no scatter.
 //
 // Two generators are ported: preferential attachment (the recomputation
 // trick proper: an endpoint drawn "proportional to degree" is a uniform
@@ -28,11 +28,13 @@
 //
 // Cost model: ownership of an edge follows its minimum endpoint (the
 // engine's reduced-adjacency invariant), and for both models the
-// minimum endpoint is only known after resolving the hash chain. Each
-// rank therefore scans the full edge-index space — O(m) cheap stateless
-// hashes, embarrassingly parallel and replicated — but materializes
-// (treap-inserts, the dominant cost) only its own O(m/p) edges, and
-// peak memory per rank drops from O(m) to O(m/p) + O(n) scan tables.
+// minimum endpoint is only known after resolving the hash chain, so a
+// share's edges have owners on every rank. The engine's bootstrap
+// (internal/core) enumerates one share per rank and routes each edge to
+// its owner: O(m/p) hashes per rank plus one exchange. PartitionEdges
+// and ReducedDegrees are the exchange-free alternative, which every rank
+// pays with a scan of all m edges; cmd/esbench's pergen kernels time
+// them.
 package pergen
 
 import (
@@ -199,12 +201,22 @@ func (g *Gen) N() int { return g.spec.N }
 // resolve to the same pair — a birthday-rare event); consumers that
 // need the graph's edge *set* deduplicate at the minimum endpoint,
 // which is what Full and PartitionEdges do. ModelPA never repeats.
-func (g *Gen) Edges(fn func(graph.Edge)) {
+func (g *Gen) Edges(fn func(graph.Edge)) { g.ShareEdges(0, 1, fn) }
+
+// ShareEdges enumerates share r of p (0 <= r < p) of the sequence Edges
+// enumerates: shares 0..p−1, concatenated, are exactly that sequence,
+// and each holds about 1/p of its hash work. For PA, share r is the
+// clique when r = 0 plus a contiguous range of attaching vertices; for
+// contact, a contiguous range of communities plus a range of cross
+// slots. Any rank resolves any edge by recomputation, so p ranks
+// enumerating one share each generate the graph once between them,
+// whoever owns the edges. A share enumeration allocates nothing.
+func (g *Gen) ShareEdges(r, p int, fn func(graph.Edge)) {
 	if g.pa != nil {
-		g.pa.edges(fn)
+		g.pa.share(r, p, fn)
 		return
 	}
-	g.ct.edges(fn)
+	g.ct.share(r, p, fn)
 }
 
 // PartitionEdges enumerates, in the same deterministic order as Edges,

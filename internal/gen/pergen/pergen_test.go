@@ -361,6 +361,45 @@ func TestReducedDegreesMatchEnumeration(t *testing.T) {
 	}
 }
 
+// TestSharesConcatenateToEdges pins ShareEdges' contract: shares 0..p−1,
+// concatenated, are Edges' sequence edge for edge, and no share holds
+// much more than its 1/p of the hash work (PA: slots; contact: within
+// pairs, then two draws per cross slot).
+func TestSharesConcatenateToEdges(t *testing.T) {
+	for _, sp := range []Spec{paSpec(5), contactSpec(5)} {
+		g, err := New(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []graph.Edge
+		g.Edges(func(e graph.Edge) { want = append(want, e) })
+		for _, p := range []int{1, 2, 3, 8} {
+			var got []graph.Edge
+			sizes := make([]int, p)
+			for r := 0; r < p; r++ {
+				before := len(got)
+				g.ShareEdges(r, p, func(e graph.Edge) { got = append(got, e) })
+				sizes[r] = len(got) - before
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s p=%d: shares hold %d edges, Edges %d", sp.Model, p, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s p=%d: edge %d is %v in the shares, %v in Edges", sp.Model, p, i, got[i], want[i])
+				}
+			}
+			if sp.Model == ModelPA {
+				for r, n := range sizes {
+					if limit := (len(want)+p-1)/p + sp.D; n > limit {
+						t.Errorf("pa p=%d: share %d holds %d edges, want <= %d", p, r, n, limit)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGenSteadyStateAllocs pins the scan loops allocation-free: once New
 // has built the tables, a full enumeration and a per-rank enumeration
 // under CP and HP-D allocate nothing, whatever the graph's size.
@@ -382,6 +421,9 @@ func TestGenSteadyStateAllocs(t *testing.T) {
 		count := func(graph.Edge) { m++ }
 		if a := testing.AllocsPerRun(5, func() { g.Edges(count) }); a != 0 {
 			t.Errorf("%s: Edges made %.1f allocations per enumeration, want 0", model, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { g.ShareEdges(1, 3, count) }); a != 0 {
+			t.Errorf("%s: ShareEdges made %.1f allocations per enumeration, want 0", model, a)
 		}
 		cp, err := partition.NewCPFromReduced(g.ReducedDegrees(), 2)
 		if err != nil {
