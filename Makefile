@@ -1,4 +1,5 @@
-# The CI gate. `make check` is what .github/workflows/ci.yml runs.
+# The CI gate. .github/workflows/ci.yml runs `make check`'s targets, then
+# fuzz, benchsmoke, largesmoke and spillsmoke as steps of their own.
 
 GO ?= go
 
@@ -76,10 +77,12 @@ benchsmoke:
 	$(GO) test -short -run=^$$ -bench=BenchmarkOutOfCore -benchtime=1x ./internal/core/
 	$(GO) test -short -run=^$$ -bench=BenchmarkPingPong -benchtime=1x ./internal/mpi/
 
-# Large-graph smokes: a >=10^7-edge preferential-attachment graph
-# through the communication-free bootstrap at p=8, pinned to its exact
-# deterministic edge count, plus a ~10^6-edge curveball run to the
-# target visit rate at p=8; both time-boxed by the -timeout.
+# Large-graph smokes: a >=10^7-edge preferential-attachment graph and a
+# >=10^7-edge contact graph through the generation bootstrap at p=8
+# (shares routed to their owners; contact shares also sum their within
+# counts), each pinned to its exact deterministic edge count, plus a
+# ~10^6-edge curveball run to the target visit rate at p=8; all
+# time-boxed by the -timeout.
 largesmoke:
 	ESLARGE=1 $(GO) test -run='^TestLargeGenSmoke$$|^TestLargeCurveballSmoke$$' -v -timeout 10m ./internal/core/
 

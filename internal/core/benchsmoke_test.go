@@ -103,44 +103,56 @@ func pergenBootstrap(tb testing.TB, spec pergen.Spec, p int) int64 {
 }
 
 // TestBenchsmokePergenRegression is the regression guard for the
-// generation bootstrap: pa n=100k d=10 at p=8 — each rank resolving one
-// share of the ≈10^6 edges and routing the rest — must load exactly the
-// edges it loaded when the generator was written. The counter-based
-// generator is deterministic, so any drift is a correctness regression,
-// not noise. TestDistributedGenPInvariance pins the same bootstrap to
-// pergen's Full() edge for edge on smaller specs.
+// generation bootstrap: pa n=100k d=10 and contact n=100k d=10 at p=8 —
+// each rank resolving one share of the ≈10^6 (pa) or 5·10^5 (contact)
+// edges and routing the rest, the contact shares summing their within
+// counts — must load exactly the edges they loaded when the generators
+// were written. The counter-based generators are deterministic, so any
+// drift is a correctness regression, not noise.
+// TestDistributedGenPInvariance pins the same bootstrap to pergen's
+// Full() edge for edge on smaller specs.
 func TestBenchsmokePergenRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a counter guard; -race only slows it")
 	}
-	const baseEdges = 999_945
-	spec := benchGenSpec("pa", 100_000, 10)
-	start := time.Now()
-	m := pergenBootstrap(t, spec, 8)
-	t.Logf("pa n=%d p=8: %d edges (baseline %d) in %v", spec.N, m, baseEdges, time.Since(start))
-	if m != baseEdges {
-		t.Errorf("pergen generated %d edges, baseline has %d — the deterministic generator drifted", m, baseEdges)
+	for _, c := range []struct {
+		model     string
+		baseEdges int64
+	}{{"pa", 999_945}, {"contact", 499_999}} {
+		spec := benchGenSpec(c.model, 100_000, 10)
+		start := time.Now()
+		m := pergenBootstrap(t, spec, 8)
+		t.Logf("%s n=%d p=8: %d edges (baseline %d) in %v", c.model, spec.N, m, c.baseEdges, time.Since(start))
+		if m != c.baseEdges {
+			t.Errorf("%s: pergen generated %d edges, baseline has %d — the deterministic generator drifted", c.model, m, c.baseEdges)
+		}
 	}
 }
 
-// TestLargeGenSmoke is the CI large-graph leg: generate a >=10^7-edge
-// preferential-attachment graph with the generation bootstrap at p=8
-// (each rank resolves one share, ≈1.25·10^6 edges, and routes the rest)
-// and verify the exact deterministic edge count. Runs only under
-// ESLARGE=1 (`make largesmoke`), which time-boxes it with -timeout.
+// TestLargeGenSmoke is the large-graph generation leg: generate a
+// >=10^7-edge preferential-attachment graph and a >=10^7-edge contact
+// graph with the generation bootstrap at p=8 (each rank resolves one
+// share, ≈1.25·10^6 edges, and routes the rest) and verify each exact
+// deterministic edge count. Runs only under ESLARGE=1 (`make
+// largesmoke`), which time-boxes it with -timeout.
 func TestLargeGenSmoke(t *testing.T) {
 	if os.Getenv("ESLARGE") == "" {
 		t.Skip("set ESLARGE=1 to run the large-graph generation smoke")
 	}
-	const baseEdges = 10_000_005
-	spec := benchGenSpec("pa", 1_000_006, 10) // the smallest n clearing the 10^7 bound at d=10
-	if spec.MaxEdges() < 10_000_000 {
-		t.Fatalf("smoke spec bound %d edges, want >= 10^7", spec.MaxEdges())
+	for _, c := range []struct {
+		model     string
+		n         int // MaxEdges clears 10^7 at d=10
+		baseEdges int64
+	}{{"pa", 1_000_006, 10_000_005}, {"contact", 2_000_001, 10_000_005}} {
+		spec := benchGenSpec(c.model, c.n, 10)
+		if spec.MaxEdges() < 10_000_000 {
+			t.Fatalf("%s smoke spec bound %d edges, want >= 10^7", c.model, spec.MaxEdges())
+		}
+		start := time.Now()
+		m := pergenBootstrap(t, spec, 8)
+		if m != c.baseEdges {
+			t.Errorf("%s: generated %d edges, baseline has %d — the deterministic generator drifted", c.model, m, c.baseEdges)
+		}
+		t.Logf("%s n=%d p=8: %d edges in %v", c.model, spec.N, m, time.Since(start))
 	}
-	start := time.Now()
-	m := pergenBootstrap(t, spec, 8)
-	if m != baseEdges {
-		t.Errorf("generated %d edges, baseline has %d — the deterministic generator drifted", m, baseEdges)
-	}
-	t.Logf("pa n=%d p=8: %d edges in %v", spec.N, m, time.Since(start))
 }

@@ -215,7 +215,7 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 		if localErr != nil {
 			return localErr
 		}
-		return fmt.Errorf("core: checkpoint at step %d aborted: a peer rank failed to write its snapshot or the manifest", step)
+		return fmt.Errorf("core: checkpoint at step %d aborted: %w to write its snapshot or the manifest", step, mpi.ErrPeerFailed)
 	}
 	ck.gc(step)
 	return nil
@@ -411,7 +411,7 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 			// a silent fresh start; report why this rank (or a peer)
 			// rejected it.
 			if firstErr == nil {
-				firstErr = fmt.Errorf("a peer rank could not restore it")
+				firstErr = fmt.Errorf("%w to restore it", mpi.ErrPeerFailed)
 			}
 			return nil, nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
 		}

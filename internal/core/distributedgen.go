@@ -37,8 +37,11 @@ var (
 // resolves one share of the generator's edge sequence
 // (pergen.ShareEdges), about m/p edges: it keeps the edges whose
 // minimum endpoint it owns and routes the others to their owners in one
-// chunked exchange (genShare.load). CP's boundaries come from the
-// shares' reduced degrees, summed by one AllreduceUint32s. The bulk
+// chunked exchange (genShare.load). A contact share's cross-slot count
+// needs the world's within-community edge count, one AllreduceInt64s
+// (withinSum) between the share's within part and its cross part. CP's
+// boundaries come from the shares' reduced degrees, summed by one
+// AllreduceUint32s. The bulk
 // loader (loadSlotEdges) sorts the partition before it draws one treap
 // priority per entry, duplicates included, so neither arrival order nor
 // p moves the run RNG. A repeated edge (contact cross-slot collisions)
@@ -89,10 +92,13 @@ type genShare struct {
 func (gs *genShare) cp(c *mpi.Comm, p int) (*partition.CP, error) {
 	deg := make([]uint32, gs.gn.N())
 	share := make([]graph.Edge, 0, gs.gn.Spec().MaxEdges()/int64(p)+16)
-	gs.gn.ShareEdges(c.Rank(), p, func(ed graph.Edge) {
+	err := gs.gn.ShareEdges(c.Rank(), p, withinSum(c), func(ed graph.Edge) {
 		deg[ed.U]++
 		share = append(share, ed)
 	})
+	if err != nil {
+		return nil, err
+	}
 	gs.share = share
 	sum, err := c.AllreduceUint32s(deg, mpi.OpSum)
 	if err != nil {
@@ -108,7 +114,9 @@ func (gs *genShare) cp(c *mpi.Comm, p int) (*partition.CP, error) {
 // load resolves the rank's share and returns the rank's partition: the
 // share's own edges and every peer's routed ones. A foreign edge is
 // packed for its owner — e.slot holds ^owner for a vertex another rank
-// owns.
+// owns. A contact share's within-count sum runs while route chunks may
+// be in flight: collectives have their own tag space, so the chunks wait
+// in the mailbox.
 func (gs *genShare) load(e *rankEngine) ([]slotEdge, error) {
 	p := e.c.Size()
 	rt := newRouter(e, make([]slotEdge, 0, int(gs.gn.Spec().MaxEdges()/int64(p))+gs.gn.N()/p+16))
@@ -124,10 +132,22 @@ func (gs *genShare) load(e *rankEngine) ([]slotEdge, error) {
 			emit(ed)
 		}
 		gs.share = nil
-	} else {
-		gs.gn.ShareEdges(e.c.Rank(), p, emit)
+	} else if err := gs.gn.ShareEdges(e.c.Rank(), p, withinSum(e.c), emit); err != nil {
+		return nil, err
 	}
 	return rt.finish()
+}
+
+// withinSum is ShareEdges' sum for a share that runs on c's rank: one
+// AllreduceInt64s of the share's within count over the world.
+func withinSum(c *mpi.Comm) func(int64) (int64, error) {
+	return func(k int64) (int64, error) {
+		s, err := c.AllreduceInt64s([]int64{k}, mpi.OpSum)
+		if err != nil {
+			return 0, fmt.Errorf("core: rank %d within-edge sum: %w", c.Rank(), err)
+		}
+		return s[0], nil
+	}
 }
 
 // router is one rank's side of the route exchange. It packs routed

@@ -70,6 +70,30 @@ func TestDistributedGenPInvariance(t *testing.T) {
 	}
 }
 
+// TestDistributedGenPInvarianceTCP is the p-invariance check over
+// loopback TCP on a contact graph large enough that each rank routes
+// several full chunks to each peer: the shares' within-count allreduce
+// runs while route chunks are still on the sockets, and the graph must
+// still be the sequential materialization edge for edge.
+func TestDistributedGenPInvarianceTCP(t *testing.T) {
+	spec := benchGenSpec("contact", 50_000, 10)
+	g, err := pergen.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := g.Full()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Parallel(nil, 0, Config{Ranks: 3, Scheme: SchemeHPD, Seed: spec.Seed, UseTCP: true, DistributedGen: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Graph.Edges(), full.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("contact n=%d p=3 over TCP: %d edges differ from the sequential %d", spec.N, len(got), len(want))
+	}
+}
+
 // TestDistributedGenSwitching runs actual switching on top of the
 // generated bootstrap under the invariant sanitizer: simplicity,
 // ownership and exact degree-sequence conservation all verified against

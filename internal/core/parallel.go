@@ -92,7 +92,9 @@ type Config struct {
 	// generation (internal/gen/pergen): no rank materializes the whole
 	// graph and nothing is scattered — every rank resolves one share of
 	// the spec's edges, about m/p of them, and routes each edge to the
-	// owner of its minimum endpoint in one chunked exchange. RunRank must
+	// owner of its minimum endpoint in one chunked exchange (a contact
+	// share also sums its within-community count, one scalar allreduce,
+	// before its cross slots). RunRank must
 	// then be called with a nil graph; the resulting edge set is
 	// byte-identical to pergen.New(spec).Full() at every rank count.
 	DistributedGen *pergen.Spec

@@ -1,5 +1,6 @@
-// Package pergen implements communication-free parallel graph
-// generation by recomputation (Sanders & Schulz, arXiv:1602.07106).
+// Package pergen implements parallel graph generation by recomputation
+// (Sanders & Schulz, arXiv:1602.07106): no rank needs another's draws,
+// and a contact share needs one scalar sum across the ranks.
 //
 // The sequential generators in internal/gen materialize the whole graph
 // on one rank, which is then scattered to peers — so bootstrap time and
@@ -10,7 +11,10 @@
 // value" becomes "recompute it from its counter". With that, any rank
 // can resolve any edge of the graph in O(1) expected hash work: p ranks
 // split the enumeration into p shares (ShareEdges) and generate the
-// graph once between them, with no rank-0 build and no scatter.
+// graph once between them, with no rank-0 build and no scatter. The
+// contact model's cross-slot count depends on how many within-community
+// pairs were accepted, so its shares sum their within counts once (one
+// scalar allreduce) before they resolve their cross slots.
 //
 // Two generators are ported: preferential attachment (the recomputation
 // trick proper: an endpoint drawn "proportional to degree" is a uniform
@@ -31,10 +35,10 @@
 // minimum endpoint is only known after resolving the hash chain, so a
 // share's edges have owners on every rank. The engine's bootstrap
 // (internal/core) enumerates one share per rank and routes each edge to
-// its owner: O(m/p) hashes per rank plus one exchange. PartitionEdges
-// and ReducedDegrees are the exchange-free alternative, which every rank
-// pays with a scan of all m edges; cmd/esbench's pergen kernels time
-// them.
+// its owner: O(m/p) hashes per rank plus one exchange (and, for contact,
+// one scalar allreduce). PartitionEdges and ReducedDegrees are the
+// exchange-free alternative, which every rank pays with a scan of all m
+// edges; cmd/esbench's pergen kernels time them.
 package pergen
 
 import (
@@ -201,7 +205,10 @@ func (g *Gen) N() int { return g.spec.N }
 // resolve to the same pair — a birthday-rare event); consumers that
 // need the graph's edge *set* deduplicate at the minimum endpoint,
 // which is what Full and PartitionEdges do. ModelPA never repeats.
-func (g *Gen) Edges(fn func(graph.Edge)) { g.ShareEdges(0, 1, fn) }
+func (g *Gen) Edges(fn func(graph.Edge)) { _ = g.ShareEdges(0, 1, worldOfOne, fn) }
+
+// worldOfOne is the sum of a one-share world: the share's own count.
+func worldOfOne(k int64) (int64, error) { return k, nil }
 
 // ShareEdges enumerates share r of p (0 <= r < p) of the sequence Edges
 // enumerates: shares 0..p−1, concatenated, are exactly that sequence,
@@ -211,12 +218,20 @@ func (g *Gen) Edges(fn func(graph.Edge)) { g.ShareEdges(0, 1, fn) }
 // slots. Any rank resolves any edge by recomputation, so p ranks
 // enumerating one share each generate the graph once between them,
 // whoever owns the edges. A share enumeration allocates nothing.
-func (g *Gen) ShareEdges(r, p int, fn func(graph.Edge)) {
+//
+// sum is the world's one collective. A contact share calls it exactly
+// once, with the number of within-community edges it emitted, after them
+// and before its cross slots; sum must return the total over all p
+// shares (an allreduce when each share runs on its own rank), so every
+// share of a world calls it, a share that holds no community included. A
+// PA share never calls it. An error from sum is returned as is, and the
+// share then emits no cross edge.
+func (g *Gen) ShareEdges(r, p int, sum func(int64) (int64, error), fn func(graph.Edge)) error {
 	if g.pa != nil {
 		g.pa.share(r, p, fn)
-		return
+		return nil
 	}
-	g.ct.share(r, p, fn)
+	return g.ct.share(r, p, sum, fn)
 }
 
 // PartitionEdges enumerates, in the same deterministic order as Edges,

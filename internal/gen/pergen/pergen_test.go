@@ -1,6 +1,7 @@
 package pergen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -373,12 +374,15 @@ func TestSharesConcatenateToEdges(t *testing.T) {
 		}
 		var want []graph.Edge
 		g.Edges(func(e graph.Edge) { want = append(want, e) })
+		sum := worldSum(g)
 		for _, p := range []int{1, 2, 3, 8} {
 			var got []graph.Edge
 			sizes := make([]int, p)
 			for r := 0; r < p; r++ {
 				before := len(got)
-				g.ShareEdges(r, p, func(e graph.Edge) { got = append(got, e) })
+				if err := g.ShareEdges(r, p, sum, func(e graph.Edge) { got = append(got, e) }); err != nil {
+					t.Fatal(err)
+				}
 				sizes[r] = len(got) - before
 			}
 			if len(got) != len(want) {
@@ -396,6 +400,105 @@ func TestSharesConcatenateToEdges(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// worldSum returns the sum every share of g's world receives: the within
+// count over all shares, which the engine's bootstrap gets from one
+// allreduce. A PA share never asks.
+func worldSum(g *Gen) func(int64) (int64, error) {
+	var total int64
+	if g.ct != nil {
+		total = g.ct.withinEdges(0, len(g.ct.comms), func(graph.Edge) {})
+	}
+	return func(int64) (int64, error) { return total, nil }
+}
+
+// TestContactShareSumsOnce pins ShareEdges' sum contract: a contact share
+// calls sum exactly once, after its within edges and before its cross
+// edges, with the number of within edges it emitted, a share that holds
+// no community included; the shares' counts add up to Edges' within
+// count; a PA share never calls it. Each share's work stays within its
+// 1/p of the line (pairs + 2·slots) plus one community's pairs, and a
+// failing sum stops the share before its first cross edge.
+func TestContactShareSumsOnce(t *testing.T) {
+	tiny := Spec{Model: ModelContact, Seed: 2, N: 30,
+		Contact: gen.ContactConfig{AvgDegree: 6, CommunitySize: 10, WithinFrac: 0.5}}
+	for _, sp := range []Spec{contactSpec(5), tiny} {
+		g, err := New(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := g.ct
+		inside := func(e graph.Edge) bool { return ct.commOf[e.U] == ct.commOf[e.V] }
+		var want int64
+		g.Edges(func(e graph.Edge) {
+			if inside(e) {
+				want++
+			}
+		})
+		crossCnt := max(ct.targetM-want, 0)
+		pairs := ct.pairOff[len(ct.comms)]
+		var maxPairs int64
+		for i := range ct.comms {
+			maxPairs = max(maxPairs, ct.pairOff[i+1]-ct.pairOff[i])
+		}
+		boom := errors.New("sum failed")
+		for _, p := range []int{1, 2, 3, 8} {
+			var total int64
+			for r := 0; r < p; r++ {
+				var within, cross, calls int64
+				err := g.ShareEdges(r, p, func(k int64) (int64, error) {
+					calls++
+					if k != within || cross != 0 {
+						t.Errorf("N=%d p=%d share %d: sum(%d) after %d within and %d cross edges", sp.N, p, r, k, within, cross)
+					}
+					return want, nil
+				}, func(e graph.Edge) {
+					if inside(e) {
+						within++
+					} else {
+						cross++
+					}
+				})
+				if err != nil || calls != 1 {
+					t.Fatalf("N=%d p=%d share %d: %d sum calls, err %v; want 1, nil", sp.N, p, r, calls, err)
+				}
+				total += within
+				cLo, tLo := ct.shareBound(r, p, crossCnt)
+				cHi, tHi := ct.shareBound(r+1, p, crossCnt)
+				work := ct.pairOff[cHi] - ct.pairOff[cLo] + 2*(tHi-tLo)
+				if limit := (pairs+2*crossCnt)/int64(p) + maxPairs + 2; work > limit {
+					t.Errorf("N=%d p=%d share %d: work %d, want <= %d", sp.N, p, r, work, limit)
+				}
+
+				cross = 0
+				err = g.ShareEdges(r, p, func(int64) (int64, error) { return 0, boom }, func(e graph.Edge) {
+					if !inside(e) {
+						cross++
+					}
+				})
+				if !errors.Is(err, boom) || cross != 0 {
+					t.Errorf("N=%d p=%d share %d: failing sum gave %v and %d cross edges, want %v and none", sp.N, p, r, err, cross, boom)
+				}
+			}
+			if total != want {
+				t.Errorf("N=%d p=%d: shares emitted %d within edges, Edges %d", sp.N, p, total, want)
+			}
+		}
+	}
+	g, err := New(paSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		err := g.ShareEdges(r, 3, func(int64) (int64, error) {
+			t.Errorf("pa share %d called sum", r)
+			return 0, nil
+		}, func(graph.Edge) {})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -422,7 +525,8 @@ func TestGenSteadyStateAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(5, func() { g.Edges(count) }); a != 0 {
 			t.Errorf("%s: Edges made %.1f allocations per enumeration, want 0", model, a)
 		}
-		if a := testing.AllocsPerRun(5, func() { g.ShareEdges(1, 3, count) }); a != 0 {
+		sum := worldSum(g)
+		if a := testing.AllocsPerRun(5, func() { _ = g.ShareEdges(1, 3, sum, count) }); a != 0 {
 			t.Errorf("%s: ShareEdges made %.1f allocations per enumeration, want 0", model, a)
 		}
 		cp, err := partition.NewCPFromReduced(g.ReducedDegrees(), 2)

@@ -28,6 +28,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,12 @@ const AnyTag = -1
 // collTagBase is the start of the tag space reserved for collectives.
 // Application tags must be in [0, collTagBase).
 const collTagBase = 1 << 30
+
+// ErrPeerFailed marks an error that only repeats a failure the ranks
+// agreed on through a collective: a peer's own error is the root cause.
+// World.Run returns such an error, or an ErrPeerLost, only when no rank
+// failed with anything else.
+var ErrPeerFailed = errors.New("mpi: a peer rank failed")
 
 // Message is a received message.
 type Message struct {
@@ -148,9 +155,15 @@ func (w *World) countSend(n int) {
 }
 
 // Run executes body once per rank, each in its own goroutine, and waits
-// for all of them. It returns the first non-nil error (a rank panic is
-// recovered and reported as an error). Run may be called repeatedly; each
-// call is a fresh SPMD program over the same world.
+// for all of them. A rank whose body returns an error or panics (the
+// panic is recovered as an error) fails the world: every mailbox is
+// failed with an ErrPeerLost naming that rank, so a peer blocked in a
+// receive or a collective returns instead of waiting for the failed rank
+// forever. Run then returns the root cause: the error of the first rank
+// to fail in time, passing over errors that wrap ErrPeerLost or
+// ErrPeerFailed (a peer's failure seen second-hand) while any other rank
+// error exists. Run may be called repeatedly; each call is a fresh SPMD
+// program over the same world, but a world that failed stays failed.
 func (w *World) Run(body func(c *Comm) error) error {
 	w.mu.Lock()
 	if !w.started {
@@ -162,7 +175,29 @@ func (w *World) Run(body func(c *Comm) error) error {
 	}
 	w.mu.Unlock()
 
-	errs := make([]error, w.size)
+	var (
+		mu          sync.Mutex
+		cause, echo error // the first rank errors in time: one of its own, one echoing a peer's
+	)
+	fail := func(rank int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if cause == nil && echo == nil {
+			lost := fmt.Errorf("%w: rank %d: %v", ErrPeerLost, rank, err)
+			for _, b := range w.boxes {
+				b.fail(lost)
+			}
+		}
+		err = fmt.Errorf("rank %d: %w", rank, err)
+		switch {
+		case errors.Is(err, ErrPeerLost) || errors.Is(err, ErrPeerFailed):
+			if echo == nil {
+				echo = err
+			}
+		case cause == nil:
+			cause = err
+		}
+	}
 	var wg sync.WaitGroup
 	for rank := 0; rank < w.size; rank++ {
 		wg.Add(1)
@@ -170,19 +205,19 @@ func (w *World) Run(body func(c *Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, r)
+					fail(rank, fmt.Errorf("mpi: rank %d panicked: %v", rank, r))
 				}
 			}()
-			errs[rank] = body(&Comm{world: w, rank: rank})
+			if err := body(&Comm{world: w, rank: rank}); err != nil {
+				fail(rank, err)
+			}
 		}(rank)
 	}
 	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			return fmt.Errorf("rank %d: %w", rank, err)
-		}
+	if cause != nil {
+		return cause
 	}
-	return nil
+	return echo
 }
 
 // Close releases transport resources and unblocks any receiver still

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -309,6 +311,92 @@ func TestRunReportsError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("error not reported")
+	}
+}
+
+// TestRunFailsPeersOfAFailedRank: a rank that errors or panics while its
+// peers wait on it — rank 0 in a receive, rank 2 in an allreduce — fails
+// the world, so Run returns within seconds with the failed rank's own
+// error, not a peer's ErrPeerLost, and each peer's wait ends in an
+// ErrPeerLost naming the failed rank.
+func TestRunFailsPeersOfAFailedRank(t *testing.T) {
+	boom := errors.New("deliberate")
+	for _, tr := range []struct {
+		name string
+		opts []Option
+	}{{"mem", nil}, {"tcp", []Option{WithTCP()}}} {
+		for _, panics := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/panic=%v", tr.name, panics), func(t *testing.T) {
+				w, err := NewWorld(3, tr.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				peerErrs := make([]error, 3)
+				done := make(chan error, 1)
+				go func() {
+					done <- w.Run(func(c *Comm) error {
+						switch c.Rank() {
+						case 0:
+							_, peerErrs[0] = c.Recv(1, 7)
+						case 1:
+							time.Sleep(20 * time.Millisecond) // let the peers block first
+							if panics {
+								panic(boom)
+							}
+							return boom
+						case 2:
+							_, peerErrs[2] = c.AllreduceInt64s([]int64{1}, OpSum)
+						}
+						return peerErrs[c.Rank()]
+					})
+				}()
+				select {
+				case err = <-done:
+				case <-time.After(10 * time.Second):
+					w.Close()
+					t.Fatal("Run still waiting 10 s after rank 1 failed")
+				}
+				if !strings.HasPrefix(fmt.Sprint(err), "rank 1: ") || (!panics && !errors.Is(err, boom)) || (panics && !strings.Contains(err.Error(), "panicked: deliberate")) {
+					t.Fatalf("Run = %v, want rank 1's %v", err, boom)
+				}
+				for _, r := range []int{0, 2} {
+					if !errors.Is(peerErrs[r], ErrPeerLost) || !strings.Contains(peerErrs[r].Error(), "rank 1") {
+						t.Errorf("rank %d: %v, want ErrPeerLost naming rank 1", r, peerErrs[r])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunPrefersRootCause: when ranks agree through a collective that one
+// of them failed, a peer that reports only that (ErrPeerFailed) may
+// return first, yet Run returns the failed rank's own error.
+func TestRunPrefersRootCause(t *testing.T) {
+	boom := errors.New("deliberate")
+	w, err := NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	err = w.Run(func(c *Comm) error {
+		ok := int64(1)
+		if c.Rank() == 2 {
+			ok = 0
+		}
+		agreed, err := c.AllreduceInt64s([]int64{ok}, OpMin)
+		if err != nil || agreed[0] == 1 {
+			return err
+		}
+		if c.Rank() == 2 {
+			time.Sleep(20 * time.Millisecond) // the echoes fail first
+			return boom
+		}
+		return fmt.Errorf("rank %d: %w", c.Rank(), ErrPeerFailed)
+	})
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "rank 2: ") {
+		t.Fatalf("Run = %v, want rank 2's %v", err, boom)
 	}
 }
 
