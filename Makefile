@@ -8,12 +8,17 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab profile loc clean
+.PHONY: check build fmt vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab profile loc clean
 
-check: build vet esvet test esbench race racedist
+check: build fmt vet esvet test esbench race racedist
 
 build:
 	$(GO) build ./...
+
+# Fails, naming them, when gofmt would rewrite any tracked .go file.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -431,12 +431,12 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 // restore loads the agreed checkpoint into the empty engine e. It reports
 // false when the world agreed there is nothing to restore — the caller
 // bootstraps fresh. m is the source's edge count, or -1 to trust the
-// manifest's. The partition goes through loadSlotEdges like any bootstrap
-// (a tiered store streams it into its first base, so its overlay budget
-// resolves from the true entry count); the loader's priority draws move
-// e.rnd, which is then set to the captured position. The restored world
-// re-derives the global degree checksum and compares it to the manifest:
-// the sanitizer's degree baseline doubling as the restore integrity check.
+// manifest's. The partition is sorted and handed to the randomizer like
+// any bootstrap's (finishLoad); the edge switcher's store build draws
+// from e.rnd, which is then set to the captured position. The restored
+// world re-derives the global degree checksum, carried entries included,
+// and compares it to the manifest: the sanitizer's degree baseline
+// doubling as the restore integrity check.
 func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error) {
 	man, st, err := ck.agreeRestoreStep()
 	if err != nil || man == nil {
@@ -459,17 +459,16 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	if err != nil {
 		return false, err
 	}
-	origs, err := e.loadSlotEdges(ents, nil, false)
-	if err != nil {
+	if ents, err = e.sortSlotEdges(ents, nil, false); err != nil {
 		return false, err
 	}
-	if err := e.finishLoad(man.M, origs, cfg); err != nil {
+	if err := e.finishLoad(man.M, ents, cfg); err != nil {
 		return false, err
 	}
 	// finishLoad derived load-time values from the restored partition;
 	// reinstate the captured run state on top of it.
-	if origs != st.origLocal {
-		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", origs, st.origLocal)
+	if e.origLocal != st.origLocal {
+		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", e.origLocal, st.origLocal)
 	}
 	e.initialEdges = st.initialEdges
 	e.stepsRun = st.step

@@ -36,12 +36,13 @@ import (
 // partition, trade i's only from it and trades < i. The step-boundary
 // exchange barriers rounds, so nothing leaks across them.
 //
-// Lifecycle: the round's settled list is the partition, and the next
-// round routes it as it stands (the two lists alternate). The store
-// holds the partition only after bootstrap or a restore, when prepare
-// first drains it into the list (drainPartition), and wherever something
-// reads it: the chassis calls storePartition at a checkpoint boundary, at
-// every boundary of a sanitized run and at the end of the run.
+// Lifecycle: the partition is a list. Bootstrap and restore hand over
+// the sorted entries, each round's settled list is the next round's
+// partition, and prepare routes it as it stands (the two lists
+// alternate). The store holds the partition only where something reads
+// it — the chassis calls storePartition at a checkpoint boundary, at
+// every boundary of a sanitized run and at the end of the run — and the
+// next round drains it back into the list (drainPartition).
 //
 // Determinism (the p-invariance pin): a trade's inputs are sorted by
 // non-anchor endpoint before the uniform redistribution, which draws from
@@ -240,8 +241,8 @@ type curveball struct {
 	arena   []uint32   // this round's arrival words, one slice pair per owned trade
 	ready   []int32    // owned trades holding every arrival, not yet executed
 	settled []slotEdge // edges final for the round that this rank owns
-	// prev is the last round's settled list; while carried is set it is
-	// the partition and the store is drained.
+	// prev is the last round's settled list (or the bootstrap's); while
+	// carried is set it is the partition and the store is empty.
 	prev    []slotEdge
 	carried bool
 
@@ -250,20 +251,19 @@ type curveball struct {
 	out  []cbEdge
 }
 
-// newCurveball bootstraps the curveball randomizer: one O(n)
-// AllreduceUint32s establishes the global degree vector.
-func newCurveball(e *rankEngine) (*curveball, error) {
+// newCurveball bootstraps the curveball randomizer on the partition ents,
+// carried to round 1 outside the store: it counts their outside and
+// origLocal shares and, by one O(n) AllreduceUint32s, the global degrees.
+func newCurveball(e *rankEngine, ents []slotEdge) (*curveball, error) {
 	loc := make([]uint32, e.n)
-	var u graph.Vertex
-	count := func(v graph.Vertex, _ bool) bool {
-		loc[u]++
-		loc[v]++
-		return true
+	for _, se := range ents {
+		loc[e.verts[se.slot]]++
+		loc[se.v]++
+		if se.orig {
+			e.origLocal++
+		}
 	}
-	for li := range e.verts {
-		u = e.verts[li]
-		e.adj.Walk(li, count)
-	}
+	e.outside = int64(len(ents))
 	deg, err := e.c.AllreduceUint32s(loc, mpi.OpSum)
 	if err != nil {
 		return nil, fmt.Errorf("core: curveball degree bootstrap: %w", err)
@@ -277,6 +277,8 @@ func newCurveball(e *rankEngine) (*curveball, error) {
 		sideV:     make([]uint64, (e.n+63)/64),
 		trades:    make([]cbTrade, len(e.verts)),
 		ready:     make([]int32, 0, len(e.verts)),
+		prev:      ents,
+		carried:   true,
 	}
 	return r, nil
 }
@@ -291,8 +293,8 @@ func roundBuf[T any](buf []T, n int) []T {
 }
 
 // prepare arms one round: derive the pairing, lay out the arena, and
-// route the whole partition — the carried settled list, into which a
-// stored partition is drained first — into it and into the peers' runs,
+// route the whole partition — the carried list, into which a stored
+// partition is drained first — into it and into the peers' runs,
 // executing owned trades as they complete.
 func (r *curveball) prepare(s int64, counts []int64) error {
 	e := r.e
@@ -630,20 +632,28 @@ func (r *curveball) endStep() error {
 	return nil
 }
 
-// storePartition bulk-loads a carried partition into the drained store,
-// scattering it through the idle settled list.
+// storePartition bulk-loads a carried partition into the empty store,
+// sorting it through the idle settled list.
 func (r *curveball) storePartition() error {
 	if !r.carried {
 		return nil
 	}
 	r.carried = false
-	// carryIn counted the list's originals; the loader's count is not
-	// needed.
-	if _, err := r.e.loadSlotEdges(r.prev, r.settled, false); err != nil {
+	ents, err := r.e.sortSlotEdges(r.prev, r.settled, false)
+	if err != nil {
 		return fmt.Errorf("core: round %d: %w", r.round, err)
 	}
-	r.e.outside -= int64(len(r.prev))
+	r.e.buildStore(ents) // the list's originals are already counted
+	r.e.outside -= int64(len(ents))
 	return nil
+}
+
+// outsideEdges returns the carried partition, nil once it is stored.
+func (r *curveball) outsideEdges() []slotEdge {
+	if !r.carried {
+		return nil
+	}
+	return r.prev
 }
 
 // seqCBEdge is one settled edge between rounds of the sequential

@@ -444,11 +444,7 @@ func TestCurveballStuckRoundFails(t *testing.T) {
 				return err
 			}
 			defer e.adj.Close()
-			if err := curveballRounds(e, x, c); err != nil {
-				w.Close() // the peer may be waiting on this rank
-				return err
-			}
-			return nil
+			return curveballRounds(e, x, c)
 		})
 	}()
 	select {

@@ -200,6 +200,12 @@ func TestCurveballSanitizerCatchesCorruption(t *testing.T) {
 		if _, ok := eng.rand.(*curveball); !ok {
 			t.Fatalf("engine randomizer is %T, want *curveball", eng.rand)
 		}
+		// The bootstrap leaves the partition carried outside the store; the
+		// corruptions below go through the store, as a checked boundary
+		// leaves it.
+		if err := eng.rand.storePartition(); err != nil {
+			t.Fatal(err)
+		}
 		if err := eng.recordBaseline(); err != nil {
 			t.Fatal(err)
 		}
@@ -258,6 +264,40 @@ func TestCurveballSanitizerCatchesCorruption(t *testing.T) {
 			t.Fatalf("error %q should report %s", msg, VDegreeDrift)
 		}
 	})
+}
+
+// TestCurveballSanitizerScansCarriedList: a bootstrap hands curveball its
+// partition as a sorted list outside the store, and the first checked
+// exchange scans that list as it scans the store — a repeated or
+// unnormalized entry, or an outside count the list does not match, is a
+// named violation before round 1 routes anything.
+func TestCurveballSanitizerScansCarriedList(t *testing.T) {
+	g := testGraph(t, 46, 60, 240)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(e *rankEngine, ents []slotEdge)
+		want    ViolationKind
+	}{
+		{"clean", func(*rankEngine, []slotEdge) {}, ""},
+		{"repeated entry", func(_ *rankEngine, ents []slotEdge) { ents[1] = ents[0] }, VParallelEdge},
+		{"unnormalized entry", func(e *rankEngine, ents []slotEdge) { ents[len(ents)-1].v = 0 }, VOwnership},
+		{"outside count", func(e *rankEngine, _ []slotEdge) { e.outside++ }, VEdgeCount},
+	} {
+		eng, w := newTestEngineCfg(t, g, Config{Seed: 5, CheckInvariants: true, Algorithm: AlgoCurveball})
+		ents := eng.rand.outsideEdges()
+		if int64(len(ents)) != g.M() || eng.deg.Total() != 0 {
+			t.Fatalf("bootstrap carried %d of %d edges and stored %d", len(ents), g.M(), eng.deg.Total())
+		}
+		tc.corrupt(eng, ents)
+		vs := eng.sanitizeLocal()
+		w.Close()
+		switch {
+		case tc.want == "" && len(vs) != 0:
+			t.Errorf("%s: flagged %v", tc.name, vs)
+		case tc.want != "" && (len(vs) == 0 || vs[0].Kind != tc.want):
+			t.Errorf("%s: got %v, want a %s violation", tc.name, vs, tc.want)
+		}
+	}
 }
 
 // TestCBPermute checks the pairing permutation: a valid permutation of

@@ -41,16 +41,15 @@ var (
 // needs the world's within-community edge count, one AllreduceInt64s
 // (withinSum) between the share's within part and its cross part. CP's
 // boundaries come from the shares' reduced degrees, summed by one
-// AllreduceUint32s. The bulk
-// loader (loadSlotEdges) sorts the partition before it draws one treap
-// priority per entry, duplicates included, so neither arrival order nor
-// p moves the run RNG. A repeated edge (contact cross-slot collisions)
-// collapses to one; both copies share their minimum endpoint, so
-// duplicates meet inside one rank and the global edge set stays
-// independent of p — but the exact edge count is known only after the
-// load (m = -1): the frame allreduces it, and a restore trusts its
-// manifest's m, the degree-CRC comparison still pinning the restored
-// state exactly.
+// AllreduceUint32s. sortSlotEdges orders the partition before the edge
+// switcher's store build draws one treap priority per entry, duplicates
+// included, so neither arrival order nor p moves the run RNG. A repeated
+// edge (contact cross-slot collisions) collapses to one; both copies
+// share their minimum endpoint, so duplicates meet inside one rank and
+// the global edge set stays independent of p — but the exact edge count
+// is known only after the sort (m = -1): the frame allreduces it, and a
+// restore trusts its manifest's m, the degree-CRC comparison still
+// pinning the restored state exactly.
 func genSource(spec pergen.Spec) (*source, error) {
 	gn, err := pergen.New(spec)
 	if err != nil {
@@ -63,16 +62,11 @@ func genSource(spec pergen.Spec) (*source, error) {
 		cp:          gs.cp,
 		edges:       gs.load,
 		collapseDup: true,
-		baseline: func(e *rankEngine, out *graph.Graph) *Baseline {
-			if e.baseDeg != nil {
-				// The sanitized run recorded the global degree sequence right
-				// after the partitions were generated (recordBaseline) —
-				// exactly the fingerprint switching must preserve.
-				return &Baseline{N: e.n, M: e.m, Degrees: e.baseDeg}
-			}
-			// t == 0: nothing switched, so the reassembled graph doubles as
-			// its own baseline and the check reduces to simplicity.
-			return NewBaseline(out)
+		baseline: func(e *rankEngine) *Baseline {
+			// The sanitized run recorded the global degree sequence right
+			// after the partitions were generated (recordBaseline) —
+			// exactly the fingerprint switching must preserve.
+			return &Baseline{N: e.n, M: e.m, Degrees: e.baseDeg}
 		},
 	}, nil
 }

@@ -150,28 +150,55 @@ func TestDistributedGenValidation(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestBootstrapAllocs pins what a generation bootstrap allocates: pergen
-// scans allocate nothing and loadSlotEdges sorts into reused scratch, so
-// what remains is about one exact-size adjacency array per vertex
-// (0.86 at p=2 under HP-D, whatever n). A per-edge allocation would add
-// d = 10 per vertex.
+// TestBootstrapAllocs pins what a generation bootstrap allocates, counted
+// around bootstrap itself on a 2-rank world under HP-D (a Parallel run
+// also stores a curveball partition at its end, whatever t). pergen scans
+// allocate nothing and sortSlotEdges sorts into reused scratch, so an
+// edge-switch bootstrap makes about one exact-size adjacency array per
+// vertex (0.86, whatever n), and a curveball bootstrap, which carries the
+// sorted list to round 1, only its fixed per-rank tables. A per-edge
+// allocation would add d = 10 per vertex.
 func TestBootstrapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates about twice as often here")
 	}
-	for _, n := range []int{5001, 50001} {
-		spec := pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: n, D: 10}
+	for _, row := range []struct {
+		algo  Algorithm
+		n     int
+		bound float64
+	}{
+		{AlgoEdgeSwitch, 5001, 0.9}, {AlgoEdgeSwitch, 50001, 0.9},
+		{AlgoCurveball, 5001, 0.05}, {AlgoCurveball, 50001, 0.05},
+	} {
+		spec := pergen.Spec{Model: pergen.ModelPA, Seed: 8, N: row.n, D: 10}
+		cfg := Config{Scheme: SchemeHPD, Seed: 19, DistributedGen: &spec, Algorithm: row.algo}
+		w, err := mpi.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := Parallel(nil, 0, Config{Ranks: 2, Scheme: SchemeHPD, Seed: 19, SkipResult: true, DistributedGen: &spec}); err != nil {
+		err = w.Run(func(c *mpi.Comm) error {
+			src, err := genSource(spec)
+			if err != nil {
+				return err
+			}
+			e, err := bootstrap(c, src, 1, cfg)
+			if err != nil {
+				return err
+			}
+			return e.adj.Close()
+		})
+		runtime.ReadMemStats(&after)
+		w.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		perVertex := float64(after.Mallocs-before.Mallocs) / float64(n)
-		t.Logf("n=%d: %d mallocs, %.3f per vertex", n, after.Mallocs-before.Mallocs, perVertex)
-		if perVertex >= 0.9 {
-			t.Errorf("n=%d: bootstrap made %.3f mallocs per vertex, want < 0.9", n, perVertex)
+		perVertex := float64(after.Mallocs-before.Mallocs) / float64(row.n)
+		t.Logf("%s n=%d: %d mallocs, %.3f per vertex", row.algo, row.n, after.Mallocs-before.Mallocs, perVertex)
+		if perVertex >= row.bound {
+			t.Errorf("%s n=%d: bootstrap made %.3f mallocs per vertex, want < %v", row.algo, row.n, perVertex, row.bound)
 		}
 	}
 }

@@ -211,8 +211,9 @@ func (r *edgeSwitcher) forfeitRemaining() {
 	r.remaining = 0
 }
 
-// storePartition: the edge switcher works in the store throughout.
-func (r *edgeSwitcher) storePartition() error { return nil }
+// The edge switcher works in the store throughout.
+func (r *edgeSwitcher) storePartition() error    { return nil }
+func (r *edgeSwitcher) outsideEdges() []slotEdge { return nil }
 
 // endStep asserts the protocol left no dangling state at a step boundary.
 func (r *edgeSwitcher) endStep() error {

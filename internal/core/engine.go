@@ -47,10 +47,10 @@ type rankEngine struct {
 	deg   *graph.Fenwick
 
 	// outside counts the partition's edges held outside the store —
-	// curveball's settled list, which carries the partition from one round
-	// to the next — so the partition holds localEdges() = deg.Total() +
-	// outside. drainPartition, carryIn and carryOut maintain it, and
-	// curveball's fill returns it to 0.
+	// curveball's list, which carries the partition from its bootstrap and
+	// from round to round — so the partition holds localEdges() =
+	// deg.Total() + outside. newCurveball, drainPartition, carryIn and
+	// carryOut maintain it, and curveball's fill returns it to 0.
 	outside      int64
 	initialEdges int64
 
@@ -61,12 +61,13 @@ type rankEngine struct {
 	drainSlot int32
 	drainBuf  []slotEdge
 
-	// load is loadSlotEdges' working memory, reused across loads.
+	// load is the bulk loader's working memory, reused across loads.
 	load struct {
 		cnt   []int32 // n+1 counting-sort counters, by neighbour then by slot
 		keys  []graph.Vertex
 		prios []uint32
 		origs []bool
+		dups  []int32 // the kept entry of each collapsed copy, for buildStore
 	}
 
 	// origLocal counts the partition's edges still flagged original,
@@ -169,8 +170,8 @@ func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error
 }
 
 // newEmptyRankEngine prepares a rank's state with an empty partition and
-// a live store the caller must close; bootstrap fills it (loadSlotEdges)
-// and then calls finishLoad. Only cfg.Seed, cfg.CheckInvariants,
+// a live store the caller must close; bootstrap hands it the sorted
+// partition (finishLoad). Only cfg.Seed, cfg.CheckInvariants,
 // cfg.TargetVisitRate and the storage fields (SpillDir, overlayBudget)
 // are consulted here; the communicator decides everything else.
 func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config) (*rankEngine, error) {
@@ -206,30 +207,24 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 	return e, nil
 }
 
-// finishLoad records the global edge count m, the partition size and
-// its originals count origs (loadSlotEdges' result), and attaches the
-// configured randomizer — the steps that need the local edges to be in
-// place.
-func (e *rankEngine) finishLoad(m, origs int64, cfg Config) error {
-	if err := e.adj.EndLoad(); err != nil {
-		return fmt.Errorf("core: rank %d finishing storage load: %w", e.c.Rank(), err)
-	}
-	e.m = m
-	e.initialEdges = e.deg.Total()
-	e.origLocal = origs
+// finishLoad hands the sorted partition to the configured randomizer —
+// the edge switcher's is built into the store, curveball carries its list
+// to round 1 — and records the global edge count m.
+func (e *rankEngine) finishLoad(m int64, ents []slotEdge, cfg Config) error {
 	algo, err := cfg.algorithm()
 	if err != nil {
 		return err
 	}
-	switch algo {
-	case AlgoCurveball:
-		e.rand, err = newCurveball(e)
-		if err != nil {
-			return err
-		}
-	default:
+	if algo != AlgoCurveball {
+		e.origLocal = e.buildStore(ents)
 		e.rand = newEdgeSwitcher(e)
+	} else if e.rand, err = newCurveball(e, ents); err != nil {
+		return err
 	}
+	if err := e.adj.EndLoad(); err != nil {
+		return fmt.Errorf("core: rank %d finishing storage load: %w", e.c.Rank(), err)
+	}
+	e.m, e.initialEdges = m, e.localEdges()
 	return nil
 }
 
@@ -242,9 +237,6 @@ func (e *rankEngine) finishLoad(m, origs int64, cfg Config) error {
 // step's deltas are verified by the next boundary's exchange, and the
 // final step by the full verifyBaseline pass at the end of the run.
 func (e *rankEngine) run(t, stepSize int64) error {
-	if t == 0 {
-		return nil
-	}
 	if e.sanitize {
 		if err := e.recordBaseline(); err != nil {
 			return err
@@ -305,9 +297,9 @@ func (e *rankEngine) run(t, stepSize int64) error {
 			}
 		}
 	}
-	// Everything after the run reads the store: the full sanitizer pass,
-	// the edge hash, the statistics and the reassembly. EndStep finalizes
-	// a base segment the fill streamed before Stats counts it.
+	// Everything after the run, of any length, reads the store: the full
+	// sanitizer pass, the edge hash, the statistics and the reassembly.
+	// EndStep finalizes a base segment the fill streamed before Stats.
 	if err := e.rand.storePartition(); err != nil {
 		return fmt.Errorf("core: rank %d, after step %d (store fill): %w", e.c.Rank(), e.stepsRun, err)
 	}
@@ -568,27 +560,16 @@ func (e *rankEngine) carryOut(se slotEdge) graph.Edge {
 	return ed
 }
 
-// loadSlotEdges bulk-loads the rank's whole partition — every slot must
-// be empty — from entries in any order, and returns how many of the
-// loaded entries are originals: the only way edges enter a store in bulk,
-// shared by every bootstrap source, a checkpoint restore and curveball's
-// fill of a carried partition. A stable LSD counting sort — scatter by
-// neighbour into spare, then by slot back into ents — leaves each slot's
-// group ascending in v with no comparison sort; spare is allocated when
-// it is too small, and both arrays stay the caller's. A neighbour outside
-// [0, n) is a named error before anything moves. Each slot is built in
-// O(d) (BuildSortedFlagged, which a tiered store streams into a base
-// segment) with one treap priority from the run RNG per entry, drawn in
-// (slot, v) order, and counted into the Fenwick tree. Copies of an entry
-// differ in nothing the sort orders them by, so the store and the run RNG
-// depend on the entries' multiset, never on their arrival order. No
-// sanitizer delta or originals counter moves: a bootstrap hands the
-// count to finishLoad, and carryIn counted those of a carried partition.
-// A repeated entry is an error unless collapseDup: the contact
-// generator's rare cross-slot collisions collapse (both copies share
-// their minimum endpoint, so they meet inside one rank), a randomizer
-// producing a parallel edge is a bug.
-func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) (int64, error) {
+// sortSlotEdges orders a partition's entries, given in any order, by
+// (slot, v) in ents and returns them — every bulk source's first step. A
+// stable LSD counting sort scatters by neighbour into spare (allocated
+// when too small), then by slot back into ents. A neighbour outside
+// [0, n) is a named error before anything moves. A repeated entry is an
+// error unless collapseDup: the contact generator's rare cross-slot
+// collisions collapse to their first copy (both copies share their
+// minimum endpoint, so they meet inside one rank), a randomizer producing
+// a parallel edge is a bug.
+func (e *rankEngine) sortSlotEdges(ents, spare []slotEdge, collapseDup bool) ([]slotEdge, error) {
 	nv := len(e.verts)
 	ld := &e.load
 	byV := spare
@@ -603,7 +584,7 @@ func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) (in
 	for i := range ents {
 		v := ents[i].v
 		if uint(v) >= uint(e.n) {
-			return 0, fmt.Errorf("core: rank %d bulk load: slot %d names vertex %d of %d", e.c.Rank(), ents[i].slot, v, e.n)
+			return nil, fmt.Errorf("core: rank %d bulk load: slot %d names vertex %d of %d", e.c.Rank(), ents[i].slot, v, e.n)
 		}
 		cnt[v+1]++
 	}
@@ -629,37 +610,62 @@ func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) (in
 		cnt[li]++
 	}
 
-	start := int32(0)
+	// A repeat follows its first copy in its ascending group. cnt[li] is
+	// left the end of group li, and ld.dups each collapse's kept entry.
+	ld.dups = ld.dups[:0]
+	n, start := int32(0), int32(0)
+	for li := range nv {
+		end := cnt[li]
+		for i := start; i < end; i++ {
+			if i > start && ents[i].v == ents[i-1].v {
+				if !collapseDup {
+					return nil, fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: e.verts[li], V: ents[i].v})
+				}
+				ld.dups = append(ld.dups, n-1)
+				continue
+			}
+			ents[n] = ents[i]
+			n++
+		}
+		start, cnt[li] = end, n
+	}
+	return ents[:n], nil
+}
+
+// buildStore fills the empty store from the last sortSlotEdges' result
+// (its group ends and collapsed copies are in e.load) and returns how
+// many entries are originals; it moves no counter. Each slot is built in
+// O(d) (BuildSortedFlagged, which a tiered store streams into a base
+// segment) with one run-RNG treap priority per entry, collapsed copies
+// included, drawn in (slot, v) order — so the store and the run RNG
+// depend on the entries' multiset, never on their order.
+func (e *rankEngine) buildStore(ents []slotEdge) int64 {
+	ld := &e.load
+	dups := append(ld.dups, int32(len(ents))) // a sentinel no entry matches
 	var origs int64
-	for li := 0; li < nv; li++ {
-		grp := ents[start:cnt[li]]
-		start = cnt[li]
-		if len(grp) == 0 {
+	start := int32(0)
+	for li, end := range ld.cnt[:len(e.verts)] {
+		grp, at, n := ents[start:end], start, int(end-start)
+		start = end
+		if n == 0 {
 			continue
 		}
-		if n := len(grp); cap(ld.keys) < n {
+		if cap(ld.keys) < n {
 			ld.keys, ld.prios, ld.origs = make([]graph.Vertex, 2*n), make([]uint32, 2*n), make([]bool, 2*n)
 		}
-		n := 0
-		for i := range grp {
-			// One draw per entry, collapsed or not, as insertLocal would.
-			prio := e.rnd.Uint32()
-			if n > 0 && ld.keys[n-1] == grp[i].v {
-				if collapseDup {
-					continue
-				}
-				return 0, fmt.Errorf("core: rank %d bulk load found duplicate edge %v", e.c.Rank(), graph.Edge{U: e.verts[li], V: grp[i].v})
+		for k, se := range grp {
+			ld.keys[k], ld.prios[k], ld.origs[k] = se.v, e.rnd.Uint32(), se.orig
+			for ; dups[0] == at+int32(k); dups = dups[1:] {
+				e.rnd.Uint32()
 			}
-			ld.keys[n], ld.prios[n], ld.origs[n] = grp[i].v, prio, grp[i].orig
-			if grp[i].orig {
+			if se.orig {
 				origs++
 			}
-			n++
 		}
 		e.adj.BuildSortedFlagged(li, ld.keys[:n], ld.prios[:n], ld.origs[:n])
 		e.deg.Add(li, int64(n))
 	}
-	return origs, nil
+	return origs
 }
 
 // edgeHash fingerprints this rank's edge set: an order-independent sum

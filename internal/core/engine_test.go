@@ -51,11 +51,10 @@ func loadTestEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges
 	for i, ed := range edges {
 		ents[i] = slotEdge{slot: e.slot[ed.U], v: ed.V, orig: true}
 	}
-	origs, err := e.loadSlotEdges(ents, nil, false)
-	if err != nil {
+	if ents, err = e.sortSlotEdges(ents, nil, false); err != nil {
 		return nil, err
 	}
-	return e, e.finishLoad(m, origs, cfg)
+	return e, e.finishLoad(m, ents, cfg)
 }
 
 // es extracts the edge-switch randomizer behind a test engine's seam.

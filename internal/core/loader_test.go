@@ -68,6 +68,17 @@ func withLoadEngines(t testing.TB, n, engines int, cfg Config, fn func(es []*ran
 	}
 }
 
+// loadSlotEdges is the bulk load a bootstrap or a curveball fill makes —
+// sortSlotEdges, then buildStore — returning how many entries are
+// originals.
+func (e *rankEngine) loadSlotEdges(ents, spare []slotEdge, collapseDup bool) (int64, error) {
+	ents, err := e.sortSlotEdges(ents, spare, collapseDup)
+	if err != nil {
+		return 0, err
+	}
+	return e.buildStore(ents), nil
+}
+
 // refLoadSlotEdges is loadSlotEdges' specification with a comparison
 // sort: entries sorted by (slot, v) — stably, so of two equal entries
 // the earlier one's flag survives a collapse — then, slot by slot, one

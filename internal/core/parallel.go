@@ -228,7 +228,7 @@ type source struct {
 	n int
 	// m is the global edge count, or -1 when only the load can tell (the
 	// contact generator's duplicates collapse at their owning rank): the
-	// frame then allreduces the loaded counts.
+	// frame then allreduces the sorted counts.
 	m int64
 	// cp builds scheme CP's boundaries over p ranks from the reduced
 	// degrees; a generated source sums them over c (nil outside a world).
@@ -236,11 +236,11 @@ type source struct {
 	// edges returns the entries of e's partition, in any order.
 	edges func(e *rankEngine) ([]slotEdge, error)
 	// collapseDup says a repeated entry is the generator's to collapse
-	// rather than an error (see loadSlotEdges).
+	// rather than an error (see sortSlotEdges).
 	collapseDup bool
 	// baseline is the fingerprint SanitizeGraph checks the reassembled
-	// result (out) against.
-	baseline func(e *rankEngine, out *graph.Graph) *Baseline
+	// result against.
+	baseline func(e *rankEngine) *Baseline
 }
 
 // graphSource hands a whole graph to the ranks: each walks the reduced
@@ -264,7 +264,7 @@ func graphSource(g *graph.Graph) *source {
 			}
 			return ents, nil
 		},
-		baseline: func(*rankEngine, *graph.Graph) *Baseline { return NewBaseline(g) },
+		baseline: func(*rankEngine) *Baseline { return NewBaseline(g) },
 	}
 }
 
@@ -366,13 +366,14 @@ func RunRank(c *mpi.Comm, g *graph.Graph, t int64, cfg Config) (*Result, error) 
 	// Only the baseline outlives the bootstrap: holding src would keep a
 	// generated source's tables and any cached share alive for the run.
 	baseline := src.baseline
-	return runEngine(eng, t, cfg, func(out *graph.Graph) *Baseline { return baseline(eng, out) })
+	return runEngine(eng, t, cfg, func() *Baseline { return baseline(eng) })
 }
 
 // bootstrap is the one frame around every way a rank engine comes to
 // hold its partition: partitioner, checkpointer, empty engine, then the
 // rollback collective or — when the world agrees there is nothing to
-// restore — the source's entries, both through loadSlotEdges. The engine
+// restore — the source's entries, both sorted by sortSlotEdges and handed
+// to the randomizer by finishLoad. The engine
 // owns a live store from newEmptyRankEngine on, so every failure after it
 // closes the store here (a tiered one holds a mapping and a spill
 // directory); on success runEngine takes the store over.
@@ -411,19 +412,18 @@ func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		origs, err := e.loadSlotEdges(ents, nil, src.collapseDup)
-		if err != nil {
+		if ents, err = e.sortSlotEdges(ents, nil, src.collapseDup); err != nil {
 			return err
 		}
 		m := src.m
 		if m < 0 {
-			total, err := e.c.AllreduceInt64s([]int64{e.deg.Total()}, mpi.OpSum)
+			total, err := e.c.AllreduceInt64s([]int64{int64(len(ents))}, mpi.OpSum)
 			if err != nil {
 				return err
 			}
 			m = total[0]
 		}
-		if err := e.finishLoad(m, origs, cfg); err != nil {
+		if err := e.finishLoad(m, ents, cfg); err != nil {
 			return err
 		}
 	}
@@ -436,9 +436,8 @@ func (e *rankEngine) fill(src *source, t int64, cfg Config) error {
 // runEngine drives a loaded rank engine through the switching run and
 // the result gathering, and closes its store. baseline supplies the
 // invariant fingerprint SanitizeGraph checks the reassembled result
-// against; it receives the reassembled graph for sources that have
-// nothing earlier to fingerprint.
-func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Graph) *Baseline) (*Result, error) {
+// against.
+func runEngine(eng *rankEngine, t int64, cfg Config, baseline func() *Baseline) (*Result, error) {
 	c, pt := eng.c, eng.pt
 	p := c.Size()
 	defer eng.adj.Close()
@@ -550,7 +549,7 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func(out *graph.Gr
 		return nil, fmt.Errorf("core: edge count changed: %d -> %d", eng.m, out.M())
 	}
 	if cfg.CheckInvariants {
-		if vs := SanitizeGraph(out, baseline(out)); len(vs) > 0 {
+		if vs := SanitizeGraph(out, baseline()); len(vs) > 0 {
 			return nil, fmt.Errorf("core: reassembled graph fails invariant sanitizer: %s", summarize(vs))
 		}
 		if int64(out.Originals()) != origSum {

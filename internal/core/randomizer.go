@@ -56,8 +56,8 @@ func (cfg Config) algorithm() (Algorithm, error) {
 // through the chassis accounting helpers (takeLocal/insertLocal on the
 // store, carryIn/carryOut for edges held outside it), which keep the edge
 // count, the sanitizer deltas and the originals counter exact for any
-// algorithm; drainPartition and loadSlotEdges move a whole partition out
-// of the store and back without changing it.
+// algorithm; drainPartition and buildStore move a whole partition out of
+// the store and back without changing it.
 type randomizer interface {
 	// prepare arms one step of size s. counts holds the step-boundary
 	// per-rank edge counts from the fused exchange (edge-switch rebuilds
@@ -88,11 +88,14 @@ type randomizer interface {
 	// protocol state dangles.
 	endStep() error
 	// storePartition puts a partition the randomizer carries outside the
-	// store (curveball's settled list) back into it with loadSlotEdges.
+	// store (curveball's list) back into it with buildStore.
 	// The chassis calls it, between steps, wherever something reads the
 	// store: a checkpoint boundary, every boundary of a sanitized run, and
 	// the end of the run.
 	storePartition() error
+	// outsideEdges returns the partition's edges carried outside the store,
+	// nil when the store holds them all (localDegrees counts them).
+	outsideEdges() []slotEdge
 	// cursor returns the randomizer's resume cursor — the only protocol
 	// state that survives a step boundary (the edge switcher's operation
 	// sequence counter, curveball's round number). Captured by the

@@ -161,11 +161,15 @@ func (vs *violations) addf(kind ViolationKind, format string, args ...any) {
 // ---- engine integration (Config.CheckInvariants) ----
 
 // localDegrees computes this rank's contribution to the global degree
-// vector: each locally stored reduced edge (u,v) adds one to both
-// endpoints. Summing the vectors over all ranks yields the full degree
-// sequence iff every edge is stored exactly once.
+// vector: each reduced edge (u,v) of the partition, stored or carried,
+// adds one to both endpoints. Summing the vectors over all ranks yields
+// the full degree sequence iff every edge is held exactly once.
 func (e *rankEngine) localDegrees() []int64 {
 	deg := make([]int64, e.n)
+	for _, se := range e.rand.outsideEdges() {
+		deg[e.verts[se.slot]]++
+		deg[se.v]++
+	}
 	for li := range e.verts {
 		u := e.verts[li]
 		e.adj.Walk(li, func(v graph.Vertex, _ bool) bool {
@@ -181,7 +185,7 @@ func (e *rankEngine) localDegrees() []int64 {
 // partitions are loaded (one O(n) allreduce; all ranks enter it
 // symmetrically before the first step).
 func (e *rankEngine) recordBaseline() error {
-	vec := append(e.localDegrees(), e.deg.Total())
+	vec := append(e.localDegrees(), e.localEdges())
 	glob, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
 	if err != nil {
 		return err
@@ -194,39 +198,49 @@ func (e *rankEngine) recordBaseline() error {
 }
 
 // sanitizeLocal scans this rank's structures: simplicity (no loops, no
-// duplicates, normalized order), vertex ranges, Fenwick consistency, a
-// store holding the whole partition, and the ownership invariant (this
+// duplicates, normalized order), vertex ranges, Fenwick consistency, the
+// store and the list the randomizer carries (only ever a bootstrap's
+// sorted one: a checked boundary stores it) holding the whole partition,
+// and the ownership invariant (this
 // rank holds exactly the reduced lists of the vertices the partitioner
 // assigns to it).
 func (e *rankEngine) sanitizeLocal() []Violation {
 	var vs violations
 	rank := e.c.Rank()
+	u, prev := graph.Vertex(-1), graph.Vertex(-1)
+	entry := func(v graph.Vertex, _ bool) bool {
+		switch {
+		case v == u:
+			vs.addf(VSelfLoop, "edge (%d,%d) is a self-loop", u, v)
+		case v < u:
+			vs.addf(VOwnership, "rank %d stores unnormalized entry (%d,%d): reduced adjacency must only hold neighbours > %d", rank, u, v, u)
+		case int(v) >= e.n:
+			vs.addf(VVertexRange, "edge (%d,%d) has an endpoint outside [0,%d)", u, v, e.n)
+		case v <= prev:
+			vs.addf(VParallelEdge, "adjacency of vertex %d is not strictly ascending at %d", u, v)
+		}
+		prev = v
+		return true
+	}
 	for li := range e.verts {
-		u := e.verts[li]
+		u, prev = e.verts[li], -1
 		if owner := e.pt.Owner(u); owner != rank {
 			vs.addf(VOwnership, "rank %d holds vertex %d owned by rank %d", rank, u, owner)
 		}
-		prev := graph.Vertex(-1)
-		e.adj.Walk(li, func(v graph.Vertex, _ bool) bool {
-			switch {
-			case v == u:
-				vs.addf(VSelfLoop, "edge (%d,%d) is a self-loop", u, v)
-			case v < u:
-				vs.addf(VOwnership, "rank %d stores unnormalized entry (%d,%d): reduced adjacency must only hold neighbours > %d", rank, u, v, u)
-			case int(v) >= e.n:
-				vs.addf(VVertexRange, "edge (%d,%d) has an endpoint outside [0,%d)", u, v, e.n)
-			case v <= prev:
-				vs.addf(VParallelEdge, "adjacency of vertex %d is not strictly ascending at %d", u, v)
-			}
-			prev = v
-			return true
-		})
+		e.adj.Walk(li, entry)
 		if int64(e.adj.Len(li)) != e.deg.Get(li) {
 			vs.addf(VEdgeCount, "Fenwick degree of vertex %d is %d, adjacency holds %d", u, e.deg.Get(li), e.adj.Len(li))
 		}
 	}
-	if e.outside != 0 {
-		vs.addf(VEdgeCount, "rank %d holds %d edges outside its store, which a checked boundary scans", rank, e.outside)
+	carried := e.rand.outsideEdges()
+	for _, se := range carried {
+		if e.verts[se.slot] != u {
+			u, prev = e.verts[se.slot], -1
+		}
+		entry(se.v, se.orig)
+	}
+	if e.outside != int64(len(carried)) {
+		vs.addf(VEdgeCount, "rank %d counts %d edges outside its store, its randomizer carries %d", rank, e.outside, len(carried))
 	}
 	return vs.list
 }

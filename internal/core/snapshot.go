@@ -18,9 +18,10 @@ import (
 // the snapshot itself is a fixed-size record naming that file by content.
 // Treap priorities are deliberately not captured: uniform edge selection
 // is key-order based (Fenwick prefix + Kth), so priorities shape only the
-// treap's internal form. A restore feeds the segment's entries to
-// loadSlotEdges like any bootstrap, whose priority draws from the run RNG
-// are then overwritten by the captured stream position.
+// treap's internal form. A restore hands the segment's entries to the
+// randomizer like any bootstrap (finishLoad); the edge switcher's priority
+// draws from the run RNG are then overwritten by the captured stream
+// position.
 //
 // Layout (little-endian), snapLen bytes in all, with a CRC32C
 // (Castagnoli) trailer over everything before it:

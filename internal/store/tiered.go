@@ -427,11 +427,14 @@ func (t *Tiered) BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32,
 // EndLoad implements Store: the partition is complete, so the first base
 // segment is established (a streamed writer finalizes; an Insert-loaded
 // overlay compacts) and an unset overlay budget resolves from the number
-// of entries loaded.
+// of entries loaded. A store that loaded nothing writes no segment.
 func (t *Tiered) EndLoad() error {
 	t.ensureLoaded()
 	if t.budget <= 0 {
 		t.budget = max((t.baseLive+t.entries)/4, autoBudgetFloor)
+	}
+	if t.seg == nil && t.entries == 0 {
+		return nil
 	}
 	return t.Compact()
 }

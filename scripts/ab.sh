@@ -8,7 +8,10 @@
 # both sides run the harness their own tree carries, unmodified:
 # `bash cmd/esbench/run.sh --workload W --seed <pair> --seconds 20`. Pairs
 # alternate which side goes first. Prints every run, then per end-to-end
-# metric the medians, quartiles and how many pairs the change won. A run
+# metric the medians, quartiles, how many pairs the change won and the
+# claim verdict: "met" when the change wins at least 9 pairs in 10 (ties
+# count for neither side) and its median beats the parent's by more than
+# the parent's interquartile range, "not met" otherwise. A run
 # that prints no report is counted per side and left out of the pairs,
 # medians and quartiles.
 set -euo pipefail
@@ -60,7 +63,8 @@ function summary(side, m,    n, v, i, j, t) {
 	for (i = 1; i <= pairs; i++) if ((i, side, m) in val) v[++n] = val[i, side, m]
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 	if (n == 0) return sprintf("%-6s no runs reported", side)
-	return sprintf("%-6s median %-10.6g quartiles %.6g .. %.6g (n=%d)", side, quart(v, n, 2), quart(v, n, 1), quart(v, n, 3), n)
+	med[side] = quart(v, n, 2); iqr[side] = quart(v, n, 3) - quart(v, n, 1)
+	return sprintf("%-6s median %-10.6g quartiles %.6g .. %.6g (n=%d)", side, med[side], quart(v, n, 1), quart(v, n, 3), n)
 }
 # A run that printed no report leaves its values empty: it is never stored,
 # so it counts in no pair and no summary, only in the "no report" line.
@@ -82,7 +86,14 @@ END {
 			better = (m == "visits_per_s") ? (c > p) : (c < p)
 			if (c == p) ties++; else if (better) wins++
 		}
+		delete med; delete iqr
 		printf "\n%s  (parent/change per pair:%s)\n  %s\n  %s\n  change better in %d of %d pairs (%d ties)\n", m, line, summary("parent", m), summary("change", m), wins, n, ties
+		# The claim rule: the change wins at least 9 pairs in 10 and its
+		# median beats the parent median by more than the parent IQR.
+		gain = ("change" in med && "parent" in med) ? med["change"] - med["parent"] : 0
+		if (m != "visits_per_s") gain = -gain
+		met = n > 0 && wins * 10 >= 9 * n && gain > iqr["parent"]
+		printf "  verdict: %s (won %d/%d, median gain %.6g vs parent IQR %.6g)\n", met ? "met" : "not met", wins, n, gain, iqr["parent"]
 	}
 	for (i = 1; i <= pairs; i++) {
 		if ((i, "parent", "failed") in val) fp += val[i, "parent", "failed"]
