@@ -104,7 +104,9 @@ spillsmoke:
 # ROADMAP's A/B ground rule as one command: PAIRS interleaved runs of
 # `bash cmd/esbench/run.sh --workload $(WORKLOAD) --seconds 20` on this
 # checkout and on PARENT (exported under .bench_build/), alternating who
-# goes first; prints every run, then medians, quartiles and wins.
+# goes first, then 3 sanity pairs on each other workload BENCHMARK.json
+# names; prints every run, then per workload medians, quartiles and wins,
+# and the claim verdict for WORKLOAD alone.
 #   make ab PARENT=HEAD~1 WORKLOAD=es-pa PAIRS=10
 PAIRS ?= 10
 ab:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"edgeswitch/internal/graph"
@@ -52,8 +53,8 @@ import (
 // on arrival order, but the slice is sorted before the trade reads it).
 // An arrival is one uint32 word other<<1 | orig, the flat-slot packing;
 // the half of the trade's arena slice holding it says which side it is
-// on. A side's neighbours are distinct, so sorting its words sorts it by
-// other.
+// on. A side's neighbours are distinct (execute refuses a repeat), so
+// sorting its words sorts it by other.
 
 // Stream-id name spaces: the top two bits split the 64-bit id space so
 // curveball's pairing and trade draws, the edge switcher's step quotas
@@ -137,10 +138,13 @@ func cbFirstTrade(tradeOf []int32, u, w graph.Vertex) (trade int32, anchorW bool
 	}
 }
 
-// sortCBEdges orders one side's arrival words, and so the side by
-// non-anchor endpoint: insertion sort for the common small lists,
-// slices.Sort beyond.
-func sortCBEdges(ws []uint32) {
+// cbSortDigit is sortCBEdges' radix digit width (see BenchmarkSortCBEdges).
+const cbSortDigit = 6
+
+// sortCBEdges orders one side's arrival words exactly as slices.Sort
+// would: insertion sort for the common short sides, beyond that a stable
+// LSD radix over the side's significant bits, through tmp (≥ len(ws)).
+func sortCBEdges(ws, tmp []uint32) {
 	if len(ws) <= 24 {
 		for i := 1; i < len(ws); i++ {
 			for j := i; j > 0 && ws[j] < ws[j-1]; j-- {
@@ -149,7 +153,26 @@ func sortCBEdges(ws []uint32) {
 		}
 		return
 	}
-	slices.Sort(ws)
+	var or uint32
+	for _, w := range ws {
+		or |= w
+	}
+	src, dst := ws, tmp[:len(ws)]
+	for shift := 0; shift < bits.Len32(or); shift += cbSortDigit {
+		var at [1 << cbSortDigit]int32
+		for _, w := range src {
+			at[w>>shift%(1<<cbSortDigit)]++
+		}
+		for d, sum := 0, int32(0); d < len(at); d++ {
+			at[d], sum = sum, sum+at[d]
+		}
+		for _, w := range src {
+			d := w >> shift % (1 << cbSortDigit)
+			dst[at[d]], at[d] = w, at[d]+1
+		}
+		src, dst = dst, src
+	}
+	copy(ws, src) // a no-op after an even number of passes
 }
 
 // cbApplyTrade performs one trade on the sorted arrival words of each
@@ -200,9 +223,8 @@ func cbApplyTrade(uList, vList []uint32, pool []uint64, out []cbEdge, st rng.Str
 	return pool, out
 }
 
-// cbTrade is the orchestrator-side state of one trade, stored at the
-// local slot of perm[2t] (a vertex joins at most one trade per round, so
-// the slot is a perfect key and the table recycles across rounds). Its
+// cbTrade is the orchestrator-side state of one trade, at the rank's local
+// trade number (prepare deals them out densely in trade order). Its
 // arrival words live in the round's arena: the u side at
 // arena[off : off+du], the v side right behind it.
 type cbTrade struct {
@@ -229,13 +251,13 @@ type curveball struct {
 	round   int64
 	perm    []graph.Vertex
 	tradeOf []int32
-	// orch[t] is the slot of trade t's state in trades, or ^owner of
-	// perm[2t] when another rank orchestrates it; sideV is a bitset of the
-	// vertices that are the v of their trade. Routing an entry reads these
-	// two instead of perm, slot and perm again.
+	// orch[t] is trade t's local trade number, its index in trades, or
+	// ^owner of perm[2t] when another rank orchestrates it; sideV is a
+	// bitset of the vertices that are the v of their trade. Routing an
+	// entry reads these two instead of perm, slot and perm again.
 	orch    []int32
 	sideV   []uint64
-	trades  []cbTrade // indexed by local slot of the trade's u
+	trades  []cbTrade // the owned trades of the round, in trade order
 	pending int       // owned trades not yet executed this round
 
 	arena   []uint32   // this round's arrival words, one slice pair per owned trade
@@ -246,9 +268,10 @@ type curveball struct {
 	prev    []slotEdge
 	carried bool
 
-	// Execution scratch, reused across trades.
-	pool []uint64
-	out  []cbEdge
+	// Execution scratch, reused across trades; sortBuf fits the largest side.
+	pool    []uint64
+	out     []cbEdge
+	sortBuf []uint32
 }
 
 // newCurveball bootstraps the curveball randomizer on the partition ents,
@@ -268,6 +291,10 @@ func newCurveball(e *rankEngine, ents []slotEdge) (*curveball, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: curveball degree bootstrap: %w", err)
 	}
+	var maxDeg uint32
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
 	r := &curveball{
 		e:         e,
 		globalDeg: deg,
@@ -275,10 +302,11 @@ func newCurveball(e *rankEngine, ents []slotEdge) (*curveball, error) {
 		tradeOf:   make([]int32, e.n),
 		orch:      make([]int32, e.n/2),
 		sideV:     make([]uint64, (e.n+63)/64),
-		trades:    make([]cbTrade, len(e.verts)),
+		trades:    make([]cbTrade, min(len(e.verts), e.n/2)),
 		ready:     make([]int32, 0, len(e.verts)),
 		prev:      ents,
 		carried:   true,
+		sortBuf:   make([]uint32, maxDeg),
 	}
 	return r, nil
 }
@@ -315,13 +343,12 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 	for t := range r.orch {
 		u, v := r.perm[2*t], r.perm[2*t+1]
 		r.sideV[v>>6] |= 1 << (v & 63)
-		li := e.slot[u]
-		r.orch[t] = li
-		if li < 0 {
-			continue
+		if r.orch[t] = e.slot[u]; r.orch[t] < 0 {
+			continue // ^owner
 		}
 		du, dv := r.globalDeg[u], r.globalDeg[v]
-		r.trades[li] = cbTrade{u: u, v: v, off: need, du: du, dv: dv}
+		r.orch[t] = int32(r.pending)
+		r.trades[r.pending] = cbTrade{u: u, v: v, off: need, du: du, dv: dv}
 		r.pending++
 		if du+dv > 0 {
 			need += int(du) + int(dv)
@@ -543,8 +570,15 @@ func (r *curveball) execute(t int32) error {
 	// sees a canonical, arrival-order-free input.
 	vOff := ts.off + int(ts.du)
 	uList, vList := r.arena[ts.off:ts.off+int(ts.nU)], r.arena[vOff:vOff+int(ts.nV)]
-	sortCBEdges(uList)
-	sortCBEdges(vList)
+	sortCBEdges(uList, r.sortBuf)
+	sortCBEdges(vList, r.sortBuf)
+	for i, ws := range [2][]uint32{uList, vList} {
+		for k := 1; k < len(ws); k++ {
+			if ws[k]>>1 == ws[k-1]>>1 { // copies sort together, whatever their flags
+				return fmt.Errorf("core: rank %d round %d: trade %d: %w: vertex %d holds %d twice", e.c.Rank(), r.round, t, errRepeatedNeighbour, [2]graph.Vertex{ts.u, ts.v}[i], ws[k]>>1)
+			}
+		}
+	}
 	r.pool, r.out = cbApplyTrade(uList, vList, r.pool, r.out, cbTradeStream(e.seed, r.round, t))
 
 	for _, ed := range r.out {
@@ -567,6 +601,9 @@ func (r *curveball) execute(t int32) error {
 	}
 	return nil
 }
+
+// errRepeatedNeighbour names a side holding a copy no arrival count sees.
+var errRepeatedNeighbour = errors.New("trade side holds a repeated neighbour")
 
 // cursor is the round counter: at a quiesced round boundary it is the
 // only live protocol state (pairing and draws are recomputed from
@@ -709,6 +746,7 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 	tradeOf := make([]int32, n)
 	nt := n / 2
 	trades := make([]seqCBTrade, nt)
+	sortBuf := make([]uint32, slices.Max(append(g.Degrees(), 0))) // 0: an empty graph
 	var pool []uint64
 	var out []cbEdge
 	next := make([]seqCBEdge, 0, len(cur))
@@ -767,8 +805,8 @@ func SequentialCurveballUntil(g *graph.Graph, rounds int64, seed uint64, stopAt 
 		// curveball.execute does.
 		for t := 0; t < nt; t++ {
 			ts := &trades[t]
-			sortCBEdges(ts.uw)
-			sortCBEdges(ts.vw)
+			sortCBEdges(ts.uw, sortBuf)
+			sortCBEdges(ts.vw, sortBuf)
 			pool, out = cbApplyTrade(ts.uw, ts.vw, pool, out, cbTradeStream(seed, round, int32(t)))
 			for _, ed := range out {
 				anchor := ts.u

@@ -270,6 +270,51 @@ func TestEdgeRunRejectsCorruption(t *testing.T) {
 		}
 	})
 
+	// A run whose counts are right but whose u side holds one arrival
+	// replaced by a copy of another, the way
+	// TestCurveballRejectsDuplicateSettledEdge corrupts a settled list. No
+	// count check can see it; the neighbours trade earlier, so the trade's
+	// outputs settle and nothing downstream refuses them either.
+	t.Run("repeated neighbour", func(t *testing.T) {
+		r := armedCurveball(t)
+		tr := -1
+		for k, li := range r.orch {
+			if li >= 0 && untouched(li, &r.trades[li]) {
+				tr = k // the last such trade: the most earlier ones
+			}
+		}
+		if tr < 0 {
+			t.Fatal("armed state has no untouched trade")
+		}
+		ts := &r.trades[r.orch[tr]]
+		var earlier []uint32
+		for x, tx := range r.tradeOf {
+			if tx < int32(tr) && len(earlier) < int(ts.du+ts.dv) {
+				earlier = append(earlier, uint32(x))
+			}
+		}
+		if len(earlier) < int(ts.du+ts.dv) {
+			t.Fatalf("trade %d: %d vertices trade earlier, want %d", tr, len(earlier), ts.du+ts.dv)
+		}
+		var ents []runEnt
+		for i, x := range earlier {
+			if i < int(ts.du) {
+				ents = append(ents, runEnt{uint32(tr), x, runTrade})
+			} else {
+				ents = append(ents, runEnt{uint32(tr), x, runTrade | runAnchorV})
+			}
+		}
+		ents[1].other = ents[0].other
+		_, err := r.handleRun(mkRun(ents...), 1)
+		if !errors.Is(err, errRepeatedNeighbour) {
+			t.Fatalf("got %v, want %v", err, errRepeatedNeighbour)
+		}
+		want := fmt.Sprintf("rank 0 round 1: trade %d: %v: vertex %d holds %d twice", tr, errRepeatedNeighbour, ts.u, earlier[0])
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
+	})
+
 	// The chassis hands handleRun the batch from the run's kind byte on
 	// and resumes after the bytes it reports.
 	t.Run("valid run through the chassis", func(t *testing.T) {

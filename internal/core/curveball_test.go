@@ -419,36 +419,138 @@ func TestCBApplyTrade(t *testing.T) {
 	// produce the same result once sorted.
 	u2 := []uint32{uList[2], uList[0], uList[1]}
 	v2 := []uint32{vList[1], vList[0]}
-	sortCBEdges(u2)
-	sortCBEdges(v2)
+	sortCBEdges(u2, nil)
+	sortCBEdges(v2, nil)
 	_, out2 := cbApplyTrade(u2, v2, nil, nil, cbTradeStream(11, 1, 0))
 	if !slices.Equal(out, out2) {
 		t.Fatalf("shuffled arrivals diverged: %+v vs %+v", out, out2)
 	}
 }
 
-// TestSortCBEdgesWords pins what the packed arrival words rely on: a
-// side's neighbours are distinct, so sorting its words (either branch of
-// sortCBEdges) orders it exactly as sorting by other would, whatever the
-// original flags.
+// TestSortCBEdgesWords pins sortCBEdges to slices.Sort on every input:
+// lengths on both sides of the insertion-sort cut-off, neighbours next to
+// each radix digit boundary of the words and near 2^9, 2^18, 2^27 and
+// 2^30, sides whose words share their high bits, and repeated words and
+// neighbours. A valid side's neighbours are distinct, so its word order
+// is its order by other, whatever the original flags.
 func TestSortCBEdgesWords(t *testing.T) {
 	r := rng.New(7)
-	lengths := []int{3000}
+	check := func(what string, ws []uint32) {
+		t.Helper()
+		want := slices.Clone(ws)
+		slices.Sort(want)
+		sortCBEdges(ws, make([]uint32, len(ws)+3))
+		if !slices.Equal(ws, want) {
+			t.Fatalf("%s, length %d: sortCBEdges gives %v, slices.Sort %v", what, len(ws), ws, want)
+		}
+	}
+	words := func(others []int) []uint32 {
+		ws := make([]uint32, len(others))
+		for i, o := range others {
+			ws[i] = cbWord(graph.Vertex(o), r.Bool())
+		}
+		return ws
+	}
+	lengths := []int{3000, 10000}
 	for n := 0; n <= 64; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		others := r.Perm(4*n + 8)[:n]
-		ws := make([]uint32, n)
-		for i, o := range others {
-			ws[i] = cbWord(graph.Vertex(o), r.Bool())
+		check("distinct neighbours", words(r.Perm(4*n + 8)[:n]))
+	}
+
+	var all []int
+	ks := []int{9, 18, 27, 30}
+	for k := cbSortDigit - 1; k < 31; k += cbSortDigit {
+		ks = append(ks, k) // words near 2^(k+1), a digit boundary
+	}
+	for _, k := range ks {
+		var near []int
+		for d := -20; d <= 20; d++ {
+			near = append(near, 1<<k+d)
 		}
-		want := slices.Clone(ws)
-		slices.SortStableFunc(want, func(a, b uint32) int { return int(a>>1) - int(b>>1) })
-		sortCBEdges(ws)
-		if !slices.Equal(ws, want) {
-			t.Fatalf("length %d: word order %v, order by other %v", n, ws, want)
+		r.ShuffleInts(near)
+		check(fmt.Sprintf("neighbours near 2^%d", k), words(near))
+		all = append(all, near...)
+	}
+	r.ShuffleInts(all)
+	for _, n := range []int{23, 24, 25, 26, 100, len(all)} {
+		check("neighbours at digit boundaries", words(all[:n]))
+	}
+
+	for _, n := range []int{23, 24, 25, 26, 200, 10000} {
+		others := make([]int, n)
+		for i := range others {
+			others[i] = r.Intn(n/4+1) << (r.Intn(3) * 9)
 		}
+		check("repeated neighbours", words(others))
+		ws := words(others)
+		copy(ws[n/2:], ws)
+		check("repeated words", ws)
+	}
+}
+
+// BenchmarkSortCBEdges sorts every trade side of the cb-pa graph (pa,
+// n = 50 000, d = 10, seed 1) once per iteration: one side per vertex,
+// its neighbours' words in random order, as a round's arena holds them.
+// "long" is the sides past the insertion-sort cut-off, which slices.Sort
+// times for comparison.
+func BenchmarkSortCBEdges(b *testing.B) {
+	pg, err := pergen.New(pergen.Spec{Model: pergen.ModelPA, Seed: 1, N: 50000, D: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := pg.Full()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	var all, long [][]uint32
+	maxDeg := 0
+	for _, adj := range g.FullAdjacency() {
+		ws := make([]uint32, len(adj))
+		for i, o := range adj {
+			ws[i] = cbWord(o, r.Bool())
+		}
+		r.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+		all = append(all, ws)
+		if len(ws) > 24 {
+			long = append(long, ws)
+		}
+		maxDeg = max(maxDeg, len(ws))
+	}
+	tmp := make([]uint32, maxDeg)
+	for _, bc := range []struct {
+		name  string
+		sides [][]uint32
+		sort  func([]uint32)
+	}{
+		{"all/sortCBEdges", all, func(ws []uint32) { sortCBEdges(ws, tmp) }},
+		{"long/sortCBEdges", long, func(ws []uint32) { sortCBEdges(ws, tmp) }},
+		{"long/slices.Sort", long, slices.Sort[[]uint32]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			work := make([][]uint32, len(bc.sides))
+			words := 0
+			for i, ws := range bc.sides {
+				work[i] = slices.Clone(ws)
+				words += len(ws)
+			}
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				for i, ws := range bc.sides {
+					copy(work[i], ws)
+				}
+				b.StartTimer()
+				for _, ws := range work {
+					bc.sort(ws)
+				}
+			}
+			b.ReportMetric(float64(len(work)), "sides")
+			b.ReportMetric(float64(words), "words")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+		})
 	}
 }
 

@@ -544,7 +544,9 @@ type slotEdge struct {
 // to the next. carryOut returns the edge.
 func (e *rankEngine) carryIn(se slotEdge) {
 	e.outside++
-	e.noteDegree(graph.Edge{U: e.verts[se.slot], V: se.v}, 1)
+	if e.sanitize { // spares the random verts load noteDegree would discard
+		e.noteDegree(graph.Edge{U: e.verts[se.slot], V: se.v}, 1)
+	}
 	if se.orig {
 		e.origLocal++
 	}

@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
-# Interleaved A/B of this checkout against a parent revision on one
-# esbench workload — ROADMAP's ground rule as one command:
+# Interleaved A/B of this checkout against a parent revision — ROADMAP's
+# ground rule as one command:
 #
 #   scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]      (or: make ab PARENT=… WORKLOAD=… PAIRS=…)
 #
 # The parent is exported with `git archive` into .bench_build/ab-<rev>/ and
 # both sides run the harness their own tree carries, unmodified:
 # `bash cmd/esbench/run.sh --workload W --seed <pair> --seconds 20`. Pairs
-# alternate which side goes first. Prints every run, then per end-to-end
-# metric the medians, quartiles, how many pairs the change won and the
-# claim verdict: "met" when the change wins at least 9 pairs in 10 (ties
+# alternate which side goes first. PAIRS pairs run on WORKLOAD, the claim,
+# then 3 sanity pairs on each other workload BENCHMARK.json names. Prints
+# every run, then per workload and end-to-end metric the medians,
+# quartiles and how many pairs the change won. The claim alone also gets
+# a verdict: "met" when the change wins at least 9 pairs in 10 (ties
 # count for neither side) and its median beats the parent's by more than
-# the parent's interquartile range, "not met" otherwise. A run
-# that prints no report is counted per side and left out of the pairs,
+# the parent's interquartile range, "not met" otherwise. A run that
+# prints no report is counted per side and left out of the pairs,
 # medians and quartiles.
 set -euo pipefail
 parent=${1:?usage: scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]}
@@ -25,32 +27,38 @@ if [ ! -d "$pdir" ]; then
 	mkdir -p "$pdir"
 	git -C "$root" archive "$rev" | tar -x -C "$pdir"
 fi
-out="$root/.bench_build/ab-$rev-$workload.tsv"
-: >"$out"
 
-# one SIDE DIR PAIR: run the workload once, append "pair side metric value" rows.
+# one W SIDE DIR PAIR: run workload W once, append "pair side metric value"
+# rows to W's table.
 one() {
-	local report
-	report=$(cd "$2" && bash cmd/esbench/run.sh --workload "$workload" --seed "$3" --seconds 20 | tail -n 1) || true
+	local report out="$root/.bench_build/ab-$rev-$1.tsv"
+	report=$(cd "$3" && bash cmd/esbench/run.sh --workload "$1" --seed "$4" --seconds 20 | tail -n 1) || true
 	for m in randomize_s visits_per_s setup_s; do
-		printf '%s\t%s\t%s\t%s\n' "$3" "$1" "$m" \
+		printf '%s\t%s\t%s\t%s\n' "$4" "$2" "$m" \
 			"$(sed -n "s/.*\"$m\":{\"value\":\([0-9.eE+-]*\).*/\1/p" <<<"$report")" >>"$out"
 	done
-	printf '%s\t%s\tfailed\t%s\n' "$3" "$1" "$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$report")" >>"$out"
-	printf 'pair %2s %-6s %s\n' "$3" "$1" "$report"
+	printf '%s\t%s\tfailed\t%s\n' "$4" "$2" "$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$report")" >>"$out"
+	printf '%-18s pair %2s %-6s %s\n' "$1" "$4" "$2" "$report"
 }
 
-for ((i = 1; i <= pairs; i++)); do
-	if ((i % 2)); then
-		one parent "$pdir" "$i"
-		one change "$root" "$i"
-	else
-		one change "$root" "$i"
-		one parent "$pdir" "$i"
-	fi
-done
+# ab W PAIRS VERDICT: run PAIRS interleaved pairs of workload W, then
+# summarize them; VERDICT 1 adds the claim verdict.
+ab() {
+	: >"$root/.bench_build/ab-$rev-$1.tsv"
+	for ((i = 1; i <= $2; i++)); do
+		if ((i % 2)); then
+			one "$1" parent "$pdir" "$i"
+			one "$1" change "$root" "$i"
+		else
+			one "$1" change "$root" "$i"
+			one "$1" parent "$pdir" "$i"
+		fi
+	done
+	summarize "$1" "$3"
+}
 
-awk -F'\t' -v workload="$workload" -v rev="$rev" '
+summarize() {
+	awk -F'\t' -v workload="$1" -v rev="$rev" -v verdict="$2" '
 # quartile q of v[1..n] (sorted), the exclusive method esbench and Python statistics.quantiles use
 function quart(v, n, q,    pos, lo, f) {
 	pos = q * (n + 1) / 4; lo = int(pos); f = pos - lo
@@ -88,6 +96,7 @@ END {
 		}
 		delete med; delete iqr
 		printf "\n%s  (parent/change per pair:%s)\n  %s\n  %s\n  change better in %d of %d pairs (%d ties)\n", m, line, summary("parent", m), summary("change", m), wins, n, ties
+		if (!verdict) continue
 		# The claim rule: the change wins at least 9 pairs in 10 and its
 		# median beats the parent median by more than the parent IQR.
 		gain = ("change" in med && "parent" in med) ? med["change"] - med["parent"] : 0
@@ -100,4 +109,12 @@ END {
 		if ((i, "change", "failed") in val) fc += val[i, "change", "failed"]
 	}
 	printf "\nfailed operations: parent %d, change %d\n", fp, fc
-}' "$out"
+}' "$root/.bench_build/ab-$rev-$1.tsv"
+}
+
+ab "$workload" "$pairs" 1
+# The other workloads, from the "workloads" array of the checkout's
+# BENCHMARK.json (one key per line).
+for w in $(awk '/"workloads"/ { on = 1 } on && /^ *\]/ { on = 0 } on && /"name"/ { gsub(/[",]/, "", $2); print $2 }' "$root/BENCHMARK.json"); do
+	[ "$w" = "$workload" ] || ab "$w" 3 0
+done
