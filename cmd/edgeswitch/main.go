@@ -84,7 +84,7 @@ func bind(o *options) *flag.FlagSet {
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed (with -gen it defines the graph)")
 	fs.BoolVar(&o.useTCP, "tcp", false, "route this process's parallel messages over loopback TCP")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the per-rank table")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; bounded memory; ranks may share it)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "spill each parallel rank's partition to an mmap'd segment under this directory (tiered out-of-core store; not a memory cap: measured peaks stay near the in-memory run's; ranks may share it)")
 	fs.StringVar(&o.ckDir, "checkpoint-dir", "", "directory for coordinated step-boundary checkpoints of a parallel run (empty: checkpointing off)")
 	fs.Int64Var(&o.ckEvery, "checkpoint-every", 1, "checkpoint every k-th step boundary (with -checkpoint-dir)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the whole run to this file (<path>.rank<N> with -coordinator)")

@@ -37,13 +37,14 @@ import (
 // partition, trade i's only from it and trades < i. The step-boundary
 // exchange barriers rounds, so nothing leaks across them.
 //
-// Lifecycle: the partition is a list. Bootstrap and restore hand over
-// the sorted entries, each round's settled list is the next round's
-// partition, and prepare routes it as it stands (the two lists
-// alternate). The store holds the partition only where something reads
-// it — the chassis calls storePartition at a checkpoint boundary, at
-// every boundary of a sanitized run and at the end of the run — and the
-// next round drains it back into the list (drainPartition).
+// Lifecycle: the partition is a list, the chassis's carried one.
+// Bootstrap and restore hand over the sorted entries, each round's
+// settled list is the next round's partition, and prepare routes it as
+// it stands (the list and the chassis's spare alternate). The store holds
+// the partition only where something reads it — the chassis stores the
+// list at a checkpoint boundary, at every boundary of a sanitized run and
+// at the end of the run (storeCarried) — and the next round drains it
+// back into the list (drainPartition).
 //
 // Determinism (the p-invariance pin): a trade's inputs are sorted by
 // non-anchor endpoint before the uniform redistribution, which draws from
@@ -260,13 +261,11 @@ type curveball struct {
 	trades  []cbTrade // the owned trades of the round, in trade order
 	pending int       // owned trades not yet executed this round
 
-	arena   []uint32   // this round's arrival words, one slice pair per owned trade
-	ready   []int32    // owned trades holding every arrival, not yet executed
-	settled []slotEdge // edges final for the round that this rank owns
-	// prev is the last round's settled list (or the bootstrap's); while
-	// carried is set it is the partition and the store is empty.
-	prev    []slotEdge
-	carried bool
+	arena []uint32 // this round's arrival words, one slice pair per owned trade
+	ready []int32  // owned trades holding every arrival, not yet executed
+	// settled holds the edges final for the round that this rank owns, in
+	// the chassis's spare list, which endStep hands back as the carried one.
+	settled []slotEdge
 
 	// Execution scratch, reused across trades; sortBuf fits the largest side.
 	pool    []uint64
@@ -286,7 +285,7 @@ func newCurveball(e *rankEngine, ents []slotEdge) (*curveball, error) {
 			e.origLocal++
 		}
 	}
-	e.outside = int64(len(ents))
+	e.carried, e.outside = ents, int64(len(ents))
 	deg, err := e.c.AllreduceUint32s(loc, mpi.OpSum)
 	if err != nil {
 		return nil, fmt.Errorf("core: curveball degree bootstrap: %w", err)
@@ -304,8 +303,6 @@ func newCurveball(e *rankEngine, ents []slotEdge) (*curveball, error) {
 		sideV:     make([]uint64, (e.n+63)/64),
 		trades:    make([]cbTrade, min(len(e.verts), e.n/2)),
 		ready:     make([]int32, 0, len(e.verts)),
-		prev:      ents,
-		carried:   true,
 		sortBuf:   make([]uint32, maxDeg),
 	}
 	return r, nil
@@ -321,8 +318,8 @@ func roundBuf[T any](buf []T, n int) []T {
 }
 
 // prepare arms one round: derive the pairing, lay out the arena, and
-// route the whole partition — the carried list, into which a stored
-// partition is drained first — into it and into the peers' runs,
+// route the whole partition — the chassis's carried list, into which a
+// stored partition is drained first — into it and into the peers' runs,
 // executing owned trades as they complete.
 func (r *curveball) prepare(s int64, counts []int64) error {
 	e := r.e
@@ -357,14 +354,13 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 		}
 	}
 	r.arena = roundBuf(r.arena, need)[:need]
-	r.settled = roundBuf(r.settled, int(e.localEdges()))
+	r.settled, e.spare = roundBuf(e.spare, int(e.localEdges())), nil
 
-	if !r.carried {
-		r.prev = e.drainPartition(roundBuf(r.prev, int(e.localEdges())))
+	if e.deg.Total() > 0 {
+		e.carried = e.drainPartition(roundBuf(e.carried, int(e.localEdges())))
 	}
-	r.carried = false
 	// Route every owned edge, executing trades as they complete.
-	for _, se := range r.prev {
+	for _, se := range e.carried {
 		if err := r.route(e.carryOut(se), se.orig); err != nil {
 			return err
 		}
@@ -484,11 +480,15 @@ func (r *curveball) arrive(ts *cbTrade, t int32, anchorV bool, other graph.Verte
 	return nil
 }
 
-// handle: curveball has no conversations; the chassis consumes the
-// step-control kinds before they get here.
+// handle refuses every record the chassis passes on: curveball has no
+// conversations and never stalls, so such a record off the wire is
+// corrupt.
 func (r *curveball) handle(om opMsg, src int) error {
-	return fmt.Errorf("core: rank %d curveball cannot handle %v from rank %d", r.e.c.Rank(), om.kind, src)
+	return fmt.Errorf("core: rank %d round %d: %w: %v from rank %d", r.e.c.Rank(), r.round, errCurveballRecord, om.kind, src)
 }
+
+// errCurveballRecord names a conversation or stall record sent to curveball.
+var errCurveballRecord = errors.New("curveball takes no conversation or stall record")
 
 // handleRun decodes one edge run in place — trade arrivals into the
 // arena, settled edges onto the settled list — then executes every trade
@@ -643,19 +643,10 @@ var errRoundStuck = errors.New("round cannot finish: every peer has ended it")
 // peers (settled edges for this partition) until everyone is done.
 func (r *curveball) done() bool { return r.pending == 0 }
 
-// starved: never — a trade waits only for arrivals its peers still owe
-// it, and a round whose arrivals can no longer come is refused by
-// advance.
-func (r *curveball) starved() bool { return false }
-
-// forfeitRemaining: unreachable (starved is never true), and trades are
-// never forfeited.
-func (r *curveball) forfeitRemaining() {}
-
 // endStep verifies every owned trade executed and that the settled list
 // — complete, since every peer's end-of-step signal travelled behind its
 // last run — holds the edges the round kept, then carries it to the next
-// round as the partition.
+// round as the chassis's carried partition.
 func (r *curveball) endStep() error {
 	e := r.e
 	if r.pending != 0 {
@@ -664,33 +655,8 @@ func (r *curveball) endStep() error {
 	if n := e.localEdges(); int64(len(r.settled)) != n {
 		return fmt.Errorf("core: rank %d ends round %d with %d settled edges, its edge count is %d", e.c.Rank(), r.round, len(r.settled), n)
 	}
-	r.prev, r.settled = r.settled, r.prev[:0]
-	r.carried = true
+	e.carried, e.spare, r.settled = r.settled, e.carried[:0], nil
 	return nil
-}
-
-// storePartition bulk-loads a carried partition into the empty store,
-// sorting it through the idle settled list.
-func (r *curveball) storePartition() error {
-	if !r.carried {
-		return nil
-	}
-	r.carried = false
-	ents, err := r.e.sortSlotEdges(r.prev, r.settled, false)
-	if err != nil {
-		return fmt.Errorf("core: round %d: %w", r.round, err)
-	}
-	r.e.buildStore(ents) // the list's originals are already counted
-	r.e.outside -= int64(len(ents))
-	return nil
-}
-
-// outsideEdges returns the carried partition, nil once it is stored.
-func (r *curveball) outsideEdges() []slotEdge {
-	if !r.carried {
-		return nil
-	}
-	return r.prev
 }
 
 // seqCBEdge is one settled edge between rounds of the sequential

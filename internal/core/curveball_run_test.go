@@ -516,15 +516,14 @@ func curveballRounds(e *rankEngine, x, c graph.Edge) error {
 			return err
 		}
 		if round == 2 && e.c.Rank() == 0 {
-			r := e.rand.(*curveball)
 			at := func(ed graph.Edge) int {
-				return slices.IndexFunc(r.prev, func(se slotEdge) bool { return se.slot == e.slot[ed.U] && se.v == ed.V })
+				return slices.IndexFunc(e.carried, func(se slotEdge) bool { return se.slot == e.slot[ed.U] && se.v == ed.V })
 			}
 			xi, ci := at(x), at(c)
 			if xi < 0 || ci < 0 {
 				return fmt.Errorf("rank 0 does not carry %v and %v into round 2", x, c)
 			}
-			r.prev[xi] = r.prev[ci]
+			e.carried[xi] = e.carried[ci]
 		}
 		if err := e.beginStep(1, counts); err != nil {
 			return err
@@ -546,6 +545,22 @@ func TestEdgeSwitchRejectsEdgeRun(t *testing.T) {
 	defer w.Close()
 	if err := eng.handle(mpi.Message{Src: 0, Data: framed(mkRun(runEnt{0, 1, 0}))}); err == nil || !strings.Contains(err.Error(), "edge run") {
 		t.Fatalf("edge-switch engine took an edge run: %v", err)
+	}
+}
+
+// TestCurveballRejectsRecords mirrors TestEdgeSwitchRejectsEdgeRun: a
+// conversation or stall record reaching a curveball engine is refused
+// through the chassis, by a named error that names its sender.
+func TestCurveballRejectsRecords(t *testing.T) {
+	r := armedCurveball(t)
+	for _, om := range []opMsg{
+		{kind: mSelectSecond, id: opID{rank: 1, slot: 5, seq: 1}, e1: graph.Edge{U: 1, V: 2}},
+		{kind: mStalled},
+	} {
+		err := r.e.handle(mpi.Message{Src: 1, Data: appendOpMsg(nil, om)})
+		if !errors.Is(err, errCurveballRecord) || !strings.Contains(err.Error(), fmt.Sprintf("%v from rank 1", om.kind)) {
+			t.Errorf("curveball engine took %v from rank 1: %v", om.kind, err)
+		}
 	}
 }
 

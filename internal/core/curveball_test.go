@@ -203,7 +203,7 @@ func TestCurveballSanitizerCatchesCorruption(t *testing.T) {
 		// The bootstrap leaves the partition carried outside the store; the
 		// corruptions below go through the store, as a checked boundary
 		// leaves it.
-		if err := eng.rand.storePartition(); err != nil {
+		if err := eng.storeCarried(); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.recordBaseline(); err != nil {
@@ -284,7 +284,7 @@ func TestCurveballSanitizerScansCarriedList(t *testing.T) {
 		{"outside count", func(e *rankEngine, _ []slotEdge) { e.outside++ }, VEdgeCount},
 	} {
 		eng, w := newTestEngineCfg(t, g, Config{Seed: 5, CheckInvariants: true, Algorithm: AlgoCurveball})
-		ents := eng.rand.outsideEdges()
+		ents := eng.carried
 		if int64(len(ents)) != g.M() || eng.deg.Total() != 0 {
 			t.Fatalf("bootstrap carried %d of %d edges and stored %d", len(ents), g.M(), eng.deg.Total())
 		}

@@ -62,19 +62,48 @@ type edgeSwitcher struct {
 	// serves both.
 	partners    []partnerOp
 	partnerLive int
+
+	// Stall detection (see mStalled in messages.go): stalled is this
+	// rank's standing announcement; peerStalled marks the peers whose
+	// announcement stands, stalledPeers of them.
+	stalled      bool
+	peerStalled  []bool
+	stalledPeers int
 }
 
 func newEdgeSwitcher(e *rankEngine) *edgeSwitcher {
 	r := &edgeSwitcher{
-		e:        e,
-		custody:  newCustody(256), // grows to the in-flight high-water mark
-		nFree:    opWindow,
-		partners: make([]partnerOp, e.c.Size()*opWindow),
+		e:           e,
+		custody:     newCustody(256), // grows to the in-flight high-water mark
+		nFree:       opWindow,
+		partners:    make([]partnerOp, e.c.Size()*opWindow),
+		peerStalled: make([]bool, e.c.Size()),
 	}
 	for i := range r.freeSlots {
 		r.freeSlots[i] = int32(opWindow - 1 - i)
 	}
 	return r
+}
+
+// opWindow caps the number of own operations a rank pipelines.
+const opWindow = 64
+
+// opWindowSize bounds the in-flight window by the local partition: a rank
+// never holds more than a fraction of its current edges in flight, so tiny
+// partitions degrade to the unpipelined protocol instead of emptying
+// themselves into custody (which would inflate conflicts and stalls):
+// 64 ∧ |E_local|/8 of the live partition, at least 1. Only waiting
+// operations count, so at p = 1, where all complete inline, the chain is
+// the sequential one (TestSequentialMatchesParallelP1Distribution).
+func (r *edgeSwitcher) opWindowSize() int {
+	w := int(r.e.deg.Total() / 8)
+	if w < 1 {
+		w = 1
+	}
+	if w > opWindow {
+		w = opWindow
+	}
+	return w
 }
 
 // Restart-escalation thresholds (see edgeSwitcher.curRestarts).
@@ -119,11 +148,14 @@ var (
 	errRetiredKind = errors.New("retired two-phase-commit kind")
 )
 
-// prepare rebuilds the selection prefix sums from the step-boundary edge
-// counts and takes this rank's share of the step's operation quotas.
+// prepare clears the stall marks, rebuilds the selection prefix sums from
+// the step-boundary edge counts and takes this rank's share of the step's
+// operation quotas.
 func (r *edgeSwitcher) prepare(s int64, counts []int64) error {
 	e := r.e
 	p := e.c.Size()
+	r.stalled, r.stalledPeers = false, 0
+	clear(r.peerStalled)
 	if r.cumEdges == nil {
 		r.cumEdges = make([]int64, p+1)
 	}
@@ -165,12 +197,44 @@ func stepQuotas(seed uint64, step, s int64, counts []int64, m int64) ([]int64, e
 // inFlight counts own operations occupying a window slot.
 func (r *edgeSwitcher) inFlight() int { return opWindow - r.nFree }
 
-// advance drives the initiator role: forfeit a structurally stuck
-// operation, or start own operations until opWindowSize of them wait.
-// Filling the window before flushing is what gives the message plane
-// several records per destination batch. Inline aborts never fill it,
-// so the loop also stops at restartForfeit.
+// advance drives the initiator role and stall detection. A stalled rank
+// whose drain delivered an edge first withdraws its announcement. Then
+// startOps runs; when it starts nothing and the rank is starved, advance
+// announces the stall, and once every peer has ended the step or stalled
+// — no message anywhere can deliver work — forfeits the rest of the
+// quota. A signal sent counts as progress, so the chassis drains again.
 func (r *edgeSwitcher) advance() (bool, error) {
+	e := r.e
+	if r.stalled && !r.starved() && !r.done() {
+		r.stalled = false
+		if err := e.broadcastCtl(mResumed); err != nil {
+			return false, err
+		}
+	}
+	if started, err := r.startOps(); started || err != nil {
+		return started, err
+	}
+	switch {
+	case !r.starved():
+		return false, nil
+	case !r.stalled:
+		r.stalled = true
+		return true, e.broadcastCtl(mStalled)
+	case e.eosOthers+r.stalledPeers == e.c.Size()-1:
+		e.forfeited += r.remaining
+		r.remaining = 0
+		r.stalled = false
+		return true, e.broadcastCtl(mResumed)
+	}
+	return false, nil
+}
+
+// startOps forfeits a structurally stuck operation, or starts own
+// operations until opWindowSize of them wait. Filling the window before
+// flushing is what gives the message plane several records per
+// destination batch. Inline aborts never fill it, so the loop also stops
+// at restartForfeit.
+func (r *edgeSwitcher) startOps() (bool, error) {
 	e := r.e
 	if int64(r.inFlight()) >= r.remaining {
 		return false, nil
@@ -188,7 +252,7 @@ func (r *edgeSwitcher) advance() (bool, error) {
 		return false, nil
 	}
 	started := false
-	for w := e.opWindowSize(); r.inFlight() < w && int64(r.inFlight()) < r.remaining &&
+	for w := r.opWindowSize(); r.inFlight() < w && int64(r.inFlight()) < r.remaining &&
 		e.deg.Total() > 0 && r.curRestarts < restartForfeit; {
 		if err := r.startOp(); err != nil {
 			return false, err
@@ -205,15 +269,6 @@ func (r *edgeSwitcher) done() bool { return r.remaining == 0 && r.inFlight() == 
 func (r *edgeSwitcher) starved() bool {
 	return r.inFlight() == 0 && r.remaining > 0 && r.e.deg.Total() == 0
 }
-
-func (r *edgeSwitcher) forfeitRemaining() {
-	r.e.forfeited += r.remaining
-	r.remaining = 0
-}
-
-// The edge switcher works in the store throughout.
-func (r *edgeSwitcher) storePartition() error    { return nil }
-func (r *edgeSwitcher) outsideEdges() []slotEdge { return nil }
 
 // endStep asserts the protocol left no dangling state at a step boundary.
 func (r *edgeSwitcher) endStep() error {
@@ -241,7 +296,7 @@ func (r *edgeSwitcher) cursor() uint64 { return r.seq }
 
 func (r *edgeSwitcher) restoreCursor(c uint64) { r.seq = c }
 
-// handle dispatches one conversation-protocol message from src.
+// handle dispatches one conversation-protocol or stall record from src.
 func (r *edgeSwitcher) handle(om opMsg, src int) error {
 	switch om.kind {
 	case mSelectSecond:
@@ -252,6 +307,18 @@ func (r *edgeSwitcher) handle(om opMsg, src int) error {
 		return r.onLastAgent(om, src)
 	case mCommitted, mRefused:
 		return r.onAgentReply(om.id, om.kind, src)
+	case mStalled:
+		if !r.peerStalled[src] {
+			r.peerStalled[src] = true
+			r.stalledPeers++
+		}
+		return nil
+	case mResumed:
+		if r.peerStalled[src] {
+			r.peerStalled[src] = false
+			r.stalledPeers--
+		}
+		return nil
 	default:
 		return fmt.Errorf("core: rank %d edge-switch cannot handle %v", r.e.c.Rank(), om.kind)
 	}

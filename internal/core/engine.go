@@ -13,7 +13,7 @@ import (
 
 // rankEngine is one rank's chassis: its partition of the graph (reduced
 // adjacency lists of the vertices it owns), the step loop with its
-// drain/stall/EOS machinery, the batching message plane, and the
+// drain and EOS machinery, the batching message plane, and the
 // sanitizer bookkeeping. The algorithm-specific protocol state lives
 // behind rand (see randomizer.go). Ranks never touch each other's
 // engines; everything flows through c.
@@ -50,9 +50,15 @@ type rankEngine struct {
 	// curveball's list, which carries the partition from its bootstrap and
 	// from round to round — so the partition holds localEdges() =
 	// deg.Total() + outside. newCurveball, drainPartition, carryIn and
-	// carryOut maintain it, and curveball's fill returns it to 0.
+	// carryOut maintain it, and storeCarried returns it to 0.
 	outside      int64
 	initialEdges int64
+
+	// carried is that list between steps, the whole partition while the
+	// store is empty; spare is the idle list buffer (the one a round fills
+	// is curveball's until endStep hands it over). storeCarried sorts the
+	// list through spare into the store wherever something reads it.
+	carried, spare []slotEdge
 
 	// drainPartition's plumbing: drainEach is e.drainEntry bound once (no
 	// closure per slot); drainSlot and drainBuf are the slot being drained
@@ -91,13 +97,9 @@ type rankEngine struct {
 	recvBuf []mpi.Message
 
 	// Step-boundary signalling: sentEOS/eosOthers implement the
-	// end-of-step barrier; myStalled/stalled/stalledCount the stall
-	// detection (see mStalled in messages.go).
-	sentEOS      bool
-	eosOthers    int
-	myStalled    bool
-	stalled      []bool
-	stalledCount int
+	// end-of-step barrier.
+	sentEOS   bool
+	eosOthers int
 
 	// sb is the batching message plane (see sendbuf.go): outbound
 	// protocol messages coalesce per destination and flush whenever the
@@ -127,27 +129,6 @@ type rankEngine struct {
 	forfeited    int64
 	msgsSent     int64
 	flushes      int64 // message-plane flushes forced by the step loop blocking
-}
-
-// opWindow caps the number of own operations a rank pipelines.
-const opWindow = 64
-
-// opWindowSize bounds the in-flight window by the local partition: a rank
-// never holds more than a fraction of its current edges in flight, so tiny
-// partitions degrade to the unpipelined protocol instead of emptying
-// themselves into custody (which would inflate conflicts and stalls):
-// 64 ∧ |E_local|/8 of the live partition, at least 1. Only waiting
-// operations count, so at p = 1, where all complete inline, the chain is
-// the sequential one (TestSequentialMatchesParallelP1Distribution).
-func (e *rankEngine) opWindowSize() int {
-	w := int(e.deg.Total() / 8)
-	if w < 1 {
-		w = 1
-	}
-	if w > opWindow {
-		w = opWindow
-	}
-	return w
 }
 
 // promotePrioSplit namespaces the tiered store's promotion-priority
@@ -184,7 +165,6 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		verts:    partition.LocalVertices(pt, n, c.Rank()),
 		sanitize: cfg.CheckInvariants,
 		targetX:  cfg.TargetVisitRate,
-		stalled:  make([]bool, c.Size()),
 	}
 	e.sb.init(c)
 	e.drainEach = e.drainEntry
@@ -277,7 +257,7 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		// the store; a boundary whose store something reads — the
 		// sanitizer's scan, a checkpoint's segment — gets it back first.
 		if e.sanitize || save {
-			if err := e.rand.storePartition(); err != nil {
+			if err := e.storeCarried(); err != nil {
 				return e.stepErr(step, "store fill", err)
 			}
 		}
@@ -300,7 +280,7 @@ func (e *rankEngine) run(t, stepSize int64) error {
 	// Everything after the run, of any length, reads the store: the full
 	// sanitizer pass, the edge hash, the statistics and the reassembly.
 	// EndStep finalizes a base segment the fill streamed before Stats.
-	if err := e.rand.storePartition(); err != nil {
+	if err := e.storeCarried(); err != nil {
 		return fmt.Errorf("core: rank %d, after step %d (store fill): %w", e.c.Rank(), e.stepsRun, err)
 	}
 	if err := e.adj.EndStep(); err != nil {
@@ -320,22 +300,18 @@ func (e *rankEngine) stepErr(step int, phase string, err error) error {
 	return fmt.Errorf("core: rank %d, step %d (%s): %w", e.c.Rank(), step, phase, err)
 }
 
-// beginStep resets the chassis's step-boundary signalling and arms the
+// beginStep resets the chassis's end-of-step signalling and arms the
 // randomizer for a step of size s.
 func (e *rankEngine) beginStep(s int64, counts []int64) error {
 	e.sentEOS = false
 	e.eosOthers = 0
-	e.myStalled = false
-	for i := range e.stalled {
-		e.stalled[i] = false
-	}
-	e.stalledCount = 0
 	return e.rand.prepare(s, counts)
 }
 
-// broadcastCtl sends a control message (EOS/stalled/resumed) to every
-// other rank, through the message plane so signals coalesce with any
-// protocol traffic already batched for the same destinations.
+// broadcastCtl sends a control record (the chassis's end-of-step, the
+// edge switcher's stall signals) to every other rank, through the message
+// plane so signals coalesce with any protocol traffic already batched for
+// the same destinations.
 func (e *rankEngine) broadcastCtl(kind msgKind) error {
 	for dst := 0; dst < e.c.Size(); dst++ {
 		if dst == e.c.Rank() {
@@ -351,7 +327,7 @@ func (e *rankEngine) broadcastCtl(kind msgKind) error {
 // stepLoop is the per-step event loop: drain messages, let the
 // randomizer advance, emit/collect end-of-step signals, block when idle.
 // Everything here is algorithm-independent; the randomizer contributes
-// only progress (advance/handle) and its done/starved status.
+// only progress (advance/handle) and its done status.
 func (e *rankEngine) stepLoop() error {
 	p := e.c.Size()
 	r := e.rand
@@ -369,42 +345,12 @@ func (e *rankEngine) stepLoop() error {
 				}
 			}
 		}
-		// The drain may have delivered the work a stalled rank was
-		// waiting for; withdraw the announcement before advancing.
-		if e.myStalled && !r.starved() && !r.done() {
-			e.myStalled = false
-			if err := e.broadcastCtl(mResumed); err != nil {
-				return err
-			}
-		}
 		progressed, err := r.advance()
 		if err != nil {
 			return err
 		}
 		if progressed {
 			continue
-		}
-		if !r.done() && r.starved() {
-			if !e.myStalled {
-				// Starved with nothing in flight: announce the stall so
-				// peers in the same state can detect global quiescence.
-				e.myStalled = true
-				if err := e.broadcastCtl(mStalled); err != nil {
-					return err
-				}
-				continue
-			}
-			if e.eosOthers+e.stalledCount == p-1 {
-				// Every peer is finished or stalled, and nothing of ours
-				// is in flight: no message exists anywhere that could
-				// deliver us work, so forfeit the rest.
-				r.forfeitRemaining()
-				e.myStalled = false
-				if err := e.broadcastCtl(mResumed); err != nil {
-					return err
-				}
-				continue
-			}
 		}
 		// Announce quota completion exactly once.
 		if r.done() && !e.sentEOS {
@@ -528,6 +474,24 @@ func (e *rankEngine) drainPartition(buf []slotEdge) []slotEdge {
 // e.drainEach).
 func (e *rankEngine) drainEntry(v graph.Vertex, orig bool) {
 	e.drainBuf = append(e.drainBuf, slotEdge{slot: e.drainSlot, v: v, orig: orig})
+}
+
+// storeCarried bulk-loads a carried partition into the empty store,
+// sorting it through the spare list. The chassis calls it between steps
+// wherever something reads the store: a checkpoint boundary, every
+// boundary of a sanitized run, and the end of the run.
+func (e *rankEngine) storeCarried() error {
+	if len(e.carried) == 0 {
+		return nil
+	}
+	ents, err := e.sortSlotEdges(e.carried, e.spare, false)
+	if err != nil {
+		return err
+	}
+	e.buildStore(ents) // the list's originals are already counted
+	e.outside -= int64(len(ents))
+	e.carried = ents[:0]
+	return nil
 }
 
 // slotEdge is one adjacency entry keyed by the local slot of its owner
@@ -762,30 +726,11 @@ func (e *rankEngine) handle(m mpi.Message) error {
 }
 
 // handleMsg dispatches one message from src: the chassis consumes the
-// step-control kinds and hands everything else to the randomizer.
+// end-of-step signal and hands everything else to the randomizer.
 func (e *rankEngine) handleMsg(om opMsg, src int) error {
-	switch om.kind {
-	case mEndOfStep:
+	if om.kind == mEndOfStep {
 		e.eosOthers++
-		// A finished rank is no longer "stalled with quota".
-		if e.stalled[src] {
-			e.stalled[src] = false
-			e.stalledCount--
-		}
 		return nil
-	case mStalled:
-		if !e.stalled[src] {
-			e.stalled[src] = true
-			e.stalledCount++
-		}
-		return nil
-	case mResumed:
-		if e.stalled[src] {
-			e.stalled[src] = false
-			e.stalledCount--
-		}
-		return nil
-	default:
-		return e.rand.handle(om, src)
 	}
+	return e.rand.handle(om, src)
 }

@@ -299,12 +299,12 @@ func TestOpWindowSize(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if got := eng.opWindowSize(); got != tc.want {
+			if got := eng.rand.(*edgeSwitcher).opWindowSize(); got != tc.want {
 				t.Errorf("p=%d |E_local|=%d: window %d, want %d", tc.ranks, tc.localEdges, got, tc.want)
 			}
 			if tc.afterTake != 0 {
 				eng.takeLocal()
-				if got := eng.opWindowSize(); got != tc.afterTake {
+				if got := eng.rand.(*edgeSwitcher).opWindowSize(); got != tc.afterTake {
 					t.Errorf("p=%d |E_local|=%d after takeLocal: window %d, want %d", tc.ranks, tc.localEdges, got, tc.afterTake)
 				}
 			}

@@ -291,7 +291,7 @@ func TestFlushRule(t *testing.T) {
 				w.Close()
 			}
 		}()
-		e := &rankEngine{c: c, stalled: make([]bool, 2)}
+		e := &rankEngine{c: c}
 		e.sb.init(c)
 		if c.Rank() == 1 {
 			rec := &runRecorder{}

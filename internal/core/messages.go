@@ -59,14 +59,18 @@ const (
 	// mEndOfStep: rank → all. The sender has completed its quota for the
 	// current step (it keeps serving until everyone has).
 	mEndOfStep
-	// mStalled / mResumed: rank → all. The sender has remaining quota but
-	// an empty partition (it cannot select a first edge until a commit
-	// delivers one), or has recovered from that state. Used for
-	// distributed stall detection: when every peer is either finished or
-	// stalled, no operation can ever replenish an empty partition, so
-	// stalled ranks forfeit their remaining quota instead of deadlocking.
-	// Only reachable on degenerate inputs (partitions of a handful of
-	// edges); realistic partitions never empty.
+	// mStalled / mResumed: rank → all, edge switching only. The sender
+	// has remaining quota but an empty partition (it cannot select a
+	// first edge until a commit delivers one), or has recovered from that
+	// state. Used for distributed stall detection (edgeSwitcher.advance):
+	// when every peer is either finished or stalled, no operation can ever
+	// replenish an empty partition, so stalled ranks forfeit their
+	// remaining quota instead of deadlocking. A stalled rank has quota
+	// left, so it sends mResumed (withdrawing, or after forfeiting) before
+	// it can finish, and its end-of-step signal follows on the same FIFO
+	// link: end-of-step never has to clear a stall mark. Only reachable on
+	// degenerate inputs (partitions of a handful of edges); realistic
+	// partitions never empty.
 	mStalled
 	mResumed
 	// mEdgeRun: a packed run of curveball adjacency entries (see the run

@@ -82,11 +82,13 @@ type Config struct {
 	// overlay holds only vertices touched since the last compaction, and
 	// step boundaries fold an overlay of more than max(|E_local|/4, 4096)
 	// entries into a new base segment. Results are bit-identical to
-	// in-memory runs wherever the run is deterministic; steady-state heap
-	// is O(overlay), so runs fit under a GOMEMLIMIT far below |E_local|
-	// (the mapping is file-backed and doesn't count). Multi-process ranks
-	// need distinct or shared directories — each rank uses only its own
-	// subdirectory.
+	// in-memory runs wherever the run is deterministic. It bounds no
+	// peak: edge switching at the paper's visit rates touches most slots
+	// within a step, so the overlay comes to hold most of the partition,
+	// and curveball carries its partition as in-memory lists, writing the
+	// store only where something reads it; measured spill runs peak near
+	// their in-memory runs. Multi-process ranks need distinct or shared
+	// directories — each rank uses only its own subdirectory.
 	SpillDir string
 	// DistributedGen, when non-nil, switches the bootstrap to parallel
 	// generation (internal/gen/pergen): no rank materializes the whole

@@ -4,14 +4,16 @@ import "fmt"
 
 // The Randomizer seam (DESIGN.md §5): the rank engine is split into a
 // chassis and a randomizer. The chassis owns everything algorithm-
-// independent — partition ownership and local storage, the step loop
-// with its drain/stall/EOS machinery, the batching message plane and its
-// freelists, the pipelining window, the sanitizer's fused degree deltas,
-// and the counters behind Result. A randomizer owns only the
-// protocol that actually perturbs the graph. The paper's edge-switch
-// conversation protocol (edgeswitcher.go) and global curveball trades
-// (curveball.go) are the two implementations; they share every line of
-// chassis code.
+// independent — partition ownership and local storage (the store, and
+// the list a randomizer carries the partition in outside it), the step
+// loop with its drain and end-of-step machinery, the batching message
+// plane and its freelists, the sanitizer's fused degree deltas, and the
+// counters behind Result. A randomizer owns the protocol that perturbs
+// the graph and every signal only that protocol needs. The paper's
+// edge-switch conversation protocol (edgeswitcher.go, which alone can
+// starve and so runs stall detection) and global curveball trades
+// (curveball.go, which carries its partition in the chassis's list) are
+// the two implementations; they share every line of chassis code.
 
 // Algorithm selects the randomization process run behind the Randomizer
 // seam.
@@ -47,39 +49,33 @@ func (cfg Config) algorithm() (Algorithm, error) {
 }
 
 // randomizer is the engine-side seam: the chassis step loop drives one
-// instance per rank, and every protocol message that is not a chassis
-// control signal (EOS/stalled/resumed) is dispatched to it. A step ends
-// when every rank's randomizer reports done and has announced EOS.
+// instance per rank, and every record that is not the chassis's
+// end-of-step signal is dispatched to it. A step ends when every rank's
+// randomizer reports done and has announced EOS.
 //
 // The chassis calls the methods from a single goroutine; implementations
-// send through rankEngine.send/sendRun and change the partition only
-// through the chassis accounting helpers (takeLocal/insertLocal on the
-// store, carryIn/carryOut for edges held outside it), which keep the edge
-// count, the sanitizer deltas and the originals counter exact for any
-// algorithm; drainPartition and buildStore move a whole partition out of
-// the store and back without changing it.
+// send through rankEngine.send/sendRun/broadcastCtl and change the
+// partition only through the chassis accounting helpers
+// (takeLocal/insertLocal on the store, carryIn/carryOut for edges held
+// outside it), which keep the edge count, the sanitizer deltas and the
+// originals counter exact for any algorithm; drainPartition and
+// storeCarried move a whole partition out of the store and back without
+// changing it.
 type randomizer interface {
 	// prepare arms one step of size s. counts holds the step-boundary
 	// per-rank edge counts from the fused exchange (edge-switch rebuilds
 	// its partner-selection prefix sums from them; curveball ignores
 	// them). prepare may already send protocol messages.
 	prepare(s int64, counts []int64) error
-	// advance performs self-driven work: start pipelined operations,
-	// forfeit a structurally stuck one. It reports whether it made
-	// progress (the loop re-drains before calling again). Event-driven
-	// randomizers always report false and do all work in handle.
+	// advance performs self-driven work after each drain: the edge
+	// switcher starts pipelined operations and runs stall detection,
+	// curveball refuses a round that can no longer finish. It reports
+	// whether it made progress (the loop re-drains before calling again).
 	advance() (bool, error)
 	// done reports that this rank's share of the step is complete (it
 	// keeps serving peers until everyone is).
 	done() bool
-	// starved reports that the randomizer cannot progress until a peer's
-	// message delivers work (the chassis then runs stall detection, and
-	// calls forfeitRemaining when the whole world is starved).
-	starved() bool
-	// forfeitRemaining abandons the rank's remaining share of the step;
-	// only called after global quiescence is established.
-	forfeitRemaining()
-	// handle dispatches one protocol message from src.
+	// handle dispatches one record from src.
 	handle(om opMsg, src int) error
 	// handleRun consumes the edge run starting at run[0], its kind byte
 	// (the rest of the batch follows), and reports the bytes it spanned.
@@ -87,15 +83,6 @@ type randomizer interface {
 	// endStep runs once after the step loop exits: it verifies no
 	// protocol state dangles.
 	endStep() error
-	// storePartition puts a partition the randomizer carries outside the
-	// store (curveball's list) back into it with buildStore.
-	// The chassis calls it, between steps, wherever something reads the
-	// store: a checkpoint boundary, every boundary of a sanitized run, and
-	// the end of the run.
-	storePartition() error
-	// outsideEdges returns the partition's edges carried outside the store,
-	// nil when the store holds them all (localDegrees counts them).
-	outsideEdges() []slotEdge
 	// cursor returns the randomizer's resume cursor — the only protocol
 	// state that survives a step boundary (the edge switcher's operation
 	// sequence counter, curveball's round number). Captured by the

@@ -166,7 +166,7 @@ func (vs *violations) addf(kind ViolationKind, format string, args ...any) {
 // the full degree sequence iff every edge is held exactly once.
 func (e *rankEngine) localDegrees() []int64 {
 	deg := make([]int64, e.n)
-	for _, se := range e.rand.outsideEdges() {
+	for _, se := range e.carried {
 		deg[e.verts[se.slot]]++
 		deg[se.v]++
 	}
@@ -199,8 +199,8 @@ func (e *rankEngine) recordBaseline() error {
 
 // sanitizeLocal scans this rank's structures: simplicity (no loops, no
 // duplicates, normalized order), vertex ranges, Fenwick consistency, the
-// store and the list the randomizer carries (only ever a bootstrap's
-// sorted one: a checked boundary stores it) holding the whole partition,
+// store and the carried list (only ever a bootstrap's sorted one: a
+// checked boundary stores it) holding the whole partition,
 // and the ownership invariant (this
 // rank holds exactly the reduced lists of the vertices the partitioner
 // assigns to it).
@@ -232,15 +232,14 @@ func (e *rankEngine) sanitizeLocal() []Violation {
 			vs.addf(VEdgeCount, "Fenwick degree of vertex %d is %d, adjacency holds %d", u, e.deg.Get(li), e.adj.Len(li))
 		}
 	}
-	carried := e.rand.outsideEdges()
-	for _, se := range carried {
+	for _, se := range e.carried {
 		if e.verts[se.slot] != u {
 			u, prev = e.verts[se.slot], -1
 		}
 		entry(se.v, se.orig)
 	}
-	if e.outside != int64(len(carried)) {
-		vs.addf(VEdgeCount, "rank %d counts %d edges outside its store, its randomizer carries %d", rank, e.outside, len(carried))
+	if e.outside != int64(len(e.carried)) {
+		vs.addf(VEdgeCount, "rank %d counts %d edges outside its store, its carried list holds %d", rank, e.outside, len(e.carried))
 	}
 	return vs.list
 }

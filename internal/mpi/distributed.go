@@ -222,7 +222,7 @@ type link struct {
 // testDialWrap, when non-nil, wraps each of rank's freshly handshaken
 // connections: its link to peer, or with peer == coordinator its control
 // connection. Fault-injection tests use it to interpose a faultConn (see
-// faultinject.go); production code never sets it.
+// faultinject_test.go); production code never sets it.
 var testDialWrap func(rank, peer int, conn net.Conn) net.Conn
 
 // coordinator is the peer testDialWrap names for a control connection.

@@ -12,9 +12,7 @@ import (
 // frame index. Tests install it on one connection — a rank's link to a
 // peer, or its control connection — through testDialWrap (see
 // distributed.go) to exercise the transport's failure paths: checksum
-// rejection, lost-peer reports, FAULT broadcast, fail-fast teardown. It
-// deliberately lives outside _test.go files so future chaos tooling
-// (e.g. an edgeswitch -chaos mode) can reuse it.
+// rejection, lost-peer reports, FAULT broadcast, fail-fast teardown.
 
 // A faultAction says what to do with one outbound frame.
 type faultAction int

@@ -4,18 +4,25 @@
 #
 #   scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]      (or: make ab PARENT=… WORKLOAD=… PAIRS=…)
 #
-# The parent is exported with `git archive` into .bench_build/ab-<rev>/ and
-# both sides run the harness their own tree carries, unmodified:
-# `bash cmd/esbench/run.sh --workload W --seed <pair> --seconds 20`. Pairs
-# alternate which side goes first. PAIRS pairs run on WORKLOAD, the claim,
-# then 3 sanity pairs on each other workload BENCHMARK.json names. Prints
-# every run, then per workload and end-to-end metric the medians,
-# quartiles and how many pairs the change won. The claim alone also gets
-# a verdict: "met" when the change wins at least 9 pairs in 10 (ties
-# count for neither side) and its median beats the parent's by more than
-# the parent's interquartile range, "not met" otherwise. A run that
-# prints no report is counted per side and left out of the pairs,
-# medians and quartiles.
+# The parent is exported with `git archive` into .bench_build/ab-<rev>/.
+# The change side is snapshotted once, at the start: its tracked and
+# untracked, non-ignored files are written as a git tree (through a
+# scratch index, so the real index and the refs are untouched) and
+# exported into .bench_build/ab-change-<tree>/, and every change-side run
+# uses that copy, so an edit made during the A/B cannot mix two trees in
+# one table. Both sides run the harness their own tree carries,
+# unmodified: `bash cmd/esbench/run.sh --workload W --seed <pair>
+# --seconds 20`. Pairs alternate which side goes first. PAIRS pairs run
+# on WORKLOAD, the claim, then 3 sanity pairs on each other workload
+# BENCHMARK.json names. Prints every run, then per workload and
+# end-to-end metric the medians, quartiles, how many pairs the change
+# won, and the parent's interquartile range as a % of its median. The
+# claim alone also gets a verdict: "met" when the change wins at least 9
+# pairs in 10 (ties count for neither side) and its median beats the
+# parent's by more than the parent's interquartile range, "not met"
+# otherwise. A sanity row whose median difference is smaller than that
+# range is labelled "inside parent spread". A run that prints no report
+# is counted per side and left out of the pairs, medians and quartiles.
 set -euo pipefail
 parent=${1:?usage: scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]}
 workload=${2:?usage: scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]}
@@ -27,6 +34,18 @@ if [ ! -d "$pdir" ]; then
 	mkdir -p "$pdir"
 	git -C "$root" archive "$rev" | tar -x -C "$pdir"
 fi
+idx=$(mktemp)
+cp "$(git -C "$root" rev-parse --absolute-git-dir)/index" "$idx" 2>/dev/null || : >"$idx"
+GIT_INDEX_FILE=$idx git -C "$root" add -A
+tree=$(GIT_INDEX_FILE=$idx git -C "$root" write-tree)
+rm -f "$idx"
+snap=${tree:0:12}
+cdir="$root/.bench_build/ab-change-$snap"
+if [ ! -d "$cdir" ]; then
+	mkdir -p "$cdir"
+	git -C "$root" archive "$tree" | tar -x -C "$cdir"
+fi
+printf 'change snapshot %s (%s) vs parent %s\n' "$snap" "$cdir" "$rev"
 
 # one W SIDE DIR PAIR: run workload W once, append "pair side metric value"
 # rows to W's table.
@@ -48,9 +67,9 @@ ab() {
 	for ((i = 1; i <= $2; i++)); do
 		if ((i % 2)); then
 			one "$1" parent "$pdir" "$i"
-			one "$1" change "$root" "$i"
+			one "$1" change "$cdir" "$i"
 		else
-			one "$1" change "$root" "$i"
+			one "$1" change "$cdir" "$i"
 			one "$1" parent "$pdir" "$i"
 		fi
 	done
@@ -58,7 +77,7 @@ ab() {
 }
 
 summarize() {
-	awk -F'\t' -v workload="$1" -v rev="$rev" -v verdict="$2" '
+	awk -F'\t' -v workload="$1" -v rev="$rev" -v snap="$snap" -v verdict="$2" '
 # quartile q of v[1..n] (sorted), the exclusive method esbench and Python statistics.quantiles use
 function quart(v, n, q,    pos, lo, f) {
 	pos = q * (n + 1) / 4; lo = int(pos); f = pos - lo
@@ -82,7 +101,7 @@ $3 == "randomize_s" && $4 == "" { noreport[$2]++ }
 # cell formats one side of a pair, "-" when that run gave no report.
 function cell(i, side, m) { return ((i, side, m) in val) ? sprintf("%.4g", val[i, side, m]) : "-" }
 END {
-	printf "\n%s: change vs parent %s, %d pairs\n", workload, rev, pairs
+	printf "\n%s: change %s vs parent %s, %d pairs\n", workload, snap, rev, pairs
 	printf "runs with no report: parent %d, change %d\n", noreport["parent"], noreport["change"]
 	split("randomize_s visits_per_s setup_s", ms, " ")
 	for (k = 1; k <= 3; k++) {
@@ -96,6 +115,16 @@ END {
 		}
 		delete med; delete iqr
 		printf "\n%s  (parent/change per pair:%s)\n  %s\n  %s\n  change better in %d of %d pairs (%d ties)\n", m, line, summary("parent", m), summary("change", m), wins, n, ties
+		# The parent spread, against which any median difference is read.
+		if ("parent" in med && med["parent"] != 0) {
+			spread = sprintf("  parent IQR %.2f %% of its median", 100 * iqr["parent"] / med["parent"])
+			if ("change" in med) {
+				diff = med["change"] - med["parent"]
+				spread = spread sprintf("; change median %+.2f %%", 100 * diff / med["parent"])
+				if (!verdict && (diff < 0 ? -diff : diff) < iqr["parent"]) spread = spread ": inside parent spread"
+			}
+			print spread
+		}
 		if (!verdict) continue
 		# The claim rule: the change wins at least 9 pairs in 10 and its
 		# median beats the parent median by more than the parent IQR.
