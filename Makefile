@@ -62,12 +62,14 @@ racedist:
 
 # The engine's decoders of untrusted bytes, fuzzed 10 s each beyond their
 # seed corpora: conversation records (framed at each kind's length, fed
-# to a live 2-rank engine), curveball edge runs, and checkpoint
-# snapshots. Every input must be handled or refused with an error.
+# to a live 2-rank engine), curveball edge runs, checkpoint manifests
+# (FuzzDecodeSnapshot) and the result gather's per-rank parts. Every
+# input must be handled or refused with a named error.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzConversationRecord$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeRun$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime 10s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

@@ -13,42 +13,114 @@ import (
 	"edgeswitch/internal/store"
 )
 
-// The checkpoint protocol (DESIGN.md §6): at a step boundary every rank
-// saves its partition as a segment file and writes a fixed-size snapshot
-// naming it (both tmp + fsync + rename, CRC32C trailers), all ranks
-// allreduce the global degree vector and checksum it (the
-// sanitizer's degree baseline doing double duty as the restore integrity
-// check), every rank's snapshot CRC is allgathered — the "all ranks ack" —
-// and only then does rank 0 write the manifest (tmp + rename). A commit
-// broadcast follows before garbage collection, so a crash at any point
-// leaves the previous manifest and its files untouched and restorable.
+// The checkpoint protocol (DESIGN.md §6). At a step boundary the engine
+// is a closed system — the message plane is empty, the randomizer is
+// quiesced (asserted by checkStepInvariants) and the sanitizer's degree
+// deltas are folded into the exchange — so a rank's resumable state is
+// its partition, its RNG position, the randomizer's cursor and a handful
+// of counters. Every rank saves its partition as a segment file
+// (Store.SaveSegment: an in-memory store streams its slots, a tiered
+// store hard-links its base), all ranks allreduce the global degree
+// vector and checksum it (the sanitizer's baseline doubling as the
+// restore integrity check), and each rank sends rank 0 its record — the
+// segment's size and CRC32C, RNG state, cursor and counters — or a
+// refusal when its write failed. Only when every rank sent a record does
+// rank 0 write the manifest (tmp + fsync + rename), the one commit
+// record. A verdict broadcast follows before garbage collection, so a
+// crash at any point leaves the previous manifest and its segments
+// untouched and restorable. Treap priorities are not captured: uniform
+// selection is by key order (Fenwick prefix + Kth), so priorities shape
+// only a treap's internal form; a restore hands the segment's entries to
+// the randomizer like any bootstrap (finishLoad), then overwrites the run
+// RNG with the captured position.
 //
 // Restore runs the protocol backwards: each rank scans the directory for
-// manifests matching the run's identity, verifies its own file against
-// the manifest's recorded CRC, and contributes the newest step it can
+// manifests matching the run's identity, opens the segment its record
+// names with a full content hash, and contributes the newest step it can
 // restore to an OpMin allreduce — the rollback collective. The agreed
 // step is restored everywhere (0 means no common checkpoint: bootstrap
 // fresh), and the restored world re-derives the degree-vector checksum
 // and compares it to the manifest before switching resumes.
 
-// ckManifestVersion versions the manifest schema.
-const ckManifestVersion = 1
+// ckManifestVersion versions the manifest file; another version is
+// refused before anything else in the file is read.
+const ckManifestVersion = 2
 
-// ckManifest is the rank-0-written commit record of one checkpoint: the
-// run identity a restore must match, the per-rank snapshot CRCs acked by
-// the allgather, and the CRC32C of the global degree vector.
+// ckManifest is the commit record of one checkpoint, written by rank 0:
+// the run identity a restore must match, the CRC32C of the global degree
+// vector, and one record per rank.
 type ckManifest struct {
-	Version   int      `json:"version"`
-	Step      int64    `json:"step"`
-	Size      int      `json:"size"`
-	N         int      `json:"n"`
-	M         int64    `json:"m"`
-	Seed      uint64   `json:"seed"`
-	Algorithm string   `json:"algorithm"`
-	Scheme    string   `json:"scheme"`
-	StepSize  int64    `json:"step_size"`
-	RankCRCs  []uint32 `json:"rank_crcs"`
-	DegreeCRC uint32   `json:"degree_crc"`
+	Step      int64          `json:"step"`
+	Size      int            `json:"size"`
+	N         int            `json:"n"`
+	M         int64          `json:"m"`
+	Seed      uint64         `json:"seed"`
+	Algorithm string         `json:"algorithm"`
+	Scheme    string         `json:"scheme"`
+	StepSize  int64          `json:"step_size"`
+	DegreeCRC uint32         `json:"degree_crc"`
+	Ranks     []ckRankRecord `json:"ranks"`
+}
+
+// ckRankRecord is one rank's resumable state: the segment file holding
+// its partition, named by content, its run-RNG state and randomizer
+// cursor, its initial-edge and originals counts, and its run counters.
+type ckRankRecord struct {
+	SegSize      int64     `json:"seg_size"`
+	SegCRC       uint32    `json:"seg_crc"`
+	RNG          [4]uint64 `json:"rng"`
+	Cursor       uint64    `json:"cursor"`
+	InitialEdges int64     `json:"initial_edges"`
+	Originals    int64     `json:"originals"`
+	Ops          int64     `json:"ops"`
+	Restarts     int64     `json:"restarts"`
+	Forfeited    int64     `json:"forfeited"`
+	Messages     int64     `json:"messages"`
+	Flushes      int64     `json:"flushes"`
+}
+
+// ckEnvelope is the manifest file: the version, then the manifest sealed
+// by the CRC32C of its exact bytes.
+type ckEnvelope struct {
+	Version  int             `json:"version"`
+	CRC32C   uint32          `json:"crc32c"`
+	Manifest json.RawMessage `json:"manifest"`
+}
+
+// castagnoli is the CRC32C table of the manifest seal and the degree
+// checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeManifest seals man into a manifest file.
+func encodeManifest(man *ckManifest) ([]byte, error) {
+	body, err := json.Marshal(man)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(ckEnvelope{Version: ckManifestVersion, CRC32C: crc32.Checksum(body, castagnoli), Manifest: body})
+}
+
+// decodeManifest checks a manifest file's version and CRC32C before it
+// decodes the manifest, which must hold one record per rank.
+func decodeManifest(data []byte) (*ckManifest, error) {
+	var env ckEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("core: checkpoint manifest does not parse: %w", err)
+	}
+	if env.Version != ckManifestVersion {
+		return nil, fmt.Errorf("core: checkpoint manifest version %d, this binary reads %d", env.Version, ckManifestVersion)
+	}
+	if got := crc32.Checksum(env.Manifest, castagnoli); got != env.CRC32C {
+		return nil, fmt.Errorf("core: checkpoint manifest CRC mismatch: file carries %08x, contents hash to %08x", env.CRC32C, got)
+	}
+	var man ckManifest
+	if err := json.Unmarshal(env.Manifest, &man); err != nil {
+		return nil, fmt.Errorf("core: checkpoint manifest does not parse: %w", err)
+	}
+	if man.Size < 1 || len(man.Ranks) != man.Size {
+		return nil, fmt.Errorf("core: checkpoint manifest holds %d rank records for a world of %d", len(man.Ranks), man.Size)
+	}
+	return &man, nil
 }
 
 // checkpointer drives the per-boundary checkpoint protocol for one rank.
@@ -93,13 +165,7 @@ func ckManifestPath(dir string, step int64) string {
 	return filepath.Join(dir, fmt.Sprintf("manifest-%08d.json", step))
 }
 
-func ckSnapPath(dir string, step int64, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%08d-rank-%04d.ck", step, rank))
-}
-
-// ckSegPath names the segment file holding the partition a snapshot
-// describes. The .seg suffix keeps it clear of the Sscanf patterns
-// matching .ck snapshots and manifests.
+// ckSegPath names the segment file holding rank's partition at step.
 func ckSegPath(dir string, step int64, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%08d-rank-%04d.seg", step, rank))
 }
@@ -139,48 +205,40 @@ func (ck *checkpointer) degreeCRC(e *rankEngine) (uint32, error) {
 }
 
 // save runs one checkpoint at the boundary after e.stepsRun completed
-// steps: segment + snapshot write, degree checksum, CRC allgather (the ack),
-// rank-0 manifest commit, commit broadcast, then GC of checkpoints
+// steps: segment write, degree checksum, the record gather (the ack),
+// rank-0 manifest commit, verdict broadcast, then GC of checkpoints
 // older than the retention window.
 func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	step := e.stepsRun
 	// A local write failure must not desert the collectives below — the
-	// peers would deadlock waiting in the allgather — so it rides in the
-	// ack (a status byte ahead of the CRC) and every rank aborts this
-	// checkpoint together after the commit broadcast.
+	// peers would deadlock waiting in the gather — so it rides in the
+	// gather as a refusal (an empty record) and every rank aborts this
+	// checkpoint together after the verdict broadcast.
 	size, crc, localErr := e.adj.SaveSegment(ckSegPath(ck.dir, step, ck.c.Rank()))
+	var own []byte
 	if localErr != nil {
 		localErr = fmt.Errorf("core: writing checkpoint segment: %w", localErr)
-	}
-	snap := e.encodeSnapshot(segIdentity{size: size, crc: crc})
-	var own [5]byte
-	own[0] = 1
-	putU32(own[1:], getU32(snap[snapLen-4:]))
-	if localErr == nil {
-		if werr := writeAtomic(ckSnapPath(ck.dir, step, ck.c.Rank()), snap); werr != nil {
-			localErr = fmt.Errorf("core: writing checkpoint snapshot: %w", werr)
-		}
-	}
-	if localErr != nil {
-		own[0] = 0
+	} else {
+		// A struct of numbers always encodes.
+		own, _ = json.Marshal(ckRankRecord{
+			SegSize: size, SegCRC: crc,
+			RNG: e.rnd.State(), Cursor: e.rand.cursor(),
+			InitialEdges: e.initialEdges, Originals: e.origLocal,
+			Ops: e.opsInitiated, Restarts: e.restarts, Forfeited: e.forfeited,
+			Messages: e.msgsSent, Flushes: e.flushes,
+		})
 	}
 	degCRC, err := ck.degreeCRC(e)
 	if err != nil {
 		return err
 	}
-	acks, err := ck.c.Allgather(own[:])
+	records, err := ck.c.Gather(0, own)
 	if err != nil {
 		return err
 	}
 	committed := byte(1)
-	for _, ack := range acks {
-		if len(ack) != 5 || ack[0] == 0 {
-			committed = 0
-		}
-	}
-	if committed == 1 && ck.c.Rank() == 0 {
+	if ck.c.Rank() == 0 {
 		man := ckManifest{
-			Version:   ckManifestVersion,
 			Step:      step,
 			Size:      ck.c.Size(),
 			N:         e.n,
@@ -189,24 +247,28 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 			Algorithm: string(ck.algo()),
 			Scheme:    string(ck.scheme()),
 			StepSize:  stepSize,
-			RankCRCs:  make([]uint32, len(acks)),
 			DegreeCRC: degCRC,
+			Ranks:     make([]ckRankRecord, len(records)),
 		}
-		for r, ack := range acks {
-			man.RankCRCs[r] = getU32(ack[1:])
+		for r, rec := range records {
+			if len(rec) == 0 || json.Unmarshal(rec, &man.Ranks[r]) != nil {
+				committed = 0
+			}
 		}
-		data, merr := json.MarshalIndent(&man, "", "  ")
-		if merr == nil {
-			merr = writeAtomic(ckManifestPath(ck.dir, step), data)
-		}
-		if merr != nil {
-			committed = 0
-			localErr = fmt.Errorf("core: writing checkpoint manifest: %w", merr)
+		if committed == 1 {
+			data, merr := encodeManifest(&man)
+			if merr == nil {
+				merr = writeAtomic(ckManifestPath(ck.dir, step), data)
+			}
+			if merr != nil {
+				committed = 0
+				localErr = fmt.Errorf("core: writing checkpoint manifest: %w", merr)
+			}
 		}
 	}
-	// The commit broadcast carries rank 0's verdict: every rank learns the
-	// manifest is durable before anyone deletes an older checkpoint it
-	// might still need, and a manifest-write failure aborts everywhere.
+	// The verdict broadcast: every rank learns the manifest is durable
+	// before anyone deletes an older checkpoint it might still need, and
+	// a refusal or a manifest-write failure aborts everywhere.
 	verdict, err := ck.c.Bcast(0, []byte{committed})
 	if err != nil {
 		return err
@@ -215,7 +277,7 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 		if localErr != nil {
 			return localErr
 		}
-		return fmt.Errorf("core: checkpoint at step %d aborted: %w to write its snapshot or the manifest", step, mpi.ErrPeerFailed)
+		return fmt.Errorf("core: checkpoint at step %d aborted: %w to write its segment or the manifest", step, mpi.ErrPeerFailed)
 	}
 	ck.gc(step)
 	return nil
@@ -234,17 +296,16 @@ func (ck *checkpointer) scheme() Scheme {
 	return ck.cfg.Scheme
 }
 
-// gc removes this rank's snapshot files (and, on rank 0, manifests) for
+// gc removes this rank's segment files (and, on rank 0, manifests) for
 // checkpoints older than the retention window. keep < 0 retains
 // everything (the restore-equivalence tests restore every boundary).
 //
-// Snapshot deletion is keyed on a step cutoff, not on manifest
-// presence: rank 0 deletes expired manifests concurrently with the
-// peers' directory listings, so a peer that keyed its snapshot GC on
-// still seeing the manifest would orphan the snapshot forever whenever
-// it lost that race. Anything of this rank below the oldest retained
-// step goes, manifest or not — which also collects orphans left by
-// earlier crashed runs.
+// Segment deletion is keyed on a step cutoff, not on manifest presence:
+// rank 0 deletes expired manifests concurrently with the peers'
+// directory listings, so a peer that keyed its GC on still seeing the
+// manifest would orphan the segment forever whenever it lost that race.
+// Anything of this rank below the oldest retained step goes, manifest or
+// not — which also collects orphans left by earlier crashed runs.
 func (ck *checkpointer) gc(latest int64) {
 	if ck.keep < 0 {
 		return
@@ -277,13 +338,6 @@ func (ck *checkpointer) gc(latest int64) {
 	for _, ent := range ents {
 		var step int64
 		var rank int
-		// Two passes over the name: the literal suffix makes each Sscanf
-		// reject the other kind (n == 2 but serr != nil on a suffix
-		// mismatch), so .ck snapshots and .seg segments GC separately.
-		if n, serr := fmt.Sscanf(ent.Name(), "snap-%d-rank-%d.ck", &step, &rank); n == 2 && serr == nil && rank == ck.c.Rank() && step < cutoff {
-			_ = os.Remove(filepath.Join(ck.dir, ent.Name()))
-			continue
-		}
 		if n, serr := fmt.Sscanf(ent.Name(), "snap-%d-rank-%d.seg", &step, &rank); n == 2 && serr == nil && rank == ck.c.Rank() && step < cutoff {
 			_ = os.Remove(filepath.Join(ck.dir, ent.Name()))
 		}
@@ -307,82 +361,67 @@ func (ck *checkpointer) manifestSteps() []int64 {
 	return steps
 }
 
-// loadManifest reads and validates one committed manifest against the
-// run identity (world size, algorithm, scheme, seed). An identity
-// mismatch is not an error — the directory may hold another run's
-// checkpoints — it just makes the step non-restorable.
+// loadManifest reads and decodes one committed manifest and checks it
+// against the run identity (world size, algorithm, scheme, seed). An
+// identity mismatch is not an error — the directory may hold another
+// run's checkpoints — it just makes the step non-restorable.
 func (ck *checkpointer) loadManifest(step int64) (*ckManifest, error) {
 	data, err := os.ReadFile(ckManifestPath(ck.dir, step))
 	if err != nil {
 		return nil, err
 	}
-	var man ckManifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("core: parsing checkpoint manifest for step %d: %w", step, err)
+	man, err := decodeManifest(data)
+	if err != nil {
+		return nil, err
 	}
-	if man.Version != ckManifestVersion {
-		return nil, fmt.Errorf("core: checkpoint manifest version %d, this binary reads %d", man.Version, ckManifestVersion)
+	if man.Step != step || man.Size != ck.c.Size() || man.Seed != ck.cfg.Seed ||
+		Algorithm(man.Algorithm) != ck.algo() || Scheme(man.Scheme) != ck.scheme() {
+		return nil, fmt.Errorf("core: checkpoint manifest for step %d belongs to a different run (step %d, size %d, seed %d, %s/%s)",
+			step, man.Step, man.Size, man.Seed, man.Algorithm, man.Scheme)
 	}
-	if man.Size != ck.c.Size() || man.Seed != ck.cfg.Seed ||
-		Algorithm(man.Algorithm) != ck.algo() || Scheme(man.Scheme) != ck.scheme() ||
-		len(man.RankCRCs) != man.Size {
-		return nil, fmt.Errorf("core: checkpoint manifest for step %d belongs to a different run (size %d, seed %d, %s/%s)",
-			step, man.Size, man.Seed, man.Algorithm, man.Scheme)
-	}
-	return &man, nil
+	return man, nil
 }
 
-// restorable reports whether this rank can restore the given manifest:
-// its own snapshot file exists, decodes (length, magic, CRC32C trailer,
-// version), matches the CRC the manifest recorded at commit time, and
-// names a segment file that opens — every byte hashed — as the one
-// recorded. A damaged file thus makes the step non-restorable (or, for an
-// exact restoreStep request, an actionable error) rather than failing
+// openSegment opens the segment file of this rank's record in man with a
+// full content hash (store.OpenSegment) and checks it is the file the
+// record names (size + CRC32C) with one list per owned vertex (nv). A
+// damaged file thus makes the step non-restorable (or, for an exact
+// restoreStep request, an actionable error) rather than failing
 // mid-restore.
-func (ck *checkpointer) restorable(man *ckManifest) (*snapState, error) {
-	data, err := os.ReadFile(ckSnapPath(ck.dir, man.Step, ck.c.Rank()))
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if crc := getU32(data[snapLen-4:]); crc != man.RankCRCs[ck.c.Rank()] {
-		return nil, fmt.Errorf("core: rank %d snapshot for step %d carries CRC %08x, manifest recorded %08x — the file does not belong to this checkpoint; delete it and restore an earlier step",
-			ck.c.Rank(), man.Step, crc, man.RankCRCs[ck.c.Rank()])
-	}
-	seg, err := ck.openSegment(st)
-	if err != nil {
-		return nil, err
-	}
-	return st, seg.Close()
-}
-
-// openSegment opens the segment file of a decoded snapshot with a full
-// content hash (store.OpenSegment) and checks it is the file the snapshot
-// names (size + CRC32C) with one list per owned vertex.
-func (ck *checkpointer) openSegment(st *snapState) (*store.Segment, error) {
-	path := ckSegPath(ck.dir, st.step, ck.c.Rank())
+func (ck *checkpointer) openSegment(man *ckManifest, nv int) (*store.Segment, error) {
+	rec := &man.Ranks[ck.c.Rank()]
+	path := ckSegPath(ck.dir, man.Step, ck.c.Rank())
 	seg, err := store.OpenSegment(path)
 	if err != nil {
 		return nil, err
 	}
-	if seg.CRC() != st.seg.crc || seg.Size() != st.seg.size || seg.NV() != st.nv {
+	if seg.CRC() != rec.SegCRC || seg.Size() != rec.SegSize || seg.NV() != nv {
 		_ = seg.Close()
-		return nil, fmt.Errorf("core: checkpoint segment %s is (crc %08x, %d bytes, %d slots), snapshot recorded (crc %08x, %d bytes, %d slots)",
-			path, seg.CRC(), seg.Size(), seg.NV(), st.seg.crc, st.seg.size, st.nv)
+		return nil, fmt.Errorf("core: checkpoint segment %s is (crc %08x, %d bytes, %d slots), the manifest's snapshot recorded (crc %08x, %d bytes) for %d owned vertices",
+			path, seg.CRC(), seg.Size(), seg.NV(), rec.SegCRC, rec.SegSize, nv)
 	}
 	return seg, nil
+}
+
+// restorable loads the manifest of step and checks this rank's segment.
+func (ck *checkpointer) restorable(step int64, nv int) (*ckManifest, error) {
+	man, err := ck.loadManifest(step)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := ck.openSegment(man, nv)
+	if err != nil {
+		return nil, err
+	}
+	return man, seg.Close()
 }
 
 // agreeRestoreStep is the rollback collective: each rank offers the
 // newest step it can restore (or the exact cfg.restoreStep) and the
 // world agrees on the minimum, so every rank restores the same boundary.
 // Step 0 means at least one rank has no usable checkpoint: the world
-// bootstraps fresh. The agreed step's manifest and this rank's decoded
-// snapshot are returned.
-func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
+// bootstraps fresh (nil manifest). nv is the rank's owned vertex count.
+func (ck *checkpointer) agreeRestoreStep(nv int) (*ckManifest, error) {
 	var local int64
 	var firstErr error
 	steps := []int64{ck.cfg.restoreStep}
@@ -390,11 +429,7 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 		steps = ck.manifestSteps()
 	}
 	for i := len(steps) - 1; i >= 0 && local == 0; i-- {
-		man, err := ck.loadManifest(steps[i])
-		if err == nil {
-			_, err = ck.restorable(man)
-		}
-		if err == nil {
+		if _, err := ck.restorable(steps[i], nv); err == nil {
 			local = steps[i]
 		} else if firstErr == nil {
 			firstErr = err
@@ -402,7 +437,7 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 	}
 	agreed, err := ck.c.AllreduceInt64s([]int64{local}, mpi.OpMin)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	step := agreed[0]
 	if step == 0 {
@@ -413,19 +448,15 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%w to restore it", mpi.ErrPeerFailed)
 			}
-			return nil, nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
+			return nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
 		}
-		return nil, nil, nil
+		return nil, nil
 	}
-	man, err := ck.loadManifest(step)
+	man, err := ck.restorable(step, nv)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: rank %d lost checkpoint manifest for agreed step %d: %w", ck.c.Rank(), step, err)
+		return nil, fmt.Errorf("core: rank %d lost checkpoint step %d after agreeing on it: %w", ck.c.Rank(), step, err)
 	}
-	st, err := ck.restorable(man)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: rank %d lost checkpoint snapshot for agreed step %d: %w", ck.c.Rank(), step, err)
-	}
-	return man, st, nil
+	return man, nil
 }
 
 // restore loads the agreed checkpoint into the empty engine e. It reports
@@ -438,7 +469,7 @@ func (ck *checkpointer) agreeRestoreStep() (*ckManifest, *snapState, error) {
 // and compares it to the manifest: the sanitizer's degree baseline
 // doubling as the restore integrity check.
 func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error) {
-	man, st, err := ck.agreeRestoreStep()
+	man, err := ck.agreeRestoreStep(len(e.verts))
 	if err != nil || man == nil {
 		return false, err
 	}
@@ -449,13 +480,7 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	if m >= 0 && man.M != m {
 		return false, fmt.Errorf("core: checkpoint step %d is for %d edges, this run has %d", step, man.M, m)
 	}
-	if err := e.validateSnapshot(st, ck.algo()); err != nil {
-		return false, err
-	}
-	if st.m != man.M || st.step != step {
-		return false, fmt.Errorf("core: snapshot for step %d disagrees with its manifest (m %d vs %d, step %d)", step, st.m, man.M, st.step)
-	}
-	ents, err := ck.readSegment(e, st)
+	ents, err := ck.readSegment(e, man)
 	if err != nil {
 		return false, err
 	}
@@ -467,19 +492,19 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	}
 	// finishLoad derived load-time values from the restored partition;
 	// reinstate the captured run state on top of it.
-	if e.origLocal != st.origLocal {
-		return false, fmt.Errorf("core: restored partition holds %d originals, snapshot recorded %d", e.origLocal, st.origLocal)
+	rec := &man.Ranks[ck.c.Rank()]
+	if e.origLocal != rec.Originals {
+		return false, fmt.Errorf("core: restored partition holds %d originals, the manifest's snapshot recorded %d", e.origLocal, rec.Originals)
 	}
-	e.initialEdges = st.initialEdges
-	e.stepsRun = st.step
-	e.restoredStep = st.step
-	e.opsInitiated, e.restarts, e.forfeited, e.msgsSent = st.opsInitiated, st.restarts, st.forfeited, st.msgsSent
-	e.flushes = st.flushes
-	if err := e.rnd.SetState(st.rnd); err != nil {
+	e.initialEdges = rec.InitialEdges
+	e.stepsRun, e.restoredStep = step, step
+	e.opsInitiated, e.restarts, e.forfeited, e.msgsSent = rec.Ops, rec.Restarts, rec.Forfeited, rec.Messages
+	e.flushes = rec.Flushes
+	if err := e.rnd.SetState(rec.RNG); err != nil {
 		return false, err
 	}
-	e.rand.restoreCursor(st.cursor)
-	// Every rank verified its snapshot and segment in restorable() before
+	e.rand.restoreCursor(rec.Cursor)
+	// Every rank verified its manifest and segment in restorable() before
 	// the step was agreed, so the per-rank load and decode error paths
 	// above fire only on a corruption race, where the whole restore is
 	// abandoned anyway.
@@ -488,17 +513,17 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 		return false, err
 	}
 	if degCRC != man.DegreeCRC {
-		return false, fmt.Errorf("core: rank %d restore of step %d: restored global degree sequence hashes to %08x, manifest recorded %08x — the checkpoint set is inconsistent (mixed steps or corrupted snapshot); delete step %d under %s and restore an earlier step",
+		return false, fmt.Errorf("core: rank %d restore of step %d: restored global degree sequence hashes to %08x, manifest recorded %08x — the checkpoint set is inconsistent (mixed steps or corrupted segments); delete step %d under %s and restore an earlier step",
 			ck.c.Rank(), step, degCRC, man.DegreeCRC, step, ck.dir)
 	}
 	ck.restoredStepSize = man.StepSize
 	return true, nil
 }
 
-// readSegment decodes the snapshot's segment file into the bulk loader's
-// entries for e's slots.
-func (ck *checkpointer) readSegment(e *rankEngine, st *snapState) ([]slotEdge, error) {
-	seg, err := ck.openSegment(st)
+// readSegment decodes this rank's segment file of man into the bulk
+// loader's entries for e's slots.
+func (ck *checkpointer) readSegment(e *rankEngine, man *ckManifest) ([]slotEdge, error) {
+	seg, err := ck.openSegment(man, len(e.verts))
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +535,7 @@ func (ck *checkpointer) readSegment(e *rankEngine, st *snapState) ([]slotEdge, e
 			ents = append(ents, slotEdge{slot: slot, v: v, orig: orig})
 			return true
 		}); err != nil {
-			return nil, fmt.Errorf("core: checkpoint segment of step %d, slot %d: %w", st.step, li, err)
+			return nil, fmt.Errorf("core: checkpoint segment of step %d, slot %d: %w", man.Step, li, err)
 		}
 	}
 	return ents, nil

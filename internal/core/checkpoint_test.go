@@ -1,12 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -213,29 +213,43 @@ func writeEquivalenceCheckpoints(t *testing.T, g *graph.Graph) (string, Config, 
 	return dir, cfg, steps[len(steps)-1]
 }
 
-// TestCheckpointCorruptSnapshotRejected: a flipped byte in one rank's
-// snapshot must fail the restore with an actionable CRC error instead of
-// resuming from corrupted state.
-func TestCheckpointCorruptSnapshotRejected(t *testing.T) {
-	g := testGraph(t, 9, 200, 600)
-	dir, cfg, step := writeEquivalenceCheckpoints(t, g)
-
-	snap := ckSnapPath(dir, step, 1)
-	data, err := os.ReadFile(snap)
+// flipRankRecord flips the last digit of rank r's first RNG state word
+// in a manifest file: the JSON still parses, so only the seal can tell.
+func flipRankRecord(t *testing.T, path string, r int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
+	pos := 0
+	for i := 0; i <= r; i++ {
+		at := bytes.Index(data[pos:], []byte(`"rng":[`))
+		if at < 0 {
+			t.Fatalf("%s holds no RNG state for rank %d", path, r)
+		}
+		pos += at + len(`"rng":[`)
+	}
+	pos += bytes.IndexByte(data[pos:], ',') - 1
+	data[pos] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCheckpointCorruptSnapshotRejected: a flipped byte in one rank's
+// record in the manifest must fail the restore with an actionable CRC
+// error instead of resuming from corrupted state.
+func TestCheckpointCorruptSnapshotRejected(t *testing.T) {
+	g := testGraph(t, 9, 200, 600)
+	dir, cfg, step := writeEquivalenceCheckpoints(t, g)
+	flipRankRecord(t, ckManifestPath(dir, step), 1)
 
 	cfg.Restore, cfg.restoreStep = true, step
-	_, err = Parallel(g, 3, cfg)
+	_, err := Parallel(g, 3, cfg)
 	if err == nil {
-		t.Fatal("corrupted snapshot restored")
+		t.Fatal("corrupted manifest restored")
 	}
-	if !strings.Contains(err.Error(), "cannot restore requested checkpoint step") {
+	if !strings.Contains(err.Error(), "cannot restore requested checkpoint step") || !strings.Contains(err.Error(), "manifest CRC mismatch") {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 
@@ -264,12 +278,12 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man ckManifest
-	if err := json.Unmarshal(data, &man); err != nil {
+	man, err := decodeManifest(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	man.DegreeCRC++
-	if data, err = json.Marshal(&man); err != nil {
+	if data, err = encodeManifest(man); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -286,109 +300,127 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotHeaderRoundTrip pins the binary snapshot codec at the
-// engine level: every resumable field and the segment identity survive
-// encode/decode, the file is exactly snapLen bytes and any other length
-// is refused first, the CRC32C trailer rejects any bit flip, and a
-// snapshot of an earlier format — version 1 (the 208-byte header with the
-// window controller's words) or version 2 (which could embed the
-// adjacency lists) — is refused by version, not misdecoded.
-func TestSnapshotHeaderRoundTrip(t *testing.T) {
-	g := testGraph(t, 12, 80, 320)
-	eng, w := newTestEngine(t, g)
-	defer w.Close()
-	sw := es(t, eng)
-	for i := 0; i < 5; i++ {
-		if err := sw.reinsert(sw.takeRandomEdge()); err != nil {
-			t.Fatal(err)
-		}
+// testManifest is a 3-rank manifest whose RNG state words lie above
+// 2^53, where a float64 JSON decoder would round them.
+func testManifest() *ckManifest {
+	man := &ckManifest{
+		Step: 7, Size: 3, N: 80, M: 320, Seed: 1<<63 + 5,
+		Algorithm: string(AlgoCurveball), Scheme: string(SchemeHPD),
+		StepSize: 1, DegreeCRC: 0xfeedc0de,
 	}
-	eng.stepsRun = 3
-	eng.opsInitiated = 17
-	eng.restarts = 2
-	eng.flushes = 9
+	for r := range man.Size {
+		man.Ranks = append(man.Ranks, ckRankRecord{
+			SegSize: 4711 + int64(r), SegCRC: 0xc0ffee00 + uint32(r),
+			RNG:    [4]uint64{1<<53 + 1, 1<<63 | uint64(r), math.MaxUint64, 0x9e3779b97f4a7c15},
+			Cursor: 1<<60 + 3, InitialEdges: 100, Originals: 90,
+			Ops: 17, Restarts: 2, Forfeited: 1, Messages: 40, Flushes: 9,
+		})
+	}
+	return man
+}
 
-	snap := eng.encodeSnapshot(segIdentity{size: 4711, crc: 0xfeedc0de})
-	if len(snap) != snapLen {
-		t.Fatalf("snapshot is %d bytes, want exactly %d", len(snap), snapLen)
-	}
-	st, err := decodeSnapshot(snap)
+// TestManifestRoundTrip pins the manifest codec: every field, RNG state
+// words above 2^53 included, survives encode/decode exactly; a flipped
+// byte inside a rank's record fails the CRC32C seal and a truncated file
+// fails to parse, each by name; a manifest with the wrong number of rank
+// records is refused; and an intact version-1 manifest is refused by
+// version.
+func TestManifestRoundTrip(t *testing.T) {
+	man := testManifest()
+	data, err := encodeManifest(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.step != 3 || st.opsInitiated != 17 || st.restarts != 2 || st.flushes != 9 {
-		t.Fatalf("counters did not round-trip: %+v", st)
-	}
-	if st.n != g.N() || st.m != g.M() || st.seed != eng.seed || st.nv != len(eng.verts) {
-		t.Fatalf("identity did not round-trip: %+v", st)
-	}
-	if st.initialEdges != eng.initialEdges || st.origLocal != eng.origLocal {
-		t.Fatalf("edge counters did not round-trip: %+v", st)
-	}
-	if st.rnd != eng.rnd.State() {
-		t.Fatal("RNG state did not round-trip")
-	}
-	if st.cursor != eng.rand.cursor() {
-		t.Fatal("randomizer cursor did not round-trip")
-	}
-	if st.seg != (segIdentity{size: 4711, crc: 0xfeedc0de}) {
-		t.Fatalf("segment identity did not round-trip: %+v", st.seg)
-	}
-	if err := eng.validateSnapshot(st, AlgoEdgeSwitch); err != nil {
+	got, err := decodeManifest(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.validateSnapshot(st, AlgoCurveball); err == nil {
-		t.Fatal("algorithm mismatch accepted")
+	if !reflect.DeepEqual(got, man) {
+		t.Fatalf("manifest did not round-trip:\n got %+v\nwant %+v", got, man)
 	}
 
-	for _, pos := range []int{6, 50, snapHeaderLen + 3, len(snap) - 2} {
-		bad := append([]byte(nil), snap...)
-		bad[pos] ^= 0x08
-		if _, err := decodeSnapshot(bad); err == nil {
-			t.Fatalf("bit flip at byte %d accepted", pos)
-		}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{nil, snap[:snapLen-1], append(append([]byte(nil), snap...), 0)} {
-		if _, err := decodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "is exactly 160") {
-			t.Fatalf("%d-byte snapshot: got %v, want the length error", len(bad), err)
+	flipRankRecord(t, path, 2)
+	flipped, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"flipped", flipped, "checkpoint manifest CRC mismatch"},
+		{"truncated", data[:len(data)/2], "checkpoint manifest does not parse"},
+		{"empty", nil, "checkpoint manifest does not parse"},
+		{"version 1", []byte(`{"version":1,"step":7,"size":1,"rank_crcs":[1],"degree_crc":2}`), "checkpoint manifest version 1, this binary reads 2"},
+	} {
+		if _, err := decodeManifest(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s manifest: got %v, want %q", tc.name, err, tc.want)
 		}
 	}
 
-	// Intact files from the previous formats: old version word, CRC valid.
-	for _, v := range []uint16{1, 2} {
-		old := append([]byte(nil), snap[:len(snap)-4]...)
-		binary.LittleEndian.PutUint16(old[4:], v)
-		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, castagnoli))
-		want := fmt.Sprintf("snapshot version %d, this binary reads 3", v)
-		if _, err := decodeSnapshot(old); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("version-%d snapshot: got %v, want %q", v, err, want)
-		}
+	short := testManifest()
+	short.Ranks = short.Ranks[:2]
+	if data, err = encodeManifest(short); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeManifest(data); err == nil || !strings.Contains(err.Error(), "2 rank records for a world of 3") {
+		t.Fatalf("short manifest: got %v", err)
 	}
 }
 
-// FuzzDecodeSnapshot: any bytes decode to a snapshot or a named error.
-// Each input also runs resealed (right length, magic, version and CRC
-// forced valid) so the field decoding behind the checks is reached.
+// FuzzDecodeSnapshot fuzzes the manifest decoder, a checkpoint's one
+// record: any bytes decode to a manifest or a named error. Each input
+// also fills every numeric field of a manifest, which resealed (encoded
+// with a valid CRC) must decode to itself.
 func FuzzDecodeSnapshot(f *testing.F) {
-	g := testGraph(f, 12, 80, 320)
-	eng, w := newTestEngine(f, g)
-	defer w.Close()
-	valid := eng.encodeSnapshot(segIdentity{size: 99, crc: 7})
+	valid, err := encodeManifest(testManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
-	f.Add(valid[:snapHeaderLen])
-	f.Add([]byte(snapMagic))
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{"version":1,"step":7,"size":1,"rank_crcs":[1],"degree_crc":2}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resealed := make([]byte, snapLen)
-		copy(resealed, data)
-		copy(resealed, snapMagic)
-		binary.LittleEndian.PutUint16(resealed[4:], snapVersion)
-		binary.LittleEndian.PutUint32(resealed[snapLen-4:], crc32.Checksum(resealed[:snapLen-4], castagnoli))
-		if _, err := decodeSnapshot(resealed); err != nil {
-			t.Fatalf("resealed snapshot refused: %v", err)
+		if man, err := decodeManifest(data); err != nil && !strings.HasPrefix(err.Error(), "core: checkpoint manifest ") {
+			t.Fatalf("unnamed refusal: %v", err)
+		} else if err == nil && (man.Size < 1 || len(man.Ranks) != man.Size) {
+			t.Fatalf("decoded %d rank records for a world of %d", len(man.Ranks), man.Size)
 		}
-		if st, err := decodeSnapshot(data); err == nil && len(data) != snapLen {
-			t.Fatalf("decoded a %d-byte snapshot: %+v", len(data), st)
+
+		off := 0
+		word := func() uint64 {
+			var b [8]byte
+			for i := range b {
+				if off < len(data) {
+					b[i] = data[off]
+				}
+				off++
+			}
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		man := testManifest()
+		man.Step, man.N, man.M, man.Seed = int64(word()), int(word()), int64(word()), word()
+		man.StepSize, man.DegreeCRC = int64(word()), uint32(word())
+		for r := range man.Ranks {
+			rec := &man.Ranks[r]
+			rec.SegSize, rec.SegCRC = int64(word()), uint32(word())
+			rec.RNG = [4]uint64{word(), word(), word(), word()}
+			rec.Cursor, rec.InitialEdges, rec.Originals = word(), int64(word()), int64(word())
+			rec.Ops, rec.Restarts, rec.Forfeited = int64(word()), int64(word()), int64(word())
+			rec.Messages, rec.Flushes = int64(word()), int64(word())
+		}
+		sealed, err := encodeManifest(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := decodeManifest(sealed); err != nil || !reflect.DeepEqual(got, man) {
+			t.Fatalf("resealed manifest: got %+v, %v; want %+v", got, err, man)
 		}
 	})
 }
@@ -397,7 +429,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // on the retention cutoff, not on still seeing the step's manifest —
 // rank 0 unlinks expired manifests concurrently with the peers' own
 // directory listings, so a manifest-keyed GC orphans the losing peer's
-// snapshot forever. A snapshot below the cutoff goes even when its
+// segment forever. A segment below the cutoff goes even when its
 // manifest is already gone.
 func TestCheckpointGCCutoff(t *testing.T) {
 	w, err := mpi.NewWorld(1)
@@ -411,15 +443,15 @@ func TestCheckpointGCCutoff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Snapshots for steps 1..5; steps 1 and 2 have no manifest (step 1
+	// Segments for steps 1..5; steps 1 and 2 have no manifest (step 1
 	// mimics the orphan a lost race leaves, step 2 a crashed commit).
 	for _, step := range []int64{1, 2, 3, 4, 5} {
-		if err := os.WriteFile(ckSnapPath(dir, step, 0), []byte("x"), 0o644); err != nil {
+		if err := os.WriteFile(ckSegPath(dir, step, 0), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A peer's snapshot is never this rank's to collect.
-	if err := os.WriteFile(ckSnapPath(dir, 1, 1), []byte("x"), 0o644); err != nil {
+	// A peer's segment is never this rank's to collect.
+	if err := os.WriteFile(ckSegPath(dir, 1, 1), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c *mpi.Comm) error {
@@ -441,9 +473,9 @@ func TestCheckpointGCCutoff(t *testing.T) {
 	want := []string{
 		filepath.Base(ckManifestPath(dir, 4)),
 		filepath.Base(ckManifestPath(dir, 5)),
-		filepath.Base(ckSnapPath(dir, 1, 1)),
-		filepath.Base(ckSnapPath(dir, 4, 0)),
-		filepath.Base(ckSnapPath(dir, 5, 0)),
+		filepath.Base(ckSegPath(dir, 1, 1)),
+		filepath.Base(ckSegPath(dir, 4, 0)),
+		filepath.Base(ckSegPath(dir, 5, 0)),
 	}
 	sort.Strings(names)
 	sort.Strings(want)
@@ -459,8 +491,8 @@ func TestCheckpointGCCutoff(t *testing.T) {
 
 // TestCheckpointGCBoundsDirectory: after a multi-rank run with the
 // default retention, the directory holds exactly the last two
-// checkpoints — keep×1 manifests, keep×ranks snapshots and as many
-// segments — with no stragglers from earlier boundaries.
+// checkpoints — keep×1 manifests and keep×ranks segments, nothing else —
+// with no stragglers from earlier boundaries.
 func TestCheckpointGCBoundsDirectory(t *testing.T) {
 	g := testGraph(t, 13, 200, 600)
 	dir := t.TempDir()
@@ -483,7 +515,7 @@ func TestCheckpointGCBoundsDirectory(t *testing.T) {
 		names = append(names, e.Name())
 		count[filepath.Ext(e.Name())]++
 	}
-	if len(names) != 10 || count[".json"] != 2 || count[".ck"] != 4 || count[".seg"] != 4 {
+	if len(names) != 6 || count[".json"] != 2 || count[".seg"] != 4 {
 		t.Fatalf("retention window violated: %v: %v", count, names)
 	}
 }

@@ -136,16 +136,15 @@ type partnerOp struct {
 // Named refusals of a record that does not fit the tables or the
 // protocol.
 var (
-	errOpRank      = errors.New("op rank out of range or not the expected rank")
-	errOpSlot      = errors.New("op window slot out of range")
-	errOpStale     = errors.New("unknown or stale op")
-	errOpBusy      = errors.New("partner slot already busy")
-	errMask        = errors.New("last-agent mask names no edge, or a relayed one both")
-	errSameEdge    = errors.New("last-agent edges are equal")
-	errNotOwner    = errors.New("edge not owned by the receiver")
-	errRelayLoop   = errors.New("relay target is the sender")
-	errAgent       = errors.New("reply from a rank that was not asked")
-	errRetiredKind = errors.New("retired two-phase-commit kind")
+	errOpRank    = errors.New("op rank out of range or not the expected rank")
+	errOpSlot    = errors.New("op window slot out of range")
+	errOpStale   = errors.New("unknown or stale op")
+	errOpBusy    = errors.New("partner slot already busy")
+	errMask      = errors.New("last-agent mask names no edge, or a relayed one both")
+	errSameEdge  = errors.New("last-agent edges are equal")
+	errNotOwner  = errors.New("edge not owned by the receiver")
+	errRelayLoop = errors.New("relay target is the sender")
+	errAgent     = errors.New("reply from a rank that was not asked")
 )
 
 // prepare clears the stall marks, rebuilds the selection prefix sums from

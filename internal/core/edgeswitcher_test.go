@@ -365,8 +365,8 @@ func TestRelayRefusals(t *testing.T) {
 	}
 	for k := byte(mAbortOp) + 1; k < byte(mOpDone); k++ {
 		frame := append([]byte{edgeRecLen, k}, make([]byte, edgeRecLen-1)...)
-		if err := r0.e.handle(mpi.Message{Src: 1, Data: frame}); !errors.Is(err, errRetiredKind) {
-			t.Errorf("retired kind %d: got %v, want %v", k, err, errRetiredKind)
+		if err := r0.e.handle(mpi.Message{Src: 1, Data: frame}); err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+			t.Errorf("unassigned kind %d: got %v, want the unknown-kind refusal", k, err)
 		}
 	}
 	if r0.inFlight() != 1 || r0.partnerLive != 1 || r0.custody.live[custReserved] > 1 {

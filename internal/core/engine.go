@@ -117,9 +117,9 @@ type rankEngine struct {
 	degDelta map[graph.Vertex]int32
 
 	// Checkpointing (Config.CheckpointDir): ckpt runs the per-boundary
-	// snapshot/manifest protocol after every CheckpointEvery-th completed
+	// segment/manifest protocol after every CheckpointEvery-th completed
 	// step; restoredStep records the boundary a restored run resumed from
-	// (0 for fresh runs) — see checkpoint.go and snapshot.go.
+	// (0 for fresh runs) — see checkpoint.go.
 	ckpt         *checkpointer
 	restoredStep int64
 
@@ -264,13 +264,13 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		// The boundary is the store's compaction point: no reads are
 		// outstanding, so a tiered store past its overlay budget can fold
 		// the overlay into a fresh base segment here. Runs before the
-		// checkpoint hook so a snapshot always links a current base.
+		// checkpoint hook so a checkpoint always links a current base.
 		if err := e.adj.EndStep(); err != nil {
 			return e.stepErr(step, "store compaction", err)
 		}
 		if save {
 			// The boundary is a consistent cut: the plane is empty and the
-			// randomizer quiescent (checkStepInvariants), so the snapshot
+			// randomizer quiescent (checkStepInvariants), so the checkpoint
 			// protocol runs here, between steps.
 			if err := e.ckpt.save(e, stepSize); err != nil {
 				return e.stepErr(step, "checkpoint", err)

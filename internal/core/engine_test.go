@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"testing"
@@ -317,14 +318,19 @@ func TestOpWindowSize(t *testing.T) {
 	}
 }
 
-// walkHash fingerprints a partition in store order: FNV-1a over every
-// (u, v, original) record Walk yields, slot by slot.
+// walkHash fingerprints a partition in store order: FNV-1a over a 9-byte
+// record per entry Walk yields, slot by slot — u and v little-endian,
+// then 1 for an original entry.
 func walkHash(e *rankEngine) uint64 {
 	h := fnv.New64a()
 	for li, u := range e.verts {
 		e.adj.Walk(li, func(v graph.Vertex, orig bool) bool {
 			var rec [9]byte
-			putEdge(rec[:], graph.Edge{U: u, V: v}, orig)
+			binary.LittleEndian.PutUint32(rec[0:], uint32(u))
+			binary.LittleEndian.PutUint32(rec[4:], uint32(v))
+			if orig {
+				rec[8] = 1
+			}
 			h.Write(rec[:])
 			return true
 		})

@@ -42,9 +42,8 @@ const (
 	// mAbortOp: partner → initiator. The operation was rejected
 	// (useless/loop/parallel-edge/empty partition); restart with a new pair.
 	mAbortOp
-	// Kinds 3–9 were the two-phase-commit round of an older protocol
-	// (reserve, reserveOK, reserveFail, commit, commitAck, release,
-	// releaseAck); a record carrying one is refused with errRetiredKind.
+	// Kinds 3–9 are unassigned, so the kinds below keep their wire
+	// values; a record carrying one is refused as an unknown kind.
 	//
 	// mOpDone: partner → initiator. Switch committed everywhere.
 	mOpDone msgKind = iota + 8
@@ -187,10 +186,7 @@ func decodeOpMsg(data []byte) (opMsg, error) {
 		return opMsg{}, fmt.Errorf("core: empty op message")
 	}
 	kind := msgKind(data[0])
-	switch {
-	case kind > mAbortOp && kind < mOpDone:
-		return opMsg{}, fmt.Errorf("core: message kind %d: %w", data[0], errRetiredKind)
-	case kind < mSelectSecond || kind > mResumed:
+	if kind < mSelectSecond || kind > mResumed || kind > mAbortOp && kind < mOpDone {
 		return opMsg{}, fmt.Errorf("core: unknown message kind %d", data[0])
 	}
 	if len(data) != recLen(kind) {

@@ -101,13 +101,14 @@ type Config struct {
 	// byte-identical to pergen.New(spec).Full() at every rank count.
 	DistributedGen *pergen.Spec
 	// CheckpointDir, when set, enables step-boundary checkpointing: every
-	// CheckpointEvery-th completed step, each rank writes its partition,
-	// RNG position and randomizer cursor to a per-rank snapshot file in
-	// this directory (CRC32C trailer, atomic rename), and rank 0 commits
-	// a manifest only after every rank's file CRC has been acknowledged
-	// through a collective — so a crash at any point leaves the previous
-	// checkpoint restorable. All ranks must see the same directory (a
-	// shared filesystem, or one machine). See DESIGN.md §6.
+	// CheckpointEvery-th completed step, each rank writes its partition
+	// to a segment file in this directory (CRC32C trailer, atomic rename)
+	// and sends rank 0 its record — segment identity, RNG position,
+	// randomizer cursor, counters — and rank 0 commits a CRC32C-sealed
+	// manifest holding every record only when all ranks sent one, so a
+	// crash at any point leaves the previous checkpoint restorable. All
+	// ranks must see the same directory (a shared filesystem, or one
+	// machine). See DESIGN.md §6.
 	CheckpointDir string
 	// CheckpointEvery is the number of completed steps between
 	// checkpoints. 0 means 1 (every boundary) when CheckpointDir is set;
@@ -525,16 +526,10 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func() *Baseline) 
 		return res, nil
 	}
 
-	// Ship local edges (with original flags) to rank 0 and reassemble.
-	payload := make([]byte, 0, 9*len(eng.verts))
+	// Ship the partition to rank 0 in the segment codec and reassemble.
+	var payload []byte
 	for li := range eng.verts {
-		u := eng.verts[li]
-		eng.adj.Walk(li, func(v graph.Vertex, orig bool) bool {
-			var rec [9]byte
-			putEdge(rec[:], graph.Edge{U: u, V: v}, orig)
-			payload = append(payload, rec[:]...)
-			return true
-		})
+		payload = eng.adj.AppendList(payload, li)
 	}
 	parts, err := c.Gather(0, payload)
 	if err != nil {
@@ -543,7 +538,7 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func() *Baseline) 
 	if c.Rank() != 0 {
 		return nil, nil
 	}
-	out, err := reassemble(eng.n, parts, cfg.Seed)
+	out, err := reassemble(eng.n, pt, parts, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -561,46 +556,4 @@ func runEngine(eng *rankEngine, t int64, cfg Config, baseline func() *Baseline) 
 	res.Graph = out
 	res.VisitRate = VisitRate(out.Originals(), eng.m)
 	return res, nil
-}
-
-// flaggedEdge pairs an edge with its original-vs-modified flag while
-// edges move between the driver and the ranks.
-type flaggedEdge struct {
-	e    graph.Edge
-	orig bool
-}
-
-// parseEdges decodes the 9-byte (u, v, flag) records of a gathered
-// partition payload.
-func parseEdges(payload []byte) ([]flaggedEdge, error) {
-	if len(payload)%9 != 0 {
-		return nil, fmt.Errorf("core: edge payload length %d not a multiple of 9", len(payload))
-	}
-	out := make([]flaggedEdge, 0, len(payload)/9)
-	for off := 0; off < len(payload); off += 9 {
-		out = append(out, flaggedEdge{
-			e:    graph.Edge{U: graph.Vertex(getU32(payload[off:])), V: graph.Vertex(getU32(payload[off+4:]))},
-			orig: payload[off+8] == 1,
-		})
-	}
-	return out, nil
-}
-
-func putEdge(buf []byte, e graph.Edge, orig bool) {
-	putU32(buf[0:], uint32(e.U))
-	putU32(buf[4:], uint32(e.V))
-	if orig {
-		buf[8] = 1
-	}
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

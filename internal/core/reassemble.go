@@ -2,91 +2,70 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"edgeswitch/internal/graph"
+	"edgeswitch/internal/partition"
 	"edgeswitch/internal/rng"
 )
 
-// reassemble rebuilds the global switched graph from the per-rank edge
-// payloads gathered at rank 0. The edge-at-a-time rebuild was a serial
-// tail on large graphs (every record paid a flat-slot or treap insert
-// plus a counted-tree degree update on one core), so it is sharded: decode
-// workers parse each rank's 9-byte records in parallel and bucket them
-// by U mod W, then W shard workers bulk-insert their buckets through
-// graph.InsertUnindexed — safe concurrently because distinct shards
-// touch disjoint vertices — and one O(n) Reindex rebuilds the degree
-// index and counters.
-func reassemble(n int, parts [][]byte, seed uint64) (*graph.Graph, error) {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 1 {
-		shards = 1
-	}
-	if n > 0 && shards > n {
-		shards = n
-	}
-
-	// Stage 1: decode and validate each part, bucketing by shard.
-	buckets := make([][][]flaggedEdge, len(parts)) // [part][shard]
-	decErrs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for pi, pb := range parts {
-		wg.Add(1)
-		go func(pi int, pb []byte) {
-			defer wg.Done()
-			fes, err := parseEdges(pb)
-			if err != nil {
-				decErrs[pi] = err
-				return
-			}
-			bk := make([][]flaggedEdge, shards)
-			for _, fe := range fes {
-				e := fe.e
-				if e.U < 0 || e.U >= e.V || int(e.V) >= n {
-					decErrs[pi] = fmt.Errorf("core: reassembly: rank %d shipped invalid edge %v", pi, e)
-					return
-				}
-				s := int(e.U) % shards
-				bk[s] = append(bk[s], fe)
-			}
-			buckets[pi] = bk
-		}(pi, pb)
-	}
-	wg.Wait()
-	for _, err := range decErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Stage 2: shard workers insert concurrently. Iterating parts in
-	// rank order gives each shard a fixed record order and a private
-	// seed-derived priority stream, so the rebuilt structure does not
-	// depend on goroutine scheduling.
+// reassemble rebuilds the global switched graph from the partitions
+// gathered at rank 0. parts[r] is rank r's lists in slot order, in the
+// segment codec (Store.AppendList); the slot→vertex order comes from the
+// partitioner every rank shares. One goroutine per part walks its lists
+// straight into graph.InsertUnindexed — safe concurrently because parts
+// own disjoint vertices — with a private seed-derived priority stream, so
+// the rebuilt structure does not depend on goroutine scheduling; one O(n)
+// Reindex then rebuilds the degree index and counters. Gathered bytes
+// come from peers: a part cut short (or any list the codec refuses), a
+// neighbour outside the vertex range and bytes after a part's last list
+// are refused, naming the rank.
+func reassemble(n int, pt partition.Partitioner, parts [][]byte, seed uint64) (*graph.Graph, error) {
 	out := graph.New(n)
-	insErrs := make([]error, shards)
-	for s := 0; s < shards; s++ {
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for pi, data := range parts {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			r := rng.Split(seed, (1<<21)+s)
-			for pi := range buckets {
-				for _, fe := range buckets[pi][s] {
-					if !out.InsertUnindexed(fe.e, fe.orig, r.Uint32()) {
-						insErrs[s] = fmt.Errorf("core: reassembly found duplicate edge %v", fe.e)
-						return
-					}
-				}
-			}
-		}(s)
+			errs[pi] = reassemblePart(out, pi, partition.LocalVertices(pt, n, pi), data, rng.Split(seed, (1<<21)+pi))
+		}()
 	}
 	wg.Wait()
-	for _, err := range insErrs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	out.Reindex()
 	return out, nil
+}
+
+// reassemblePart inserts rank pi's lists, one per vertex of verts, into
+// out. The codec's lists are strictly ascending above their owner, so
+// every in-range entry is a new normalized edge.
+func reassemblePart(out *graph.Graph, pi int, verts []graph.Vertex, data []byte, r *rng.RNG) error {
+	n := graph.Vertex(out.N())
+	for _, u := range verts {
+		var outside error
+		rest, err := graph.WalkAdjSetBytes(data, u, func(v graph.Vertex, orig bool) bool {
+			if v >= n {
+				outside = fmt.Errorf("core: reassembly: rank %d shipped neighbour %d of vertex %d, outside the %d vertices", pi, v, u, n)
+				return false
+			}
+			out.InsertUnindexed(graph.Edge{U: u, V: v}, orig, r.Uint32())
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("core: reassembly: rank %d, list of vertex %d: %w", pi, u, err)
+		}
+		if outside != nil {
+			return outside
+		}
+		data = rest
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("core: reassembly: rank %d shipped %d bytes after its last list", pi, len(data))
+	}
+	return nil
 }

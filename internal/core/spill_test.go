@@ -172,19 +172,21 @@ func requireNoSpillLeft(t *testing.T, spillDir string) {
 }
 
 // TestCheckpointStoreMatrix: a checkpoint has one partition format (a
-// segment file next to a fixed-size snapshot) and a restore one loader
-// (loadSlotEdges), whichever store wrote it and whichever store resumes
-// it. For every deterministic configuration, a reference run under each
-// store checkpoints at its cadence; each checkpoint is then restored under
-// each store and must end bit-identical to the uninterrupted run — edge
-// flags, EdgeHash, ops and restarts. Crash recovery cannot depend on the
-// survivor being configured like the victim. The sanitized rows
+// segment file per rank, named by its record in the step's manifest) and
+// a restore one loader (loadSlotEdges), whichever store wrote it and
+// whichever store resumes it. For every deterministic configuration, a
+// reference run under each store checkpoints at its cadence; each
+// checkpoint is then restored under each store and must end
+// bit-identical to the uninterrupted run — edge flags, EdgeHash, ops
+// and restarts. Crash recovery cannot depend on the survivor being
+// configured like the victim. The sanitized rows
 // checkpoint every boundary; the unsanitized curveball rows checkpoint
 // every second one, so their odd boundaries carry the partition to the
 // next round outside the store and the even ones fill it for the
-// snapshot.
+// checkpoint.
 //
-// The corruption rows damage rank 0's files of the newest checkpoint.
+// The corruption rows damage the newest checkpoint: rank 0's record in
+// its manifest, the manifest as a whole, or rank 0's segment.
 // Demanding that exact step must fail naming the cause — and, restoring
 // into a spill world, leave no spill directory behind although every
 // rank's store existed when the step was refused; restoring the newest
@@ -236,10 +238,14 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 			t.Fatalf("%d checkpoints over %d steps at every %d, want %d", len(steps), nsteps, tc.every, want)
 		}
 		for _, step := range steps {
+			data, err := os.ReadFile(ckManifestPath(cfg.CheckpointDir, step))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if man, err := decodeManifest(data); err != nil || len(man.Ranks) != tc.ranks {
+				t.Fatalf("step %d: manifest does not hold %d rank records: %v", step, tc.ranks, err)
+			}
 			for r := 0; r < tc.ranks; r++ {
-				if fi, err := os.Stat(ckSnapPath(cfg.CheckpointDir, step, r)); err != nil || fi.Size() != snapLen {
-					t.Fatalf("step %d rank %d: snapshot is not the fixed %d-byte record: %v", step, r, snapLen, err)
-				}
 				if _, err := os.Stat(ckSegPath(cfg.CheckpointDir, step, r)); err != nil {
 					t.Fatalf("step %d rank %d: no checkpoint segment: %v", step, r, err)
 				}
@@ -298,12 +304,12 @@ func TestCheckpointStoreMatrix(t *testing.T) {
 		damage func(t *testing.T, dir string, last int64)
 		want   string // names the cause in the exact-step error
 	}{
-		{"ck-byte-flipped", func(t *testing.T, dir string, last int64) {
-			rewrite(t, ckSnapPath(dir, last, 0), flipMiddle)
-		}, "snapshot CRC mismatch"},
-		{"ck-truncated", func(t *testing.T, dir string, last int64) {
-			rewrite(t, ckSnapPath(dir, last, 0), func(data []byte) []byte { return data[:snapHeaderLen] })
-		}, "is exactly 160"},
+		{"manifest-record-flipped", func(t *testing.T, dir string, last int64) {
+			flipRankRecord(t, ckManifestPath(dir, last), 0)
+		}, "manifest CRC mismatch"},
+		{"manifest-truncated", func(t *testing.T, dir string, last int64) {
+			rewrite(t, ckManifestPath(dir, last), func(data []byte) []byte { return data[:len(data)/2] })
+		}, "manifest does not parse"},
 		{"seg-byte-flipped", func(t *testing.T, dir string, last int64) {
 			rewrite(t, ckSegPath(dir, last, 0), flipMiddle)
 		}, "CRC mismatch"},

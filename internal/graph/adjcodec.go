@@ -5,14 +5,13 @@ import (
 	"fmt"
 )
 
-// Compact adjacency serialization shared by checkpoints and the tiered
-// edge store's base segments: one reduced adjacency list is encoded as a
+// Compact adjacency serialization shared by checkpoints, the tiered
+// edge store's base segments and the result gather: one reduced adjacency list is encoded as a
 // uvarint entry count followed by one uvarint per entry,
 // (gap << 1) | originalFlag, where gap is the key's distance from its
 // predecessor (the owner vertex for the first entry). Reduced
 // adjacencies hold strictly ascending neighbours > owner, so every gap
-// is >= 1 and small keys cost one byte; a partition round-trips in a
-// fraction of the 9-byte-per-edge wire records. Treap priorities are
+// is >= 1 and small keys cost one byte. Treap priorities are
 // deliberately NOT encoded: uniform edge selection goes through
 // key-order statistics (Fenwick prefix + Kth), so priorities shape only
 // the treap's internal form, and a restore may draw fresh ones.

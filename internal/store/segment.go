@@ -31,9 +31,8 @@ const (
 	segHeaderLen = 16
 )
 
-// castagnoli is the CRC32C table; the same polynomial the checkpoint
-// snapshots use, so the whole durability layer shares one checksum
-// family.
+// castagnoli is the CRC32C table; the same polynomial seals checkpoint
+// manifests, so the whole durability layer shares one checksum family.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segName names generation g's base segment; generations only grow.
@@ -136,8 +135,8 @@ func (s *Segment) NV() int { return s.nv }
 // Size reports the on-disk byte size.
 func (s *Segment) Size() int64 { return int64(len(s.data)) }
 
-// CRC reports the trailer CRC32C — the identity checkpoint manifests
-// record to bind a snapshot to its hard-linked segment.
+// CRC reports the trailer CRC32C — the identity a checkpoint manifest
+// records for each rank's segment.
 func (s *Segment) CRC() uint32 { return s.crc }
 
 // Path reports the file backing the mapping.

@@ -62,6 +62,10 @@ type Store interface {
 	BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool)
 	// BuildSortedFlagged is BuildSorted with per-entry flags.
 	BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool)
+	// AppendList appends slot li's list in the segment codec
+	// (graph.AppendAdjSet) to buf and returns the extended slice: an
+	// in-memory slot is encoded, a base list copied verbatim.
+	AppendList(buf []byte, li int) []byte
 	// SaveSegment publishes the whole partition as a segment file at path
 	// (replacing any file there) and reports the file's size and trailer
 	// CRC32C — a checkpoint's partition image. Call between steps.

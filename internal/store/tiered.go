@@ -485,27 +485,30 @@ func (t *Tiered) Compact() error {
 	return nil
 }
 
-// writeSlots writes every slot in slot order into a new segment at path
-// — overlay slots encoded, unpromoted slots' base lists copied verbatim —
-// and returns it finalized and mapped.
+// writeSlots writes every slot in slot order (AppendList) into a new
+// segment at path and returns it finalized and mapped.
 func (t *Tiered) writeSlots(path string) (*Segment, error) {
 	w, err := NewSegmentWriter(path, len(t.verts))
 	if err != nil {
 		return nil, err
 	}
 	for li := range t.verts {
-		if t.inOverlay(li) {
-			t.encBuf = t.overlay[li].AppendAdjSet(t.encBuf[:0], t.verts[li])
-			err = w.Append(t.encBuf)
-		} else {
-			err = w.Append(t.list(li))
-		}
-		if err != nil {
+		t.encBuf = t.AppendList(t.encBuf[:0], li)
+		if err := w.Append(t.encBuf); err != nil {
 			w.Abort()
 			return nil, err
 		}
 	}
 	return w.Finalize()
+}
+
+// AppendList implements Store.
+func (t *Tiered) AppendList(buf []byte, li int) []byte {
+	t.ensureLoaded()
+	if t.inOverlay(li) {
+		return t.overlay[li].AppendAdjSet(buf, t.verts[li])
+	}
+	return append(buf, t.list(li)...)
 }
 
 // SaveSegment implements Store. With a directory the base segment is

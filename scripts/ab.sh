@@ -4,7 +4,8 @@
 #
 #   scripts/ab.sh PARENT_REV WORKLOAD [PAIRS]      (or: make ab PARENT=… WORKLOAD=… PAIRS=…)
 #
-# The parent is exported with `git archive` into .bench_build/ab-<rev>/.
+# The parent is exported with `git archive` into .bench_build/ab-<rev>/;
+# every other export and table under .bench_build/ is removed at start.
 # The change side is snapshotted once, at the start: its tracked and
 # untracked, non-ignored files are written as a git tree (through a
 # scratch index, so the real index and the refs are untouched) and
@@ -45,6 +46,11 @@ if [ ! -d "$cdir" ]; then
 	mkdir -p "$cdir"
 	git -C "$root" archive "$tree" | tar -x -C "$cdir"
 fi
+# Each export carries its own build cache (~60 MB): keep only this
+# invocation's parent and change exports and the parent's tables.
+for d in "$root"/.bench_build/ab-* "$root"/.bench_build/profile-*; do
+	case "$d" in "$pdir" | "$cdir" | "$pdir"-*.tsv) ;; *) rm -rf "$d" ;; esac
+done
 printf 'change snapshot %s (%s) vs parent %s\n' "$snap" "$cdir" "$rev"
 
 # one W SIDE DIR PAIR: run workload W once, append "pair side metric value"

@@ -5,7 +5,8 @@
 #   scripts/profile.sh PARENT_REV [edgeswitch args…]     (or: make profile PARENT=…)
 #
 # The parent is exported with `git archive` into .bench_build/ab-<rev>/
-# (the tree scripts/ab.sh uses), an `edgeswitch` binary is built from each
+# (the tree scripts/ab.sh uses; every other export under .bench_build/ is
+# removed at start), an `edgeswitch` binary is built from each
 # side, and each runs seeds 1–5 with -cpuprofile, alternating who goes
 # first. Prints each side's merged `go tool pprof -top` top-15 list, whose
 # header carries the total sample seconds. The default args are the es-pa
@@ -26,7 +27,11 @@ if [ ! -d "$pdir" ]; then
 	git -C "$root" archive "$rev" | tar -x -C "$pdir"
 fi
 out="$root/.bench_build/profile-$rev"
-rm -rf "$out"
+# Each export carries its own build cache (~60 MB): keep only the parent
+# export this invocation uses.
+for d in "$root"/.bench_build/ab-* "$root"/.bench_build/profile-*; do
+	[ "$d" = "$pdir" ] || rm -rf "$d"
+done
 mkdir -p "$out"
 (cd "$pdir" && go build -o "$out/parent" ./cmd/edgeswitch)
 (cd "$root" && go build -o "$out/change" ./cmd/edgeswitch)
