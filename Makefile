@@ -8,7 +8,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build fmt vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab profile loc clean
+.PHONY: check build fmt vet esvet test esbench race racedist fuzz bench benchsmoke largesmoke spillsmoke ab profile loc cover clean
 
 check: build fmt vet esvet test esbench race racedist
 
@@ -128,6 +128,13 @@ profile:
 # root module (cmd/esbench is its own module). Not part of `make check`.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/esbench/*' -not -path './.bench_build/*' -not -path '*/testdata/*' | xargs cat | wc -l
+
+# Statement coverage merged across test binaries (a block is covered if
+# any package's tests ran it): the module total, then the 10 files with
+# the most unrun statements (scripts/cover.sh). Not part of `make check`
+# or CI; a full test run, ~1-2 min.
+cover:
+	bash scripts/cover.sh
 
 clean:
 	$(GO) clean ./...

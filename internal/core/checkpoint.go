@@ -382,62 +382,63 @@ func (ck *checkpointer) loadManifest(step int64) (*ckManifest, error) {
 	return man, nil
 }
 
-// openSegment opens the segment file of this rank's record in man with a
-// full content hash (store.OpenSegment) and checks it is the file the
-// record names (size + CRC32C) with one list per owned vertex (nv). A
-// damaged file thus makes the step non-restorable (or, for an exact
-// restoreStep request, an actionable error) rather than failing
-// mid-restore.
-func (ck *checkpointer) openSegment(man *ckManifest, nv int) (*store.Segment, error) {
+// openStep loads the manifest of step and opens this rank's segment file
+// with a full content hash (store.OpenSegment), checking it is the file
+// the manifest's record names (size + CRC32C) with one list per owned
+// vertex (nv). A damaged file thus makes the step non-restorable (or, for
+// an exact restoreStep request, an actionable error) rather than failing
+// mid-restore. The caller closes the segment.
+func (ck *checkpointer) openStep(step int64, nv int) (*ckManifest, *store.Segment, error) {
+	man, err := ck.loadManifest(step)
+	if err != nil {
+		return nil, nil, err
+	}
 	rec := &man.Ranks[ck.c.Rank()]
-	path := ckSegPath(ck.dir, man.Step, ck.c.Rank())
+	path := ckSegPath(ck.dir, step, ck.c.Rank())
 	seg, err := store.OpenSegment(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if seg.CRC() != rec.SegCRC || seg.Size() != rec.SegSize || seg.NV() != nv {
 		_ = seg.Close()
-		return nil, fmt.Errorf("core: checkpoint segment %s is (crc %08x, %d bytes, %d slots), the manifest's snapshot recorded (crc %08x, %d bytes) for %d owned vertices",
+		return nil, nil, fmt.Errorf("core: checkpoint segment %s is (crc %08x, %d bytes, %d slots), the manifest's snapshot recorded (crc %08x, %d bytes) for %d owned vertices",
 			path, seg.CRC(), seg.Size(), seg.NV(), rec.SegCRC, rec.SegSize, nv)
 	}
-	return seg, nil
-}
-
-// restorable loads the manifest of step and checks this rank's segment.
-func (ck *checkpointer) restorable(step int64, nv int) (*ckManifest, error) {
-	man, err := ck.loadManifest(step)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := ck.openSegment(man, nv)
-	if err != nil {
-		return nil, err
-	}
-	return man, seg.Close()
+	return man, seg, nil
 }
 
 // agreeRestoreStep is the rollback collective: each rank offers the
 // newest step it can restore (or the exact cfg.restoreStep) and the
 // world agrees on the minimum, so every rank restores the same boundary.
-// Step 0 means at least one rank has no usable checkpoint: the world
-// bootstraps fresh (nil manifest). nv is the rank's owned vertex count.
-func (ck *checkpointer) agreeRestoreStep(nv int) (*ckManifest, error) {
+// It returns the agreed manifest with this rank's segment, verified and
+// open: the one offered when the world agreed on it, else the agreed
+// older step's, opened once. Step 0 means at least one rank has no usable
+// checkpoint: the world bootstraps fresh (nil manifest). nv is the rank's
+// owned vertex count.
+func (ck *checkpointer) agreeRestoreStep(nv int) (*ckManifest, *store.Segment, error) {
 	var local int64
+	var man *ckManifest
+	var seg *store.Segment
 	var firstErr error
 	steps := []int64{ck.cfg.restoreStep}
 	if ck.cfg.restoreStep <= 0 {
 		steps = ck.manifestSteps()
 	}
-	for i := len(steps) - 1; i >= 0 && local == 0; i-- {
-		if _, err := ck.restorable(steps[i], nv); err == nil {
+	for i := len(steps) - 1; i >= 0 && seg == nil; i-- {
+		var err error
+		if man, seg, err = ck.openStep(steps[i], nv); err == nil {
 			local = steps[i]
 		} else if firstErr == nil {
 			firstErr = err
 		}
 	}
 	agreed, err := ck.c.AllreduceInt64s([]int64{local}, mpi.OpMin)
+	if seg != nil && (err != nil || agreed[0] != local) {
+		_ = seg.Close()
+		seg = nil
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	step := agreed[0]
 	if step == 0 {
@@ -448,15 +449,16 @@ func (ck *checkpointer) agreeRestoreStep(nv int) (*ckManifest, error) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%w to restore it", mpi.ErrPeerFailed)
 			}
-			return nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
+			return nil, nil, fmt.Errorf("core: rank %d cannot restore requested checkpoint step %d: %w", ck.c.Rank(), ck.cfg.restoreStep, firstErr)
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
-	man, err := ck.restorable(step, nv)
-	if err != nil {
-		return nil, fmt.Errorf("core: rank %d lost checkpoint step %d after agreeing on it: %w", ck.c.Rank(), step, err)
+	if seg == nil {
+		if man, seg, err = ck.openStep(step, nv); err != nil {
+			return nil, nil, fmt.Errorf("core: rank %d lost checkpoint step %d after agreeing on it: %w", ck.c.Rank(), step, err)
+		}
 	}
-	return man, nil
+	return man, seg, nil
 }
 
 // restore loads the agreed checkpoint into the empty engine e. It reports
@@ -469,8 +471,12 @@ func (ck *checkpointer) agreeRestoreStep(nv int) (*ckManifest, error) {
 // and compares it to the manifest: the sanitizer's degree baseline
 // doubling as the restore integrity check.
 func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error) {
-	man, err := ck.agreeRestoreStep(len(e.verts))
+	man, seg, err := ck.agreeRestoreStep(len(e.verts))
 	if err != nil || man == nil {
+		return false, err
+	}
+	ents, err := ck.readSegment(e, man.Step, seg)
+	if err != nil {
 		return false, err
 	}
 	step := man.Step
@@ -479,10 +485,6 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	}
 	if m >= 0 && man.M != m {
 		return false, fmt.Errorf("core: checkpoint step %d is for %d edges, this run has %d", step, man.M, m)
-	}
-	ents, err := ck.readSegment(e, man)
-	if err != nil {
-		return false, err
 	}
 	if ents, err = e.sortSlotEdges(ents, nil, false); err != nil {
 		return false, err
@@ -504,7 +506,7 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 		return false, err
 	}
 	e.rand.restoreCursor(rec.Cursor)
-	// Every rank verified its manifest and segment in restorable() before
+	// Every rank verified its manifest and segment in openStep() before
 	// the step was agreed, so the per-rank load and decode error paths
 	// above fire only on a corruption race, where the whole restore is
 	// abandoned anyway.
@@ -520,13 +522,9 @@ func (ck *checkpointer) restore(e *rankEngine, m int64, cfg Config) (bool, error
 	return true, nil
 }
 
-// readSegment decodes this rank's segment file of man into the bulk
-// loader's entries for e's slots.
-func (ck *checkpointer) readSegment(e *rankEngine, man *ckManifest) ([]slotEdge, error) {
-	seg, err := ck.openSegment(man, len(e.verts))
-	if err != nil {
-		return nil, err
-	}
+// readSegment decodes this rank's open segment of step into the bulk
+// loader's entries for e's slots, and closes it.
+func (ck *checkpointer) readSegment(e *rankEngine, step int64, seg *store.Segment) ([]slotEdge, error) {
 	defer seg.Close()
 	var ents []slotEdge
 	for li, u := range e.verts {
@@ -535,7 +533,7 @@ func (ck *checkpointer) readSegment(e *rankEngine, man *ckManifest) ([]slotEdge,
 			ents = append(ents, slotEdge{slot: slot, v: v, orig: orig})
 			return true
 		}); err != nil {
-			return nil, fmt.Errorf("core: checkpoint segment of step %d, slot %d: %w", man.Step, li, err)
+			return nil, fmt.Errorf("core: checkpoint segment of step %d, slot %d: %w", step, li, err)
 		}
 	}
 	return ents, nil

@@ -107,14 +107,14 @@ type rankEngine struct {
 	sb sendBuffer
 
 	// Invariant sanitizer (Config.CheckInvariants): when sanitize is set,
-	// baseDeg records the global degree sequence at load time, degDelta
-	// accumulates local degree changes between step boundaries for the
-	// sparse conservation check fused into stepExchange, and the full
+	// baseDeg records the global degree sequence at load time, degSig
+	// fingerprints the local degree changes since the last step boundary
+	// for the conservation check fused into stepExchange, and the full
 	// state is re-verified against baseDeg at the end of the run (see
 	// sanitize.go and stepsync.go).
 	sanitize bool
 	baseDeg  []int64
-	degDelta map[graph.Vertex]int32
+	degSig   int64
 
 	// Checkpointing (Config.CheckpointDir): ckpt runs the per-boundary
 	// segment/manifest protocol after every CheckpointEvery-th completed
@@ -169,9 +169,6 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 	e.sb.init(c)
 	e.drainEach = e.drainEntry
 	e.load.cnt = make([]int32, n+1)
-	if e.sanitize {
-		e.degDelta = make(map[graph.Vertex]int32)
-	}
 	e.slot = make([]int32, n)
 	for v := range e.slot {
 		e.slot[v] = ^int32(pt.Owner(graph.Vertex(v)))
@@ -213,9 +210,9 @@ func (e *rankEngine) finishLoad(m int64, ents []slotEdge, cfg Config) error {
 // boundary costs exactly one collective, the fused stepExchange: it
 // carries the edge counts prepare needs (step quotas are drawn from them,
 // not exchanged), the global originals sum for visit-rate targeting, and,
-// in sanitized runs, the sparse degree-delta conservation check — a
-// step's deltas are verified by the next boundary's exchange, and the
-// final step by the full verifyBaseline pass at the end of the run.
+// in sanitized runs, the degree fingerprint — a step's moves are verified
+// by the next boundary's exchange, and the final step's by the full
+// verifyBaseline pass at the end of the run.
 func (e *rankEngine) run(t, stepSize int64) error {
 	if e.sanitize {
 		if err := e.recordBaseline(); err != nil {
@@ -413,10 +410,10 @@ func (e *rankEngine) localSlot(u graph.Vertex) (int, bool) {
 }
 
 // takeLocal removes a uniform random local edge, returning it with its
-// original flag. The fused accounting (degree Fenwick, sanitizer delta,
-// originals counter) is what makes the sanitizer and the visit-rate
-// exchange algorithm-agnostic: any randomizer that mutates storage only
-// through these helpers keeps both exact.
+// original flag. The fused accounting (degree Fenwick, sanitizer
+// fingerprint, originals counter) is what makes the sanitizer and the
+// visit-rate exchange algorithm-agnostic: any randomizer that mutates
+// storage only through these helpers keeps both exact.
 func (e *rankEngine) takeLocal() (graph.Edge, bool) {
 	slot, offset := e.deg.FindByPrefix(e.rnd.Int64n(e.deg.Total()))
 	v, orig := e.adj.TakeKth(slot, int(offset))
@@ -645,14 +642,7 @@ func (e *rankEngine) edgeHash() uint64 {
 		if orig {
 			x |= 1
 		}
-		// SplitMix64's finalizer: full avalanche, so the unordered sum
-		// still separates edge sets differing in a single entry.
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		h += x
+		h += mix64(x)
 		return true
 	}
 	for li := range e.verts {
@@ -660,6 +650,16 @@ func (e *rankEngine) edgeHash() uint64 {
 		e.adj.Walk(li, mix)
 	}
 	return h
+}
+
+// mix64 is SplitMix64's finalizer: full avalanche, so an unordered sum of
+// mixed keys still separates key sets differing in a single key.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // send queues one conversation or step-control record for a peer; a

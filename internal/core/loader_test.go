@@ -203,8 +203,8 @@ func TestLoadSlotEdgesMatchesReference(t *testing.T) {
 				if got.rnd.State() != want.rnd.State() {
 					t.Errorf("run RNG at %#x, reference %#x", got.rnd.State(), want.rnd.State())
 				}
-				if got.origLocal != 0 || len(got.degDelta) != 0 {
-					t.Errorf("the load counted %d originals and %d sanitizer deltas, want none", got.origLocal, len(got.degDelta))
+				if got.origLocal != 0 || got.degSig != 0 {
+					t.Errorf("the load counted %d originals and degree fingerprint %#x, want none", got.origLocal, got.degSig)
 				}
 				var origs int64
 				for _, b := range wb {

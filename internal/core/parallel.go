@@ -69,12 +69,13 @@ type Config struct {
 	// sanitize.go and stepsync.go): at every step boundary, each rank
 	// re-verifies simplicity, ownership and Fenwick consistency of its
 	// partition, and all ranks jointly verify degree conservation through
-	// sparse deltas folded into the step-boundary exchange (no extra
+	// a degree fingerprint summed in the step-boundary exchange (no extra
 	// collective); the full degree sequence is re-checked against the
-	// pre-switching baseline once at the end of the run, as is the
-	// reassembled result graph. Costs O(n + m/p) work per step plus two
-	// O(n) allreduces per run; meant for tests and checked production
-	// runs, off by default.
+	// pre-switching baseline at the end of the run and at any boundary
+	// whose fingerprint is off, and the reassembled result graph is
+	// checked too. Costs O(n + m/p) work per step plus two O(n)
+	// allreduces per run; meant for tests and checked production runs,
+	// off by default.
 	CheckInvariants bool
 	// SpillDir, when set, gives every rank's partition store a directory
 	// (internal/store, DESIGN.md §7): an immutable mmap'd base segment under

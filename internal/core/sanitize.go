@@ -244,17 +244,17 @@ func (e *rankEngine) sanitizeLocal() []Violation {
 	return vs.list
 }
 
-// verifyBaseline runs the full invariant suite at the end of the run:
-// the local structural scan plus a global degree-sequence and edge-count
-// comparison against the recorded baseline (one O(n) allreduce that all
-// ranks enter symmetrically). Step boundaries are covered by the sparse
-// delta check fused into stepExchange (see stepsync.go); this full pass
-// backstops it once per run, catching the final step's deltas and any
-// drift the delta bookkeeping itself could miss (a mutation path that
-// bypasses noteDegree).
+// verifyBaseline runs the full invariant suite: the local structural
+// scan plus a global degree-sequence and edge-count comparison against
+// the recorded baseline (one O(n) allreduce that all ranks enter
+// symmetrically). It runs at the end of the run, catching the final
+// step's drift and any a mutation path bypassing noteDegree hid, and at
+// any step boundary whose fingerprint or edge total is off (see
+// stepsync.go), where it names the drifted vertices. It counts carried
+// edges too, so it holds before round 1 of a bootstrapped curveball run.
 func (e *rankEngine) verifyBaseline() error {
 	vs := e.sanitizeLocal()
-	vec := append(e.localDegrees(), e.deg.Total())
+	vec := append(e.localDegrees(), e.localEdges())
 	glob, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
 	if err != nil {
 		return err

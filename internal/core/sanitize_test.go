@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"edgeswitch/internal/gen"
 	"edgeswitch/internal/graph"
+	"edgeswitch/internal/mpi"
 	"edgeswitch/internal/rng"
 )
 
@@ -135,7 +139,7 @@ func TestSanitizeCapsRepeatedViolations(t *testing.T) {
 
 // TestEngineSanitizerDetectsDroppedEdge corrupts a live engine (discard
 // an owned edge after the baseline is recorded) and asserts both the
-// sparse per-step delta check and the end-of-run full pass catch the
+// per-step fingerprint check and the end-of-run full pass catch the
 // drift with an actionable error.
 func TestEngineSanitizerDetectsDroppedEdge(t *testing.T) {
 	g, err := gen.ErdosRenyi(rng.New(44), 60, 240)
@@ -176,8 +180,8 @@ func TestEngineSanitizerDetectsDroppedEdge(t *testing.T) {
 }
 
 // TestEngineSanitizerCleanAfterSwitches: an in-flight reinsert round trip
-// leaves the engine clean (the deltas cancel, so the sparse payload is
-// empty again).
+// leaves the engine clean (the degree changes cancel, so the fingerprint
+// is 0 again).
 func TestEngineSanitizerCleanAfterSwitches(t *testing.T) {
 	g, err := gen.ErdosRenyi(rng.New(45), 60, 240)
 	if err != nil {
@@ -211,8 +215,8 @@ func TestEngineSanitizerCleanAfterSwitches(t *testing.T) {
 }
 
 // TestStepExchangeClearsDeltasOnViolation: when the checked step
-// exchange reports a violation, it must still consume e.degDelta — the
-// deltas describe drift up to THIS boundary, and leaving them behind
+// exchange reports a violation, it must still consume e.degSig — the
+// fingerprint describes drift up to THIS boundary, and leaving it behind
 // would double-count the same drift against the next boundary's check
 // (or corrupt the picture entirely once the run rolls back).
 func TestStepExchangeClearsDeltasOnViolation(t *testing.T) {
@@ -232,7 +236,93 @@ func TestStepExchangeClearsDeltasOnViolation(t *testing.T) {
 	if _, _, err := eng.stepExchange(); err == nil {
 		t.Fatal("dropped edge not detected")
 	}
-	if len(eng.degDelta) != 0 {
-		t.Fatalf("degDelta holds %d entries after a violating exchange; must be cleared on every exit path", len(eng.degDelta))
+	if eng.degSig != 0 {
+		t.Fatalf("degSig is %#x after a violating exchange; must be cleared on every exit path", eng.degSig)
+	}
+}
+
+// TestStepExchangeDriftOnOneRank: a degree moved on rank 1 alone of a
+// two-rank world is named by both ranks from the same step exchange. The
+// fingerprint sum is global, so rank 0 enters the full pass with rank 1;
+// a fallback collective entered by one rank alone hangs past the guard.
+func TestStepExchangeDriftOnOneRank(t *testing.T) {
+	g := testGraph(t, 46, 60, 240)
+	// Each corruption moves one degree through the accounting helpers.
+	for _, tc := range []struct {
+		algo    Algorithm
+		corrupt func(e *rankEngine) error
+	}{
+		// Replace a stored {u,v} with some {u,w}.
+		{AlgoEdgeSwitch, func(e *rankEngine) error {
+			ed, orig := e.takeLocal()
+			for w := 0; w < e.n; w++ {
+				if v := graph.Vertex(w); v != ed.U && v != ed.V && e.insertLocal(graph.Edge{U: ed.U, V: v}.Norm(), orig) == nil {
+					return nil
+				}
+			}
+			return errors.New("no rewire candidate found")
+		}},
+		// Bump a carried entry's neighbour to the next free vertex, which
+		// keeps its slot's list ascending; the partition stays carried.
+		{AlgoCurveball, func(e *rankEngine) error {
+			cs := e.carried
+			for i, se := range cs {
+				last := i+1 == len(cs) || cs[i+1].slot != se.slot
+				if int(se.v)+1 < e.n && (last || cs[i+1].v > se.v+1) {
+					e.carryOut(se)
+					cs[i].v++
+					e.carryIn(cs[i])
+					return nil
+				}
+			}
+			return errors.New("no carried entry to bump")
+		}},
+	} {
+		t.Run(string(tc.algo), func(t *testing.T) {
+			w, err := mpi.NewWorld(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			errs := make([]error, 2)
+			done := make(chan error, 1)
+			go func() {
+				done <- w.Run(func(c *mpi.Comm) error {
+					e, err := bootstrap(c, graphSource(g), 0, Config{Seed: 5, Scheme: SchemeHPD, Algorithm: tc.algo, CheckInvariants: true})
+					if err != nil {
+						return err
+					}
+					defer e.adj.Close()
+					if err := e.recordBaseline(); err != nil {
+						return err
+					}
+					if _, _, err := e.stepExchange(); err != nil {
+						return fmt.Errorf("rank %d: clean exchange flagged: %w", c.Rank(), err)
+					}
+					if c.Rank() == 1 {
+						if err := tc.corrupt(e); err != nil {
+							return err
+						}
+					}
+					_, _, errs[c.Rank()] = e.stepExchange()
+					return nil
+				})
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				w.Close()
+				t.Fatal("the step exchange hung: one rank entered the full pass alone")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The edge total is intact, carried edges included.
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), string(VDegreeDrift)) || strings.Contains(err.Error(), string(VEdgeCount)) {
+					t.Errorf("rank %d: step exchange returned %v, want a %s violation and no %s", r, err, VDegreeDrift, VEdgeCount)
+				}
+			}
+		})
 	}
 }

@@ -477,3 +477,83 @@ func FuzzParseSegment(f *testing.F) {
 		}
 	})
 }
+
+// TestBuildSortedMatchesFlagged: BuildSorted with one flag builds the
+// same slots as BuildSortedFlagged with that flag on every entry, on the
+// in-memory store, on a pristine tiered store (the streamed path) and on
+// a tiered store rebuilding one drained slot while others stay live (the
+// overlay path) — under Walk, Kth and Originals, before and after Compact.
+func TestBuildSortedMatchesFlagged(t *testing.T) {
+	const nv = 6
+	verts := testVerts(nv)
+	keysOf := func(li int) []graph.Vertex {
+		return []graph.Vertex{verts[li] + 1, verts[li] + 3, verts[li] + 40}
+	}
+	prios := []uint32{7, 3, 9}
+	// load fills every slot of a with BuildSorted and of b with
+	// BuildSortedFlagged, alternating the flag by slot.
+	load := func(a, b *Tiered) {
+		for li := range verts {
+			orig := li%2 == 0
+			a.BuildSorted(li, keysOf(li), prios, orig)
+			b.BuildSortedFlagged(li, keysOf(li), prios, []bool{orig, orig, orig})
+		}
+		for _, s := range []*Tiered{a, b} {
+			if err := s.EndLoad(); err != nil {
+				t.Fatalf("EndLoad: %v", err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) (a, b *Tiered)
+	}{
+		{"mem", func(*testing.T) (*Tiered, *Tiered) {
+			a, b := NewMem(verts), NewMem(verts)
+			load(a, b)
+			return a, b
+		}},
+		{"tiered streamed", func(t *testing.T) (*Tiered, *Tiered) {
+			a, b := newTestTiered(t, verts, 0), newTestTiered(t, verts, 0)
+			load(a, b)
+			return a, b
+		}},
+		{"tiered overlay", func(t *testing.T) (*Tiered, *Tiered) {
+			a, b := newTestTiered(t, verts, 0), newTestTiered(t, verts, 0)
+			load(b, a) // a flagged-built, then slot 2 rebuilt below
+			for _, s := range []*Tiered{a, b} {
+				s.Drain(2, func(graph.Vertex, bool) {})
+			}
+			a.BuildSorted(2, keysOf(2), prios, false)
+			b.BuildSortedFlagged(2, keysOf(2), prios, []bool{false, false, false})
+			if st := a.Stats(); st.OverlayEntries != 3 {
+				t.Fatalf("rebuild of a drained slot left %d overlay entries, want 3", st.OverlayEntries)
+			}
+			return a, b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.setup(t)
+			check := func(tag string) {
+				t.Helper()
+				requireSlotsEqual(t, b, a, nv, tag)
+				for li := range verts {
+					for k := range a.Len(li) {
+						av, ao := a.Kth(li, k)
+						bv, bo := b.Kth(li, k)
+						if av != bv || ao != bo {
+							t.Fatalf("%s: slot %d Kth(%d): (%d,%v), flagged (%d,%v)", tag, li, k, av, ao, bv, bo)
+						}
+					}
+				}
+			}
+			check("built")
+			for _, s := range []*Tiered{a, b} {
+				if err := s.Compact(); err != nil {
+					t.Fatalf("Compact: %v", err)
+				}
+			}
+			check("compacted")
+		})
+	}
+}
