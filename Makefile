@@ -131,8 +131,8 @@ loc:
 
 # Statement coverage merged across test binaries (a block is covered if
 # any package's tests ran it): the module total, then the 10 files with
-# the most unrun statements (scripts/cover.sh). Not part of `make check`
-# or CI; a full test run, ~1-2 min.
+# the most unrun statements (scripts/cover.sh). Not part of `make check`;
+# CI prints it as a report-only step. A full test run, ~1-2 min.
 cover:
 	bash scripts/cover.sh
 

@@ -11,33 +11,44 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"edgeswitch/internal/harness"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: exit status 0 on success, 1 when an experiment
+// fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list the experiments and exit")
-		run      = flag.String("run", "", "experiment id to run, or 'all'")
-		scale    = flag.Float64("scale", 0, "dataset scale multiplier (default 0.25)")
-		seed     = flag.Uint64("seed", 0, "random seed (default 42)")
-		maxRanks = flag.Int("maxranks", 0, "largest processor count in sweeps (default: #cores)")
-		reps     = flag.Int("reps", 0, "repetitions for statistical experiments (default 5)")
-		quick    = flag.Bool("quick", false, "tiny smoke-test sizes")
+		list     = fs.Bool("list", false, "list the experiments and exit")
+		id       = fs.String("run", "", "experiment id to run, or 'all'")
+		scale    = fs.Float64("scale", 0, "dataset scale multiplier (default 0.25)")
+		seed     = fs.Uint64("seed", 0, "random seed (default 42)")
+		maxRanks = fs.Int("maxranks", 0, "largest processor count in sweeps (default: #cores)")
+		reps     = fs.Int("reps", 0, "repetitions for statistical experiments (default 5)")
+		quick    = fs.Bool("quick", false, "tiny smoke-test sizes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("id        paper artifact    description")
+		fmt.Fprintln(stdout, "id        paper artifact    description")
 		for _, e := range harness.Experiments() {
-			fmt.Printf("%-9s %-17s %s\n", e.ID, e.Paper, e.Title)
+			fmt.Fprintf(stdout, "%-9s %-17s %s\n", e.ID, e.Paper, e.Title)
 		}
-		return
+		return 0
 	}
-	if *run == "" {
-		fmt.Fprintln(os.Stderr, "experiments: need -run ID or -list")
-		os.Exit(2)
+	if *id == "" {
+		fmt.Fprintln(stderr, "experiments: need -run ID or -list")
+		return 2
 	}
 	cfg := harness.Config{
 		Scale:    *scale,
@@ -45,20 +56,21 @@ func main() {
 		MaxRanks: *maxRanks,
 		Reps:     *reps,
 		Quick:    *quick,
-		Out:      os.Stdout,
+		Out:      stdout,
 	}
-	if *run == "all" {
+	if *id == "all" {
 		for _, e := range harness.Experiments() {
 			if err := harness.Run(e.ID, cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "experiments: %s: %v\n", e.ID, err)
+				return 1
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		return
+		return 0
 	}
-	if err := harness.Run(*run, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	if err := harness.Run(*id, cfg); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
+	return 0
 }

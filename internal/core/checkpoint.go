@@ -18,9 +18,9 @@ import (
 // quiesced (asserted by checkStepInvariants) and the sanitizer's degree
 // deltas are folded into the exchange — so a rank's resumable state is
 // its partition, its RNG position, the randomizer's cursor and a handful
-// of counters. Every rank saves its partition as a segment file
-// (Store.SaveSegment: an in-memory store streams its slots, a tiered
-// store hard-links its base), all ranks allreduce the global degree
+// of counters. Every rank writes its partition as a segment file
+// (writeSegment: the store's lists or the carried list's groups, in slot
+// order), all ranks allreduce the global degree
 // vector and checksum it (the sanitizer's baseline doubling as the
 // restore integrity check), and each rank sends rank 0 its record — the
 // segment's size and CRC32C, RNG state, cursor and counters — or a
@@ -214,7 +214,7 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	// peers would deadlock waiting in the gather — so it rides in the
 	// gather as a refusal (an empty record) and every rank aborts this
 	// checkpoint together after the verdict broadcast.
-	size, crc, localErr := e.adj.SaveSegment(ckSegPath(ck.dir, step, ck.c.Rank()))
+	size, crc, localErr := e.writeSegment(ckSegPath(ck.dir, step, ck.c.Rank()))
 	var own []byte
 	if localErr != nil {
 		localErr = fmt.Errorf("core: writing checkpoint segment: %w", localErr)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -297,6 +301,140 @@ func TestCheckpointCorruptDegreeBaselineRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "degree sequence") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+}
+
+// TestCheckpointSegmentWriteFailure: one rank's segment write fails — a
+// non-empty directory squats on the name its segment is renamed to. The
+// refusal rides the record gather, so the world aborts that checkpoint
+// with the rank's named error and commits no manifest for the step; once
+// the squatter is gone, a restore resumes from the previous checkpoint.
+func TestCheckpointSegmentWriteFailure(t *testing.T) {
+	g := testGraph(t, 7, 400, 1600)
+	for _, tc := range []struct {
+		algo        Algorithm
+		t, stepSize int64
+	}{
+		{AlgoCurveball, 4, 0},
+		{AlgoEdgeSwitch, 800, 200},
+	} {
+		t.Run(string(tc.algo), func(t *testing.T) {
+			cfg := Config{
+				Ranks:          2,
+				Algorithm:      tc.algo,
+				Scheme:         SchemeHPD,
+				StepSize:       tc.stepSize,
+				Seed:           11,
+				CheckpointDir:  t.TempDir(),
+				checkpointKeep: -1,
+			}
+			squat := ckSegPath(cfg.CheckpointDir, 2, 1)
+			if err := os.MkdirAll(filepath.Join(squat, "occupied"), 0o777); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Parallel(g, tc.t, cfg)
+			if err == nil || !strings.Contains(err.Error(), "core: rank 1, step 2 (checkpoint): core: writing checkpoint segment") {
+				t.Fatalf("run ended with %v, want rank 1's named segment write error at step 2", err)
+			}
+			if steps := manifestStepsIn(t, cfg.CheckpointDir); !slices.Equal(steps, []int64{1}) {
+				t.Fatalf("committed manifests for steps %v, want step 1 alone", steps)
+			}
+			if err := os.RemoveAll(squat); err != nil {
+				t.Fatal(err)
+			}
+			rcfg := cfg
+			rcfg.Restore = true
+			res, err := Parallel(g, tc.t, rcfg)
+			if err != nil {
+				t.Fatalf("restore after the failed checkpoint: %v", err)
+			}
+			if res.RestoredStep != 1 {
+				t.Fatalf("resumed from step %d, want 1", res.RestoredStep)
+			}
+			if tc.algo != AlgoCurveball {
+				return // edge switching at p > 1 is not replayable
+			}
+			ucfg := cfg
+			ucfg.CheckpointDir = ""
+			ref, err := Parallel(g, tc.t, ucfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.EdgeHash != ref.EdgeHash {
+				t.Fatalf("restored run ends on edge hash %#x, the uninterrupted run on %#x", res.EdgeHash, ref.EdgeHash)
+			}
+		})
+	}
+}
+
+// TestWriteSegmentWherePartitionSits: a checkpoint's image does not
+// depend on where the partition sits. Two curveball rounds leave it
+// carried and unordered; the segment written from the sorted list must
+// equal, byte for byte, the one written after storeCarried moved the
+// list into an in-memory store or into a tiered store's streamed base.
+func TestWriteSegmentWherePartitionSits(t *testing.T) {
+	g := testGraph(t, 16, 400, 1600)
+	dir := t.TempDir()
+	image := func(name, spillDir string, stored bool) []byte {
+		t.Helper()
+		w, err := mpi.NewWorld(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		path := filepath.Join(dir, name)
+		err = w.Run(func(c *mpi.Comm) error {
+			e, err := bootstrap(c, graphSource(g), 0, Config{Seed: 11, Algorithm: AlgoCurveball, SpillDir: spillDir})
+			if err != nil {
+				return err
+			}
+			defer e.adj.Close()
+			for range 2 {
+				counts, _, err := e.stepExchange()
+				if err == nil {
+					err = e.beginStep(1, counts)
+				}
+				if err == nil {
+					err = e.stepLoop()
+				}
+				if err == nil {
+					err = e.checkStepInvariants()
+				}
+				if err != nil {
+					return err
+				}
+			}
+			if slices.IsSortedFunc(e.carried, func(a, b slotEdge) int { return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.v, b.v)) }) {
+				return errors.New("the rounds left the carried list sorted")
+			}
+			if e.carried, err = e.sortSlotEdges(e.carried, e.spare, false); err != nil {
+				return err
+			}
+			if stored {
+				if err := e.storeCarried(); err != nil {
+					return err
+				}
+				if len(e.carried) != 0 || e.deg.Total() == 0 {
+					return fmt.Errorf("storeCarried left %d entries carried, %d stored", len(e.carried), e.deg.Total())
+				}
+			}
+			_, _, err = e.writeSegment(path)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	carried := image("carried.seg", "", false)
+	mem := image("mem.seg", "", true)
+	tiered := image("tiered.seg", t.TempDir(), true)
+	if !bytes.Equal(carried, mem) || !bytes.Equal(carried, tiered) {
+		t.Fatalf("segment images differ: carried %d B, in-memory store %d B, tiered store %d B", len(carried), len(mem), len(tiered))
 	}
 }
 

@@ -40,11 +40,8 @@ import (
 // Lifecycle: the partition is a list, the chassis's carried one.
 // Bootstrap and restore hand over the sorted entries, each round's
 // settled list is the next round's partition, and prepare routes it as
-// it stands (the list and the chassis's spare alternate). The store holds
-// the partition only where something reads it — the chassis stores the
-// list at a checkpoint boundary, at every boundary of a sanitized run and
-// at the end of the run (storeCarried) — and the next round drains it
-// back into the list (drainPartition).
+// it stands (the list and the chassis's spare alternate). The store
+// stays empty until the end of the run.
 //
 // Determinism (the p-invariance pin): a trade's inputs are sorted by
 // non-anchor endpoint before the uniform redistribution, which draws from
@@ -318,9 +315,8 @@ func roundBuf[T any](buf []T, n int) []T {
 }
 
 // prepare arms one round: derive the pairing, lay out the arena, and
-// route the whole partition — the chassis's carried list, into which a
-// stored partition is drained first — into it and into the peers' runs,
-// executing owned trades as they complete.
+// route the whole partition — the chassis's carried list — into it and
+// into the peers' runs, executing owned trades as they complete.
 func (r *curveball) prepare(s int64, counts []int64) error {
 	e := r.e
 	if s != 1 {
@@ -356,9 +352,6 @@ func (r *curveball) prepare(s int64, counts []int64) error {
 	r.arena = roundBuf(r.arena, need)[:need]
 	r.settled, e.spare = roundBuf(e.spare, int(e.localEdges())), nil
 
-	if e.deg.Total() > 0 {
-		e.carried = e.drainPartition(roundBuf(e.carried, int(e.localEdges())))
-	}
 	// Route every owned edge, executing trades as they complete.
 	for _, se := range e.carried {
 		if err := r.route(e.carryOut(se), se.orig); err != nil {

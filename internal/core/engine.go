@@ -49,23 +49,16 @@ type rankEngine struct {
 	// outside counts the partition's edges held outside the store —
 	// curveball's list, which carries the partition from its bootstrap and
 	// from round to round — so the partition holds localEdges() =
-	// deg.Total() + outside. newCurveball, drainPartition, carryIn and
-	// carryOut maintain it, and storeCarried returns it to 0.
+	// deg.Total() + outside. newCurveball, carryIn and carryOut maintain
+	// it, and storeCarried returns it to 0.
 	outside      int64
 	initialEdges int64
 
 	// carried is that list between steps, the whole partition while the
 	// store is empty; spare is the idle list buffer (the one a round fills
-	// is curveball's until endStep hands it over). storeCarried sorts the
-	// list through spare into the store wherever something reads it.
+	// is curveball's until endStep hands it over). A boundary that reads
+	// the list sorts it through spare; the end of the run stores it.
 	carried, spare []slotEdge
-
-	// drainPartition's plumbing: drainEach is e.drainEntry bound once (no
-	// closure per slot); drainSlot and drainBuf are the slot being drained
-	// and the list it fills.
-	drainEach func(v graph.Vertex, orig bool)
-	drainSlot int32
-	drainBuf  []slotEdge
 
 	// load is the bulk loader's working memory, reused across loads.
 	load struct {
@@ -167,7 +160,6 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		targetX:  cfg.TargetVisitRate,
 	}
 	e.sb.init(c)
-	e.drainEach = e.drainEntry
 	e.load.cnt = make([]int32, n+1)
 	e.slot = make([]int32, n)
 	for v := range e.slot {
@@ -250,18 +242,17 @@ func (e *rankEngine) run(t, stepSize int64) error {
 		}
 		e.stepsRun++
 		save := e.ckpt != nil && e.stepsRun%e.ckpt.every == 0
-		// A randomizer may carry the partition to the next step outside
-		// the store; a boundary whose store something reads — the
-		// sanitizer's scan, a checkpoint's segment — gets it back first.
-		if e.sanitize || save {
-			if err := e.storeCarried(); err != nil {
-				return e.stepErr(step, "store fill", err)
+		// A randomizer may carry the partition to the next step as an
+		// unordered list; a boundary that reads it — the sanitizer's scan,
+		// a checkpoint's segment — sorts it in place first.
+		if (e.sanitize || save) && len(e.carried) > 0 {
+			if e.carried, err = e.sortSlotEdges(e.carried, e.spare, false); err != nil {
+				return e.stepErr(step, "partition sort", err)
 			}
 		}
 		// The boundary is the store's compaction point: no reads are
 		// outstanding, so a tiered store past its overlay budget can fold
-		// the overlay into a fresh base segment here. Runs before the
-		// checkpoint hook so a checkpoint always links a current base.
+		// the overlay into a fresh base segment here.
 		if err := e.adj.EndStep(); err != nil {
 			return e.stepErr(step, "store compaction", err)
 		}
@@ -447,36 +438,10 @@ func (e *rankEngine) insertLocal(ed graph.Edge, orig bool) error {
 // localEdges is the partition's edge count, wherever its edges are.
 func (e *rankEngine) localEdges() int64 { return e.deg.Total() + e.outside }
 
-// drainPartition empties the store into buf, in ascending (slot, v)
-// order, and returns it — curveball's extraction of a stored partition,
-// the inverse of loadSlotEdges. The edges leave the store, not the
-// partition: they move from the Fenwick tree to outside.
-func (e *rankEngine) drainPartition(buf []slotEdge) []slotEdge {
-	e.drainBuf = buf
-	for li := range e.verts {
-		d := e.deg.Get(li)
-		if d == 0 {
-			continue
-		}
-		e.drainSlot = int32(li)
-		e.adj.Drain(li, e.drainEach)
-		e.deg.Add(li, -d)
-		e.outside += d
-	}
-	buf, e.drainBuf = e.drainBuf, nil
-	return buf
-}
-
-// drainEntry is drainPartition's per-entry step (bound once as
-// e.drainEach).
-func (e *rankEngine) drainEntry(v graph.Vertex, orig bool) {
-	e.drainBuf = append(e.drainBuf, slotEdge{slot: e.drainSlot, v: v, orig: orig})
-}
-
 // storeCarried bulk-loads a carried partition into the empty store,
-// sorting it through the spare list. The chassis calls it between steps
-// wherever something reads the store: a checkpoint boundary, every
-// boundary of a sanitized run, and the end of the run.
+// sorting it through the spare list — once, at the end of the run, where
+// the full sanitizer pass, the edge hash and the reassembly read the
+// store.
 func (e *rankEngine) storeCarried() error {
 	if len(e.carried) == 0 {
 		return nil
@@ -489,6 +454,42 @@ func (e *rankEngine) storeCarried() error {
 	e.outside -= int64(len(ents))
 	e.carried = ents[:0]
 	return nil
+}
+
+// writeSegment writes the partition to path as one segment — a
+// checkpoint's image — and reports the file's size and CRC32C. Each slot
+// is its store list or its group of the carried list, which the boundary
+// sorted; one of the two is always empty, so the image is the same
+// wherever the partition sits.
+func (e *rankEngine) writeSegment(path string) (int64, uint32, error) {
+	w, err := store.NewSegmentWriter(path, len(e.verts))
+	if err != nil {
+		return 0, 0, err
+	}
+	var buf []byte
+	var keys []graph.Vertex
+	var origs []bool
+	ents := e.carried
+	for li, u := range e.verts {
+		keys, origs = keys[:0], origs[:0]
+		for ; len(ents) > 0 && ents[0].slot == int32(li); ents = ents[1:] {
+			keys, origs = append(keys, ents[0].v), append(origs, ents[0].orig)
+		}
+		if len(keys) > 0 {
+			buf = graph.AppendSortedAdjFlagged(buf[:0], u, keys, origs)
+		} else {
+			buf = e.adj.AppendList(buf[:0], li)
+		}
+		if err := w.Append(buf); err != nil {
+			w.Abort()
+			return 0, 0, err
+		}
+	}
+	seg, err := w.Finalize()
+	if err != nil {
+		return 0, 0, err
+	}
+	return seg.Size(), seg.CRC(), seg.Close()
 }
 
 // slotEdge is one adjacency entry keyed by the local slot of its owner

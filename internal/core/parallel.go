@@ -87,7 +87,7 @@ type Config struct {
 	// peak: edge switching at the paper's visit rates touches most slots
 	// within a step, so the overlay comes to hold most of the partition,
 	// and curveball carries its partition as in-memory lists, writing the
-	// store only where something reads it; measured spill runs peak near
+	// store once, at the end of the run; measured spill runs peak near
 	// their in-memory runs. Multi-process ranks need distinct or shared
 	// directories — each rank uses only its own subdirectory.
 	SpillDir string
@@ -204,10 +204,9 @@ type Result struct {
 	// SpillOverlayHWM totals the ranks' overlay entry high-water marks —
 	// the peak treap entries resident between compactions.
 	SpillOverlayHWM int64
-	// SpillCompactions totals base-segment rewrites across ranks: overlay
-	// compactions, and the streamed rewrite of a drained partition —
-	// curveball's fill of its carried settled list at the end of the run
-	// and at each checkpoint or sanitized boundary.
+	// SpillCompactions totals base-segment rewrites across ranks, the
+	// overlay compactions; a curveball run's end-of-run fill streams each
+	// rank's first base, which rewrites nothing.
 	SpillCompactions int64
 	// SpillCompactNs totals wall-clock nanoseconds ranks spent compacting
 	// (for a streamed rewrite, finalizing the segment).

@@ -58,9 +58,7 @@ func (cfg Config) algorithm() (Algorithm, error) {
 // partition only through the chassis accounting helpers
 // (takeLocal/insertLocal on the store, carryIn/carryOut for edges held
 // outside it), which keep the edge count, the sanitizer deltas and the
-// originals counter exact for any algorithm; drainPartition and
-// storeCarried move a whole partition out of the store and back without
-// changing it.
+// originals counter exact for any algorithm.
 type randomizer interface {
 	// prepare arms one step of size s. counts holds the step-boundary
 	// per-rank edge counts from the fused exchange (edge-switch rebuilds

@@ -199,8 +199,8 @@ func (e *rankEngine) recordBaseline() error {
 
 // sanitizeLocal scans this rank's structures: simplicity (no loops, no
 // duplicates, normalized order), vertex ranges, Fenwick consistency, the
-// store and the carried list (only ever a bootstrap's sorted one: a
-// checked boundary stores it) holding the whole partition,
+// store and the carried list (sorted by a bootstrap, a restore or the
+// checked boundary) holding the whole partition,
 // and the ownership invariant (this
 // rank holds exactly the reduced lists of the vertices the partitioner
 // assigns to it).

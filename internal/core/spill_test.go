@@ -69,8 +69,11 @@ func TestSpillInMemoryEquivalence(t *testing.T) {
 			if spill.SpillBaseBytes == 0 {
 				t.Error("spill run reports no base-segment bytes")
 			}
-			if spill.SpillCompactions == 0 {
-				t.Error("tiny overlay budget never triggered a compaction")
+			// Edge switching mutates the store, so the tiny overlay budget
+			// compacts; curveball carries its partition outside the store
+			// and streams it into the first base at the end of the run.
+			if wantCompact := tc.algo == AlgoEdgeSwitch; (spill.SpillCompactions > 0) != wantCompact {
+				t.Errorf("spill run made %d compactions, want any: %v", spill.SpillCompactions, wantCompact)
 			}
 			if mem.SpillBaseBytes != 0 || mem.SpillCompactions != 0 {
 				t.Errorf("in-memory run reports spill activity: %d B, %d compactions",

@@ -4,11 +4,9 @@
 // in-memory overlay, over an immutable mmap'd CSR base segment when the
 // store has a directory (DESIGN.md §7). Without a directory (NewMem)
 // every slot stays in the overlay for good and the store never touches
-// the filesystem until a checkpoint asks for its segment image. The
-// engine mutates storage only through this interface, so both
-// randomizers (edge-switch conversations and curveball's
-// whole-partition drains and fills) run unchanged with or without a
-// directory.
+// the filesystem. The engine mutates storage only through this
+// interface, so edge-switch conversations and curveball's end-of-run
+// fill run unchanged with or without a directory.
 package store
 
 import "edgeswitch/internal/graph"
@@ -21,12 +19,9 @@ import "edgeswitch/internal/graph"
 // Load protocol: bulk loads arrive as ascending-slot BuildSorted /
 // BuildSortedFlagged calls or as arbitrary Inserts; EndLoad marks the
 // partition complete (a store with a directory establishes its first
-// base segment there). A store whose every slot has been drained may be
-// refilled the same way at any time — curveball does where something
-// reads its carried partition — and a store with a directory then
-// streams the ascending-slot builds into its next base segment.
-// EndStep is the engine's step-boundary hook, the only point a
-// compaction may run — mid-step, outstanding reads stay valid.
+// base segment there). EndStep is the engine's step-boundary hook, the
+// only point a compaction may run — mid-step, outstanding reads stay
+// valid.
 type Store interface {
 	// Len reports slot li's entry count.
 	Len(li int) int
@@ -51,7 +46,7 @@ type Store interface {
 	// the removed entry.
 	Delete(li int, v graph.Vertex) (found, original bool)
 	// Drain empties slot li, invoking fn for each entry in ascending
-	// order — curveball's bulk extraction of a stored partition.
+	// order.
 	Drain(li int, fn func(v graph.Vertex, original bool))
 	// Walk visits slot li in ascending order without mutating it; fn
 	// returning false stops early.
@@ -66,10 +61,6 @@ type Store interface {
 	// (graph.AppendAdjSet) to buf and returns the extended slice: an
 	// in-memory slot is encoded, a base list copied verbatim.
 	AppendList(buf []byte, li int) []byte
-	// SaveSegment publishes the whole partition as a segment file at path
-	// (replacing any file there) and reports the file's size and trailer
-	// CRC32C — a checkpoint's partition image. Call between steps.
-	SaveSegment(path string) (size int64, crc uint32, err error)
 	// EndLoad completes the bulk-load phase.
 	EndLoad() error
 	// EndStep runs at every step boundary; a store with a directory

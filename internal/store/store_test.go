@@ -185,7 +185,7 @@ func TestMemTieredEquivalence(t *testing.T) {
 	if st.OverlayHWM == 0 {
 		t.Fatal("overlay high-water mark never moved")
 	}
-	// SaveSegment must publish the same image from either store, byte for
+	// writeSlots must write the same image from either store, byte for
 	// byte (checkpoints depend on it), including unpromoted slots' verbatim
 	// base copies — and the image must verify cold and decode back to the
 	// stores' state.
@@ -194,18 +194,27 @@ func TestMemTieredEquivalence(t *testing.T) {
 	if err := os.WriteFile(trPath, []byte("stale"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	ms, mc, err := mem.SaveSegment(memPath)
-	if err != nil {
-		t.Fatalf("mem SaveSegment: %v", err)
+	// One insert promotes a slot without a compaction, so the image mixes
+	// an encoded overlay list with verbatim base copies.
+	mem.Insert(0, verts[0]+1000, false, 1)
+	tr.Insert(0, verts[0]+1000, false, 1)
+	if tr.promotedCount == 0 || tr.promotedCount == nv {
+		t.Fatalf("%d of %d slots promoted: the image would not mix overlay and base lists", tr.promotedCount, nv)
 	}
-	ts, tc, err := tr.SaveSegment(trPath)
-	if err != nil {
-		t.Fatalf("tiered SaveSegment: %v", err)
+	saved := func(s *Tiered, path string) (int64, uint32) {
+		seg, err := s.writeSlots(path)
+		if err != nil {
+			t.Fatalf("writeSlots %s: %v", path, err)
+		}
+		defer seg.Close()
+		return seg.Size(), seg.CRC()
 	}
+	ms, mc := saved(mem, memPath)
+	ts, tc := saved(tr, trPath)
 	mb, _ := os.ReadFile(memPath)
 	tb, _ := os.ReadFile(trPath)
 	if ms != ts || mc != tc || int64(len(mb)) != ms || !bytes.Equal(mb, tb) {
-		t.Fatalf("SaveSegment images differ: mem (%d B, crc %08x), tiered (%d B, crc %08x)", ms, mc, ts, tc)
+		t.Fatalf("segment images differ: mem (%d B, crc %08x), tiered (%d B, crc %08x)", ms, mc, ts, tc)
 	}
 	seg, err := OpenSegment(trPath)
 	if err != nil {
@@ -225,7 +234,7 @@ func TestMemTieredEquivalence(t *testing.T) {
 			t.Fatalf("saved slot %d decodes to %v/%v, store holds %v/%v", li, keys, origs, wk, wo)
 		}
 	}
-	requireSlotsEqual(t, mem, tr, nv, "after SaveSegment")
+	requireSlotsEqual(t, mem, tr, nv, "after writeSlots")
 }
 
 // TestTieredStreamingLoad checks that an ascending BuildSorted load —
@@ -353,16 +362,12 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 		t.Fatalf("EndLoad: %v", err)
 	}
 	path := tr.seg.Path()
-	// Copy aside, then corrupt the copy (the original stays mapped).
-	dir := t.TempDir()
-	dst := filepath.Join(dir, "seg")
-	if err := copyFile(path, dst); err != nil {
-		t.Fatalf("copy: %v", err)
-	}
-	data, err := os.ReadFile(dst)
+	// Corrupt a copy (the original stays mapped).
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := filepath.Join(t.TempDir(), "seg")
 	data[segHeaderLen] ^= 0x40
 	if err := os.WriteFile(dst, data, 0o666); err != nil {
 		t.Fatal(err)

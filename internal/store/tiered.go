@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -104,7 +103,7 @@ func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint3
 
 // NewMem returns a store without a directory: one empty in-memory slot
 // per owned vertex. verts maps slots to their owner labels (the
-// gap-encoding anchors SaveSegment needs) and is retained, not copied.
+// gap-encoding anchors AppendList needs) and is retained, not copied.
 func NewMem(verts []graph.Vertex) *Tiered {
 	return &Tiered{verts: verts, overlay: make([]graph.AdjSet, len(verts))}
 }
@@ -365,8 +364,8 @@ func (t *Tiered) Walk(li int, fn func(v graph.Vertex, original bool) bool) {
 // streamBuild routes an ascending-slot bulk build of n entries straight
 // into a segment writer, reporting whether it consumed the call. The
 // first BuildSorted* on a store holding nothing — pristine, or drained
-// to the last entry as curveball leaves it — opens the writer: a full
-// rewrite with no overlay sets. Builds into a store that still holds
+// to the last entry — opens the writer: a full rewrite with no overlay
+// sets. Builds into a store that still holds
 // entries, or that has no directory, take the overlay path.
 func (t *Tiered) streamBuild(li, n int, enc func([]byte, graph.Vertex) []byte) bool {
 	if t.w == nil {
@@ -511,31 +510,6 @@ func (t *Tiered) AppendList(buf []byte, li int) []byte {
 	return append(buf, t.list(li)...)
 }
 
-// SaveSegment implements Store. With a directory the base segment is
-// forced current (a no-op when the boundary's compaction already ran or
-// the overlay is clean) and hard-linked to path — the segment is
-// immutable, so publishing it costs one directory entry, not an
-// O(|E_local|) re-encode. Without one, the slots are encoded into path.
-func (t *Tiered) SaveSegment(path string) (int64, uint32, error) {
-	if t.dir == "" {
-		seg, err := t.writeSlots(path)
-		if err != nil {
-			return 0, 0, err
-		}
-		return seg.Size(), seg.CRC(), seg.Close()
-	}
-	if err := t.Compact(); err != nil {
-		return 0, 0, err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return 0, 0, err
-	}
-	if err := linkOrCopy(t.seg.Path(), path); err != nil {
-		return 0, 0, err
-	}
-	return t.seg.Size(), t.seg.CRC(), nil
-}
-
 // Stats implements Store.
 func (t *Tiered) Stats() Stats {
 	if t.dir == "" {
@@ -554,8 +528,7 @@ func (t *Tiered) Stats() Stats {
 }
 
 // Close implements Store: the mapping is released and the rank's spill
-// directory removed. Checkpoint hard links keep their segment inodes
-// alive independently.
+// directory removed.
 func (t *Tiered) Close() error {
 	if t.dir == "" {
 		return nil
@@ -571,37 +544,6 @@ func (t *Tiered) Close() error {
 	}
 	if rerr := os.RemoveAll(t.dir); err == nil {
 		err = rerr
-	}
-	return err
-}
-
-// linkOrCopy hard-links src to dst — sharing the inode, so immutable
-// base segments cost nothing to publish into a checkpoint — and falls
-// back to a byte copy across devices or on filesystems without links.
-func linkOrCopy(src, dst string) error {
-	if err := os.Link(src, dst); err == nil {
-		return nil
-	}
-	return copyFile(src, dst)
-}
-
-// copyFile is linkOrCopy's cross-device fallback, fsynced like the
-// segment it duplicates.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err = io.Copy(out, in); err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
 	}
 	return err
 }
