@@ -63,13 +63,16 @@ racedist:
 # The engine's decoders of untrusted bytes, fuzzed 10 s each beyond their
 # seed corpora: conversation records (framed at each kind's length, fed
 # to a live 2-rank engine), curveball edge runs, checkpoint manifests
-# (FuzzDecodeSnapshot) and the result gather's per-rank parts. Every
-# input must be handled or refused with a named error.
+# (FuzzDecodeSnapshot), the result gather's per-rank parts and segment
+# files (FuzzParseSegment: every checkpoint restore and spill store read
+# parses them off disk). Every input must be handled or refused with a
+# named error.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzConversationRecord$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeRun$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzReassemble$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSegment$$' -fuzztime 10s ./internal/store/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

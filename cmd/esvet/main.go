@@ -73,13 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "esvet:", err)
 		return 2
 	}
-	mod.TypeCheck()
-	for _, p := range mod.Packages {
-		if p.TypeErr != nil {
-			// Checks degrade to their syntactic forms; tell the user why.
-			fmt.Fprintf(stderr, "esvet: warning: type-checking %s: %v\n", p.RelPath, p.TypeErr)
-		}
-	}
 
 	diags := analysis.RunChecks(mod.Packages, checks)
 	if *sarifOut {

@@ -129,11 +129,17 @@ func TestRunList(t *testing.T) {
 
 // TestRunNoModule: a -root with no module above it, or one that does not
 // exist (which must not fall through to the enclosing module and report
-// that one clean), is a usage error naming the problem.
+// that one clean), or a module the loader refuses, is a usage error
+// naming the problem.
 func TestRunNoModule(t *testing.T) {
 	for _, tc := range []struct{ name, root, want string }{
 		{"no go.mod", t.TempDir(), "no go.mod"},
 		{"missing dir", filepath.Join("..", "..", "no-such-dir"), "no-such-dir"},
+		{"no module directive", writeModule(t, map[string]string{"go.mod": "go 1.21\n"}), "no module directive"},
+		{"unparsable file", writeModule(t, map[string]string{
+			"go.mod":               fixtureGoMod,
+			"internal/core/bad.go": "package core\n\nfunc (\n",
+		}), "internal/core/bad.go"},
 	} {
 		code, _, stderr := runCLI(t, "-root", tc.root)
 		if code != 2 {

@@ -19,9 +19,11 @@
 // ownership after mpi SendOwned fails `make race`; and by-value locks
 // fail `go vet`'s copylocks.
 //
-// The framework is built only on go/ast, go/parser, go/token and
-// go/types; see load.go for how a module is parsed and type-checked
-// without golang.org/x/tools.
+// The framework reads syntax only, built on go/ast, go/parser and
+// go/token without golang.org/x/tools: every check is a rule over one
+// parsed file, and a package selector is recognised by its import name
+// (see load.go for how a module is parsed). Each bug the checks exist
+// for is syntactic, so no type information is resolved.
 package analysis
 
 import (
@@ -165,10 +167,9 @@ func importLocalName(f *ast.File, path string) (string, bool) {
 }
 
 // isPkgSel reports whether e is a selector pkgName.sel where pkgName is
-// the local name of the given import in f. When type information is
-// available it additionally verifies the identifier resolves to the
-// package (ruling out shadowing by a local variable).
-func (p *Pass) isPkgSel(f *File, e ast.Expr, path, sel string) bool {
+// the local name of the given import in f. A local identifier that
+// shadows the import is not told apart: the check overapproximates.
+func isPkgSel(f *File, e ast.Expr, path, sel string) bool {
 	s, ok := e.(*ast.SelectorExpr)
 	if !ok || s.Sel.Name != sel {
 		return false
@@ -178,18 +179,7 @@ func (p *Pass) isPkgSel(f *File, e ast.Expr, path, sel string) bool {
 		return false
 	}
 	name, imported := importLocalName(f.Ast, path)
-	if !imported || id.Name != name {
-		return false
-	}
-	// With type information, rule out shadowing by a local identifier;
-	// test files are parsed but not type-checked, so they fall back to
-	// the syntactic answer.
-	if info := p.Pkg.TypesInfo; info != nil {
-		if obj := info.Uses[id]; obj != nil {
-			return resolvePkgName(info, id, path)
-		}
-	}
-	return true
+	return imported && id.Name == name
 }
 
 // commentLines returns the set of source lines in f that carry a comment

@@ -19,18 +19,12 @@ func checkByName(t *testing.T, name string) *Check {
 }
 
 // loadFixture parses testdata/<check>/<variant> impersonating the given
-// module-relative path, optionally resolving type information.
-func loadFixture(t *testing.T, check, variant, as string, typecheck bool) *Package {
+// module-relative path.
+func loadFixture(t *testing.T, check, variant, as string) *Package {
 	t.Helper()
 	pkg, err := LoadDir(filepath.Join("testdata", check, variant), as)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if typecheck {
-		TypeCheckStandalone(pkg)
-		if pkg.TypeErr != nil {
-			t.Fatalf("fixture does not type-check: %v", pkg.TypeErr)
-		}
 	}
 	return pkg
 }
@@ -43,13 +37,12 @@ type finding struct {
 
 func TestChecksOnFixtures(t *testing.T) {
 	tests := []struct {
-		name      string
-		check     string
-		variant   string
-		as        string // impersonated module-relative package path
-		typecheck bool
-		want      []finding // nil: the fixture must come back clean
-		msg       string    // substring required in every message
+		name    string
+		check   string
+		variant string
+		as      string    // impersonated module-relative package path
+		want    []finding // nil: the fixture must come back clean
+		msg     string    // substring required in every message
 	}{
 		{
 			name:  "norand fires in a deterministic package",
@@ -82,9 +75,8 @@ func TestChecksOnFixtures(t *testing.T) {
 		{
 			name:  "mpierr fires on dropped transport errors",
 			check: "mpierr", variant: "bad", as: "internal/mpi",
-			typecheck: true,
-			want:      []finding{{"bad.go", 19}, {"bad.go", 20}, {"bad.go", 24}},
-			msg:       "ignored",
+			want: []finding{{"bad.go", 19}, {"bad.go", 20}, {"bad.go", 24}, {"bad.go", 28}},
+			msg:  "ignored",
 		},
 		{
 			name:  "mpierr exempts non-engine packages",
@@ -93,7 +85,6 @@ func TestChecksOnFixtures(t *testing.T) {
 		{
 			name:  "mpierr accepts handled, discarded and deferred errors",
 			check: "mpierr", variant: "good", as: "internal/mpi",
-			typecheck: true,
 		},
 		{
 			name:  "noprint fires in library packages",
@@ -124,11 +115,6 @@ func TestChecksOnFixtures(t *testing.T) {
 			check: "nopoll", variant: "good", as: "internal/mpi",
 		},
 		{
-			name:  "nopoll resolves shadowing with type info",
-			check: "nopoll", variant: "shadow", as: "internal/mpi",
-			typecheck: true,
-		},
-		{
 			name:  "nopoll overapproximates shadowing without type info",
 			check: "nopoll", variant: "shadow", as: "internal/mpi",
 			want: []finding{{"shadow.go", 15}},
@@ -151,7 +137,7 @@ func TestChecksOnFixtures(t *testing.T) {
 
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			pkg := loadFixture(t, tt.check, tt.variant, tt.as, tt.typecheck)
+			pkg := loadFixture(t, tt.check, tt.variant, tt.as)
 			diags := RunChecks([]*Package{pkg}, []*Check{checkByName(t, tt.check)})
 			if len(diags) != len(tt.want) {
 				t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(tt.want), diags)
@@ -213,12 +199,6 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	if len(mod.Packages) < 8 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(mod.Packages))
-	}
-	mod.TypeCheck()
-	for _, p := range mod.Packages {
-		if p.TypeErr != nil {
-			t.Errorf("type-checking %s: %v", p.RelPath, p.TypeErr)
-		}
 	}
 	if diags := RunChecks(mod.Packages, nil); len(diags) != 0 {
 		for _, d := range diags {

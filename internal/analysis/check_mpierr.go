@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // transportCalls are the method names whose error results carry the
 // message-passing runtime's failure signal. A dropped Send error means a
@@ -18,8 +15,8 @@ var transportCalls = map[string]bool{
 // form) to Send/SendOwned/Recv/Close in the runtime and engine packages.
 // An explicit `_ = x.Close()` or a `defer x.Close()` is a visible,
 // deliberate decision and is allowed; silently dropping the result on
-// the statement line is not. When type information is available, calls
-// whose signature carries no error are exempt.
+// the statement line is not. The rule is syntactic: any method of those
+// names counts, whether or not its signature carries an error.
 var checkMPIErr = &Check{
 	Name: "mpierr",
 	Doc: "forbid ignoring the error results of Send/SendOwned/Recv/Close " +
@@ -45,9 +42,6 @@ var checkMPIErr = &Check{
 				if !ok || !transportCalls[sel.Sel.Name] {
 					return true
 				}
-				if info := p.Pkg.TypesInfo; info != nil && !callReturnsError(info, call) {
-					return true
-				}
 				p.Reportf(stmt.Pos(),
 					"result of %s ignored: handle the error, or discard it explicitly with `_ = ...` if teardown makes it irrelevant",
 					sel.Sel.Name)
@@ -55,25 +49,4 @@ var checkMPIErr = &Check{
 			})
 		}
 	},
-}
-
-// callReturnsError reports whether any result of the call has type error.
-// Unresolvable calls default to true (flag rather than miss).
-func callReturnsError(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	if !ok {
-		return true
-	}
-	sig, ok := tv.Type.(*types.Signature)
-	if !ok {
-		return true
-	}
-	for i := 0; i < sig.Results().Len(); i++ {
-		if named, ok := sig.Results().At(i).Type().(*types.Named); ok {
-			if named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -48,7 +48,7 @@ var checkNoPoll = &Check{
 					return true
 				}
 				loopCalls(body, func(call *ast.CallExpr) {
-					if !p.isPkgSel(f, call.Fun, "time", "Sleep") || seen[call.Pos()] {
+					if !isPkgSel(f, call.Fun, "time", "Sleep") || seen[call.Pos()] {
 						return
 					}
 					seen[call.Pos()] = true

@@ -34,18 +34,19 @@ var checkNoPrint = &Check{
 				}
 				switch fun := call.Fun.(type) {
 				case *ast.Ident:
-					// The print/println builtins write to stderr.
-					if (fun.Name == "print" || fun.Name == "println") && isBuiltin(p, fun) {
+					// The print/println builtins write to stderr. Read from
+					// syntax alone, a local function of either name counts.
+					if fun.Name == "print" || fun.Name == "println" {
 						p.Reportf(call.Pos(), "builtin %s in library package %s: return values or write to an injected io.Writer instead", fun.Name, describePkg(p))
 					}
 				case *ast.SelectorExpr:
-					if printedFmtFuncs[fun.Sel.Name] && p.isPkgSel(f, fun, "fmt", fun.Sel.Name) {
+					if printedFmtFuncs[fun.Sel.Name] && isPkgSel(f, fun, "fmt", fun.Sel.Name) {
 						p.Reportf(call.Pos(), "fmt.%s in library package %s: return values or write to an injected io.Writer instead", fun.Sel.Name, describePkg(p))
 						return true
 					}
-					if fprintFmtFuncs[fun.Sel.Name] && p.isPkgSel(f, fun, "fmt", fun.Sel.Name) && len(call.Args) > 0 {
+					if fprintFmtFuncs[fun.Sel.Name] && isPkgSel(f, fun, "fmt", fun.Sel.Name) && len(call.Args) > 0 {
 						for _, std := range []string{"Stdout", "Stderr"} {
-							if p.isPkgSel(f, call.Args[0], "os", std) {
+							if isPkgSel(f, call.Args[0], "os", std) {
 								p.Reportf(call.Pos(), "fmt.%s to os.%s in library package %s: write to an injected io.Writer so callers and tests can capture it", fun.Sel.Name, std, describePkg(p))
 							}
 						}
@@ -55,21 +56,6 @@ var checkNoPrint = &Check{
 			})
 		}
 	},
-}
-
-// isBuiltin reports whether id resolves to a predeclared builtin (or, in
-// the absence of type information, is not locally redeclared — best
-// effort: assume builtin).
-func isBuiltin(p *Pass, id *ast.Ident) bool {
-	info := p.Pkg.TypesInfo
-	if info == nil {
-		return true
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return true // test files and unresolved: assume builtin
-	}
-	return obj.Parent() == nil || obj.Pkg() == nil
 }
 
 // describePkg names the package in messages ("the module root" for "").

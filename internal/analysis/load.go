@@ -3,10 +3,8 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,8 +29,8 @@ func (m *Module) Rel(file string) string {
 	return file
 }
 
-// Package is one parsed (and, after TypeCheck, type-checked) package
-// directory.
+// Package is one parsed package directory. The checks read its syntax
+// only: no type information is resolved.
 type Package struct {
 	Name    string // package name from the first non-test file
 	RelPath string // module-relative directory ("" for the module root)
@@ -40,13 +38,6 @@ type Package struct {
 	Fset    *token.FileSet
 	Files   []*File
 	Module  *Module // nil for packages loaded standalone via LoadDir
-
-	// Types and TypesInfo cover the non-test files; both are nil until
-	// TypeCheck runs, and TypeErr records a best-effort failure (checks
-	// that need types skip such packages).
-	Types     *types.Package
-	TypesInfo *types.Info
-	TypeErr   error
 }
 
 // File is one parsed source file.
@@ -56,11 +47,6 @@ type File struct {
 	Ast         *ast.File
 	Test        bool // *_test.go
 	BuildTagged bool // carries a //go:build (or legacy +build) constraint
-
-	// Constraint is the parsed build constraint, nil when the file has
-	// none (or it failed to parse — such files stay in the type-checked
-	// set so a malformed tag degrades to the old behaviour).
-	Constraint constraint.Expr
 }
 
 // Under reports whether the package lies in or beneath any of the given
@@ -71,7 +57,7 @@ func (p *Package) Under(prefixes ...string) bool {
 
 // LoadModule parses every package directory beneath root (skipping
 // testdata, vendor, hidden directories, and non-Go files). root must
-// contain go.mod. Type information is not resolved until TypeCheck.
+// contain go.mod. Every file is parsed whatever its build constraint.
 func LoadModule(root string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -155,14 +141,12 @@ func loadDir(fset *token.FileSet, dir string) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
-		expr := buildConstraintOf(f)
 		pkg.Files = append(pkg.Files, &File{
 			Name:        e.Name(),
 			Path:        path,
 			Ast:         f,
 			Test:        strings.HasSuffix(e.Name(), "_test.go"),
 			BuildTagged: hasBuildConstraint(f),
-			Constraint:  expr,
 		})
 	}
 	if len(pkg.Files) == 0 {
@@ -195,38 +179,6 @@ func hasBuildConstraint(f *ast.File) bool {
 		}
 	}
 	return false
-}
-
-// buildConstraintOf parses the file's build constraint into an
-// evaluable expression: the first //go:build line wins; otherwise the
-// legacy // +build lines are ANDed together. Returns nil when the file
-// has no constraint or it does not parse.
-func buildConstraintOf(f *ast.File) constraint.Expr {
-	var legacy constraint.Expr
-	for _, grp := range f.Comments {
-		if grp.Pos() >= f.Package {
-			break
-		}
-		for _, c := range grp.List {
-			text := strings.TrimSpace(c.Text)
-			if !constraint.IsGoBuild(text) && !constraint.IsPlusBuild(text) {
-				continue
-			}
-			expr, err := constraint.Parse(text)
-			if err != nil {
-				continue
-			}
-			if constraint.IsGoBuild(text) {
-				return expr
-			}
-			if legacy == nil {
-				legacy = expr
-			} else {
-				legacy = &constraint.AndExpr{X: legacy, Y: expr}
-			}
-		}
-	}
-	return legacy
 }
 
 // modulePath extracts the module path from a go.mod file.

@@ -1,6 +1,6 @@
 // Fixture: dropped transport errors. Checked impersonated as
-// internal/mpi (must fire) and cmd/edgeswitch (exempt path). Type-checked
-// so the no-error Quiet.Close below is recognised as exempt.
+// internal/mpi (must fire) and cmd/edgeswitch (exempt path). The rule
+// reads syntax only, so the no-error quiet.Close below is flagged too.
 package fixture
 
 type conn struct{}
@@ -25,5 +25,5 @@ func Drain(c conn) {
 }
 
 func Silent(q quiet) {
-	q.Close() // returns no error: exempt under type information
+	q.Close() // returns no error, flagged all the same
 }

@@ -1,6 +1,6 @@
-// Fixture: a local identifier shadowing the time import. With type
-// information the check must recognise that time.Sleep() here calls the
-// fake clock, not the package.
+// Fixture: a local identifier shadowing the time import. Read from
+// syntax alone, time.Sleep() here is taken for the package's although it
+// calls the fake clock: the check overapproximates and fires.
 package shadow
 
 import "time"

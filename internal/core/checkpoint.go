@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"edgeswitch/internal/graph"
 	"edgeswitch/internal/mpi"
@@ -305,7 +306,10 @@ func (ck *checkpointer) scheme() Scheme {
 // directory listings, so a peer that keyed its GC on still seeing the
 // manifest would orphan the segment forever whenever it lost that race.
 // Anything of this rank below the oldest retained step goes, manifest or
-// not — which also collects orphans left by earlier crashed runs.
+// not — which also collects orphans left by earlier crashed runs: the
+// segment pattern matches the ".seg.tmp" of an unfinished segment write,
+// and rank 0 removes the ".json.tmp" manifests that writeAtomic leaves
+// when it crashes between create and rename.
 func (ck *checkpointer) gc(latest int64) {
 	if ck.keep < 0 {
 		return
@@ -340,8 +344,22 @@ func (ck *checkpointer) gc(latest int64) {
 		var rank int
 		if n, serr := fmt.Sscanf(ent.Name(), "snap-%d-rank-%d.seg", &step, &rank); n == 2 && serr == nil && rank == ck.c.Rank() && step < cutoff {
 			_ = os.Remove(filepath.Join(ck.dir, ent.Name()))
+		} else if step, tmp, ok := manifestStep(ent.Name()); ok && tmp && step < cutoff && ck.c.Rank() == 0 {
+			_ = os.Remove(filepath.Join(ck.dir, ent.Name()))
 		}
 	}
+}
+
+// manifestStep parses a manifest file name exactly (ckManifestPath's
+// form), reporting whether it is a writeAtomic leftover (".tmp") rather
+// than a committed manifest. Sscanf alone ignores trailing text, which
+// would count "manifest-00000003.json.tmp" as committed step 3.
+func manifestStep(name string) (step int64, tmp, ok bool) {
+	base, tmp := strings.CutSuffix(name, ".tmp")
+	if _, err := fmt.Sscanf(base, "manifest-%d.json", &step); err != nil || base != filepath.Base(ckManifestPath("", step)) {
+		return 0, false, false
+	}
+	return step, tmp, true
 }
 
 // manifestSteps lists the steps of all committed manifests, ascending.
@@ -352,8 +370,7 @@ func (ck *checkpointer) manifestSteps() []int64 {
 	}
 	var steps []int64
 	for _, ent := range ents {
-		var step int64
-		if n, err := fmt.Sscanf(ent.Name(), "manifest-%d.json", &step); n == 1 && err == nil {
+		if step, tmp, ok := manifestStep(ent.Name()); ok && !tmp {
 			steps = append(steps, step)
 		}
 	}

@@ -568,62 +568,88 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // rank 0 unlinks expired manifests concurrently with the peers' own
 // directory listings, so a manifest-keyed GC orphans the losing peer's
 // segment forever. A segment below the cutoff goes even when its
-// manifest is already gone.
+// manifest is already gone. A manifest's ".tmp" leftover (writeAtomic
+// crashed between create and rename) is no committed step: counted as
+// one, it would move the cutoff and expire a real checkpoint.
 func TestCheckpointGCCutoff(t *testing.T) {
-	w, err := mpi.NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	dir := t.TempDir()
-	for _, step := range []int64{3, 4, 5} {
-		if err := os.WriteFile(ckManifestPath(dir, step), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Segments for steps 1..5; steps 1 and 2 have no manifest (step 1
-	// mimics the orphan a lost race leaves, step 2 a crashed commit).
-	for _, step := range []int64{1, 2, 3, 4, 5} {
-		if err := os.WriteFile(ckSegPath(dir, step, 0), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A peer's segment is never this rank's to collect.
-	if err := os.WriteFile(ckSegPath(dir, 1, 1), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *mpi.Comm) error {
-		ck := &checkpointer{c: c, dir: dir, keep: 2}
-		ck.gc(5)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	want := []string{
-		filepath.Base(ckManifestPath(dir, 4)),
-		filepath.Base(ckManifestPath(dir, 5)),
-		filepath.Base(ckSegPath(dir, 1, 1)),
-		filepath.Base(ckSegPath(dir, 4, 0)),
-		filepath.Base(ckSegPath(dir, 5, 0)),
-	}
-	sort.Strings(names)
-	sort.Strings(want)
-	if len(names) != len(want) {
-		t.Fatalf("after gc: %v, want %v", names, want)
-	}
-	for i := range names {
-		if names[i] != want[i] {
-			t.Fatalf("after gc: %v, want %v", names, want)
-		}
+	for _, tc := range []struct {
+		name      string
+		manifests []int64  // committed manifests
+		leftovers []int64  // manifest-<step>.json.tmp
+		segs      []int64  // this rank's segments
+		latest    int64    // gc's argument, keep = 2
+		want      []string // surviving names besides the peer's segment
+	}{
+		{
+			// Steps 1 and 2 have no manifest (step 1 mimics the orphan a
+			// lost race leaves, step 2 a crashed commit).
+			name:      "segments key on the cutoff",
+			manifests: []int64{3, 4, 5},
+			segs:      []int64{1, 2, 3, 4, 5},
+			latest:    5,
+			want: []string{
+				"manifest-00000004.json", "manifest-00000005.json",
+				"snap-00000004-rank-0000.seg", "snap-00000005-rank-0000.seg",
+			},
+		},
+		{
+			name:      "manifest leftovers are not committed steps",
+			manifests: []int64{2, 4},
+			leftovers: []int64{1, 3},
+			segs:      []int64{2, 3, 4},
+			latest:    4,
+			want: []string{
+				"manifest-00000002.json", "manifest-00000003.json.tmp", "manifest-00000004.json",
+				"snap-00000002-rank-0000.seg", "snap-00000003-rank-0000.seg", "snap-00000004-rank-0000.seg",
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := mpi.NewWorld(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			dir := t.TempDir()
+			write := func(path string) {
+				if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, step := range tc.manifests {
+				write(ckManifestPath(dir, step))
+			}
+			for _, step := range tc.leftovers {
+				write(ckManifestPath(dir, step) + ".tmp")
+			}
+			for _, step := range tc.segs {
+				write(ckSegPath(dir, step, 0))
+			}
+			// A peer's segment is never this rank's to collect.
+			write(ckSegPath(dir, 1, 1))
+			err = w.Run(func(c *mpi.Comm) error {
+				ck := &checkpointer{c: c, dir: dir, keep: 2}
+				ck.gc(tc.latest)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			want := append([]string{filepath.Base(ckSegPath(dir, 1, 1))}, tc.want...)
+			sort.Strings(names)
+			sort.Strings(want)
+			if !reflect.DeepEqual(names, want) {
+				t.Fatalf("after gc: %v, want %v", names, want)
+			}
+		})
 	}
 }
 

@@ -104,29 +104,43 @@ func runFig16_17(cfg Config) error {
 	return tw.Flush()
 }
 
-// runFig18 reports the final edge distribution after a full (x=1) run:
-// CP's distribution skews badly on Miami while the HP schemes stay flat.
-func runFig18(cfg Config) error {
-	g, err := dataset(cfg, "miami")
+// fig18 switches the named stand-in to x = 1 under every scheme at
+// p = MaxRanks and returns the graph, t and each scheme's edges per rank
+// afterwards, in core.Schemes order.
+func fig18(cfg Config, name string) (*graph.Graph, int64, [][]int64, error) {
+	g, err := dataset(cfg, name)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
 	t, err := opsForX(g, 1)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
-	p := cfg.MaxRanks
-	fmt.Fprintf(cfg.Out, "miami stand-in m=%d t=%d p=%d (edges per rank after switching)\n", g.M(), t, p)
-	tw := newTable(cfg.Out)
-	fmt.Fprintln(tw, "scheme\tquantity\tmin\tmedian\tmax\tmax/mean")
+	var loads [][]int64
 	for _, scheme := range core.Schemes() {
 		res, err := core.Parallel(g, t, core.Config{
-			Ranks: p, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
+			Ranks: cfg.MaxRanks, Scheme: scheme, Seed: cfg.Seed, StepSize: t / 100, SkipResult: true,
 		})
 		if err != nil {
-			return err
+			return nil, 0, nil, err
 		}
-		distRow(tw, scheme, "final edges", res.RankFinalEdges)
+		loads = append(loads, res.RankFinalEdges)
+	}
+	return g, t, loads, nil
+}
+
+// runFig18 reports the final edge distribution after a full (x=1) run:
+// CP's distribution skews badly on Miami while the HP schemes stay flat.
+func runFig18(cfg Config) error {
+	g, t, loads, err := fig18(cfg, "miami")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(cfg.Out, "miami stand-in m=%d t=%d p=%d (edges per rank after switching)\n", g.M(), t, cfg.MaxRanks)
+	tw := newTable(cfg.Out)
+	fmt.Fprintln(tw, "scheme\tquantity\tmin\tmedian\tmax\tmax/mean")
+	for i, scheme := range core.Schemes() {
+		distRow(tw, scheme, "final edges", loads[i])
 	}
 	return tw.Flush()
 }

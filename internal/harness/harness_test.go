@@ -152,6 +152,47 @@ func TestTable3Verdict(t *testing.T) {
 	}
 }
 
+// TestFig16_20Verdict asserts the final edge distributions behind Figs.
+// 16–20: switching destroys the clustered Miami graph's label locality,
+// so CP ends with skewed edges there, while on PA CP stays flat, and the
+// hash schemes stay flat on both.
+func TestFig16_20Verdict(t *testing.T) {
+	// Final edges max/mean over seeds 1–20 at this config: CP 1.339–1.456
+	// on miami, 1.010–1.020 on pa; HP-D and HP-M 1.002–1.065 on both.
+	// HP-U reads 1.003–1.088 except on pa at seed 12 (1.234): one draw of
+	// its hash coefficients can alias consecutive labels onto few ranks,
+	// and PA's hubs are consecutive labels.
+	const (
+		cpMiamiSkew = 1.3
+		flatBand    = 1.1
+		hpuBand     = 1.25
+	)
+	cfg := Config{Scale: 0.05, MaxRanks: 4}.withDefaults()
+	for _, name := range []string{"miami", "pa"} {
+		_, _, loads, err := fig18(cfg, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, scheme := range core.Schemes() {
+			_, _, _, imb := deciles(loads[i])
+			switch {
+			case scheme == core.SchemeCP && name == "miami":
+				if imb < cpMiamiSkew {
+					t.Errorf("miami: CP final edges max/mean %.3f, want ≥ %.2f", imb, cpMiamiSkew)
+				}
+			case scheme == core.SchemeHPU:
+				if imb > hpuBand {
+					t.Errorf("%s: HP-U final edges max/mean %.3f, want ≤ %.2f", name, imb, hpuBand)
+				}
+			default:
+				if imb > flatBand {
+					t.Errorf("%s: %s final edges max/mean %.3f, want ≤ %.2f", name, scheme, imb, flatBand)
+				}
+			}
+		}
+	}
+}
+
 // TestFig21_22Verdict asserts the adversarial worst case (Figs. 21–22):
 // on the relabeled PA graph the hot HP-D rank carries several times its
 // fair share of operations, while HP-U's random hash keeps the ranks
